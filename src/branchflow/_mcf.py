@@ -1,18 +1,33 @@
 """Exact min-cost flow on small dense networks.
 
 Successive shortest paths with Dijkstra over reduced costs (Johnson
-potentials).  Capacities are integers, so every intermediate flow value is
-exact; arc costs are nonnegative floats.  Deterministic: arcs are relaxed in
-insertion order and distance ties keep the earlier-discovered predecessor,
-so identical inputs produce identical flows.
+potentials).  Capacities are nonnegative integers, so every intermediate
+flow is exact; arc costs are nonnegative floats.  Deterministic: arcs are
+relaxed in insertion order and distance ties keep the earlier-discovered
+predecessor, so identical inputs produce identical flows.
 
-Dense complete-arc instances up to a few thousand arcs are the intended
-scale; everything here is plain Python on purpose.
+Each search stops as soon as the sink is popped.  Popped distances never
+decrease, so every node still in the heap at that point has distance at
+least ``d_t``: it cannot shorten the sink's path, and the potential update
+``pi[v] += min(dist[v], d_t)`` gives it exactly ``d_t`` whether its label is
+final or not.  Flows and potentials are therefore the same as those of a
+search run to exhaustion.
+
+A search scans, per node, only the arcs with residual capacity, kept in
+adjacency order as augmentations saturate and open them; on a dense
+network most reverse arcs stay empty.  Scanning them in the same order as
+the full adjacency list keeps every tie-break unchanged.
+
+Dense complete-arc instances up to about ten thousand arcs are the
+intended scale; everything here is plain Python on purpose.
+:meth:`add_arcs` adds a whole arc list in one pass.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import insort
+from typing import Sequence
 
 
 class SolverError(RuntimeError):
@@ -29,27 +44,52 @@ class MinCostFlowNetwork:
         self.cost: list[float] = []
         self.adj: list[list[int]] = [[] for _ in range(n_nodes)]
 
-    def add_arc(self, u: int, v: int, cap: int, cost: float) -> int:
-        """Add u->v with the given capacity; returns the arc id."""
-        a = len(self.to)
-        self.to.append(v)
-        self.cap.append(int(cap))
-        self.cost.append(float(cost))
-        self.adj[u].append(a)
-        # paired residual arc
-        self.to.append(u)
-        self.cap.append(0)
-        self.cost.append(-float(cost))
-        self.adj[v].append(a + 1)
-        return a
+    def add_arcs(
+        self,
+        tails: Sequence[int],
+        heads: Sequence[int],
+        caps: Sequence[int],
+        costs: Sequence[float],
+    ) -> int:
+        """Add tails[k]->heads[k] for every k, in order; returns the first arc id.
 
-    def flow_on(self, arc_id: int) -> int:
-        """Flow currently routed through a forward arc."""
-        return self.cap[arc_id ^ 1]
+        Arc k gets id ``first + 2 * k`` and its residual arc, with capacity 0
+        and negated cost, id ``first + 2 * k + 1``.  Both ids are appended to
+        their tail's adjacency list, so every list stays in id order.
+        """
+        first = len(self.to)
+        m = len(tails)
+        to = [0] * (2 * m)
+        to[0::2] = heads
+        to[1::2] = tails
+        cap = [0] * (2 * m)
+        cap[0::2] = [int(c) for c in caps]
+        cost = [0.0] * (2 * m)
+        fwd = [float(c) for c in costs]
+        cost[0::2] = fwd
+        cost[1::2] = [-c for c in fwd]
+        self.to.extend(to)
+        self.cap.extend(cap)
+        self.cost.extend(cost)
+        adj = self.adj
+        a = first
+        for u, v in zip(tails, heads):
+            adj[u].append(a)
+            adj[v].append(a + 1)
+            a += 2
+        return first
+
+    def flows(self, first: int, count: int) -> list[int]:
+        """Flow currently routed through ``count`` arcs added from id ``first`` on."""
+        return self.cap[first + 1 : first + 2 * count : 2]
 
     def solve(self, s: int, t: int, max_augmentations: int = 100_000) -> int:
         """Push maximum flow from s to t at minimum cost; returns the value."""
         n = self.n
+        to, cap, cost, adj = self.to, self.cap, self.cost, self.adj
+        heappush, heappop = heapq.heappush, heapq.heappop
+        # residual arcs of each node, in adjacency (= arc id) order
+        live = [[a for a in arcs if cap[a] > 0] for arcs in adj]
         pi = [0.0] * n
         inf = float("inf")
         pushed = 0
@@ -59,22 +99,23 @@ class MinCostFlowNetwork:
             dist[s] = 0.0
             heap = [(0.0, s)]
             while heap:
-                d, u = heapq.heappop(heap)
+                d, u = heappop(heap)
                 if d > dist[u]:
                     continue
-                for a in self.adj[u]:
-                    if self.cap[a] <= 0:
-                        continue
-                    v = self.to[a]
+                if u == t:
+                    break  # the rest of the heap is no closer than t
+                pu = pi[u]
+                for a in live[u]:
+                    v = to[a]
                     # reduced cost; clamp float dust so Dijkstra stays valid
-                    rc = self.cost[a] + pi[u] - pi[v]
+                    rc = cost[a] + pu - pi[v]
                     if rc < 0.0:
                         rc = 0.0
                     nd = d + rc
                     if nd < dist[v]:
                         dist[v] = nd
                         prev_arc[v] = a
-                        heapq.heappush(heap, (nd, v))
+                        heappush(heap, (nd, v))
             if dist[t] == inf:
                 return pushed
             d_t = dist[t]
@@ -85,15 +126,21 @@ class MinCostFlowNetwork:
             v = t
             while v != s:
                 a = prev_arc[v]
-                if delta is None or self.cap[a] < delta:
-                    delta = self.cap[a]
-                v = self.to[a ^ 1]
+                if delta is None or cap[a] < delta:
+                    delta = cap[a]
+                v = to[a ^ 1]
             v = t
             while v != s:
                 a = prev_arc[v]
-                self.cap[a] -= delta
-                self.cap[a ^ 1] += delta
-                v = self.to[a ^ 1]
+                b = a ^ 1
+                u = to[b]
+                cap[a] -= delta
+                if cap[a] == 0:
+                    live[u].remove(a)
+                if cap[b] == 0:
+                    insort(live[v], b)
+                cap[b] += delta
+                v = u
             pushed += delta
         raise SolverError(
             f"min-cost flow did not finish within {max_augmentations} augmentations"

@@ -17,7 +17,7 @@ import numpy as np
 
 from .measures import SignedConfig, total_mass
 from .transport import TransportPlan, MARGINAL_RTOL, as_positions, vertex_positions
-from .regularize import is_regular, zero_flow_threshold, NotRegularError
+from .regularize import edges_form_forest, is_regular, zero_flow_threshold, NotRegularError
 
 ROLES = ("source", "sink", "free")
 CHAIN_FLOW_RTOL = 1e-6
@@ -191,20 +191,7 @@ def undirected_adjacency(g: WeightedDigraph) -> dict[int, list[tuple[int, int]]]
 
 def is_forest(g: WeightedDigraph) -> bool:
     """True when the undirected support has no cycle (parallel edges count)."""
-    parent = list(range(g.n_vertices))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in g.edges:
-        ru, rv = find(e.tail), find(e.head)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
+    return edges_form_forest((e.tail, e.head) for e in g.edges)
 
 
 def reduce_graph(g: WeightedDigraph, flow_rtol: float = CHAIN_FLOW_RTOL) -> ReducedTree:

@@ -308,7 +308,6 @@ def solve_topology(
     centroid = pos.mean(axis=0)
     for attempt in range(4):
         if attempt == 0:
-            offsets = np.linspace(0.0, 1.0, s + 2)[1:-1]
             S = np.vstack(
                 [centroid + 1e-3 * scale * (k + 1) * np.ones(config.dimension) for k in range(s)]
             )

@@ -250,34 +250,32 @@ def _solve_flow_network(
     """Run the exact flow solver; returns positive integer flows per matrix key."""
     n_rows = n_src + n_free
     n_cols = n_snk + n_free
-    node_src = list(range(n_src))
-    node_snk = list(range(n_src, n_src + n_snk))
-    node_free = list(range(n_src + n_snk, n_src + n_snk + n_free))
-    s_star = n_src + n_snk + n_free
+    n_term = n_src + n_snk
+    s_star = n_term + n_free
     t_star = s_star + 1
+    # network nodes: sources, sinks, free atoms, then s*, t*; plan arcs run
+    # row-major over the matrix, minus the free self-loops (infinite cost)
+    rows, cols = np.divmod(np.arange(n_rows * n_cols), n_cols)
+    keep = ~((rows >= n_src) & (rows - n_src == cols - n_snk))
+    rows, cols = rows[keep], cols[keep]
+    tails = np.where(rows < n_src, rows, rows + n_snk)
+    heads = cols + n_src
+    n_plan = len(rows)
     net = MinCostFlowNetwork(t_star + 1)
-    for i in range(n_src):
-        net.add_arc(s_star, node_src[i], int(src_units[i]), 0.0)
-    for j in range(n_snk):
-        net.add_arc(node_snk[j], t_star, int(snk_units[j]), 0.0)
-    plan_arcs: list[tuple[int, int, int]] = []
-    for i in range(n_rows):
-        u = node_src[i] if i < n_src else node_free[i - n_src]
-        for j in range(n_cols):
-            if i >= n_src and j >= n_snk and i - n_src == j - n_snk:
-                continue  # free self-loop: effectively infinite cost
-            v = node_snk[j] if j < n_snk else node_free[j - n_snk]
-            a = net.add_arc(u, v, MASS_UNITS, float(F[i, j]))
-            plan_arcs.append((i, j, a))
+    plan_first = 2 * n_term + net.add_arcs(
+        [s_star] * n_src + list(range(n_src, n_term)) + tails.tolist(),
+        list(range(n_src)) + [t_star] * n_snk + heads.tolist(),
+        list(src_units) + list(snk_units) + [MASS_UNITS] * n_plan,
+        [0.0] * n_term + F[rows, cols].tolist(),
+    )
     pushed = net.solve(s_star, t_star)
     if pushed != MASS_UNITS:
         raise SolverError(f"flow short by {MASS_UNITS - pushed} units")
-    flows: dict[tuple[int, int], int] = {}
-    for i, j, a in plan_arcs:
-        f = net.flow_on(a)
-        if f > 0:
-            flows[(i, j)] = f
-    return flows
+    return {
+        (i, j): f
+        for i, j, f in zip(rows.tolist(), cols.tolist(), net.flows(plan_first, n_plan))
+        if f > 0
+    }
 
 
 def min_cost_plan(

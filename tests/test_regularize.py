@@ -1,3 +1,6 @@
+import itertools
+
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -24,6 +27,26 @@ from conftest import random_config, random_feasible_plan, random_positions
 def relay_arc(cfg, a: int, b: int) -> tuple[int, int]:
     """Matrix key for flow from free atom a to free atom b."""
     return (cfg.n_sources + a, cfg.n_sinks + b)
+
+
+def nx_regular(plan: TransportPlan, tol: float = 0.0) -> bool:
+    """Reference: no directed cycle, at most one simple path per terminal pair.
+
+    Entries at or below ``tol`` are dropped when ``tol > 0``; at ``tol=0``
+    every stored entry is an arc, as in ``is_regular``.
+    """
+    g = nx.MultiDiGraph()
+    g.add_nodes_from(range(plan.n_vertices))
+    for (i, j), flow in plan.entries.items():
+        if tol == 0 or flow > tol:
+            g.add_edge(plan.row_to_vertex(i), plan.col_to_vertex(j))
+    if not nx.is_directed_acyclic_graph(g):
+        return False
+    return all(
+        len(list(itertools.islice(nx.all_simple_edge_paths(g, s, plan.n_sources + t), 2))) < 2
+        for s in range(plan.n_sources)
+        for t in range(plan.n_sinks)
+    )
 
 
 class TestIsRegular:
@@ -59,6 +82,43 @@ class TestIsRegular:
         plan = TransportPlan(1, 1, 1, {(0, 0): 1.0, (1, 1): 1e-15})
         assert not is_regular(plan).ok
         assert is_regular(plan, tol=1e-12).ok
+
+    def test_matches_networkx_on_random_and_optimal_plans(self, rng):
+        seen = set()
+        for _ in range(40):
+            cfg = random_config(rng)
+            n = int(rng.integers(0, 7))
+            Z = random_positions(cfg, n, rng)
+            for plan in (random_feasible_plan(cfg, n, rng), min_cost_plan(cfg, Z, 2.0)[0]):
+                for tol in (0.0, zero_flow_threshold(plan, cfg)):
+                    ok = is_regular(plan, tol=tol).ok
+                    assert ok == nx_regular(plan, tol)
+                    seen.add(ok)
+        assert seen == {True, False}
+
+    def test_matches_networkx_on_forest_with_two_cycle(self):
+        from branchflow import y_instance
+
+        cfg = y_instance()
+        # both sources feed free 0, which relays through free 1 to the sink
+        forest = TransportPlan(
+            2, 1, 2, {(0, 1): 1.0, (1, 1): 1.0, relay_arc(cfg, 0, 1): 2.0, (3, 0): 2.0}
+        )
+        assert is_regular(forest).ok and nx_regular(forest)
+        looped = forest.copy()
+        looped.entries[relay_arc(cfg, 0, 1)] += 0.3
+        looped.entries[relay_arc(cfg, 1, 0)] = 0.3
+        report = is_regular(looped)
+        assert not report.ok and report.kind == "cycle"
+        assert not nx_regular(looped)
+
+    def test_zero_flow_entry_counts_at_zero_tolerance(self):
+        # a zero-flow detour through the relay parallels the direct arc
+        plan = TransportPlan(1, 1, 1, {(0, 0): 1.0, (0, 1): 0.0, (1, 0): 0.0})
+        report = is_regular(plan, tol=0)
+        assert not report.ok and report.kind == "parallel_paths"
+        assert not nx_regular(plan, 0.0)
+        assert is_regular(plan, tol=1e-12).ok and nx_regular(plan, 1e-12)
 
 
 class TestCancelCycles:
@@ -161,6 +221,22 @@ class TestRegularizePipeline:
             assert is_regular(out, tol=zero_flow_threshold(out, cfg)).ok
             after = plan_cost(cfg, Z, out, 2.0)
             assert after <= before + 1e-9 * max(1.0, before)
+
+    def test_equals_the_three_stages_exactly(self, rng):
+        # entries, their values and their order: plan_cost sums in dict order
+        for k in range(40):
+            cfg = random_config(rng)
+            n = int(rng.integers(0, 7))
+            Z = random_positions(cfg, n, rng)
+            if k % 2:
+                plan = random_feasible_plan(cfg, n, rng)
+            else:
+                plan, _ = min_cost_plan(cfg, Z, 2.0)
+            staged = cancel_flat_cycles(
+                merge_parallel_paths(cancel_cycles(plan, cfg), cfg, Z, 2.0), cfg, Z, 2.0
+            )
+            out = regularize(plan, cfg, Z, 2.0)
+            assert list(out.entries.items()) == list(staged.entries.items())
 
     def test_optimal_plans_pass_through_unchanged_in_cost(self, rng):
         for _ in range(5):

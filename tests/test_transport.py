@@ -13,6 +13,7 @@ from branchflow import (
     single_edge,
     wasserstein_q,
 )
+from branchflow._mcf import MinCostFlowNetwork
 from branchflow.transport import (
     MASS_UNITS,
     as_positions,
@@ -110,6 +111,14 @@ class TestMinCostPlan:
             Z = rng.uniform(-1, 1, size=(n, 2))
             _, cost = min_cost_plan(cfg, Z, 2.0)
             assert cost == pytest.approx(_lp_reference(cfg, Z, 2.0), rel=1e-7)
+        # wide networks: many nodes are still unsettled when the sink pops
+        for _ in range(4):
+            n_src, n_snk = (int(k) for k in rng.integers(8, 13, size=2))
+            cfg = random_instance(rng, n_src, n_snk, total_mass=16)
+            n = int(rng.integers(4, 9))
+            Z = rng.uniform(-1, 1, size=(n, 2))
+            _, cost = min_cost_plan(cfg, Z, 2.0)
+            assert cost == pytest.approx(_lp_reference(cfg, Z, 2.0), rel=1e-7)
 
     def test_matches_basic_solution_enumeration(self, rng):
         for _ in range(4):
@@ -147,6 +156,27 @@ def _lp_reference(cfg, Z, q):
     res = linprog(np.array([F[i, j] for i, j in arcs]), A_eq=A, b_eq=b, method="highs")
     assert res.success
     return float(res.fun)
+
+
+class TestMinCostFlowNetwork:
+    def test_add_arcs_layout(self, rng):
+        arcs = [
+            (int(u), int(v), int(c), 0.5 * k)
+            for k, (u, v, c) in enumerate(rng.integers(0, 6, size=(20, 3)))
+        ]
+        net = MinCostFlowNetwork(6)
+        assert net.add_arcs(*zip(*arcs[:5])) == 0
+        assert net.add_arcs(*zip(*arcs[5:])) == 10
+        # reference: forward arc, then its empty residual, each appended to
+        # its tail's adjacency list
+        to, cap, cost, adj = [], [], [], [[] for _ in range(6)]
+        for u, v, c, w in arcs:
+            adj[u].append(len(to))
+            adj[v].append(len(to) + 1)
+            to += [v, u]
+            cap += [c, 0]
+            cost += [w, -w]
+        assert (net.to, net.cap, net.cost, net.adj) == (to, cap, cost, adj)
 
 
 class TestTransportPlan:
