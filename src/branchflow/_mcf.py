@@ -19,8 +19,9 @@ network most reverse arcs stay empty.  Scanning them in the same order as
 the full adjacency list keeps every tie-break unchanged.
 
 Dense complete-arc instances up to about ten thousand arcs are the
-intended scale; everything here is plain Python on purpose.
-:meth:`add_arcs` adds a whole arc list in one pass.
+intended scale; the search is plain Python on purpose.  :meth:`add_arcs`
+lays out a whole arc list with a few NumPy calls: the arc arrays, and the
+adjacency lists from one stable sort of the arc ends by node.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ from __future__ import annotations
 import heapq
 from bisect import insort
 from typing import Sequence
+
+import numpy as np
 
 
 class SolverError(RuntimeError):
@@ -59,24 +62,28 @@ class MinCostFlowNetwork:
         """
         first = len(self.to)
         m = len(tails)
-        to = [0] * (2 * m)
+        # slot 2k is arc k (tail -> head), slot 2k + 1 its residual arc
+        to = np.empty(2 * m, dtype=np.int64)
         to[0::2] = heads
         to[1::2] = tails
-        cap = [0] * (2 * m)
-        cap[0::2] = [int(c) for c in caps]
-        cost = [0.0] * (2 * m)
-        fwd = [float(c) for c in costs]
-        cost[0::2] = fwd
-        cost[1::2] = [-c for c in fwd]
-        self.to.extend(to)
-        self.cap.extend(cap)
-        self.cost.extend(cost)
+        cap = np.zeros(2 * m, dtype=np.int64)
+        cap[0::2] = caps
+        cost = np.empty(2 * m)
+        cost[0::2] = costs
+        np.negative(cost[0::2], out=cost[1::2])
+        self.to.extend(to.tolist())
+        self.cap.extend(cap.tolist())
+        self.cost.extend(cost.tolist())
+        # slot k leaves node to[k ^ 1]; a stable sort by that node lists each
+        # node's new arc ids in id order, after the ids it already has
+        owner = to.reshape(-1, 2)[:, ::-1].ravel()
+        order = np.argsort(owner, kind="stable")
+        ids = (order + first).tolist()
         adj = self.adj
-        a = first
-        for u, v in zip(tails, heads):
-            adj[u].append(a)
-            adj[v].append(a + 1)
-            a += 2
+        start = 0
+        for u, end in enumerate(np.bincount(owner, minlength=self.n).cumsum().tolist()):
+            adj[u] += ids[start:end]
+            start = end
         return first
 
     def flows(self, first: int, count: int) -> list[int]:

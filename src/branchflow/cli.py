@@ -99,7 +99,8 @@ def cmd_solve(args) -> int:
     if tree is not None and config.dimension == 2:
         render(tree, out_dir / f"tree_n{args.n}.svg", q=q)
     print(f"n={res.n} wbar={res.wbar:.9g} rescaled={res.rescaled:.9g} "
-          f"converged={res.converged} (start {res.start_index}/{res.n_starts})")
+          f"converged={res.converged} (start {res.start_index}/{res.n_starts}, "
+          f"{res.inner_budget_hits} inner budget hits)")
     return EXIT_OK if res.converged else EXIT_NOT_CONVERGED
 
 

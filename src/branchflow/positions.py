@@ -3,9 +3,13 @@
 For a fixed feasible plan the objective sum(flow * |tail - head|^q) is a
 convex, continuously differentiable function of the free-atom positions
 (q > 1 keeps the gradient finite at coincident points).  The inner solver
-is gradient descent with Armijo backtracking; the outer loop alternates
-exact plan solves, plan regularization, and position descent, with a
-multistart layer on top, since the joint problem is not convex.
+is gradient descent with Armijo backtracking on an edge-list kernel built
+once per plan: one gather of both ends of every arc from a preallocated
+position buffer, the arc vectors of the accepted line-search point reused
+for the next gradient, and the gradient scattered with one bincount.  The
+outer loop alternates exact plan solves, plan regularization, and position
+descent, with a multistart layer on top, since the joint problem is not
+convex.
 
 Two extras beyond plain alternation, both cost-guarded so monotonicity
 is preserved:
@@ -21,6 +25,7 @@ is preserved:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,6 +71,9 @@ class SolveResult:
     n_starts: int = 1
     unused_atoms: int = 0
     start_costs: tuple[float, ...] = ()
+    #: position descents, over every start and rebalance, that stopped at
+    #: their iteration budget (inner_iters or polish_iters) unconverged
+    inner_budget_hits: int = 0
 
     @property
     def wbar(self) -> float:
@@ -76,51 +84,73 @@ class SolveResult:
         return self.n ** ((self.q - 1.0) / self.q) * self.wbar
 
 
-class _PlanObjective:
-    """Vectorized cost/gradient of a fixed plan as positions vary."""
+class _EdgeKernel:
+    """Cost and gradient of a fixed plan as the free positions vary.
+
+    Built once per plan, over its arcs in sorted key order.  ``cost(Z)``
+    writes Z below the terminal rows of a preallocated position buffer,
+    gathers the tail and head ends of every arc with one ``take``, and
+    keeps the arc vectors and lengths; ``gradient()`` reuses them, so it
+    is the gradient at the last point passed to ``cost``.  The gradient is
+    scattered with one ``np.bincount`` over flat ``atom * dim + k`` bins,
+    tail ends first and head ends second: the same additions, in the same
+    order, as one ``np.add.at`` per side.
+    """
 
     def __init__(self, config: SignedConfig, plan: TransportPlan, q: float):
         self.q = q
-        self.n_free = plan.n_free
-        self.dim = config.dimension
-        self.n_term = plan.n_sources + plan.n_sinks
-        self.term = np.vstack(
-            [config.source_positions(), config.sink_positions()]
-        )
+        dim = config.dimension
+        n_term = plan.n_sources + plan.n_sinks
         keys = sorted(plan.entries)
-        self.tails = np.array([plan.row_to_vertex(i) for i, _ in keys], dtype=int)
-        self.heads = np.array([plan.col_to_vertex(j) for _, j in keys], dtype=int)
+        m = self.m = len(keys)
+        # tails, then heads, as vertex ids
+        self.ends = np.array(
+            [plan.row_to_vertex(i) for i, _ in keys]
+            + [plan.col_to_vertex(j) for _, j in keys],
+            dtype=np.intp,
+        )
         self.flows = np.array([plan.entries[k] for k in keys], dtype=float)
-        self.touched = np.zeros(self.n_free, dtype=bool)
-        for v in np.concatenate([self.tails, self.heads]):
-            if v >= self.n_term:
-                self.touched[v - self.n_term] = True
-
-    def _stack(self, Z: np.ndarray) -> np.ndarray:
-        if self.n_free == 0:
-            return self.term
-        return np.vstack([self.term, Z])
+        self.qflows = q * self.flows
+        self.P = np.empty((n_term + plan.n_free, dim))
+        self.P[:plan.n_sources] = config.source_positions()
+        self.P[plan.n_sources:n_term] = config.sink_positions()
+        self.free_rows = self.P[n_term:]
+        # arc ends at free atoms, and their flat gradient bins
+        self.free_ends = np.flatnonzero(self.ends >= n_term)
+        atoms = self.ends[self.free_ends] - n_term
+        self.bins = (atoms[:, None] * dim + np.arange(dim)).ravel()
+        self.G_shape = (plan.n_free, dim)
+        self.n_bins = plan.n_free * dim
+        # per arc end: +contribution at the tail, -contribution at the head
+        self.W = np.empty((2 * m, dim))
+        self.W_tail, self.W_head = self.W[:m], self.W[m:]
+        self.d = self.dist = None
 
     def cost(self, Z: np.ndarray) -> float:
-        P = self._stack(Z)
-        d = P[self.tails] - P[self.heads]
+        self.free_rows[...] = Z
+        E = self.P.take(self.ends, axis=0)
+        d = E[: self.m] - E[self.m :]
         dist = np.sqrt((d * d).sum(axis=1))
+        self.d, self.dist = d, dist
         return float((self.flows * dist**self.q).sum())
 
-    def gradient(self, Z: np.ndarray) -> np.ndarray:
-        P = self._stack(Z)
-        d = P[self.tails] - P[self.heads]
-        dist = np.sqrt((d * d).sum(axis=1))
-        coef = np.zeros_like(dist)
-        pos = dist > 0.0
-        coef[pos] = self.q * self.flows[pos] * dist[pos] ** (self.q - 2.0)
-        contrib = coef[:, None] * d
-        G = np.zeros((self.n_free, self.dim))
-        tf = self.tails >= self.n_term
-        hf = self.heads >= self.n_term
-        np.add.at(G, self.tails[tf] - self.n_term, contrib[tf])
-        np.add.at(G, self.heads[hf] - self.n_term, -contrib[hf])
-        return G
+    def gradient(self) -> np.ndarray:
+        dist = self.dist
+        if dist.all():
+            coef = self.qflows * dist ** (self.q - 2.0)
+        else:
+            # coincident endpoints contribute zero (the power may be inf)
+            coef = np.zeros_like(dist)
+            pos = dist > 0.0
+            coef[pos] = self.qflows[pos] * dist[pos] ** (self.q - 2.0)
+        np.multiply(coef[:, None], self.d, out=self.W_tail)
+        np.negative(self.W_tail, out=self.W_head)
+        G = np.bincount(
+            self.bins,
+            weights=self.W.take(self.free_ends, axis=0).ravel(),
+            minlength=self.n_bins,
+        )
+        return G.reshape(self.G_shape)
 
 
 def position_gradient(
@@ -135,7 +165,9 @@ def position_gradient(
     if q <= 1.0:
         raise ValueError(f"gradient requires q > 1, got {q}")
     Z = as_positions(Z, config.dimension)
-    return _PlanObjective(config, plan, q).gradient(Z)
+    obj = _EdgeKernel(config, plan, q)
+    obj.cost(Z)
+    return obj.gradient()
 
 
 def optimize_positions(
@@ -148,38 +180,47 @@ def optimize_positions(
 ) -> tuple[np.ndarray, float, int, bool]:
     """Minimize the fixed-plan cost over free positions.
 
-    Gradient descent with Armijo backtracking (constant 1e-4, halving);
-    the function is convex for q > 1, so this finds the global minimum
-    for the given plan.  Stops when the sup-norm of the gradient drops
-    below grad_tol * total_mass * diameter^(q-1), an invariant scaling of
-    the stationarity residual.  Returns (Z, cost, iterations, converged);
-    on budget exhaustion the best iterate is returned with converged
-    False.  Atoms the plan never touches keep their Z0 rows.
+    Gradient descent with Armijo backtracking (constant 1e-4, halving;
+    each iteration starts from twice the last accepted step); the function
+    is convex for q > 1, so this finds the global minimum for the given
+    plan.  Stops when the sup-norm of the gradient drops below
+    grad_tol * total_mass * diameter^(q-1), an invariant scaling of the
+    stationarity residual.  Returns (Z, cost, iterations, converged); on
+    budget exhaustion the best iterate is returned with converged False.
+    Atoms the plan never touches keep their Z0 rows.
+
+    Cost and gradient come from the plan's edge-list kernel (see
+    ``_EdgeKernel``): each trial point costs one gather and a few array
+    operations over the arcs, and the gradient at an accepted point reuses
+    the arc vectors its cost already computed.
     """
     if q <= 1.0:
         raise ValueError(f"optimization requires q > 1, got {q}")
     Z = as_positions(Z0, config.dimension).copy()
     if Z.shape[0] != plan.n_free:
         raise ValueError("Z0 and plan disagree on the number of free atoms")
-    obj = _PlanObjective(config, plan, q)
+    obj = _EdgeKernel(config, plan, q)
     diam = config.diameter()
     scale = max(total_mass(config) * max(diam, 1e-300) ** (q - 1.0), 1e-300)
     tol = grad_tol * scale
+    floor = 1e-16 * max(diam, 1e-12)
     f = obj.cost(Z)
     step = None
     iters = 0
+    # obj.gradient() is taken at the last point costed: Z, or the accepted Z_new
     for iters in range(1, max_iter + 1):
-        G = obj.gradient(Z)
+        G = obj.gradient()
         gmax = float(np.abs(G).max()) if G.size else 0.0
         if gmax <= tol:
             return Z, f, iters - 1, True
         gsq = float((G * G).sum())
+        gnorm = math.sqrt(gsq)
         if step is None:
-            step = max(diam, 1e-12) / max(np.sqrt(gsq), 1e-300)
+            step = max(diam, 1e-12) / max(gnorm, 1e-300)
         else:
             step *= 2.0
         accepted = False
-        while step * np.sqrt(gsq) > 1e-16 * max(diam, 1e-12):
+        while step * gnorm > floor:
             Z_new = Z - step * G
             f_new = obj.cost(Z_new)
             if f_new <= f - 1e-4 * step * gsq:
@@ -190,7 +231,7 @@ def optimize_positions(
         if not accepted:
             # line search stalled at floating-point resolution: stationary
             return Z, f, iters, True
-    G = obj.gradient(Z)
+    G = obj.gradient()
     gmax = float(np.abs(G).max()) if G.size else 0.0
     return Z, f, iters, gmax <= tol
 
@@ -253,19 +294,21 @@ def _descend(
     Z0: np.ndarray,
     q: float,
     params: CostParams,
-) -> tuple[np.ndarray, TransportPlan, float, int, bool]:
+) -> tuple[np.ndarray, TransportPlan, float, int, bool, int]:
     """One pass of alternating minimization from a given start.
 
     Each round: exact plan for the current positions, regularization,
     position descent.  Every half-step must not increase the cost; a
     violation beyond slack raises SolverError.  Stops on relative cost
     decrease below params.rel_tol, then polishes positions to the strict
-    gradient tolerance and re-stabilizes the plan.
+    gradient tolerance and re-stabilizes the plan.  The last value
+    returned counts the position descents that hit their budget.
     """
     Z = Z0.copy()
     prev = np.inf
     converged = False
     rounds = 0
+    budget_hits = 0
     plan = None
     cost = np.inf
     for rounds in range(1, params.max_rounds + 1):
@@ -280,10 +323,11 @@ def _descend(
             raise SolverError(
                 f"regularization increased cost: {cost_plan!r} -> {cost_reg!r}"
             )
-        Z, cost, _, _ = optimize_positions(
+        Z, cost, _, inner_ok = optimize_positions(
             config, plan, Z, q,
             grad_tol=params.grad_tol, max_iter=params.inner_iters,
         )
+        budget_hits += not inner_ok
         if cost > cost_reg * (1.0 + MONOTONE_SLACK) + 1e-300:
             raise SolverError(
                 f"position step increased cost: {cost_reg!r} -> {cost!r}"
@@ -295,10 +339,11 @@ def _descend(
     # polish: strict stationarity for the final plan, then re-stabilize
     tol = zero_flow_threshold(plan, config)
     for _ in range(5):
-        Z, cost, _, _ = optimize_positions(
+        Z, cost, _, inner_ok = optimize_positions(
             config, plan, Z, q,
             grad_tol=params.grad_tol, max_iter=params.polish_iters,
         )
+        budget_hits += not inner_ok
         plan2, _ = min_cost_plan(config, Z, q)
         plan2 = regularize(plan2, config, Z, q)
         cost2 = plan_cost(config, Z, plan2, q)
@@ -306,7 +351,7 @@ def _descend(
         plan, cost = plan2, min(cost, cost2)
         if stable:
             break
-    return Z, plan, cost, rounds, converged
+    return Z, plan, cost, rounds, converged, budget_hits
 
 
 def _rebalance_layout(
@@ -379,16 +424,19 @@ def alternate_minimize(
 
     best: tuple[float, int, np.ndarray, TransportPlan, int, bool] | None = None
     start_costs: list[float] = []
+    budget_hits = 0
     for idx, Z0 in enumerate(starts):
-        Z, plan, cost, rounds, conv = _descend(config, Z0, q, params)
+        Z, plan, cost, rounds, conv, hits = _descend(config, Z0, q, params)
+        budget_hits += hits
         # each accepted rebalance simplifies the tree topology a little, so
         # allow enough passes for the cascade to bottom out
         for _ in range(12):
             Z_re = _rebalance_layout(config, Z, plan, q, n)
             if Z_re is None:
                 break
-            Z2, plan2, cost2, rounds2, conv2 = _descend(config, Z_re, q, params)
+            Z2, plan2, cost2, rounds2, conv2, hits = _descend(config, Z_re, q, params)
             rounds += rounds2
+            budget_hits += hits
             if cost2 < cost * (1.0 - 1e-12):
                 Z, plan, cost, conv = Z2, plan2, cost2, conv2
             else:
@@ -412,6 +460,7 @@ def alternate_minimize(
         n_starts=len(starts),
         unused_atoms=int((~used).sum()),
         start_costs=tuple(start_costs),
+        inner_budget_hits=budget_hits,
     )
 
 
@@ -429,6 +478,7 @@ def solve_result_to_dict(result: SolveResult, config: SignedConfig) -> dict:
         "n_starts": result.n_starts,
         "unused_atoms": result.unused_atoms,
         "start_costs": list(result.start_costs),
+        "inner_budget_hits": result.inner_budget_hits,
         "free_atoms": [[float(c) for c in row] for row in result.Z.positions],
         "plan": [
             [int(i), int(j), float(g)] for i, j, g in result.plan.to_triplets()

@@ -258,24 +258,23 @@ def _solve_flow_network(
     rows, cols = np.divmod(np.arange(n_rows * n_cols), n_cols)
     keep = ~((rows >= n_src) & (rows - n_src == cols - n_snk))
     rows, cols = rows[keep], cols[keep]
-    tails = np.where(rows < n_src, rows, rows + n_snk)
-    heads = cols + n_src
     n_plan = len(rows)
     net = MinCostFlowNetwork(t_star + 1)
     plan_first = 2 * n_term + net.add_arcs(
-        [s_star] * n_src + list(range(n_src, n_term)) + tails.tolist(),
-        list(range(n_src)) + [t_star] * n_snk + heads.tolist(),
-        list(src_units) + list(snk_units) + [MASS_UNITS] * n_plan,
-        [0.0] * n_term + F[rows, cols].tolist(),
+        np.concatenate(
+            (np.full(n_src, s_star), np.arange(n_src, n_term),
+             np.where(rows < n_src, rows, rows + n_snk))
+        ),
+        np.concatenate((np.arange(n_src), np.full(n_snk, t_star), cols + n_src)),
+        np.concatenate((src_units, snk_units, np.full(n_plan, MASS_UNITS))),
+        np.concatenate((np.zeros(n_term), F[rows, cols])),
     )
     pushed = net.solve(s_star, t_star)
     if pushed != MASS_UNITS:
         raise SolverError(f"flow short by {MASS_UNITS - pushed} units")
-    return {
-        (i, j): f
-        for i, j, f in zip(rows.tolist(), cols.tolist(), net.flows(plan_first, n_plan))
-        if f > 0
-    }
+    flows = np.array(net.flows(plan_first, n_plan))
+    nz = np.flatnonzero(flows)
+    return dict(zip(zip(rows[nz].tolist(), cols[nz].tolist()), flows[nz].tolist()))
 
 
 def min_cost_plan(

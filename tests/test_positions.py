@@ -5,16 +5,19 @@ import pytest
 
 from branchflow import (
     CostParams,
+    TransportPlan,
     alternate_minimize,
     min_cost_plan,
     optimize_positions,
     position_gradient,
+    positions,
     single_edge,
     solve_result_to_dict,
     y_instance,
 )
-from branchflow.positions import w1_seed
-from branchflow.transport import check_plan, plan_cost
+from branchflow.measures import total_mass
+from branchflow.positions import _EdgeKernel, w1_seed
+from branchflow.transport import as_positions, check_plan, plan_cost
 from conftest import random_config, random_feasible_plan, random_positions
 
 
@@ -60,6 +63,151 @@ class TestGradient:
         plan = min_cost_plan(cfg, np.array([[50.0, 50.0]]), 2.0)[0]  # relay unused
         G = position_gradient(cfg, np.array([[50.0, 50.0]]), plan, 2.0)
         assert np.all(G == 0.0)
+
+
+class _ReferenceObjective:
+    """The objective before the edge-list kernel: a fresh vstack of all
+    positions per call, the gradient recomputed from Z, np.add.at scatter."""
+
+    def __init__(self, config, plan, q):
+        self.q = q
+        self.n_free = plan.n_free
+        self.dim = config.dimension
+        self.n_term = plan.n_sources + plan.n_sinks
+        self.term = np.vstack([config.source_positions(), config.sink_positions()])
+        keys = sorted(plan.entries)
+        self.tails = np.array([plan.row_to_vertex(i) for i, _ in keys], dtype=int)
+        self.heads = np.array([plan.col_to_vertex(j) for _, j in keys], dtype=int)
+        self.flows = np.array([plan.entries[k] for k in keys], dtype=float)
+
+    def _stack(self, Z):
+        if self.n_free == 0:
+            return self.term
+        return np.vstack([self.term, Z])
+
+    def cost(self, Z):
+        P = self._stack(Z)
+        d = P[self.tails] - P[self.heads]
+        dist = np.sqrt((d * d).sum(axis=1))
+        return float((self.flows * dist**self.q).sum())
+
+    def gradient(self, Z):
+        P = self._stack(Z)
+        d = P[self.tails] - P[self.heads]
+        dist = np.sqrt((d * d).sum(axis=1))
+        coef = np.zeros_like(dist)
+        pos = dist > 0.0
+        coef[pos] = self.q * self.flows[pos] * dist[pos] ** (self.q - 2.0)
+        contrib = coef[:, None] * d
+        G = np.zeros((self.n_free, self.dim))
+        tf = self.tails >= self.n_term
+        hf = self.heads >= self.n_term
+        np.add.at(G, self.tails[tf] - self.n_term, contrib[tf])
+        np.add.at(G, self.heads[hf] - self.n_term, -contrib[hf])
+        return G
+
+
+def reference_optimize(config, plan, Z0, q, grad_tol=1e-9, max_iter=500):
+    """The Armijo loop before the edge-list kernel, on _ReferenceObjective."""
+    Z = as_positions(Z0, config.dimension).copy()
+    obj = _ReferenceObjective(config, plan, q)
+    diam = config.diameter()
+    scale = max(total_mass(config) * max(diam, 1e-300) ** (q - 1.0), 1e-300)
+    tol = grad_tol * scale
+    f = obj.cost(Z)
+    step = None
+    iters = 0
+    for iters in range(1, max_iter + 1):
+        G = obj.gradient(Z)
+        gmax = float(np.abs(G).max()) if G.size else 0.0
+        if gmax <= tol:
+            return Z, f, iters - 1, True
+        gsq = float((G * G).sum())
+        if step is None:
+            step = max(diam, 1e-12) / max(np.sqrt(gsq), 1e-300)
+        else:
+            step *= 2.0
+        accepted = False
+        while step * np.sqrt(gsq) > 1e-16 * max(diam, 1e-12):
+            Z_new = Z - step * G
+            f_new = obj.cost(Z_new)
+            if f_new <= f - 1e-4 * step * gsq:
+                Z, f = Z_new, f_new
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            return Z, f, iters, True
+    G = obj.gradient(Z)
+    gmax = float(np.abs(G).max()) if G.size else 0.0
+    return Z, f, iters, gmax <= tol
+
+
+def _coincide(config, plan, Z):
+    """Move one free atom onto the other end of its first arc: a zero-length arc."""
+    P = np.vstack([config.source_positions(), config.sink_positions(), Z])
+    n_term = plan.n_sources + plan.n_sinks
+    for i, j in sorted(plan.entries):
+        tail, head = plan.row_to_vertex(i), plan.col_to_vertex(j)
+        if head >= n_term:
+            Z[head - n_term] = P[tail]
+            return True
+        if tail >= n_term:
+            Z[tail - n_term] = P[head]
+            return True
+    return False
+
+
+def _kernel_cases(rng):
+    """(config, plan, Z, q) over q in {1.5, 2, 3} and d in {1, 2, 3}, with
+    coincident endpoints, atoms the plan never touches, and no free atoms."""
+    for q in (1.5, 2.0, 3.0):
+        for dim in (1, 2, 3):
+            for kind in ("plain", "coincident", "idle", "no_free", "optimal"):
+                cfg = random_config(rng, dim=dim)
+                n = 0 if kind == "no_free" else int(rng.integers(1, 7))
+                Z = random_positions(cfg, n, rng)
+                if kind == "optimal":
+                    plan = min_cost_plan(cfg, Z, q)[0]
+                else:
+                    plan = random_feasible_plan(cfg, n, rng)
+                if kind == "coincident":
+                    assert _coincide(cfg, plan, Z)
+                if kind == "idle":
+                    # two more atoms, no arc at either: their rows stay put
+                    plan = TransportPlan(plan.n_sources, plan.n_sinks, n + 2, plan.entries)
+                    Z = np.vstack([Z, random_positions(cfg, 2, rng)])
+                yield cfg, plan, Z, q
+
+
+class TestEdgeKernelBitIdentity:
+    """The edge-list kernel must reproduce the earlier objective bit for bit."""
+
+    def test_cost_and_gradient(self, rng):
+        zero_arcs = 0
+        for cfg, plan, Z, q in _kernel_cases(rng):
+            ref = _ReferenceObjective(cfg, plan, q)
+            kernel = _EdgeKernel(cfg, plan, q)
+            for Zk in (Z, Z + 0.25, Z):  # the buffer is rewritten every call
+                assert kernel.cost(Zk).hex() == ref.cost(Zk).hex()
+                assert kernel.gradient().tobytes() == ref.gradient(Zk).tobytes()
+            zero_arcs += not kernel.dist.all()
+            G = position_gradient(cfg, Z, plan, q)
+            assert G.tobytes() == ref.gradient(Z).tobytes()
+        assert zero_arcs >= 9  # every coincident case took the masked branch
+
+    @pytest.mark.parametrize("max_iter", [500, 5])
+    def test_optimize_positions(self, rng, max_iter):
+        budget_hits = 0
+        for cfg, plan, Z, q in _kernel_cases(rng):
+            got = optimize_positions(cfg, plan, Z, q, max_iter=max_iter)
+            want = reference_optimize(cfg, plan, Z, q, max_iter=max_iter)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].hex() == want[1].hex()
+            assert got[2:] == want[2:]
+            budget_hits += not got[3]
+        if max_iter == 5:
+            assert budget_hits > 0
 
 
 class TestOptimizePositions:
@@ -140,9 +288,26 @@ class TestAlternateMinimize:
         costs = [alternate_minimize(cfg, n, params).wbar for n in (1, 2, 4)]
         assert costs == sorted(costs, reverse=True)
 
+    def test_inner_budget_hits_count_every_descent(self, monkeypatch):
+        # independent count: every optimize_positions call that returns
+        # converged=False, over all starts, losing ones and rebalances included
+        hits = []
+        real = positions.optimize_positions
+
+        def counting(*args, **kwargs):
+            out = real(*args, **kwargs)
+            hits.append(not out[3])
+            return out
+
+        monkeypatch.setattr(positions, "optimize_positions", counting)
+        res = alternate_minimize(y_instance(), 24, CostParams(q=2.0))
+        assert res.inner_budget_hits == sum(hits) > 0
+        assert res.converged  # outer convergence keeps its meaning
+
     def test_report_document_shape(self):
         cfg = single_edge()
         res = alternate_minimize(cfg, 1, CostParams(q=2.0, restarts=0))
         doc = solve_result_to_dict(res, cfg)
         assert {"n", "q", "cost_q", "wbar", "rescaled", "converged",
-                "free_atoms", "plan"} <= set(doc)
+                "inner_budget_hits", "free_atoms", "plan"} <= set(doc)
+        assert doc["inner_budget_hits"] == res.inner_budget_hits

@@ -105,13 +105,15 @@ class TestCliExitCodes:
 
 
 class TestCliCommands:
-    def test_solve_writes_report_and_svg(self, problem_file, tmp_path):
+    def test_solve_writes_report_and_svg(self, problem_file, tmp_path, capsys):
         out = tmp_path / "out"
         code = main(["solve", str(problem_file), "--n", "2",
                      "--restarts", "1", "--out-dir", str(out)])
         assert code == 0
         doc = json.loads((out / "solve_n2.json").read_text())
         assert doc["n"] == 2
+        hits = doc["inner_budget_hits"]
+        assert f"{hits} inner budget hits" in capsys.readouterr().out
         assert doc["rescaled"] == pytest.approx(math.sqrt(2.0 / 3.0), abs=1e-6)
         svg = (out / "tree_n2.svg").read_text()
         assert svg.lstrip().startswith("<svg")

@@ -16,6 +16,7 @@ from branchflow import (
 from branchflow._mcf import MinCostFlowNetwork
 from branchflow.transport import (
     MASS_UNITS,
+    _solve_flow_network,
     as_positions,
     check_plan,
     cost_matrix,
@@ -111,6 +112,7 @@ class TestMinCostPlan:
             Z = rng.uniform(-1, 1, size=(n, 2))
             _, cost = min_cost_plan(cfg, Z, 2.0)
             assert cost == pytest.approx(_lp_reference(cfg, Z, 2.0), rel=1e-7)
+            _assert_flows_match_per_arc_reference(cfg, Z)
         # wide networks: many nodes are still unsettled when the sink pops
         for _ in range(4):
             n_src, n_snk = (int(k) for k in rng.integers(8, 13, size=2))
@@ -119,6 +121,7 @@ class TestMinCostPlan:
             Z = rng.uniform(-1, 1, size=(n, 2))
             _, cost = min_cost_plan(cfg, Z, 2.0)
             assert cost == pytest.approx(_lp_reference(cfg, Z, 2.0), rel=1e-7)
+            _assert_flows_match_per_arc_reference(cfg, Z)
 
     def test_matches_basic_solution_enumeration(self, rng):
         for _ in range(4):
@@ -127,6 +130,17 @@ class TestMinCostPlan:
             _, cost = min_cost_plan(cfg, Z, 2.0)
             ref = enumerate_basic_optimum(cfg, Z, 2.0)
             assert abs(cost - ref) <= 1e-9 * max(1.0, abs(ref))
+
+
+def _assert_flows_match_per_arc_reference(cfg, Z):
+    args = (
+        cost_matrix(cfg, Z, 2.0), cfg.n_sources, cfg.n_sinks, len(Z),
+        integer_mass_units(cfg.source_masses()), integer_mass_units(cfg.sink_masses()),
+    )
+    got = _solve_flow_network(*args)
+    want = _reference_flow_dict(*args)
+    assert list(got.items()) == list(want.items())  # order included
+    assert all(type(f) is int for f in got.values())
 
 
 def _lp_reference(cfg, Z, q):
@@ -167,16 +181,72 @@ class TestMinCostFlowNetwork:
         net = MinCostFlowNetwork(6)
         assert net.add_arcs(*zip(*arcs[:5])) == 0
         assert net.add_arcs(*zip(*arcs[5:])) == 10
-        # reference: forward arc, then its empty residual, each appended to
-        # its tail's adjacency list
-        to, cap, cost, adj = [], [], [], [[] for _ in range(6)]
-        for u, v, c, w in arcs:
-            adj[u].append(len(to))
-            adj[v].append(len(to) + 1)
-            to += [v, u]
-            cap += [c, 0]
-            cost += [w, -w]
-        assert (net.to, net.cap, net.cost, net.adj) == (to, cap, cost, adj)
+        assert (net.to, net.cap, net.cost, net.adj) == _per_arc_layout(6, arcs)
+        # the network of the plan step: s* -> sources, sinks -> t*, then a
+        # complete row-major bipartite arc set without free self-loops
+        n_src, n_snk, n_free = 3, 2, 4
+        terminal, plan_arcs = _flow_network_arcs(
+            rng.uniform(0.0, 5.0, size=(n_src + n_free, n_snk + n_free)),
+            n_src, n_snk, n_free, np.array([3, 1, 4]), np.array([5, 3]),
+        )
+        net = MinCostFlowNetwork(n_src + n_snk + n_free + 2)
+        assert net.add_arcs(*(np.array(c) for c in zip(*terminal))) == 0
+        assert net.add_arcs(*(np.array(c) for c in zip(*plan_arcs))) == 2 * len(terminal)
+        assert len(net.to) == 2 * len(terminal + plan_arcs)
+        assert (net.to, net.cap, net.cost, net.adj) == _per_arc_layout(
+            net.n, terminal + plan_arcs
+        )
+        assert all(type(x) is int for x in net.to + net.cap + sum(net.adj, []))
+        assert all(type(x) is float for x in net.cost)
+
+
+def _per_arc_layout(n_nodes, arcs):
+    """Reference network layout, one arc at a time: forward arc, then its
+    empty residual, each appended to its tail's adjacency list."""
+    to, cap, cost, adj = [], [], [], [[] for _ in range(n_nodes)]
+    for u, v, c, w in arcs:
+        adj[u].append(len(to))
+        adj[v].append(len(to) + 1)
+        to += [v, u]
+        cap += [c, 0]
+        cost += [w, -w]
+    return to, cap, cost, adj
+
+
+def _flow_network_arcs(F, n_src, n_snk, n_free, src_units, snk_units):
+    """The plan step's arcs as (tail, head, cap, cost), by explicit loops:
+    terminal arcs, then matrix keys row-major minus free self-loops."""
+    n_term = n_src + n_snk
+    s_star, t_star = n_term + n_free, n_term + n_free + 1
+    terminal = [(s_star, i, int(src_units[i]), 0.0) for i in range(n_src)]
+    terminal += [(n_src + j, t_star, int(snk_units[j]), 0.0) for j in range(n_snk)]
+    plan_arcs = [
+        (i if i < n_src else n_snk + i, n_src + j, MASS_UNITS, float(F[i, j]))
+        for i in range(n_src + n_free)
+        for j in range(n_snk + n_free)
+        if not (i >= n_src and j >= n_snk and i - n_src == j - n_snk)
+    ]
+    return terminal, plan_arcs
+
+
+def _reference_flow_dict(F, n_src, n_snk, n_free, src_units, snk_units):
+    """The plan step on a per-arc network, read out by a comprehension over
+    every plan arc: positive flows in row-major key order."""
+    terminal, plan_arcs = _flow_network_arcs(F, n_src, n_snk, n_free, src_units, snk_units)
+    net = MinCostFlowNetwork(n_src + n_snk + n_free + 2)
+    net.to, net.cap, net.cost, net.adj = _per_arc_layout(net.n, terminal + plan_arcs)
+    assert net.solve(net.n - 2, net.n - 1) == MASS_UNITS
+    keys = [
+        (i, j)
+        for i in range(n_src + n_free)
+        for j in range(n_snk + n_free)
+        if not (i >= n_src and j >= n_snk and i - n_src == j - n_snk)
+    ]
+    return {
+        key: f
+        for key, f in zip(keys, net.flows(2 * len(terminal), len(plan_arcs)))
+        if f > 0
+    }
 
 
 class TestTransportPlan:
