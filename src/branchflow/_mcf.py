@@ -1,4 +1,4 @@
-"""Exact min-cost flow on small dense networks.
+"""Exact min-cost flow on small networks.
 
 Successive shortest paths with Dijkstra over reduced costs (Johnson
 potentials).  Capacities are nonnegative integers, so every intermediate
@@ -14,14 +14,18 @@ final or not.  Flows and potentials are therefore the same as those of a
 search run to exhaustion.
 
 A search scans, per node, only the arcs with residual capacity, kept in
-adjacency order as augmentations saturate and open them; on a dense
-network most reverse arcs stay empty.  Scanning them in the same order as
+adjacency order as augmentations saturate and open them; most reverse
+arcs stay empty.  Scanning them in the same order as
 the full adjacency list keeps every tie-break unchanged.
 
-Dense complete-arc instances up to about ten thousand arcs are the
-intended scale; the search is plain Python on purpose.  :meth:`add_arcs`
-lays out a whole arc list with a few NumPy calls: the arc arrays, and the
-adjacency lists from one stable sort of the arc ends by node.
+The plan step runs it on candidate arcs, a few cheapest per row and per
+column of the cost matrix, so networks stay at a few thousand arcs; the
+search is plain Python on purpose.  :meth:`solve` leaves its final Johnson
+potentials on the network as :attr:`MinCostFlowNetwork.pi`, and the plan
+step prices the omitted arcs with them (``transport._solve_flow_network``).
+:meth:`add_arcs` lays out a whole arc list with a few NumPy calls: the arc
+arrays, and the adjacency lists from one stable sort of the arc ends by
+node.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ class SolverError(RuntimeError):
 
 
 class MinCostFlowNetwork:
-    __slots__ = ("n", "to", "cap", "cost", "adj")
+    __slots__ = ("n", "to", "cap", "cost", "adj", "pi")
 
     def __init__(self, n_nodes: int) -> None:
         self.n = n_nodes
@@ -46,6 +50,8 @@ class MinCostFlowNetwork:
         self.cap: list[int] = []
         self.cost: list[float] = []
         self.adj: list[list[int]] = [[] for _ in range(n_nodes)]
+        #: node potentials left by the last :meth:`solve`
+        self.pi: list[float] = [0.0] * n_nodes
 
     def add_arcs(
         self,
@@ -91,13 +97,18 @@ class MinCostFlowNetwork:
         return self.cap[first + 1 : first + 2 * count : 2]
 
     def solve(self, s: int, t: int, max_augmentations: int = 100_000) -> int:
-        """Push maximum flow from s to t at minimum cost; returns the value."""
+        """Push maximum flow from s to t at minimum cost; returns the value.
+
+        The final Johnson potentials stay on the network as :attr:`pi`: every
+        arc with residual capacity has reduced cost
+        ``cost[a] + pi[tail] - pi[head] >= 0`` up to float dust.
+        """
         n = self.n
         to, cap, cost, adj = self.to, self.cap, self.cost, self.adj
         heappush, heappop = heapq.heappush, heapq.heappop
         # residual arcs of each node, in adjacency (= arc id) order
         live = [[a for a in arcs if cap[a] > 0] for arcs in adj]
-        pi = [0.0] * n
+        pi = self.pi = [0.0] * n
         inf = float("inf")
         pushed = 0
         for _ in range(max_augmentations):

@@ -19,9 +19,12 @@ atoms alone.
 The plan solver is an exact min-cost flow: masses are scaled to integers
 summing to 10^9 by largest-remainder rounding (so the represented marginals
 sit within one part in 10^9 of the true ones), supplies sit on source
-nodes, demands on sink nodes, free atoms are conservation nodes, and every
-row-entity/column-entity pair gets an arc except free self-loops.  All
-functions are pure; nothing here keeps global state.
+nodes, demands on sink nodes, and free atoms are conservation nodes.  The
+flow is solved on candidate arcs, each row's and each column's cheapest
+pairs, and the solver's potentials then price every omitted pair: arcs
+that price negative are added and the flow solved again, until the
+potentials certify the flow optimal over every pair except free
+self-loops.  All functions are pure; nothing here keeps global state.
 """
 
 from __future__ import annotations
@@ -49,6 +52,12 @@ ZERO_FLOW_RTOL = 1e-12
 
 #: marginal / conservation tolerance, relative to max(1, total mass)
 MARGINAL_RTOL = 1e-9
+
+#: an omitted arc prices negative below -_PRICING_RTOL * max cost
+_PRICING_RTOL = 1e-12
+
+#: cheapest columns per row, and cheapest rows per column, in the first solve
+_CANDIDATES = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,6 +248,21 @@ def integer_mass_units(masses: np.ndarray, units: int = MASS_UNITS) -> np.ndarra
     return base
 
 
+def _candidate_arcs(F: np.ndarray, allowed: np.ndarray) -> np.ndarray:
+    """Each row's and each column's ``_CANDIDATES`` cheapest allowed pairs.
+
+    Ties go to the lower index.  When ``_CANDIDATES`` is at least the
+    number of columns, or of rows, the result is ``allowed`` itself.
+    """
+    G = np.where(allowed, F, np.inf)
+    cand = np.zeros_like(allowed)
+    k = _CANDIDATES
+    rows, cols = np.indices(F.shape, sparse=True)
+    cand[rows, np.argsort(G, axis=1, kind="stable")[:, :k]] = True
+    cand[np.argsort(G, axis=0, kind="stable")[:k], cols] = True
+    return cand & allowed
+
+
 def _solve_flow_network(
     F: np.ndarray,
     n_src: int,
@@ -247,31 +271,51 @@ def _solve_flow_network(
     src_units: np.ndarray,
     snk_units: np.ndarray,
 ) -> dict[tuple[int, int], int]:
-    """Run the exact flow solver; returns positive integer flows per matrix key."""
+    """Run the exact flow solver; returns positive integer flows per matrix key.
+
+    The flow is solved on candidate arcs (:func:`_candidate_arcs`), then
+    every omitted arc is priced with the solver's final potentials.  Arcs
+    with negative reduced cost join the candidates and the network is
+    solved again; when none is left, no residual arc of the complete
+    network prices negative, which certifies the flow optimal for the full
+    linear program.  Candidates that cannot carry all the mass are widened
+    to the complete arc set.
+    """
     n_rows = n_src + n_free
     n_cols = n_snk + n_free
     n_term = n_src + n_snk
     s_star = n_term + n_free
     t_star = s_star + 1
     # network nodes: sources, sinks, free atoms, then s*, t*; plan arcs run
-    # row-major over the matrix, minus the free self-loops (infinite cost)
-    rows, cols = np.divmod(np.arange(n_rows * n_cols), n_cols)
-    keep = ~((rows >= n_src) & (rows - n_src == cols - n_snk))
-    rows, cols = rows[keep], cols[keep]
-    n_plan = len(rows)
-    net = MinCostFlowNetwork(t_star + 1)
-    plan_first = 2 * n_term + net.add_arcs(
-        np.concatenate(
-            (np.full(n_src, s_star), np.arange(n_src, n_term),
-             np.where(rows < n_src, rows, rows + n_snk))
-        ),
-        np.concatenate((np.arange(n_src), np.full(n_snk, t_star), cols + n_src)),
-        np.concatenate((src_units, snk_units, np.full(n_plan, MASS_UNITS))),
-        np.concatenate((np.zeros(n_term), F[rows, cols])),
-    )
-    pushed = net.solve(s_star, t_star)
-    if pushed != MASS_UNITS:
-        raise SolverError(f"flow short by {MASS_UNITS - pushed} units")
+    # row-major over the matrix and never include free self-loops
+    allowed = np.ones((n_rows, n_cols), dtype=bool)
+    allowed[np.arange(n_src, n_rows), np.arange(n_snk, n_cols)] = False
+    row_node = np.concatenate((np.arange(n_src), np.arange(n_term, s_star)))
+    col_node = np.arange(n_src, s_star)
+    tol = -_PRICING_RTOL * float(F.max())
+    cand = _candidate_arcs(F, allowed)
+    while True:
+        rows, cols = np.nonzero(cand)
+        n_plan = len(rows)
+        net = MinCostFlowNetwork(t_star + 1)
+        plan_first = 2 * n_term + net.add_arcs(
+            np.concatenate((np.full(n_src, s_star), np.arange(n_src, n_term), row_node[rows])),
+            np.concatenate((np.arange(n_src), np.full(n_snk, t_star), col_node[cols])),
+            np.concatenate((src_units, snk_units, np.full(n_plan, MASS_UNITS))),
+            np.concatenate((np.zeros(n_term), F[rows, cols])),
+        )
+        pushed = net.solve(s_star, t_star)
+        omitted = allowed & ~cand
+        if pushed != MASS_UNITS:
+            if not omitted.any():
+                raise SolverError(f"flow short by {MASS_UNITS - pushed} units")
+            cand = allowed  # widen to the complete arc set
+            continue
+        pi = np.array(net.pi)
+        priced = omitted & (F + pi[row_node][:, None] - pi[col_node] < tol)
+        if not priced.any():
+            break
+        cand = cand | priced
     flows = np.array(net.flows(plan_first, n_plan))
     nz = np.flatnonzero(flows)
     return dict(zip(zip(rows[nz].tolist(), cols[nz].tolist()), flows[nz].tolist()))

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -18,6 +19,8 @@ from branchflow import (
 )
 from branchflow.cli import main
 from branchflow.sweep import CSV_COLUMNS, oracle_bounds
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 @pytest.fixture
@@ -178,8 +181,11 @@ class TestConsoleScript:
     def test_installed_entry_point(self, problem_file):
         exe = shutil.which("branchflow")
         cmd = [exe] if exe else [sys.executable, "-m", "branchflow.cli"]
+        # the package under test, also when it is not installed
+        inherited = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + inherited if inherited else ""))
         proc = subprocess.run(
             cmd + ["validate", str(problem_file)],
-            capture_output=True, text=True, timeout=60,
+            capture_output=True, text=True, timeout=60, env=env,
         )
         assert proc.returncode == 0, proc.stderr

@@ -16,6 +16,7 @@ from branchflow import (
 from branchflow._mcf import MinCostFlowNetwork
 from branchflow.transport import (
     MASS_UNITS,
+    _candidate_arcs,
     _solve_flow_network,
     as_positions,
     check_plan,
@@ -132,11 +133,16 @@ class TestMinCostPlan:
             assert abs(cost - ref) <= 1e-9 * max(1.0, abs(ref))
 
 
-def _assert_flows_match_per_arc_reference(cfg, Z):
-    args = (
-        cost_matrix(cfg, Z, 2.0), cfg.n_sources, cfg.n_sinks, len(Z),
+def _plan_network_args(cfg, Z, q=2.0):
+    """The arguments of ``_solve_flow_network`` for the plan step at Z."""
+    return (
+        cost_matrix(cfg, Z, q), cfg.n_sources, cfg.n_sinks, len(Z),
         integer_mass_units(cfg.source_masses()), integer_mass_units(cfg.sink_masses()),
     )
+
+
+def _assert_flows_match_per_arc_reference(cfg, Z):
+    args = _plan_network_args(cfg, Z)
     got = _solve_flow_network(*args)
     want = _reference_flow_dict(*args)
     assert list(got.items()) == list(want.items())  # order included
@@ -247,6 +253,121 @@ def _reference_flow_dict(F, n_src, n_snk, n_free, src_units, snk_units):
         for key, f in zip(keys, net.flows(2 * len(terminal), len(plan_arcs)))
         if f > 0
     }
+
+
+@pytest.fixture
+def solved_networks(monkeypatch):
+    """Every network MinCostFlowNetwork.solve runs on, in call order."""
+    nets = []
+    solve = MinCostFlowNetwork.solve
+
+    def recording(self, s, t, *args):
+        nets.append(self)
+        return solve(self, s, t, *args)
+
+    monkeypatch.setattr(MinCostFlowNetwork, "solve", recording)
+    return nets
+
+
+class TestPricingLoop:
+    """The plan step solves on candidate arcs and prices the omitted ones."""
+
+    def test_candidates_are_the_cheapest_per_row_and_column(self, rng):
+        # integer costs with many ties, which go to the lower index
+        F = rng.integers(0, 5, size=(14, 12)).astype(float)
+        allowed = np.ones(F.shape, dtype=bool)
+        allowed[np.arange(4, 14), np.arange(2, 12)] = False  # free self-loops
+        want = np.zeros(F.shape, dtype=bool)
+        for i in range(14):
+            for j in sorted((j for j in range(12) if allowed[i, j]), key=lambda j: F[i, j])[:8]:
+                want[i, j] = True
+        for j in range(12):
+            for i in sorted((i for i in range(14) if allowed[i, j]), key=lambda i: F[i, j])[:8]:
+                want[i, j] = True
+        assert (_candidate_arcs(F, allowed) == want).all()
+        # a line with at most 8 allowed pairs keeps all of them
+        assert (_candidate_arcs(F[:9, :6], allowed[:9, :6]) == allowed[:9, :6]).all()
+
+    def test_matches_full_arc_solve_on_wide_networks(self, rng, solved_networks):
+        rounds = []
+        for _ in range(8):
+            n_src, n_snk = (int(k) for k in rng.integers(20, 41, size=2))
+            cfg = random_instance(rng, n_src, n_snk, total_mass=64)
+            Z = rng.uniform(-1, 1, size=(int(rng.integers(8, 17)), 2))
+            args = _plan_network_args(cfg, Z)
+            solved_networks.clear()
+            got = _solve_flow_network(*args)
+            rounds.append(len(solved_networks))
+            assert list(got.items()) == list(_reference_flow_dict(*args).items())
+        assert max(rounds) > 1  # some omitted arc priced negative
+
+    def test_widens_when_candidates_cannot_carry_the_flow(self, solved_networks):
+        # sink 8 and a cluster of nine relays sit far from everything else:
+        # the sink's and the relays' cheapest rows are relays, and every
+        # source's cheapest columns are the eight near sinks, so no
+        # candidate path reaches sink 8
+        near = [(0.1 * k, 0.0) for k in range(8)]
+        cfg = SignedConfig(
+            sources=tuple(Atom((0.1 * k, 0.5), 1.0) for k in range(9)),
+            sinks=tuple(Atom(p, 1.0) for p in near) + (Atom((50.0, 0.0), 1.0),),
+            dimension=2,
+        )
+        Z = np.array([[50.0 + 0.01 * k, 1.0] for k in range(9)])
+        args = _plan_network_args(cfg, Z)
+        want = _reference_flow_dict(*args)
+        solved_networks.clear()
+        assert list(_solve_flow_network(*args).items()) == list(want.items())
+        assert len(solved_networks) == 2
+        first, last = solved_networks
+        assert sum(first.flows(0, 9)) < MASS_UNITS  # the candidates fall short
+        # 18 terminal arcs, then every pair of the 18 x 18 matrix but the
+        # 9 free self-loops
+        assert len(last.to) // 2 == 18 + 18 * 18 - 9
+
+    def test_tie_heavy_inputs_reach_the_optimum(self, rng):
+        # lattice points: coincident relays, relays on terminals, duplicate
+        # terminals, and many equal costs
+        for q in (2.0, 1.5):
+            for _ in range(4):
+                pts = rng.integers(0, 4, size=(12, 2)).astype(float)
+                cfg = SignedConfig(
+                    sources=tuple(Atom(tuple(pts[k % 6]), 2.0) for k in range(12)),
+                    sinks=tuple(Atom(tuple(pts[6 + k % 6]), 3.0) for k in range(8)),
+                    dimension=2,
+                )
+                Z = np.vstack([pts[rng.integers(0, 12, size=6)], np.repeat(pts[:2], 3, axis=0)])
+                plan, cost = min_cost_plan(cfg, Z, q)
+                assert check_plan(plan, cfg) == []
+                args = _plan_network_args(cfg, Z, q)
+                unit = 24.0 / MASS_UNITS
+                ref = sum(f * unit * args[0][key] for key, f in _reference_flow_dict(*args).items())
+                assert abs(cost - ref) <= 1e-12 * ref
+                again, cost2 = min_cost_plan(cfg, Z, q)
+                assert cost2.hex() == cost.hex()
+                assert list(again.entries.items()) == list(plan.entries.items())
+
+    def test_potentials_certify_every_arc(self, rng, solved_networks):
+        for _ in range(6):
+            cfg = random_instance(rng, 24, 24, total_mass=32)
+            Z = rng.uniform(-1, 1, size=(12, 2))
+            args = _plan_network_args(cfg, Z)
+            solved_networks.clear()
+            got = _solve_flow_network(*args)
+            F, n_src, n_snk, n_free = args[:4]
+            tol = 1e-12 * F.max()
+            for net in solved_networks:
+                to, cap, cost, pi = net.to, net.cap, net.cost, net.pi
+                worst = min(
+                    cost[a] + pi[to[a ^ 1]] - pi[to[a]] for a in range(len(to)) if cap[a] > 0
+                )
+                assert worst >= -tol
+            # the last potentials also price every arc of the complete network
+            pi = np.array(solved_networks[-1].pi)
+            row_node = np.r_[np.arange(n_src), n_src + n_snk + np.arange(n_free)]
+            rc = F + pi[row_node][:, None] - pi[n_src:n_src + n_snk + n_free]
+            rc[n_src + np.arange(n_free), n_snk + np.arange(n_free)] = 0.0
+            assert rc.min() >= -tol
+            assert all(abs(rc[key]) <= tol for key in got)  # complementary slackness
 
 
 class TestTransportPlan:
