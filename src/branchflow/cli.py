@@ -100,7 +100,8 @@ def cmd_solve(args) -> int:
         render(tree, out_dir / f"tree_n{args.n}.svg", q=q)
     print(f"n={res.n} wbar={res.wbar:.9g} rescaled={res.rescaled:.9g} "
           f"converged={res.converged} (start {res.start_index}/{res.n_starts}, "
-          f"{res.inner_budget_hits} inner budget hits)")
+          f"{res.inner_budget_hits} inner budget hits, "
+          f"{res.polish_fallbacks} polish fallbacks)")
     return EXIT_OK if res.converged else EXIT_NOT_CONVERGED
 
 

@@ -2,12 +2,14 @@
 
 For a fixed feasible plan the objective sum(flow * |tail - head|^q) is a
 convex, continuously differentiable function of the free-atom positions
-(q > 1 keeps the gradient finite at coincident points).  The inner solver
-is gradient descent with Armijo backtracking on an edge-list kernel built
-once per plan: one gather of both ends of every arc from a preallocated
-position buffer, the arc vectors of the accepted line-search point reused
-for the next gradient, and the gradient scattered with one bincount.  The
-outer loop alternates exact plan solves, plan regularization, and position
+(q > 1 keeps the gradient finite at coincident points).  Both position
+solvers run on an edge-list kernel built once per plan: one gather of both
+ends of every arc from a preallocated position buffer, the arc vectors of
+the accepted line-search point reused for the next gradient, and the
+gradient scattered with one bincount.  The descent inside each round is
+gradient descent with Armijo backtracking; the final polish is damped
+Newton on the same kernel, whose Hessian has one block per arc.  The outer
+loop alternates exact plan solves, plan regularization, and position
 descent, with a multistart layer on top, since the joint problem is not
 convex.
 
@@ -18,9 +20,10 @@ is preserved:
   reduced tree by the closed-form allocation and restarts the descent
   from that layout — alternation alone cannot move an atom from one
   branch to another once the plan's support has frozen;
-* a final polish of positions under a strict gradient tolerance, so
-  chain atoms land on their equally-spaced limits to well below the
-  structural verification tolerances.
+* a final Newton polish of positions under a strict gradient tolerance,
+  so chain atoms land on their equally-spaced limits to well below the
+  structural verification tolerances.  At q = 2 the Hessian is a weighted
+  graph Laplacian and one Newton step is exact.
 """
 
 from __future__ import annotations
@@ -54,6 +57,8 @@ from .graphs import plan_to_graph, reduce_graph
 from .allocate import allocate
 
 MONOTONE_SLACK = 1e-9
+#: relative rounding error allowed for one evaluation of a plan's cost
+COST_ROUNDING = 16.0 * float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -71,9 +76,12 @@ class SolveResult:
     n_starts: int = 1
     unused_atoms: int = 0
     start_costs: tuple[float, ...] = ()
-    #: position descents, over every start and rebalance, that stopped at
+    #: position solves, over every start and rebalance, that stopped at
     #: their iteration budget (inner_iters or polish_iters) unconverged
     inner_budget_hits: int = 0
+    #: Newton polish iterations, over every start and rebalance, that fell
+    #: back to a scaled gradient step
+    polish_fallbacks: int = 0
 
     @property
     def wbar(self) -> float:
@@ -94,13 +102,15 @@ class _EdgeKernel:
     is the gradient at the last point passed to ``cost``.  The gradient is
     scattered with one ``np.bincount`` over flat ``atom * dim + k`` bins,
     tail ends first and head ends second: the same additions, in the same
-    order, as one ``np.add.at`` per side.
+    order, as one ``np.add.at`` per side.  ``newton_direction(G)`` solves
+    with the Hessian at the same point, assembled from the arc vectors and
+    the gradient's per-arc coefficients.
     """
 
     def __init__(self, config: SignedConfig, plan: TransportPlan, q: float):
         self.q = q
-        dim = config.dimension
-        n_term = plan.n_sources + plan.n_sinks
+        dim = self.dim = config.dimension
+        n_term = self.n_term = plan.n_sources + plan.n_sinks
         keys = sorted(plan.entries)
         m = self.m = len(keys)
         # tails, then heads, as vertex ids
@@ -124,7 +134,8 @@ class _EdgeKernel:
         # per arc end: +contribution at the tail, -contribution at the head
         self.W = np.empty((2 * m, dim))
         self.W_tail, self.W_head = self.W[:m], self.W[m:]
-        self.d = self.dist = None
+        self.d = self.dist = self.coef = None
+        self.hessian_bins = None
 
     def cost(self, Z: np.ndarray) -> float:
         self.free_rows[...] = Z
@@ -143,6 +154,7 @@ class _EdgeKernel:
             coef = np.zeros_like(dist)
             pos = dist > 0.0
             coef[pos] = self.qflows[pos] * dist[pos] ** (self.q - 2.0)
+        self.coef = coef
         np.multiply(coef[:, None], self.d, out=self.W_tail)
         np.negative(self.W_tail, out=self.W_head)
         G = np.bincount(
@@ -151,6 +163,79 @@ class _EdgeKernel:
             minlength=self.n_bins,
         )
         return G.reshape(self.G_shape)
+
+    def _hessian_layout(self) -> None:
+        """Flat (row, column) bins of every arc block in the dense Hessian.
+
+        Each free end gets its arc's block on its own diagonal block; an
+        arc with both ends free also gets the negated block at (tail, head)
+        and (head, tail).  Built on first use, so the round descents, which
+        never ask for a Hessian, do not pay for it.
+        """
+        m, dim = self.m, self.dim
+        free = np.zeros(2 * m, dtype=bool)
+        free[self.free_ends] = True
+        both = np.flatnonzero(free[:m] & free[m:])
+        atoms = self.ends - self.n_term
+        self.hessian_arcs = np.concatenate([self.free_ends % m, both, both])
+        rows = np.concatenate([atoms[self.free_ends], atoms[both], atoms[m + both]])
+        cols = np.concatenate([atoms[self.free_ends], atoms[m + both], atoms[both]])
+        self.hessian_signs = np.concatenate(
+            [np.ones(self.free_ends.size), -np.ones(2 * both.size)]
+        )[:, None, None]
+        k = np.arange(dim)
+        self.hessian_bins = (
+            (rows[:, None, None] * dim + k[:, None]) * self.n_bins
+            + cols[:, None, None] * dim + k
+        ).ravel()
+
+    def hessian(self) -> np.ndarray:
+        """Dense Hessian at the point of the last ``gradient()`` call.
+
+        The block of one arc is coef * (I + (q - 2) u u^T), with coef =
+        q * flow * |d|^(q-2) the gradient's coefficient and u the unit arc
+        vector.  At q = 2 the block is 2 * flow * I at every length, so the
+        Hessian is a weighted graph Laplacian and exact.  At other q,
+        zero-length arcs add no curvature, as they add no gradient: their
+        curvature is 0 for q > 2 and unbounded for q < 2.
+        """
+        if self.hessian_bins is None:
+            self._hessian_layout()
+        dim = self.dim
+        if self.q == 2.0:
+            B = self.qflows[:, None, None] * np.eye(dim)
+        else:
+            coef = self.coef
+            B = coef[:, None, None] * np.eye(dim)
+            pos = self.dist > 0.0
+            u = np.zeros_like(self.d)
+            u[pos] = self.d[pos] / self.dist[pos, None]
+            B += ((self.q - 2.0) * coef)[:, None, None] * (u[:, :, None] * u[:, None, :])
+        H = np.bincount(
+            self.hessian_bins,
+            weights=(self.hessian_signs * B[self.hessian_arcs]).ravel(),
+            minlength=self.n_bins * self.n_bins,
+        )
+        return H.reshape(self.n_bins, self.n_bins)
+
+    def newton_direction(self, G: np.ndarray) -> np.ndarray | None:
+        """Newton direction -H^-1 G at the point of the last ``gradient()``
+        call, or None when the solve fails or its result is not a descent
+        direction.  A singular Hessian (idle atoms, zero-length arcs) gets a
+        ridge of 1e-12 times its largest diagonal entry."""
+        H = self.hessian()
+        g = G.ravel()
+        try:
+            p = np.linalg.solve(H, -g)
+        except np.linalg.LinAlgError:
+            H[np.diag_indices_from(H)] += 1e-12 * max(float(H.diagonal().max()), 1e-300)
+            try:
+                p = np.linalg.solve(H, -g)
+            except np.linalg.LinAlgError:
+                return None
+        if not (np.isfinite(p).all() and float(p @ g) < 0.0):
+            return None
+        return p.reshape(self.G_shape)
 
 
 def position_gradient(
@@ -168,6 +253,22 @@ def position_gradient(
     obj = _EdgeKernel(config, plan, q)
     obj.cost(Z)
     return obj.gradient()
+
+
+def _position_problem(
+    config: SignedConfig, plan: TransportPlan, Z0, q: float, grad_tol: float
+) -> tuple[np.ndarray, _EdgeKernel, float, float, float]:
+    """Checked start, kernel, diameter, gradient tolerance and line-search
+    floor shared by the two position solvers."""
+    if q <= 1.0:
+        raise ValueError(f"optimization requires q > 1, got {q}")
+    Z = as_positions(Z0, config.dimension).copy()
+    if Z.shape[0] != plan.n_free:
+        raise ValueError("Z0 and plan disagree on the number of free atoms")
+    diam = config.diameter()
+    scale = max(total_mass(config) * max(diam, 1e-300) ** (q - 1.0), 1e-300)
+    floor = 1e-16 * max(diam, 1e-12)
+    return Z, _EdgeKernel(config, plan, q), diam, grad_tol * scale, floor
 
 
 def optimize_positions(
@@ -194,16 +295,7 @@ def optimize_positions(
     operations over the arcs, and the gradient at an accepted point reuses
     the arc vectors its cost already computed.
     """
-    if q <= 1.0:
-        raise ValueError(f"optimization requires q > 1, got {q}")
-    Z = as_positions(Z0, config.dimension).copy()
-    if Z.shape[0] != plan.n_free:
-        raise ValueError("Z0 and plan disagree on the number of free atoms")
-    obj = _EdgeKernel(config, plan, q)
-    diam = config.diameter()
-    scale = max(total_mass(config) * max(diam, 1e-300) ** (q - 1.0), 1e-300)
-    tol = grad_tol * scale
-    floor = 1e-16 * max(diam, 1e-12)
+    Z, obj, diam, tol, floor = _position_problem(config, plan, Z0, q, grad_tol)
     f = obj.cost(Z)
     step = None
     iters = 0
@@ -234,6 +326,79 @@ def optimize_positions(
     G = obj.gradient()
     gmax = float(np.abs(G).max()) if G.size else 0.0
     return Z, f, iters, gmax <= tol
+
+
+def polish_positions(
+    config: SignedConfig,
+    plan: TransportPlan,
+    Z0,
+    q: float,
+    grad_tol: float = 1e-9,
+    max_iter: int = 500,
+    fallbacks: list[int] | None = None,
+) -> tuple[np.ndarray, float, int, bool]:
+    """Minimize the fixed-plan cost over free positions by damped Newton.
+
+    Same objective, stop test, line-search floor and return as
+    ``optimize_positions``.  The direction is the Newton step of the plan's
+    edge-list kernel (``_EdgeKernel.newton_direction``); the Armijo test
+    (constant 1e-4) starts at step length 1 and halves.  At q = 2 the cost
+    is quadratic and one step reaches the minimizer.  Near the minimizer
+    the predicted decrease falls below the rounding error of the cost, so
+    a trial point whose cost is not measurably higher (within
+    COST_ROUNDING, relative) is also accepted when it lowers the sup-norm
+    of the gradient.
+
+    When the Newton solve fails, its direction is not a descent direction,
+    or its line search stalls, the iteration tries a gradient step of
+    length diam with the same search; if that stalls too, the point is
+    stationary to floating-point resolution.  If ``fallbacks`` is given,
+    the number of iterations that moved by a gradient step is appended.
+    """
+    Z, obj, diam, tol, floor = _position_problem(config, plan, Z0, q, grad_tol)
+    f = obj.cost(Z)
+    gradient_steps = 0
+
+    def line_search(P: np.ndarray, slope: float):
+        t, pnorm = 1.0, math.sqrt(float((P * P).sum()))
+        while t * pnorm > floor:
+            Z_new = Z + t * P
+            f_new = obj.cost(Z_new)
+            if f_new <= f + 1e-4 * t * slope and f_new < f:
+                return Z_new, f_new
+            # within its rounding error the cost cannot tell a step from its
+            # overshoot, nor a decrease from noise: the gradient decides
+            if (f_new <= f * (1.0 + COST_ROUNDING)
+                    and float(np.abs(obj.gradient()).max()) < gmax):
+                return Z_new, f_new
+            t *= 0.5
+        return None
+
+    iters, converged = 0, None
+    # obj.gradient() is taken at the last point costed: Z, or the accepted Z_new
+    for iters in range(1, max_iter + 1):
+        G = obj.gradient()
+        gmax = float(np.abs(G).max()) if G.size else 0.0
+        if gmax <= tol:
+            iters, converged = iters - 1, True
+            break
+        P = obj.newton_direction(G)
+        found = None if P is None else line_search(P, float((G * P).sum()))
+        if found is None:
+            span, gnorm = max(diam, 1e-12), math.sqrt(float((G * G).sum()))
+            found = line_search(G * (-span / gnorm), -span * gnorm)
+            if found is None:
+                # no direction decreases the cost at floating-point resolution
+                converged = True
+                break
+            gradient_steps += 1
+        Z, f = found
+    if converged is None:
+        G = obj.gradient()
+        converged = (float(np.abs(G).max()) if G.size else 0.0) <= tol
+    if fallbacks is not None:
+        fallbacks.append(gradient_steps)
+    return Z, f, iters, converged
 
 
 def _spread_atoms(segments: list[tuple[np.ndarray, np.ndarray, float]], n: int) -> np.ndarray:
@@ -294,15 +459,17 @@ def _descend(
     Z0: np.ndarray,
     q: float,
     params: CostParams,
+    fallbacks: list[int],
 ) -> tuple[np.ndarray, TransportPlan, float, int, bool, int]:
     """One pass of alternating minimization from a given start.
 
     Each round: exact plan for the current positions, regularization,
-    position descent.  Every half-step must not increase the cost; a
-    violation beyond slack raises SolverError.  Stops on relative cost
-    decrease below params.rel_tol, then polishes positions to the strict
-    gradient tolerance and re-stabilizes the plan.  The last value
-    returned counts the position descents that hit their budget.
+    gradient descent on positions.  Every half-step must not increase the
+    cost; a violation beyond slack raises SolverError.  Stops on relative
+    cost decrease below params.rel_tol, then polishes positions by Newton
+    to the strict gradient tolerance and re-stabilizes the plan.  The last
+    value returned counts the position solves that hit their budget; each
+    polish appends its gradient fallbacks to ``fallbacks``.
     """
     Z = Z0.copy()
     prev = np.inf
@@ -339,9 +506,10 @@ def _descend(
     # polish: strict stationarity for the final plan, then re-stabilize
     tol = zero_flow_threshold(plan, config)
     for _ in range(5):
-        Z, cost, _, inner_ok = optimize_positions(
+        Z, cost, _, inner_ok = polish_positions(
             config, plan, Z, q,
             grad_tol=params.grad_tol, max_iter=params.polish_iters,
+            fallbacks=fallbacks,
         )
         budget_hits += not inner_ok
         plan2, _ = min_cost_plan(config, Z, q)
@@ -425,8 +593,9 @@ def alternate_minimize(
     best: tuple[float, int, np.ndarray, TransportPlan, int, bool] | None = None
     start_costs: list[float] = []
     budget_hits = 0
+    fallbacks: list[int] = []
     for idx, Z0 in enumerate(starts):
-        Z, plan, cost, rounds, conv, hits = _descend(config, Z0, q, params)
+        Z, plan, cost, rounds, conv, hits = _descend(config, Z0, q, params, fallbacks)
         budget_hits += hits
         # each accepted rebalance simplifies the tree topology a little, so
         # allow enough passes for the cascade to bottom out
@@ -434,7 +603,7 @@ def alternate_minimize(
             Z_re = _rebalance_layout(config, Z, plan, q, n)
             if Z_re is None:
                 break
-            Z2, plan2, cost2, rounds2, conv2, hits = _descend(config, Z_re, q, params)
+            Z2, plan2, cost2, rounds2, conv2, hits = _descend(config, Z_re, q, params, fallbacks)
             rounds += rounds2
             budget_hits += hits
             if cost2 < cost * (1.0 - 1e-12):
@@ -461,6 +630,7 @@ def alternate_minimize(
         unused_atoms=int((~used).sum()),
         start_costs=tuple(start_costs),
         inner_budget_hits=budget_hits,
+        polish_fallbacks=sum(fallbacks),
     )
 
 
@@ -479,6 +649,7 @@ def solve_result_to_dict(result: SolveResult, config: SignedConfig) -> dict:
         "unused_atoms": result.unused_atoms,
         "start_costs": list(result.start_costs),
         "inner_budget_hits": result.inner_budget_hits,
+        "polish_fallbacks": result.polish_fallbacks,
         "free_atoms": [[float(c) for c in row] for row in result.Z.positions],
         "plan": [
             [int(i), int(j), float(g)] for i, j, g in result.plan.to_triplets()

@@ -16,7 +16,7 @@ from branchflow import (
     y_instance,
 )
 from branchflow.measures import total_mass
-from branchflow.positions import _EdgeKernel, w1_seed
+from branchflow.positions import COST_ROUNDING, _EdgeKernel, polish_positions, w1_seed
 from branchflow.transport import as_positions, check_plan, plan_cost
 from conftest import random_config, random_feasible_plan, random_positions
 
@@ -210,6 +210,120 @@ class TestEdgeKernelBitIdentity:
             assert budget_hits > 0
 
 
+def _stop_tolerance(cfg, q, grad_tol=1e-9):
+    return grad_tol * total_mass(cfg) * cfg.diameter() ** (q - 1.0)
+
+
+def _laplacian_minimizer(cfg, plan, Z0):
+    """Minimizer of the q=2 plan cost from an independently assembled
+    weighted graph Laplacian, one loop over arcs; untouched atoms keep Z0."""
+    n_term = plan.n_sources + plan.n_sinks
+    P = np.vstack([cfg.source_positions(), cfg.sink_positions()])
+    L = np.zeros((plan.n_free, plan.n_free))
+    rhs = np.zeros((plan.n_free, cfg.dimension))
+    for (i, j), f in plan.entries.items():
+        u, v = plan.row_to_vertex(i), plan.col_to_vertex(j)
+        for a, b in ((u, v), (v, u)):
+            if a < n_term:
+                continue
+            L[a - n_term, a - n_term] += 2.0 * f
+            if b < n_term:
+                rhs[a - n_term] += 2.0 * f * P[b]
+            else:
+                L[a - n_term, b - n_term] -= 2.0 * f
+    touched = np.flatnonzero(L.diagonal() > 0.0)
+    Z = np.array(Z0, dtype=float)
+    Z[touched] = np.linalg.solve(L[np.ix_(touched, touched)], rhs[touched])
+    return Z
+
+
+class TestNewtonPolish:
+    def test_one_step_solves_the_weighted_laplacian_at_q2(self, rng):
+        # also from a start with a zero-length arc: at q=2 it keeps its curvature
+        idle = 0
+        for dim in (1, 2, 3):
+            for trial in range(8):
+                cfg = random_config(rng, dim=dim)
+                n = int(rng.integers(1, 7))
+                plan = random_feasible_plan(cfg, n, rng, cycle_rate=0.0)
+                Z0 = random_positions(cfg, n, rng)
+                if trial % 2:
+                    assert _coincide(cfg, plan, Z0)
+                want = _laplacian_minimizer(cfg, plan, Z0)
+                fallbacks = []
+                Z, cost, iters, converged = polish_positions(
+                    cfg, plan, Z0, 2.0, max_iter=1, fallbacks=fallbacks)
+                assert (iters, converged, fallbacks) == (1, True, [0])
+                span = max(1.0, float(np.abs(want).max()))
+                assert np.abs(Z - want).max() <= 1e-9 * span
+                assert cost == pytest.approx(plan_cost(cfg, Z, plan, 2.0), rel=1e-12)
+                idle += int((plan.throughputs() == 0.0).sum())
+        assert idle > 0  # singular systems took the ridge
+
+    def test_converges_at_least_as_far_as_gradient_descent(self, rng):
+        for cfg, plan, Z0, q in _kernel_cases(rng):
+            tol = _stop_tolerance(cfg, q)
+            fallbacks = []
+            Z, cost, iters, converged = polish_positions(
+                cfg, plan, Z0, q, fallbacks=fallbacks)
+            assert converged, (q, cfg.dimension)
+            G = position_gradient(cfg, Z, plan, q)
+            assert (np.abs(G).max() if G.size else 0.0) <= tol
+            assert cost == pytest.approx(plan_cost(cfg, Z, plan, q), rel=1e-12)
+            # at a shared minimum the two costs differ only by rounding: the
+            # gradient line search keeps points whose cost rounded low
+            assert cost <= optimize_positions(cfg, plan, Z0, q)[1] * (1.0 + COST_ROUNDING)
+            idle = plan.throughputs() == 0.0
+            assert Z[idle].tobytes() == Z0[idle].tobytes()
+            # a rerun is bit-identical, fallback count included
+            again = []
+            Z2, cost2, iters2, conv2 = polish_positions(
+                cfg, plan, Z0, q, fallbacks=again)
+            assert Z2.tobytes() == Z.tobytes() and cost2.hex() == cost.hex()
+            assert (iters2, conv2, again) == (iters, converged, fallbacks)
+
+    def test_hessian_matches_central_differences(self, rng):
+        # relative sup-norm error < 1e-5, as for the gradient
+        checked = 0
+        while checked < 30:
+            q = float(rng.choice([1.5, 2.0, 3.0]))
+            cfg = random_config(rng, dim=int(rng.integers(1, 4)))
+            n = int(rng.integers(1, 7))
+            plan = random_feasible_plan(cfg, n, rng)
+            Z = random_positions(cfg, n, rng)
+            kernel = _EdgeKernel(cfg, plan, q)
+            kernel.cost(Z)
+            kernel.gradient()
+            H = kernel.hessian()
+            if np.abs(H).max() < 1e-8:
+                continue  # degenerate draw: no informative signal
+            step = 1e-6 * max(1.0, float(np.abs(Z).max()))
+            F = np.zeros_like(H)
+            for c in range(H.shape[1]):
+                up = Z.copy()
+                up.flat[c] += step
+                dn = Z.copy()
+                dn.flat[c] -= step
+                diff = position_gradient(cfg, up, plan, q) - position_gradient(cfg, dn, plan, q)
+                F[:, c] = diff.ravel() / (2 * step)
+            rel = np.abs(H - F).max() / np.abs(H).max()
+            assert rel < 1e-5, f"q={q}: relative Hessian error {rel:.2e}"
+            checked += 1
+
+    def test_falls_back_to_gradient_steps(self, rng, monkeypatch):
+        # with no Newton direction every step is a counted gradient step
+        monkeypatch.setattr(_EdgeKernel, "newton_direction", lambda self, G: None)
+        cfg = y_instance()
+        plan, _ = min_cost_plan(cfg, w1_seed(cfg, 6), 2.0)
+        fallbacks = []
+        Z, cost, iters, converged = polish_positions(
+            cfg, plan, w1_seed(cfg, 6) + 0.05, 2.0, max_iter=5000, fallbacks=fallbacks)
+        assert converged and iters > 1
+        assert iters - 1 <= fallbacks[0] <= iters
+        G = position_gradient(cfg, Z, plan, 2.0)
+        assert np.abs(G).max() <= _stop_tolerance(cfg, 2.0)
+
+
 class TestOptimizePositions:
     def test_single_relay_moves_to_midpoint(self):
         cfg = single_edge()
@@ -289,19 +403,27 @@ class TestAlternateMinimize:
         assert costs == sorted(costs, reverse=True)
 
     def test_inner_budget_hits_count_every_descent(self, monkeypatch):
-        # independent count: every optimize_positions call that returns
-        # converged=False, over all starts, losing ones and rebalances included
+        # independent count: every optimize_positions and polish_positions
+        # call that returns converged=False, over all starts, losing ones and
+        # rebalances included; and every polish's gradient fallbacks
         hits = []
-        real = positions.optimize_positions
+        polish_fallbacks = []
 
-        def counting(*args, **kwargs):
-            out = real(*args, **kwargs)
-            hits.append(not out[3])
-            return out
+        def counting(real):
+            def wrapper(*args, **kwargs):
+                out = real(*args, **kwargs)
+                hits.append(not out[3])
+                if "fallbacks" in kwargs:
+                    polish_fallbacks.append(kwargs["fallbacks"][-1])
+                return out
+            return wrapper
 
-        monkeypatch.setattr(positions, "optimize_positions", counting)
+        for name in ("optimize_positions", "polish_positions"):
+            monkeypatch.setattr(positions, name, counting(getattr(positions, name)))
         res = alternate_minimize(y_instance(), 24, CostParams(q=2.0))
         assert res.inner_budget_hits == sum(hits) > 0
+        assert len(polish_fallbacks) > 0
+        assert res.polish_fallbacks == sum(polish_fallbacks)
         assert res.converged  # outer convergence keeps its meaning
 
     def test_report_document_shape(self):
@@ -309,5 +431,7 @@ class TestAlternateMinimize:
         res = alternate_minimize(cfg, 1, CostParams(q=2.0, restarts=0))
         doc = solve_result_to_dict(res, cfg)
         assert {"n", "q", "cost_q", "wbar", "rescaled", "converged",
-                "inner_budget_hits", "free_atoms", "plan"} <= set(doc)
+                "inner_budget_hits", "polish_fallbacks", "free_atoms",
+                "plan"} <= set(doc)
         assert doc["inner_budget_hits"] == res.inner_budget_hits
+        assert doc["polish_fallbacks"] == res.polish_fallbacks

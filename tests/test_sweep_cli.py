@@ -115,8 +115,9 @@ class TestCliCommands:
         assert code == 0
         doc = json.loads((out / "solve_n2.json").read_text())
         assert doc["n"] == 2
-        hits = doc["inner_budget_hits"]
-        assert f"{hits} inner budget hits" in capsys.readouterr().out
+        hits, fallbacks = doc["inner_budget_hits"], doc["polish_fallbacks"]
+        assert (f"{hits} inner budget hits, {fallbacks} polish fallbacks"
+                in capsys.readouterr().out)
         assert doc["rescaled"] == pytest.approx(math.sqrt(2.0 / 3.0), abs=1e-6)
         svg = (out / "tree_n2.svg").read_text()
         assert svg.lstrip().startswith("<svg")
