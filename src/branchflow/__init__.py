@@ -34,15 +34,10 @@ from .transport import (
     wasserstein_q,
 )
 from .regularize import (
-    Chain,
     NotRegularError,
-    PathBudgetError,
     RegularityReport,
-    cancel_cycles,
     cancel_flat_cycles,
     is_regular,
-    maximal_chains,
-    merge_parallel_paths,
     regularize,
 )
 from .graphs import (
@@ -105,15 +100,10 @@ __all__ = [
     "plan_cost",
     "wasserstein_coupling",
     "wasserstein_q",
-    "Chain",
     "NotRegularError",
-    "PathBudgetError",
     "RegularityReport",
-    "cancel_cycles",
     "cancel_flat_cycles",
     "is_regular",
-    "maximal_chains",
-    "merge_parallel_paths",
     "regularize",
     "ChainGeometry",
     "Edge",

@@ -94,9 +94,6 @@ class WeightedDigraph:
     def out_flow(self, v: int) -> float:
         return sum(e.weight for e in self.edges if e.tail == v)
 
-    def total_weight(self) -> float:
-        return sum(e.weight for e in self.edges)
-
 
 @dataclass(frozen=True)
 class ChainGeometry:
@@ -117,10 +114,6 @@ class ChainGeometry:
     gap_spread: float
 
     @property
-    def straightness_defect(self) -> float:
-        return self.path_length - self.straight_length
-
-    @property
     def n_interior(self) -> int:
         return len(self.vertices) - 2
 
@@ -130,29 +123,21 @@ class ReducedTree(WeightedDigraph):
     chains: tuple[ChainGeometry, ...] = ()
 
 
-def plan_to_graph(
-    config: SignedConfig,
-    Z,
-    plan: TransportPlan,
-    require_regular: bool = True,
-) -> WeightedDigraph:
+def plan_to_graph(config: SignedConfig, Z, plan: TransportPlan) -> WeightedDigraph:
     """Embed a regular plan as a weighted digraph.
 
     Vertices are every terminal plus each free atom whose throughput
-    exceeds 10^-12 of total mass; edges carry the plan flows.  Refuses
-    non-regular plans unless require_regular is False.
+    exceeds 10^-12 of total mass; edges carry the plan flows.  Raises
+    NotRegularError on a plan that is not regular.
     """
     Z = as_positions(Z, config.dimension)
     if Z.shape[0] != plan.n_free:
         raise ValueError("Z and plan disagree on the number of free atoms")
     tol = zero_flow_threshold(plan, config)
     pruned = plan.pruned(tol)
-    if require_regular:
-        report = is_regular(pruned)
-        if not report:
-            raise NotRegularError(
-                f"plan is not regular: {report.kind} {report.detail}"
-            )
+    report = is_regular(pruned)
+    if not report:
+        raise NotRegularError(f"plan is not regular: {report.kind} {report.detail}")
     P = vertex_positions(config, Z)
     throughput = pruned.throughputs()
 
@@ -178,15 +163,6 @@ def plan_to_graph(
         edges=tuple(edges),
         labels=tuple(keep),
     )
-
-
-def undirected_adjacency(g: WeightedDigraph) -> dict[int, list[tuple[int, int]]]:
-    """vertex -> [(neighbor, edge index)] ignoring orientation."""
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(g.n_vertices)}
-    for idx, e in enumerate(g.edges):
-        adj[e.tail].append((e.head, idx))
-        adj[e.head].append((e.tail, idx))
-    return adj
 
 
 def is_forest(g: WeightedDigraph) -> bool:

@@ -1,4 +1,4 @@
-"""Rewrite transport plans into their regular normal form.
+"""Rewrite transport plans onto a forest support, and check regularity.
 
 A feasible plan is *regular* when, viewed as a digraph on vertices
 (sources, sinks, free atoms):
@@ -9,19 +9,19 @@ A feasible plan is *regular* when, viewed as a digraph on vertices
     directed paths.
 
 Sources only emit and sinks only absorb, so directed cycles can involve
-free atoms alone; cancelling such a cycle touches conservation nodes only
-and never breaks feasibility.  Duplicate paths between any two vertices
-extend (backwards to a source, forwards to a sink, on an acyclic support)
-to duplicate source->sink paths, so (b) is checked per terminal pair.
+free atoms alone.  Duplicate paths between any two vertices extend
+(backwards to a source, forwards to a sink, on an acyclic support) to
+duplicate source->sink paths, so (b) is checked per terminal pair.
 
-The full pipeline :func:`regularize` additionally cancels *undirected*
-cycles in the support, pushing circulation in whichever direction does not
-increase the q-power cost.  Neither (a) nor (b) forbids these, but an
-acyclic (forest) support is what lets chain collapse produce trees, so the
-pipeline removes them too; every step is feasibility-preserving and
-non-increasing in cost.  A forest support, which min-cost-flow plans
-usually have, satisfies all three at once; one union-find pass certifies
-it, and :func:`regularize` and :func:`is_regular` then skip their searches.
+:func:`regularize` asks for more: a support with no *undirected* cycle,
+which is what lets chain collapse produce trees.  It pushes flow around
+each undirected cycle in whichever direction does not increase the
+q-power cost, until the support is a forest.  A directed cycle and a pair
+of parallel paths are undirected cycles too, so the forest it returns
+satisfies (a) and (b); every push is feasibility-preserving.
+Min-cost-flow plans usually have a forest support already; one union-find
+pass certifies it, and :func:`regularize` and :func:`is_regular` then skip
+their searches.
 """
 
 from __future__ import annotations
@@ -44,10 +44,6 @@ class NotRegularError(ValueError):
     """An operation required a regular plan but got a witnessed violation."""
 
 
-class PathBudgetError(RuntimeError):
-    """Path enumeration exceeded its budget (pathological parallel structure)."""
-
-
 @dataclass(frozen=True)
 class RegularityReport:
     ok: bool
@@ -56,22 +52,6 @@ class RegularityReport:
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-@dataclass(frozen=True)
-class Chain:
-    """Maximal positive-flow path whose interior vertices relay exactly once.
-
-    ``vertices`` are plan vertex ids (endpoints are terminals or junction
-    atoms, interior vertices are free atoms with in- and out-degree one);
-    ``arcs`` are the matrix keys of the hops; ``flow`` is the common flow
-    value; ``flow_spread`` the max relative deviation observed across hops.
-    """
-
-    vertices: tuple[int, ...]
-    arcs: tuple[tuple[int, int], ...]
-    flow: float
-    flow_spread: float
 
 
 def zero_flow_threshold(plan: TransportPlan, config: SignedConfig) -> float:
@@ -113,196 +93,11 @@ def _is_forest(plan: TransportPlan) -> bool:
     A free-atom two-cycle u->v, v->u and a free self-loop count as cycles.
     A forest support has no directed cycle, at most one directed path
     between any two vertices and no undirected cycle: it is regular, and
-    every regularization stage returns it as it is.
+    :func:`regularize` returns it as it is.
     """
     return edges_form_forest(
         (plan.row_to_vertex(i), plan.col_to_vertex(j)) for i, j in plan.entries
     )
-
-
-# ---------------------------------------------------------------------------
-# directed cycles
-
-def _free_adjacency(plan: TransportPlan) -> dict[int, list[tuple[int, tuple[int, int]]]]:
-    """Free-vertex -> [(free head vertex, key)] for free->free arcs only."""
-    first_free = plan.n_sources + plan.n_sinks
-    adj: dict[int, list[tuple[int, tuple[int, int]]]] = {}
-    for (i, j) in sorted(plan.entries):
-        if i >= plan.n_sources and j >= plan.n_sinks:
-            u = plan.row_to_vertex(i)
-            v = plan.col_to_vertex(j)
-            assert u >= first_free and v >= first_free
-            adj.setdefault(u, []).append((v, (i, j)))
-    return adj
-
-
-def _find_directed_cycle(plan: TransportPlan) -> list[tuple[int, int]] | None:
-    """Arc keys of one positive-flow directed cycle among free atoms, or None."""
-    adj = _free_adjacency(plan)
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color: dict[int, int] = {}
-    for root in sorted(adj):
-        if color.get(root, WHITE) != WHITE:
-            continue
-        stack: list[tuple[int, int]] = [(root, 0)]
-        color[root] = GRAY
-        path: list[tuple[int, tuple[int, int]]] = []  # (vertex, arc taken into it)
-        while stack:
-            u, idx = stack[-1]
-            arcs = adj.get(u, ())
-            if idx < len(arcs):
-                stack[-1] = (u, idx + 1)
-                v, key = arcs[idx]
-                if u == v:
-                    return [key]  # self-loop
-                state = color.get(v, WHITE)
-                if state == GRAY:
-                    # cycle v -> ... -> u -> v; path entries hold the arc
-                    # *into* each stack vertex, so stop before v's own entry
-                    cycle = [key]
-                    for w, k in reversed(path):
-                        if w == v:
-                            break
-                        cycle.append(k)
-                    cycle.reverse()
-                    return cycle
-                if state == WHITE:
-                    color[v] = GRAY
-                    stack.append((v, 0))
-                    path.append((v, key))
-            else:
-                color[u] = BLACK
-                stack.pop()
-                if path and path[-1][0] == u:
-                    path.pop()
-    return None
-
-
-def cancel_cycles(plan: TransportPlan, config: SignedConfig) -> TransportPlan:
-    """Subtract the minimum arc flow around each positive directed cycle.
-
-    Repeats until no directed cycle carries positive flow.  Arc costs are
-    nonnegative, so the q-power cost never increases; conservation at free
-    atoms is untouched because every cycle vertex loses equal in- and
-    out-flow.
-    """
-    out = prune_zeros(plan, config).copy()
-    tol = zero_flow_threshold(plan, config)
-    while True:
-        cycle = _find_directed_cycle(out)
-        if cycle is None:
-            return out
-        delta = min(out.entries[k] for k in cycle)
-        for k in cycle:
-            left = out.entries[k] - delta
-            if left > tol:
-                out.entries[k] = left
-            else:
-                del out.entries[k]
-
-
-# ---------------------------------------------------------------------------
-# duplicate directed paths
-
-def _enumerate_paths(
-    plan: TransportPlan,
-    start: int,
-    goal: int,
-    budget: list[int],
-    limit: int | None = None,
-) -> list[list[tuple[int, int]]]:
-    """All positive-flow directed paths start -> goal, as arc-key lists.
-
-    Requires an acyclic support.  ``budget`` is a single-element mutable
-    counter shared across calls; exceeding it raises PathBudgetError.
-    """
-    adj = {}
-    for (i, j) in sorted(plan.entries):
-        adj.setdefault(plan.row_to_vertex(i), []).append(
-            (plan.col_to_vertex(j), (i, j))
-        )
-    paths: list[list[tuple[int, int]]] = []
-    stack: list[tuple[int, int]] = [(start, 0)]
-    trail: list[tuple[int, int]] = []
-    while stack:
-        u, idx = stack[-1]
-        if u == goal and trail:
-            paths.append(list(trail))
-            if limit is not None and len(paths) >= limit:
-                return paths
-            stack.pop()
-            if trail:
-                trail.pop()
-            continue
-        arcs = adj.get(u, ())
-        if idx < len(arcs):
-            stack[-1] = (u, idx + 1)
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise PathBudgetError("path enumeration budget exhausted")
-            v, key = arcs[idx]
-            stack.append((v, 0))
-            trail.append(key)
-        else:
-            stack.pop()
-            if trail:
-                trail.pop()
-    return paths
-
-
-def merge_parallel_paths(
-    plan: TransportPlan,
-    config: SignedConfig,
-    Z: np.ndarray,
-    q: float,
-    path_budget: int = 100_000,
-) -> TransportPlan:
-    """Reroute flow so at most one directed path joins each terminal pair.
-
-    Wherever two distinct positive paths share a source and a sink, flow
-    moves from the path with the larger sum of q-power hop lengths onto the
-    cheaper one, by the minimum flow found on the expensive path's own
-    arcs; that zeroes at least one arc per merge, so the scan terminates.
-    Pairs are processed in lexicographic order and re-scanned to a fixed
-    point.  Requires an acyclic (cancelled) support.
-    """
-    Z = as_positions(Z, config.dimension)
-    P = vertex_positions(config, Z)
-    out = prune_zeros(plan, config).copy()
-    tol = zero_flow_threshold(plan, config)
-    budget = [path_budget]
-
-    def hop_cost(key: tuple[int, int]) -> float:
-        i, j = key
-        d = float(np.linalg.norm(P[out.row_to_vertex(i)] - P[out.col_to_vertex(j)]))
-        return d**q
-
-    changed = True
-    while changed:
-        changed = False
-        for s in range(out.n_sources):
-            for t in range(out.n_sinks):
-                sv = s
-                tv = out.n_sources + t
-                while True:
-                    paths = _enumerate_paths(out, sv, tv, budget, limit=2)
-                    if len(paths) < 2:
-                        break
-                    a, b = paths[0], paths[1]
-                    cost_a = sum(hop_cost(k) for k in a)
-                    cost_b = sum(hop_cost(k) for k in b)
-                    expensive, cheap = (a, b) if cost_a >= cost_b else (b, a)
-                    only_exp = [k for k in expensive if k not in set(cheap)]
-                    delta = min(out.entries[k] for k in only_exp)
-                    for k in expensive:
-                        out.entries[k] -= delta
-                    for k in cheap:
-                        out.entries[k] = out.entries.get(k, 0.0) + delta
-                    for k in list(only_exp):
-                        if out.entries.get(k, 0.0) <= tol:
-                            out.entries.pop(k, None)
-                    changed = True
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -415,25 +210,22 @@ def regularize(
     Z: np.ndarray,
     q: float,
 ) -> TransportPlan:
-    """Full pipeline: cancel directed cycles, merge duplicate paths, then
-    cancel undirected cycles.  Feasibility-preserving, cost non-increasing,
-    and the result has forest support.
+    """Prune dust flows, then cancel undirected cycles until the support is
+    a forest.  Feasibility-preserving and cost non-increasing; the result
+    is regular.
 
     A plan whose pruned support is already a forest, as min-cost-flow plans
-    usually are, passes every stage unchanged, so it is returned pruned
-    without running them; its entries keep their order.
+    usually are, is returned pruned without a cycle search; its entries
+    keep their order.
     """
     pruned = prune_zeros(plan, config)
     if _is_forest(pruned):
         return pruned
-    out = cancel_cycles(pruned, config)
-    out = merge_parallel_paths(out, config, Z, q)
-    out = cancel_flat_cycles(out, config, Z, q)
-    return out
+    return cancel_flat_cycles(pruned, config, Z, q)
 
 
 # ---------------------------------------------------------------------------
-# verification and chain decomposition
+# verification
 
 def is_regular(plan: TransportPlan, tol: float = 0.0) -> RegularityReport:
     """Check conditions (a) and (b); returns the first violation as witness.
@@ -441,7 +233,13 @@ def is_regular(plan: TransportPlan, tol: float = 0.0) -> RegularityReport:
     ``tol``: flows at or below this value are ignored (callers typically
     pass the 10^-12-of-total-mass threshold); with ``tol=0`` every stored
     entry counts, zero flows included.  A forest support is regular, so it
-    is accepted without enumerating paths.
+    is accepted without a search.
+
+    Witnesses: ``self_loop`` gives the key of a positive free self-loop;
+    ``cycle`` gives arc keys in order, each arc's head the next one's tail
+    and the last arc's head the first one's tail; ``parallel_paths`` gives
+    ``(s, t, path, path)`` for the first source-sink pair joined twice,
+    with two distinct arc-key tuples from source ``s`` to sink ``t``.
     """
     view = plan.pruned(tol) if tol > 0 else plan
     if _is_forest(view):
@@ -454,63 +252,100 @@ def is_regular(plan: TransportPlan, tol: float = 0.0) -> RegularityReport:
             and g > 0
         ):
             return RegularityReport(False, "self_loop", ((i, j),))
-    cycle = _find_directed_cycle(view)
-    if cycle is not None:
-        return RegularityReport(False, "cycle", tuple(cycle))
-    budget = [1_000_000]
+
+    n = view.n_vertices
+    out_arcs: list[list[tuple[int, tuple[int, int]]]] = [[] for _ in range(n)]
+    indeg = [0] * n
+    for key in sorted(view.entries):
+        v = view.col_to_vertex(key[1])
+        out_arcs[view.row_to_vertex(key[0])].append((v, key))
+        indeg[v] += 1
+
+    # Kahn's topological sort; the vertices it never reaches lie on or
+    # downstream of a directed cycle
+    order = [v for v in range(n) if indeg[v] == 0]
+    for u in order:  # the list grows while it is scanned
+        for v, _ in out_arcs[u]:
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                order.append(v)
+    if len(order) < n:
+        return RegularityReport(False, "cycle", _cycle_in(out_arcs, indeg))
+
+    # per source, count paths to every vertex in topological order, capped
+    # at two, keeping the arc that first reached each vertex and the arc
+    # that brought its count to two
     for s in range(view.n_sources):
+        count = [0] * n
+        count[s] = 1
+        first: dict[int, tuple[int, tuple[int, int]]] = {}
+        second: dict[int, tuple[int, tuple[int, int]]] = {}
+        for u in order:
+            if not count[u]:
+                continue
+            for v, key in out_arcs[u]:
+                if count[v] == 2:
+                    continue
+                if count[v] == 0:
+                    first[v] = (u, key)
+                count[v] = min(2, count[v] + count[u])
+                if count[v] == 2:
+                    second[v] = (u, key)
         for t in range(view.n_sinks):
-            paths = _enumerate_paths(view, s, view.n_sources + t, budget, limit=2)
-            if len(paths) >= 2:
-                return RegularityReport(
-                    False, "parallel_paths", (s, t, tuple(paths[0]), tuple(paths[1]))
+            tv = view.n_sources + t
+            if count[tv] == 2:
+                paths = (
+                    _read_path(first, second, s, tv, False),
+                    _read_path(first, second, s, tv, True),
                 )
+                return RegularityReport(False, "parallel_paths", (s, t) + paths)
     return RegularityReport(True)
 
 
-def maximal_chains(plan: TransportPlan, flow_rtol: float = 1e-9) -> list[Chain]:
-    """Decompose a regular plan's support into maximal chains.
+def _cycle_in(
+    out_arcs: list[list[tuple[int, tuple[int, int]]]], indeg: list[int]
+) -> tuple[tuple[int, int], ...]:
+    """Arc keys of one directed cycle among the vertices Kahn's sort left.
 
-    Junctions are terminals plus every free atom whose in- or out-degree
-    differs from one; chains run junction to junction through relay-only
-    interiors.  Conservation forces one flow value along each chain; the
-    observed spread must stay within ``flow_rtol`` relatively.
+    Each such vertex keeps an in-arc from another one left, so walking
+    those in-arcs backwards from any of them must repeat a vertex.
     """
-    report = is_regular(plan)
-    if not report:
-        raise NotRegularError(f"plan is not regular: {report.kind} {report.detail}")
-    out_adj = plan.out_adjacency()
-    indeg: dict[int, int] = {}
-    outdeg: dict[int, int] = {}
-    for u, arcs in out_adj.items():
-        outdeg[u] = outdeg.get(u, 0) + len(arcs)
-        for v, _, _ in arcs:
-            indeg[v] = indeg.get(v, 0) + 1
-    first_free = plan.n_sources + plan.n_sinks
+    into: dict[int, tuple[int, tuple[int, int]]] = {}
+    for u, arcs in enumerate(out_arcs):
+        if indeg[u]:
+            for v, key in arcs:
+                if indeg[v]:
+                    into.setdefault(v, (u, key))
+    v = min(into)
+    seen: dict[int, int] = {}
+    walk: list[tuple[int, int]] = []
+    while v not in seen:
+        seen[v] = len(walk)
+        v, key = into[v]
+        walk.append(key)
+    return tuple(reversed(walk[seen[v]:]))
 
-    def is_interior(v: int) -> bool:
-        return v >= first_free and indeg.get(v, 0) == 1 and outdeg.get(v, 0) == 1
 
-    chains: list[Chain] = []
-    for u in sorted(out_adj):
-        if is_interior(u):
-            continue
-        for v, g, key in out_adj[u]:
-            vertices = [u, v]
-            arcs = [key]
-            flows = [g]
-            w = v
-            while is_interior(w):
-                w2, g2, key2 = out_adj[w][0]
-                vertices.append(w2)
-                arcs.append(key2)
-                flows.append(g2)
-                w = w2
-            flow = flows[0]
-            spread = (max(flows) - min(flows)) / max(abs(flow), 1e-300)
-            if spread > flow_rtol:
-                raise NotRegularError(
-                    f"chain {vertices} carries uneven flow (spread {spread:.3e})"
-                )
-            chains.append(Chain(tuple(vertices), tuple(arcs), flow, spread))
-    return chains
+def _read_path(
+    first: dict[int, tuple[int, tuple[int, int]]],
+    second: dict[int, tuple[int, tuple[int, int]]],
+    s: int,
+    v: int,
+    use_second: bool,
+) -> tuple[tuple[int, int], ...]:
+    """Arc keys of a path s -> v read back from the counting pass.
+
+    The first path follows first-reaching arcs.  The second takes the arc
+    that brought v's count to two; when that is also its first arc, the
+    tail had count two already and the second path continues from there.
+    The two paths differ in the last arc where they split.
+    """
+    keys = []
+    while v != s:
+        if use_second and second[v] != first[v]:
+            v, key = second[v]
+            use_second = False
+        else:
+            v, key = first[v]
+        keys.append(key)
+    return tuple(reversed(keys))

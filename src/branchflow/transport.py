@@ -163,9 +163,6 @@ class TransportPlan:
         """Mass relayed by each free atom (outflow; equals inflow when feasible)."""
         return self.free_outflows()
 
-    def total_cost_weight(self) -> float:
-        return float(sum(self.entries.values()))
-
     # ---- views / conversions -------------------------------------------
     def copy(self) -> "TransportPlan":
         return TransportPlan(self.n_sources, self.n_sinks, self.n_free, dict(self.entries))
@@ -174,16 +171,6 @@ class TransportPlan:
         """Drop entries with flow <= tol."""
         kept = {k: g for k, g in self.entries.items() if g > tol}
         return TransportPlan(self.n_sources, self.n_sinks, self.n_free, kept)
-
-    def out_adjacency(self) -> dict[int, list[tuple[int, float, tuple[int, int]]]]:
-        """Vertex id -> [(head vertex, flow, matrix key)] in sorted key order."""
-        adj: dict[int, list[tuple[int, float, tuple[int, int]]]] = {}
-        for (i, j) in sorted(self.entries):
-            g = self.entries[(i, j)]
-            adj.setdefault(self.row_to_vertex(i), []).append(
-                (self.col_to_vertex(j), g, (i, j))
-            )
-        return adj
 
     def to_triplets(self) -> list[tuple[int, int, float]]:
         return [(i, j, self.entries[(i, j)]) for (i, j) in sorted(self.entries)]

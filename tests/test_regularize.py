@@ -8,15 +8,15 @@ from branchflow import (
     NotRegularError,
     TransportPlan,
     is_regular,
-    maximal_chains,
     min_cost_plan,
+    plan_to_graph,
+    reduce_graph,
     regularize,
     single_edge,
 )
+from branchflow.graphs import is_forest
 from branchflow.regularize import (
-    cancel_cycles,
     cancel_flat_cycles,
-    merge_parallel_paths,
     prune_zeros,
     zero_flow_threshold,
 )
@@ -29,8 +29,9 @@ def relay_arc(cfg, a: int, b: int) -> tuple[int, int]:
     return (cfg.n_sources + a, cfg.n_sinks + b)
 
 
-def nx_regular(plan: TransportPlan, tol: float = 0.0) -> bool:
-    """Reference: no directed cycle, at most one simple path per terminal pair.
+def nx_violation(plan: TransportPlan, tol: float = 0.0):
+    """Reference: "cycle", the first (source, sink) pair joined by two
+    simple paths, or None for a regular plan.
 
     Entries at or below ``tol`` are dropped when ``tol > 0``; at ``tol=0``
     every stored entry is an arc, as in ``is_regular``.
@@ -41,12 +42,39 @@ def nx_regular(plan: TransportPlan, tol: float = 0.0) -> bool:
         if tol == 0 or flow > tol:
             g.add_edge(plan.row_to_vertex(i), plan.col_to_vertex(j))
     if not nx.is_directed_acyclic_graph(g):
-        return False
-    return all(
-        len(list(itertools.islice(nx.all_simple_edge_paths(g, s, plan.n_sources + t), 2))) < 2
-        for s in range(plan.n_sources)
-        for t in range(plan.n_sinks)
-    )
+        return "cycle"
+    for s in range(plan.n_sources):
+        for t in range(plan.n_sinks):
+            paths = nx.all_simple_edge_paths(g, s, plan.n_sources + t)
+            if len(list(itertools.islice(paths, 2))) == 2:
+                return (s, t)
+    return None
+
+
+def nx_regular(plan: TransportPlan, tol: float = 0.0) -> bool:
+    return nx_violation(plan, tol) is None
+
+
+def assert_witness_holds(plan: TransportPlan, report) -> None:
+    """A cycle closes head to tail; parallel paths are two distinct s->t paths."""
+    arcs = {
+        key: (plan.row_to_vertex(key[0]), plan.col_to_vertex(key[1]))
+        for key in plan.entries
+    }
+    if report.kind == "cycle":
+        cycle = report.detail
+        assert cycle and all(k in arcs for k in cycle)
+        for k, nxt in zip(cycle, cycle[1:] + cycle[:1]):
+            assert arcs[k][1] == arcs[nxt][0]
+    elif report.kind == "parallel_paths":
+        s, t, a, b = report.detail
+        assert a != b
+        for path in (a, b):
+            assert path and all(k in arcs for k in path)
+            assert arcs[path[0]][0] == s
+            assert arcs[path[-1]][1] == plan.n_sources + t
+            for k, nxt in zip(path, path[1:]):
+                assert arcs[k][1] == arcs[nxt][0]
 
 
 class TestIsRegular:
@@ -77,6 +105,13 @@ class TestIsRegular:
         )
         report = is_regular(plan)
         assert not report.ok and report.kind == "parallel_paths"
+        # two routes through relays 0 and 1 that rejoin at relay 2
+        plan = TransportPlan(
+            1, 1, 3, {(0, 1): 0.5, (0, 2): 0.5, (1, 3): 0.5, (2, 3): 0.5, (3, 0): 1.0}
+        )
+        report = is_regular(plan)
+        assert report.kind == "parallel_paths" and report.detail[:2] == (0, 0)
+        assert_witness_holds(plan, report)
 
     def test_tolerance_hides_dust_flow(self):
         plan = TransportPlan(1, 1, 1, {(0, 0): 1.0, (1, 1): 1e-15})
@@ -91,10 +126,13 @@ class TestIsRegular:
             Z = random_positions(cfg, n, rng)
             for plan in (random_feasible_plan(cfg, n, rng), min_cost_plan(cfg, Z, 2.0)[0]):
                 for tol in (0.0, zero_flow_threshold(plan, cfg)):
-                    ok = is_regular(plan, tol=tol).ok
-                    assert ok == nx_regular(plan, tol)
-                    seen.add(ok)
-        assert seen == {True, False}
+                    report = is_regular(plan, tol=tol)
+                    assert report.ok == nx_regular(plan, tol)
+                    if report.kind == "parallel_paths":
+                        assert report.detail[:2] == nx_violation(plan, tol)
+                    assert_witness_holds(plan, report)
+                    seen.add(report.kind)
+        assert seen == {None, "cycle", "parallel_paths"}
 
     def test_matches_networkx_on_forest_with_two_cycle(self):
         from branchflow import y_instance
@@ -120,6 +158,23 @@ class TestIsRegular:
         assert not nx_regular(plan, 0.0)
         assert is_regular(plan, tol=1e-12).ok and nx_regular(plan, 1e-12)
 
+    def test_deep_diamond_ladder_needs_no_path_budget(self):
+        # source -> sink 0 directly, and source -> 22 layers of two relays,
+        # each joined to both of the next, -> sink 1: 2^22 paths to sink 1
+        layers = 22
+        arcs = {(0, 0): 1.0, (0, 2): 0.5, (0, 3): 0.5}
+        for k in range(layers - 1):
+            for a in (2 * k, 2 * k + 1):
+                for b in (2 * k + 2, 2 * k + 3):
+                    arcs[(1 + a, 2 + b)] = 0.25
+        for a in (2 * layers - 2, 2 * layers - 1):
+            arcs[(1 + a, 1)] = 0.5
+        plan = TransportPlan(1, 2, 2 * layers, arcs)
+        report = is_regular(plan)
+        assert not report.ok and report.kind == "parallel_paths"
+        assert report.detail[:2] == (0, 1)
+        assert_witness_holds(plan, report)
+
 
 class TestCancelCycles:
     def test_removes_injected_two_cycle(self):
@@ -128,7 +183,8 @@ class TestCancelCycles:
             1, 1, 2,
             {(0, 0): 1.0, relay_arc(cfg, 0, 1): 0.3, relay_arc(cfg, 1, 0): 0.3},
         )
-        out = cancel_cycles(plan, cfg)
+        Z = np.array([[0.3, 0.2], [0.7, -0.1]])
+        out = regularize(plan, cfg, Z, 2.0)
         assert is_regular(out).ok
         assert out.entries == {(0, 0): 1.0}
         assert check_plan(out, cfg) == []
@@ -145,7 +201,8 @@ class TestCancelCycles:
                 relay_arc(cfg, 1, 0): 0.4,   # back edge closing the cycle
             },
         )
-        out = cancel_cycles(plan, cfg)
+        Z = np.array([[0.3, 0.2], [0.7, -0.1]])
+        out = regularize(plan, cfg, Z, 2.0)
         assert check_plan(out, cfg) == []
         assert _find_no_cycles(out)
         assert out.entries[relay_arc(cfg, 0, 1)] == pytest.approx(1.0)
@@ -158,14 +215,12 @@ class TestCancelCycles:
             plan = random_feasible_plan(cfg, n, rng, cycle_rate=1.0)
             Z = random_positions(cfg, n, rng)
             before = plan_cost(cfg, Z, plan, 2.0)
-            out = cancel_cycles(plan, cfg)
+            out = regularize(plan, cfg, Z, 2.0)
             assert plan_cost(cfg, Z, out, 2.0) <= before + 1e-9 * max(1.0, before)
 
 
 def _find_no_cycles(plan):
-    from branchflow.regularize import _find_directed_cycle
-
-    return _find_directed_cycle(plan) is None
+    return is_regular(plan).kind not in ("self_loop", "cycle")
 
 
 class TestMergeParallelPaths:
@@ -173,7 +228,7 @@ class TestMergeParallelPaths:
         cfg = single_edge()
         Z = np.array([[0.5, 0.8]])  # relay far off the segment: direct is cheaper
         plan = TransportPlan(1, 1, 1, {(0, 0): 0.5, (0, 1): 0.5, (1, 0): 0.5})
-        out = merge_parallel_paths(plan, cfg, Z, 2.0)
+        out = regularize(plan, cfg, Z, 2.0)
         assert out.entries == {(0, 0): pytest.approx(1.0)}
         assert is_regular(out).ok
 
@@ -181,7 +236,7 @@ class TestMergeParallelPaths:
         cfg = single_edge()
         Z = np.array([[0.5, 0.0]])  # relay on the segment: routing wins for q > 1
         plan = TransportPlan(1, 1, 1, {(0, 0): 0.5, (0, 1): 0.5, (1, 0): 0.5})
-        out = merge_parallel_paths(plan, cfg, Z, 2.0)
+        out = regularize(plan, cfg, Z, 2.0)
         assert out.entries == {
             (0, 1): pytest.approx(1.0),
             (1, 0): pytest.approx(1.0),
@@ -219,11 +274,13 @@ class TestRegularizePipeline:
             out = regularize(plan, cfg, Z, 2.0)
             assert check_plan(out, cfg) == [], "feasibility lost"
             assert is_regular(out, tol=zero_flow_threshold(out, cfg)).ok
+            assert is_forest(plan_to_graph(cfg, Z, out))
             after = plan_cost(cfg, Z, out, 2.0)
             assert after <= before + 1e-9 * max(1.0, before)
 
-    def test_equals_the_three_stages_exactly(self, rng):
-        # entries, their values and their order: plan_cost sums in dict order
+    def test_equals_one_cancellation_pass_exactly(self, rng):
+        # the forest fast path changes nothing: entries, their values and
+        # their order (plan_cost sums in dict order)
         for k in range(40):
             cfg = random_config(rng)
             n = int(rng.integers(0, 7))
@@ -232,11 +289,9 @@ class TestRegularizePipeline:
                 plan = random_feasible_plan(cfg, n, rng)
             else:
                 plan, _ = min_cost_plan(cfg, Z, 2.0)
-            staged = cancel_flat_cycles(
-                merge_parallel_paths(cancel_cycles(plan, cfg), cfg, Z, 2.0), cfg, Z, 2.0
-            )
+            cancelled = cancel_flat_cycles(prune_zeros(plan, cfg), cfg, Z, 2.0)
             out = regularize(plan, cfg, Z, 2.0)
-            assert list(out.entries.items()) == list(staged.entries.items())
+            assert list(out.entries.items()) == list(cancelled.entries.items())
 
     def test_optimal_plans_pass_through_unchanged_in_cost(self, rng):
         for _ in range(5):
@@ -260,15 +315,17 @@ class TestPruneZeros:
 
 
 class TestMaximalChains:
+    """Chain decomposition of a regular plan, through its embedded graph."""
+
     def test_single_chain_through_relays(self):
         cfg = single_edge()
         plan = TransportPlan(1, 1, 2, {(0, 1): 1.0, relay_arc(cfg, 0, 1): 1.0, (2, 0): 1.0})
-        chains = maximal_chains(plan)
-        assert len(chains) == 1
-        (chain,) = chains
+        Z = np.array([[0.3, 0.0], [0.6, 0.0]])
+        tree = reduce_graph(plan_to_graph(cfg, Z, plan))
+        assert len(tree.chains) == 1
+        (chain,) = tree.chains
         assert chain.vertices == (0, 2, 3, 1)  # source, free 0, free 1, sink
         assert chain.flow == pytest.approx(1.0)
-        assert chain.flow_spread <= 1e-12
 
     def test_branch_splits_chains(self):
         from branchflow import y_instance
@@ -276,18 +333,20 @@ class TestMaximalChains:
         cfg = y_instance()
         # both sources feed relay 0, which ships the doubled mass to the sink
         plan = TransportPlan(2, 1, 1, {(0, 1): 1.0, (1, 1): 1.0, (2, 0): 2.0})
-        chains = maximal_chains(plan)
-        assert sorted(c.flow for c in chains) == [1.0, 1.0, 2.0]
+        tree = reduce_graph(plan_to_graph(cfg, np.array([[0.0, 0.5]]), plan))
+        assert sorted(c.flow for c in tree.chains) == [1.0, 1.0, 2.0]
 
     def test_rejects_non_regular_input(self):
+        cfg = single_edge()
         plan = TransportPlan(1, 1, 1, {(0, 0): 1.0, (1, 1): 0.5})
         with pytest.raises(NotRegularError):
-            maximal_chains(plan)
+            plan_to_graph(cfg, np.array([[0.5, 0.0]]), plan)
 
     def test_rejects_uneven_chain_flow(self):
         cfg = single_edge()
         plan = TransportPlan(
             1, 1, 2, {(0, 1): 1.0, relay_arc(cfg, 0, 1): 0.7, (2, 0): 1.0}
         )
-        with pytest.raises(NotRegularError, match="uneven"):
-            maximal_chains(plan)
+        Z = np.array([[0.3, 0.0], [0.6, 0.0]])
+        with pytest.raises(ValueError, match="hop flows differ"):
+            reduce_graph(plan_to_graph(cfg, Z, plan))
