@@ -65,6 +65,7 @@ from .allocate import Allocation, allocate, optimal_fractions
 from .oracle import (
     EnumerationBudgetError,
     OracleSolution,
+    Terminals,
     Topology,
     enumerate_topologies,
     oracle,
@@ -127,6 +128,7 @@ __all__ = [
     "optimal_fractions",
     "EnumerationBudgetError",
     "OracleSolution",
+    "Terminals",
     "Topology",
     "enumerate_topologies",
     "oracle",

@@ -7,6 +7,10 @@ edge's flow from conservation (unique on a tree), optimizes the branch
 positions for the concave-weight cost sum(|flow|^(1/q) * length), and
 returns the cheapest realization.  Intended for instances with a handful
 of terminals; the raw tree count is hard-capped.
+
+The fixed-topology solve runs on the same edge kernel and damped Newton
+loop as the position step of ``positions`` (exponent 1, weights
+|flow|^(1/q), smoothed lengths), so one geometric kernel serves both.
 """
 
 from __future__ import annotations
@@ -18,10 +22,20 @@ import numpy as np
 
 from .measures import SignedConfig, total_mass, validate
 from .graphs import Edge, WeightedDigraph
+from .positions import _EdgeKernel, _newton
 
 ENUMERATION_BUDGET = 10**6
 DEGENERATE_RTOL = 1e-9
-STATIONARITY_RTOL = 1e-6
+#: smoothing radii of the fixed-topology continuation, times the diameter
+SMOOTHING = (1e-1, 1e-3, 1e-5, 1e-7, 1e-9, 1e-11, 1e-12)
+#: Newton stop test: gradient sup-norm at most this times the total weight
+GRAD_RTOL = 1e-12
+#: ... or Newton step sup-norm at most this times the diameter
+STEP_RTOL = 1e-14
+#: cap on Newton iterations per smoothing level; levels take 0 to about 15,
+#: and only a cost that is flat along some direction (in one dimension,
+#: branch points between balanced terminal weights) runs into the cap
+NEWTON_ITERS = 50
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -45,6 +59,36 @@ class Topology:
 
 
 @dataclass(frozen=True)
+class Terminals:
+    """The positive-mass terminals of a validated config in topology label
+    order (positive sources first, then positive sinks), their signed
+    supplies, and the config's diameter."""
+
+    positions: np.ndarray
+    supply: np.ndarray
+    n_sources: int
+    diameter: float
+
+    @classmethod
+    def of(cls, config: SignedConfig) -> "Terminals":
+        config = validate(config)
+        pos = []
+        supply = []
+        n_src = 0
+        for a in config.sources:
+            if a.mass > 0:
+                pos.append(a.position)
+                supply.append(a.mass)
+                n_src += 1
+        for a in config.sinks:
+            if a.mass > 0:
+                pos.append(a.position)
+                supply.append(-a.mass)
+        return cls(np.array(pos, dtype=float), np.array(supply), n_src,
+                   config.diameter())
+
+
+@dataclass(frozen=True)
 class OracleSolution:
     cost: float
     graph: WeightedDigraph
@@ -53,32 +97,25 @@ class OracleSolution:
     table: tuple[tuple[Topology, float], ...]
 
 
-def _positive_terminals(config: SignedConfig) -> tuple[np.ndarray, np.ndarray, int]:
-    """(positions, signed supplies, number of positive sources)."""
-    pos = []
-    supply = []
-    n_src = 0
-    for a in config.sources:
-        if a.mass > 0:
-            pos.append(a.position)
-            supply.append(a.mass)
-            n_src += 1
-    for a in config.sinks:
-        if a.mass > 0:
-            pos.append(a.position)
-            supply.append(-a.mass)
-    return np.array(pos, dtype=float), np.array(supply), n_src
+def _pruefer_trees(n_labels: int, n_terminals: int):
+    """Labeled trees on n_labels vertices in which every branch label
+    (n_terminals and up) has degree >= 3, as edge lists, in Pruefer order.
 
-
-def _pruefer_trees(n_labels: int):
-    """All labeled trees on n_labels vertices, as edge lists."""
-    if n_labels == 1:
-        yield []
-        return
+    A label's degree is one more than its count in the Pruefer sequence, so
+    a sequence with a branch label fewer than twice is skipped undecoded:
+    that label is a leaf or a chain vertex, so the forest its tree carries
+    either leaves a used branch label below degree 3 or is one that fewer
+    branch labels already yield.
+    """
     if n_labels == 2:
         yield [(0, 1)]
         return
+    branch = range(n_terminals, n_labels)
+    if 2 * len(branch) > n_labels - 2:
+        return
     for seq in product(range(n_labels), repeat=n_labels - 2):
+        if any(seq.count(b) < 2 for b in branch):
+            continue
         degree = [1] * n_labels
         for v in seq:
             degree[v] += 1
@@ -155,8 +192,10 @@ def _canonical(
 def enumerate_topologies(config: SignedConfig, s_max: int) -> list[Topology]:
     """All flow-carrying forest topologies with up to s_max branch points.
 
-    Every labeled spanning tree on terminals + s branch labels is decoded,
-    its unique conservation flows derived, and zero-flow edges dropped;
+    Every labeled spanning tree on terminals + s branch labels whose branch
+    labels all have degree >= 3 is decoded (the others cannot yield a new
+    forest, see ``_pruefer_trees``), its unique conservation flows derived,
+    and zero-flow edges dropped;
     what remains is the forest the tree actually uses (two far-apart
     source-sink pairs, for instance, keep two disjoint segments).  Forests
     leaving a used branch label below degree 3 are skipped (a smaller
@@ -165,8 +204,7 @@ def enumerate_topologies(config: SignedConfig, s_max: int) -> list[Topology]:
     removed.  Raises EnumerationBudgetError when the raw Pruefer count
     would exceed the cap.
     """
-    config = validate(config)
-    pos, supply, _ = _positive_terminals(config)
+    supply = Terminals.of(config).supply
     T = len(supply)
     if T < 2:
         raise ValueError("need at least two positive-mass terminals")
@@ -183,7 +221,7 @@ def enumerate_topologies(config: SignedConfig, s_max: int) -> list[Topology]:
     seen: set[tuple[tuple[int, int], ...]] = set()
     for s in range(s_max + 1):
         L = T + s
-        for edges in _pruefer_trees(L):
+        for edges in _pruefer_trees(L, T):
             flows = _tree_flows(edges, supply, L)
             kept: list[tuple[tuple[int, int], float]] = []
             for (u, v), f in zip(edges, flows):
@@ -222,140 +260,61 @@ def enumerate_topologies(config: SignedConfig, s_max: int) -> list[Topology]:
     return out
 
 
-def _steiner_objective(
-    topology: Topology, term_pos: np.ndarray, S: np.ndarray, q: float
-) -> float:
-    total = 0.0
-    T = topology.n_terminals
-    for (u, v), f in zip(topology.edges, topology.flows):
-        pu = term_pos[u] if u < T else S[u - T]
-        pv = term_pos[v] if v < T else S[v - T]
-        total += abs(f) ** (1.0 / q) * float(np.linalg.norm(pu - pv))
-    return total
-
-
-def _steiner_gradient_residual(
-    topology: Topology, term_pos: np.ndarray, S: np.ndarray, q: float, coincide_tol: float
-) -> float:
-    """Max gradient norm over branch points not coincident with a neighbor."""
-    T = topology.n_terminals
-    worst = 0.0
-    for i in range(topology.n_steiner):
-        z = S[i]
-        g = np.zeros_like(z)
-        singular = False
-        for (u, v), f in zip(topology.edges, topology.flows):
-            other = None
-            if u == T + i:
-                other = term_pos[v] if v < T else S[v - T]
-            elif v == T + i:
-                other = term_pos[u] if u < T else S[u - T]
-            if other is None:
-                continue
-            d = z - other
-            r = float(np.linalg.norm(d))
-            if r <= coincide_tol:
-                singular = True
-                break
-            g += abs(f) ** (1.0 / q) * d / r
-        if not singular:
-            worst = max(worst, float(np.linalg.norm(g)))
-    return worst
-
-
 def solve_topology(
-    topology: Topology,
-    config: SignedConfig,
-    q: float,
-    max_passes: int = 20_000,
+    topology: Topology, terminals: Terminals, q: float
 ) -> tuple[np.ndarray, float]:
     """Optimal branch positions and cost for a fixed topology.
 
-    The objective is a convex sum of weighted Euclidean norms; smoothed
-    reweighted least-squares (a Weiszfeld generalization) drives each
-    branch point to the weighted geometric median of its neighbors while
-    the smoothing radius shrinks to zero.  Restarts from perturbed
-    positions when the stationarity residual check fails away from
-    coincidences.
+    ``terminals`` is ``Terminals.of(config)`` for the topology's config.
+    The cost sum(|flow|^(1/q) * length) is a convex sum of weighted
+    Euclidean norms of the branch positions: the q = 1 cost of the position
+    step's edge kernel with weights |flow|^(1/q).  Smoothed to
+    sum(w * sqrt(length^2 + eps^2)) it is strictly convex and twice
+    differentiable, so damped Newton (``positions._newton``) finds its one
+    minimizer from any start.  The smoothing radius runs down SMOOTHING
+    (times the diameter); the first level starts at the terminal centroid,
+    the second at the first's minimizer, and every later one at a secant
+    prediction from the last two.  Each level stops when the gradient or
+    the Newton step is negligible (GRAD_RTOL, STEP_RTOL).  The returned
+    cost is the unsmoothed cost at the final point.
     """
-    config = validate(config)
-    pos, supply, _ = _positive_terminals(config)
-    T = topology.n_terminals
-    s = topology.n_steiner
-    if T != len(supply):
+    T, s = topology.n_terminals, topology.n_steiner
+    if T != len(terminals.supply):
         raise ValueError("topology/config terminal count mismatch")
-    diam = config.diameter()
-    scale = max(diam, 1e-12)
-    if s == 0:
-        return np.zeros((0, config.dimension)), _steiner_objective(
-            topology, pos, np.zeros((0, config.dimension)), q
-        )
-
-    weights = [abs(f) ** (1.0 / q) for f in topology.flows]
-    nbrs: list[list[tuple[int, float]]] = [[] for _ in range(s)]
-    # neighbor encoding: index < T terminal, else branch index + T
-    for (u, v), w in zip(topology.edges, weights):
-        if u >= T:
-            nbrs[u - T].append((v, w))
-        if v >= T:
-            nbrs[v - T].append((u, w))
-
-    def neighbor_pos(code: int, S: np.ndarray) -> np.ndarray:
-        return pos[code] if code < T else S[code - T]
-
-    best: tuple[float, np.ndarray] | None = None
-    rng = np.random.default_rng(0)
-    centroid = pos.mean(axis=0)
-    for attempt in range(4):
-        if attempt == 0:
-            S = np.vstack(
-                [centroid + 1e-3 * scale * (k + 1) * np.ones(config.dimension) for k in range(s)]
-            )
-            S = S + 1e-4 * scale * rng.standard_normal(S.shape)
-        else:
-            S = centroid + scale * 0.3 * rng.standard_normal((s, config.dimension))
-        eps = scale * 0.1
-        passes = 0
-        while passes < max_passes:
-            passes += 1
-            move = 0.0
-            for i in range(s):
-                num = np.zeros(config.dimension)
-                den = 0.0
-                for code, w in nbrs[i]:
-                    p = neighbor_pos(code, S)
-                    r = float(np.sqrt(((S[i] - p) ** 2).sum() + eps * eps))
-                    num += w * p / r
-                    den += w / r
-                new = num / den
-                move = max(move, float(np.linalg.norm(new - S[i])))
-                S[i] = new
-            if move < 0.01 * eps:
-                if eps <= 1e-12 * scale:
-                    break
-                eps = max(eps * 0.25, 1e-12 * scale * 0.99)
-        resid = _steiner_gradient_residual(
-            topology, pos, S, q, coincide_tol=1e-9 * scale
-        )
-        cost = _steiner_objective(topology, pos, S, q)
-        if best is None or cost < best[0]:
-            best = (cost, S.copy())
-        if resid < STATIONARITY_RTOL * max(1.0, sum(weights)):
-            break
-    cost, S = best
-    return S, float(cost)
+    tails, heads = zip(*topology.edges)
+    weights = np.abs(np.array(topology.flows)) ** (1.0 / q)
+    kernel = _EdgeKernel.from_arcs(
+        terminals.positions, tails, heads, weights, s, 1.0, 0.0
+    )
+    S = np.tile(terminals.positions.mean(axis=0), (s, 1))
+    if s:
+        scale = max(terminals.diameter, 1e-12)
+        tol = GRAD_RTOL * float(weights.sum())
+        S_before = S
+        for k, eps in enumerate(SMOOTHING):
+            start = S
+            if k >= 2:
+                # secant predictor in eps from the last two minimizers: exact
+                # for a branch point at a distance proportional to eps from
+                # where it collapses, a small correction for any other
+                t = (eps - SMOOTHING[k - 1]) / (SMOOTHING[k - 1] - SMOOTHING[k - 2])
+                start = S + t * (S - S_before)
+            kernel.eps = eps * scale
+            S_before, S = S, _newton(kernel, start, tol, 1e-16 * scale, scale,
+                                     NEWTON_ITERS, step_tol=STEP_RTOL * scale)[0]
+        kernel.eps = 0.0
+    return S, kernel.cost(S)
 
 
 def _realize(
-    topology: Topology, config: SignedConfig, S: np.ndarray
+    topology: Topology, terminals: Terminals, S: np.ndarray
 ) -> WeightedDigraph:
     """Embed a solved topology, contracting degenerate (zero-length) edges."""
-    pos, supply, n_src = _positive_terminals(config)
+    n_src = terminals.n_sources
     T = topology.n_terminals
     s = topology.n_steiner
-    all_pos = np.vstack([pos, S]) if s else pos
-    diam = config.diameter()
-    tol = DEGENERATE_RTOL * max(1.0, diam)
+    all_pos = np.vstack([terminals.positions, S]) if s else terminals.positions
+    tol = DEGENERATE_RTOL * max(1.0, terminals.diameter)
 
     parent = list(range(T + s))
 
@@ -414,10 +373,11 @@ def oracle(
     """Cheapest realized topology over the bounded enumeration.
 
     s_max defaults to 2N-2 (N = max terminal count per side), enough for
-    every tree whose branch points all have degree >= 3.  Ties break on
-    enumeration order, so results are stable run to run.
+    every tree whose branch points all have degree >= 3.  Costs within
+    1e-12 relative of each other tie, and ties break on enumeration order,
+    so results are stable run to run and under a change of scale.
     """
-    config = validate(config)
+    terminals = Terminals.of(config)
     if q < 1.0:
         raise ValueError(f"network exponent must be >= 1, got {q}")
     N = config.n_pairs
@@ -427,13 +387,13 @@ def oracle(
     table: list[tuple[Topology, float]] = []
     best: tuple[float, Topology, np.ndarray] | None = None
     for t in topologies:
-        S, cost = solve_topology(t, config, q)
+        S, cost = solve_topology(t, terminals, q)
         table.append((t, cost))
-        if best is None or cost < best[0] - 1e-15:
+        if best is None or cost < best[0] * (1.0 - 1e-12):
             best = (cost, t, S)
     cost, t, S = best
     table.sort(key=lambda item: item[1])
-    graph = _realize(t, config, S)
+    graph = _realize(t, terminals, S)
     # contraction can only shorten; recompute the realized cost
     realized = sum(e.length * e.weight ** (1.0 / q) for e in graph.edges)
     return OracleSolution(

@@ -8,10 +8,12 @@ ends of every arc from a preallocated position buffer, the arc vectors of
 the accepted line-search point reused for the next gradient, and the
 gradient scattered with one bincount.  The descent inside each round is
 gradient descent with Armijo backtracking; the final polish is damped
-Newton on the same kernel, whose Hessian has one block per arc.  The outer
-loop alternates exact plan solves, plan regularization, and position
-descent, with a multistart layer on top, since the joint problem is not
-convex.
+Newton on the same kernel, whose Hessian has one block per arc.  The
+kernel and the Newton loop also solve the oracle's fixed topologies
+(``oracle.solve_topology``): exponent 1, per-arc weights, smoothed
+lengths, so one geometric kernel serves both.  The outer loop alternates
+exact plan solves, plan regularization, and position descent, with a
+multistart layer on top, since the joint problem is not convex.
 
 Two extras beyond plain alternation, both cost-guarded so monotonicity
 is preserved:
@@ -93,44 +95,65 @@ class SolveResult:
 
 
 class _EdgeKernel:
-    """Cost and gradient of a fixed plan as the free positions vary.
+    """Cost, gradient and Hessian of a sum over arcs as the free rows vary.
 
-    Built once per plan, over its arcs in sorted key order.  ``cost(Z)``
-    writes Z below the terminal rows of a preallocated position buffer,
-    gathers the tail and head ends of every arc with one ``take``, and
-    keeps the arc vectors and lengths; ``gradient()`` reuses them, so it
-    is the gradient at the last point passed to ``cost``.  The gradient is
-    scattered with one ``np.bincount`` over flat ``atom * dim + k`` bins,
-    tail ends first and head ends second: the same additions, in the same
-    order, as one ``np.add.at`` per side.  ``newton_direction(G)`` solves
-    with the Hessian at the same point, assembled from the arc vectors and
-    the gradient's per-arc coefficients.
+    Vertices are the fixed rows followed by the free rows.  Arc k joins
+    vertex ``tails[k]`` to ``heads[k]`` with weight ``w[k]``; with arc vector
+    d and smoothing radius eps it costs ``w * (|d|^2 + eps^2)^(q/2)``.
+    ``_EdgeKernel(config, plan, q)`` is the plan's q-power cost: terminals
+    fixed, one arc per plan entry in sorted key order, weight its flow,
+    eps 0.  The oracle builds one with ``from_arcs`` at q = 1 and lowers
+    ``eps`` between solves.
+
+    ``cost(Z)`` writes Z below the fixed rows of a preallocated position
+    buffer, gathers the tail and head ends of every arc with one ``take``,
+    and keeps the arc vectors and smoothed lengths; ``gradient()`` reuses
+    them, so it is the gradient at the last point passed to ``cost``.  The
+    gradient is scattered with one ``np.bincount`` over flat
+    ``atom * dim + k`` bins, tail ends first and head ends second: the same
+    additions, in the same order, as one ``np.add.at`` per side.
+    ``newton_direction(G)`` solves with the Hessian at the same point,
+    assembled from the arc vectors and the gradient's per-arc coefficients.
     """
 
     def __init__(self, config: SignedConfig, plan: TransportPlan, q: float):
-        self.q = q
-        dim = self.dim = config.dimension
-        n_term = self.n_term = plan.n_sources + plan.n_sinks
         keys = sorted(plan.entries)
-        m = self.m = len(keys)
-        # tails, then heads, as vertex ids
-        self.ends = np.array(
-            [plan.row_to_vertex(i) for i, _ in keys]
-            + [plan.col_to_vertex(j) for _, j in keys],
-            dtype=np.intp,
+        self._build(
+            np.vstack([config.source_positions(), config.sink_positions()]),
+            [plan.row_to_vertex(i) for i, _ in keys],
+            [plan.col_to_vertex(j) for _, j in keys],
+            [plan.entries[k] for k in keys],
+            plan.n_free, q, 0.0,
         )
-        self.flows = np.array([plan.entries[k] for k in keys], dtype=float)
-        self.qflows = q * self.flows
-        self.P = np.empty((n_term + plan.n_free, dim))
-        self.P[:plan.n_sources] = config.source_positions()
-        self.P[plan.n_sources:n_term] = config.sink_positions()
+
+    @classmethod
+    def from_arcs(cls, fixed: np.ndarray, tails, heads, weights, n_free: int,
+                  q: float, eps: float) -> "_EdgeKernel":
+        """Kernel over ``fixed`` rows plus ``n_free`` free rows and the given
+        weighted arcs (vertex ids index fixed rows first)."""
+        kernel = cls.__new__(cls)
+        kernel._build(fixed, tails, heads, weights, n_free, q, eps)
+        return kernel
+
+    def _build(self, fixed, tails, heads, weights, n_free, q, eps) -> None:
+        self.q = q
+        self.eps = eps
+        n_term, dim = fixed.shape
+        self.dim, self.n_term = dim, n_term
+        # tails, then heads, as vertex ids
+        self.ends = np.array(list(tails) + list(heads), dtype=np.intp)
+        m = self.m = len(tails)
+        self.weights = np.array(weights, dtype=float)
+        self.qweights = q * self.weights
+        self.P = np.empty((n_term + n_free, dim))
+        self.P[:n_term] = fixed
         self.free_rows = self.P[n_term:]
-        # arc ends at free atoms, and their flat gradient bins
+        # arc ends at free rows, and their flat gradient bins
         self.free_ends = np.flatnonzero(self.ends >= n_term)
         atoms = self.ends[self.free_ends] - n_term
         self.bins = (atoms[:, None] * dim + np.arange(dim)).ravel()
-        self.G_shape = (plan.n_free, dim)
-        self.n_bins = plan.n_free * dim
+        self.G_shape = (n_free, dim)
+        self.n_bins = n_free * dim
         # per arc end: +contribution at the tail, -contribution at the head
         self.W = np.empty((2 * m, dim))
         self.W_tail, self.W_head = self.W[:m], self.W[m:]
@@ -141,19 +164,22 @@ class _EdgeKernel:
         self.free_rows[...] = Z
         E = self.P.take(self.ends, axis=0)
         d = E[: self.m] - E[self.m :]
-        dist = np.sqrt((d * d).sum(axis=1))
+        sq = (d * d).sum(axis=1)
+        if self.eps:
+            sq += self.eps * self.eps
+        dist = np.sqrt(sq)
         self.d, self.dist = d, dist
-        return float((self.flows * dist**self.q).sum())
+        return float((self.weights * dist**self.q).sum())
 
     def gradient(self) -> np.ndarray:
         dist = self.dist
         if dist.all():
-            coef = self.qflows * dist ** (self.q - 2.0)
+            coef = self.qweights * dist ** (self.q - 2.0)
         else:
             # coincident endpoints contribute zero (the power may be inf)
             coef = np.zeros_like(dist)
             pos = dist > 0.0
-            coef[pos] = self.qflows[pos] * dist[pos] ** (self.q - 2.0)
+            coef[pos] = self.qweights[pos] * dist[pos] ** (self.q - 2.0)
         self.coef = coef
         np.multiply(coef[:, None], self.d, out=self.W_tail)
         np.negative(self.W_tail, out=self.W_head)
@@ -193,17 +219,19 @@ class _EdgeKernel:
         """Dense Hessian at the point of the last ``gradient()`` call.
 
         The block of one arc is coef * (I + (q - 2) u u^T), with coef =
-        q * flow * |d|^(q-2) the gradient's coefficient and u the unit arc
-        vector.  At q = 2 the block is 2 * flow * I at every length, so the
-        Hessian is a weighted graph Laplacian and exact.  At other q,
-        zero-length arcs add no curvature, as they add no gradient: their
-        curvature is 0 for q > 2 and unbounded for q < 2.
+        q * w * dist^(q-2) the gradient's coefficient, dist the smoothed
+        length sqrt(|d|^2 + eps^2) and u = d / dist.  At q = 2 the block is
+        2 * w * I at every length, so the Hessian is a weighted graph
+        Laplacian and exact.  At q = 1 and eps > 0, |u| < 1 keeps every
+        block positive definite.  Unsmoothed zero-length arcs add no
+        curvature, as they add no gradient: their curvature is 0 for q > 2
+        and unbounded for q < 2.
         """
         if self.hessian_bins is None:
             self._hessian_layout()
         dim = self.dim
         if self.q == 2.0:
-            B = self.qflows[:, None, None] * np.eye(dim)
+            B = self.qweights[:, None, None] * np.eye(dim)
         else:
             coef = self.coef
             B = coef[:, None, None] * np.eye(dim)
@@ -328,34 +356,30 @@ def optimize_positions(
     return Z, f, iters, gmax <= tol
 
 
-def polish_positions(
-    config: SignedConfig,
-    plan: TransportPlan,
-    Z0,
-    q: float,
-    grad_tol: float = 1e-9,
-    max_iter: int = 500,
-    fallbacks: list[int] | None = None,
-) -> tuple[np.ndarray, float, int, bool]:
-    """Minimize the fixed-plan cost over free positions by damped Newton.
+def _newton(
+    obj: _EdgeKernel,
+    Z: np.ndarray,
+    tol: float,
+    floor: float,
+    span: float,
+    max_iter: int,
+    step_tol: float = 0.0,
+) -> tuple[np.ndarray, float, int, bool, int]:
+    """Damped Newton on a kernel from Z, until the sup-norm of the gradient
+    is at most ``tol`` or that of the Newton step at most ``step_tol``.
 
-    Same objective, stop test, line-search floor and return as
-    ``optimize_positions``.  The direction is the Newton step of the plan's
-    edge-list kernel (``_EdgeKernel.newton_direction``); the Armijo test
-    (constant 1e-4) starts at step length 1 and halves.  At q = 2 the cost
-    is quadratic and one step reaches the minimizer.  Near the minimizer
-    the predicted decrease falls below the rounding error of the cost, so
-    a trial point whose cost is not measurably higher (within
-    COST_ROUNDING, relative) is also accepted when it lowers the sup-norm
-    of the gradient.
-
-    When the Newton solve fails, its direction is not a descent direction,
-    or its line search stalls, the iteration tries a gradient step of
-    length diam with the same search; if that stalls too, the point is
-    stationary to floating-point resolution.  If ``fallbacks`` is given,
-    the number of iterations that moved by a gradient step is appended.
+    The direction is ``obj.newton_direction``; the Armijo test (constant
+    1e-4) starts at step length 1 and halves while the step is longer than
+    ``floor``.  Near the minimizer the predicted decrease falls below the
+    rounding error of the cost, so a trial point whose cost is not
+    measurably higher (within COST_ROUNDING, relative) is also accepted
+    when it lowers the sup-norm of the gradient.  When the Newton solve
+    fails, its direction is not a descent direction, or its line search
+    stalls, the iteration tries a gradient step of length ``span`` with the
+    same search; if that stalls too, the point is stationary to
+    floating-point resolution.  Returns (Z, cost, iterations, converged,
+    iterations that moved by a gradient step).
     """
-    Z, obj, diam, tol, floor = _position_problem(config, plan, Z0, q, grad_tol)
     f = obj.cost(Z)
     gradient_steps = 0
 
@@ -383,9 +407,13 @@ def polish_positions(
             iters, converged = iters - 1, True
             break
         P = obj.newton_direction(G)
+        # a Newton direction is never zero, so step_tol 0 never stops here
+        if P is not None and float(np.abs(P).max()) <= step_tol:
+            iters, converged = iters - 1, True
+            break
         found = None if P is None else line_search(P, float((G * P).sum()))
         if found is None:
-            span, gnorm = max(diam, 1e-12), math.sqrt(float((G * G).sum()))
+            gnorm = math.sqrt(float((G * G).sum()))
             found = line_search(G * (-span / gnorm), -span * gnorm)
             if found is None:
                 # no direction decreases the cost at floating-point resolution
@@ -396,6 +424,30 @@ def polish_positions(
     if converged is None:
         G = obj.gradient()
         converged = (float(np.abs(G).max()) if G.size else 0.0) <= tol
+    return Z, f, iters, converged, gradient_steps
+
+
+def polish_positions(
+    config: SignedConfig,
+    plan: TransportPlan,
+    Z0,
+    q: float,
+    grad_tol: float = 1e-9,
+    max_iter: int = 500,
+    fallbacks: list[int] | None = None,
+) -> tuple[np.ndarray, float, int, bool]:
+    """Minimize the fixed-plan cost over free positions by damped Newton.
+
+    Same objective, stop test, line-search floor and return as
+    ``optimize_positions``.  The iteration is ``_newton`` on the plan's
+    edge-list kernel, with gradient fallback steps of length diam.  At
+    q = 2 the cost is quadratic and one step reaches the minimizer.  If
+    ``fallbacks`` is given, the number of iterations that moved by a
+    gradient step is appended.
+    """
+    Z, obj, diam, tol, floor = _position_problem(config, plan, Z0, q, grad_tol)
+    Z, f, iters, converged, gradient_steps = _newton(
+        obj, Z, tol, floor, max(diam, 1e-12), max_iter)
     if fallbacks is not None:
         fallbacks.append(gradient_steps)
     return Z, f, iters, converged

@@ -1,11 +1,28 @@
+import importlib
 import math
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from branchflow import Atom, SignedConfig, graph_cost, oracle, single_edge, y_instance
-from branchflow.oracle import EnumerationBudgetError, enumerate_topologies
+from branchflow import (
+    Atom,
+    SignedConfig,
+    Terminals,
+    graph_cost,
+    oracle,
+    random_instance,
+    single_edge,
+    solve_topology,
+    y_instance,
+)
+from branchflow.oracle import DEGENERATE_RTOL, EnumerationBudgetError, enumerate_topologies
 from conftest import random_config
+
+# branchflow.oracle is rebound to the function of that name by the package
+oracle_module = importlib.import_module("branchflow.oracle")
 
 
 def rotate(cfg: SignedConfig, theta: float, shift=(0.0, 0.0)) -> SignedConfig:
@@ -138,3 +155,138 @@ class TestEnumeration:
             assert net[2] == pytest.approx(2.0)
             for v in range(t.n_terminals, t.n_terminals + t.n_steiner):
                 assert net[v] == pytest.approx(0.0, abs=1e-12)
+
+
+class TestParity:
+    """Answers recorded from the smoothed Weiszfeld solver this one replaced."""
+
+    # (cost, n_steiner of the chosen topology, realized roles, realized edges)
+    PINS = [
+        (3.0 * math.sqrt(2.0), 1, ("source", "source", "sink", "free"),
+         [(0, 3), (1, 3), (3, 2)]),
+        (8.033612147972326, 1, ("source", "source", "sink", "sink", "free"),
+         [(0, 4), (1, 3), (4, 2), (4, 3)]),
+        (4.425677660764054, 1, ("source", "source", "sink", "sink", "free"),
+         [(0, 4), (1, 4), (2, 3), (4, 2)]),
+        (1.2743737646377313, 0, ("source", "source", "sink", "sink"),
+         [(0, 3), (1, 2)]),
+        (2.1974402652370157, 1, ("source", "source", "sink", "sink", "free"),
+         [(0, 4), (1, 2), (4, 2), (4, 3)]),
+    ]
+
+    def test_y_and_certify_q_instances(self):
+        # the benchmark's certify_q instances alternate q = 1.5 and 3
+        cases = [(y_instance(), 2.0)] + [
+            (random_instance(np.random.default_rng([0, k]), 2, 2), 1.5 if k % 2 == 0 else 3.0)
+            for k in range(4)
+        ]
+        for (cfg, q), (cost, n_steiner, roles, edges) in zip(cases, self.PINS):
+            sol = oracle(cfg, q)
+            assert sol.cost == pytest.approx(cost, rel=1e-12, abs=0.0)
+            assert sol.topology.n_steiner == n_steiner
+            assert sol.graph.roles == roles
+            assert [(e.tail, e.head) for e in sol.graph.edges] == edges
+
+
+def _unpruned_pruefer_trees(n_labels, n_terminals):
+    """Every labeled tree on n_labels vertices, by the smallest-leaf Pruefer
+    decode, in sequence order: the enumeration before degree pruning."""
+    if n_labels == 2:
+        yield [(0, 1)]
+        return
+    for seq in product(range(n_labels), repeat=n_labels - 2):
+        degree = [1] * n_labels
+        for v in seq:
+            degree[v] += 1
+        edges = []
+        for v in seq:
+            leaf = degree.index(1)
+            edges.append((leaf, v))
+            degree[leaf] -= 1
+            degree[v] -= 1
+        edges.append(tuple(i for i in range(n_labels) if degree[i] == 1))
+        yield edges
+
+
+def _bits(topologies):
+    return [(t.n_terminals, t.n_steiner, t.edges, tuple(f.hex() for f in t.flows))
+            for t in topologies]
+
+
+class TestDegreePruning:
+    @pytest.mark.parametrize("case", ["y", "2+2", "1+3"])
+    def test_same_topologies_as_the_unpruned_decode(self, case, monkeypatch):
+        if case == "y":
+            cfg, s_max = y_instance(), 2
+        elif case == "2+2":
+            cfg, s_max = random_instance(np.random.default_rng([0, 1]), 2, 2), 2
+        else:
+            cfg, s_max = random_instance(np.random.default_rng([9, 0]), 1, 3), 4
+        pruned = enumerate_topologies(cfg, s_max)
+        monkeypatch.setattr(oracle_module, "_pruefer_trees", _unpruned_pruefer_trees)
+        assert _bits(pruned) == _bits(enumerate_topologies(cfg, s_max))
+
+
+def _network_cost(topology, terminals, S, q):
+    P = np.vstack([terminals.positions, S])
+    return sum(abs(f) ** (1.0 / q) * float(np.linalg.norm(P[u] - P[v]))
+               for (u, v), f in zip(topology.edges, topology.flows))
+
+
+def _scaled(cfg, s):
+    move = lambda atoms: tuple(Atom(tuple(s * c for c in a.position), a.mass) for a in atoms)
+    return SignedConfig(move(cfg.sources), move(cfg.sinks), cfg.dimension)
+
+
+@settings(max_examples=20)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.sampled_from([(2, 2), (1, 3)]),
+    dim=st.sampled_from([1, 2, 3]),
+    q=st.floats(1.0, 4.0, exclude_min=True),
+)
+# in one dimension near q = 1 topologies tie to the last bit: the choice
+# must still not depend on the coordinate scale
+@example(seed=17, shape=(2, 2), dim=1, q=1.0000000000000002)
+def test_solve_topology_properties(seed, shape, dim, q):
+    cfg = random_instance(np.random.default_rng(seed), *shape, dim=dim)
+    terminals = Terminals.of(cfg)
+    diam = terminals.diameter
+    rng = np.random.default_rng(seed)
+    for t in enumerate_topologies(cfg, 2):
+        S, cost = solve_topology(t, terminals, q)
+        assert cost == pytest.approx(_network_cost(t, terminals, S, q), rel=1e-13)
+        # convex: no perturbation of the branch points is cheaper
+        for _ in range(20):
+            size = diam * 10.0 ** rng.uniform(-6.0, -1.0)
+            moved = _network_cost(t, terminals, S + size * rng.standard_normal(S.shape), q)
+            assert cost <= moved + 1e-12 * cost
+        # nor is collapsing one onto a neighbor exactly, beyond the smoothing
+        # bound: the minimizer at radius eps costs at most sum(w) * eps more
+        slack = 2e-12 * diam * sum(abs(f) ** (1.0 / q) for f in t.flows)
+        P = np.vstack([terminals.positions, S])
+        for a, b in t.edges:
+            for v, other in ((a, b), (b, a)):
+                if v >= t.n_terminals:
+                    snapped = S.copy()
+                    snapped[v - t.n_terminals] = P[other]
+                    assert cost <= _network_cost(t, terminals, snapped, q) + slack
+        # force balance at branch points whose arcs all have positive length
+        for v in range(t.n_terminals, t.n_terminals + t.n_steiner):
+            force = np.zeros(dim)
+            for (a, b), f in zip(t.edges, t.flows):
+                if v in (a, b):
+                    d = P[b if a == v else a] - P[v]
+                    if np.linalg.norm(d) <= DEGENERATE_RTOL * max(1.0, diam):
+                        break
+                    force += abs(f) ** (1.0 / q) * d / np.linalg.norm(d)
+            else:
+                assert np.linalg.norm(force) < 1e-5, f"unbalanced branch point {v}"
+        S2, cost2 = solve_topology(t, terminals, q)
+        assert S2.tobytes() == S.tobytes() and cost2.hex() == cost.hex()
+    # the benchmark's coordinate scales pick the same topology
+    base = oracle(cfg, q)
+    for k in (-2, -1, 1, 2):
+        sol = oracle(_scaled(cfg, 4.0 ** k), q)
+        assert sol.topology == base.topology
+        assert sol.cost == pytest.approx(4.0 ** k * base.cost, rel=1e-12)
