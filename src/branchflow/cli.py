@@ -109,7 +109,7 @@ def cmd_oracle(args) -> int:
     config, q_file = _load(args.problem)
     q = args.q if args.q is not None else q_file
     try:
-        sol = oracle(config, q, s_max=args.s_max)
+        sol = oracle(config, q)
     except EnumerationBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -134,7 +134,7 @@ def cmd_oracle(args) -> int:
     if config.dimension == 2:
         render(sol.graph, out_dir / "oracle.svg", q=q)
     print(f"oracle cost={sol.cost:.9g} "
-          f"({len(sol.table)} topologies, {sol.topology.n_steiner} branch points)")
+          f"({len(sol.table)} topologies, {len(sol.steiner_positions)} branch points)")
     return EXIT_OK
 
 
@@ -196,7 +196,7 @@ def cmd_compare(args) -> int:
     q = args.q if args.q is not None else q_file
     params = _params(args, q)
     try:
-        sol = oracle(config, q, s_max=args.s_max)
+        sol = oracle(config, q)
     except EnumerationBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -261,8 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", parents=[common],
                        help="exhaustive small-instance network optimum")
     p.add_argument("problem")
-    p.add_argument("--s-max", type=int, default=None,
-                   help="max branch points (default 2N-2)")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("sweep", parents=[common],
@@ -283,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="solver vs oracle at one atom count")
     p.add_argument("problem")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--s-max", type=int, default=None)
     p.set_defaults(func=cmd_compare)
     return parser
 

@@ -1,12 +1,15 @@
 """Exhaustive ground truth for the limit network cost at desk scale.
 
-Enumerates every tree topology on the positive-mass terminals plus up to
-s_max extra branch points (labeled trees via Pruefer sequences, deduped
-up to branch-label permutation, branch degrees >= 3), derives each
-edge's flow from conservation (unique on a tree), optimizes the branch
-positions for the concave-weight cost sum(|flow|^(1/q) * length), and
-returns the cheapest realization.  Intended for instances with a handful
-of terminals; the raw tree count is hard-capped.
+Every tree whose branch points have degree >= 3, and every forest its
+zero-flow edges leave, is a full Steiner topology (each terminal a leaf,
+T - 2 branch points of degree 3) with some edges shrunk to length zero
+(Gilbert, "Minimum cost communication networks", 1967; Smith,
+Algorithmica 1992).  So the oracle enumerates the (2T-5)!! full
+topologies of the T positive-mass terminals, derives each edge's flow
+from conservation (unique on a tree), optimizes the branch positions for
+the concave-weight cost sum(|flow|^(1/q) * length), and realizes the
+cheapest: collapsed edges contracted, zero-flow edges dropped.  Intended
+for instances with a handful of terminals; the topology count is capped.
 
 The fixed-topology solve runs on the same edge kernel and damped Newton
 loop as the position step of ``positions`` (exponent 1, weights
@@ -15,17 +18,24 @@ loop as the position step of ``positions`` (exponent 1, weights
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import permutations, product
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .measures import SignedConfig, total_mass, validate
-from .graphs import Edge, WeightedDigraph
+from .graphs import Edge, WeightedDigraph, reduce_graph
 from .positions import _EdgeKernel, _newton
 
-ENUMERATION_BUDGET = 10**6
-DEGENERATE_RTOL = 1e-9
+#: most topologies one oracle call solves: up to 7 terminals (945)
+ENUMERATION_BUDGET = 1000
+#: a flow edge shorter than this times the diameter is contracted when the
+#: solution is realized.  At the last smoothing radius (1e-12 * diameter) an
+#: exactly balanced collapse stops about eps^(2/3) ~ 1e-8 * diameter short
+#: (8.4e-9 * diameter on the balanced collapse in the oracle tests), and
+#: contracting a branch point's edge of length l moves the cost only at
+#: second order in l.
+DEGENERATE_RTOL = 1e-6
 #: smoothing radii of the fixed-topology continuation, times the diameter
 SMOOTHING = (1e-1, 1e-3, 1e-5, 1e-7, 1e-9, 1e-11, 1e-12)
 #: Newton stop test: gradient sup-norm at most this times the total weight
@@ -39,17 +49,18 @@ NEWTON_ITERS = 50
 
 
 class EnumerationBudgetError(RuntimeError):
-    """Topology enumeration would exceed the raw tree budget."""
+    """The oracle would solve more than ENUMERATION_BUDGET topologies."""
 
 
 @dataclass(frozen=True)
 class Topology:
-    """Abstract forest: labels 0..n_terminals-1 are terminals (positive-mass
-    sources first, then positive-mass sinks), the rest branch points.
+    """Full Steiner tree: labels 0..n_terminals-1 are terminals (positive-mass
+    sources first, then positive-mass sinks), each a leaf, and the
+    n_steiner = n_terminals - 2 labels after them branch points of degree 3.
 
     ``flows`` are signed: positive means the edge as written carries flow
-    tail -> head.  Each edge pair is sorted; duplicates across different
-    spanning trees are removed via a branch-relabeling canonical key.
+    tail -> head.  Edges are sorted pairs in sorted order; an edge whose
+    flow is at most 1e-12 of the total mass has flow exactly 0.
     """
 
     n_terminals: int
@@ -97,50 +108,6 @@ class OracleSolution:
     table: tuple[tuple[Topology, float], ...]
 
 
-def _pruefer_trees(n_labels: int, n_terminals: int):
-    """Labeled trees on n_labels vertices in which every branch label
-    (n_terminals and up) has degree >= 3, as edge lists, in Pruefer order.
-
-    A label's degree is one more than its count in the Pruefer sequence, so
-    a sequence with a branch label fewer than twice is skipped undecoded:
-    that label is a leaf or a chain vertex, so the forest its tree carries
-    either leaves a used branch label below degree 3 or is one that fewer
-    branch labels already yield.
-    """
-    if n_labels == 2:
-        yield [(0, 1)]
-        return
-    branch = range(n_terminals, n_labels)
-    if 2 * len(branch) > n_labels - 2:
-        return
-    for seq in product(range(n_labels), repeat=n_labels - 2):
-        if any(seq.count(b) < 2 for b in branch):
-            continue
-        degree = [1] * n_labels
-        for v in seq:
-            degree[v] += 1
-        edges = []
-        ptr = 0
-        leaf = -1
-        deg = degree[:]
-        # standard linear-time Pruefer decode
-        while deg[ptr] != 1:
-            ptr += 1
-        leaf = ptr
-        for v in seq:
-            edges.append((leaf, v))
-            deg[v] -= 1
-            if deg[v] == 1 and v < ptr:
-                leaf = v
-            else:
-                ptr += 1
-                while deg[ptr] != 1:
-                    ptr += 1
-                leaf = ptr
-        edges.append((leaf, n_labels - 1))
-        yield edges
-
-
 def _tree_flows(
     edges: list[tuple[int, int]], supply: np.ndarray, n_labels: int
 ) -> np.ndarray:
@@ -173,90 +140,53 @@ def _tree_flows(
     return flows
 
 
-def _canonical(
-    edges: list[tuple[int, int]], n_term: int, n_steiner: int
-) -> tuple[tuple[int, int], ...]:
-    """Lexicographically smallest edge set over branch-label permutations."""
-    base = list(range(n_term))
-    best = None
-    for perm in permutations(range(n_term, n_term + n_steiner)):
-        relabel = base + list(perm)
-        cand = tuple(
-            sorted(tuple(sorted((relabel[u], relabel[v]))) for u, v in edges)
-        )
-        if best is None or cand < best:
-            best = cand
-    return best
+def _full_trees(T: int) -> list[list[tuple[int, int]]]:
+    """Edge lists of the full Steiner trees on terminals 0..T-1: terminal k
+    joins every edge of every full tree on terminals 0..k-1 through a new
+    branch point, labeled T + k - 2."""
+    if T == 2:
+        return [[(0, 1)]]
+    trees = [[(0, T), (1, T), (2, T)]]
+    for k in range(3, T):
+        b = T + k - 2
+        trees = [
+            tree[:i] + [(u, b), (v, b), (k, b)] + tree[i + 1:]
+            for tree in trees
+            for i, (u, v) in enumerate(tree)
+        ]
+    return trees
 
 
-def enumerate_topologies(config: SignedConfig, s_max: int) -> list[Topology]:
-    """All flow-carrying forest topologies with up to s_max branch points.
+def enumerate_topologies(config: SignedConfig) -> list[Topology]:
+    """The full Steiner topologies of the positive-mass terminals.
 
-    Every labeled spanning tree on terminals + s branch labels whose branch
-    labels all have degree >= 3 is decoded (the others cannot yield a new
-    forest, see ``_pruefer_trees``), its unique conservation flows derived,
-    and zero-flow edges dropped;
-    what remains is the forest the tree actually uses (two far-apart
-    source-sink pairs, for instance, keep two disjoint segments).  Forests
-    leaving a used branch label below degree 3 are skipped (a smaller
-    topology realizes the same network at least as cheaply) and duplicates
-    arising from different spanning completions or branch relabelings are
-    removed.  Raises EnumerationBudgetError when the raw Pruefer count
-    would exceed the cap.
+    One edge for two terminals, else (2T-5)!! trees with T - 2 branch
+    points each.  Every edge keeps its conservation flow; an edge that
+    carries none (two far-apart source-sink pairs, for instance) stays
+    with weight 0, and the solve and the realization treat the forest the
+    others leave.  Raises EnumerationBudgetError when there are more
+    than ENUMERATION_BUDGET topologies.
     """
     supply = Terminals.of(config).supply
     T = len(supply)
     if T < 2:
         raise ValueError("need at least two positive-mass terminals")
-    raw = 0
-    for s in range(s_max + 1):
-        L = T + s
-        raw += max(1, L ** max(L - 2, 0))
-    if raw > ENUMERATION_BUDGET:
+    count = math.prod(range(1, 2 * T - 4, 2))
+    if count > ENUMERATION_BUDGET:
         raise EnumerationBudgetError(
-            f"{raw} raw trees exceeds budget {ENUMERATION_BUDGET}"
+            f"{count} topologies exceed budget {ENUMERATION_BUDGET}"
         )
     zero_tol = 1e-12 * total_mass(config)
-    out: list[Topology] = []
-    seen: set[tuple[tuple[int, int], ...]] = set()
-    for s in range(s_max + 1):
-        L = T + s
-        for edges in _pruefer_trees(L, T):
-            flows = _tree_flows(edges, supply, L)
-            kept: list[tuple[tuple[int, int], float]] = []
-            for (u, v), f in zip(edges, flows):
-                if abs(f) <= zero_tol:
-                    continue
-                if u < v:
-                    kept.append(((u, v), float(f)))
-                else:
-                    kept.append(((v, u), float(-f)))
-            kept.sort()
-            deg: dict[int, int] = {}
-            for (u, v), _ in kept:
-                deg[u] = deg.get(u, 0) + 1
-                deg[v] = deg.get(v, 0) + 1
-            used_steiner = sorted(x for x in deg if x >= T)
-            if any(deg[x] < 3 for x in used_steiner):
-                continue
-            relabel = {x: x for x in range(T)}
-            relabel.update({x: T + i for i, x in enumerate(used_steiner)})
-            pos_edges = tuple(
-                (relabel[u], relabel[v]) for (u, v), _ in kept
-            )
-            pos_flows = tuple(f for _, f in kept)
-            key = _canonical(list(pos_edges), T, len(used_steiner))
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(
-                Topology(
-                    n_terminals=T,
-                    n_steiner=len(used_steiner),
-                    edges=pos_edges,
-                    flows=pos_flows,
-                )
-            )
+    out = []
+    for edges in _full_trees(T):
+        edges.sort()
+        flows = _tree_flows(edges, supply, 2 * T - 2)
+        out.append(Topology(
+            n_terminals=T,
+            n_steiner=T - 2,
+            edges=tuple(edges),
+            flows=tuple(float(f) if abs(f) > zero_tol else 0.0 for f in flows),
+        ))
     return out
 
 
@@ -269,9 +199,11 @@ def solve_topology(
     The cost sum(|flow|^(1/q) * length) is a convex sum of weighted
     Euclidean norms of the branch positions: the q = 1 cost of the position
     step's edge kernel with weights |flow|^(1/q).  Smoothed to
-    sum(w * sqrt(length^2 + eps^2)) it is strictly convex and twice
-    differentiable, so damped Newton (``positions._newton``) finds its one
-    minimizer from any start.  The smoothing radius runs down SMOOTHING
+    sum(w * sqrt(length^2 + eps^2)) it is twice differentiable, and
+    strictly convex in every branch point with a weighted edge, so damped
+    Newton (``positions._newton``) finds its one minimizer from any start;
+    a branch point whose edges all carry no flow stays where it starts.
+    The smoothing radius runs down SMOOTHING
     (times the diameter); the first level starts at the terminal centroid,
     the second at the first's minimizer, and every later one at a secant
     prediction from the last two.  Each level stops when the gradient or
@@ -309,14 +241,22 @@ def solve_topology(
 def _realize(
     topology: Topology, terminals: Terminals, S: np.ndarray
 ) -> WeightedDigraph:
-    """Embed a solved topology, contracting degenerate (zero-length) edges."""
+    """Embed a solved topology as a forest whose free vertices have degree
+    >= 3.
+
+    A flow edge shorter than DEGENERATE_RTOL times the diameter is
+    contracted onto its smaller label, except that two terminals at
+    different points never merge.  Zero-flow edges are dropped, and so are
+    the branch points left without a flow edge; ``reduce_graph`` splices
+    out those left with one edge in and one out.
+    """
     n_src = terminals.n_sources
     T = topology.n_terminals
-    s = topology.n_steiner
-    all_pos = np.vstack([terminals.positions, S]) if s else terminals.positions
-    tol = DEGENERATE_RTOL * max(1.0, terminals.diameter)
+    P = np.vstack([terminals.positions, S])
+    tol = DEGENERATE_RTOL * terminals.diameter
+    flow_edges = [(e, f) for e, f in zip(topology.edges, topology.flows) if f]
 
-    parent = list(range(T + s))
+    parent = list(range(len(P)))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -324,69 +264,48 @@ def _realize(
             x = parent[x]
         return x
 
-    for (u, v), f in zip(topology.edges, topology.flows):
-        if np.linalg.norm(all_pos[u] - all_pos[v]) < tol:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                # keep the terminal (smaller label) as representative
-                parent[max(ru, rv)] = min(ru, rv)
-    groups: dict[int, int] = {}
-    keep: list[int] = []
-    for v in range(T + s):
-        r = find(v)
-        if r not in groups:
-            groups[r] = len(keep)
-            keep.append(r)
-    roles = tuple(
-        "source" if v < n_src else "sink" if v < T else "free" for v in keep
-    )
-    merged: dict[tuple[int, int], float] = {}
-    for (u, v), f in zip(topology.edges, topology.flows):
-        a, b = groups[find(u)], groups[find(v)]
-        if a == b:
-            continue
-        tail, head = (a, b) if f >= 0 else (b, a)
-        w = abs(f)
-        merged[(tail, head)] = merged.get((tail, head), 0.0) + w
-    # opposite directions between the same pair net out
-    edges = []
-    for (a, b), w in sorted(merged.items()):
-        back = merged.get((b, a), 0.0)
-        if back > w or (back == w and (b, a) < (a, b)):
-            continue
-        net = w - back
-        if net <= 0:
-            continue
-        length = float(np.linalg.norm(all_pos[keep[a]] - all_pos[keep[b]]))
-        edges.append(Edge(a, b, net, length))
-    return WeightedDigraph(
-        positions=all_pos[keep],
-        roles=roles,
+    for (u, v), _ in flow_edges:
+        if np.linalg.norm(P[u] - P[v]) <= tol:
+            ru, rv = sorted((find(u), find(v)))
+            # a group's representative is its smallest label: a terminal
+            # if it has one
+            if ru != rv and (rv >= T or np.array_equal(P[ru], P[rv])):
+                parent[rv] = ru
+    arcs = []
+    for (u, v), f in flow_edges:
+        a, b = find(u), find(v)
+        if a != b:
+            arcs.append(((a, b) if f > 0 else (b, a), abs(f)))
+    keep = sorted({find(v) for v in range(T)}.union(*(ab for ab, _ in arcs)))
+    index = {v: i for i, v in enumerate(keep)}
+    edges = [
+        Edge(index[a], index[b], w, float(np.linalg.norm(P[a] - P[b])))
+        for (a, b), w in arcs
+    ]
+    edges.sort(key=lambda e: (e.tail, e.head))
+    graph = reduce_graph(WeightedDigraph(
+        positions=P[keep],
+        roles=tuple("source" if v < n_src else "sink" if v < T else "free"
+                    for v in keep),
         edges=tuple(edges),
-        labels=tuple(keep),
-    )
+    ))
+    # labels: topology labels, in place of the unreduced graph's indices
+    return replace(graph, labels=tuple(keep[i] for i in graph.labels))
 
 
-def oracle(
-    config: SignedConfig, q: float, s_max: int | None = None
-) -> OracleSolution:
-    """Cheapest realized topology over the bounded enumeration.
+def oracle(config: SignedConfig, q: float) -> OracleSolution:
+    """Cheapest realized topology over the full Steiner topologies.
 
-    s_max defaults to 2N-2 (N = max terminal count per side), enough for
-    every tree whose branch points all have degree >= 3.  Costs within
-    1e-12 relative of each other tie, and ties break on enumeration order,
-    so results are stable run to run and under a change of scale.
+    Costs within 1e-12 relative of each other tie, and ties break on
+    enumeration order, so results are stable run to run and under a
+    change of scale.  The cost reported is the realized graph's.
     """
     terminals = Terminals.of(config)
     if q < 1.0:
         raise ValueError(f"network exponent must be >= 1, got {q}")
-    N = config.n_pairs
-    if s_max is None:
-        s_max = max(2 * N - 2, 0)
-    topologies = enumerate_topologies(config, s_max)
     table: list[tuple[Topology, float]] = []
     best: tuple[float, Topology, np.ndarray] | None = None
-    for t in topologies:
+    for t in enumerate_topologies(config):
         S, cost = solve_topology(t, terminals, q)
         table.append((t, cost))
         if best is None or cost < best[0] * (1.0 - 1e-12):
@@ -394,12 +313,11 @@ def oracle(
     cost, t, S = best
     table.sort(key=lambda item: item[1])
     graph = _realize(t, terminals, S)
-    # contraction can only shorten; recompute the realized cost
     realized = sum(e.length * e.weight ** (1.0 / q) for e in graph.edges)
     return OracleSolution(
         cost=float(realized),
         graph=graph,
-        steiner_positions=S,
+        steiner_positions=graph.positions[graph.free_indices()],
         topology=t,
         table=tuple(table),
     )

@@ -1,6 +1,7 @@
 import importlib
 import math
-from itertools import product
+from collections import Counter
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -9,16 +10,20 @@ from hypothesis import strategies as st
 
 from branchflow import (
     Atom,
+    CostParams,
     SignedConfig,
     Terminals,
+    Topology,
     graph_cost,
     oracle,
     random_instance,
     single_edge,
     solve_topology,
+    sweep,
     y_instance,
 )
-from branchflow.oracle import DEGENERATE_RTOL, EnumerationBudgetError, enumerate_topologies
+from branchflow.measures import total_mass
+from branchflow.oracle import EnumerationBudgetError, enumerate_topologies
 from conftest import random_config
 
 # branchflow.oracle is rebound to the function of that name by the package
@@ -36,6 +41,15 @@ def rotate(cfg: SignedConfig, theta: float, shift=(0.0, 0.0)) -> SignedConfig:
     )
 
 
+# Y's terminals joined without a branch point: each source straight to the sink
+V_SHAPE = Topology(3, 0, ((0, 2), (1, 2)), (1.0, 1.0))
+
+
+def config(sources, sinks, dim=2):
+    return SignedConfig(tuple(Atom(p, m) for p, m in sources),
+                        tuple(Atom(p, m) for p, m in sinks), dim)
+
+
 class TestClosedForms:
     def test_single_edge_is_direct(self):
         sol = oracle(single_edge(), 2.0)
@@ -51,12 +65,12 @@ class TestClosedForms:
         assert graph_cost(sol.graph, 2.0) == pytest.approx(sol.cost)
 
     def test_without_branch_points_the_v_shape_wins(self):
-        sol = oracle(y_instance(), 2.0, s_max=0)
-        assert sol.cost == pytest.approx(2.0 * math.sqrt(5.0), abs=1e-9)
+        _, cost = solve_topology(V_SHAPE, Terminals.of(y_instance()), 2.0)
+        assert cost == pytest.approx(2.0 * math.sqrt(5.0), abs=1e-9)
 
     def test_branch_points_only_help(self):
         for q in (1.5, 2.0, 4.0):
-            v = oracle(y_instance(), q, s_max=0).cost
+            v = solve_topology(V_SHAPE, Terminals.of(y_instance()), q)[1]
             y = oracle(y_instance(), q).cost
             assert y <= v + 1e-12
 
@@ -121,8 +135,10 @@ class TestStationarity:
 class TestEnumeration:
     def test_more_branch_points_never_increase_cost(self):
         cfg = y_instance()
-        costs = [oracle(cfg, 2.0, s_max=s).cost for s in (0, 1, 2)]
+        costs = [_pruefer_reference(cfg, 2.0, s)[0] for s in (0, 1, 2)]
         assert costs == sorted(costs, reverse=True)
+        assert costs[0] == pytest.approx(2.0 * math.sqrt(5.0), abs=1e-9)
+        assert oracle(cfg, 2.0).cost <= costs[-1] * (1.0 + 1e-12)
 
     def test_table_is_sorted_by_cost(self):
         sol = oracle(y_instance(), 2.0)
@@ -131,20 +147,26 @@ class TestEnumeration:
         assert costs[0] == pytest.approx(sol.cost, abs=1e-9)
 
     def test_topology_count_y_instance(self):
-        # 3 terminals: 3 spanning trees on terminals alone, plus branched ones
-        tops = enumerate_topologies(y_instance(), 1)
-        assert any(t.n_steiner == 1 and len(t.edges) == 3 for t in tops)
-        flows_ok = all(abs(f) > 0 for t in tops for f in t.flows)
-        assert flows_ok, "zero-flow edges must be dropped during enumeration"
+        # 3 terminals: one full topology, the star on one branch point
+        (t,) = enumerate_topologies(y_instance())
+        assert (t.n_steiner, t.edges, t.flows) == (1, ((0, 3), (1, 3), (2, 3)), (1.0, 1.0, -2.0))
+        # T terminals: (2T - 5)!! topologies, each with T - 2 branch points
+        for shape, count in (((1, 1), 1), ((2, 2), 3), ((3, 2), 15), ((3, 3), 105),
+                             ((4, 3), 945)):
+            tops = enumerate_topologies(random_instance(np.random.default_rng(1), *shape))
+            assert len(tops) == count
+            T = sum(shape)
+            assert len({t.edges for t in tops}) == count
+            assert all(t.n_steiner == T - 2 and len(t.edges) == 2 * T - 3 for t in tops)
 
     def test_budget_guard_trips_on_large_enumerations(self):
         rng = np.random.default_rng(4)
         cfg = random_config(rng, n_sources=4, n_sinks=4)
         with pytest.raises(EnumerationBudgetError):
-            enumerate_topologies(cfg, 8)
+            enumerate_topologies(cfg)
 
     def test_flows_respect_conservation(self):
-        for t in enumerate_topologies(y_instance(), 2):
+        for t in enumerate_topologies(y_instance()):
             # terminals 0,1 supply 1 each, terminal 2 absorbs 2
             net = {v: 0.0 for v in range(t.n_terminals + t.n_steiner)}
             for (a, b), f in zip(t.edges, t.flows):
@@ -160,7 +182,7 @@ class TestEnumeration:
 class TestParity:
     """Answers recorded from the smoothed Weiszfeld solver this one replaced."""
 
-    # (cost, n_steiner of the chosen topology, realized roles, realized edges)
+    # (cost, realized branch points, realized roles, realized edges)
     PINS = [
         (3.0 * math.sqrt(2.0), 1, ("source", "source", "sink", "free"),
          [(0, 3), (1, 3), (3, 2)]),
@@ -183,14 +205,14 @@ class TestParity:
         for (cfg, q), (cost, n_steiner, roles, edges) in zip(cases, self.PINS):
             sol = oracle(cfg, q)
             assert sol.cost == pytest.approx(cost, rel=1e-12, abs=0.0)
-            assert sol.topology.n_steiner == n_steiner
+            assert len(sol.steiner_positions) == n_steiner
             assert sol.graph.roles == roles
             assert [(e.tail, e.head) for e in sol.graph.edges] == edges
 
 
-def _unpruned_pruefer_trees(n_labels, n_terminals):
+def _unpruned_pruefer_trees(n_labels):
     """Every labeled tree on n_labels vertices, by the smallest-leaf Pruefer
-    decode, in sequence order: the enumeration before degree pruning."""
+    decode, in sequence order."""
     if n_labels == 2:
         yield [(0, 1)]
         return
@@ -208,23 +230,126 @@ def _unpruned_pruefer_trees(n_labels, n_terminals):
         yield edges
 
 
-def _bits(topologies):
-    return [(t.n_terminals, t.n_steiner, t.edges, tuple(f.hex() for f in t.flows))
-            for t in topologies]
+def _pruefer_reference(cfg, q, s_max=None):
+    """(cost, topology, branch positions) of the cheapest solve over every
+    labeled tree on the terminals plus s <= s_max (default T - 2) branch
+    labels, its zero-flow edges dropped, skipping forests that leave a used
+    branch label below degree 3: the enumeration full topologies replaced.
+
+    A tree with a branch label as a leaf is skipped before its flows are
+    derived: that leaf's edge carries no flow, and the forest left is one
+    with fewer branch labels.  Forests equal up to a branch relabeling are
+    solved once.
+    """
+    terminals = Terminals.of(cfg)
+    T = len(terminals.supply)
+    zero_tol = 1e-12 * total_mass(cfg)
+    seen = set()
+    best = None
+    for s in range(T - 1 if s_max is None else s_max + 1):
+        L = T + s
+        for edges in _unpruned_pruefer_trees(L):
+            degree = Counter(x for e in edges for x in e)
+            if any(degree[b] < 2 for b in range(T, L)):
+                continue
+            flows = oracle_module._tree_flows(edges, terminals.supply, L)
+            kept = sorted(((u, v), f) if u < v else ((v, u), -f)
+                          for (u, v), f in zip(edges, flows) if abs(f) > zero_tol)
+            used = Counter(x for (u, v), _ in kept for x in (u, v))
+            branch = sorted(x for x in used if x >= T)
+            if any(used[x] < 3 for x in branch):
+                continue
+            relabel = {x: x for x in range(T)}
+            relabel.update({x: T + i for i, x in enumerate(branch)})
+            pairs = tuple((relabel[u], relabel[v]) for (u, v), _ in kept)
+            key = min(
+                tuple(sorted(tuple(sorted((p[u], p[v]))) for u, v in pairs))
+                for p in (list(range(T)) + list(perm)
+                          for perm in permutations(range(T, T + len(branch))))
+            )
+            if key in seen:
+                continue
+            seen.add(key)
+            t = Topology(T, len(branch), pairs, tuple(float(f) for _, f in kept))
+            S, cost = solve_topology(t, terminals, q)
+            if best is None or cost < best[0]:
+                best = (cost, t, S)
+    return best
 
 
-class TestDegreePruning:
-    @pytest.mark.parametrize("case", ["y", "2+2", "1+3"])
-    def test_same_topologies_as_the_unpruned_decode(self, case, monkeypatch):
-        if case == "y":
-            cfg, s_max = y_instance(), 2
-        elif case == "2+2":
-            cfg, s_max = random_instance(np.random.default_rng([0, 1]), 2, 2), 2
-        else:
-            cfg, s_max = random_instance(np.random.default_rng([9, 0]), 1, 3), 4
-        pruned = enumerate_topologies(cfg, s_max)
-        monkeypatch.setattr(oracle_module, "_pruefer_trees", _unpruned_pruefer_trees)
-        assert _bits(pruned) == _bits(enumerate_topologies(cfg, s_max))
+def _same_up_to_free_labels(g1, g2):
+    if g1.roles != g2.roles:
+        return False
+    free = g1.free_indices()
+    arcs = {(e.tail, e.head) for e in g2.edges}
+    for perm in permutations(free):
+        label = dict(zip(free, perm))
+        if {(label.get(e.tail, e.tail), label.get(e.head, e.head)) for e in g1.edges} == arcs:
+            return True
+    return False
+
+
+# the benchmark's certify_q instances alternate q = 1.5 and 3
+REFERENCE_CASES = {
+    "y": (y_instance(), 2.0),
+    "1+3": (random_instance(np.random.default_rng([9, 0]), 1, 3), 2.0),
+    **{f"certify_q-{k}": (random_instance(np.random.default_rng([0, k]), 2, 2),
+                          1.5 if k % 2 == 0 else 3.0) for k in range(4)},
+    **{f"{a}+{b}-d{d}": (random_instance(np.random.default_rng([21, a, b, d]), a, b, dim=d), q)
+       for a, b in ((2, 2), (1, 3), (2, 1))
+       for d, q in ((1, 1.3), (2, 2.5), (3, 3.7))},
+    "3+2": (random_instance(np.random.default_rng([13, 3]), 3, 2), 2.5),
+}
+
+
+class TestPrueferReference:
+    @pytest.mark.parametrize("case", list(REFERENCE_CASES))
+    def test_full_topologies_match_the_pruefer_enumeration(self, case):
+        cfg, q = REFERENCE_CASES[case]
+        cost, topology, S = _pruefer_reference(cfg, q)
+        sol = oracle(cfg, q)
+        assert sol.cost == pytest.approx(cost, rel=1e-12, abs=0.0)
+        assert _same_up_to_free_labels(
+            oracle_module._realize(topology, Terminals.of(cfg), S), sol.graph)
+
+
+class TestRealization:
+    def test_distinct_terminals_never_merge(self):
+        # sink 0 sits 1e-10 from source 0, closer than the contraction
+        # tolerance, through a collapsed branch point
+        cfg = config([((0.0, 0.0), 1.0), ((1.0, 1.0), 1.0)],
+                     [((1e-10, 0.0), 1.0), ((2.0, 0.0), 1.0)])
+        for scale in (1.0, 1.0 / 16.0):
+            sol = oracle(_scaled(cfg, scale), 2.0)
+            assert sol.graph.roles == ("source", "source", "sink", "sink")
+            edges = {(e.tail, e.head): e.length for e in sol.graph.edges}
+            assert edges[(0, 2)] == pytest.approx(1e-10 * scale, rel=1e-9)
+            assert sol.cost == pytest.approx(scale * (math.sqrt(2.0) + 1e-10), rel=1e-15)
+
+    def test_balanced_collapse_leaves_no_branch_point(self):
+        # sources (0,0) and (2,1), sinks (0,0) and (3,-1): the branch point
+        # meets source (2,1) only in the limit of the smoothing
+        cfg = config([((0.0, 0.0), 1.0), ((1.0, 0.0), 0.0), ((2.0, 1.0), 2.0)],
+                     [((0.0, 0.0), 1.5), ((3.0, -1.0), 1.5)])
+        sol = oracle(cfg, 2.0)
+        assert sol.graph.roles == ("source", "source", "sink")
+        assert len(sol.graph.edges) == 2
+
+    def test_three_far_pairs(self):
+        cfg = config([((0.0, 0.0), 1.0), ((100.0, 0.0), 1.0), ((0.0, 100.0), 1.0)],
+                     [((0.0, 1.0), 1.0), ((100.0, 1.0), 1.0), ((0.0, 101.0), 1.0)])
+        sol = oracle(cfg, 2.0)
+        assert len(sol.table) == 105
+        assert sol.cost == pytest.approx(3.0, abs=1e-9)
+        assert len(sol.graph.edges) == 3 and not sol.graph.free_indices()
+
+    def test_three_plus_two_sweep(self):
+        cfg = random_instance(np.random.default_rng([13, 3]), 3, 2)
+        sol = oracle(cfg, 2.5)
+        indeg, outdeg = sol.graph.degrees()
+        assert all(indeg[v] + outdeg[v] >= 3 for v in sol.graph.free_indices())
+        (record,), _ = sweep(cfg, 2.5, [8], CostParams(q=2.5, restarts=2), oracle_solution=sol)
+        assert record.lower <= record.rescaled
 
 
 def _network_cost(topology, terminals, S, q):
@@ -248,12 +373,15 @@ def _scaled(cfg, s):
 # in one dimension near q = 1 topologies tie to the last bit: the choice
 # must still not depend on the coordinate scale
 @example(seed=17, shape=(2, 2), dim=1, q=1.0000000000000002)
+# two terminals 5e-6 apart, within the contraction tolerance: they must
+# stay apart at every scale
+@example(seed=370378, shape=(1, 3), dim=1, q=2.0)
 def test_solve_topology_properties(seed, shape, dim, q):
     cfg = random_instance(np.random.default_rng(seed), *shape, dim=dim)
     terminals = Terminals.of(cfg)
     diam = terminals.diameter
     rng = np.random.default_rng(seed)
-    for t in enumerate_topologies(cfg, 2):
+    for t in enumerate_topologies(cfg):
         S, cost = solve_topology(t, terminals, q)
         assert cost == pytest.approx(_network_cost(t, terminals, S, q), rel=1e-13)
         # convex: no perturbation of the branch points is cheaper
@@ -277,7 +405,7 @@ def test_solve_topology_properties(seed, shape, dim, q):
             for (a, b), f in zip(t.edges, t.flows):
                 if v in (a, b):
                     d = P[b if a == v else a] - P[v]
-                    if np.linalg.norm(d) <= DEGENERATE_RTOL * max(1.0, diam):
+                    if np.linalg.norm(d) <= 1e-9 * max(1.0, diam):
                         break
                     force += abs(f) ** (1.0 / q) * d / np.linalg.norm(d)
             else:

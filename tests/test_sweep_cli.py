@@ -11,6 +11,7 @@ import pytest
 from branchflow import (
     CostParams,
     oracle,
+    random_instance,
     save_problem,
     single_edge,
     sweep,
@@ -130,6 +131,15 @@ class TestCliCommands:
         doc = json.loads((out / "oracle.json").read_text())
         assert doc["cost"] == pytest.approx(3.0 * math.sqrt(2.0), abs=1e-8)
         assert (out / "oracle.svg").exists()
+
+    def test_oracle_on_three_plus_two_terminals(self, tmp_path, capsys):
+        problem = tmp_path / "three_two.json"
+        save_problem(problem, random_instance(np.random.default_rng([13, 3]), 3, 2), 2.5)
+        assert main(["oracle", str(problem), "--out-dir", str(tmp_path / "out")]) == 0
+        doc = json.loads((tmp_path / "out" / "oracle.json").read_text())
+        assert len(doc["topologies"]) == 15
+        n_free = sum(v["role"] == "free" for v in doc["graph"]["vertices"])
+        assert f"(15 topologies, {n_free} branch points)" in capsys.readouterr().out
 
     def test_render_accepts_graph_reports(self, tmp_path):
         problem = tmp_path / "y.json"
