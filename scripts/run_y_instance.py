@@ -36,7 +36,7 @@ def main() -> int:
     for r in records:
         print(f"{r.n:>4} {r.rescaled:>10.6f} {r.upper:>10.6f} "
               f"{r.lower:>10.6f} {r.hausdorff:>10.6f}")
-        ok &= r.lower <= r.rescaled <= r.upper
+        ok &= r.in_bounds
     gap = abs(records[-1].rescaled - sol.cost) / sol.cost
     print(f"relative gap at n=48: {gap:.3%} (must be < 5%); "
           f"sandwich {'held' if ok else 'VIOLATED'}; outputs in {out}/")

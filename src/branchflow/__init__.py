@@ -23,7 +23,6 @@ from .measures import (
     validate,
 )
 from .transport import (
-    FreeAtoms,
     SolverError,
     TransportPlan,
     check_plan,
@@ -92,7 +91,6 @@ __all__ = [
     "serialize_problem",
     "total_mass",
     "validate",
-    "FreeAtoms",
     "SolverError",
     "TransportPlan",
     "check_plan",

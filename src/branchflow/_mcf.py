@@ -36,6 +36,9 @@ from typing import Sequence
 
 import numpy as np
 
+#: augmentations one :meth:`MinCostFlowNetwork.solve` may run before it fails
+MAX_AUGMENTATIONS = 100_000
+
 
 class SolverError(RuntimeError):
     """The flow solver failed to terminate within its augmentation budget."""
@@ -96,7 +99,7 @@ class MinCostFlowNetwork:
         """Flow currently routed through ``count`` arcs added from id ``first`` on."""
         return self.cap[first + 1 : first + 2 * count : 2]
 
-    def solve(self, s: int, t: int, max_augmentations: int = 100_000) -> int:
+    def solve(self, s: int, t: int) -> int:
         """Push maximum flow from s to t at minimum cost; returns the value.
 
         The final Johnson potentials stay on the network as :attr:`pi`: every
@@ -111,7 +114,7 @@ class MinCostFlowNetwork:
         pi = self.pi = [0.0] * n
         inf = float("inf")
         pushed = 0
-        for _ in range(max_augmentations):
+        for _ in range(MAX_AUGMENTATIONS):
             dist = [inf] * n
             prev_arc = [-1] * n
             dist[s] = 0.0
@@ -161,5 +164,5 @@ class MinCostFlowNetwork:
                 v = u
             pushed += delta
         raise SolverError(
-            f"min-cost flow did not finish within {max_augmentations} augmentations"
+            f"min-cost flow did not finish within {MAX_AUGMENTATIONS} augmentations"
         )

@@ -14,8 +14,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .measures import (
     CostParams,
     InvalidConfigError,
@@ -25,18 +23,10 @@ from .measures import (
 )
 from .transport import SolverError
 from .positions import alternate_minimize, solve_result_to_dict
-from .graphs import (
-    graph_from_dict,
-    graph_to_dict,
-    plan_to_graph,
-    reduce_graph,
-    verify_structure,
-)
-from .allocate import allocate
-from .hausdorff import hausdorff
+from .graphs import graph_from_dict, graph_to_dict, verify_structure
 from .oracle import EnumerationBudgetError, oracle
 from .render import render
-from .sweep import oracle_bounds, sweep, sweep_to_csv
+from .sweep import solver_tree, sweep, sweep_to_csv
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -63,19 +53,17 @@ def _params(args, q: float) -> CostParams:
     return CostParams(**kwargs)
 
 
-def _tree_report(config, res) -> tuple[dict, object]:
-    if res.n == 0:
-        return {}, None
-    tree = reduce_graph(plan_to_graph(config, res.Z.positions, res.plan))
+def _tree_report(config, tree) -> dict:
+    if tree is None:
+        return {}
     report = verify_structure(tree, config)
-    doc = {
+    return {
         "reduced_tree": graph_to_dict(tree),
         "structure_checks": [
             {"name": item.name, "ok": item.ok, "detail": item.detail}
             for item in report.items
         ],
     }
-    return doc, tree
 
 
 def cmd_validate(args) -> int:
@@ -93,8 +81,8 @@ def cmd_solve(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     doc = solve_result_to_dict(res, config)
-    tree_doc, tree = _tree_report(config, res)
-    doc.update(tree_doc)
+    tree = solver_tree(config, res)
+    doc.update(_tree_report(config, tree))
     _write_json(out_dir / f"solve_n{args.n}.json", doc)
     if tree is not None and config.dimension == 2:
         render(tree, out_dir / f"tree_n{args.n}.svg", q=q)
@@ -154,11 +142,10 @@ def cmd_sweep(args) -> int:
     atomic_write_text(out_dir / "sweep.csv", sweep_to_csv(records))
     for n, res, tree in details:
         doc = solve_result_to_dict(res, config)
-        tree_doc, tree_obj = _tree_report(config, res)
-        doc.update(tree_doc)
+        doc.update(_tree_report(config, tree))
         _write_json(out_dir / f"solve_n{n}.json", doc)
-        if tree_obj is not None and config.dimension == 2:
-            render(tree_obj, out_dir / f"tree_n{n}.svg", q=q)
+        if tree is not None and config.dimension == 2:
+            render(tree, out_dir / f"tree_n{n}.svg", q=q)
     header = " ".join(f"{c:>10}" for c in
                       ("n", "wbar", "rescaled", "upper", "lower", "hausdorff", "seconds"))
     print(header)
@@ -200,36 +187,29 @@ def cmd_compare(args) -> int:
     except EnumerationBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    res = alternate_minimize(config, args.n, params)
-    upper, lower = oracle_bounds(sol, args.n, q, config.n_pairs)
-    dist = float("nan")
-    if args.n > 0:
-        tree = reduce_graph(plan_to_graph(config, res.Z.positions, res.plan))
-        if tree.edges and sol.graph.edges:
-            dist = hausdorff(tree, sol.graph)
-    sandwich_ok = bool(
-        (not np.isfinite(lower) or lower <= res.rescaled + 1e-12)
-        and (not np.isfinite(upper) or res.rescaled <= upper + 1e-12)
-    )
+    (rec,), _ = sweep(config, q, [args.n], params, oracle_solution=sol)
+    if rec.error:
+        print(f"error: {rec.error}", file=sys.stderr)
+        return EXIT_NOT_CONVERGED
     doc = {
         "n": args.n,
         "q": q,
-        "rescaled": res.rescaled,
+        "rescaled": rec.rescaled,
         "oracle_cost": sol.cost,
-        "relative_gap": (res.rescaled - sol.cost) / sol.cost,
-        "upper": upper,
-        "lower": lower,
-        "hausdorff": dist,
-        "sandwich_ok": sandwich_ok,
-        "converged": res.converged,
+        "relative_gap": (rec.rescaled - sol.cost) / sol.cost,
+        "upper": rec.upper,
+        "lower": rec.lower,
+        "hausdorff": rec.hausdorff,
+        "sandwich_ok": rec.in_bounds,
+        "converged": rec.converged,
     }
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / f"compare_n{args.n}.json", doc)
-    print(f"rescaled={res.rescaled:.9g} oracle={sol.cost:.9g} "
-          f"gap={doc['relative_gap']:+.3%} hausdorff={dist:.6g} "
-          f"sandwich_ok={sandwich_ok}")
-    return EXIT_OK if res.converged else EXIT_NOT_CONVERGED
+    print(f"rescaled={rec.rescaled:.9g} oracle={sol.cost:.9g} "
+          f"gap={doc['relative_gap']:+.3%} hausdorff={rec.hausdorff:.6g} "
+          f"sandwich_ok={rec.in_bounds}")
+    return EXIT_OK if rec.converged else EXIT_NOT_CONVERGED
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -170,14 +170,14 @@ def is_forest(g: WeightedDigraph) -> bool:
     return edges_form_forest((e.tail, e.head) for e in g.edges)
 
 
-def reduce_graph(g: WeightedDigraph, flow_rtol: float = CHAIN_FLOW_RTOL) -> ReducedTree:
+def reduce_graph(g: WeightedDigraph) -> ReducedTree:
     """Collapse maximal relay chains into single straight edges.
 
     Relay vertices are free vertices with exactly one incoming and one
     outgoing edge; each junction-to-junction run through relays becomes
     one edge between its endpoints, weighted by the common chain flow.
     Raises when the input has an undirected cycle or a chain whose hop
-    flows disagree beyond ``flow_rtol`` relatively.
+    flows disagree beyond CHAIN_FLOW_RTOL relatively.
     """
     if not is_forest(g):
         raise ValueError("reduce_graph requires an acyclic (forest) input")
@@ -208,7 +208,7 @@ def reduce_graph(g: WeightedDigraph, flow_rtol: float = CHAIN_FLOW_RTOL) -> Redu
                 e = g.edges[out_edges[e.head][0]]
             flow = flows[0]
             spread = (max(flows) - min(flows)) / max(abs(flow), 1e-300)
-            if spread > flow_rtol:
+            if spread > CHAIN_FLOW_RTOL:
                 raise ValueError(
                     f"chain {verts} hop flows differ by {spread:.3e} relative"
                 )

@@ -163,31 +163,22 @@ def validate(config: SignedConfig) -> SignedConfig:
 
 @dataclass(frozen=True)
 class CostParams:
-    """Transport exponent plus tolerances and budgets for the solvers.
+    """Transport exponent and multistart settings for the solver.
 
     q must be strictly greater than 1 (q = 1 collapses relay atoms into the
     plain Wasserstein problem; use :func:`branchflow.transport.wasserstein_q`
-    directly for that).
+    directly for that).  The solver's tolerances and iteration budgets are
+    constants of :mod:`branchflow.positions` (GRAD_TOL, REL_TOL, MAX_ROUNDS,
+    INNER_ITERS, POLISH_ITERS).
     """
 
     q: float
-    grad_tol: float = 1e-9        # gradient sup-norm target, times mass * diam^(q-1)
-    rel_tol: float = 1e-8         # stop when a full round improves cost less than this
-    max_rounds: int = 200         # outer alternation rounds per start
-    inner_iters: int = 500        # descent iterations per position solve
-    polish_iters: int = 2000      # descent iterations for the final refinement
     restarts: int = 8             # random multistarts (plus one deterministic seed)
     seed: int = 0
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.q) or self.q <= 1.0:
             raise InvalidConfigError(f"q must be a finite real > 1, got {self.q}")
-        for name in ("grad_tol", "rel_tol"):
-            if getattr(self, name) <= 0.0:
-                raise InvalidConfigError(f"{name} must be positive")
-        for name in ("max_rounds", "inner_iters", "polish_iters"):
-            if getattr(self, name) < 1:
-                raise InvalidConfigError(f"{name} must be >= 1")
         if self.restarts < 0:
             raise InvalidConfigError("restarts must be >= 0")
 

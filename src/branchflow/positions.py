@@ -7,8 +7,11 @@ solvers run on an edge-list kernel built once per plan: one gather of both
 ends of every arc from a preallocated position buffer, the arc vectors of
 the accepted line-search point reused for the next gradient, and the
 gradient scattered with one bincount.  The descent inside each round is
-gradient descent with Armijo backtracking; the final polish is damped
-Newton on the same kernel, whose Hessian has one block per arc.  The
+gradient descent with Armijo backtracking, capped at INNER_ITERS
+iterations; the final polish is damped Newton on the same kernel, whose
+Hessian has one block per arc, capped at POLISH_ITERS.  Both stop at the
+gradient tolerance GRAD_TOL; a start stops alternating after MAX_ROUNDS
+rounds, or once a round lowers the cost by less than REL_TOL.  The
 kernel and the Newton loop also solve the oracle's fixed topologies
 (``oracle.solve_topology``): exponent 1, per-arc weights, smoothed
 lengths, so one geometric kernel serves both.  The outer loop alternates
@@ -44,7 +47,6 @@ from .measures import (
     validate,
 )
 from .transport import (
-    FreeAtoms,
     SolverError,
     TransportPlan,
     as_positions,
@@ -61,13 +63,24 @@ from .allocate import allocate
 MONOTONE_SLACK = 1e-9
 #: relative rounding error allowed for one evaluation of a plan's cost
 COST_ROUNDING = 16.0 * float(np.finfo(float).eps)
+#: position solves stop at a gradient sup-norm of this times mass * diam^(q-1)
+GRAD_TOL = 1e-9
+#: a start stops alternating when a round lowers the cost by less than this
+REL_TOL = 1e-8
+#: alternation rounds per start
+MAX_ROUNDS = 200
+#: gradient-descent iterations per round's position solve
+INNER_ITERS = 500
+#: Newton iterations for the final polish
+POLISH_ITERS = 2000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolveResult:
-    """Outcome of one full minimization at a given atom count."""
+    """Outcome of one full minimization at a given atom count; ``Z`` holds
+    the (n, dim) free-atom positions.  Results compare by identity."""
 
-    Z: FreeAtoms
+    Z: np.ndarray
     plan: TransportPlan
     cost_q: float
     n: int
@@ -79,7 +92,7 @@ class SolveResult:
     unused_atoms: int = 0
     start_costs: tuple[float, ...] = ()
     #: position solves, over every start and rebalance, that stopped at
-    #: their iteration budget (inner_iters or polish_iters) unconverged
+    #: their iteration budget (INNER_ITERS or POLISH_ITERS) unconverged
     inner_budget_hits: int = 0
     #: Newton polish iterations, over every start and rebalance, that fell
     #: back to a scaled gradient step
@@ -284,7 +297,7 @@ def position_gradient(
 
 
 def _position_problem(
-    config: SignedConfig, plan: TransportPlan, Z0, q: float, grad_tol: float
+    config: SignedConfig, plan: TransportPlan, Z0, q: float
 ) -> tuple[np.ndarray, _EdgeKernel, float, float, float]:
     """Checked start, kernel, diameter, gradient tolerance and line-search
     floor shared by the two position solvers."""
@@ -296,7 +309,7 @@ def _position_problem(
     diam = config.diameter()
     scale = max(total_mass(config) * max(diam, 1e-300) ** (q - 1.0), 1e-300)
     floor = 1e-16 * max(diam, 1e-12)
-    return Z, _EdgeKernel(config, plan, q), diam, grad_tol * scale, floor
+    return Z, _EdgeKernel(config, plan, q), diam, GRAD_TOL * scale, floor
 
 
 def optimize_positions(
@@ -304,8 +317,7 @@ def optimize_positions(
     plan: TransportPlan,
     Z0,
     q: float,
-    grad_tol: float = 1e-9,
-    max_iter: int = 500,
+    max_iter: int = INNER_ITERS,
 ) -> tuple[np.ndarray, float, int, bool]:
     """Minimize the fixed-plan cost over free positions.
 
@@ -313,7 +325,7 @@ def optimize_positions(
     each iteration starts from twice the last accepted step); the function
     is convex for q > 1, so this finds the global minimum for the given
     plan.  Stops when the sup-norm of the gradient drops below
-    grad_tol * total_mass * diameter^(q-1), an invariant scaling of the
+    GRAD_TOL * total_mass * diameter^(q-1), an invariant scaling of the
     stationarity residual.  Returns (Z, cost, iterations, converged); on
     budget exhaustion the best iterate is returned with converged False.
     Atoms the plan never touches keep their Z0 rows.
@@ -323,7 +335,7 @@ def optimize_positions(
     operations over the arcs, and the gradient at an accepted point reuses
     the arc vectors its cost already computed.
     """
-    Z, obj, diam, tol, floor = _position_problem(config, plan, Z0, q, grad_tol)
+    Z, obj, diam, tol, floor = _position_problem(config, plan, Z0, q)
     f = obj.cost(Z)
     step = None
     iters = 0
@@ -432,8 +444,7 @@ def polish_positions(
     plan: TransportPlan,
     Z0,
     q: float,
-    grad_tol: float = 1e-9,
-    max_iter: int = 500,
+    max_iter: int = POLISH_ITERS,
     fallbacks: list[int] | None = None,
 ) -> tuple[np.ndarray, float, int, bool]:
     """Minimize the fixed-plan cost over free positions by damped Newton.
@@ -445,7 +456,7 @@ def polish_positions(
     ``fallbacks`` is given, the number of iterations that moved by a
     gradient step is appended.
     """
-    Z, obj, diam, tol, floor = _position_problem(config, plan, Z0, q, grad_tol)
+    Z, obj, diam, tol, floor = _position_problem(config, plan, Z0, q)
     Z, f, iters, converged, gradient_steps = _newton(
         obj, Z, tol, floor, max(diam, 1e-12), max_iter)
     if fallbacks is not None:
@@ -510,7 +521,6 @@ def _descend(
     config: SignedConfig,
     Z0: np.ndarray,
     q: float,
-    params: CostParams,
     fallbacks: list[int],
 ) -> tuple[np.ndarray, TransportPlan, float, int, bool, int]:
     """One pass of alternating minimization from a given start.
@@ -518,7 +528,7 @@ def _descend(
     Each round: exact plan for the current positions, regularization,
     gradient descent on positions.  Every half-step must not increase the
     cost; a violation beyond slack raises SolverError.  Stops on relative
-    cost decrease below params.rel_tol, then polishes positions by Newton
+    cost decrease below REL_TOL, then polishes positions by Newton
     to the strict gradient tolerance and re-stabilizes the plan.  The last
     value returned counts the position solves that hit their budget; each
     polish appends its gradient fallbacks to ``fallbacks``.
@@ -530,7 +540,7 @@ def _descend(
     budget_hits = 0
     plan = None
     cost = np.inf
-    for rounds in range(1, params.max_rounds + 1):
+    for rounds in range(1, MAX_ROUNDS + 1):
         plan, cost_plan = min_cost_plan(config, Z, q)
         if cost_plan > prev * (1.0 + MONOTONE_SLACK) + 1e-300:
             raise SolverError(
@@ -542,27 +552,20 @@ def _descend(
             raise SolverError(
                 f"regularization increased cost: {cost_plan!r} -> {cost_reg!r}"
             )
-        Z, cost, _, inner_ok = optimize_positions(
-            config, plan, Z, q,
-            grad_tol=params.grad_tol, max_iter=params.inner_iters,
-        )
+        Z, cost, _, inner_ok = optimize_positions(config, plan, Z, q)
         budget_hits += not inner_ok
         if cost > cost_reg * (1.0 + MONOTONE_SLACK) + 1e-300:
             raise SolverError(
                 f"position step increased cost: {cost_reg!r} -> {cost!r}"
             )
-        if prev - cost <= params.rel_tol * max(abs(prev), 1e-300):
+        if prev - cost <= REL_TOL * max(abs(prev), 1e-300):
             converged = True
             break
         prev = cost
     # polish: strict stationarity for the final plan, then re-stabilize
     tol = zero_flow_threshold(plan, config)
     for _ in range(5):
-        Z, cost, _, inner_ok = polish_positions(
-            config, plan, Z, q,
-            grad_tol=params.grad_tol, max_iter=params.polish_iters,
-            fallbacks=fallbacks,
-        )
+        Z, cost, _, inner_ok = polish_positions(config, plan, Z, q, fallbacks=fallbacks)
         budget_hits += not inner_ok
         plan2, _ = min_cost_plan(config, Z, q)
         plan2 = regularize(plan2, config, Z, q)
@@ -606,10 +609,7 @@ def _rebalance_layout(
 
 
 def alternate_minimize(
-    config: SignedConfig,
-    n: int,
-    params: CostParams | None = None,
-    q: float | None = None,
+    config: SignedConfig, n: int, params: CostParams
 ) -> SolveResult:
     """Best-of-multistart alternating minimization with n free atoms.
 
@@ -620,9 +620,6 @@ def alternate_minimize(
     on strict improvement).  Ties break on start index.
     """
     config = validate(config)
-    params = params or CostParams(q=q if q is not None else 2.0)
-    if q is not None and q != params.q:
-        raise InvalidConfigError("q given twice with different values")
     q = params.q
     if n < 0:
         raise InvalidConfigError(f"atom count must be >= 0, got {n}")
@@ -631,7 +628,7 @@ def alternate_minimize(
         coupling, cost = wasserstein_coupling(config.sources, config.sinks, q)
         plan = TransportPlan(config.n_sources, config.n_sinks, 0, dict(coupling))
         return SolveResult(
-            Z=FreeAtoms(np.zeros((0, config.dimension))),
+            Z=np.zeros((0, config.dimension)),
             plan=plan, cost_q=cost, n=0, q=q,
             iterations=0, converged=True,
             n_starts=0, start_costs=(cost,),
@@ -647,7 +644,7 @@ def alternate_minimize(
     budget_hits = 0
     fallbacks: list[int] = []
     for idx, Z0 in enumerate(starts):
-        Z, plan, cost, rounds, conv, hits = _descend(config, Z0, q, params, fallbacks)
+        Z, plan, cost, rounds, conv, hits = _descend(config, Z0, q, fallbacks)
         budget_hits += hits
         # each accepted rebalance simplifies the tree topology a little, so
         # allow enough passes for the cascade to bottom out
@@ -655,7 +652,7 @@ def alternate_minimize(
             Z_re = _rebalance_layout(config, Z, plan, q, n)
             if Z_re is None:
                 break
-            Z2, plan2, cost2, rounds2, conv2, hits = _descend(config, Z_re, q, params, fallbacks)
+            Z2, plan2, cost2, rounds2, conv2, hits = _descend(config, Z_re, q, fallbacks)
             rounds += rounds2
             budget_hits += hits
             if cost2 < cost * (1.0 - 1e-12):
@@ -670,7 +667,7 @@ def alternate_minimize(
     tol = zero_flow_threshold(plan, config)
     used = plan.throughputs() > tol
     return SolveResult(
-        Z=FreeAtoms(Z),
+        Z=Z,
         plan=plan,
         cost_q=cost,
         n=n,
@@ -702,7 +699,7 @@ def solve_result_to_dict(result: SolveResult, config: SignedConfig) -> dict:
         "start_costs": list(result.start_costs),
         "inner_budget_hits": result.inner_budget_hits,
         "polish_fallbacks": result.polish_fallbacks,
-        "free_atoms": [[float(c) for c in row] for row in result.Z.positions],
+        "free_atoms": [[float(c) for c in row] for row in result.Z],
         "plan": [
             [int(i), int(j), float(g)] for i, j, g in result.plan.to_triplets()
         ],

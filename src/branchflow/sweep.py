@@ -10,22 +10,28 @@ the two closed-form brackets around the limit network cost W:
   count (those atoms are spent realizing the junctions themselves).
 
 The Hausdorff column tracks the reduced solver tree against the
-enumerated optimum's tree.
+enumerated optimum's tree.  ``SweepRecord.in_bounds`` reads the bracket
+with a relative tolerance, so its verdict does not change with the
+instance's scale.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import CostParams, SignedConfig, validate
+from .measures import CostParams, InvalidConfigError, SignedConfig, validate
 from .positions import SolveResult, alternate_minimize
 from .graphs import ReducedTree, plan_to_graph, reduce_graph
 from .allocate import allocate
 from .hausdorff import hausdorff
 from .oracle import OracleSolution, oracle, EnumerationBudgetError
+
+#: slack of the sandwich check, relative to each bound
+BOUNDS_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -39,6 +45,19 @@ class SweepRecord:
     seconds: float
     converged: bool = True
     error: str = ""
+
+    @property
+    def in_bounds(self) -> bool:
+        """lower <= rescaled <= upper, each bound widened by BOUNDS_RTOL of
+        itself; a NaN bound (no oracle, or too few atoms for the upper
+        bracket) is not checked; a failed solve (NaN rescaled) never holds."""
+        return (
+            not math.isnan(self.rescaled)
+            and (math.isnan(self.lower)
+                 or self.lower - BOUNDS_RTOL * abs(self.lower) <= self.rescaled)
+            and (math.isnan(self.upper)
+                 or self.rescaled <= self.upper + BOUNDS_RTOL * abs(self.upper))
+        )
 
 
 CSV_COLUMNS = ("n", "wbar", "rescaled", "upper", "lower", "hausdorff", "seconds")
@@ -59,6 +78,13 @@ def oracle_bounds(
     return upper, lower
 
 
+def solver_tree(config: SignedConfig, res: SolveResult) -> ReducedTree | None:
+    """Reduced tree of a solve's induced network; None without relays."""
+    if res.n == 0:
+        return None
+    return reduce_graph(plan_to_graph(config, res.Z, res.plan))
+
+
 def sweep(
     config: SignedConfig,
     q: float,
@@ -71,10 +97,14 @@ def sweep(
 
     Errors in a single entry are recorded on that row and the sweep
     continues.  The oracle is computed once; if its enumeration budget
-    is exceeded the bound and distance columns are NaN.
+    is exceeded the bound and distance columns are NaN.  ``params.q``
+    must equal ``q``, the exponent of the oracle and the bounds.
     """
     config = validate(config)
     params = params or CostParams(q=q)
+    if params.q != q:
+        raise InvalidConfigError(
+            f"sweep at q={q} given solver params with q={params.q}")
     if oracle_solution is None:
         try:
             oracle_solution = oracle(config, q)
@@ -86,14 +116,12 @@ def sweep(
         t0 = time.perf_counter()
         try:
             res = alternate_minimize(config, n, params)
-            tree: ReducedTree | None = None
-            if n > 0:
-                tree = reduce_graph(plan_to_graph(config, res.Z.positions, res.plan))
+            tree = solver_tree(config, res)
             if oracle_solution is not None:
                 upper, lower = oracle_bounds(oracle_solution, n, q, config.n_pairs)
                 dist = (
                     hausdorff(tree, oracle_solution.graph, resolution)
-                    if tree is not None and tree.edges
+                    if tree is not None and tree.edges and oracle_solution.graph.edges
                     else float("nan")
                 )
             else:

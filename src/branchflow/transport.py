@@ -60,32 +60,11 @@ _PRICING_RTOL = 1e-12
 _CANDIDATES = 8
 
 
-@dataclass(frozen=True, eq=False)
-class FreeAtoms:
-    """Positions of the n unconstrained relay atoms, shape (n, k)."""
-
-    positions: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.positions, dtype=float)
-        if arr.ndim != 2:
-            raise InvalidConfigError(f"free atom array must be 2-d, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise InvalidConfigError("free atom coordinates must be finite")
-        object.__setattr__(self, "positions", arr)
-
-    def __len__(self) -> int:
-        return self.positions.shape[0]
-
-
-def as_positions(Z: FreeAtoms | np.ndarray | Sequence | None, dim: int) -> np.ndarray:
+def as_positions(Z: np.ndarray | Sequence | None, dim: int) -> np.ndarray:
     """Coerce any accepted free-atom argument to a fresh (n, dim) array."""
     if Z is None:
         return np.zeros((0, dim), dtype=float)
-    if isinstance(Z, FreeAtoms):
-        arr = Z.positions
-    else:
-        arr = np.asarray(Z, dtype=float)
+    arr = np.asarray(Z, dtype=float)
     if arr.size == 0:
         return np.zeros((0, dim), dtype=float)
     arr = arr.reshape(-1, dim).astype(float, copy=True)
@@ -200,7 +179,7 @@ def vertex_positions(config: SignedConfig, Z: np.ndarray) -> np.ndarray:
     )
 
 
-def cost_matrix(config: SignedConfig, Z: FreeAtoms | np.ndarray | None, q: float) -> np.ndarray:
+def cost_matrix(config: SignedConfig, Z: np.ndarray | None, q: float) -> np.ndarray:
     """Pairwise q-power Euclidean costs over the combined index set.
 
     Rows run over sources then free atoms, columns over sinks then free
@@ -310,7 +289,7 @@ def _solve_flow_network(
 
 def min_cost_plan(
     config: SignedConfig,
-    Z: FreeAtoms | np.ndarray | None,
+    Z: np.ndarray | None,
     q: float,
 ) -> tuple[TransportPlan, float]:
     """Optimal transport plan through the given relay atoms, at fixed positions.

@@ -213,7 +213,7 @@ def test_criterion_7_structure_suite():
         cfg = random_config(rng, n_sources=2, n_sinks=2)
         n = int(rng.integers(4, 25))
         res = alternate_minimize(cfg, n, CostParams(q=Q))
-        tree = reduce_graph(plan_to_graph(cfg, res.Z.positions, res.plan))
+        tree = reduce_graph(plan_to_graph(cfg, res.Z, res.plan))
         report = verify_structure(tree, cfg)
         assert report.ok, (
             f"trial {trial} (n={n}): "

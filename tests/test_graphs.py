@@ -147,8 +147,8 @@ class TestVerifyStructure:
     def solver_tree(self, cfg, n, rng, q=2.0):
         from branchflow import CostParams, alternate_minimize
 
-        res = alternate_minimize(cfg, n, CostParams(q=q, restarts=2, max_rounds=40))
-        return reduce_graph(plan_to_graph(cfg, res.Z.positions, res.plan))
+        res = alternate_minimize(cfg, n, CostParams(q=q, restarts=2))
+        return reduce_graph(plan_to_graph(cfg, res.Z, res.plan))
 
     def test_passes_on_solver_output(self, rng):
         cfg = y_instance()

@@ -123,8 +123,6 @@ class TestCostParams:
 
     def test_budget_bounds(self):
         with pytest.raises(InvalidConfigError):
-            CostParams(q=2.0, max_rounds=0)
-        with pytest.raises(InvalidConfigError):
             CostParams(q=2.0, restarts=-1)
 
 

@@ -352,6 +352,28 @@ class TestRealization:
         assert record.lower <= record.rescaled
 
 
+class TestNewtonLevels:
+    def test_flat_collapse_converges_below_the_cap(self, monkeypatch):
+        # in one dimension two branch points collapse between terminal arcs
+        # of equal weight, so the cost is flat along one direction; every
+        # smoothing level must still stop on its own tests, not at the cap,
+        # and without gradient fallbacks
+        levels = []
+        real = oracle_module._newton
+
+        def counting(*args, **kwargs):
+            out = real(*args, **kwargs)
+            levels.append(out)
+            return out
+
+        monkeypatch.setattr(oracle_module, "_newton", counting)
+        oracle(random_instance(np.random.default_rng([11, 0]), 2, 2, dim=1), 3.415)
+        assert levels
+        for _, _, iters, converged, gradient_steps in levels:
+            assert iters < oracle_module.NEWTON_ITERS and converged
+            assert gradient_steps == 0
+
+
 def _network_cost(topology, terminals, S, q):
     P = np.vstack([terminals.positions, S])
     return sum(abs(f) ** (1.0 / q) * float(np.linalg.norm(P[u] - P[v]))

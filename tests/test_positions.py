@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import branchflow
 from branchflow import (
     CostParams,
     TransportPlan,
@@ -15,6 +17,8 @@ from branchflow import (
     solve_result_to_dict,
     y_instance,
 )
+from branchflow._mcf import MinCostFlowNetwork
+from branchflow.graphs import Edge, WeightedDigraph, reduce_graph
 from branchflow.measures import total_mass
 from branchflow.positions import COST_ROUNDING, _EdgeKernel, polish_positions, w1_seed
 from branchflow.transport import as_positions, check_plan, plan_cost
@@ -381,16 +385,16 @@ class TestAlternateMinimize:
 
     def test_deterministic_given_seed(self):
         cfg = y_instance()
-        params = CostParams(q=2.0, restarts=2, max_rounds=30)
+        params = CostParams(q=2.0, restarts=2)
         a = alternate_minimize(cfg, 4, params)
         b = alternate_minimize(cfg, 4, params)
         assert a.cost_q == b.cost_q
-        assert np.array_equal(a.Z.positions, b.Z.positions)
+        assert np.array_equal(a.Z, b.Z)
         assert a.plan.entries == b.plan.entries
 
     def test_restart_bookkeeping(self):
         cfg = y_instance()
-        res = alternate_minimize(cfg, 3, CostParams(q=2.0, restarts=2, max_rounds=20))
+        res = alternate_minimize(cfg, 3, CostParams(q=2.0, restarts=2))
         assert res.n_starts == 3
         assert 0 <= res.start_index < 3
         assert len(res.start_costs) == 3
@@ -398,7 +402,7 @@ class TestAlternateMinimize:
 
     def test_more_atoms_never_hurt_on_the_y(self):
         cfg = y_instance()
-        params = CostParams(q=2.0, restarts=2, max_rounds=40)
+        params = CostParams(q=2.0, restarts=2)
         costs = [alternate_minimize(cfg, n, params).wbar for n in (1, 2, 4)]
         assert costs == sorted(costs, reverse=True)
 
@@ -435,3 +439,38 @@ class TestAlternateMinimize:
                 "plan"} <= set(doc)
         assert doc["inner_budget_hits"] == res.inner_budget_hits
         assert doc["polish_fallbacks"] == res.polish_fallbacks
+
+
+def _one_edge_graph():
+    return WeightedDigraph(np.array([[0.0, 0.0], [1.0, 0.0]]), ("source", "sink"),
+                           (Edge(0, 1, 1.0, 1.0),))
+
+
+#: keyword options retired in favour of module constants, each called with
+#: otherwise valid arguments
+RETIRED = {
+    **{f"CostParams.{name}": (name, lambda name=name: CostParams(q=2.0, **{name: 1}))
+       for name in ("grad_tol", "rel_tol", "max_rounds", "inner_iters", "polish_iters")},
+    "alternate_minimize.q": (
+        "q", lambda: alternate_minimize(single_edge(), 1, CostParams(q=2.0), q=2.0)),
+    "alternate_minimize default params": (
+        "params", lambda: alternate_minimize(single_edge(), 1)),
+    "MinCostFlowNetwork.solve.max_augmentations": (
+        "max_augmentations", lambda: MinCostFlowNetwork(2).solve(0, 1, max_augmentations=10)),
+    "reduce_graph.flow_rtol": (
+        "flow_rtol", lambda: reduce_graph(_one_edge_graph(), flow_rtol=1e-6)),
+}
+
+
+class TestRetiredOptions:
+    @pytest.mark.parametrize("case", list(RETIRED))
+    def test_retired_keyword_raises_type_error(self, case):
+        name, call = RETIRED[case]
+        with pytest.raises(TypeError, match=name):
+            call()
+
+    def test_api_shape(self):
+        assert [f.name for f in dataclasses.fields(CostParams)] == ["q", "restarts", "seed"]
+        assert not hasattr(branchflow, "FreeAtoms")
+        res = alternate_minimize(single_edge(), 2, CostParams(q=2.0, restarts=0))
+        assert type(res.Z) is np.ndarray and res.Z.shape == (2, 2)

@@ -9,7 +9,10 @@ import numpy as np
 import pytest
 
 from branchflow import (
+    Atom,
     CostParams,
+    InvalidConfigError,
+    SignedConfig,
     oracle,
     random_instance,
     save_problem,
@@ -19,7 +22,7 @@ from branchflow import (
     y_instance,
 )
 from branchflow.cli import main
-from branchflow.sweep import CSV_COLUMNS, oracle_bounds
+from branchflow.sweep import CSV_COLUMNS, SweepRecord, oracle_bounds
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -48,7 +51,7 @@ class TestSweep:
         sweep_mod = importlib.import_module("branchflow.sweep")
         real = sweep_mod.alternate_minimize
 
-        def flaky(config, n, params=None, q=None):
+        def flaky(config, n, params):
             if n == 2:
                 raise RuntimeError("synthetic failure")
             return real(config, n, params)
@@ -60,6 +63,23 @@ class TestSweep:
         assert not records[1].converged and math.isnan(records[1].wbar)
         assert records[0].error == "" and records[2].error == ""
         assert [n for n, _, _ in details] == [1, 4]
+
+    def test_params_must_share_the_sweep_exponent(self):
+        # the oracle, the bounds and the Hausdorff target are taken at q
+        with pytest.raises(InvalidConfigError):
+            sweep(y_instance(), 2.0, [6], CostParams(q=3.0, restarts=1))
+
+    def test_in_bounds_is_relative_and_skips_nan_bounds(self):
+        nan = math.nan
+        record = lambda rescaled, upper, lower: SweepRecord(
+            1, rescaled, rescaled, upper, lower, nan, 0.0)
+        for s in (4.0 ** -20, 1.0, 4.0 ** 8):
+            assert record(2.0 * s * (1 + 1e-12), 2.0 * s, 1.0 * s).in_bounds is True
+            assert record(2.0 * s * (1 + 1e-6), 2.0 * s, 1.0 * s).in_bounds is False
+            assert record(1.0 * s * (1 - 1e-6), 2.0 * s, 1.0 * s).in_bounds is False
+        # a missing bracket is not checked; a failed solve never holds
+        assert record(1.0, nan, nan).in_bounds is True
+        assert record(nan, nan, nan).in_bounds is False
 
     def test_csv_shape_and_parseability(self):
         records, _ = sweep(single_edge(), 2.0, [1], CostParams(q=2.0, restarts=0))
@@ -174,6 +194,22 @@ class TestCliCommands:
         assert code == 0
         captured = capsys.readouterr().out
         assert "sandwich_ok=True" in captured
+
+    def test_compare_verdict_does_not_depend_on_scale(self, tmp_path):
+        # an instance whose n=16 solve sits just outside its bracket: the
+        # verdict must read the same at every power-of-four coordinate scale
+        cfg = random_instance(np.random.default_rng([0, 1]), 2, 2)
+        verdicts = []
+        for k in (-20, 0, 8):
+            s = 4.0 ** k
+            move = lambda atoms: tuple(Atom(tuple(s * c for c in a.position), a.mass)
+                                       for a in atoms)
+            problem = tmp_path / f"scale{k}.json"
+            save_problem(problem, SignedConfig(move(cfg.sources), move(cfg.sinks), 2), 3.0)
+            out = tmp_path / f"out{k}"
+            main(["compare", str(problem), "--n", "16", "--out-dir", str(out)])
+            verdicts.append(json.loads((out / "compare_n16.json").read_text())["sandwich_ok"])
+        assert verdicts[0] == verdicts[1] == verdicts[2]
 
     def test_seed_changes_restart_draws(self, tmp_path):
         problem = tmp_path / "y.json"
