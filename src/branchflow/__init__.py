@@ -25,6 +25,7 @@ from .measures import (
 from .transport import (
     SolverError,
     TransportPlan,
+    TreeBasis,
     check_plan,
     cost_matrix,
     min_cost_plan,
@@ -93,6 +94,7 @@ __all__ = [
     "validate",
     "SolverError",
     "TransportPlan",
+    "TreeBasis",
     "check_plan",
     "cost_matrix",
     "min_cost_plan",

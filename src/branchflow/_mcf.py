@@ -1,168 +1,278 @@
-"""Exact min-cost flow on small networks.
+"""Exact plan-step linear program by primal network simplex.
 
-Successive shortest paths with Dijkstra over reduced costs (Johnson
-potentials).  Capacities are nonnegative integers, so every intermediate
-flow is exact; arc costs are nonnegative floats.  Deterministic: arcs are
-relaxed in insertion order and distance ties keep the earlier-discovered
-predecessor, so identical inputs produce identical flows.
+The plan LP is an uncapacitated transportation problem with transshipment
+nodes.  Sources supply their integer mass units (the 10^9 grid of
+``transport.integer_mass_units``), sinks demand theirs, and free atoms
+conserve flow.  Node ids are sources, sinks, then free atoms.  An arc runs
+from every row of the cost matrix (sources, then free atoms) to every column
+(sinks, then free atoms), except a free atom's self-loop.  Arc k is the k-th
+allowed pair in row-major order; :attr:`MinCostFlowNetwork.to` keeps its
+head in slot 2k and its tail in slot 2k + 1.
 
-Each search stops as soon as the sink is popped.  Popped distances never
-decrease, so every node still in the heap at that point has distance at
-least ``d_t``: it cannot shorten the sink's path, and the potential update
-``pi[v] += min(dist[v], d_t)`` gives it exactly ``d_t`` whether its label is
-final or not.  Flows and potentials are therefore the same as those of a
-search run to exhaustion.
+:meth:`MinCostFlowNetwork.solve` is the primal network simplex (Ahuja,
+Magnanti & Orlin, *Network Flows*, 1993, ch. 11) on a spanning tree of the
+nodes plus a root:
 
-A search scans, per node, only the arcs with residual capacity, kept in
-adjacency order as augmentations saturate and open them; most reverse
-arcs stay empty.  Scanning them in the same order as
-the full adjacency list keeps every tie-break unchanged.
+* **Start.**  Either a caller's :class:`TreeBasis`, checked to be a strongly
+  feasible spanning tree whose flows balance the supplies, or the artificial
+  tree, which joins every node to the root by an artificial arc of cost
+  ``M = max F`` (1 when F is 0) carrying the node's supply.  A node with
+  supply >= 0 points its arc at the root, the others get one from it.  An
+  optimal tree carries no artificial flow: a source's artificial flow and a
+  sink's or free atom's would price their direct arc at ``F - 2M < 0``.
+* **Pricing (Dantzig).**  One NumPy pass over the dense reduced-cost matrix
+  ``F + pi[row node] - pi[col node]``, with free self-loops at +inf.  Its
+  first most negative entry in row-major order enters while it is below
+  ``-ENTER_RTOL * max F``, a tolerance that scales with the costs.
+* **Leaving (Cunningham, "A network simplex method", Math. Programming
+  1976).**  The last blocking arc met when walking the pivot cycle in the
+  entering arc's direction, starting from the apex.  The tree stays strongly
+  feasible, every zero-flow tree arc pointing toward the root, so degenerate
+  pivots cannot cycle.
+* **Update.**  The subtree cut off by the leaving arc is re-hung from the
+  entering arc: the tree path from the entering arc's end to the leaving arc
+  reverses, and only the subtree's potentials (shifted by the entering
+  reduced cost) and depths change.
 
-The plan step runs it on candidate arcs, a few cheapest per row and per
-column of the cost matrix, so networks stay at a few thousand arcs; the
-search is plain Python on purpose.  :meth:`solve` leaves its final Johnson
-potentials on the network as :attr:`MinCostFlowNetwork.pi`, and the plan
-step prices the omitted arcs with them (``transport._solve_flow_network``).
-:meth:`add_arcs` lays out a whole arc list with a few NumPy calls: the arc
-arrays, and the adjacency lists from one stable sort of the arc ends by
-node.
+Flows are Python integers throughout, so every basis is exact.  Ties break
+by position (row-major pricing, then the rule above), so identical inputs
+give identical flows.  A basic solution lies on a spanning tree, so the
+plan's support is a forest.  The final tree is written back to the caller's
+basis; within one descent the supplies and arcs never change, so it is a
+feasible start for the next solve.
 """
 
 from __future__ import annotations
 
-import heapq
-from bisect import insort
-from typing import Sequence
-
 import numpy as np
 
-#: augmentations one :meth:`MinCostFlowNetwork.solve` may run before it fails
-MAX_AUGMENTATIONS = 100_000
+#: pivots one :meth:`MinCostFlowNetwork.solve` may run before it fails
+MAX_PIVOTS = 100_000
+
+#: an arc enters the basis while it prices below -ENTER_RTOL * max F
+ENTER_RTOL = 1e-12
 
 
 class SolverError(RuntimeError):
-    """The flow solver failed to terminate within its augmentation budget."""
+    """The flow solver failed: no optimal tree within its pivot budget."""
+
+
+class TreeBasis:
+    """A spanning-tree basis of a network, owned by the caller between solves.
+
+    For every node (the root, node ``n``, excluded): its parent in the tree,
+    the arc joining it to the parent (a plan arc id, or ``m + node`` for the
+    node's artificial arc) and that arc's flow in mass units.  Empty until a
+    solve fills it.
+    """
+
+    __slots__ = ("parent", "pred", "flow")
+
+    def __init__(self) -> None:
+        self.parent: list[int] = []
+        self.pred: list[int] = []
+        self.flow: list[int] = []
 
 
 class MinCostFlowNetwork:
-    __slots__ = ("n", "to", "cap", "cost", "adj", "pi")
+    """The plan LP on cost matrix ``F``: ``n_src`` source rows, ``n_snk`` sink
+    columns, one row and one column per free atom after them."""
 
-    def __init__(self, n_nodes: int) -> None:
-        self.n = n_nodes
-        self.to: list[int] = []
-        self.cap: list[int] = []
-        self.cost: list[float] = []
-        self.adj: list[list[int]] = [[] for _ in range(n_nodes)]
-        #: node potentials left by the last :meth:`solve`
-        self.pi: list[float] = [0.0] * n_nodes
+    __slots__ = (
+        "n", "m", "to", "pi", "pivots",
+        "_F", "_fmax", "_supply", "_row_node", "_col_node", "_rows", "_cols", "_arc_of",
+        "_tree",
+    )
 
-    def add_arcs(
+    def __init__(
         self,
-        tails: Sequence[int],
-        heads: Sequence[int],
-        caps: Sequence[int],
-        costs: Sequence[float],
-    ) -> int:
-        """Add tails[k]->heads[k] for every k, in order; returns the first arc id.
+        F: np.ndarray,
+        n_src: int,
+        n_snk: int,
+        src_units: np.ndarray,
+        snk_units: np.ndarray,
+    ) -> None:
+        n_rows, n_cols = F.shape
+        n_free = n_rows - n_src
+        if n_cols - n_snk != n_free or len(src_units) != n_src or len(snk_units) != n_snk:
+            raise ValueError("cost matrix, supplies and free atoms disagree")
+        n_term = n_src + n_snk
+        self.n = n = n_term + n_free
+        self._supply = np.concatenate(
+            (src_units, np.negative(snk_units), np.zeros(n_free, dtype=np.int64))
+        ).tolist()
+        self._row_node = np.concatenate((np.arange(n_src), np.arange(n_term, n)))
+        self._col_node = np.arange(n_src, n)
+        # free self-loops are the only pairs without an arc; pricing sees +inf
+        F = F.astype(float, copy=True)
+        self._fmax = float(F.max())
+        F[np.arange(n_src, n_rows), np.arange(n_snk, n_cols)] = np.inf
+        self._F = F
+        allowed = F != np.inf
+        self._arc_of = np.cumsum(allowed.ravel()) - 1
+        self._rows, self._cols = np.nonzero(allowed)
+        self.m = len(self._rows)
+        self.to = np.empty(2 * self.m, dtype=np.int64)
+        self.to[0::2] = self._col_node[self._cols]
+        self.to[1::2] = self._row_node[self._rows]
+        #: node potentials of the last :meth:`solve`, the root's last
+        self.pi = np.zeros(n + 1)
+        #: pivots of the last :meth:`solve`
+        self.pivots = 0
+        self._tree: tuple[list[int], list[int], list[int]] | None = None
 
-        Arc k gets id ``first + 2 * k`` and its residual arc, with capacity 0
-        and negated cost, id ``first + 2 * k + 1``.  Both ids are appended to
-        their tail's adjacency list, so every list stays in id order.
+    def _arc_ends(self, a: int, u: int) -> tuple[int, int]:
+        """(tail, head) of arc ``a``, which is plan arc ``a`` or node ``u``'s
+        artificial arc; ValueError for any other id."""
+        if 0 <= a < self.m:
+            return int(self.to[2 * a + 1]), int(self.to[2 * a])
+        if a == self.m + u:
+            return (u, self.n) if self._supply[u] >= 0 else (self.n, u)
+        raise ValueError(f"arc {a} cannot join node {u} to its parent")
+
+    def _start(self, basis: TreeBasis | None) -> tuple[list[int], list[int], list[int], list[bool]]:
+        """Parent, arc, flow and arc direction (toward the root) of every node."""
+        n, supply = self.n, self._supply
+        if basis is None or not basis.parent:
+            up = [s >= 0 for s in supply]
+            return [n] * n, list(range(self.m, self.m + n)), [abs(s) for s in supply], up
+        parent, pred, flow = list(basis.parent), list(basis.pred), list(basis.flow)
+        if not len(parent) == len(pred) == len(flow) == n:
+            raise ValueError(f"basis has {len(parent)} nodes, the network {n}")
+        excess = [0] * (n + 1)
+        up = []
+        for u in range(n):
+            tail, head = self._arc_ends(pred[u], u)
+            if {tail, head} != {u, parent[u]}:
+                raise ValueError(f"arc {pred[u]} does not join node {u} to its parent")
+            f = flow[u]
+            if f < 0 or (f == 0 and tail != u):
+                raise ValueError(f"basis is not strongly feasible at node {u}")
+            up.append(tail == u)
+            excess[tail] += f
+            excess[head] -= f
+        if excess[:n] != supply:
+            raise ValueError("basis flows do not balance the network's supplies")
+        return parent, pred, flow, up
+
+    def solve(self, basis: TreeBasis | None = None) -> int:
+        """Optimal flow by primal network simplex; returns the pivot count.
+
+        Starts from ``basis`` when it holds a tree (ValueError when that tree
+        does not fit this network), else from the artificial tree, and
+        writes the final tree back to ``basis``.  The final potentials stay
+        on the network as :attr:`pi`: every allowed pair (i, j) has reduced
+        cost ``F[i, j] + pi[row node] - pi[col node] >= -ENTER_RTOL * max F``,
+        and every tree arc 0 up to rounding.
         """
-        first = len(self.to)
-        m = len(tails)
-        # slot 2k is arc k (tail -> head), slot 2k + 1 its residual arc
-        to = np.empty(2 * m, dtype=np.int64)
-        to[0::2] = heads
-        to[1::2] = tails
-        cap = np.zeros(2 * m, dtype=np.int64)
-        cap[0::2] = caps
-        cost = np.empty(2 * m)
-        cost[0::2] = costs
-        np.negative(cost[0::2], out=cost[1::2])
-        self.to.extend(to.tolist())
-        self.cap.extend(cap.tolist())
-        self.cost.extend(cost.tolist())
-        # slot k leaves node to[k ^ 1]; a stable sort by that node lists each
-        # node's new arc ids in id order, after the ids it already has
-        owner = to.reshape(-1, 2)[:, ::-1].ravel()
-        order = np.argsort(owner, kind="stable")
-        ids = (order + first).tolist()
-        adj = self.adj
-        start = 0
-        for u, end in enumerate(np.bincount(owner, minlength=self.n).cumsum().tolist()):
-            adj[u] += ids[start:end]
-            start = end
-        return first
-
-    def flows(self, first: int, count: int) -> list[int]:
-        """Flow currently routed through ``count`` arcs added from id ``first`` on."""
-        return self.cap[first + 1 : first + 2 * count : 2]
-
-    def solve(self, s: int, t: int) -> int:
-        """Push maximum flow from s to t at minimum cost; returns the value.
-
-        The final Johnson potentials stay on the network as :attr:`pi`: every
-        arc with residual capacity has reduced cost
-        ``cost[a] + pi[tail] - pi[head] >= 0`` up to float dust.
-        """
-        n = self.n
-        to, cap, cost, adj = self.to, self.cap, self.cost, self.adj
-        heappush, heappop = heapq.heappush, heapq.heappop
-        # residual arcs of each node, in adjacency (= arc id) order
-        live = [[a for a in arcs if cap[a] > 0] for arcs in adj]
-        pi = self.pi = [0.0] * n
+        n, m = self.n, self.m
+        root = n
+        F, fmax = self._F, self._fmax
+        big = fmax if fmax > 0.0 else 1.0
+        parent, pred, flow, up = self._start(basis)
+        parent.append(-1)
+        # children, depths and potentials by a walk from the root; a tree
+        # arc tail -> head has cost + pi[tail] - pi[head] == 0
+        rows, cols = self._rows, self._cols
+        arcs = np.array(pred)
+        plan = arcs < m
+        costs = np.full(n, big)
+        costs[plan] = F[rows[arcs[plan]], cols[arcs[plan]]]
+        costs = costs.tolist()
+        children: list[list[int]] = [[] for _ in range(n + 1)]
+        for u in range(n):
+            children[parent[u]].append(u)
+        depth = [0] * (n + 1)
+        pot = [0.0] * (n + 1)
+        order = [root]
+        for u in order:
+            for v in children[u]:
+                depth[v] = depth[u] + 1
+                pot[v] = pot[u] - costs[v] if up[v] else pot[u] + costs[v]
+                order.append(v)
+        if len(order) != n + 1:
+            raise ValueError("basis parents do not form a tree")
+        pi = np.array(pot)
+        row_node, col_node = self._row_node, self._col_node
+        row_list, col_list = row_node.tolist(), col_node.tolist()
+        n_cols = F.shape[1]
+        tol = -ENTER_RTOL * fmax
+        R = np.empty_like(F)
         inf = float("inf")
-        pushed = 0
-        for _ in range(MAX_AUGMENTATIONS):
-            dist = [inf] * n
-            prev_arc = [-1] * n
-            dist[s] = 0.0
-            heap = [(0.0, s)]
-            while heap:
-                d, u = heappop(heap)
-                if d > dist[u]:
-                    continue
-                if u == t:
-                    break  # the rest of the heap is no closer than t
-                pu = pi[u]
-                for a in live[u]:
-                    v = to[a]
-                    # reduced cost; clamp float dust so Dijkstra stays valid
-                    rc = cost[a] + pu - pi[v]
-                    if rc < 0.0:
-                        rc = 0.0
-                    nd = d + rc
-                    if nd < dist[v]:
-                        dist[v] = nd
-                        prev_arc[v] = a
-                        heappush(heap, (nd, v))
-            if dist[t] == inf:
-                return pushed
-            d_t = dist[t]
-            for v in range(n):
-                pi[v] += dist[v] if dist[v] < d_t else d_t
-            # bottleneck along the shortest path
-            delta = None
-            v = t
-            while v != s:
-                a = prev_arc[v]
-                if delta is None or cap[a] < delta:
-                    delta = cap[a]
-                v = to[a ^ 1]
-            v = t
-            while v != s:
-                a = prev_arc[v]
-                b = a ^ 1
-                u = to[b]
-                cap[a] -= delta
-                if cap[a] == 0:
-                    live[u].remove(a)
-                if cap[b] == 0:
-                    insort(live[v], b)
-                cap[b] += delta
-                v = u
-            pushed += delta
-        raise SolverError(
-            f"min-cost flow did not finish within {MAX_AUGMENTATIONS} augmentations"
-        )
+        for pivots in range(MAX_PIVOTS + 1):
+            np.add(F, pi[row_node][:, None], out=R)
+            R -= pi[col_node]
+            flat = int(R.argmin())
+            rc = float(R.flat[flat])
+            if not rc < tol:
+                break
+            if pivots == MAX_PIVOTS:
+                raise SolverError(f"network simplex did not finish within {MAX_PIVOTS} pivots")
+            i, j = divmod(flat, n_cols)
+            k, l = row_list[i], col_list[j]
+            # walk both ends up to the apex; blocking arcs are those the
+            # cycle k -> l -> apex -> k runs against.  Ties go to the arc met
+            # last from the apex: nearest k on k's side, nearest the apex on
+            # l's, and l's side over k's
+            path_k, path_l = [], []
+            dk = dl = inf
+            xk = xl = -1
+            u, v = k, l
+            while u != v:
+                du, dv = depth[u], depth[v]
+                if du >= dv:
+                    path_k.append(u)
+                    if up[u] and flow[u] < dk:
+                        dk, xk = flow[u], u
+                    u = parent[u]
+                if dv >= du:
+                    path_l.append(v)
+                    if not up[v] and flow[v] <= dl:
+                        dl, xl = flow[v], v
+                    v = parent[v]
+            on_l = dl <= dk
+            x, delta = (xl, dl) if on_l else (xk, dk)
+            if x < 0:
+                raise SolverError("network simplex found an unbounded cycle")
+            if delta:
+                for u in path_k:
+                    flow[u] += -delta if up[u] else delta
+                for v in path_l:
+                    flow[v] += delta if up[v] else -delta
+            # re-hang the subtree of x from the entering arc, reversing the
+            # tree path from the arc's end q up to x
+            q, p, shift = (l, k, rc) if on_l else (k, l, -rc)
+            new_parent, new_pred, new_up, new_flow = p, int(self._arc_of[flat]), not on_l, delta
+            u = q
+            while True:
+                old = parent[u], pred[u], up[u], flow[u]
+                parent[u], pred[u], up[u], flow[u] = new_parent, new_pred, new_up, new_flow
+                children[old[0]].remove(u)
+                children[new_parent].append(u)
+                if u == x:
+                    break
+                new_parent, new_pred, new_up, new_flow = u, old[1], not old[2], old[3]
+                u = old[0]
+            depth[q] = depth[p] + 1
+            subtree = [q]
+            for u in subtree:
+                d = depth[u] + 1
+                for v in children[u]:
+                    depth[v] = d
+                    subtree.append(v)
+            pi[subtree] += shift
+        if any(flow[u] for u in range(n) if pred[u] >= m):
+            raise SolverError("network simplex left flow on an artificial arc")
+        del parent[n]
+        self.pi, self.pivots = pi, pivots
+        self._tree = parent, pred, flow
+        if basis is not None:
+            basis.parent, basis.pred, basis.flow = parent, pred, flow
+        return pivots
+
+    def flows(self) -> dict[tuple[int, int], int]:
+        """Positive flows of the last :meth:`solve` by matrix key, row-major."""
+        _, pred, flow = self._tree
+        arcs = sorted((a, f) for a, f in zip(pred, flow) if a < self.m and f > 0)
+        rows, cols = self._rows, self._cols
+        return {(int(rows[a]), int(cols[a])): f for a, f in arcs}

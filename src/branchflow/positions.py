@@ -49,6 +49,7 @@ from .measures import (
 from .transport import (
     SolverError,
     TransportPlan,
+    TreeBasis,
     as_positions,
     integer_mass_units,
     min_cost_plan,
@@ -531,7 +532,9 @@ def _descend(
     cost decrease below REL_TOL, then polishes positions by Newton
     to the strict gradient tolerance and re-stabilizes the plan.  The last
     value returned counts the position solves that hit their budget; each
-    polish appends its gradient fallbacks to ``fallbacks``.
+    polish appends its gradient fallbacks to ``fallbacks``.  Every plan solve
+    of the descent starts from the previous one's simplex basis: terminals,
+    masses and atom count stay fixed, so that basis is always feasible.
     """
     Z = Z0.copy()
     prev = np.inf
@@ -540,8 +543,9 @@ def _descend(
     budget_hits = 0
     plan = None
     cost = np.inf
+    basis = TreeBasis()
     for rounds in range(1, MAX_ROUNDS + 1):
-        plan, cost_plan = min_cost_plan(config, Z, q)
+        plan, cost_plan = min_cost_plan(config, Z, q, basis)
         if cost_plan > prev * (1.0 + MONOTONE_SLACK) + 1e-300:
             raise SolverError(
                 f"plan solve increased cost: {prev!r} -> {cost_plan!r}"
@@ -567,7 +571,7 @@ def _descend(
     for _ in range(5):
         Z, cost, _, inner_ok = polish_positions(config, plan, Z, q, fallbacks=fallbacks)
         budget_hits += not inner_ok
-        plan2, _ = min_cost_plan(config, Z, q)
+        plan2, _ = min_cost_plan(config, Z, q, basis)
         plan2 = regularize(plan2, config, Z, q)
         cost2 = plan_cost(config, Z, plan2, q)
         stable = _same_support(plan2, plan, tol)
@@ -589,7 +593,8 @@ def _rebalance_layout(
     Junction atoms stay where the tree branches; the remaining budget is
     spread over the reduced edges by the allocation rule.  Returns None
     when the tree cannot absorb the budget (more junctions than atoms or
-    fewer spare atoms than edges).
+    fewer spare atoms than edges) or the allocation refuses it (an edge of
+    length zero, where a source and a sink share a point).
     """
     try:
         tree = reduce_graph(plan_to_graph(config, Z, plan))
@@ -599,7 +604,10 @@ def _rebalance_layout(
     spare = n - len(junctions)
     if len(tree.edges) == 0 or spare < len(tree.edges):
         return None
-    alloc = allocate(tree, spare, q)
+    try:
+        alloc = allocate(tree, spare, q)
+    except ValueError:
+        return None
     rows = [tree.positions[v] for v in junctions]
     rows.extend(alloc.atom_positions)
     Z_new = np.vstack(rows) if rows else np.zeros((0, config.dimension))

@@ -19,12 +19,14 @@ atoms alone.
 The plan solver is an exact min-cost flow: masses are scaled to integers
 summing to 10^9 by largest-remainder rounding (so the represented marginals
 sit within one part in 10^9 of the true ones), supplies sit on source
-nodes, demands on sink nodes, and free atoms are conservation nodes.  The
-flow is solved on candidate arcs, each row's and each column's cheapest
-pairs, and the solver's potentials then price every omitted pair: arcs
-that price negative are added and the flow solved again, until the
-potentials certify the flow optimal over every pair except free
-self-loops.  All functions are pure; nothing here keeps global state.
+nodes, demands on sink nodes, and free atoms are conservation nodes.  Every
+pair of the matrix but the free self-loops is an uncapacitated arc, and a
+primal network simplex (``_mcf``) prices all of them each pivot, so its
+final potentials certify the flow optimal for the full linear program.  Its
+flow is a basic solution, whose support is a forest.  ``min_cost_plan``
+takes an optional caller-owned :class:`TreeBasis`: the solve starts from it
+and leaves its final tree in it, which makes the next solve on the same
+masses warm.  Apart from that basis, nothing here keeps state.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._mcf import MinCostFlowNetwork, SolverError
+from ._mcf import MinCostFlowNetwork, SolverError, TreeBasis
 from .measures import (
     BALANCE_ATOL,
     Atom,
@@ -52,12 +54,6 @@ ZERO_FLOW_RTOL = 1e-12
 
 #: marginal / conservation tolerance, relative to max(1, total mass)
 MARGINAL_RTOL = 1e-9
-
-#: an omitted arc prices negative below -_PRICING_RTOL * max cost
-_PRICING_RTOL = 1e-12
-
-#: cheapest columns per row, and cheapest rows per column, in the first solve
-_CANDIDATES = 8
 
 
 def as_positions(Z: np.ndarray | Sequence | None, dim: int) -> np.ndarray:
@@ -214,90 +210,40 @@ def integer_mass_units(masses: np.ndarray, units: int = MASS_UNITS) -> np.ndarra
     return base
 
 
-def _candidate_arcs(F: np.ndarray, allowed: np.ndarray) -> np.ndarray:
-    """Each row's and each column's ``_CANDIDATES`` cheapest allowed pairs.
-
-    Ties go to the lower index.  When ``_CANDIDATES`` is at least the
-    number of columns, or of rows, the result is ``allowed`` itself.
-    """
-    G = np.where(allowed, F, np.inf)
-    cand = np.zeros_like(allowed)
-    k = _CANDIDATES
-    rows, cols = np.indices(F.shape, sparse=True)
-    cand[rows, np.argsort(G, axis=1, kind="stable")[:, :k]] = True
-    cand[np.argsort(G, axis=0, kind="stable")[:k], cols] = True
-    return cand & allowed
-
-
 def _solve_flow_network(
     F: np.ndarray,
     n_src: int,
     n_snk: int,
-    n_free: int,
     src_units: np.ndarray,
     snk_units: np.ndarray,
+    basis: TreeBasis | None = None,
 ) -> dict[tuple[int, int], int]:
     """Run the exact flow solver; returns positive integer flows per matrix key.
 
-    The flow is solved on candidate arcs (:func:`_candidate_arcs`), then
-    every omitted arc is priced with the solver's final potentials.  Arcs
-    with negative reduced cost join the candidates and the network is
-    solved again; when none is left, no residual arc of the complete
-    network prices negative, which certifies the flow optimal for the full
-    linear program.  Candidates that cannot carry all the mass are widened
-    to the complete arc set.
+    The network simplex starts from ``basis`` when it holds a tree, and
+    writes its final tree back to it (see :mod:`._mcf`).
     """
-    n_rows = n_src + n_free
-    n_cols = n_snk + n_free
-    n_term = n_src + n_snk
-    s_star = n_term + n_free
-    t_star = s_star + 1
-    # network nodes: sources, sinks, free atoms, then s*, t*; plan arcs run
-    # row-major over the matrix and never include free self-loops
-    allowed = np.ones((n_rows, n_cols), dtype=bool)
-    allowed[np.arange(n_src, n_rows), np.arange(n_snk, n_cols)] = False
-    row_node = np.concatenate((np.arange(n_src), np.arange(n_term, s_star)))
-    col_node = np.arange(n_src, s_star)
-    tol = -_PRICING_RTOL * float(F.max())
-    cand = _candidate_arcs(F, allowed)
-    while True:
-        rows, cols = np.nonzero(cand)
-        n_plan = len(rows)
-        net = MinCostFlowNetwork(t_star + 1)
-        plan_first = 2 * n_term + net.add_arcs(
-            np.concatenate((np.full(n_src, s_star), np.arange(n_src, n_term), row_node[rows])),
-            np.concatenate((np.arange(n_src), np.full(n_snk, t_star), col_node[cols])),
-            np.concatenate((src_units, snk_units, np.full(n_plan, MASS_UNITS))),
-            np.concatenate((np.zeros(n_term), F[rows, cols])),
-        )
-        pushed = net.solve(s_star, t_star)
-        omitted = allowed & ~cand
-        if pushed != MASS_UNITS:
-            if not omitted.any():
-                raise SolverError(f"flow short by {MASS_UNITS - pushed} units")
-            cand = allowed  # widen to the complete arc set
-            continue
-        pi = np.array(net.pi)
-        priced = omitted & (F + pi[row_node][:, None] - pi[col_node] < tol)
-        if not priced.any():
-            break
-        cand = cand | priced
-    flows = np.array(net.flows(plan_first, n_plan))
-    nz = np.flatnonzero(flows)
-    return dict(zip(zip(rows[nz].tolist(), cols[nz].tolist()), flows[nz].tolist()))
+    net = MinCostFlowNetwork(F, n_src, n_snk, src_units, snk_units)
+    net.solve(basis)
+    return net.flows()
 
 
 def min_cost_plan(
     config: SignedConfig,
     Z: np.ndarray | None,
     q: float,
+    basis: TreeBasis | None = None,
 ) -> tuple[TransportPlan, float]:
     """Optimal transport plan through the given relay atoms, at fixed positions.
 
     Returns ``(plan, cost)`` where cost is the q-power objective
     sum(gamma_ij * |.|^q).  The plan is an exact optimum of the underlying
     linear program up to the 10^-9 mass grid; output is deterministic for
-    identical inputs.
+    identical inputs.  ``basis``, when given, is the simplex's start and
+    receives its final tree: pass the same one to every solve with the same
+    terminals and number of relays (a basis from another network raises
+    ValueError).  Without it the solve starts cold; warm or cold, the
+    optimal cost is the same.
     """
     validate(config)
     Z = as_positions(Z, config.dimension)
@@ -305,7 +251,7 @@ def min_cost_plan(
     src_units = integer_mass_units(config.source_masses())
     snk_units = integer_mass_units(config.sink_masses())
     flows = _solve_flow_network(
-        F, config.n_sources, config.n_sinks, len(Z), src_units, snk_units
+        F, config.n_sources, config.n_sinks, src_units, snk_units, basis
     )
     M = total_mass(config)
     unit = M / MASS_UNITS
@@ -398,7 +344,7 @@ def wasserstein_coupling(
     diff = P[:, None, :] - Q[None, :, :]
     F = np.sqrt((diff**2).sum(axis=2)) ** q
     flows = _solve_flow_network(
-        F, len(plus), len(minus), 0, integer_mass_units(pm), integer_mass_units(mm)
+        F, len(plus), len(minus), integer_mass_units(pm), integer_mass_units(mm)
     )
     unit = float(pm.sum()) / MASS_UNITS
     coupling = {key: f * unit for key, f in flows.items()}

@@ -400,6 +400,24 @@ class TestAlternateMinimize:
         assert len(res.start_costs) == 3
         assert min(res.start_costs) == pytest.approx(res.cost_q, rel=1e-12)
 
+    def test_source_and_sink_sharing_a_point(self):
+        # the reduced tree keeps the zero-length source-sink edge, which the
+        # allocation refuses: the rebalance then proposes nothing
+        at = branchflow.Atom
+        alone = branchflow.SignedConfig((at((0.0, 0.0), 1.0),), (at((0.0, 0.0), 1.0),), 2)
+        beside = branchflow.SignedConfig(
+            (at((0.0, 0.0), 1.0), at((1.0, 0.0), 1.0)),
+            (at((0.0, 0.0), 1.0), at((1.0, 1.0), 1.0)), 2,
+        )
+        for n in (1, 2, 4):
+            res = alternate_minimize(alone, n, CostParams(q=2.0))
+            assert res.cost_q == 0.0
+            assert check_plan(res.plan, alone) == []
+            # n relays on the unit edge: (n + 1) hops of length 1 / (n + 1)
+            res = alternate_minimize(beside, n, CostParams(q=2.0))
+            assert res.cost_q == pytest.approx(1.0 / (n + 1), rel=1e-9)
+            assert check_plan(res.plan, beside) == []
+
     def test_more_atoms_never_hurt_on_the_y(self):
         cfg = y_instance()
         params = CostParams(q=2.0, restarts=2)
@@ -456,7 +474,9 @@ RETIRED = {
     "alternate_minimize default params": (
         "params", lambda: alternate_minimize(single_edge(), 1)),
     "MinCostFlowNetwork.solve.max_augmentations": (
-        "max_augmentations", lambda: MinCostFlowNetwork(2).solve(0, 1, max_augmentations=10)),
+        "max_augmentations",
+        lambda: MinCostFlowNetwork(np.ones((1, 1)), 1, 1, np.array([1]), np.array([1]))
+        .solve(max_augmentations=10)),
     "reduce_graph.flow_rtol": (
         "flow_rtol", lambda: reduce_graph(_one_edge_graph(), flow_rtol=1e-6)),
 }

@@ -1,3 +1,5 @@
+import heapq
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -12,11 +14,13 @@ from branchflow import (
     random_instance,
     single_edge,
     wasserstein_q,
+    y_instance,
 )
-from branchflow._mcf import MinCostFlowNetwork
+from branchflow import positions
+from branchflow._mcf import MinCostFlowNetwork, TreeBasis
+from branchflow.regularize import edges_form_forest
 from branchflow.transport import (
     MASS_UNITS,
-    _candidate_arcs,
     _solve_flow_network,
     as_positions,
     check_plan,
@@ -136,13 +140,13 @@ class TestMinCostPlan:
 def _plan_network_args(cfg, Z, q=2.0):
     """The arguments of ``_solve_flow_network`` for the plan step at Z."""
     return (
-        cost_matrix(cfg, Z, q), cfg.n_sources, cfg.n_sinks, len(Z),
+        cost_matrix(cfg, Z, q), cfg.n_sources, cfg.n_sinks,
         integer_mass_units(cfg.source_masses()), integer_mass_units(cfg.sink_masses()),
     )
 
 
-def _assert_flows_match_per_arc_reference(cfg, Z):
-    args = _plan_network_args(cfg, Z)
+def _assert_flows_match_per_arc_reference(cfg, Z, q=2.0):
+    args = _plan_network_args(cfg, Z, q)
     got = _solve_flow_network(*args)
     want = _reference_flow_dict(*args)
     assert list(got.items()) == list(want.items())  # order included
@@ -173,37 +177,29 @@ def _lp_reference(cfg, Z, q):
             A[n_src + j, k] += 1.0
         else:
             A[n_src + n_snk + (j - n_snk), k] += 1.0  # inflow of free atom
-    res = linprog(np.array([F[i, j] for i, j in arcs]), A_eq=A, b_eq=b, method="highs")
+    # HiGHS' default feasibility tolerances (1e-7) leave its objective up
+    # to 1e-7 relative above the optimum; the property tests need 1e-9
+    tight = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+    res = linprog(np.array([F[i, j] for i, j in arcs]), A_eq=A, b_eq=b, method="highs",
+                  options=tight)
     assert res.success
     return float(res.fun)
 
 
 class TestMinCostFlowNetwork:
-    def test_add_arcs_layout(self, rng):
-        arcs = [
-            (int(u), int(v), int(c), 0.5 * k)
-            for k, (u, v, c) in enumerate(rng.integers(0, 6, size=(20, 3)))
-        ]
-        net = MinCostFlowNetwork(6)
-        assert net.add_arcs(*zip(*arcs[:5])) == 0
-        assert net.add_arcs(*zip(*arcs[5:])) == 10
-        assert (net.to, net.cap, net.cost, net.adj) == _per_arc_layout(6, arcs)
-        # the network of the plan step: s* -> sources, sinks -> t*, then a
-        # complete row-major bipartite arc set without free self-loops
+    def test_arc_layout(self, rng):
+        # every pair of the matrix but the free self-loops, row-major: the
+        # head of arc k in slot 2k, its tail in slot 2k + 1
         n_src, n_snk, n_free = 3, 2, 4
-        terminal, plan_arcs = _flow_network_arcs(
-            rng.uniform(0.0, 5.0, size=(n_src + n_free, n_snk + n_free)),
-            n_src, n_snk, n_free, np.array([3, 1, 4]), np.array([5, 3]),
-        )
-        net = MinCostFlowNetwork(n_src + n_snk + n_free + 2)
-        assert net.add_arcs(*(np.array(c) for c in zip(*terminal))) == 0
-        assert net.add_arcs(*(np.array(c) for c in zip(*plan_arcs))) == 2 * len(terminal)
-        assert len(net.to) == 2 * len(terminal + plan_arcs)
-        assert (net.to, net.cap, net.cost, net.adj) == _per_arc_layout(
-            net.n, terminal + plan_arcs
-        )
-        assert all(type(x) is int for x in net.to + net.cap + sum(net.adj, []))
-        assert all(type(x) is float for x in net.cost)
+        F = rng.uniform(0.0, 5.0, size=(n_src + n_free, n_snk + n_free))
+        src, snk = np.array([3, 1, 4]), np.array([5, 3])
+        _, plan_arcs = _flow_network_arcs(F, n_src, n_snk, n_free, src, snk)
+        net = MinCostFlowNetwork(F, n_src, n_snk, src, snk)
+        assert (net.n, net.m) == (n_src + n_snk + n_free, (n_src + n_free) * (n_snk + n_free) - n_free)
+        assert len(net.to) == 2 * len(plan_arcs) == 2 * net.m
+        assert net.to.tolist() == [x for tail, head, _, _ in plan_arcs for x in (head, tail)]
+        with pytest.raises(ValueError):
+            MinCostFlowNetwork(F[:, :-1], n_src, n_snk, src, snk)
 
 
 def _per_arc_layout(n_nodes, arcs):
@@ -235,22 +231,66 @@ def _flow_network_arcs(F, n_src, n_snk, n_free, src_units, snk_units):
     return terminal, plan_arcs
 
 
-def _reference_flow_dict(F, n_src, n_snk, n_free, src_units, snk_units):
-    """The plan step on a per-arc network, read out by a comprehension over
-    every plan arc: positive flows in row-major key order."""
+def _ssp_solve(n, to, cap, cost, adj, s, t):
+    """Successive shortest paths, the plan step's solver before the network
+    simplex, kept as a reference: push maximum flow from s to t at minimum
+    cost, in place on ``cap``; returns the flow value.
+
+    Dijkstra over reduced costs with Johnson potentials, arcs relaxed in
+    adjacency order, distance ties kept by the earlier predecessor, each
+    search stopped when the sink pops.
+    """
+    pi = [0.0] * n
+    pushed = 0
+    while True:
+        dist = [float("inf")] * n
+        prev_arc = [-1] * n
+        dist[s] = 0.0
+        heap = [(0.0, s)]
+        while heap:
+            d, u = heapq.heappop(heap)
+            if d > dist[u]:
+                continue
+            if u == t:
+                break
+            for a in adj[u]:
+                if cap[a] == 0:
+                    continue
+                v = to[a]
+                nd = d + max(cost[a] + pi[u] - pi[v], 0.0)
+                if nd < dist[v]:
+                    dist[v] = nd
+                    prev_arc[v] = a
+                    heapq.heappush(heap, (nd, v))
+        if dist[t] == float("inf"):
+            return pushed
+        for v in range(n):
+            pi[v] += min(dist[v], dist[t])
+        path = []
+        v = t
+        while v != s:
+            path.append(prev_arc[v])
+            v = to[prev_arc[v] ^ 1]
+        delta = min(cap[a] for a in path)
+        for a in path:
+            cap[a] -= delta
+            cap[a ^ 1] += delta
+        pushed += delta
+
+
+def _reference_flow_dict(F, n_src, n_snk, src_units, snk_units):
+    """The plan step solved by successive shortest paths on the complete
+    per-arc network: positive flows in row-major key order."""
+    n_free = F.shape[0] - n_src
     terminal, plan_arcs = _flow_network_arcs(F, n_src, n_snk, n_free, src_units, snk_units)
-    net = MinCostFlowNetwork(n_src + n_snk + n_free + 2)
-    net.to, net.cap, net.cost, net.adj = _per_arc_layout(net.n, terminal + plan_arcs)
-    assert net.solve(net.n - 2, net.n - 1) == MASS_UNITS
-    keys = [
-        (i, j)
-        for i in range(n_src + n_free)
-        for j in range(n_snk + n_free)
-        if not (i >= n_src and j >= n_snk and i - n_src == j - n_snk)
-    ]
+    n = n_src + n_snk + n_free + 2
+    to, cap, cost, adj = _per_arc_layout(n, terminal + plan_arcs)
+    assert _ssp_solve(n, to, cap, cost, adj, n - 2, n - 1) == MASS_UNITS
+    flows = cap[2 * len(terminal) + 1::2]
+    # plan arcs run from row nodes to column nodes: back to matrix keys
     return {
-        key: f
-        for key, f in zip(keys, net.flows(2 * len(terminal), len(plan_arcs)))
+        (i if i < n_src else i - n_snk, j - n_src): f
+        for (i, j, _, _), f in zip(plan_arcs, flows)
         if f > 0
     }
 
@@ -261,72 +301,47 @@ def solved_networks(monkeypatch):
     nets = []
     solve = MinCostFlowNetwork.solve
 
-    def recording(self, s, t, *args):
+    def recording(self, *args):
         nets.append(self)
-        return solve(self, s, t, *args)
+        return solve(self, *args)
 
     monkeypatch.setattr(MinCostFlowNetwork, "solve", recording)
     return nets
 
 
+def _scaled(cfg, Z, s):
+    """The same instance with every coordinate multiplied by s."""
+    def move(atoms):
+        return tuple(Atom(tuple(s * c for c in a.position), a.mass) for a in atoms)
+
+    return SignedConfig(move(cfg.sources), move(cfg.sinks), cfg.dimension), s * Z
+
+
 class TestPricingLoop:
-    """The plan step solves on candidate arcs and prices the omitted ones."""
+    """The simplex prices every allowed pair each pivot, so its potentials
+    certify the flow for the complete network; the complete-arc successive
+    shortest paths above are the reference."""
 
-    def test_candidates_are_the_cheapest_per_row_and_column(self, rng):
-        # integer costs with many ties, which go to the lower index
-        F = rng.integers(0, 5, size=(14, 12)).astype(float)
-        allowed = np.ones(F.shape, dtype=bool)
-        allowed[np.arange(4, 14), np.arange(2, 12)] = False  # free self-loops
-        want = np.zeros(F.shape, dtype=bool)
-        for i in range(14):
-            for j in sorted((j for j in range(12) if allowed[i, j]), key=lambda j: F[i, j])[:8]:
-                want[i, j] = True
-        for j in range(12):
-            for i in sorted((i for i in range(14) if allowed[i, j]), key=lambda i: F[i, j])[:8]:
-                want[i, j] = True
-        assert (_candidate_arcs(F, allowed) == want).all()
-        # a line with at most 8 allowed pairs keeps all of them
-        assert (_candidate_arcs(F[:9, :6], allowed[:9, :6]) == allowed[:9, :6]).all()
-
-    def test_matches_full_arc_solve_on_wide_networks(self, rng, solved_networks):
-        rounds = []
+    def test_matches_full_arc_solve_on_wide_networks(self, rng):
         for _ in range(8):
             n_src, n_snk = (int(k) for k in rng.integers(20, 41, size=2))
             cfg = random_instance(rng, n_src, n_snk, total_mass=64)
             Z = rng.uniform(-1, 1, size=(int(rng.integers(8, 17)), 2))
-            args = _plan_network_args(cfg, Z)
-            solved_networks.clear()
-            got = _solve_flow_network(*args)
-            rounds.append(len(solved_networks))
-            assert list(got.items()) == list(_reference_flow_dict(*args).items())
-        assert max(rounds) > 1  # some omitted arc priced negative
-
-    def test_widens_when_candidates_cannot_carry_the_flow(self, solved_networks):
-        # sink 8 and a cluster of nine relays sit far from everything else:
-        # the sink's and the relays' cheapest rows are relays, and every
-        # source's cheapest columns are the eight near sinks, so no
-        # candidate path reaches sink 8
+            _assert_flows_match_per_arc_reference(cfg, Z)
+        # sink 8 and a cluster of nine relays far from everything else
         near = [(0.1 * k, 0.0) for k in range(8)]
         cfg = SignedConfig(
             sources=tuple(Atom((0.1 * k, 0.5), 1.0) for k in range(9)),
             sinks=tuple(Atom(p, 1.0) for p in near) + (Atom((50.0, 0.0), 1.0),),
             dimension=2,
         )
-        Z = np.array([[50.0 + 0.01 * k, 1.0] for k in range(9)])
-        args = _plan_network_args(cfg, Z)
-        want = _reference_flow_dict(*args)
-        solved_networks.clear()
-        assert list(_solve_flow_network(*args).items()) == list(want.items())
-        assert len(solved_networks) == 2
-        first, last = solved_networks
-        assert sum(first.flows(0, 9)) < MASS_UNITS  # the candidates fall short
-        # 18 terminal arcs, then every pair of the 18 x 18 matrix but the
-        # 9 free self-loops
-        assert len(last.to) // 2 == 18 + 18 * 18 - 9
+        _assert_flows_match_per_arc_reference(cfg, np.array([[50.0 + 0.01 * k, 1.0] for k in range(9)]))
 
     def test_tie_heavy_inputs_reach_the_optimum(self, rng):
         # lattice points: coincident relays, relays on terminals, duplicate
-        # terminals, and many equal costs
+        # terminals, and many equal costs.  Several plans tie for the
+        # optimum, and the simplex may return another of them than the
+        # reference: the costs must agree
         for q in (2.0, 1.5):
             for _ in range(4):
                 pts = rng.integers(0, 4, size=(12, 2)).astype(float)
@@ -336,7 +351,8 @@ class TestPricingLoop:
                     dimension=2,
                 )
                 Z = np.vstack([pts[rng.integers(0, 12, size=6)], np.repeat(pts[:2], 3, axis=0)])
-                plan, cost = min_cost_plan(cfg, Z, q)
+                basis = TreeBasis()
+                plan, cost = min_cost_plan(cfg, Z, q, basis)
                 assert check_plan(plan, cfg) == []
                 args = _plan_network_args(cfg, Z, q)
                 unit = 24.0 / MASS_UNITS
@@ -345,29 +361,185 @@ class TestPricingLoop:
                 again, cost2 = min_cost_plan(cfg, Z, q)
                 assert cost2.hex() == cost.hex()
                 assert list(again.entries.items()) == list(plan.entries.items())
+                # the final tree is a strongly feasible start, already optimal
+                warm, cost3 = min_cost_plan(cfg, Z, q, basis)
+                assert cost3.hex() == cost.hex()
+                assert list(warm.entries.items()) == list(plan.entries.items())
 
     def test_potentials_certify_every_arc(self, rng, solved_networks):
         for _ in range(6):
             cfg = random_instance(rng, 24, 24, total_mass=32)
             Z = rng.uniform(-1, 1, size=(12, 2))
             args = _plan_network_args(cfg, Z)
+            F, n_src, n_snk = args[:3]
+            n_free = len(Z)
+            basis = TreeBasis()
             solved_networks.clear()
-            got = _solve_flow_network(*args)
-            F, n_src, n_snk, n_free = args[:4]
+            got = _solve_flow_network(*args, basis)
+            (net,) = solved_networks
             tol = 1e-12 * F.max()
-            for net in solved_networks:
-                to, cap, cost, pi = net.to, net.cap, net.cost, net.pi
-                worst = min(
-                    cost[a] + pi[to[a ^ 1]] - pi[to[a]] for a in range(len(to)) if cap[a] > 0
-                )
-                assert worst >= -tol
-            # the last potentials also price every arc of the complete network
-            pi = np.array(solved_networks[-1].pi)
+            pi = net.pi
             row_node = np.r_[np.arange(n_src), n_src + n_snk + np.arange(n_free)]
             rc = F + pi[row_node][:, None] - pi[n_src:n_src + n_snk + n_free]
-            rc[n_src + np.arange(n_free), n_snk + np.arange(n_free)] = 0.0
+            rc[n_src + np.arange(n_free), n_snk + np.arange(n_free)] = np.inf  # no arc
             assert rc.min() >= -tol
-            assert all(abs(rc[key]) <= tol for key in got)  # complementary slackness
+            # tree arcs price at 0, and the flow lies on them
+            tree = [a for a in basis.pred if a < net.m]
+            tails, heads = net.to[1::2][tree], net.to[0::2][tree]
+            rows, cols = np.where(tails < n_src, tails, tails - n_snk), heads - n_src
+            assert np.abs(rc[rows, cols]).max() <= tol
+            assert set(got) <= set(zip(rows.tolist(), cols.tolist()))
+            assert len(tree) <= n_src + n_snk + n_free - 1
+
+
+def _recorded_descent(monkeypatch, solved_networks, cfg, Z0, q):
+    """Positions, plan and pivot count of every plan solve of one descent."""
+    calls = []
+    plan_step = positions.min_cost_plan
+
+    def recording(config, Z, q, basis=None):
+        out = plan_step(config, Z, q, basis)
+        calls.append((Z.copy(), out[0], solved_networks[-1].pivots))
+        return out
+
+    with monkeypatch.context() as patched:
+        patched.setattr(positions, "min_cost_plan", recording)
+        positions._descend(cfg, Z0, q, [])
+    return calls
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("instance", ["wide_plan", "y"])
+    def test_replayed_descent_matches_cold_solves(self, instance, monkeypatch, solved_networks):
+        # the starts of the benchmark: the W1 seed on the wide plan, and on
+        # the Y, whose W1 seed is a fixed point, the first random restart
+        if instance == "wide_plan":
+            cfg = random_instance(np.random.default_rng([0, 0]), 64, 64, total_mass=64)
+            Z0 = positions.w1_seed(cfg, 32)
+        else:
+            cfg = y_instance()
+            rng = np.random.default_rng(np.random.SeedSequence([0, 0]))
+            Z0 = positions._random_seed_positions(cfg, 24, rng)
+        calls = _recorded_descent(monkeypatch, solved_networks, cfg, Z0, 2.0)
+        assert len(calls) >= 3
+        cold = []
+        for Z, plan, _ in calls:
+            solved_networks.clear()
+            again, _ = min_cost_plan(cfg, Z, 2.0)
+            cold.append(solved_networks[-1].pivots)
+            assert list(again.entries.items()) == list(plan.entries.items())
+        warm = [pivots for *_, pivots in calls]
+        assert warm[0] == cold[0]  # the descent's first solve starts cold
+        assert sum(warm) < sum(cold)
+
+    def test_rejects_a_basis_from_another_network(self, rng):
+        def config(src, snk):
+            return SignedConfig(
+                sources=tuple(Atom((float(k), 0.0), m) for k, m in enumerate(src)),
+                sinks=tuple(Atom((float(k), 1.0), m) for k, m in enumerate(snk)),
+                dimension=2,
+            )
+
+        cfg = config((1.0, 2.0, 3.0, 2.0), (4.0, 2.0, 2.0))
+        Z = rng.uniform(0, 3, size=(3, 2))
+        basis = TreeBasis()
+        plan, _ = min_cost_plan(cfg, Z, 2.0, basis)
+        # the same network at other positions starts from it
+        min_cost_plan(cfg, Z + 0.1, 2.0, basis)
+        with pytest.raises(ValueError, match="balance"):
+            min_cost_plan(config((2.0, 2.0, 2.0, 2.0), (3.0, 3.0, 2.0)), Z, 2.0, basis)
+        with pytest.raises(ValueError, match="nodes"):
+            min_cost_plan(cfg, Z[:2], 2.0, basis)
+        stale = TreeBasis()
+        stale.parent, stale.pred, stale.flow = basis.parent, basis.pred, list(basis.flow)
+        u = next(u for u, f in enumerate(stale.flow) if f > 0)
+        stale.flow[u] += 1
+        with pytest.raises(ValueError, match="balance"):
+            min_cost_plan(cfg, Z, 2.0, stale)
+        stale.flow[u] -= 1
+        stale.parent = list(stale.parent)
+        stale.parent[u] = u  # a loop, not a tree
+        with pytest.raises(ValueError):
+            min_cost_plan(cfg, Z, 2.0, stale)
+
+
+#: (sources, sinks, relays): points and masses that make the plan LP degenerate
+DEGENERATE = {
+    "coincident relays and a zero-mass sink": (
+        [((0.0, 0.0), 1.0), ((2.0, 0.0), 1.0)], [((1.0, 1.0), 2.0), ((1.0, -1.0), 0.0)],
+        [(1.0, 0.0)] * 4,
+    ),
+    "relays on terminals": (
+        [((0.0, 0.0), 1.0), ((2.0, 0.0), 3.0)], [((0.0, 2.0), 2.0), ((2.0, 2.0), 2.0)],
+        [(0.0, 0.0), (2.0, 0.0), (0.0, 2.0), (2.0, 2.0)],
+    ),
+    "duplicate terminals": (
+        [((0.0, 0.0), 1.0)] * 3 + [((1.0, 0.0), 1.0)], [((1.0, 1.0), 2.0)] * 2,
+        [(0.5, 0.5), (0.5, 0.5), (1.0, 1.0)],
+    ),
+    "idle relays": (
+        [((0.0, 0.0), 2.0), ((1.0, 0.0), 2.0)], [((0.0, 1.0), 1.0), ((1.0, 1.0), 3.0)],
+        [(50.0, 50.0), (-40.0, 60.0), (0.5, 0.5)],
+    ),
+}
+
+
+class TestDegenerateInputs:
+    @pytest.mark.parametrize("case", list(DEGENERATE))
+    def test_ends_with_a_feasible_forest(self, case):
+        src, snk, relays = DEGENERATE[case]
+        cfg = SignedConfig(
+            sources=tuple(Atom(p, m) for p, m in src),
+            sinks=tuple(Atom(p, m) for p, m in snk),
+            dimension=2,
+        )
+        Z = np.array(relays)
+        for q in (1.5, 2.0, 3.0):
+            plan, cost = min_cost_plan(cfg, Z, q)
+            assert check_plan(plan, cfg) == []
+            assert edges_form_forest(
+                (plan.row_to_vertex(i), plan.col_to_vertex(j)) for i, j in plan.entries
+            )
+            ref = _lp_reference(cfg, Z, q)
+            assert abs(cost - ref) <= 1e-9 * ref
+
+    @given(
+        n_src=st.integers(2, 6),
+        n_snk=st.integers(2, 6),
+        n_free=st.integers(0, 5),
+        dim=st.sampled_from([1, 2, 3]),
+        q=st.floats(1.0, 4.0, exclude_min=True),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_linprog_at_every_scale(self, n_src, n_snk, n_free, dim, q, seed):
+        rng = np.random.default_rng(seed)
+        cfg = random_instance(rng, n_src, n_snk, dim=dim)
+        Z = rng.uniform(-1, 1, size=(n_free, dim))
+        plan, cost = min_cost_plan(cfg, Z, q)
+        ref = _lp_reference(cfg, Z, q)
+        assert abs(cost - ref) <= 1e-9 * ref
+        # as q -> 1, collinear routes tie to within the entering tolerance
+        # (in one dimension every route between two points does), so which
+        # of them is kept depends on rounding; away from 1 the optimum is
+        # unique and must not depend on the scale
+        if q >= 1.1:
+            flows = list(_solve_flow_network(*_plan_network_args(cfg, Z, q)).items())
+            for k in (-2, -1, 1, 2):
+                args = _plan_network_args(*_scaled(cfg, Z, 4.0**k), q)
+                assert list(_solve_flow_network(*args).items()) == flows
+        again, cost2 = min_cost_plan(cfg, Z, q)
+        assert cost2.hex() == cost.hex()
+        assert list(again.entries.items()) == list(plan.entries.items())
+
+    def test_flows_do_not_depend_on_extreme_scales(self, rng):
+        # costs from 1e-36 to 1e36: every tolerance must scale with max F
+        for q in (1.5, 2.0, 3.0):
+            cfg = random_instance(rng, 5, 4)
+            Z = rng.uniform(-1, 1, size=(4, 2))
+            flows = list(_solve_flow_network(*_plan_network_args(cfg, Z, q)).items())
+            for k in (-20, -8, 8, 20):
+                args = _plan_network_args(*_scaled(cfg, Z, 4.0**k), q)
+                assert list(_solve_flow_network(*args).items()) == flows
 
 
 class TestTransportPlan:
