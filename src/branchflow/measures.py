@@ -26,6 +26,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -93,35 +94,61 @@ class SignedConfig:
     def zero_mass_sinks(self) -> tuple[int, ...]:
         return tuple(i for i, a in enumerate(self.sinks) if a.mass == 0.0)
 
-    # fresh arrays on every call so callers can mutate freely
-    def source_positions(self) -> np.ndarray:
+    # The arrays and the diameter are derived once per instance: the
+    # dataclass is frozen and its atoms are immutable.  The public methods
+    # return fresh copies so callers can mutate freely.
+    @cached_property
+    def _source_positions(self) -> np.ndarray:
         return np.array([a.position for a in self.sources], dtype=float).reshape(
             len(self.sources), self.dimension
         )
 
-    def sink_positions(self) -> np.ndarray:
+    @cached_property
+    def _sink_positions(self) -> np.ndarray:
         return np.array([a.position for a in self.sinks], dtype=float).reshape(
             len(self.sinks), self.dimension
         )
 
-    def source_masses(self) -> np.ndarray:
+    @cached_property
+    def _terminal_positions(self) -> np.ndarray:
+        return np.vstack([self._source_positions, self._sink_positions])
+
+    @cached_property
+    def _source_masses(self) -> np.ndarray:
         return np.array([a.mass for a in self.sources], dtype=float)
 
-    def sink_masses(self) -> np.ndarray:
+    @cached_property
+    def _sink_masses(self) -> np.ndarray:
         return np.array([a.mass for a in self.sinks], dtype=float)
 
+    @cached_property
+    def _diameter(self) -> float:
+        pts = self._terminal_positions
+        diff = pts[:, None, :] - pts[None, :, :]
+        return float(np.sqrt((diff**2).sum(axis=2)).max())
+
+    def source_positions(self) -> np.ndarray:
+        return self._source_positions.copy()
+
+    def sink_positions(self) -> np.ndarray:
+        return self._sink_positions.copy()
+
+    def source_masses(self) -> np.ndarray:
+        return self._source_masses.copy()
+
+    def sink_masses(self) -> np.ndarray:
+        return self._sink_masses.copy()
+
     def terminal_positions(self) -> np.ndarray:
-        return np.vstack([self.source_positions(), self.sink_positions()])
+        return self._terminal_positions.copy()
 
     def bbox(self) -> tuple[np.ndarray, np.ndarray]:
-        pts = self.terminal_positions()
+        pts = self._terminal_positions
         return pts.min(axis=0), pts.max(axis=0)
 
     def diameter(self) -> float:
         """Largest pairwise distance between terminals."""
-        pts = self.terminal_positions()
-        diff = pts[:, None, :] - pts[None, :, :]
-        return float(np.sqrt((diff**2).sum(axis=2)).max())
+        return self._diameter
 
 
 def total_mass(config: SignedConfig) -> float:

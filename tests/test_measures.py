@@ -110,6 +110,22 @@ class TestConfigAccessors:
         assert lo.tolist() == [-1.0, 0.0] and hi.tolist() == [1.0, 2.0]
         assert cfg.diameter() == pytest.approx(math.sqrt(5.0))
 
+    def test_arrays_are_fresh_copies(self):
+        # derived once per config, but a caller's writes never reach it
+        cfg = pair(2.0, 2.0)
+        for method in (cfg.source_positions, cfg.sink_positions,
+                       cfg.terminal_positions, cfg.source_masses, cfg.sink_masses):
+            first = method()
+            first[...] = -7.0
+            assert not (method() == -7.0).any()
+        lo, hi = cfg.bbox()
+        lo[...] = hi[...] = -7.0
+        assert cfg.bbox()[0].tolist() == [0.0, 0.0]
+        assert cfg.terminal_positions().tolist() == [[0.0, 0.0], [1.0, 0.0]]
+        assert cfg.diameter() == 1.0
+        # the derived arrays take no part in equality or hashing
+        assert cfg == pair(2.0, 2.0) and hash(cfg) == hash(pair(2.0, 2.0))
+
 
 class TestCostParams:
     def test_q_must_exceed_one(self):

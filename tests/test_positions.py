@@ -448,6 +448,38 @@ class TestAlternateMinimize:
         assert res.polish_fallbacks == sum(polish_fallbacks)
         assert res.converged  # outer convergence keeps its meaning
 
+    @pytest.mark.parametrize("case", ["y_n24_q2", "2+2_n16_q1.5"])
+    def test_rebalance_descents_start_stationary(self, monkeypatch, case):
+        # each rebalance descent starts at a position optimum of the plan
+        # its proposed layout induces, recomputed here from the layout
+        if case == "y_n24_q2":
+            cfg, n, q = y_instance(), 24, 2.0
+        else:
+            cfg, n, q = branchflow.random_instance(np.random.default_rng([0, 0]), 2, 2), 16, 1.5
+        events = []
+        real_layout, real_descend = positions._rebalance_layout, positions._descend
+
+        def layout(*args):
+            out = real_layout(*args)
+            events.append(("layout", out))
+            return out
+
+        def descend(config, Z0, *args):
+            events.append(("descend", Z0.copy()))
+            return real_descend(config, Z0, *args)
+
+        monkeypatch.setattr(positions, "_rebalance_layout", layout)
+        monkeypatch.setattr(positions, "_descend", descend)
+        alternate_minimize(cfg, n, CostParams(q=q))
+        starts = [(a[1], b[1]) for a, b in zip(events, events[1:])
+                  if a[0] == "layout" and a[1] is not None]
+        assert len(starts) > 0
+        for Z_layout, Z0 in starts:
+            plan, _ = min_cost_plan(cfg, Z_layout, q)
+            plan = positions.regularize(plan, cfg, Z_layout, q)
+            G = position_gradient(cfg, Z0, plan, q)
+            assert np.abs(G).max() <= _stop_tolerance(cfg, q)
+
     def test_report_document_shape(self):
         cfg = single_edge()
         res = alternate_minimize(cfg, 1, CostParams(q=2.0, restarts=0))
