@@ -195,8 +195,8 @@ class CostParams:
     q must be strictly greater than 1 (q = 1 collapses relay atoms into the
     plain Wasserstein problem; use :func:`branchflow.transport.wasserstein_q`
     directly for that).  The solver's tolerances and iteration budgets are
-    constants of :mod:`branchflow.positions` (GRAD_TOL, REL_TOL, MAX_ROUNDS,
-    INNER_ITERS, POLISH_ITERS).
+    constants of :mod:`branchflow.positions` (GRAD_TOL, INNER_ITERS,
+    POLISH_ITERS).
     """
 
     q: float

@@ -6,35 +6,27 @@ convex, continuously differentiable function of the free-atom positions
 solvers run on an edge-list kernel built once per plan: one gather of both
 ends of every arc from a preallocated position buffer, the arc vectors of
 the accepted line-search point reused for the next gradient, and the
-gradient scattered with one bincount.  The position solve inside each
-alternation round is gradient descent with Armijo backtracking, capped
-at INNER_ITERS iterations.  Two solves are damped Newton on the same
-kernel, whose Hessian has one block per arc, capped at POLISH_ITERS: the
-solve that makes each rebalance proposal stationary for its own plan,
-and the final polish of every descent.  The rounds stay on gradient
-descent for now: Newton there shortens the benchmark's single-edge
+gradient scattered with one bincount.  Each start's first position solve
+is gradient descent with Armijo backtracking, capped at INNER_ITERS
+iterations; Newton there would shorten the benchmark's single-edge
 warm-up below the speed probe's first sample, which then fails, so it
-waits on the probe fix.  Every position solve stops at the gradient
-tolerance GRAD_TOL; a start stops alternating after MAX_ROUNDS rounds,
-or once a round lowers the cost by less than REL_TOL.  The
-kernel and the Newton loop also solve the oracle's fixed topologies
-(``oracle.solve_topology``): exponent 1, per-arc weights, smoothed
-lengths, so one geometric kernel serves both.  The outer loop alternates
-exact plan solves, plan regularization, and position descent, with a
-multistart layer on top, since the joint problem is not convex.
+waits on the probe fix.  Every other position solve is damped Newton on
+the same kernel, whose Hessian has one block per arc, capped at
+POLISH_ITERS; at q = 2 the Hessian is a weighted graph Laplacian and one
+step is exact.  Every position solve stops at the gradient tolerance
+GRAD_TOL.  The kernel and the Newton loop also solve the oracle's fixed
+topologies (``oracle.solve_topology``): exponent 1, per-arc weights,
+smoothed lengths, so one geometric kernel serves both.
 
-Two extras beyond plain alternation, both cost-guarded so monotonicity
-is preserved:
-
-* a rebalance move that redistributes the atom count over the current
-  reduced tree by the closed-form allocation, solves that layout's plan
-  and then its positions by Newton, and restarts the descent from there
-  — alternation alone cannot move an atom from one branch to another
-  once the plan's support has frozen;
-* a final Newton polish of positions under a strict gradient tolerance,
-  so chain atoms land on their equally-spaced limits to well below the
-  structural verification tolerances.  At q = 2 the Hessian is a weighted
-  graph Laplacian and one Newton step is exact.
+The outer loop settles plan and positions for one point allocation at a
+time: Newton moves the atoms to the plan's position optimum, the exact
+plan is re-solved and regularized there, and the two alternate until the
+plan's support stops changing.  A start settles after one plan solve and
+one gradient descent.  Alternation alone cannot move an atom from one
+branch to another once the support has frozen, so a cost-guarded
+rebalance redistributes the atom count over the current reduced tree by
+the closed-form allocation and settles that layout's plan.  A multistart
+layer sits on top, since the joint problem is not convex.
 """
 
 from __future__ import annotations
@@ -72,14 +64,12 @@ MONOTONE_SLACK = 1e-9
 COST_ROUNDING = 16.0 * float(np.finfo(float).eps)
 #: position solves stop at a gradient sup-norm of this times mass * diam^(q-1)
 GRAD_TOL = 1e-9
-#: a start stops alternating when a round lowers the cost by less than this
-REL_TOL = 1e-8
-#: alternation rounds per start
-MAX_ROUNDS = 200
-#: gradient-descent iterations per round's position solve
+#: gradient-descent iterations for a start's first position solve
 INNER_ITERS = 500
-#: Newton iterations for the final polish
+#: Newton iterations per Newton position solve
 POLISH_ITERS = 2000
+#: Newton-and-plan passes per settle before it gives up on a stable support
+_SETTLE_PASSES = 5
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,7 +82,9 @@ class SolveResult:
     cost_q: float
     n: int
     q: float
+    #: settle passes of the winning start, its descent's and its proposals'
     iterations: int
+    #: every settle of the winning start ended on a stable plan support
     converged: bool
     start_index: int = 0
     n_starts: int = 1
@@ -215,8 +207,8 @@ class _EdgeKernel:
 
         Each free end gets its arc's block on its own diagonal block; an
         arc with both ends free also gets the negated block at (tail, head)
-        and (head, tail).  Built on first use, so the round descents, which
-        never ask for a Hessian, do not pay for it.
+        and (head, tail).  Built on first use, so the gradient descents,
+        which never ask for a Hessian, do not pay for it.
         """
         m, dim = self.m, self.dim
         free = np.zeros(2 * m, dtype=bool)
@@ -524,61 +516,28 @@ def _same_support(a: TransportPlan, b: TransportPlan, tol: float) -> bool:
     return set(a.pruned(tol).entries) == set(b.pruned(tol).entries)
 
 
-def _descend(
+def _settle(
     config: SignedConfig,
-    Z0: np.ndarray,
+    Z: np.ndarray,
+    plan: TransportPlan,
     q: float,
     fallbacks: list[int],
-    basis: TreeBasis | None = None,
-) -> tuple[np.ndarray, TransportPlan, float, int, bool, int]:
-    """One pass of alternating minimization from a given start.
+    basis: TreeBasis,
+) -> tuple[np.ndarray, TransportPlan, float, bool, int, int]:
+    """Settle positions and plan for one allocation, starting from ``plan``.
 
-    Each round: exact plan for the current positions, regularization,
-    gradient descent on positions.  Every half-step must not increase the
-    cost; a violation beyond slack raises SolverError.  Stops on relative
-    cost decrease below REL_TOL, then polishes positions by Newton
-    to the strict gradient tolerance and re-stabilizes the plan.  The last
-    value returned counts the position solves that hit their budget; each
-    polish appends its gradient fallbacks to ``fallbacks``.  Every plan solve
-    of the descent starts from the previous one's simplex basis: terminals,
-    masses and atom count stay fixed, so that basis is always feasible.
-    The first solve starts from ``basis`` when one is given (a rebalance
-    proposal's, solved at the start's layout), and cold otherwise.
+    Each pass moves the positions to the plan's optimum by Newton
+    (``polish_positions``, which appends its gradient fallbacks to
+    ``fallbacks``), then solves the exact plan at the new positions warm
+    from ``basis`` and regularizes it.  Stops once a pass leaves the plan's
+    support unchanged, or after _SETTLE_PASSES passes.  Returns (Z, plan,
+    cost, stable, passes, Newton solves that hit their budget).
     """
-    Z = Z0.copy()
-    prev = np.inf
-    converged = False
-    rounds = 0
-    budget_hits = 0
-    plan = None
-    cost = np.inf
-    if basis is None:
-        basis = TreeBasis()
-    for rounds in range(1, MAX_ROUNDS + 1):
-        plan, cost_plan = min_cost_plan(config, Z, q, basis)
-        if cost_plan > prev * (1.0 + MONOTONE_SLACK) + 1e-300:
-            raise SolverError(
-                f"plan solve increased cost: {prev!r} -> {cost_plan!r}"
-            )
-        plan = regularize(plan, config, Z, q)
-        cost_reg = plan_cost(config, Z, plan, q)
-        if cost_reg > cost_plan * (1.0 + MONOTONE_SLACK) + 1e-300:
-            raise SolverError(
-                f"regularization increased cost: {cost_plan!r} -> {cost_reg!r}"
-            )
-        Z, cost, _, inner_ok = optimize_positions(config, plan, Z, q)
-        budget_hits += not inner_ok
-        if cost > cost_reg * (1.0 + MONOTONE_SLACK) + 1e-300:
-            raise SolverError(
-                f"position step increased cost: {cost_reg!r} -> {cost!r}"
-            )
-        if prev - cost <= REL_TOL * max(abs(prev), 1e-300):
-            converged = True
-            break
-        prev = cost
-    # polish: strict stationarity for the final plan, then re-stabilize
     tol = zero_flow_threshold(plan, config)
-    for _ in range(5):
+    budget_hits = 0
+    stable = False
+    passes = 0
+    for passes in range(1, _SETTLE_PASSES + 1):
         Z, cost, _, inner_ok = polish_positions(config, plan, Z, q, fallbacks=fallbacks)
         budget_hits += not inner_ok
         plan2, _ = min_cost_plan(config, Z, q, basis)
@@ -588,7 +547,40 @@ def _descend(
         plan, cost = plan2, min(cost, cost2)
         if stable:
             break
-    return Z, plan, cost, rounds, converged, budget_hits
+    return Z, plan, cost, stable, passes, budget_hits
+
+
+def _descend(
+    config: SignedConfig,
+    Z0: np.ndarray,
+    q: float,
+    fallbacks: list[int],
+    basis: TreeBasis,
+) -> tuple[np.ndarray, TransportPlan, float, bool, int, int]:
+    """Descend from a start: exact plan for Z0, regularization, gradient
+    descent on positions, then ``_settle``.
+
+    Neither the regularization nor the position step may increase the
+    cost; a violation beyond slack raises SolverError.  Every plan solve
+    runs on ``basis``, so each starts from the previous one's simplex tree:
+    terminals, masses and atom count stay fixed, so that tree is always
+    feasible.  Returns ``_settle``'s tuple, whose budget hits include the
+    gradient descent's.
+    """
+    plan, cost_plan = min_cost_plan(config, Z0, q, basis)
+    plan = regularize(plan, config, Z0, q)
+    cost_reg = plan_cost(config, Z0, plan, q)
+    if cost_reg > cost_plan * (1.0 + MONOTONE_SLACK) + 1e-300:
+        raise SolverError(
+            f"regularization increased cost: {cost_plan!r} -> {cost_reg!r}"
+        )
+    Z, cost, _, inner_ok = optimize_positions(config, plan, Z0, q)
+    if cost > cost_reg * (1.0 + MONOTONE_SLACK) + 1e-300:
+        raise SolverError(
+            f"position step increased cost: {cost_reg!r} -> {cost!r}"
+        )
+    Z, plan, cost, stable, passes, hits = _settle(config, Z, plan, q, fallbacks, basis)
+    return Z, plan, cost, stable, passes, hits + (not inner_ok)
 
 
 def _rebalance_layout(
@@ -633,13 +625,14 @@ def alternate_minimize(
 
     Starts: one deterministic layout along the W_1 matching, plus
     params.restarts uniform samples in the terminal bounding box, all
-    driven by params.seed (bit-identical reruns).  Each start descends
-    to a fixed point, with gradient-descent rounds, then tries
-    allocation-guided rebalances (kept only on strict improvement).  Each
-    proposed layout gets its own plan, and Newton moves the atoms to that
-    plan's position optimum; the descent that follows starts there, warm
-    from that plan's simplex basis, so its gradient rounds need not drag
-    relay chains into place.  Ties break on start index.
+    driven by params.seed (bit-identical reruns).  Each start descends and
+    settles (``_descend``), then tries allocation-guided rebalances: each
+    proposed layout gets its own plan and is settled from there, and is
+    kept only on strict improvement.  A start's descent and its proposals
+    share one simplex basis; the cascade stops at the first rejection, so
+    the basis always holds the last settled plan's tree.  Ties break on
+    start index.  The result's ``converged`` and ``iterations`` report the
+    winning start's settles.
     """
     config = validate(config)
     q = params.q
@@ -666,36 +659,31 @@ def alternate_minimize(
     budget_hits = 0
     fallbacks: list[int] = []
     for idx, Z0 in enumerate(starts):
-        Z, plan, cost, rounds, conv, hits = _descend(config, Z0, q, fallbacks)
+        basis = TreeBasis()
+        Z, plan, cost, conv, passes, hits = _descend(config, Z0, q, fallbacks, basis)
         budget_hits += hits
         # each accepted rebalance simplifies the tree topology a little, so
-        # allow enough passes for the cascade to bottom out
+        # allow enough proposals for the cascade to bottom out
         for _ in range(12):
             Z_re = _rebalance_layout(config, Z, plan, q, n)
             if Z_re is None:
                 break
-            # the proposal's own plan, solved for positions by Newton: the
-            # descent starts stationary instead of dragging relay chains
-            # into place by gradient steps, and its first plan solve is warm
-            basis = TreeBasis()
             plan_re, _ = min_cost_plan(config, Z_re, q, basis)
             plan_re = regularize(plan_re, config, Z_re, q)
-            Z_re, _, _, inner_ok = polish_positions(
-                config, plan_re, Z_re, q, fallbacks=fallbacks)
-            budget_hits += not inner_ok
-            Z2, plan2, cost2, rounds2, conv2, hits = _descend(
-                config, Z_re, q, fallbacks, basis)
-            rounds += rounds2
+            Z2, plan2, cost2, stable, passes2, hits = _settle(
+                config, Z_re, plan_re, q, fallbacks, basis)
+            conv = conv and stable
+            passes += passes2
             budget_hits += hits
             if cost2 < cost * (1.0 - 1e-12):
-                Z, plan, cost, conv = Z2, plan2, cost2, conv2
+                Z, plan, cost = Z2, plan2, cost2
             else:
                 break
         start_costs.append(cost)
         if best is None or cost < best[0] * (1.0 - 1e-12):
-            best = (cost, idx, Z, plan, rounds, conv)
+            best = (cost, idx, Z, plan, passes, conv)
 
-    cost, idx, Z, plan, rounds, conv = best
+    cost, idx, Z, plan, passes, conv = best
     tol = zero_flow_threshold(plan, config)
     used = plan.throughputs() > tol
     return SolveResult(
@@ -704,7 +692,7 @@ def alternate_minimize(
         cost_q=cost,
         n=n,
         q=q,
-        iterations=rounds,
+        iterations=passes,
         converged=conv,
         start_index=idx,
         n_starts=len(starts),

@@ -449,36 +449,59 @@ class TestAlternateMinimize:
         assert res.converged  # outer convergence keeps its meaning
 
     @pytest.mark.parametrize("case", ["y_n24_q2", "2+2_n16_q1.5"])
-    def test_rebalance_descents_start_stationary(self, monkeypatch, case):
-        # each rebalance descent starts at a position optimum of the plan
-        # its proposed layout induces, recomputed here from the layout
+    def test_rebalance_settles_end_stationary(self, monkeypatch, case):
+        # a rebalance settle that reports a stable support returns positions
+        # at a position optimum of the plan it returns
         if case == "y_n24_q2":
             cfg, n, q = y_instance(), 24, 2.0
         else:
             cfg, n, q = branchflow.random_instance(np.random.default_rng([0, 0]), 2, 2), 16, 1.5
         events = []
-        real_layout, real_descend = positions._rebalance_layout, positions._descend
+        real_layout, real_settle = positions._rebalance_layout, positions._settle
 
         def layout(*args):
             out = real_layout(*args)
             events.append(("layout", out))
             return out
 
-        def descend(config, Z0, *args):
-            events.append(("descend", Z0.copy()))
-            return real_descend(config, Z0, *args)
+        def settle(*args):
+            out = real_settle(*args)
+            events.append(("settle", out))
+            return out
 
         monkeypatch.setattr(positions, "_rebalance_layout", layout)
-        monkeypatch.setattr(positions, "_descend", descend)
+        monkeypatch.setattr(positions, "_settle", settle)
         alternate_minimize(cfg, n, CostParams(q=q))
-        starts = [(a[1], b[1]) for a, b in zip(events, events[1:])
-                  if a[0] == "layout" and a[1] is not None]
-        assert len(starts) > 0
-        for Z_layout, Z0 in starts:
-            plan, _ = min_cost_plan(cfg, Z_layout, q)
-            plan = positions.regularize(plan, cfg, Z_layout, q)
-            G = position_gradient(cfg, Z0, plan, q)
+        settled = [b[1] for a, b in zip(events, events[1:])
+                   if a[0] == "layout" and a[1] is not None and b[1][3]]
+        assert len(settled) > 0
+        for Z, plan, *_ in settled:
+            G = position_gradient(cfg, Z, plan, q)
             assert np.abs(G).max() <= _stop_tolerance(cfg, q)
+
+    def test_iterations_count_the_winning_starts_settle_passes(self, monkeypatch):
+        # every settle after a _descend call belongs to that call's start
+        starts = []
+        real_descend, real_settle = positions._descend, positions._settle
+
+        def descend(*args):
+            starts.append([])
+            return real_descend(*args)
+
+        def settle(*args):
+            out = real_settle(*args)
+            starts[-1].append(out[4])
+            return out
+
+        monkeypatch.setattr(positions, "_descend", descend)
+        monkeypatch.setattr(positions, "_settle", settle)
+        cfg = branchflow.random_instance(np.random.default_rng([0, 0]), 2, 2)
+        res = alternate_minimize(cfg, 16, CostParams(q=1.5))
+        assert len(starts) == res.n_starts
+        won = starts[res.start_index]
+        assert res.iterations == sum(won)
+        assert res.iterations > len(won)  # some settle took more than one pass
+        assert res.converged
 
     def test_report_document_shape(self):
         cfg = single_edge()

@@ -14,6 +14,7 @@ from branchflow import (
     InvalidConfigError,
     SignedConfig,
     oracle,
+    positions,
     random_instance,
     save_problem,
     single_edge,
@@ -126,6 +127,29 @@ class TestCliExitCodes:
     def test_negative_n_is_2(self, problem_file, tmp_path):
         assert main(["solve", str(problem_file), "--n", "-3",
                      "--out-dir", str(tmp_path)]) == 2
+
+    def test_unsettled_solve_is_3(self, tmp_path, monkeypatch, capsys):
+        # a settle of Y at n=24 needs more than one plan-and-Newton pass, so
+        # with one pass allowed the winning start's support never settles
+        passes = []
+        real_settle = positions._settle
+
+        def settle(*args):
+            out = real_settle(*args)
+            passes.append(out[4])
+            return out
+
+        with monkeypatch.context() as patched:
+            patched.setattr(positions, "_settle", settle)
+            res = positions.alternate_minimize(y_instance(), 24, CostParams(q=2.0))
+        assert res.converged and max(passes) >= 2
+
+        monkeypatch.setattr(positions, "_SETTLE_PASSES", 1)
+        problem, out = tmp_path / "y.json", tmp_path / "out"
+        save_problem(problem, y_instance(), 2.0)
+        assert main(["solve", str(problem), "--n", "24", "--out-dir", str(out)]) == 3
+        assert "converged=False" in capsys.readouterr().out
+        assert json.loads((out / "solve_n24.json").read_text())["converged"] is False
 
 
 class TestCliCommands:

@@ -8,6 +8,7 @@ from scipy.optimize import linear_sum_assignment, linprog
 
 from branchflow import (
     Atom,
+    CostParams,
     SignedConfig,
     TransportPlan,
     min_cost_plan,
@@ -29,7 +30,7 @@ from branchflow.transport import (
     plan_cost,
     wasserstein_coupling,
 )
-from conftest import enumerate_basic_optimum, random_config
+from conftest import enumerate_basic_optimum, random_config, random_feasible_plan
 
 
 class TestCostMatrix:
@@ -404,7 +405,7 @@ def _recorded_descent(monkeypatch, solved_networks, cfg, Z0, q):
 
     with monkeypatch.context() as patched:
         patched.setattr(positions, "min_cost_plan", recording)
-        positions._descend(cfg, Z0, q, [])
+        positions._descend(cfg, Z0, q, [], TreeBasis())
     return calls
 
 
@@ -431,6 +432,56 @@ class TestWarmStart:
         warm = [pivots for *_, pivots in calls]
         assert warm[0] == cold[0]  # the descent's first solve starts cold
         assert sum(warm) < sum(cold)
+
+    @pytest.mark.parametrize("case", ["y_n24_q2", "2+2_n16_q1.5"])
+    def test_rebalance_proposals_solve_warm(self, case, monkeypatch, solved_networks):
+        # a rebalance proposal's plan solves start from the tree its start's
+        # descent or last accepted proposal left; replayed cold, each reaches
+        # the same optimal cost, and the warm plan is a forest
+        if case == "y_n24_q2":
+            cfg, n, q = y_instance(), 24, 2.0
+        else:
+            cfg, n, q = random_instance(np.random.default_rng([0, 0]), 2, 2), 16, 1.5
+        calls = []
+        in_proposal = False
+        real_descend, real_layout = positions._descend, positions._rebalance_layout
+        plan_step = positions.min_cost_plan
+
+        def descend(*args):
+            nonlocal in_proposal
+            in_proposal = False
+            return real_descend(*args)
+
+        def layout(*args):
+            nonlocal in_proposal
+            out = real_layout(*args)
+            in_proposal = out is not None
+            return out
+
+        def recording(config, Z, q, basis=None):
+            # a proposal never solves on an empty basis
+            warm = basis is not None and len(basis.parent) > 0
+            out = plan_step(config, Z, q, basis)
+            if in_proposal:
+                assert warm
+                calls.append((Z.copy(), *out, solved_networks[-1].pivots))
+            return out
+
+        monkeypatch.setattr(positions, "_descend", descend)
+        monkeypatch.setattr(positions, "_rebalance_layout", layout)
+        monkeypatch.setattr(positions, "min_cost_plan", recording)
+        positions.alternate_minimize(cfg, n, CostParams(q=q))
+        assert len(calls) > 0
+        warm, cold = 0, 0
+        for Z, plan, cost, pivots in calls:
+            again, cost_cold = plan_step(cfg, Z, q)
+            assert abs(cost - cost_cold) <= 1e-12 * cost_cold
+            assert edges_form_forest(
+                (plan.row_to_vertex(i), plan.col_to_vertex(j)) for i, j in plan.entries
+            )
+            warm += pivots
+            cold += solved_networks[-1].pivots
+        assert warm < cold
 
     def test_rejects_a_basis_from_another_network(self, rng):
         def config(src, snk):
@@ -564,6 +615,27 @@ class TestTransportPlan:
         cfg = single_edge()
         bad = TransportPlan(1, 1, 2, {(0, 0): 1.0, (1, 1): 0.3})
         assert any("self-loop" in m for m in check_plan(bad, cfg))
+
+    def test_plan_cost_equals_the_per_entry_loop(self, rng):
+        # one norm per entry, summed left to right in entry order: the
+        # vectorized plan_cost must reproduce it bit for bit
+        def reference(cfg, Z, plan, q):
+            P = np.vstack([cfg.source_positions(), cfg.sink_positions(), Z])
+            total = 0.0
+            for (i, j), g in plan.entries.items():
+                d = float(np.linalg.norm(P[plan.row_to_vertex(i)] - P[plan.col_to_vertex(j)]))
+                total += g * d**q
+            return total
+
+        for trial in range(60):
+            dim = 1 + trial % 3
+            cfg = random_config(rng, dim=dim)
+            n_free = int(rng.integers(0, 6))
+            plan = random_feasible_plan(cfg, n_free, rng)
+            Z = rng.normal(size=(n_free, dim)) * 16.0 ** int(rng.integers(-2, 3))
+            for q in (1.5, 2.0, 3.0, float(rng.uniform(1.0, 4.0))):
+                assert plan_cost(cfg, Z, plan, q) == reference(cfg, Z, plan, q)
+        assert plan_cost(cfg, Z, TransportPlan(cfg.n_sources, cfg.n_sinks, n_free), 2.0) == 0.0
 
 
 class TestWasserstein:
