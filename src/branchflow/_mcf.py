@@ -37,12 +37,24 @@ nodes plus a root:
 Flows are Python integers throughout, so every basis is exact.  Ties break
 by position (row-major pricing, then the rule above), so identical inputs
 give identical flows.  A basic solution lies on a spanning tree, so the
-plan's support is a forest.  The final tree is written back to the caller's
-basis; within one descent the supplies and arcs never change, so it is a
-feasible start for the next solve.
+plan's support is a forest.
+
+**State between solves.**  The final tree is written back to the caller's
+basis, which records the network that wrote it.  A network is built once
+and may be solved many times: :meth:`MinCostFlowNetwork.reprice` replaces
+the costs that involve a free atom, while the supplies, the arcs and the
+sources' sink costs stay.  The network keeps its final tree's children,
+depths and arc directions, so its next solve from the basis it wrote skips
+the basis checks and the rebuild and only re-derives the potentials along
+the tree, then prices.  Potentials depend only on tree paths, so that solve
+is bit-identical to one on a fresh network started from the same tree.  A
+tree's flows depend only on the tree and the supplies, so a solve without
+a pivot leaves :meth:`MinCostFlowNetwork.flows` as it was.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -63,15 +75,22 @@ class TreeBasis:
     For every node (the root, node ``n``, excluded): its parent in the tree,
     the arc joining it to the parent (a plan arc id, or ``m + node`` for the
     node's artificial arc) and that arc's flow in mass units.  Empty until a
-    solve fills it.
+    solve fills it.  A solve writes the three as tuples and records itself
+    as :attr:`network`; while the basis holds those very tuples, that
+    network's next solve from it starts from the tree it kept.  Sequences a
+    caller assigns are checked by the next solve.
     """
 
-    __slots__ = ("parent", "pred", "flow")
+    __slots__ = ("parent", "pred", "flow", "network", "pivots")
 
     def __init__(self) -> None:
-        self.parent: list[int] = []
-        self.pred: list[int] = []
-        self.flow: list[int] = []
+        self.parent: Sequence[int] = ()
+        self.pred: Sequence[int] = ()
+        self.flow: Sequence[int] = ()
+        #: the network whose solve wrote the tree; None until one does
+        self.network: MinCostFlowNetwork | None = None
+        #: pivots of that solve: 0 when it ended on the tree it started from
+        self.pivots: int | None = None
 
 
 class MinCostFlowNetwork:
@@ -79,9 +98,10 @@ class MinCostFlowNetwork:
     columns, one row and one column per free atom after them."""
 
     __slots__ = (
-        "n", "m", "to", "pi", "pivots",
-        "_F", "_fmax", "_supply", "_row_node", "_col_node", "_rows", "_cols", "_arc_of",
-        "_tree",
+        "n", "m", "to", "pi", "pivots", "F",
+        "_n_src", "_n_snk", "_loops", "_fixed_max", "_fmax", "_supply",
+        "_row_node", "_col_node", "_row_list", "_col_list", "_rows", "_cols", "_arc_of",
+        "_tree", "_kept", "_flows",
     )
 
     def __init__(
@@ -98,16 +118,20 @@ class MinCostFlowNetwork:
             raise ValueError("cost matrix, supplies and free atoms disagree")
         n_term = n_src + n_snk
         self.n = n = n_term + n_free
+        self._n_src, self._n_snk = n_src, n_snk
         self._supply = np.concatenate(
             (src_units, np.negative(snk_units), np.zeros(n_free, dtype=np.int64))
         ).tolist()
         self._row_node = np.concatenate((np.arange(n_src), np.arange(n_term, n)))
         self._col_node = np.arange(n_src, n)
+        self._row_list, self._col_list = self._row_node.tolist(), self._col_node.tolist()
         # free self-loops are the only pairs without an arc; pricing sees +inf
-        F = F.astype(float, copy=True)
+        self._loops = (np.arange(n_src, n_rows), np.arange(n_snk, n_cols))
+        #: the costs, +inf on the free self-loops
+        self.F = F = F.astype(float, copy=True)
+        self._fixed_max = float(F[:n_src, :n_snk].max(initial=-np.inf))
         self._fmax = float(F.max())
-        F[np.arange(n_src, n_rows), np.arange(n_snk, n_cols)] = np.inf
-        self._F = F
+        F[self._loops] = np.inf
         allowed = F != np.inf
         self._arc_of = np.cumsum(allowed.ravel()) - 1
         self._rows, self._cols = np.nonzero(allowed)
@@ -119,7 +143,30 @@ class MinCostFlowNetwork:
         self.pi = np.zeros(n + 1)
         #: pivots of the last :meth:`solve`
         self.pivots = 0
-        self._tree: tuple[list[int], list[int], list[int]] | None = None
+        # the last solve's tree as written to its basis, and its working
+        # lists (parent with the root's entry, arc, flow, direction,
+        # children) for the next solve from that basis; None while a solve runs
+        self._tree: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]] | None = None
+        self._kept: tuple[list, list, list, list, list] | None = None
+        # flows() of that tree, None until asked
+        self._flows: dict[tuple[int, int], int] | None = None
+
+    def reprice(self, free_rows: np.ndarray, source_cols: np.ndarray) -> None:
+        """New costs for every pair that involves a free atom: the free atoms'
+        rows ``F[n_src:]`` and the sources' free-atom columns
+        ``F[:n_src, n_snk:]``.
+
+        The supplies, the arcs and the sources' sink costs stay, and the
+        last solve's tree stays a feasible start.
+        """
+        F = self.F
+        F[self._n_src:] = free_rows
+        F[: self._n_src, self._n_snk:] = source_cols
+        self._fmax = max(
+            float(free_rows.max(initial=self._fixed_max)),
+            float(source_cols.max(initial=self._fixed_max)),
+        )
+        F[self._loops] = np.inf
 
     def _arc_ends(self, a: int, u: int) -> tuple[int, int]:
         """(tail, head) of arc ``a``, which is plan arc ``a`` or node ``u``'s
@@ -130,30 +177,43 @@ class MinCostFlowNetwork:
             return (u, self.n) if self._supply[u] >= 0 else (self.n, u)
         raise ValueError(f"arc {a} cannot join node {u} to its parent")
 
-    def _start(self, basis: TreeBasis | None) -> tuple[list[int], list[int], list[int], list[bool]]:
-        """Parent, arc, flow and arc direction (toward the root) of every node."""
+    def _start(self, basis: TreeBasis | None) -> tuple[list, list, list, list, list, bool]:
+        """Parent (the root's entry -1 last), arc, flow, direction (toward
+        the root) and children of every node, and whether they are the tree
+        this network kept from its last solve."""
+        kept, self._kept = self._kept, None
+        tree = self._tree
+        # tuples are immutable: the very ones written hold the kept tree
+        if (kept is not None and basis is not None
+                and basis.parent is tree[0] and basis.pred is tree[1] and basis.flow is tree[2]):
+            return (*kept, True)
         n, supply = self.n, self._supply
         if basis is None or not basis.parent:
             up = [s >= 0 for s in supply]
-            return [n] * n, list(range(self.m, self.m + n)), [abs(s) for s in supply], up
-        parent, pred, flow = list(basis.parent), list(basis.pred), list(basis.flow)
-        if not len(parent) == len(pred) == len(flow) == n:
-            raise ValueError(f"basis has {len(parent)} nodes, the network {n}")
-        excess = [0] * (n + 1)
-        up = []
+            parent, pred, flow = [n] * n, list(range(self.m, self.m + n)), [abs(s) for s in supply]
+        else:
+            parent, pred, flow = list(basis.parent), list(basis.pred), list(basis.flow)
+            if not len(parent) == len(pred) == len(flow) == n:
+                raise ValueError(f"basis has {len(parent)} nodes, the network {n}")
+            excess = [0] * (n + 1)
+            up = []
+            for u in range(n):
+                tail, head = self._arc_ends(pred[u], u)
+                if {tail, head} != {u, parent[u]}:
+                    raise ValueError(f"arc {pred[u]} does not join node {u} to its parent")
+                f = flow[u]
+                if f < 0 or (f == 0 and tail != u):
+                    raise ValueError(f"basis is not strongly feasible at node {u}")
+                up.append(tail == u)
+                excess[tail] += f
+                excess[head] -= f
+            if excess[:n] != supply:
+                raise ValueError("basis flows do not balance the network's supplies")
+        children: list[list[int]] = [[] for _ in range(n + 1)]
         for u in range(n):
-            tail, head = self._arc_ends(pred[u], u)
-            if {tail, head} != {u, parent[u]}:
-                raise ValueError(f"arc {pred[u]} does not join node {u} to its parent")
-            f = flow[u]
-            if f < 0 or (f == 0 and tail != u):
-                raise ValueError(f"basis is not strongly feasible at node {u}")
-            up.append(tail == u)
-            excess[tail] += f
-            excess[head] -= f
-        if excess[:n] != supply:
-            raise ValueError("basis flows do not balance the network's supplies")
-        return parent, pred, flow, up
+            children[parent[u]].append(u)
+        parent.append(-1)
+        return parent, pred, flow, up, children, False
 
     def solve(self, basis: TreeBasis | None = None) -> int:
         """Optimal flow by primal network simplex; returns the pivot count.
@@ -167,21 +227,17 @@ class MinCostFlowNetwork:
         """
         n, m = self.n, self.m
         root = n
-        F, fmax = self._F, self._fmax
+        F, fmax = self.F, self._fmax
         big = fmax if fmax > 0.0 else 1.0
-        parent, pred, flow, up = self._start(basis)
-        parent.append(-1)
-        # children, depths and potentials by a walk from the root; a tree
-        # arc tail -> head has cost + pi[tail] - pi[head] == 0
+        parent, pred, flow, up, children, kept = self._start(basis)
+        # depths and potentials by a walk from the root; a tree arc
+        # tail -> head has cost + pi[tail] - pi[head] == 0
         rows, cols = self._rows, self._cols
         arcs = np.array(pred)
         plan = arcs < m
         costs = np.full(n, big)
         costs[plan] = F[rows[arcs[plan]], cols[arcs[plan]]]
         costs = costs.tolist()
-        children: list[list[int]] = [[] for _ in range(n + 1)]
-        for u in range(n):
-            children[parent[u]].append(u)
         depth = [0] * (n + 1)
         pot = [0.0] * (n + 1)
         order = [root]
@@ -194,7 +250,7 @@ class MinCostFlowNetwork:
             raise ValueError("basis parents do not form a tree")
         pi = np.array(pot)
         row_node, col_node = self._row_node, self._col_node
-        row_list, col_list = row_node.tolist(), col_node.tolist()
+        row_list, col_list = self._row_list, self._col_list
         n_cols = F.shape[1]
         tol = -ENTER_RTOL * fmax
         R = np.empty_like(F)
@@ -263,16 +319,26 @@ class MinCostFlowNetwork:
             pi[subtree] += shift
         if any(flow[u] for u in range(n) if pred[u] >= m):
             raise SolverError("network simplex left flow on an artificial arc")
-        del parent[n]
         self.pi, self.pivots = pi, pivots
-        self._tree = parent, pred, flow
+        if pivots or not kept:
+            # a tree's flows depend only on the tree and the supplies
+            self._tree = tuple(parent[:n]), tuple(pred), tuple(flow)
+            self._flows = None
+        self._kept = parent, pred, flow, up, children
         if basis is not None:
-            basis.parent, basis.pred, basis.flow = parent, pred, flow
+            basis.parent, basis.pred, basis.flow = self._tree
+            basis.network, basis.pivots = self, pivots
         return pivots
 
     def flows(self) -> dict[tuple[int, int], int]:
-        """Positive flows of the last :meth:`solve` by matrix key, row-major."""
-        _, pred, flow = self._tree
-        arcs = sorted((a, f) for a, f in zip(pred, flow) if a < self.m and f > 0)
-        rows, cols = self._rows, self._cols
-        return {(int(rows[a]), int(cols[a])): f for a, f in arcs}
+        """Positive flows of the last :meth:`solve` by matrix key, row-major.
+
+        The same dict is returned until a solve moves the tree, so callers
+        must not modify it.
+        """
+        if self._flows is None:
+            _, pred, flow = self._tree
+            arcs = sorted((a, f) for a, f in zip(pred, flow) if a < self.m and f > 0)
+            rows, cols = self._rows, self._cols
+            self._flows = {(int(rows[a]), int(cols[a])): f for a, f in arcs}
+        return self._flows

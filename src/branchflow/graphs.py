@@ -151,12 +151,16 @@ def plan_to_graph(config: SignedConfig, Z, plan: TransportPlan) -> WeightedDigra
         "source" if v < plan.n_sources else "sink" if v < n_term else "free"
         for v in keep
     )
-    edges = []
-    for (i, j), g in sorted(pruned.entries.items()):
-        u = remap[pruned.row_to_vertex(i)]
-        w = remap[pruned.col_to_vertex(j)]
-        length = float(np.linalg.norm(P[keep[u]] - P[keep[w]]))
-        edges.append(Edge(u, w, g, length))
+    items = sorted(pruned.entries.items())
+    tails = [pruned.row_to_vertex(i) for (i, _), _ in items]
+    heads = [pruned.col_to_vertex(j) for (_, j), _ in items]
+    # each squared length is the BLAS dot np.linalg.norm takes of one vector
+    d = P[tails] - P[heads]
+    lengths = np.sqrt((d[:, None, :] @ d[:, :, None]).ravel()).tolist()
+    edges = [
+        Edge(remap[t], remap[h], g, length)
+        for t, h, (_, g), length in zip(tails, heads, items, lengths)
+    ]
     return WeightedDigraph(
         positions=P[keep],
         roles=roles,

@@ -524,7 +524,8 @@ def _settle(
     fallbacks: list[int],
     basis: TreeBasis,
 ) -> tuple[np.ndarray, TransportPlan, float, bool, int, int]:
-    """Settle positions and plan for one allocation, starting from ``plan``.
+    """Settle positions and plan for one allocation, starting from ``plan``,
+    the regularized plan of the last solve on ``basis``.
 
     Each pass moves the positions to the plan's optimum by Newton
     (``polish_positions``, which appends its gradient fallbacks to
@@ -541,9 +542,15 @@ def _settle(
         Z, cost, _, inner_ok = polish_positions(config, plan, Z, q, fallbacks=fallbacks)
         budget_hits += not inner_ok
         plan2, _ = min_cost_plan(config, Z, q, basis)
-        plan2 = regularize(plan2, config, Z, q)
+        if basis.pivots == 0:
+            # the solve kept its tree, so its flows are those ``plan`` was
+            # regularized from; they form a forest, which regularize only
+            # prunes, whatever Z, so it would return ``plan`` again
+            plan2, stable = plan, True
+        else:
+            plan2 = regularize(plan2, config, Z, q)
+            stable = _same_support(plan2, plan, tol)
         cost2 = plan_cost(config, Z, plan2, q)
-        stable = _same_support(plan2, plan, tol)
         plan, cost = plan2, min(cost, cost2)
         if stable:
             break

@@ -23,10 +23,17 @@ nodes, demands on sink nodes, and free atoms are conservation nodes.  Every
 pair of the matrix but the free self-loops is an uncapacitated arc, and a
 primal network simplex (``_mcf``) prices all of them each pivot, so its
 final potentials certify the flow optimal for the full linear program.  Its
-flow is a basic solution, whose support is a forest.  ``min_cost_plan``
-takes an optional caller-owned :class:`TreeBasis`: the solve starts from it
-and leaves its final tree in it, which makes the next solve on the same
-masses warm.  Apart from that basis, nothing here keeps state.
+flow is a basic solution, whose support is a forest.
+
+``min_cost_plan`` takes an optional caller-owned :class:`TreeBasis`, and
+that basis is the only state kept here.  The solve starts from its tree
+and leaves its final tree in it, together with the plan network it was
+solved on: the validated config, the integer supplies, the arcs and the
+sources' sink costs, which depend on the terminals, q and the relay count
+alone.  The next solve for the same config object, q and relay count
+re-prices only the entries that involve a relay and starts from the tree
+that network kept.  When that solve makes no pivot, its tree and so its
+flows are the previous plan's, whose entries it returns unchanged.
 """
 
 from __future__ import annotations
@@ -184,10 +191,30 @@ def cost_matrix(config: SignedConfig, Z: np.ndarray | None, q: float) -> np.ndar
     """
     Z = as_positions(Z, config.dimension)
     rows = np.vstack([config.source_positions(), Z])
-    cols = np.vstack([config.sink_positions(), Z])
-    diff = rows[:, None, :] - cols[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=2))
-    return dist**q
+    return _pair_costs(rows, np.vstack([config.sink_positions(), Z]), q)
+
+
+def _pair_costs(A: np.ndarray, B: np.ndarray, q: float) -> np.ndarray:
+    """|A[i] - B[j]|^q for every pair of rows.
+
+    Each entry is computed on its own, so a block of rows or columns equals
+    that block of the full matrix.  The squared distance adds the squared
+    coordinate differences left to right, one (len(A), len(B)) matrix per
+    coordinate: below 8 coordinates that is the sum NumPy's
+    ``(diff**2).sum(axis=-1)`` takes, bit for bit, without its slow inner
+    loops of length dim.  From 8 on NumPy sums pairwise, so that form is
+    kept there.
+    """
+    dim = A.shape[1]
+    if dim >= 8:
+        sq = ((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)
+    else:
+        sq = np.zeros((len(A), len(B)))
+        for k in range(dim):
+            d = A[:, k, None] - B[:, k]
+            d *= d
+            sq += d
+    return np.sqrt(sq) ** q
 
 
 def integer_mass_units(masses: np.ndarray, units: int = MASS_UNITS) -> np.ndarray:
@@ -218,7 +245,8 @@ def _solve_flow_network(
     snk_units: np.ndarray,
     basis: TreeBasis | None = None,
 ) -> dict[tuple[int, int], int]:
-    """Run the exact flow solver; returns positive integer flows per matrix key.
+    """Run the exact flow solver on a new network; returns positive integer
+    flows per matrix key.
 
     The network simplex starts from ``basis`` when it holds a tree, and
     writes its final tree back to it (see :mod:`._mcf`).
@@ -226,6 +254,31 @@ def _solve_flow_network(
     net = MinCostFlowNetwork(F, n_src, n_snk, src_units, snk_units)
     net.solve(basis)
     return net.flows()
+
+
+class _PlanNetwork(MinCostFlowNetwork):
+    """The plan LP of one validated config, exponent and relay count.
+
+    Built at the first solve on a basis and kept behind it; later solves on
+    that basis for the same config object, q and relay count only move the
+    relays (:meth:`move`).
+    """
+
+    __slots__ = ("config", "q", "n_free")
+
+    def __init__(self, config: SignedConfig, Z: np.ndarray, q: float) -> None:
+        super().__init__(
+            cost_matrix(config, Z, q), config.n_sources, config.n_sinks,
+            integer_mass_units(config.source_masses()),
+            integer_mass_units(config.sink_masses()),
+        )
+        self.config, self.q, self.n_free = config, q, len(Z)
+
+    def move(self, Z: np.ndarray) -> None:
+        """Re-price the relay rows and columns for relays at Z."""
+        config, q = self.config, self.q
+        cols = np.vstack([config.sink_positions(), Z])
+        self.reprice(_pair_costs(Z, cols, q), _pair_costs(config.source_positions(), Z, q))
 
 
 def min_cost_plan(
@@ -240,23 +293,26 @@ def min_cost_plan(
     sum(gamma_ij * |.|^q).  The plan is an exact optimum of the underlying
     linear program up to the 10^-9 mass grid; output is deterministic for
     identical inputs.  ``basis``, when given, is the simplex's start and
-    receives its final tree: pass the same one to every solve with the same
-    terminals and number of relays (a basis from another network raises
-    ValueError).  Without it the solve starts cold; warm or cold, the
-    optimal cost is the same.
+    receives its final tree and the network it was solved on: pass the
+    same one to every solve with the same config object, q and number of
+    relays, and each re-solve re-prices that network instead of building
+    one (a basis from another network raises ValueError).  Without it the
+    solve starts cold; warm or cold, the optimal cost is the same.
     """
-    validate(config)
+    net = basis.network if basis is not None else None
+    kept = isinstance(net, _PlanNetwork) and net.config is config
+    if not kept:
+        validate(config)
     Z = as_positions(Z, config.dimension)
-    F = cost_matrix(config, Z, q)
-    src_units = integer_mass_units(config.source_masses())
-    snk_units = integer_mass_units(config.sink_masses())
-    flows = _solve_flow_network(
-        F, config.n_sources, config.n_sinks, src_units, snk_units, basis
-    )
-    M = total_mass(config)
-    unit = M / MASS_UNITS
-    entries = {key: f * unit for key, f in flows.items()}
+    if kept and net.q == q and net.n_free == len(Z):
+        net.move(Z)
+    else:
+        net = _PlanNetwork(config, Z, q)
+    net.solve(basis)
+    unit = total_mass(config) / MASS_UNITS
+    entries = {key: f * unit for key, f in net.flows().items()}
     plan = TransportPlan(config.n_sources, config.n_sinks, len(Z), entries)
+    F = net.F
     cost = float(sum(g * F[key] for key, g in entries.items()))
     return plan, cost
 

@@ -99,6 +99,19 @@ class TestPlanToGraph:
         with pytest.raises(NotRegularError):
             plan_to_graph(cfg, np.array([[0.5, 0.0]]), plan)
 
+    def test_edge_lengths_equal_the_per_edge_norm(self, rng):
+        # one np.linalg.norm per edge is the reference, bit for bit
+        for trial in range(60):
+            dim = 1 + trial % 3
+            cfg = random_config(rng, dim=dim)
+            n_free = int(rng.integers(0, 6))
+            Z = rng.normal(size=(n_free, dim)) * 16.0 ** int(rng.integers(-2, 3))
+            plan = regularize(random_feasible_plan(cfg, n_free, rng), cfg, Z, 2.0)
+            g = plan_to_graph(cfg, Z, plan)
+            P = g.positions
+            want = [float(np.linalg.norm(P[e.tail] - P[e.head])).hex() for e in g.edges]
+            assert [e.length.hex() for e in g.edges] == want
+
 
 class TestReduceGraph:
     def test_chain_collapses_to_single_edge(self):

@@ -19,7 +19,8 @@ from branchflow import (
 )
 from branchflow import positions
 from branchflow._mcf import MinCostFlowNetwork, TreeBasis
-from branchflow.regularize import edges_form_forest
+from branchflow.measures import total_mass
+from branchflow.regularize import edges_form_forest, zero_flow_threshold
 from branchflow.transport import (
     MASS_UNITS,
     _solve_flow_network,
@@ -47,6 +48,20 @@ class TestCostMatrix:
     def test_no_free_atoms(self):
         F = cost_matrix(single_edge(), None, 3.0)
         assert F.shape == (1, 1) and F[0, 0] == pytest.approx(1.0)
+
+    def test_equals_the_broadcast_sum_of_squares(self, rng):
+        # the reference sums each pair's squared coordinate differences with
+        # one NumPy reduction; the matrix must reproduce it bit for bit
+        for dim in (1, 2, 3, 8, 9):
+            for _ in range(8):
+                cfg = random_config(rng, dim=dim)
+                n_free = int(rng.integers(0, 12))
+                Z = rng.normal(size=(n_free, dim)) * 16.0 ** int(rng.integers(-2, 3))
+                rows = np.vstack([cfg.source_positions(), Z])
+                cols = np.vstack([cfg.sink_positions(), Z])
+                dist = np.sqrt(((rows[:, None, :] - cols[None, :, :]) ** 2).sum(axis=2))
+                for q in (1.5, 2.0, 3.0, float(rng.uniform(1.0, 4.0))):
+                    assert cost_matrix(cfg, Z, q).tobytes() == (dist**q).tobytes()
 
 
 class TestIntegerMassUnits:
@@ -514,6 +529,15 @@ class TestWarmStart:
             min_cost_plan(cfg, Z, 2.0, stale)
 
 
+def _config(src, snk):
+    """A config from (position, mass) pairs of sources and sinks."""
+    return SignedConfig(
+        sources=tuple(Atom(p, m) for p, m in src),
+        sinks=tuple(Atom(p, m) for p, m in snk),
+        dimension=len(src[0][0]),
+    )
+
+
 #: (sources, sinks, relays): points and masses that make the plan LP degenerate
 DEGENERATE = {
     "coincident relays and a zero-mass sink": (
@@ -539,11 +563,7 @@ class TestDegenerateInputs:
     @pytest.mark.parametrize("case", list(DEGENERATE))
     def test_ends_with_a_feasible_forest(self, case):
         src, snk, relays = DEGENERATE[case]
-        cfg = SignedConfig(
-            sources=tuple(Atom(p, m) for p, m in src),
-            sinks=tuple(Atom(p, m) for p, m in snk),
-            dimension=2,
-        )
+        cfg = _config(src, snk)
         Z = np.array(relays)
         for q in (1.5, 2.0, 3.0):
             plan, cost = min_cost_plan(cfg, Z, q)
@@ -591,6 +611,176 @@ class TestDegenerateInputs:
             for k in (-20, -8, 8, 20):
                 args = _plan_network_args(*_scaled(cfg, Z, 4.0**k), q)
                 assert list(_solve_flow_network(*args).items()) == flows
+
+
+def _replay_on_fresh_networks(monkeypatch, cfg, Zs, q):
+    """Warm plan solves on one basis at each Z in turn, each checked against
+    a fresh network started from a copy of the same tree, which is checked
+    and rebuilt as every solve did before networks were kept.  Returns the
+    pivot count of every solve."""
+    arc_checks = 0
+    arc_ends = MinCostFlowNetwork._arc_ends
+
+    def counting(self, a, u):
+        nonlocal arc_checks
+        arc_checks += 1
+        return arc_ends(self, a, u)
+
+    units = integer_mass_units(cfg.source_masses()), integer_mass_units(cfg.sink_masses())
+    unit = total_mass(cfg) / MASS_UNITS
+    basis = TreeBasis()
+    pivots, prev, kept = [], None, None
+    for Z in Zs:
+        start = TreeBasis()
+        start.parent, start.pred = list(basis.parent), list(basis.pred)
+        start.flow = list(basis.flow)
+        arc_checks = 0
+        with monkeypatch.context() as patched:
+            patched.setattr(MinCostFlowNetwork, "_arc_ends", counting)
+            plan, cost = min_cost_plan(cfg, Z, q, basis)
+        # the network built by the first solve serves every later one, whose
+        # start is not checked node by node
+        net = basis.network
+        assert kept is None or net is kept
+        assert arc_checks == 0
+        kept = net
+        F = cost_matrix(cfg, Z, q)
+        fresh = MinCostFlowNetwork(F, cfg.n_sources, cfg.n_sinks, *units)
+        assert fresh.solve(start) == net.pivots == basis.pivots
+        assert net.F.tobytes() == fresh.F.tobytes()
+        assert net.pi.tobytes() == fresh.pi.tobytes()
+        assert (basis.parent, basis.pred, basis.flow) == (start.parent, start.pred, start.flow)
+        flows = fresh.flows()
+        assert list(net.flows().items()) == list(flows.items())  # order included
+        assert list(plan.entries.items()) == [(key, f * unit) for key, f in flows.items()]
+        assert cost.hex() == float(sum(f * unit * F[key] for key, f in flows.items())).hex()
+        if basis.pivots == 0 and prev is not None:
+            # no pivot: the previous plan's entries, the cost at the new F
+            assert list(plan.entries.items()) == list(prev.entries.items())
+        pivots.append(basis.pivots)
+        prev = plan
+    return pivots
+
+
+def _moves(rng, Z0, steps=(0.3, 0.1, 0.01, 1e-3, 0.0)):
+    """Z0 and then ever smaller random moves of it, the last one none."""
+    Zs = [Z0]
+    for step in steps:
+        Zs.append(Zs[-1] + step * rng.normal(size=Z0.shape))
+    return Zs
+
+
+class TestKeptNetwork:
+    """A basis keeps its plan network: warm re-solves re-price it and start
+    from its tree, bit for bit the same as a fresh network from that tree."""
+
+    def test_wide_networks(self, rng, monkeypatch):
+        pivots = []
+        for _ in range(3):
+            n_src, n_snk = (int(k) for k in rng.integers(12, 33, size=2))
+            cfg = random_instance(rng, n_src, n_snk, total_mass=64)
+            Z0 = rng.uniform(-1, 1, size=(int(rng.integers(8, 33)), 2))
+            pivots += _replay_on_fresh_networks(monkeypatch, cfg, _moves(rng, Z0), 2.0)
+        assert 0 in pivots and max(pivots) > 0
+
+    def test_y_descent(self, monkeypatch, solved_networks):
+        cfg = y_instance()
+        rng = np.random.default_rng(np.random.SeedSequence([0, 0]))
+        Z0 = positions._random_seed_positions(cfg, 24, rng)
+        Zs = [Z for Z, *_ in _recorded_descent(monkeypatch, solved_networks, cfg, Z0, 2.0)]
+        # the descent's positions, then its last ones again
+        pivots = _replay_on_fresh_networks(monkeypatch, cfg, Zs + Zs[-1:], 2.0)
+        assert 0 in pivots and max(pivots) > 0
+
+    @pytest.mark.parametrize("case", list(DEGENERATE))
+    def test_degenerate_inputs(self, case, rng, monkeypatch):
+        src, snk, relays = DEGENERATE[case]
+        cfg = _config(src, snk)
+        Z0 = np.array(relays)
+        for q in (1.5, 2.0, 3.0):
+            # moved off the degenerate points, then back onto them
+            Zs = _moves(rng, Z0, (0.1, 1e-3))
+            _replay_on_fresh_networks(monkeypatch, cfg, Zs + [Z0, Z0], q)
+
+    def test_a_tree_the_caller_assigns_is_checked(self, rng):
+        cfg = random_instance(rng, 4, 3)
+        Z = rng.uniform(-1, 1, size=(3, 2))
+        basis = TreeBasis()
+        min_cost_plan(cfg, Z, 2.0, basis)
+        kept = basis.network
+        flow = list(basis.flow)
+        u = next(u for u, f in enumerate(flow) if f > 0)
+        flow[u] += 1
+        basis.flow = flow
+        with pytest.raises(ValueError, match="balance"):
+            min_cost_plan(cfg, Z + 0.1, 2.0, basis)
+        flow[u] -= 1
+        plan, cost = min_cost_plan(cfg, Z + 0.1, 2.0, basis)
+        assert basis.network is kept
+        again, cost_cold = min_cost_plan(cfg, Z + 0.1, 2.0)
+        assert list(plan.entries.items()) == list(again.entries.items())
+        assert cost.hex() == cost_cold.hex()
+
+    def test_settle_skips_regularize_after_a_solve_without_pivots(self, monkeypatch):
+        # _settle as it was before: every pass regularizes the new plan and
+        # compares supports.  Both settle the same starts to the same result
+        plan_step, reg = positions.min_cost_plan, positions.regularize
+
+        def reference(config, Z, plan, q, basis):
+            tol = zero_flow_threshold(plan, config)
+            stable, passes = False, 0
+            for passes in range(1, positions._SETTLE_PASSES + 1):
+                Z, cost, _, _ = positions.polish_positions(config, plan, Z, q)
+                plan2 = reg(plan_step(config, Z, q, basis)[0], config, Z, q)
+                cost2 = plan_cost(config, Z, plan2, q)
+                stable = positions._same_support(plan2, plan, tol)
+                plan, cost = plan2, min(cost, cost2)
+                if stable:
+                    break
+            return Z, plan, cost, stable, passes
+
+        def start(cfg, Z0, q):
+            basis = TreeBasis()
+            plan = reg(plan_step(cfg, Z0, q, basis)[0], cfg, Z0, q)
+            return positions.optimize_positions(cfg, plan, Z0, q)[0], plan, basis
+
+        solves = regularized = 0
+
+        def counting_plan_step(*args):
+            nonlocal solves
+            out = plan_step(*args)
+            solves += args[3].pivots > 0
+            return out
+
+        def counting_regularize(*args):
+            nonlocal regularized
+            regularized += 1
+            return reg(*args)
+
+        skipped = 0
+        for cfg, n, q in (
+            (y_instance(), 24, 2.0),
+            (random_instance(np.random.default_rng([0, 0]), 2, 2), 16, 1.5),
+        ):
+            for k in range(4):
+                rng = np.random.default_rng(np.random.SeedSequence([0, k]))
+                Z0 = positions._random_seed_positions(cfg, n, rng)
+                Z, plan, basis = start(cfg, Z0, q)
+                want = reference(cfg, Z, plan, q, basis)
+                Z, plan, basis = start(cfg, Z0, q)
+                solves = regularized = 0
+                with monkeypatch.context() as patched:
+                    patched.setattr(positions, "min_cost_plan", counting_plan_step)
+                    patched.setattr(positions, "regularize", counting_regularize)
+                    got = positions._settle(cfg, Z, plan, q, [], basis)
+                # only the solves that pivoted were regularized
+                assert regularized == solves
+                skipped += got[4] - solves
+                assert got[0].tobytes() == want[0].tobytes()
+                assert list(got[1].entries.items()) == list(want[1].entries.items())
+                assert got[2].hex() == want[2].hex()
+                assert got[3:5] == want[3:5]
+        assert skipped > 0
 
 
 class TestTransportPlan:
