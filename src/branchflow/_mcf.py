@@ -41,9 +41,10 @@ plan's support is a forest.
 
 **State between solves.**  The final tree is written back to the caller's
 basis, which records the network that wrote it.  A network is built once
-and may be solved many times: :meth:`MinCostFlowNetwork.reprice` replaces
-the costs that involve a free atom, while the supplies, the arcs and the
-sources' sink costs stay.  The network keeps its final tree's children,
+and may be solved many times.  Between solves a subclass may write new
+costs into :attr:`MinCostFlowNetwork.F`; it keeps the free self-loops at
++inf and sets ``_fmax`` to the largest finite cost.  The supplies and the
+arcs stay.  The network keeps its final tree's children,
 depths and arc directions, so its next solve from the basis it wrote skips
 the basis checks and the rebuild and only re-derives the potentials along
 the tree, then prices.  Potentials depend only on tree paths, so that solve
@@ -81,7 +82,7 @@ class TreeBasis:
     caller assigns are checked by the next solve.
     """
 
-    __slots__ = ("parent", "pred", "flow", "network", "pivots")
+    __slots__ = ("parent", "pred", "flow", "network")
 
     def __init__(self) -> None:
         self.parent: Sequence[int] = ()
@@ -89,8 +90,6 @@ class TreeBasis:
         self.flow: Sequence[int] = ()
         #: the network whose solve wrote the tree; None until one does
         self.network: MinCostFlowNetwork | None = None
-        #: pivots of that solve: 0 when it ended on the tree it started from
-        self.pivots: int | None = None
 
 
 class MinCostFlowNetwork:
@@ -99,9 +98,8 @@ class MinCostFlowNetwork:
 
     __slots__ = (
         "n", "m", "to", "pi", "pivots", "F",
-        "_n_src", "_n_snk", "_loops", "_fixed_max", "_fmax", "_supply",
-        "_row_node", "_col_node", "_row_list", "_col_list", "_rows", "_cols", "_arc_of",
-        "_tree", "_kept", "_flows",
+        "_fmax", "_supply", "_row_node", "_col_node", "_row_list", "_col_list",
+        "_rows", "_cols", "_arc_of", "_tree", "_kept",
     )
 
     def __init__(
@@ -118,7 +116,6 @@ class MinCostFlowNetwork:
             raise ValueError("cost matrix, supplies and free atoms disagree")
         n_term = n_src + n_snk
         self.n = n = n_term + n_free
-        self._n_src, self._n_snk = n_src, n_snk
         self._supply = np.concatenate(
             (src_units, np.negative(snk_units), np.zeros(n_free, dtype=np.int64))
         ).tolist()
@@ -126,12 +123,11 @@ class MinCostFlowNetwork:
         self._col_node = np.arange(n_src, n)
         self._row_list, self._col_list = self._row_node.tolist(), self._col_node.tolist()
         # free self-loops are the only pairs without an arc; pricing sees +inf
-        self._loops = (np.arange(n_src, n_rows), np.arange(n_snk, n_cols))
         #: the costs, +inf on the free self-loops
         self.F = F = F.astype(float, copy=True)
-        self._fixed_max = float(F[:n_src, :n_snk].max(initial=-np.inf))
+        #: the largest finite cost, which scales the pricing tolerance
         self._fmax = float(F.max())
-        F[self._loops] = np.inf
+        F[np.arange(n_src, n_rows), np.arange(n_snk, n_cols)] = np.inf
         allowed = F != np.inf
         self._arc_of = np.cumsum(allowed.ravel()) - 1
         self._rows, self._cols = np.nonzero(allowed)
@@ -148,25 +144,6 @@ class MinCostFlowNetwork:
         # children) for the next solve from that basis; None while a solve runs
         self._tree: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]] | None = None
         self._kept: tuple[list, list, list, list, list] | None = None
-        # flows() of that tree, None until asked
-        self._flows: dict[tuple[int, int], int] | None = None
-
-    def reprice(self, free_rows: np.ndarray, source_cols: np.ndarray) -> None:
-        """New costs for every pair that involves a free atom: the free atoms'
-        rows ``F[n_src:]`` and the sources' free-atom columns
-        ``F[:n_src, n_snk:]``.
-
-        The supplies, the arcs and the sources' sink costs stay, and the
-        last solve's tree stays a feasible start.
-        """
-        F = self.F
-        F[self._n_src:] = free_rows
-        F[: self._n_src, self._n_snk:] = source_cols
-        self._fmax = max(
-            float(free_rows.max(initial=self._fixed_max)),
-            float(source_cols.max(initial=self._fixed_max)),
-        )
-        F[self._loops] = np.inf
 
     def _arc_ends(self, a: int, u: int) -> tuple[int, int]:
         """(tail, head) of arc ``a``, which is plan arc ``a`` or node ``u``'s
@@ -323,22 +300,15 @@ class MinCostFlowNetwork:
         if pivots or not kept:
             # a tree's flows depend only on the tree and the supplies
             self._tree = tuple(parent[:n]), tuple(pred), tuple(flow)
-            self._flows = None
         self._kept = parent, pred, flow, up, children
         if basis is not None:
             basis.parent, basis.pred, basis.flow = self._tree
-            basis.network, basis.pivots = self, pivots
+            basis.network = self
         return pivots
 
     def flows(self) -> dict[tuple[int, int], int]:
-        """Positive flows of the last :meth:`solve` by matrix key, row-major.
-
-        The same dict is returned until a solve moves the tree, so callers
-        must not modify it.
-        """
-        if self._flows is None:
-            _, pred, flow = self._tree
-            arcs = sorted((a, f) for a, f in zip(pred, flow) if a < self.m and f > 0)
-            rows, cols = self._rows, self._cols
-            self._flows = {(int(rows[a]), int(cols[a])): f for a, f in arcs}
-        return self._flows
+        """Positive flows of the last :meth:`solve` by matrix key, row-major."""
+        _, pred, flow = self._tree
+        arcs = sorted((a, f) for a, f in zip(pred, flow) if a < self.m and f > 0)
+        rows, cols = self._rows, self._cols
+        return {(int(rows[a]), int(cols[a])): f for a, f in arcs}

@@ -542,7 +542,7 @@ def _settle(
         Z, cost, _, inner_ok = polish_positions(config, plan, Z, q, fallbacks=fallbacks)
         budget_hits += not inner_ok
         plan2, _ = min_cost_plan(config, Z, q, basis)
-        if basis.pivots == 0:
+        if basis.network.pivots == 0:
             # the solve kept its tree, so its flows are those ``plan`` was
             # regularized from; they form a forest, which regularize only
             # prunes, whatever Z, so it would return ``plan`` again

@@ -198,23 +198,9 @@ def _pair_costs(A: np.ndarray, B: np.ndarray, q: float) -> np.ndarray:
     """|A[i] - B[j]|^q for every pair of rows.
 
     Each entry is computed on its own, so a block of rows or columns equals
-    that block of the full matrix.  The squared distance adds the squared
-    coordinate differences left to right, one (len(A), len(B)) matrix per
-    coordinate: below 8 coordinates that is the sum NumPy's
-    ``(diff**2).sum(axis=-1)`` takes, bit for bit, without its slow inner
-    loops of length dim.  From 8 on NumPy sums pairwise, so that form is
-    kept there.
+    that block of the full matrix.
     """
-    dim = A.shape[1]
-    if dim >= 8:
-        sq = ((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)
-    else:
-        sq = np.zeros((len(A), len(B)))
-        for k in range(dim):
-            d = A[:, k, None] - B[:, k]
-            d *= d
-            sq += d
-    return np.sqrt(sq) ** q
+    return np.sqrt(((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)) ** q
 
 
 def integer_mass_units(masses: np.ndarray, units: int = MASS_UNITS) -> np.ndarray:
@@ -275,10 +261,18 @@ class _PlanNetwork(MinCostFlowNetwork):
         self.config, self.q, self.n_free = config, q, len(Z)
 
     def move(self, Z: np.ndarray) -> None:
-        """Re-price the relay rows and columns for relays at Z."""
-        config, q = self.config, self.q
-        cols = np.vstack([config.sink_positions(), Z])
-        self.reprice(_pair_costs(Z, cols, q), _pair_costs(config.source_positions(), Z, q))
+        """Re-price every pair that involves a relay, for relays at Z: the
+        relay rows ``F[n_src:]`` and the sources' relay columns
+        ``F[:n_src, n_snk:]``.  The sources' sink costs, the supplies and
+        the arcs stay, so the kept tree stays a feasible start."""
+        config, q, F = self.config, self.q, self.F
+        n_src, n_snk = config.n_sources, config.n_sinks
+        F[n_src:] = _pair_costs(Z, np.vstack([config.sink_positions(), Z]), q)
+        F[:n_src, n_snk:] = _pair_costs(config.source_positions(), Z, q)
+        # as built: the largest cost with the relays' zero self-pairs, which
+        # then become the loops without an arc
+        self._fmax = float(F.max())
+        np.fill_diagonal(F[n_src:, n_snk:], np.inf)
 
 
 def min_cost_plan(
