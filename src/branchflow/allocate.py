@@ -6,6 +6,11 @@ proportionally to weight^(1/q) * length; placing n_e atoms equally
 spaced inside edge e then costs weight * length^q * (n_e+1)^(1-q) on
 that edge.  The rounded construction yields a certified upper bound for
 the n-atom transport optimum over the same terminals.
+
+The layout is one broadcast over all atoms (``spread_on_segments``),
+which the W_1 seed of the position solver shares; the per-edge scores
+and the bound keep Python's scalar ``**``, whose libm ``pow`` NumPy's
+vectorized power does not match bit for bit.
 """
 
 from __future__ import annotations
@@ -43,14 +48,12 @@ def optimal_fractions(g: WeightedDigraph, q: float) -> np.ndarray:
     """
     if not g.edges:
         raise ValueError("graph has no edges")
-    scores = []
     for e in g.edges:
         if e.weight <= 0 or e.length <= 0:
             raise ValueError(
                 f"allocation requires positive weight and length, got {e}"
             )
-        scores.append(e.weight ** (1.0 / q) * e.length)
-    scores = np.array(scores)
+    scores = np.array([e.weight ** (1.0 / q) * e.length for e in g.edges])
     return scores / scores.sum()
 
 
@@ -79,35 +82,41 @@ def allocate(g: WeightedDigraph, n: int, q: float) -> Allocation:
     if n < m:
         raise ValueError(f"need at least one atom per edge: n={n} < |E|={m}")
     w = optimal_fractions(g, q)
-    counts = integer_mass_units(w, units=n).astype(int)
-    while True:
-        zeros = np.nonzero(counts == 0)[0]
-        if zeros.size == 0:
-            break
-        donor = int(np.argmax(counts))
-        counts[donor] -= 1
-        counts[zeros[0]] = 1
+    counts = integer_mass_units(w, units=n).tolist()
+    while 0 in counts:
+        zero = counts.index(0)
+        counts[counts.index(max(counts))] -= 1
+        counts[zero] = 1
 
-    rows = []
-    masses = []
-    edge_of = []
-    for idx, (e, c) in enumerate(zip(g.edges, counts)):
-        a = g.positions[e.tail]
-        b = g.positions[e.head]
-        for l in range(1, int(c) + 1):
-            rows.append(a + (l / (c + 1.0)) * (b - a))
-            masses.append(e.weight)
-            edge_of.append(idx)
-    positions = np.vstack(rows) if rows else np.zeros((0, g.dimension))
+    weights = [e.weight for e in g.edges]
+    lengths = [e.length for e in g.edges]
+    positions, edge_of = spread_on_segments(
+        g.positions, [e.tail for e in g.edges], [e.head for e in g.edges], counts)
     bound_pow = sum(
-        e.weight * e.length**q * (c + 1.0) ** (1.0 - q)
-        for e, c in zip(g.edges, counts)
+        w * l**q * (c + 1.0) ** (1.0 - q) for w, l, c in zip(weights, lengths, counts)
     )
     return Allocation(
-        counts=tuple(int(c) for c in counts),
-        fractions=tuple(float(c) / n for c in counts) if n else (),
+        counts=tuple(counts),
+        fractions=tuple(c / n for c in counts) if n else (),
         atom_positions=positions,
-        atom_masses=np.array(masses),
+        atom_masses=np.array([weights[e] for e in edge_of]),
         atom_edges=tuple(edge_of),
         upper_bound=float(bound_pow ** (1.0 / q)),
     )
+
+
+def spread_on_segments(
+    points: np.ndarray, tails: list[int], heads: list[int], counts: list[int]
+) -> tuple[np.ndarray, list[int]]:
+    """Atoms equally spaced inside segments, in one broadcast.
+
+    Segment e runs from a = ``points[tails[e]]`` to b = ``points[heads[e]]``
+    and gets c = ``counts[e]`` atoms at a + (l/(c+1))*(b-a), l = 1..c.
+    Returns the (sum(counts), k) positions, segment by segment, and each
+    atom's segment index.
+    """
+    seg = [e for e, c in enumerate(counts) for _ in range(c)]
+    frac = np.array([l / (c + 1.0) for c in counts for l in range(1, c + 1)])
+    a = points.take([tails[e] for e in seg], axis=0)
+    b = points.take([heads[e] for e in seg], axis=0)
+    return a + frac.reshape(-1, 1) * (b - a), seg

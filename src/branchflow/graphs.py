@@ -7,6 +7,13 @@ maximal chain (runs of relay vertices with one arc in and one arc out)
 yields the reduced graph, whose interior vertices all branch.  On solver
 output the reduced graph should be a tree with straight, evenly filled
 chains; ``verify_structure`` checks that, item by item, with witnesses.
+
+Both constructions work on whole index lists and arrays rather than one
+entry or one chain at a time: vertex ids come from index arithmetic, the
+edge and chain lengths from one stacked matmul each, and every chain's
+perpendicular distances from one pass over all chains.  Small graphs
+dominate the solver's use (a few dozen edges), so index bookkeeping stays
+in plain lists and NumPy is called a fixed number of times per graph.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .measures import SignedConfig, total_mass
-from .transport import TransportPlan, MARGINAL_RTOL, as_positions, vertex_positions
+from .transport import TransportPlan, MARGINAL_RTOL, vertex_positions
 from .regularize import edges_form_forest, is_regular, zero_flow_threshold, NotRegularError
 
 ROLES = ("source", "sink", "free")
@@ -52,13 +59,14 @@ class WeightedDigraph:
         if pos.ndim != 2:
             raise ValueError("positions must be a (V, k) array")
         object.__setattr__(self, "positions", pos)
-        if len(self.roles) != pos.shape[0]:
+        V = pos.shape[0]
+        if len(self.roles) != V:
             raise ValueError("one role per vertex required")
         for r in self.roles:
             if r not in ROLES:
                 raise ValueError(f"unknown vertex role {r!r}")
         for e in self.edges:
-            if not (0 <= e.tail < pos.shape[0] and 0 <= e.head < pos.shape[0]):
+            if not (0 <= e.tail < V and 0 <= e.head < V):
                 raise ValueError(f"edge {e} references a missing vertex")
             if not e.weight > 0:
                 raise ValueError(f"edge {e} must carry positive weight")
@@ -123,48 +131,57 @@ class ReducedTree(WeightedDigraph):
     chains: tuple[ChainGeometry, ...] = ()
 
 
+def _squared_norms(d: np.ndarray) -> np.ndarray:
+    """Squared Euclidean length of each row of ``d``.
+
+    One stacked matmul takes each row's dot with itself, the BLAS dot that
+    ``np.linalg.norm`` takes of a single vector, so the square root of each
+    entry equals ``np.linalg.norm(row)`` bit for bit.
+    """
+    return (d[:, None, :] @ d[:, :, None]).ravel()
+
+
 def plan_to_graph(config: SignedConfig, Z, plan: TransportPlan) -> WeightedDigraph:
     """Embed a regular plan as a weighted digraph.
 
     Vertices are every terminal plus each free atom whose throughput
-    exceeds 10^-12 of total mass; edges carry the plan flows.  Raises
-    NotRegularError on a plan that is not regular.
+    exceeds 10^-12 of total mass; edges carry the plan flows, in sorted
+    (row, column) order.  Raises NotRegularError on a plan that is not
+    regular, and ValueError when a kept flow enters a dropped atom.
+    Vertex ids come from index arithmetic on the entry keys, and every
+    edge length from one stacked matmul.
     """
-    Z = as_positions(Z, config.dimension)
-    if Z.shape[0] != plan.n_free:
+    P = vertex_positions(config, Z)
+    if P.shape[0] - config.n_sources - config.n_sinks != plan.n_free:
         raise ValueError("Z and plan disagree on the number of free atoms")
-    tol = zero_flow_threshold(plan, config)
-    pruned = plan.pruned(tol)
+    ns, nk = plan.n_sources, plan.n_sinks
+    n_term = ns + nk
+    pruned = plan.pruned(zero_flow_threshold(plan, config))
     report = is_regular(pruned)
     if not report:
         raise NotRegularError(f"plan is not regular: {report.kind} {report.detail}")
-    P = vertex_positions(config, Z)
-    throughput = pruned.throughputs()
 
-    n_term = plan.n_sources + plan.n_sinks
-    keep = list(range(n_term))
-    keep.extend(
-        v for v in range(n_term, plan.n_vertices) if throughput[v - n_term] > tol
-    )
-    remap = {v: i for i, v in enumerate(keep)}
-    roles = tuple(
-        "source" if v < plan.n_sources else "sink" if v < n_term else "free"
-        for v in keep
-    )
-    items = sorted(pruned.entries.items())
-    tails = [pruned.row_to_vertex(i) for (i, _), _ in items]
-    heads = [pruned.col_to_vertex(j) for (_, j), _ in items]
-    # each squared length is the BLAS dot np.linalg.norm takes of one vector
-    d = P[tails] - P[heads]
-    lengths = np.sqrt((d[:, None, :] @ d[:, :, None]).ravel()).tolist()
-    edges = [
-        Edge(remap[t], remap[h], g, length)
-        for t, h, (_, g), length in zip(tails, heads, items, lengths)
-    ]
+    keys = sorted(pruned.entries)
+    tails = [i if i < ns else i + nk for i, _ in keys]
+    heads = [ns + j for _, j in keys]
+    # every kept entry exceeds the threshold, so a free atom's throughput
+    # does exactly when the atom is the row of a kept entry
+    keep = list(range(n_term)) + sorted({v for v in tails if v >= n_term})
+    new_id = [-1] * plan.n_vertices
+    for i, v in enumerate(keep):
+        new_id[v] = i
+    # rows are gathered with take, which costs less than indexing by a list
+    lengths = np.sqrt(_squared_norms(P.take(tails, axis=0) - P.take(heads, axis=0))).tolist()
     return WeightedDigraph(
-        positions=P[keep],
-        roles=roles,
-        edges=tuple(edges),
+        positions=P.take(keep, axis=0),
+        roles=("source",) * ns + ("sink",) * nk + ("free",) * (len(keep) - n_term),
+        edges=tuple(map(
+            Edge,
+            [new_id[v] for v in tails],
+            [new_id[v] for v in heads],
+            [pruned.entries[k] for k in keys],
+            lengths,
+        )),
         labels=tuple(keep),
     )
 
@@ -180,84 +197,110 @@ def reduce_graph(g: WeightedDigraph) -> ReducedTree:
     Relay vertices are free vertices with exactly one incoming and one
     outgoing edge; each junction-to-junction run through relays becomes
     one edge between its endpoints, weighted by the common chain flow.
+    Chains run in order of their start vertex, then of their first edge.
     Raises when the input has an undirected cycle or a chain whose hop
     flows disagree beyond CHAIN_FLOW_RTOL relatively.
+
+    One walk lists the edges chain by chain.  The chains' straight lengths
+    and the distances behind ``max_perp`` are whole-array passes over all
+    chains; each chain's flows, gaps and distances are list slices.
     """
-    if not is_forest(g):
+    V = g.n_vertices
+    edges = g.edges
+    tails = [e.tail for e in edges]
+    heads = [e.head for e in edges]
+    if not edges_form_forest(zip(tails, heads)):
         raise ValueError("reduce_graph requires an acyclic (forest) input")
-    indeg, outdeg = g.degrees()
-    out_edges: dict[int, list[int]] = {v: [] for v in range(g.n_vertices)}
-    for idx, e in enumerate(g.edges):
-        out_edges[e.tail].append(idx)
+    indeg = [0] * V
+    outdeg = [0] * V
+    out_edge = [-1] * V
+    for idx, (t, h) in enumerate(zip(tails, heads)):
+        outdeg[t] += 1
+        indeg[h] += 1
+        out_edge[t] = idx
+    relay = [r == "free" and i == 1 and o == 1 for r, i, o in zip(g.roles, indeg, outdeg)]
+    # chain c's hops are order[bounds[c]:bounds[c + 1]]; it runs from
+    # starts[c] to ends[c]
+    first = sorted((idx for idx, t in enumerate(tails) if not relay[t]), key=tails.__getitem__)
+    order: list[int] = []
+    bounds = [0]
+    for idx in first:
+        while True:
+            order.append(idx)
+            if not relay[heads[idx]]:
+                break
+            idx = out_edge[heads[idx]]
+        bounds.append(len(order))
+    hop_heads = [heads[h] for h in order]
+    starts = [tails[idx] for idx in first]
+    ends = [hop_heads[hi - 1] for hi in bounds[1:]]
 
-    def is_relay(v: int) -> bool:
-        return g.roles[v] == "free" and indeg[v] == 1 and outdeg[v] == 1
+    # one row per hop: its chain's start and end, and its own head; every
+    # hop but a chain's last ends at one of the chain's interior vertices
+    sizes = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
+    hop_starts = [v for v, k in zip(starts, sizes) for _ in range(k)]
+    hop_ends = [v for v, k in zip(ends, sizes) for _ in range(k)]
+    a, b, p = g.positions.take(hop_starts + hop_ends + hop_heads, axis=0).reshape(
+        3, len(order), g.dimension)
+    d = b - a
+    d_sq = _squared_norms(d)
+    straight = np.sqrt(d_sq.take(bounds[:-1])).tolist()
+    dist = _segment_distances(p, a, d, d_sq).tolist()
 
-    keep = [v for v in range(g.n_vertices) if not is_relay(v)]
-    remap = {v: i for i, v in enumerate(keep)}
+    hop_flows = [edges[h].weight for h in order]
+    hop_lengths = [edges[h].length for h in order]
     chains: list[ChainGeometry] = []
-    new_edges: list[Edge] = []
-    for u in keep:
-        for idx in out_edges[u]:
-            verts = [u]
-            flows = []
-            lengths = []
-            e = g.edges[idx]
-            while True:
-                verts.append(e.head)
-                flows.append(e.weight)
-                lengths.append(e.length)
-                if not is_relay(e.head):
-                    break
-                e = g.edges[out_edges[e.head][0]]
-            flow = flows[0]
-            spread = (max(flows) - min(flows)) / max(abs(flow), 1e-300)
-            if spread > CHAIN_FLOW_RTOL:
-                raise ValueError(
-                    f"chain {verts} hop flows differ by {spread:.3e} relative"
-                )
-            a = g.positions[verts[0]]
-            b = g.positions[verts[-1]]
-            straight = float(np.linalg.norm(b - a))
-            path_length = float(sum(lengths))
-            max_perp = 0.0
-            if len(verts) > 2:
-                interior = g.positions[verts[1:-1]]
-                max_perp = _max_perpendicular(interior, a, b)
-            gaps = np.asarray(lengths, dtype=float)
-            mean_gap = float(gaps.mean()) if gaps.size else 0.0
-            gap_spread = (
-                float((gaps.max() - gaps.min()) / mean_gap) if mean_gap > 0 else 0.0
+    for c, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        f = hop_flows[lo:hi]
+        spread = (max(f) - min(f)) / max(abs(f[0]), 1e-300)
+        if spread > CHAIN_FLOW_RTOL:
+            raise ValueError(
+                f"chain {[starts[c], *hop_heads[lo:hi]]} hop flows differ by "
+                f"{spread:.3e} relative"
             )
-            chains.append(
-                ChainGeometry(
-                    vertices=tuple(verts),
-                    flow=flow,
-                    path_length=path_length,
-                    straight_length=straight,
-                    max_perp=max_perp,
-                    gap_spread=gap_spread,
-                )
-            )
-            new_edges.append(Edge(remap[verts[0]], remap[verts[-1]], flow, straight))
+        gaps = hop_lengths[lo:hi]
+        path_length = float(sum(gaps))
+        mean_gap = path_length / len(gaps)
+        chains.append(ChainGeometry(
+            (starts[c], *hop_heads[lo:hi]),
+            f[0],
+            path_length,
+            straight[c],
+            max(dist[lo:hi - 1], default=0.0),
+            (max(gaps) - min(gaps)) / mean_gap if mean_gap > 0 else 0.0,
+        ))
+
+    keep = [v for v in range(V) if not relay[v]]
+    new_id = [-1] * V
+    for i, v in enumerate(keep):
+        new_id[v] = i
     return ReducedTree(
-        positions=g.positions[keep],
+        positions=g.positions.take(keep, axis=0),
         roles=tuple(g.roles[v] for v in keep),
-        edges=tuple(new_edges),
+        edges=tuple(
+            Edge(new_id[s], new_id[e], c.flow, c.straight_length)
+            for s, e, c in zip(starts, ends, chains)
+        ),
         labels=tuple(keep),
         chains=tuple(chains),
     )
 
 
-def _max_perpendicular(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    """Largest distance from ``points`` to the closed segment [a, b]."""
-    d = b - a
-    denom = float(d @ d)
-    if denom == 0.0:
-        return float(np.max(np.linalg.norm(points - a, axis=1)))
-    t = np.clip((points - a) @ d / denom, 0.0, 1.0)
-    feet = a + t[:, None] * d
-    return float(np.max(np.linalg.norm(points - feet, axis=1)))
+def _segment_distances(
+    points: np.ndarray, a: np.ndarray, d: np.ndarray, d_sq: np.ndarray
+) -> np.ndarray:
+    """Distance from each point to its closed segment [a, a + d].
+
+    Row by row: ``d_sq`` is |d|^2, and a zero-length segment gives the
+    distance to ``a``.
+    """
+    # clipping the numerator to [0, d_sq] first gives t = clip(num/d_sq, 0, 1),
+    # and t = 0 on a zero-length segment
+    rel = points - a
+    num = (rel * d).sum(axis=1)
+    t = np.minimum(np.maximum(num, 0.0), d_sq) / np.where(d_sq > 0.0, d_sq, 1.0)
+    off = rel - t[:, None] * d
+    return np.sqrt((off * off).sum(axis=1))
 
 
 def graph_cost(g: WeightedDigraph, q: float) -> float:
@@ -392,16 +435,18 @@ def verify_structure(t: ReducedTree, config: SignedConfig) -> StructureReport:
     )
 
     tol = MARGINAL_RTOL * max(1.0, M)
+    inflow, outflow = _vertex_flows(t)
     flux_bad: list[str] = []
+    ordinal = {"source": 0, "sink": 0, "free": 0}
     for v, role in enumerate(t.roles):
+        k = ordinal[role]
+        ordinal[role] += 1
         if role == "source":
-            atom = config.sources[_terminal_ordinal(t, v)]
-            err = abs(t.out_flow(v) - t.in_flow(v) - atom.mass)
+            err = abs(outflow[v] - inflow[v] - config.sources[k].mass)
             if err > tol:
                 flux_bad.append(f"source v{v} net out {err:.3e} off")
         elif role == "sink":
-            atom = config.sinks[_terminal_ordinal(t, v)]
-            err = abs(t.in_flow(v) - t.out_flow(v) - atom.mass)
+            err = abs(inflow[v] - outflow[v] - config.sinks[k].mass)
             if err > tol:
                 flux_bad.append(f"sink v{v} net in {err:.3e} off")
     items.append(
@@ -409,9 +454,9 @@ def verify_structure(t: ReducedTree, config: SignedConfig) -> StructureReport:
     )
 
     cons_bad = [
-        (v, abs(t.in_flow(v) - t.out_flow(v)))
+        (v, abs(inflow[v] - outflow[v]))
         for v in t.free_indices()
-        if abs(t.in_flow(v) - t.out_flow(v)) > tol
+        if abs(inflow[v] - outflow[v]) > tol
     ]
     items.append(
         CheckItem(
@@ -423,10 +468,18 @@ def verify_structure(t: ReducedTree, config: SignedConfig) -> StructureReport:
     return StructureReport(tuple(items))
 
 
-def _terminal_ordinal(g: WeightedDigraph, v: int) -> int:
-    """Position of terminal vertex v among vertices sharing its role."""
-    role = g.roles[v]
-    return sum(1 for u in range(v) if g.roles[u] == role)
+def _vertex_flows(g: WeightedDigraph) -> tuple[list[float], list[float]]:
+    """(in-flow, out-flow) of every vertex from one pass over the edges.
+
+    Each vertex's weights are summed in edge order, the same sums
+    ``in_flow`` and ``out_flow`` take.
+    """
+    ins: list[list[float]] = [[] for _ in range(g.n_vertices)]
+    outs: list[list[float]] = [[] for _ in range(g.n_vertices)]
+    for e in g.edges:
+        ins[e.head].append(e.weight)
+        outs[e.tail].append(e.weight)
+    return [sum(w) for w in ins], [sum(w) for w in outs]
 
 
 def graph_to_dict(g: WeightedDigraph) -> dict:

@@ -25,8 +25,10 @@ plan's support stops changing.  A start settles after one plan solve and
 one gradient descent.  Alternation alone cannot move an atom from one
 branch to another once the support has frozen, so a cost-guarded
 rebalance redistributes the atom count over the current reduced tree by
-the closed-form allocation and settles that layout's plan.  A multistart
-layer sits on top, since the joint problem is not convex.
+the closed-form allocation and settles that layout's plan; a budget too
+small for any reduced tree of the plan is refused before a graph is
+built.  A multistart layer sits on top, since the joint problem is not
+convex.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from .transport import (
 )
 from .regularize import regularize, zero_flow_threshold
 from .graphs import plan_to_graph, reduce_graph
-from .allocate import allocate
+from .allocate import allocate, spread_on_segments
 
 MONOTONE_SLACK = 1e-9
 #: relative rounding error allowed for one evaluation of a plan's cost
@@ -463,25 +465,6 @@ def polish_positions(
     return Z, f, iters, converged
 
 
-def _spread_atoms(segments: list[tuple[np.ndarray, np.ndarray, float]], n: int) -> np.ndarray:
-    """Place n atoms across weighted segments, equally spaced inside each.
-
-    segments: (start point, end point, weight); counts by largest-remainder
-    on the weights, positions at fractions l/(count+1) along each segment.
-    """
-    weights = np.array([max(w, 0.0) for _, _, w in segments], dtype=float)
-    if weights.sum() <= 0:
-        weights = np.ones(len(segments))
-    counts = integer_mass_units(weights, units=n)
-    rows = []
-    for (a, b, _), c in zip(segments, counts):
-        for l in range(1, int(c) + 1):
-            rows.append(a + (l / (c + 1.0)) * (b - a))
-    if not rows:
-        return np.zeros((0, segments[0][0].shape[0] if segments else 0))
-    return np.vstack(rows)
-
-
 def w1_seed(config: SignedConfig, n: int) -> np.ndarray:
     """Deterministic start: atoms along the W_1-optimal matching segments.
 
@@ -493,16 +476,19 @@ def w1_seed(config: SignedConfig, n: int) -> np.ndarray:
     coupling, _ = wasserstein_coupling(config.sources, config.sinks, 1.0)
     src = config.source_positions()
     snk = config.sink_positions()
-    segments = []
-    for (i, j), g in sorted(coupling.items()):
-        if g <= 0:
-            continue
-        a, b = src[i], snk[j]
-        segments.append((a, b, g * float(np.linalg.norm(b - a))))
-    if not segments:
+    pairs = [(i, j, g) for (i, j), g in sorted(coupling.items()) if g > 0]
+    if not pairs:
         anchor = src[0] if len(src) else np.zeros(config.dimension)
         return np.tile(anchor, (n, 1))
-    return _spread_atoms(segments, n)
+    weights = np.array([g * float(np.linalg.norm(snk[j] - src[i])) for i, j, g in pairs])
+    if weights.sum() <= 0:
+        weights = np.ones(len(pairs))
+    return spread_on_segments(
+        np.concatenate([src, snk]),
+        [i for i, _, _ in pairs],
+        [config.n_sources + j for _, j, _ in pairs],
+        integer_mass_units(weights, units=n).tolist(),
+    )[0]
 
 
 def _random_seed_positions(
@@ -604,12 +590,18 @@ def _rebalance_layout(
     when the tree cannot absorb the budget (more junctions than atoms or
     fewer spare atoms than edges) or the allocation refuses it (an edge of
     length zero, where a source and a sink share a point).
+
+    Before building any graph, refuses a budget below the edge count that
+    any reduced forest of the plan has (``_min_tree_edges``), which the
+    full path would refuse too.
     """
+    if n < _min_tree_edges(config, plan):
+        return None
     try:
         tree = reduce_graph(plan_to_graph(config, Z, plan))
     except (ValueError, SolverError):
         return None
-    junctions = [v for v in tree.free_indices()]
+    junctions = tree.free_indices()
     spare = n - len(junctions)
     if len(tree.edges) == 0 or spare < len(tree.edges):
         return None
@@ -617,12 +609,24 @@ def _rebalance_layout(
         alloc = allocate(tree, spare, q)
     except ValueError:
         return None
-    rows = [tree.positions[v] for v in junctions]
-    rows.extend(alloc.atom_positions)
-    Z_new = np.vstack(rows) if rows else np.zeros((0, config.dimension))
+    Z_new = np.concatenate([tree.positions.take(junctions, axis=0), alloc.atom_positions])
     if Z_new.shape[0] != n:
         return None
     return Z_new
+
+
+def _min_tree_edges(config: SignedConfig, plan: TransportPlan) -> int:
+    """Fewest edges a reduced forest of ``plan`` can have: ceil((S+T)/2).
+
+    S and T count the sources and sinks on a plan entry above the zero-flow
+    threshold.  Each of them keeps an edge through the reduction, which
+    never splices out a terminal, and a forest edge touches two vertices.
+    """
+    tol = zero_flow_threshold(plan, config)
+    ns, nk = plan.n_sources, plan.n_sinks
+    sources = {i for (i, _), g in plan.entries.items() if i < ns and g > tol}
+    sinks = {j for (_, j), g in plan.entries.items() if j < nk and g > tol}
+    return (len(sources) + len(sinks) + 1) // 2
 
 
 def alternate_minimize(

@@ -66,24 +66,23 @@ def prune_zeros(plan: TransportPlan, config: SignedConfig) -> TransportPlan:
 def edges_form_forest(edges: Iterable[tuple[int, int]]) -> bool:
     """Whether the edges u-v, read as an undirected multigraph, have no cycle.
 
-    Union-find over the vertex ids seen.  A self-loop u-u closes a cycle,
-    and so does a pair joined twice, in either direction.
+    Union-find over the vertex ids seen, with path halving.  A self-loop
+    u-u closes a cycle, and so does a pair joined twice, in either
+    direction.
     """
     parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        root = x
-        while parent.get(root, root) != root:
-            root = parent[root]
-        while x != root:
-            parent[x], x = root, parent[x]
-        return root
-
+    up = parent.get
     for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru == rv:
+        # climb to each root, pointing every vertex passed at its grandparent
+        while (p := up(u)) is not None:
+            parent[u] = up(p, p)
+            u = parent[u]
+        while (p := up(v)) is not None:
+            parent[v] = up(p, p)
+            v = parent[v]
+        if u == v:
             return False
-        parent[ru] = rv
+        parent[u] = v
     return True
 
 
@@ -95,8 +94,9 @@ def _is_forest(plan: TransportPlan) -> bool:
     between any two vertices and no undirected cycle: it is regular, and
     :func:`regularize` returns it as it is.
     """
+    ns, nk = plan.n_sources, plan.n_sinks
     return edges_form_forest(
-        (plan.row_to_vertex(i), plan.col_to_vertex(j)) for i, j in plan.entries
+        (i if i < ns else i + nk, ns + j) for i, j in plan.entries
     )
 
 

@@ -71,7 +71,7 @@ def as_positions(Z: np.ndarray | Sequence | None, dim: int) -> np.ndarray:
     if arr.size == 0:
         return np.zeros((0, dim), dtype=float)
     arr = arr.reshape(-1, dim).astype(float, copy=True)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InvalidConfigError("free atom coordinates must be finite")
     return arr
 
@@ -176,10 +176,7 @@ class TransportPlan:
 
 def vertex_positions(config: SignedConfig, Z: np.ndarray) -> np.ndarray:
     """Positions in vertex-id order: sources, sinks, then free atoms."""
-    Z = as_positions(Z, config.dimension)
-    return np.vstack(
-        [config.source_positions(), config.sink_positions(), Z]
-    )
+    return np.concatenate([config.terminal_positions(), as_positions(Z, config.dimension)])
 
 
 def cost_matrix(config: SignedConfig, Z: np.ndarray | None, q: float) -> np.ndarray:
@@ -214,13 +211,13 @@ def integer_mass_units(masses: np.ndarray, units: int = MASS_UNITS) -> np.ndarra
     if total <= 0:
         raise InvalidConfigError("cannot scale masses with nonpositive total")
     scaled = masses / total * units
-    base = np.floor(scaled).astype(np.int64)
+    base = np.floor(scaled)
     short = units - int(base.sum())
     if short > 0:
-        frac = scaled - base
-        order = np.lexsort((np.arange(len(masses)), -frac))
+        # largest remainder scaled - base first, ties to the lower index
+        order = np.argsort(base - scaled, kind="stable")
         base[order[:short]] += 1
-    return base
+    return base.astype(np.int64)
 
 
 def _solve_flow_network(

@@ -1,0 +1,586 @@
+"""The rebalance layer: plan graph, chain reduction, allocation and the guard.
+
+``plan_to_graph``, ``reduce_graph`` and ``allocate`` build their output in
+whole-array passes; the ``_reference_*`` functions below are the earlier
+entry-by-entry bodies, kept as oracles.  Graphs, trees and allocations must
+match them field for field, bit for bit, in edge, chain and atom order.  The
+two chain diagnostics are the exception, because their rounding changed:
+``max_perp`` sums the projection's dot product in NumPy rather than BLAS
+order and measures the offset as (p - a) - t*d rather than p - (a + t*d),
+and ``gap_spread`` divides by the path length over the hop count rather
+than by NumPy's pairwise mean.  They are held to 1e-12, relative to the
+chain's path length and to the spread itself, and the structure checks
+that read them must give the same verdicts.
+"""
+
+import numpy as np
+import pytest
+
+from branchflow import (
+    Atom,
+    CostParams,
+    SignedConfig,
+    TransportPlan,
+    alternate_minimize,
+    allocate,
+    min_cost_plan,
+    plan_to_graph,
+    random_instance,
+    reduce_graph,
+    regularize,
+    single_edge,
+    validate,
+    verify_structure,
+    y_instance,
+)
+from branchflow import positions
+from branchflow.allocate import Allocation, optimal_fractions
+from branchflow.graphs import (
+    CHAIN_FLOW_RTOL,
+    ChainGeometry,
+    Edge,
+    ReducedTree,
+    WeightedDigraph,
+    is_forest,
+)
+from branchflow.measures import total_mass
+from branchflow.regularize import NotRegularError, is_regular, zero_flow_threshold
+from branchflow.transport import (
+    MARGINAL_RTOL,
+    as_positions,
+    integer_mass_units,
+    vertex_positions,
+    wasserstein_coupling,
+)
+
+
+# ---------------------------------------------------------------------------
+# references: the entry-by-entry bodies the array passes replaced
+
+
+def _reference_plan_to_graph(config, Z, plan):
+    Z = as_positions(Z, config.dimension)
+    if Z.shape[0] != plan.n_free:
+        raise ValueError("Z and plan disagree on the number of free atoms")
+    tol = zero_flow_threshold(plan, config)
+    pruned = plan.pruned(tol)
+    report = is_regular(pruned)
+    if not report:
+        raise NotRegularError(f"plan is not regular: {report.kind} {report.detail}")
+    P = vertex_positions(config, Z)
+    throughput = pruned.throughputs()
+    n_term = plan.n_sources + plan.n_sinks
+    keep = list(range(n_term))
+    keep.extend(
+        v for v in range(n_term, plan.n_vertices) if throughput[v - n_term] > tol
+    )
+    remap = {v: i for i, v in enumerate(keep)}
+    roles = tuple(
+        "source" if v < plan.n_sources else "sink" if v < n_term else "free"
+        for v in keep
+    )
+    items = sorted(pruned.entries.items())
+    tails = [pruned.row_to_vertex(i) for (i, _), _ in items]
+    heads = [pruned.col_to_vertex(j) for (_, j), _ in items]
+    d = P[tails] - P[heads]
+    lengths = np.sqrt((d[:, None, :] @ d[:, :, None]).ravel()).tolist()
+    edges = [
+        Edge(remap[t], remap[h], g, length)
+        for t, h, (_, g), length in zip(tails, heads, items, lengths)
+    ]
+    return WeightedDigraph(
+        positions=P[keep], roles=roles, edges=tuple(edges), labels=tuple(keep)
+    )
+
+
+def _reference_max_perpendicular(points, a, b):
+    d = b - a
+    denom = float(d @ d)
+    if denom == 0.0:
+        return float(np.max(np.linalg.norm(points - a, axis=1)))
+    t = np.clip((points - a) @ d / denom, 0.0, 1.0)
+    feet = a + t[:, None] * d
+    return float(np.max(np.linalg.norm(points - feet, axis=1)))
+
+
+def _reference_reduce_graph(g):
+    if not is_forest(g):
+        raise ValueError("reduce_graph requires an acyclic (forest) input")
+    indeg, outdeg = g.degrees()
+    out_edges = {v: [] for v in range(g.n_vertices)}
+    for idx, e in enumerate(g.edges):
+        out_edges[e.tail].append(idx)
+
+    def is_relay(v):
+        return g.roles[v] == "free" and indeg[v] == 1 and outdeg[v] == 1
+
+    keep = [v for v in range(g.n_vertices) if not is_relay(v)]
+    remap = {v: i for i, v in enumerate(keep)}
+    chains = []
+    new_edges = []
+    for u in keep:
+        for idx in out_edges[u]:
+            verts = [u]
+            flows = []
+            lengths = []
+            e = g.edges[idx]
+            while True:
+                verts.append(e.head)
+                flows.append(e.weight)
+                lengths.append(e.length)
+                if not is_relay(e.head):
+                    break
+                e = g.edges[out_edges[e.head][0]]
+            flow = flows[0]
+            spread = (max(flows) - min(flows)) / max(abs(flow), 1e-300)
+            if spread > CHAIN_FLOW_RTOL:
+                raise ValueError(
+                    f"chain {verts} hop flows differ by {spread:.3e} relative"
+                )
+            a = g.positions[verts[0]]
+            b = g.positions[verts[-1]]
+            straight = float(np.linalg.norm(b - a))
+            path_length = float(sum(lengths))
+            max_perp = 0.0
+            if len(verts) > 2:
+                max_perp = _reference_max_perpendicular(g.positions[verts[1:-1]], a, b)
+            gaps = np.asarray(lengths, dtype=float)
+            mean_gap = float(gaps.mean()) if gaps.size else 0.0
+            gap_spread = (
+                float((gaps.max() - gaps.min()) / mean_gap) if mean_gap > 0 else 0.0
+            )
+            chains.append(ChainGeometry(
+                tuple(verts), flow, path_length, straight, max_perp, gap_spread))
+            new_edges.append(Edge(remap[verts[0]], remap[verts[-1]], flow, straight))
+    return ReducedTree(
+        positions=g.positions[keep],
+        roles=tuple(g.roles[v] for v in keep),
+        edges=tuple(new_edges),
+        labels=tuple(keep),
+        chains=tuple(chains),
+    )
+
+
+def _reference_allocate(g, n, q):
+    m = len(g.edges)
+    if n < m:
+        raise ValueError(f"need at least one atom per edge: n={n} < |E|={m}")
+    w = optimal_fractions(g, q)
+    counts = integer_mass_units(w, units=n).astype(int)
+    while True:
+        zeros = np.nonzero(counts == 0)[0]
+        if zeros.size == 0:
+            break
+        donor = int(np.argmax(counts))
+        counts[donor] -= 1
+        counts[zeros[0]] = 1
+    rows = []
+    masses = []
+    edge_of = []
+    for idx, (e, c) in enumerate(zip(g.edges, counts)):
+        a = g.positions[e.tail]
+        b = g.positions[e.head]
+        for l in range(1, int(c) + 1):
+            rows.append(a + (l / (c + 1.0)) * (b - a))
+            masses.append(e.weight)
+            edge_of.append(idx)
+    positions_ = np.vstack(rows) if rows else np.zeros((0, g.dimension))
+    bound_pow = sum(
+        e.weight * e.length**q * (c + 1.0) ** (1.0 - q)
+        for e, c in zip(g.edges, counts)
+    )
+    return Allocation(
+        counts=tuple(int(c) for c in counts),
+        fractions=tuple(float(c) / n for c in counts) if n else (),
+        atom_positions=positions_,
+        atom_masses=np.array(masses),
+        atom_edges=tuple(edge_of),
+        upper_bound=float(bound_pow ** (1.0 / q)),
+    )
+
+
+def _reference_w1_seed(config, n):
+    coupling, _ = wasserstein_coupling(config.sources, config.sinks, 1.0)
+    src = config.source_positions()
+    snk = config.sink_positions()
+    segments = []
+    for (i, j), g in sorted(coupling.items()):
+        if g <= 0:
+            continue
+        a, b = src[i], snk[j]
+        segments.append((a, b, g * float(np.linalg.norm(b - a))))
+    if not segments:
+        anchor = src[0] if len(src) else np.zeros(config.dimension)
+        return np.tile(anchor, (n, 1))
+    weights = np.array([max(w, 0.0) for _, _, w in segments], dtype=float)
+    if weights.sum() <= 0:
+        weights = np.ones(len(segments))
+    counts = integer_mass_units(weights, units=n)
+    rows = []
+    for (a, b, _), c in zip(segments, counts):
+        for l in range(1, int(c) + 1):
+            rows.append(a + (l / (c + 1.0)) * (b - a))
+    return np.vstack(rows)
+
+
+def _reference_flow_items(t, config):
+    """verify_structure's flux and conservation items, vertex by vertex."""
+    M = total_mass(config)
+    tol = MARGINAL_RTOL * max(1.0, M)
+
+    def ordinal(v):
+        return sum(1 for u in range(v) if t.roles[u] == t.roles[v])
+
+    flux_bad = []
+    for v, role in enumerate(t.roles):
+        if role == "source":
+            err = abs(t.out_flow(v) - t.in_flow(v) - config.sources[ordinal(v)].mass)
+            if err > tol:
+                flux_bad.append(f"source v{v} net out {err:.3e} off")
+        elif role == "sink":
+            err = abs(t.in_flow(v) - t.out_flow(v) - config.sinks[ordinal(v)].mass)
+            if err > tol:
+                flux_bad.append(f"sink v{v} net in {err:.3e} off")
+    cons_bad = [
+        (v, abs(t.in_flow(v) - t.out_flow(v)))
+        for v in t.free_indices()
+        if abs(t.in_flow(v) - t.out_flow(v)) > tol
+    ]
+    return [
+        ("terminal_flux", not flux_bad, "; ".join(flux_bad)),
+        ("interior_conservation", not cons_bad,
+         f"unbalanced free vertices: {cons_bad}" if cons_bad else ""),
+    ]
+
+
+# ---------------------------------------------------------------------------
+# instances
+
+
+def _solver_plans():
+    """(config, Z, plan) triples: regularized exact plans, d in {1, 2, 3}.
+
+    Random relay positions give bent, uneven chains; each plan's own
+    allocation layout, re-planned, gives the long straight chains of
+    solver output (up to 25 hops).
+    """
+    out = []
+    for dim in (1, 2, 3):
+        for s in range(22):
+            rng = np.random.default_rng([7, dim, s])
+            config = random_instance(
+                rng, int(rng.integers(1, 5)), int(rng.integers(1, 5)), dim=dim)
+            n = int(rng.integers(2, 14))
+            low, high = config.bbox()
+            Z = rng.uniform(low, high, size=(n, dim))
+            plan, _ = min_cost_plan(config, Z, 2.0)
+            out.append((config, Z, regularize(plan, config, Z, 2.0)))
+    for config, n in ((y_instance(), 48), (y_instance(), 24),
+                      (random_instance(np.random.default_rng([7, 9]), 2, 3), 30),
+                      (random_instance(np.random.default_rng([7, 10]), 3, 2, dim=3), 20),
+                      (random_instance(np.random.default_rng([7, 11]), 2, 2, dim=1), 16)):
+        res = alternate_minimize(config, n, CostParams(q=2.0, restarts=0))
+        out.append((config, res.Z, res.plan))
+        Z = positions._rebalance_layout(config, res.Z, res.plan, 2.0, n)
+        if Z is not None:
+            plan, _ = min_cost_plan(config, Z, 2.0)
+            out.append((config, Z, regularize(plan, config, Z, 2.0)))
+    return out
+
+
+SOLVER_PLANS = _solver_plans()
+
+
+def _shuffled(g, rng):
+    """The same graph with its vertices relabelled and its edges reordered."""
+    perm = rng.permutation(g.n_vertices)  # old id -> new id
+    inv = np.argsort(perm)
+    edges = [Edge(int(perm[e.tail]), int(perm[e.head]), e.weight, e.length) for e in g.edges]
+    return WeightedDigraph(
+        g.positions[inv],
+        tuple(g.roles[v] for v in inv),
+        tuple(edges[i] for i in rng.permutation(len(edges))),
+    )
+
+
+def _edges_key(g):
+    return [(e.tail, e.head, e.weight.hex(), e.length.hex()) for e in g.edges]
+
+
+def _assert_graphs_equal(got, ref):
+    assert got.positions.shape == ref.positions.shape
+    assert got.positions.tobytes() == ref.positions.tobytes()
+    assert got.roles == ref.roles
+    assert got.labels == ref.labels
+    assert _edges_key(got) == _edges_key(ref)
+
+
+# ---------------------------------------------------------------------------
+
+
+class TestArrayPassesMatchReferences:
+    def test_enough_plans_with_long_chains(self):
+        assert len(SOLVER_PLANS) >= 60
+        assert {c.dimension for c, _, _ in SOLVER_PLANS} == {1, 2, 3}
+        hops = [len(ch.vertices) - 1
+                for c, Z, p in SOLVER_PLANS
+                for ch in reduce_graph(plan_to_graph(c, Z, p)).chains]
+        assert max(hops) >= 16
+
+    @pytest.mark.parametrize("k", range(len(SOLVER_PLANS)))
+    def test_graph_tree_and_allocation(self, k):
+        config, Z, plan = SOLVER_PLANS[k]
+        g = plan_to_graph(config, Z, plan)
+        _assert_graphs_equal(g, _reference_plan_to_graph(config, Z, plan))
+
+        t = reduce_graph(g)
+        ref = _reference_reduce_graph(g)
+        _assert_graphs_equal(t, ref)
+        assert len(t.chains) == len(ref.chains)
+        for c, r in zip(t.chains, ref.chains):
+            assert c.vertices == r.vertices
+            assert c.flow.hex() == r.flow.hex()
+            assert c.path_length.hex() == r.path_length.hex()
+            assert c.straight_length.hex() == r.straight_length.hex()
+            assert abs(c.max_perp - r.max_perp) <= 1e-12 * c.path_length
+            assert abs(c.gap_spread - r.gap_spread) <= 1e-12 * abs(r.gap_spread)
+        # the diagnostics' verdicts, and every other item, do not move
+        got = verify_structure(t, config).items
+        want = verify_structure(ref, config).items
+        assert [(i.name, i.ok) for i in got] == [(i.name, i.ok) for i in want]
+        diagnostic = {"chains_collinear", "chains_evenly_spaced"}
+        assert [i for i in got if i.name not in diagnostic] == [
+            i for i in want if i.name not in diagnostic]
+
+        if not t.edges:
+            return
+        for q in (1.5, 2.0, 3.0):
+            for n in (len(t.edges), len(t.edges) + 3, 2 * len(t.edges) + 17):
+                try:
+                    want_alloc = _reference_allocate(t, n, q)
+                except ValueError as exc:
+                    with pytest.raises(ValueError, match=str(exc)):
+                        allocate(t, n, q)
+                    continue
+                alloc = allocate(t, n, q)
+                assert alloc.counts == want_alloc.counts
+                assert [f.hex() for f in alloc.fractions] == [
+                    f.hex() for f in want_alloc.fractions]
+                assert alloc.atom_positions.shape == want_alloc.atom_positions.shape
+                assert alloc.atom_positions.tobytes() == want_alloc.atom_positions.tobytes()
+                assert alloc.atom_masses.tobytes() == want_alloc.atom_masses.tobytes()
+                assert alloc.atom_edges == want_alloc.atom_edges
+                assert alloc.upper_bound.hex() == want_alloc.upper_bound.hex()
+
+    def test_reduce_matches_on_shuffled_graphs(self):
+        # plan graphs list edges by tail and vertices by role; reduce_graph
+        # takes any order, and must order chains as the reference does
+        for k, (config, Z, plan) in enumerate(SOLVER_PLANS):
+            g = _shuffled(plan_to_graph(config, Z, plan), np.random.default_rng([13, k]))
+            t = reduce_graph(g)
+            ref = _reference_reduce_graph(g)
+            _assert_graphs_equal(t, ref)
+            assert [c.vertices for c in t.chains] == [c.vertices for c in ref.chains]
+
+    def test_flow_checks_match_vertex_by_vertex_sums(self):
+        # the one-pass flows give the same flux and conservation items, on
+        # trees with vertices in any role order and with flows that are off
+        for k, (config, Z, plan) in enumerate(SOLVER_PLANS):
+            rng = np.random.default_rng([8, k])
+            t = reduce_graph(_shuffled(plan_to_graph(config, Z, plan), rng))
+            if t.edges:
+                scale = rng.uniform(0.5, 1.5, len(t.edges))
+                t = ReducedTree(t.positions, t.roles, tuple(
+                    Edge(e.tail, e.head, e.weight * s if k % 2 else e.weight, e.length)
+                    for e, s in zip(t.edges, scale)), t.labels, t.chains)
+            items = verify_structure(t, config).items
+            got = [(i.name, i.ok, i.detail) for i in items
+                   if i.name in ("terminal_flux", "interior_conservation")]
+            assert got == _reference_flow_items(t, config)
+
+    def test_error_messages_match(self):
+        # a chain whose hop flows disagree, and a cycle
+        pos = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+        roles = ("source", "free", "free", "sink")
+        edges = (Edge(0, 1, 1.0, 1.0), Edge(1, 2, 1.5, 1.0), Edge(2, 3, 1.0, 1.0))
+        g = WeightedDigraph(pos, roles, edges)
+        with pytest.raises(ValueError) as ref:
+            _reference_reduce_graph(g)
+        with pytest.raises(ValueError) as got:
+            reduce_graph(g)
+        assert str(got.value) == str(ref.value)
+        cyc = WeightedDigraph(pos[:3], ("free",) * 3, (
+            Edge(0, 1, 1.0, 1.0), Edge(1, 2, 1.0, 1.0), Edge(2, 0, 1.0, 2.0)))
+        with pytest.raises(ValueError, match="acyclic"):
+            reduce_graph(cyc)
+
+    def test_chain_geometry_edge_cases(self):
+        # an interior vertex projecting beyond the chain's end, and a chain
+        # whose ends coincide
+        pos = np.array([[0.0, 0.0], [2.0, 1.0], [1.0, 0.0], [0.0, 0.0]])
+        for roles, edges in (
+            (("source", "free", "sink", "sink"),
+             (Edge(0, 1, 1.0, float(np.sqrt(5.0))), Edge(1, 2, 1.0, float(np.sqrt(2.0))))),
+            (("source", "free", "sink", "sink"),
+             (Edge(0, 1, 1.0, float(np.sqrt(5.0))), Edge(1, 3, 1.0, float(np.sqrt(5.0))))),
+        ):
+            g = WeightedDigraph(pos, roles, edges)
+            (c,) = reduce_graph(g).chains
+            (r,) = _reference_reduce_graph(g).chains
+            assert c.max_perp == pytest.approx(r.max_perp, rel=1e-12)
+            assert c.max_perp in (pytest.approx(np.sqrt(2.0)), pytest.approx(np.sqrt(5.0)))
+
+    def test_atoms_are_kept_by_their_outflow(self):
+        config = single_edge()
+        tol = zero_flow_threshold(TransportPlan(1, 1, 1), config)
+        Z = np.array([[0.5, 0.0]])
+        # the atom's inflow is dust, its outflow is not: it stays a vertex
+        plan = TransportPlan(1, 1, 1, {(0, 1): 0.5 * tol, (1, 0): 1.0, (0, 0): 0.25})
+        _assert_graphs_equal(plan_to_graph(config, Z, plan),
+                             _reference_plan_to_graph(config, Z, plan))
+        # a kept flow into an atom whose outflow is dust has no vertex to enter
+        plan = TransportPlan(1, 1, 1, {(0, 1): 1.0, (1, 0): 0.5 * tol})
+        with pytest.raises(ValueError, match="missing vertex"):
+            plan_to_graph(config, Z, plan)
+
+    def test_edgeless_and_chainless_graphs(self):
+        pos = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.5]])
+        for edges in ((), (Edge(0, 1, 2.0, float(np.sqrt(2.0))),)):
+            g = WeightedDigraph(pos, ("source", "sink", "free"), edges)
+            t = reduce_graph(g)
+            _assert_graphs_equal(t, _reference_reduce_graph(g))
+            assert t.chains == _reference_reduce_graph(g).chains
+
+    def test_w1_seed_unchanged(self):
+        configs = [single_edge(), y_instance(), single_edge(dim=3)]
+        configs += [random_instance(np.random.default_rng([9, s]), 1 + s % 4, 1 + s // 4 % 4,
+                                    dim=1 + s % 3) for s in range(16)]
+        # a coupling segment of length zero, and all of them of length zero
+        configs.append(validate(SignedConfig(
+            (Atom((0.0, 0.0), 1.0), Atom((1.0, 0.0), 1.0)),
+            (Atom((0.0, 0.0), 1.0), Atom((1.0, 1.0), 1.0)), 2)))
+        configs.append(validate(SignedConfig(
+            (Atom((0.5, 0.5), 1.0),), (Atom((0.5, 0.5), 1.0),), 2)))
+        for config in configs:
+            for n in (1, 2, 5, 12, 48):
+                got = positions.w1_seed(config, n)
+                want = _reference_w1_seed(config, n)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the guard
+
+
+def _guard_cases():
+    """(config, Z, plan) with dust flows, zero-mass and coincident terminals."""
+    cases = []
+    for dim in (1, 2, 3):
+        for s in range(12):
+            rng = np.random.default_rng([10, dim, s])
+            ns, nk = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+            base = random_instance(rng, ns, nk, dim=dim, total_mass=8)
+            sources, sinks = list(base.sources), list(base.sinks)
+            if s % 3 == 0:  # zero-mass terminals touch no entry
+                sources.append(Atom(tuple(rng.uniform(-1, 1, dim)), 0.0))
+                sinks.insert(0, Atom(tuple(rng.uniform(-1, 1, dim)), 0.0))
+            if s % 3 == 1:  # a sink on a source, and two sources on one point
+                sinks[0] = Atom(sources[0].position, sinks[0].mass)
+                if len(sources) > 1:
+                    sources[1] = Atom(sources[0].position, sources[1].mass)
+            config = validate(SignedConfig(tuple(sources), tuple(sinks), dim))
+            n = int(rng.integers(1, 10))
+            low, high = config.bbox()
+            Z = rng.uniform(low, high, size=(n, dim))
+            plan, _ = min_cost_plan(config, Z, 2.0)
+            plan = regularize(plan, config, Z, 2.0)
+            if s % 2 == 0:
+                # dust at or below the zero-flow threshold on untouched pairs
+                tol = zero_flow_threshold(plan, config)
+                entries = dict(plan.entries)
+                for _ in range(4):
+                    key = (int(rng.integers(plan.n_rows)), int(rng.integers(plan.n_cols)))
+                    entries.setdefault(key, float(rng.choice([tol, 0.5 * tol, 1e-3 * tol])))
+                plan = TransportPlan(plan.n_sources, plan.n_sinks, plan.n_free, entries)
+            cases.append((config, Z, plan))
+    for dim in (1, 2, 3):
+        for k in (1, 2, 5):
+            # k unit pairs, each matched to its own sink: the reduced forest
+            # has exactly k = ceil(2k/2) edges, so the bound is tight; a
+            # zero-mass source and a zero-mass sink get flows only at the
+            # threshold
+            rng = np.random.default_rng([14, dim, k])
+            src = rng.uniform(-1, 1, size=(k, dim))
+            snk = src + rng.uniform(0.01, 0.05, size=(k, dim))
+            far = Atom((3.0,) * dim, 0.0)
+            config = validate(SignedConfig(
+                tuple(Atom(tuple(p), 1.0) for p in src) + (far,),
+                tuple(Atom(tuple(p), 1.0) for p in snk) + (far,),
+                dim))
+            Z = np.full((k, dim), 50.0)
+            plan, _ = min_cost_plan(config, Z, 2.0)
+            tol = zero_flow_threshold(plan, config)
+            entries = dict(plan.entries)
+            entries[(0, k)] = tol
+            entries[(k, 0)] = 0.5 * tol
+            cases.append((config, Z, TransportPlan(plan.n_sources, plan.n_sinks, plan.n_free,
+                                                   entries)))
+    return cases
+
+
+GUARD_CASES = _guard_cases()
+
+
+class TestGuard:
+    def test_bound_never_exceeds_the_reduced_edge_count(self):
+        built = tight = 0
+        for config, Z, plan in GUARD_CASES:
+            bound = positions._min_tree_edges(config, plan)
+            assert bound >= 1
+            try:
+                tree = reduce_graph(plan_to_graph(config, Z, plan))
+            except ValueError:
+                continue
+            built += 1
+            assert bound <= len(tree.edges)
+            tight += bound == len(tree.edges)
+        assert built >= len(GUARD_CASES) // 2
+        assert tight >= 9
+
+    def test_refusals_match_the_unguarded_path(self, monkeypatch):
+        cases = [(c, Z, p, n) for c, Z, p in GUARD_CASES
+                 for n in range(1, positions._min_tree_edges(c, p) + 3)]
+        guarded = [positions._rebalance_layout(c, Z, p, 2.0, n) for c, Z, p, n in cases]
+        monkeypatch.setattr(positions, "_min_tree_edges", lambda config, plan: 0)
+        for (c, Z, p, n), got in zip(cases, guarded):
+            want = positions._rebalance_layout(c, Z, p, 2.0, n)
+            if got is None:
+                assert want is None
+            else:
+                assert want is not None and got.tobytes() == want.tobytes()
+        assert any(g is None for g in guarded) and any(g is not None for g in guarded)
+
+    def test_guard_does_not_build_a_graph_when_it_refuses(self, monkeypatch):
+        config = random_instance(np.random.default_rng([11, 0]), 6, 6)
+        Z = np.zeros((2, 2))
+        plan, _ = min_cost_plan(config, Z, 2.0)
+        assert 2 * 2 < 12
+
+        def fail(*args):
+            raise AssertionError("graph built")
+
+        monkeypatch.setattr(positions, "plan_to_graph", fail)
+        assert positions._rebalance_layout(config, Z, plan, 2.0, 2) is None
+
+    @pytest.mark.parametrize("s", range(4))
+    def test_wide_solves_unchanged_without_the_guard(self, s, monkeypatch):
+        config = random_instance(np.random.default_rng([12, s]), 24, 24, total_mass=32)
+        params = CostParams(q=2.0, restarts=2, seed=s)
+        guarded = [alternate_minimize(config, n, params) for n in (4, 8, 12)]
+        monkeypatch.setattr(positions, "_min_tree_edges", lambda config, plan: 0)
+        for n, got in zip((4, 8, 12), guarded):
+            want = alternate_minimize(config, n, params)
+            assert got.cost_q.hex() == want.cost_q.hex()
+            assert got.Z.tobytes() == want.Z.tobytes()
+            assert got.plan.entries == want.plan.entries
