@@ -46,6 +46,13 @@ def _load(path: str):
         raise InvalidConfigError(f"malformed JSON in {path}: {exc}")
 
 
+def _check_atom_counts(ns: list[int]) -> None:
+    """Refuse a negative atom count before any solve, as ``solve`` does."""
+    for n in ns:
+        if n < 0:
+            raise InvalidConfigError(f"atom count must be >= 0, got {n}")
+
+
 def _params(args, q: float) -> CostParams:
     kwargs = {"q": q, "seed": args.seed}
     if args.restarts is not None:
@@ -135,6 +142,7 @@ def cmd_sweep(args) -> int:
         raise InvalidConfigError(f"bad --ns list: {args.ns!r}")
     if not n_list:
         raise InvalidConfigError("empty --ns list")
+    _check_atom_counts(n_list)
     params = _params(args, q)
     records, details = sweep(config, q, n_list, params, resolution=args.resolution)
     out_dir = Path(args.out_dir)
@@ -181,6 +189,7 @@ def cmd_render(args) -> int:
 def cmd_compare(args) -> int:
     config, q_file = _load(args.problem)
     q = args.q if args.q is not None else q_file
+    _check_atom_counts([args.n])
     params = _params(args, q)
     try:
         sol = oracle(config, q)

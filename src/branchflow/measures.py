@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
@@ -194,9 +195,9 @@ class CostParams:
 
     q must be strictly greater than 1 (q = 1 collapses relay atoms into the
     plain Wasserstein problem; use :func:`branchflow.transport.wasserstein_q`
-    directly for that).  The solver's tolerances and iteration budgets are
-    constants of :mod:`branchflow.positions` (GRAD_TOL, INNER_ITERS,
-    POLISH_ITERS).
+    directly for that).  restarts and seed must be integers >= 0.  The
+    solver's tolerances and iteration budgets are constants of
+    :mod:`branchflow.positions` (GRAD_TOL, INNER_ITERS, POLISH_ITERS).
     """
 
     q: float
@@ -206,8 +207,10 @@ class CostParams:
     def __post_init__(self) -> None:
         if not math.isfinite(self.q) or self.q <= 1.0:
             raise InvalidConfigError(f"q must be a finite real > 1, got {self.q}")
-        if self.restarts < 0:
-            raise InvalidConfigError("restarts must be >= 0")
+        for name in ("restarts", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 0:
+                raise InvalidConfigError(f"{name} must be an integer >= 0, got {value!r}")
 
 
 # ---------------------------------------------------------------------------

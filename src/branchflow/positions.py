@@ -20,9 +20,11 @@ smoothed lengths, so one geometric kernel serves both.
 
 The outer loop settles plan and positions for one point allocation at a
 time: Newton moves the atoms to the plan's position optimum, the exact
-plan is re-solved and regularized there, and the two alternate until the
-plan's support stops changing.  A start settles after one plan solve and
-one gradient descent.  Alternation alone cannot move an atom from one
+plan is re-solved there, and the two alternate until the plan's support
+stops changing.  Every plan is a simplex basic solution, so its support
+is already a forest and each of its flows is at least one mass unit:
+nothing prunes or regularizes it.  A start settles after one plan solve
+and one gradient descent.  Alternation alone cannot move an atom from one
 branch to another once the support has frozen, so a cost-guarded
 rebalance redistributes the atom count over the current reduced tree by
 the closed-form allocation and settles that layout's plan; a budget too
@@ -57,7 +59,8 @@ from .transport import (
     wasserstein_coupling,
     wasserstein_q,
 )
-from .regularize import regularize, zero_flow_threshold
+# regularize is not called; perfbench/spans.py patches positions.regularize
+from .regularize import regularize, zero_flow_threshold  # noqa: F401
 from .graphs import plan_to_graph, reduce_graph
 from .allocate import allocate, spread_on_segments
 
@@ -498,10 +501,6 @@ def _random_seed_positions(
     return rng.uniform(low, high, size=(n, config.dimension))
 
 
-def _same_support(a: TransportPlan, b: TransportPlan, tol: float) -> bool:
-    return set(a.pruned(tol).entries) == set(b.pruned(tol).entries)
-
-
 def _settle(
     config: SignedConfig,
     Z: np.ndarray,
@@ -511,16 +510,17 @@ def _settle(
     basis: TreeBasis,
 ) -> tuple[np.ndarray, TransportPlan, float, bool, int, int]:
     """Settle positions and plan for one allocation, starting from ``plan``,
-    the regularized plan of the last solve on ``basis``.
+    the plan of the last solve on ``basis``.
 
     Each pass moves the positions to the plan's optimum by Newton
     (``polish_positions``, which appends its gradient fallbacks to
     ``fallbacks``), then solves the exact plan at the new positions warm
-    from ``basis`` and regularizes it.  Stops once a pass leaves the plan's
-    support unchanged, or after _SETTLE_PASSES passes.  Returns (Z, plan,
-    cost, stable, passes, Newton solves that hit their budget).
+    from ``basis``.  Stops once a pass leaves the plan's support unchanged,
+    or after _SETTLE_PASSES passes.  A solve without a pivot keeps its
+    tree, so its entries are those of ``plan``, in the same order, and its
+    pass is stable.  Returns (Z, plan, cost, stable, passes, Newton solves
+    that hit their budget).
     """
-    tol = zero_flow_threshold(plan, config)
     budget_hits = 0
     stable = False
     passes = 0
@@ -528,14 +528,7 @@ def _settle(
         Z, cost, _, inner_ok = polish_positions(config, plan, Z, q, fallbacks=fallbacks)
         budget_hits += not inner_ok
         plan2, _ = min_cost_plan(config, Z, q, basis)
-        if basis.network.pivots == 0:
-            # the solve kept its tree, so its flows are those ``plan`` was
-            # regularized from; they form a forest, which regularize only
-            # prunes, whatever Z, so it would return ``plan`` again
-            plan2, stable = plan, True
-        else:
-            plan2 = regularize(plan2, config, Z, q)
-            stable = _same_support(plan2, plan, tol)
+        stable = plan2.entries.keys() == plan.entries.keys()
         cost2 = plan_cost(config, Z, plan2, q)
         plan, cost = plan2, min(cost, cost2)
         if stable:
@@ -550,27 +543,20 @@ def _descend(
     fallbacks: list[int],
     basis: TreeBasis,
 ) -> tuple[np.ndarray, TransportPlan, float, bool, int, int]:
-    """Descend from a start: exact plan for Z0, regularization, gradient
-    descent on positions, then ``_settle``.
+    """Descend from a start: exact plan for Z0, gradient descent on
+    positions, then ``_settle``.
 
-    Neither the regularization nor the position step may increase the
-    cost; a violation beyond slack raises SolverError.  Every plan solve
-    runs on ``basis``, so each starts from the previous one's simplex tree:
-    terminals, masses and atom count stay fixed, so that tree is always
-    feasible.  Returns ``_settle``'s tuple, whose budget hits include the
-    gradient descent's.
+    The position step may not increase the plan's cost; a violation beyond
+    slack raises SolverError.  Every plan solve runs on ``basis``, so each
+    starts from the previous one's simplex tree: terminals, masses and atom
+    count stay fixed, so that tree is always feasible.  Returns
+    ``_settle``'s tuple, whose budget hits include the gradient descent's.
     """
     plan, cost_plan = min_cost_plan(config, Z0, q, basis)
-    plan = regularize(plan, config, Z0, q)
-    cost_reg = plan_cost(config, Z0, plan, q)
-    if cost_reg > cost_plan * (1.0 + MONOTONE_SLACK) + 1e-300:
-        raise SolverError(
-            f"regularization increased cost: {cost_plan!r} -> {cost_reg!r}"
-        )
     Z, cost, _, inner_ok = optimize_positions(config, plan, Z0, q)
-    if cost > cost_reg * (1.0 + MONOTONE_SLACK) + 1e-300:
+    if cost > cost_plan * (1.0 + MONOTONE_SLACK) + 1e-300:
         raise SolverError(
-            f"position step increased cost: {cost_reg!r} -> {cost!r}"
+            f"position step increased cost: {cost_plan!r} -> {cost!r}"
         )
     Z, plan, cost, stable, passes, hits = _settle(config, Z, plan, q, fallbacks, basis)
     return Z, plan, cost, stable, passes, hits + (not inner_ok)
@@ -680,7 +666,6 @@ def alternate_minimize(
             if Z_re is None:
                 break
             plan_re, _ = min_cost_plan(config, Z_re, q, basis)
-            plan_re = regularize(plan_re, config, Z_re, q)
             Z2, plan2, cost2, stable, passes2, hits = _settle(
                 config, Z_re, plan_re, q, fallbacks, basis)
             conv = conv and stable

@@ -19,9 +19,11 @@ each undirected cycle in whichever direction does not increase the
 q-power cost, until the support is a forest.  A directed cycle and a pair
 of parallel paths are undirected cycles too, so the forest it returns
 satisfies (a) and (b); every push is feasibility-preserving.
-Min-cost-flow plans usually have a forest support already; one union-find
-pass certifies it, and :func:`regularize` and :func:`is_regular` then skip
-their searches.
+Min-cost-flow plans always have a forest support already, since the
+simplex returns a basic solution, and the solver does not call
+:func:`regularize`; these are tools for arbitrary plans.  One union-find
+pass certifies a forest, and :func:`regularize` and :func:`is_regular` then
+skip their searches.
 """
 
 from __future__ import annotations
@@ -215,7 +217,7 @@ def regularize(
     is regular.
 
     A plan whose pruned support is already a forest, as min-cost-flow plans
-    usually are, is returned pruned without a cycle search; its entries
+    always are, is returned pruned without a cycle search; its entries
     keep their order.
     """
     pruned = prune_zeros(plan, config)

@@ -400,8 +400,7 @@ def wasserstein_coupling(
         raise InvalidConfigError("total mass must be positive")
     P = np.array([a.position for a in plus], dtype=float)
     Q = np.array([a.position for a in minus], dtype=float)
-    diff = P[:, None, :] - Q[None, :, :]
-    F = np.sqrt((diff**2).sum(axis=2)) ** q
+    F = _pair_costs(P, Q, q)
     flows = _solve_flow_network(
         F, len(plus), len(minus), integer_mass_units(pm), integer_mass_units(mm)
     )

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -140,6 +141,14 @@ class TestCostParams:
     def test_budget_bounds(self):
         with pytest.raises(InvalidConfigError):
             CostParams(q=2.0, restarts=-1)
+
+    @pytest.mark.parametrize("field", ["restarts", "seed"])
+    def test_restarts_and_seed_are_non_negative_integers(self, field):
+        for bad in (-1, -2, 1.5, 2.0, "3", None):
+            with pytest.raises(InvalidConfigError, match=field):
+                CostParams(q=2.0, **{field: bad})
+        for good in (0, 3, np.int64(5)):
+            assert getattr(CostParams(q=2.0, **{field: good}), field) == good
 
 
 class TestSerialization:

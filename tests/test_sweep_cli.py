@@ -22,6 +22,7 @@ from branchflow import (
     sweep_to_csv,
     y_instance,
 )
+from branchflow import cli
 from branchflow.cli import main
 from branchflow.sweep import CSV_COLUMNS, SweepRecord, oracle_bounds
 
@@ -127,6 +128,31 @@ class TestCliExitCodes:
     def test_negative_n_is_2(self, problem_file, tmp_path):
         assert main(["solve", str(problem_file), "--n", "-3",
                      "--out-dir", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--n", "4", "--seed", "-1"],
+        ["solve", "--n", "4", "--restarts", "-1"],
+        ["sweep", "--ns", "2,4", "--seed", "-2", "--restarts", "1"],
+        ["sweep", "--ns", "2,-4", "--restarts", "1"],
+        ["compare", "--n", "-1"],
+        ["compare", "--n", "2", "--seed", "-1"],
+    ])
+    def test_invalid_counts_and_seeds_are_2_before_solving(
+        self, argv, tmp_path, monkeypatch, capsys
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved despite invalid input")
+
+        monkeypatch.setattr(cli, "alternate_minimize", refuse)
+        monkeypatch.setattr(cli, "sweep", refuse)
+        monkeypatch.setattr(cli, "oracle", refuse)
+        problem = tmp_path / "y.json"
+        save_problem(problem, y_instance(), 2.0)
+        out = tmp_path / "out"
+        command, *options = argv
+        assert main([command, str(problem), *options, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_unsettled_solve_is_3(self, tmp_path, monkeypatch, capsys):
         # a settle of Y at n=24 needs more than one plan-and-Newton pass, so

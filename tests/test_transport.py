@@ -20,7 +20,12 @@ from branchflow import (
 from branchflow import positions
 from branchflow._mcf import MinCostFlowNetwork, TreeBasis
 from branchflow.measures import total_mass
-from branchflow.regularize import edges_form_forest, zero_flow_threshold
+from branchflow.regularize import (
+    _is_forest,
+    edges_form_forest,
+    regularize,
+    zero_flow_threshold,
+)
 from branchflow.transport import (
     MASS_UNITS,
     _solve_flow_network,
@@ -599,11 +604,23 @@ class TestDegenerateInputs:
                 assert list(_solve_flow_network(*args).items()) == flows
 
 
+def _assert_simplex_plan(plan, cfg, Z, q):
+    """What a plan fresh from the simplex is: sorted, dust-free, a forest,
+    feasible, and left as it is by ``regularize``."""
+    keys = list(plan.entries)
+    assert keys == sorted(keys)
+    tol = zero_flow_threshold(plan, cfg)
+    assert all(g > tol for g in plan.entries.values())
+    assert _is_forest(plan)
+    assert check_plan(plan, cfg) == []
+    assert list(regularize(plan, cfg, Z, q).entries.items()) == list(plan.entries.items())
+
+
 def _replay_on_fresh_networks(monkeypatch, cfg, Zs, q):
     """Warm plan solves on one basis at each Z in turn, each checked against
     a fresh network started from a copy of the same tree, which is checked
-    and rebuilt as every solve did before networks were kept.  Returns the
-    pivot count of every solve."""
+    and rebuilt as every solve did before networks were kept, and checked
+    by ``_assert_simplex_plan``.  Returns the pivot count of every solve."""
     arc_checks = 0
     arc_ends = MinCostFlowNetwork._arc_ends
 
@@ -639,6 +656,7 @@ def _replay_on_fresh_networks(monkeypatch, cfg, Zs, q):
         flows = fresh.flows()
         assert list(net.flows().items()) == list(flows.items())  # order included
         assert list(plan.entries.items()) == [(key, f * unit) for key, f in flows.items()]
+        _assert_simplex_plan(plan, cfg, Z, q)
         assert cost.hex() == float(sum(f * unit * F[key] for key, f in flows.items())).hex()
         if net.pivots == 0 and prev is not None:
             # no pivot: the previous plan's entries, the cost at the new F
@@ -730,43 +748,38 @@ class TestKeptNetwork:
         assert list(plan.entries.items()) == list(again.entries.items())
         assert cost.hex() == cost_cold.hex()
 
-    def test_settle_skips_regularize_after_a_solve_without_pivots(self, monkeypatch):
-        # _settle as it was before: every pass regularizes the new plan and
-        # compares supports.  Both settle the same starts to the same result
-        plan_step, reg = positions.min_cost_plan, positions.regularize
-
+    def test_settle_matches_the_regularizing_settle(self, monkeypatch):
+        # _settle as it was when every pass regularized its new plan and
+        # compared pruned supports; both settle the same starts to the same
+        # result, bit for bit, also through solves that make no pivot
         def reference(config, Z, plan, q, basis):
             tol = zero_flow_threshold(plan, config)
             stable, passes = False, 0
             for passes in range(1, positions._SETTLE_PASSES + 1):
                 Z, cost, _, _ = positions.polish_positions(config, plan, Z, q)
-                plan2 = reg(plan_step(config, Z, q, basis)[0], config, Z, q)
+                plan2 = regularize(min_cost_plan(config, Z, q, basis)[0], config, Z, q)
                 cost2 = plan_cost(config, Z, plan2, q)
-                stable = positions._same_support(plan2, plan, tol)
+                stable = set(plan2.pruned(tol).entries) == set(plan.pruned(tol).entries)
                 plan, cost = plan2, min(cost, cost2)
                 if stable:
                     break
             return Z, plan, cost, stable, passes
 
-        def start(cfg, Z0, q):
+        def start(cfg, Z0, q, regularized):
             basis = TreeBasis()
-            plan = reg(plan_step(cfg, Z0, q, basis)[0], cfg, Z0, q)
+            plan = min_cost_plan(cfg, Z0, q, basis)[0]
+            if regularized:
+                plan = regularize(plan, cfg, Z0, q)
             return positions.optimize_positions(cfg, plan, Z0, q)[0], plan, basis
 
-        solves = regularized = 0
+        still = 0
 
         def counting_plan_step(*args):
-            nonlocal solves
-            out = plan_step(*args)
-            solves += args[3].network.pivots > 0
+            nonlocal still
+            out = min_cost_plan(*args)
+            still += args[3].network.pivots == 0
             return out
 
-        def counting_regularize(*args):
-            nonlocal regularized
-            regularized += 1
-            return reg(*args)
-
-        skipped = 0
         for cfg, n, q in (
             (y_instance(), 24, 2.0),
             (random_instance(np.random.default_rng([0, 0]), 2, 2), 16, 1.5),
@@ -774,22 +787,110 @@ class TestKeptNetwork:
             for k in range(4):
                 rng = np.random.default_rng(np.random.SeedSequence([0, k]))
                 Z0 = positions._random_seed_positions(cfg, n, rng)
-                Z, plan, basis = start(cfg, Z0, q)
+                Z, plan, basis = start(cfg, Z0, q, True)
                 want = reference(cfg, Z, plan, q, basis)
-                Z, plan, basis = start(cfg, Z0, q)
-                solves = regularized = 0
+                Z, plan, basis = start(cfg, Z0, q, False)
                 with monkeypatch.context() as patched:
                     patched.setattr(positions, "min_cost_plan", counting_plan_step)
-                    patched.setattr(positions, "regularize", counting_regularize)
                     got = positions._settle(cfg, Z, plan, q, [], basis)
-                # only the solves that pivoted were regularized
-                assert regularized == solves
-                skipped += got[4] - solves
                 assert got[0].tobytes() == want[0].tobytes()
                 assert list(got[1].entries.items()) == list(want[1].entries.items())
                 assert got[2].hex() == want[2].hex()
                 assert got[3:5] == want[3:5]
-        assert skipped > 0
+        assert still > 0
+
+
+def _awkward_instance(rng, dim, scale, zero_mass, coincident):
+    """Integer masses summing to 8 on 1-4 sources and sinks at the given
+    coordinate scale; optionally a zero-mass source and sink, and a sink on
+    the first source."""
+    def atoms(masses):
+        return [Atom(tuple(scale * rng.uniform(-1, 1, dim)), float(m)) for m in masses]
+
+    n_src, n_snk = (int(k) for k in rng.integers(1, 5, size=2))
+    sources = atoms(rng.multinomial(8, np.full(n_src, 1.0 / n_src)))
+    sinks = atoms(rng.multinomial(8, np.full(n_snk, 1.0 / n_snk)))
+    if zero_mass:
+        sources += atoms([0.0])
+        sinks += atoms([0.0])
+    if coincident:
+        sinks[0] = Atom(sources[0].position, sinks[0].mass)
+    return SignedConfig(tuple(sources), tuple(sinks), dim)
+
+
+#: (config, n, q): the Y ladder, the benchmark's certify_q instances at
+#: n=16, and a 3+2 instance
+_SOLVES = {
+    **{f"y_n{n}": (y_instance(), n, 2.0) for n in (6, 12, 24)},
+    **{
+        f"certify_q-{k}": (random_instance(np.random.default_rng([0, k]), 2, 2),
+                           16, 1.5 if k % 2 == 0 else 3.0)
+        for k in range(4)
+    },
+    "3+2_q2.5": (random_instance(np.random.default_rng([13, 3]), 3, 2), 16, 2.5),
+}
+
+
+class TestForestByConstruction:
+    """Every simplex plan is a basic solution: its support is a spanning-tree
+    subset, so a forest, and each flow is at least one mass unit.  The solver
+    therefore needs no regularization, and none of it runs.  The replays of
+    ``TestKeptNetwork``, the ``DEGENERATE`` cases among them, check the same
+    of every plan they solve."""
+
+    @given(
+        dim=st.sampled_from([1, 2, 3]),
+        q=st.floats(1.0, 4.0, exclude_min=True),
+        k=st.integers(-6, 6),
+        n_free=st.integers(0, 6),
+        zero_mass=st.booleans(),
+        coincident=st.booleans(),
+        relay_on_terminal=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_warm_and_cold_plans_are_forests(
+        self, dim, q, k, n_free, zero_mass, coincident, relay_on_terminal, seed
+    ):
+        rng = np.random.default_rng(seed)
+        scale = 4.0**k
+        cfg = _awkward_instance(rng, dim, scale, zero_mass, coincident)
+        Z0 = scale * rng.uniform(-1, 1, size=(n_free, dim))
+        if relay_on_terminal and n_free:
+            terminals = cfg.terminal_positions()
+            Z0[0] = terminals[rng.integers(len(terminals))]
+        steps = tuple(scale * s for s in (0.3, 0.1, 0.01, 1e-3, 0.0))
+        basis = TreeBasis()  # a cold solve, then warm re-solves on it
+        for Z in _moves(rng, Z0, steps):
+            plan, _ = min_cost_plan(cfg, Z, q, basis)
+            _assert_simplex_plan(plan, cfg, Z, q)
+
+    @pytest.mark.parametrize("case", list(_SOLVES))
+    def test_solves_equal_those_that_regularize_every_plan(self, case, monkeypatch):
+        # the solver as it was, with every plan regularized, gives the same
+        # answer bit for bit
+        cfg, n, q = _SOLVES[case]
+
+        def regularizing(config, Z, q, basis=None):
+            plan, cost = min_cost_plan(config, Z, q, basis)
+            return regularize(plan, config, Z, q), cost
+
+        plain = positions.alternate_minimize(cfg, n, CostParams(q=q))
+        monkeypatch.setattr(positions, "min_cost_plan", regularizing)
+        old = positions.alternate_minimize(cfg, n, CostParams(q=q))
+        assert plain.cost_q.hex() == old.cost_q.hex()
+        assert plain.Z.tobytes() == old.Z.tobytes()
+        assert list(plain.plan.entries.items()) == list(old.plan.entries.items())
+        assert (plain.iterations, plain.converged) == (old.iterations, old.converged)
+        assert [c.hex() for c in plain.start_costs] == [c.hex() for c in old.start_costs]
+
+    def test_the_solver_never_regularizes(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("regularize called")
+
+        monkeypatch.setattr(positions, "regularize", refuse)
+        positions.alternate_minimize(y_instance(), 12, CostParams(q=2.0))
+        cfg = random_instance(np.random.default_rng([0, 1]), 2, 2)
+        positions.alternate_minimize(cfg, 8, CostParams(q=3.0))
 
 
 class TestTransportPlan:
