@@ -13,13 +13,14 @@ head in slot 2k and its tail in slot 2k + 1.
 Magnanti & Orlin, *Network Flows*, 1993, ch. 11) on a spanning tree of the
 nodes plus a root:
 
-* **Start.**  Either a caller's :class:`TreeBasis`, checked to be a strongly
-  feasible spanning tree whose flows balance the supplies, or the artificial
-  tree, which joins every node to the root by an artificial arc of cost
-  ``M = max F`` (1 when F is 0) carrying the node's supply.  A node with
-  supply >= 0 points its arc at the root, the others get one from it.  An
-  optimal tree carries no artificial flow: a source's artificial flow and a
-  sink's or free atom's would price their direct arc at ``F - 2M < 0``.
+* **Start.**  A caller's ``start`` tree, checked to be a strongly feasible
+  spanning tree whose flows balance the supplies, else the tree the
+  network kept from its last solve, else the artificial tree, which joins
+  every node to the root by an artificial arc of cost ``M = max F`` (1 when
+  F is 0) carrying the node's supply.  A node with supply >= 0 points its arc
+  at the root, the others get one from it.  An optimal tree carries no
+  artificial flow: a source's artificial flow and a sink's or free atom's
+  would price their direct arc at ``F - 2M < 0``.
 * **Pricing (Dantzig).**  One NumPy pass over the dense reduced-cost matrix
   ``F + pi[row node] - pi[col node]``, with free self-loops at +inf.  Its
   first most negative entry in row-major order enters while it is below
@@ -39,18 +40,18 @@ by position (row-major pricing, then the rule above), so identical inputs
 give identical flows.  A basic solution lies on a spanning tree, so the
 plan's support is a forest.
 
-**State between solves.**  The final tree is written back to the caller's
-basis, which records the network that wrote it.  A network is built once
-and may be solved many times.  Between solves a subclass may write new
-costs into :attr:`MinCostFlowNetwork.F`; it keeps the free self-loops at
-+inf and sets ``_fmax`` to the largest finite cost.  The supplies and the
-arcs stay.  The network keeps its final tree's children,
-depths and arc directions, so its next solve from the basis it wrote skips
-the basis checks and the rebuild and only re-derives the potentials along
-the tree, then prices.  Potentials depend only on tree paths, so that solve
-is bit-identical to one on a fresh network started from the same tree.  A
-tree's flows depend only on the tree and the supplies, so a solve without
-a pivot leaves :meth:`MinCostFlowNetwork.flows` as it was.
+**State between solves.**  A network is built once and may be solved many
+times; it keeps its final tree, the only copy, as the working lists of the
+solve (parent, arc, flow, direction and children of every node).  Between
+solves a subclass may write new costs into :attr:`MinCostFlowNetwork.F`; it
+keeps the free self-loops at +inf and sets ``_fmax`` to the largest finite
+cost.  The supplies and the arcs stay, so the kept tree stays feasible, and
+the next solve skips the start checks and only re-derives the potentials
+along the tree, then prices.  Potentials depend only on tree paths, so that
+solve is bit-identical to one on a fresh network started from the same
+tree (:attr:`MinCostFlowNetwork.tree`).  A tree's flows depend only on the
+tree and the supplies, so a solve without a pivot leaves
+:meth:`MinCostFlowNetwork.flows` as it was.
 """
 
 from __future__ import annotations
@@ -70,28 +71,6 @@ class SolverError(RuntimeError):
     """The flow solver failed: no optimal tree within its pivot budget."""
 
 
-class TreeBasis:
-    """A spanning-tree basis of a network, owned by the caller between solves.
-
-    For every node (the root, node ``n``, excluded): its parent in the tree,
-    the arc joining it to the parent (a plan arc id, or ``m + node`` for the
-    node's artificial arc) and that arc's flow in mass units.  Empty until a
-    solve fills it.  A solve writes the three as tuples and records itself
-    as :attr:`network`; while the basis holds those very tuples, that
-    network's next solve from it starts from the tree it kept.  Sequences a
-    caller assigns are checked by the next solve.
-    """
-
-    __slots__ = ("parent", "pred", "flow", "network")
-
-    def __init__(self) -> None:
-        self.parent: Sequence[int] = ()
-        self.pred: Sequence[int] = ()
-        self.flow: Sequence[int] = ()
-        #: the network whose solve wrote the tree; None until one does
-        self.network: MinCostFlowNetwork | None = None
-
-
 class MinCostFlowNetwork:
     """The plan LP on cost matrix ``F``: ``n_src`` source rows, ``n_snk`` sink
     columns, one row and one column per free atom after them."""
@@ -99,7 +78,7 @@ class MinCostFlowNetwork:
     __slots__ = (
         "n", "m", "to", "pi", "pivots", "F",
         "_fmax", "_supply", "_row_node", "_col_node", "_row_list", "_col_list",
-        "_rows", "_cols", "_arc_of", "_tree", "_kept",
+        "_rows", "_cols", "_arc_of", "_tree",
     )
 
     def __init__(
@@ -139,11 +118,10 @@ class MinCostFlowNetwork:
         self.pi = np.zeros(n + 1)
         #: pivots of the last :meth:`solve`
         self.pivots = 0
-        # the last solve's tree as written to its basis, and its working
-        # lists (parent with the root's entry, arc, flow, direction,
-        # children) for the next solve from that basis; None while a solve runs
-        self._tree: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]] | None = None
-        self._kept: tuple[list, list, list, list, list] | None = None
+        # the last solve's final tree as its working lists (parent with the
+        # root's entry, arc, flow, direction, children); None before the
+        # first solve, during a solve and after a failed one
+        self._tree: tuple[list, list, list, list, list] | None = None
 
     def _arc_ends(self, a: int, u: int) -> tuple[int, int]:
         """(tail, head) of arc ``a``, which is plan arc ``a`` or node ``u``'s
@@ -154,24 +132,20 @@ class MinCostFlowNetwork:
             return (u, self.n) if self._supply[u] >= 0 else (self.n, u)
         raise ValueError(f"arc {a} cannot join node {u} to its parent")
 
-    def _start(self, basis: TreeBasis | None) -> tuple[list, list, list, list, list, bool]:
+    def _start(self, start: Sequence[Sequence[int]] | None) -> tuple[list, list, list, list, list]:
         """Parent (the root's entry -1 last), arc, flow, direction (toward
-        the root) and children of every node, and whether they are the tree
-        this network kept from its last solve."""
-        kept, self._kept = self._kept, None
-        tree = self._tree
-        # tuples are immutable: the very ones written hold the kept tree
-        if (kept is not None and basis is not None
-                and basis.parent is tree[0] and basis.pred is tree[1] and basis.flow is tree[2]):
-            return (*kept, True)
+        the root) and children of every node at the start of a solve."""
+        kept, self._tree = self._tree, None
+        if start is None and kept is not None:
+            return kept
         n, supply = self.n, self._supply
-        if basis is None or not basis.parent:
+        if start is None:
             up = [s >= 0 for s in supply]
             parent, pred, flow = [n] * n, list(range(self.m, self.m + n)), [abs(s) for s in supply]
         else:
-            parent, pred, flow = list(basis.parent), list(basis.pred), list(basis.flow)
+            parent, pred, flow = (list(seq) for seq in start)
             if not len(parent) == len(pred) == len(flow) == n:
-                raise ValueError(f"basis has {len(parent)} nodes, the network {n}")
+                raise ValueError(f"start has {len(parent)} nodes, the network {n}")
             excess = [0] * (n + 1)
             up = []
             for u in range(n):
@@ -180,25 +154,26 @@ class MinCostFlowNetwork:
                     raise ValueError(f"arc {pred[u]} does not join node {u} to its parent")
                 f = flow[u]
                 if f < 0 or (f == 0 and tail != u):
-                    raise ValueError(f"basis is not strongly feasible at node {u}")
+                    raise ValueError(f"start is not strongly feasible at node {u}")
                 up.append(tail == u)
                 excess[tail] += f
                 excess[head] -= f
             if excess[:n] != supply:
-                raise ValueError("basis flows do not balance the network's supplies")
+                raise ValueError("start flows do not balance the network's supplies")
         children: list[list[int]] = [[] for _ in range(n + 1)]
         for u in range(n):
             children[parent[u]].append(u)
         parent.append(-1)
-        return parent, pred, flow, up, children, False
+        return parent, pred, flow, up, children
 
-    def solve(self, basis: TreeBasis | None = None) -> int:
+    def solve(self, start: Sequence[Sequence[int]] | None = None) -> int:
         """Optimal flow by primal network simplex; returns the pivot count.
 
-        Starts from ``basis`` when it holds a tree (ValueError when that tree
-        does not fit this network), else from the artificial tree, and
-        writes the final tree back to ``basis``.  The final potentials stay
-        on the network as :attr:`pi`: every allowed pair (i, j) has reduced
+        Starts from ``start``, a ``(parent, pred, flow)`` tree such as
+        :attr:`tree` returns, when given (ValueError when it does not fit
+        this network), else from the tree this network kept from its last
+        solve, else from the artificial tree.  The final potentials stay on
+        the network as :attr:`pi`: every allowed pair (i, j) has reduced
         cost ``F[i, j] + pi[row node] - pi[col node] >= -ENTER_RTOL * max F``,
         and every tree arc 0 up to rounding.
         """
@@ -206,7 +181,7 @@ class MinCostFlowNetwork:
         root = n
         F, fmax = self.F, self._fmax
         big = fmax if fmax > 0.0 else 1.0
-        parent, pred, flow, up, children, kept = self._start(basis)
+        parent, pred, flow, up, children = self._start(start)
         # depths and potentials by a walk from the root; a tree arc
         # tail -> head has cost + pi[tail] - pi[head] == 0
         rows, cols = self._rows, self._cols
@@ -224,7 +199,7 @@ class MinCostFlowNetwork:
                 pot[v] = pot[u] - costs[v] if up[v] else pot[u] + costs[v]
                 order.append(v)
         if len(order) != n + 1:
-            raise ValueError("basis parents do not form a tree")
+            raise ValueError("start parents do not form a tree")
         pi = np.array(pot)
         row_node, col_node = self._row_node, self._col_node
         row_list, col_list = self._row_list, self._col_list
@@ -297,18 +272,24 @@ class MinCostFlowNetwork:
         if any(flow[u] for u in range(n) if pred[u] >= m):
             raise SolverError("network simplex left flow on an artificial arc")
         self.pi, self.pivots = pi, pivots
-        if pivots or not kept:
-            # a tree's flows depend only on the tree and the supplies
-            self._tree = tuple(parent[:n]), tuple(pred), tuple(flow)
-        self._kept = parent, pred, flow, up, children
-        if basis is not None:
-            basis.parent, basis.pred, basis.flow = self._tree
-            basis.network = self
+        self._tree = parent, pred, flow, up, children
         return pivots
+
+    @property
+    def tree(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]] | None:
+        """The last solve's final tree as ``(parent, pred, flow)``: for every
+        node (the root, node ``n``, excluded) its parent, the arc joining it
+        to the parent (a plan arc id, or ``m + node`` for the node's
+        artificial arc) and that arc's flow in mass units.  None before the
+        first solve and after a failed one."""
+        if self._tree is None:
+            return None
+        parent, pred, flow = self._tree[:3]
+        return tuple(parent[:self.n]), tuple(pred), tuple(flow)
 
     def flows(self) -> dict[tuple[int, int], int]:
         """Positive flows of the last :meth:`solve` by matrix key, row-major."""
-        _, pred, flow = self._tree
+        _, pred, flow = self._tree[:3]
         arcs = sorted((a, f) for a, f in zip(pred, flow) if a < self.m and f > 0)
         rows, cols = self._rows, self._cols
         return {(int(rows[a]), int(cols[a])): f for a, f in arcs}

@@ -514,8 +514,8 @@ def _settle(
 
     Each pass moves the positions to the plan's optimum by Newton
     (``polish_positions``, which appends its gradient fallbacks to
-    ``fallbacks``), then solves the exact plan at the new positions warm
-    from ``basis``.  Stops once a pass leaves the plan's support unchanged,
+    ``fallbacks``), then re-solves the exact plan at the new positions on
+    ``basis``'s plan network, from the tree it kept.  Stops once a pass leaves the plan's support unchanged,
     or after _SETTLE_PASSES passes.  A solve without a pivot keeps its
     tree, so its entries are those of ``plan``, in the same order, and its
     pass is stable.  Returns (Z, plan, cost, stable, passes, Newton solves
@@ -547,9 +547,10 @@ def _descend(
     positions, then ``_settle``.
 
     The position step may not increase the plan's cost; a violation beyond
-    slack raises SolverError.  Every plan solve runs on ``basis``, so each
-    starts from the previous one's simplex tree: terminals, masses and atom
-    count stay fixed, so that tree is always feasible.  Returns
+    slack raises SolverError.  Every plan solve runs on ``basis``'s one plan
+    network, so each starts from the simplex tree the previous one left:
+    terminals, masses and atom count stay fixed, so that tree is always
+    feasible.  Returns
     ``_settle``'s tuple, whose budget hits include the gradient descent's.
     """
     plan, cost_plan = min_cost_plan(config, Z0, q, basis)
@@ -626,8 +627,9 @@ def alternate_minimize(
     settles (``_descend``), then tries allocation-guided rebalances: each
     proposed layout gets its own plan and is settled from there, and is
     kept only on strict improvement.  A start's descent and its proposals
-    share one simplex basis; the cascade stops at the first rejection, so
-    the basis always holds the last settled plan's tree.  Ties break on
+    share one basis, whose plan network keeps the simplex tree; the cascade
+    stops at the first rejection, so that tree is always the last settled
+    plan's.  Ties break on
     start index.  The result's ``converged`` and ``iterations`` report the
     winning start's settles.
     """

@@ -26,14 +26,14 @@ final potentials certify the flow optimal for the full linear program.  Its
 flow is a basic solution, whose support is a forest.
 
 ``min_cost_plan`` takes an optional caller-owned :class:`TreeBasis`, and
-that basis is the only state kept here.  The solve starts from its tree
-and leaves its final tree in it, together with the plan network it was
-solved on: the validated config, the integer supplies, the arcs and the
-sources' sink costs, which depend on the terminals, q and the relay count
-alone.  The next solve for the same config object, q and relay count
+that basis is the only state kept here.  Its first solve builds the plan
+network, which holds the validated config, the integer supplies, the arcs
+and the sources' sink costs, which depend on the terminals, q and the relay
+count alone, and stores it on the basis.  Each later solve on the basis
 re-prices only the entries that involve a relay and starts from the tree
-that network kept.  When that solve makes no pivot, its tree and so its
-flows are the previous plan's, whose entries it returns unchanged.
+the network kept, the only copy of it.  When that solve makes no pivot, its
+tree and so its flows are the previous plan's, whose entries it returns
+unchanged.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._mcf import MinCostFlowNetwork, SolverError, TreeBasis
+from ._mcf import MinCostFlowNetwork, SolverError
 from .measures import (
     BALANCE_ATOL,
     Atom,
@@ -226,25 +226,19 @@ def _solve_flow_network(
     n_snk: int,
     src_units: np.ndarray,
     snk_units: np.ndarray,
-    basis: TreeBasis | None = None,
 ) -> dict[tuple[int, int], int]:
-    """Run the exact flow solver on a new network; returns positive integer
-    flows per matrix key.
-
-    The network simplex starts from ``basis`` when it holds a tree, and
-    writes its final tree back to it (see :mod:`._mcf`).
-    """
+    """Run the exact flow solver cold on a new network; returns positive
+    integer flows per matrix key."""
     net = MinCostFlowNetwork(F, n_src, n_snk, src_units, snk_units)
-    net.solve(basis)
+    net.solve()
     return net.flows()
 
 
 class _PlanNetwork(MinCostFlowNetwork):
     """The plan LP of one validated config, exponent and relay count.
 
-    Built at the first solve on a basis and kept behind it; later solves on
-    that basis for the same config object, q and relay count only move the
-    relays (:meth:`move`).
+    Built at the first solve on a basis and kept on it; later solves on
+    that basis only move the relays (:meth:`move`).
     """
 
     __slots__ = ("config", "q", "n_free")
@@ -272,6 +266,18 @@ class _PlanNetwork(MinCostFlowNetwork):
         np.fill_diagonal(F[n_src:, n_snk:], np.inf)
 
 
+class TreeBasis:
+    """A caller's warm state for :func:`min_cost_plan`: the plan network of
+    its first solve, which keeps its final simplex tree between solves.
+    Serves one config object, q and relay count."""
+
+    __slots__ = ("network",)
+
+    def __init__(self) -> None:
+        #: the plan network; None until the first solve on this basis
+        self.network: _PlanNetwork | None = None
+
+
 def min_cost_plan(
     config: SignedConfig,
     Z: np.ndarray | None,
@@ -283,23 +289,26 @@ def min_cost_plan(
     Returns ``(plan, cost)`` where cost is the q-power objective
     sum(gamma_ij * |.|^q).  The plan is an exact optimum of the underlying
     linear program up to the 10^-9 mass grid; output is deterministic for
-    identical inputs.  ``basis``, when given, is the simplex's start and
-    receives its final tree and the network it was solved on: pass the
-    same one to every solve with the same config object, q and number of
-    relays, and each re-solve re-prices that network instead of building
-    one (a basis from another network raises ValueError).  Without it the
-    solve starts cold; warm or cold, the optimal cost is the same.
+    identical inputs.  ``basis``, when given, keeps the plan network: an
+    empty one receives the network this solve builds, and one that holds a
+    network built for the same config object, q and number of relays has
+    it re-priced at Z and re-solved from its last tree.  Any other basis
+    raises ValueError.  Without a basis the solve starts cold; warm or
+    cold, the optimal cost is the same.
     """
     net = basis.network if basis is not None else None
-    kept = isinstance(net, _PlanNetwork) and net.config is config
-    if not kept:
+    if net is None:
         validate(config)
     Z = as_positions(Z, config.dimension)
-    if kept and net.q == q and net.n_free == len(Z):
+    if net is None:
+        net = _PlanNetwork(config, Z, q)
+        if basis is not None:
+            basis.network = net
+    elif net.config is config and net.q == q and net.n_free == len(Z):
         net.move(Z)
     else:
-        net = _PlanNetwork(config, Z, q)
-    net.solve(basis)
+        raise ValueError("basis holds the plan network of another config, q or relay count")
+    net.solve()
     unit = total_mass(config) / MASS_UNITS
     entries = {key: f * unit for key, f in net.flows().items()}
     plan = TransportPlan(config.n_sources, config.n_sinks, len(Z), entries)

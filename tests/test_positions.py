@@ -448,6 +448,30 @@ class TestAlternateMinimize:
         assert res.polish_fallbacks == sum(polish_fallbacks)
         assert res.converged  # outer convergence keeps its meaning
 
+    def test_inner_budget_hits_count_every_newton_hit(self, monkeypatch):
+        # Newton capped at one iteration misses the gradient tolerance on a
+        # 2+2 instance at q=1.5: every position solve that returns
+        # converged=False is a hit, polish and gradient descent alike
+        hits = {"optimize_positions": 0, "polish_positions": 0}
+        real = {name: getattr(positions, name) for name in hits}
+
+        def optimize(*args, **kwargs):
+            out = real["optimize_positions"](*args, **kwargs)
+            hits["optimize_positions"] += not out[3]
+            return out
+
+        def polish(*args, **kwargs):
+            out = real["polish_positions"](*args, **{**kwargs, "max_iter": 1})
+            hits["polish_positions"] += not out[3]
+            return out
+
+        monkeypatch.setattr(positions, "optimize_positions", optimize)
+        monkeypatch.setattr(positions, "polish_positions", polish)
+        cfg = branchflow.random_instance(np.random.default_rng([0, 0]), 2, 2)
+        res = alternate_minimize(cfg, 16, CostParams(q=1.5))
+        assert hits["polish_positions"] > 0
+        assert res.inner_budget_hits == sum(hits.values())
+
     @pytest.mark.parametrize("case", ["y_n24_q2", "2+2_n16_q1.5"])
     def test_rebalance_settles_end_stationary(self, monkeypatch, case):
         # a rebalance settle that reports a stable support returns positions

@@ -18,7 +18,7 @@ from branchflow import (
     y_instance,
 )
 from branchflow import positions
-from branchflow._mcf import MinCostFlowNetwork, TreeBasis
+from branchflow._mcf import MinCostFlowNetwork
 from branchflow.measures import total_mass
 from branchflow.regularize import (
     _is_forest,
@@ -28,6 +28,8 @@ from branchflow.regularize import (
 )
 from branchflow.transport import (
     MASS_UNITS,
+    TreeBasis,
+    _PlanNetwork,
     _solve_flow_network,
     as_positions,
     check_plan,
@@ -308,9 +310,9 @@ def solved_networks(monkeypatch):
     nets = []
     solve = MinCostFlowNetwork.solve
 
-    def recording(self, *args):
+    def recording(self, *args, **kwargs):
         nets.append(self)
-        return solve(self, *args)
+        return solve(self, *args, **kwargs)
 
     monkeypatch.setattr(MinCostFlowNetwork, "solve", recording)
     return nets
@@ -380,9 +382,8 @@ class TestPricingLoop:
             args = _plan_network_args(cfg, Z)
             F, n_src, n_snk = args[:3]
             n_free = len(Z)
-            basis = TreeBasis()
             solved_networks.clear()
-            got = _solve_flow_network(*args, basis)
+            got = _solve_flow_network(*args)
             (net,) = solved_networks
             tol = 1e-12 * F.max()
             pi = net.pi
@@ -391,7 +392,7 @@ class TestPricingLoop:
             rc[n_src + np.arange(n_free), n_snk + np.arange(n_free)] = np.inf  # no arc
             assert rc.min() >= -tol
             # tree arcs price at 0, and the flow lies on them
-            tree = [a for a in basis.pred if a < net.m]
+            tree = [a for a in net.tree[1] if a < net.m]
             tails, heads = net.to[1::2][tree], net.to[0::2][tree]
             rows, cols = np.where(tails < n_src, tails, tails - n_snk), heads - n_src
             assert np.abs(rc[rows, cols]).max() <= tol
@@ -466,7 +467,7 @@ class TestWarmStart:
 
         def recording(config, Z, q, basis=None):
             # a proposal never solves on an empty basis
-            warm = basis is not None and len(basis.parent) > 0
+            warm = basis is not None and basis.network is not None
             out = plan_step(config, Z, q, basis)
             if in_proposal:
                 assert warm
@@ -501,23 +502,40 @@ class TestWarmStart:
         Z = rng.uniform(0, 3, size=(3, 2))
         basis = TreeBasis()
         plan, _ = min_cost_plan(cfg, Z, 2.0, basis)
-        # the same network at other positions starts from it
+        kept = basis.network
+        # the same network at other positions starts from its tree
         min_cost_plan(cfg, Z + 0.1, 2.0, basis)
+        # another config, an equal config object, another q or relay count
+        for args in (
+            (config((2.0, 2.0, 2.0, 2.0), (3.0, 3.0, 2.0)), Z, 2.0),
+            (config((1.0, 2.0, 3.0, 2.0), (4.0, 2.0, 2.0)), Z, 2.0),
+            (cfg, Z, 1.5),
+            (cfg, Z[:2], 2.0),
+        ):
+            with pytest.raises(ValueError, match="another config"):
+                min_cost_plan(*args, basis)
+        assert basis.network is kept
+        # a caller's start is checked against the network it is passed to
+        units = integer_mass_units(cfg.source_masses()), integer_mass_units(cfg.sink_masses())
+        fresh = MinCostFlowNetwork(cost_matrix(cfg, Z, 2.0), cfg.n_sources, cfg.n_sinks, *units)
+        other = config((2.0, 2.0, 2.0, 2.0), (3.0, 3.0, 2.0))
+        other_units = (integer_mass_units(other.source_masses()),
+                       integer_mass_units(other.sink_masses()))
+        other_net = MinCostFlowNetwork(cost_matrix(other, Z, 2.0), 4, 3, *other_units)
         with pytest.raises(ValueError, match="balance"):
-            min_cost_plan(config((2.0, 2.0, 2.0, 2.0), (3.0, 3.0, 2.0)), Z, 2.0, basis)
+            other_net.solve(start=kept.tree)
+        fewer = MinCostFlowNetwork(cost_matrix(cfg, Z[:2], 2.0), 4, 3, *units)
         with pytest.raises(ValueError, match="nodes"):
-            min_cost_plan(cfg, Z[:2], 2.0, basis)
-        stale = TreeBasis()
-        stale.parent, stale.pred, stale.flow = basis.parent, basis.pred, list(basis.flow)
-        u = next(u for u, f in enumerate(stale.flow) if f > 0)
-        stale.flow[u] += 1
+            fewer.solve(start=kept.tree)
+        parent, pred, flow = (list(seq) for seq in kept.tree)
+        u = next(u for u, f in enumerate(flow) if f > 0)
+        flow[u] += 1
         with pytest.raises(ValueError, match="balance"):
-            min_cost_plan(cfg, Z, 2.0, stale)
-        stale.flow[u] -= 1
-        stale.parent = list(stale.parent)
-        stale.parent[u] = u  # a loop, not a tree
+            fresh.solve(start=(parent, pred, flow))
+        flow[u] -= 1
+        parent[u] = u  # a loop, not a tree
         with pytest.raises(ValueError):
-            min_cost_plan(cfg, Z, 2.0, stale)
+            fresh.solve(start=(parent, pred, flow))
 
 
 def _config(src, snk):
@@ -618,9 +636,9 @@ def _assert_simplex_plan(plan, cfg, Z, q):
 
 def _replay_on_fresh_networks(monkeypatch, cfg, Zs, q):
     """Warm plan solves on one basis at each Z in turn, each checked against
-    a fresh network started from a copy of the same tree, which is checked
-    and rebuilt as every solve did before networks were kept, and checked
-    by ``_assert_simplex_plan``.  Returns the pivot count of every solve."""
+    a fresh network started from the tree the basis's network kept, which
+    that solve checks and rebuilds, and checked by ``_assert_simplex_plan``.
+    Returns the pivot count of every solve."""
     arc_checks = 0
     arc_ends = MinCostFlowNetwork._arc_ends
 
@@ -634,9 +652,7 @@ def _replay_on_fresh_networks(monkeypatch, cfg, Zs, q):
     basis = TreeBasis()
     pivots, prev, kept = [], None, None
     for Z in Zs:
-        start = TreeBasis()
-        start.parent, start.pred = list(basis.parent), list(basis.pred)
-        start.flow = list(basis.flow)
+        start = None if basis.network is None else basis.network.tree
         arc_checks = 0
         with monkeypatch.context() as patched:
             patched.setattr(MinCostFlowNetwork, "_arc_ends", counting)
@@ -649,10 +665,10 @@ def _replay_on_fresh_networks(monkeypatch, cfg, Zs, q):
         kept = net
         F = cost_matrix(cfg, Z, q)
         fresh = MinCostFlowNetwork(F, cfg.n_sources, cfg.n_sinks, *units)
-        assert fresh.solve(start) == net.pivots
+        assert fresh.solve(start=start) == net.pivots
         assert net.F.tobytes() == fresh.F.tobytes()
         assert net.pi.tobytes() == fresh.pi.tobytes()
-        assert (basis.parent, basis.pred, basis.flow) == (start.parent, start.pred, start.flow)
+        assert net.tree == fresh.tree
         flows = fresh.flows()
         assert list(net.flows().items()) == list(flows.items())  # order included
         assert list(plan.entries.items()) == [(key, f * unit) for key, f in flows.items()]
@@ -706,6 +722,38 @@ class TestKeptNetwork:
             Zs = _moves(rng, Z0, (0.1, 1e-3))
             _replay_on_fresh_networks(monkeypatch, cfg, Zs + [Z0, Z0], q)
 
+    @pytest.mark.parametrize("case", ["y_n24_q2", "2+2_n16_q1.5"])
+    def test_each_start_solves_on_one_network(self, case, monkeypatch):
+        # every plan solve of a start, its rebalance proposals' included,
+        # runs on the network that start's first solve built and starts from
+        # the tree that network kept: no solve passes a start tree
+        if case == "y_n24_q2":
+            cfg, n, q = y_instance(), 24, 2.0
+        else:
+            cfg, n, q = random_instance(np.random.default_rng([0, 0]), 2, 2), 16, 1.5
+        starts = []
+        real_descend, solve = positions._descend, MinCostFlowNetwork.solve
+
+        def descend(*args):
+            starts.append([])
+            return real_descend(*args)
+
+        def recording(self, *args, **kwargs):
+            assert not args and not kwargs
+            if isinstance(self, _PlanNetwork):
+                starts[-1].append(self)
+            return solve(self)
+
+        monkeypatch.setattr(positions, "_descend", descend)
+        monkeypatch.setattr(MinCostFlowNetwork, "solve", recording)
+        params = CostParams(q=q)
+        positions.alternate_minimize(cfg, n, params)
+        assert len(starts) == 1 + params.restarts
+        for k, nets in enumerate(starts):
+            assert len(nets) > 1
+            assert all(net is nets[0] for net in nets)
+            assert all(nets[0] is not other[0] for other in starts[:k])
+
     def test_repriced_costs_equal_a_fresh_cost_matrix(self, rng):
         # the relay blocks are re-priced on their own; every entry and the
         # pricing scale must equal those of a network built at the new Z
@@ -729,24 +777,29 @@ class TestKeptNetwork:
                     assert kept.F.tobytes() == fresh.F.tobytes()
                     assert kept._fmax.hex() == fresh._fmax.hex()
 
-    def test_a_tree_the_caller_assigns_is_checked(self, rng):
+    def test_a_start_the_caller_passes_is_checked(self, rng):
         cfg = random_instance(rng, 4, 3)
         Z = rng.uniform(-1, 1, size=(3, 2))
         basis = TreeBasis()
         min_cost_plan(cfg, Z, 2.0, basis)
         kept = basis.network
-        flow = list(basis.flow)
+        parent, pred, flow = (list(seq) for seq in kept.tree)
         u = next(u for u, f in enumerate(flow) if f > 0)
         flow[u] += 1
-        basis.flow = flow
         with pytest.raises(ValueError, match="balance"):
-            min_cost_plan(cfg, Z + 0.1, 2.0, basis)
-        flow[u] -= 1
+            kept.solve(start=(parent, pred, flow))
+        # a solve that fails keeps no tree: the next one on the basis
+        # starts cold, and from a start that fits, a solve succeeds
+        assert kept.tree is None
         plan, cost = min_cost_plan(cfg, Z + 0.1, 2.0, basis)
         assert basis.network is kept
         again, cost_cold = min_cost_plan(cfg, Z + 0.1, 2.0)
         assert list(plan.entries.items()) == list(again.entries.items())
         assert cost.hex() == cost_cold.hex()
+        flow[u] -= 1
+        kept.solve(start=(parent, pred, flow))
+        cold = _solve_flow_network(*_plan_network_args(cfg, Z + 0.1))
+        assert list(kept.flows().items()) == list(cold.items())
 
     def test_settle_matches_the_regularizing_settle(self, monkeypatch):
         # _settle as it was when every pass regularized its new plan and
