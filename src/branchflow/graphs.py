@@ -18,7 +18,7 @@ in plain lists and NumPy is called a fixed number of times per graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

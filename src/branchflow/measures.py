@@ -26,7 +26,7 @@ import json
 import math
 import numbers
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -189,6 +189,18 @@ def validate(config: SignedConfig) -> SignedConfig:
     return config
 
 
+def validate_exponent(q: float) -> float:
+    """Check a transport exponent and return it unchanged.
+
+    Raises :class:`InvalidConfigError` unless q is finite and >= 1, the
+    range of every cost in this package; the solver's :class:`CostParams`
+    further requires q > 1.
+    """
+    if not math.isfinite(q) or q < 1.0:
+        raise InvalidConfigError(f"exponent q must be finite and >= 1, got {q}")
+    return q
+
+
 @dataclass(frozen=True)
 class CostParams:
     """Transport exponent and multistart settings for the solver.
@@ -244,7 +256,7 @@ def config_from_dict(doc: dict) -> tuple[SignedConfig, float]:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidConfigError(f"malformed problem document: {exc}") from exc
-    return validate(SignedConfig(sources, sinks, dimension)), q
+    return validate(SignedConfig(sources, sinks, dimension)), validate_exponent(q)
 
 
 def serialize_problem(config: SignedConfig, q: float) -> str:

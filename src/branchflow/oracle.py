@@ -23,9 +23,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .measures import SignedConfig, total_mass, validate
-from .graphs import Edge, WeightedDigraph, reduce_graph
+from .measures import SignedConfig, total_mass, validate, validate_exponent
+from .graphs import Edge, WeightedDigraph, graph_cost, reduce_graph
 from .positions import _EdgeKernel, _newton
+from .transport import ZERO_FLOW_RTOL
 
 #: most topologies one oracle call solves: up to 7 terminals (945)
 ENUMERATION_BUDGET = 1000
@@ -60,7 +61,7 @@ class Topology:
 
     ``flows`` are signed: positive means the edge as written carries flow
     tail -> head.  Edges are sorted pairs in sorted order; an edge whose
-    flow is at most 1e-12 of the total mass has flow exactly 0.
+    flow is at most ZERO_FLOW_RTOL of the total mass has flow exactly 0.
     """
 
     n_terminals: int
@@ -176,7 +177,7 @@ def enumerate_topologies(config: SignedConfig) -> list[Topology]:
         raise EnumerationBudgetError(
             f"{count} topologies exceed budget {ENUMERATION_BUDGET}"
         )
-    zero_tol = 1e-12 * total_mass(config)
+    zero_tol = ZERO_FLOW_RTOL * total_mass(config)
     out = []
     for edges in _full_trees(T):
         edges.sort()
@@ -301,8 +302,7 @@ def oracle(config: SignedConfig, q: float) -> OracleSolution:
     change of scale.  The cost reported is the realized graph's.
     """
     terminals = Terminals.of(config)
-    if q < 1.0:
-        raise ValueError(f"network exponent must be >= 1, got {q}")
+    validate_exponent(q)
     table: list[tuple[Topology, float]] = []
     best: tuple[float, Topology, np.ndarray] | None = None
     for t in enumerate_topologies(config):
@@ -313,9 +313,8 @@ def oracle(config: SignedConfig, q: float) -> OracleSolution:
     cost, t, S = best
     table.sort(key=lambda item: item[1])
     graph = _realize(t, terminals, S)
-    realized = sum(e.length * e.weight ** (1.0 / q) for e in graph.edges)
     return OracleSolution(
-        cost=float(realized),
+        cost=graph_cost(graph, q),
         graph=graph,
         steiner_positions=graph.positions[graph.free_indices()],
         topology=t,

@@ -36,7 +36,7 @@ convex.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,7 +57,6 @@ from .transport import (
     min_cost_plan,
     plan_cost,
     wasserstein_coupling,
-    wasserstein_q,
 )
 # regularize is not called; perfbench/spans.py patches positions.regularize
 from .regularize import regularize, zero_flow_threshold  # noqa: F401
@@ -638,9 +637,7 @@ def alternate_minimize(
     if n < 0:
         raise InvalidConfigError(f"atom count must be >= 0, got {n}")
     if n == 0:
-        # coupling keys are already (source index, sink index)
-        coupling, cost = wasserstein_coupling(config.sources, config.sinks, q)
-        plan = TransportPlan(config.n_sources, config.n_sinks, 0, dict(coupling))
+        plan, cost = min_cost_plan(config, None, q)
         return SolveResult(
             Z=np.zeros((0, config.dimension)),
             plan=plan, cost_q=cost, n=0, q=q,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graphs import WeightedDigraph
-from .measures import atomic_write_text
+from .measures import atomic_write_text, validate_exponent
 
 _SOURCE_FILL = "#2563eb"
 _SINK_FILL = "#ffffff"
@@ -20,7 +20,9 @@ _EDGE_STROKE = "#111827"
 
 
 def render_svg(g: WeightedDigraph, q: float = 2.0, size: int = 640) -> str:
-    """SVG document for a 2-d graph; raises on other dimensions."""
+    """SVG document for a 2-d graph; raises on other dimensions and on an
+    exponent that is not finite and >= 1."""
+    validate_exponent(q)
     if g.dimension != 2:
         raise ValueError(f"can only render plane graphs, got dimension {g.dimension}")
     if g.n_vertices == 0:

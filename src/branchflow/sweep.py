@@ -21,8 +21,6 @@ import math
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from .measures import CostParams, InvalidConfigError, SignedConfig, validate
 from .positions import SolveResult, alternate_minimize
 from .graphs import ReducedTree, plan_to_graph, reduce_graph

@@ -25,6 +25,11 @@ primal network simplex (``_mcf``) prices all of them each pivot, so its
 final potentials certify the flow optimal for the full linear program.  Its
 flow is a basic solution, whose support is a forest.
 
+``min_cost_plan`` is the one entry to that linear program: it alone
+validates an instance and builds a flow network.  With no relays the plan
+LP is the plain W_q coupling, so ``wasserstein_coupling`` is its n = 0
+solve.
+
 ``min_cost_plan`` takes an optional caller-owned :class:`TreeBasis`, and
 that basis is the only state kept here.  Its first solve builds the plan
 network, which holds the validated config, the integer supplies, the arcs
@@ -45,12 +50,12 @@ import numpy as np
 
 from ._mcf import MinCostFlowNetwork, SolverError
 from .measures import (
-    BALANCE_ATOL,
     Atom,
     InvalidConfigError,
     SignedConfig,
     total_mass,
     validate,
+    validate_exponent,
 )
 
 #: integer mass grid: all masses are represented in units of total/10^9
@@ -220,20 +225,6 @@ def integer_mass_units(masses: np.ndarray, units: int = MASS_UNITS) -> np.ndarra
     return base.astype(np.int64)
 
 
-def _solve_flow_network(
-    F: np.ndarray,
-    n_src: int,
-    n_snk: int,
-    src_units: np.ndarray,
-    snk_units: np.ndarray,
-) -> dict[tuple[int, int], int]:
-    """Run the exact flow solver cold on a new network; returns positive
-    integer flows per matrix key."""
-    net = MinCostFlowNetwork(F, n_src, n_snk, src_units, snk_units)
-    net.solve()
-    return net.flows()
-
-
 class _PlanNetwork(MinCostFlowNetwork):
     """The plan LP of one validated config, exponent and relay count.
 
@@ -294,11 +285,14 @@ def min_cost_plan(
     network built for the same config object, q and number of relays has
     it re-priced at Z and re-solved from its last tree.  Any other basis
     raises ValueError.  Without a basis the solve starts cold; warm or
-    cold, the optimal cost is the same.
+    cold, the optimal cost is the same.  A solve that builds a network
+    first validates the config and the exponent (finite, >= 1) and raises
+    InvalidConfigError on either.
     """
     net = basis.network if basis is not None else None
     if net is None:
         validate(config)
+        validate_exponent(q)
     Z = as_positions(Z, config.dimension)
     if net is None:
         net = _PlanNetwork(config, Z, q)
@@ -389,31 +383,9 @@ def wasserstein_coupling(
     minus: Sequence[Atom],
     q: float,
 ) -> tuple[dict[tuple[int, int], float], float]:
-    """Optimal coupling and its q-power cost between two atomic measures."""
-    if q < 1.0:
-        raise InvalidConfigError(f"wasserstein exponent must be >= 1, got {q}")
-    plus = list(plus)
-    minus = list(minus)
-    if not plus or not minus:
-        raise InvalidConfigError("empty atom list")
-    dims = {a.dim for a in plus} | {a.dim for a in minus}
-    if len(dims) != 1:
-        raise InvalidConfigError(f"mixed dimensions {sorted(dims)}")
-    pm = np.array([a.mass for a in plus])
-    mm = np.array([a.mass for a in minus])
-    if abs(pm.sum() - mm.sum()) > BALANCE_ATOL:
-        raise InvalidConfigError(
-            f"unbalanced: {pm.sum()!r} vs {mm.sum()!r}"
-        )
-    if pm.sum() <= 0:
-        raise InvalidConfigError("total mass must be positive")
-    P = np.array([a.position for a in plus], dtype=float)
-    Q = np.array([a.position for a in minus], dtype=float)
-    F = _pair_costs(P, Q, q)
-    flows = _solve_flow_network(
-        F, len(plus), len(minus), integer_mass_units(pm), integer_mass_units(mm)
-    )
-    unit = float(pm.sum()) / MASS_UNITS
-    coupling = {key: f * unit for key, f in flows.items()}
-    cost = float(sum(g * F[key] for key, g in coupling.items()))
-    return coupling, cost
+    """Optimal coupling and its q-power cost between two atomic measures:
+    the plan LP with no relays, keyed (plus index, minus index)."""
+    plus, minus = tuple(plus), tuple(minus)
+    config = SignedConfig(plus, minus, plus[0].dim if plus else 0)
+    plan, cost = min_cost_plan(config, None, q)
+    return plan.entries, cost

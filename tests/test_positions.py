@@ -383,6 +383,15 @@ class TestAlternateMinimize:
         res = alternate_minimize(cfg, 0, CostParams(q=2.0, restarts=0))
         assert check_plan(res.plan, cfg) == []
 
+    def test_zero_relays_is_the_plan_lp_without_relays(self, rng):
+        for q in (1.5, 2.0, 3.0):
+            cfg = random_config(rng, n_sources=3, n_sinks=4)
+            res = alternate_minimize(cfg, 0, CostParams(q=q, restarts=0))
+            plan, cost = min_cost_plan(cfg, None, q)
+            assert list(res.plan.entries.items()) == list(plan.entries.items())
+            assert res.plan.n_free == plan.n_free == 0
+            assert res.cost_q.hex() == cost.hex()
+
     def test_deterministic_given_seed(self):
         cfg = y_instance()
         params = CostParams(q=2.0, restarts=2)

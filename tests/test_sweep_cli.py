@@ -154,6 +154,28 @@ class TestCliExitCodes:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("q", ["nan", "0.5", "inf"])
+    def test_exponent_outside_the_cost_range_is_2(self, q, tmp_path, capsys):
+        problem = tmp_path / "y.json"
+        save_problem(problem, y_instance(), 2.0)
+        report = tmp_path / "report"
+        assert main(["oracle", str(problem), "--out-dir", str(report)]) == 0
+        out = tmp_path / "out"
+        assert main(["oracle", str(problem), "--q", q, "--out-dir", str(out)]) == 2
+        assert main(["render", str(report / "oracle.json"), "--q", q,
+                     "--out", str(out / "y.svg")]) == 2
+        assert capsys.readouterr().err.count("exponent") == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("q", [math.nan, 0.5, -3.0, math.inf])
+    def test_problem_file_exponent_outside_the_cost_range_is_2(self, q, tmp_path, capsys):
+        problem = tmp_path / "y.json"
+        save_problem(problem, y_instance(), q)
+        assert main(["validate", str(problem)]) == 2
+        assert "exponent" in capsys.readouterr().err
+        with pytest.raises(InvalidConfigError):
+            oracle(y_instance(), q)
+
     def test_unsettled_solve_is_3(self, tmp_path, monkeypatch, capsys):
         # a settle of Y at n=24 needs more than one plan-and-Newton pass, so
         # with one pass allowed the winning start's support never settles

@@ -9,6 +9,7 @@ from scipy.optimize import linear_sum_assignment, linprog
 from branchflow import (
     Atom,
     CostParams,
+    InvalidConfigError,
     SignedConfig,
     TransportPlan,
     min_cost_plan,
@@ -30,7 +31,6 @@ from branchflow.transport import (
     MASS_UNITS,
     TreeBasis,
     _PlanNetwork,
-    _solve_flow_network,
     as_positions,
     check_plan,
     cost_matrix,
@@ -146,8 +146,15 @@ class TestMinCostPlan:
             assert abs(cost - ref) <= 1e-9 * max(1.0, abs(ref))
 
 
+def _cold_flows(*args):
+    """Positive integer flows per matrix key of a new network's cold solve."""
+    net = MinCostFlowNetwork(*args)
+    net.solve()
+    return net.flows()
+
+
 def _plan_network_args(cfg, Z, q=2.0):
-    """The arguments of ``_solve_flow_network`` for the plan step at Z."""
+    """The arguments of ``MinCostFlowNetwork`` for the plan step at Z."""
     return (
         cost_matrix(cfg, Z, q), cfg.n_sources, cfg.n_sinks,
         integer_mass_units(cfg.source_masses()), integer_mass_units(cfg.sink_masses()),
@@ -156,7 +163,7 @@ def _plan_network_args(cfg, Z, q=2.0):
 
 def _assert_flows_match_per_arc_reference(cfg, Z, q=2.0):
     args = _plan_network_args(cfg, Z, q)
-    got = _solve_flow_network(*args)
+    got = _cold_flows(*args)
     want = _reference_flow_dict(*args)
     assert list(got.items()) == list(want.items())  # order included
     assert all(type(f) is int for f in got.values())
@@ -383,7 +390,7 @@ class TestPricingLoop:
             F, n_src, n_snk = args[:3]
             n_free = len(Z)
             solved_networks.clear()
-            got = _solve_flow_network(*args)
+            got = _cold_flows(*args)
             (net,) = solved_networks
             tol = 1e-12 * F.max()
             pi = net.pi
@@ -603,10 +610,10 @@ class TestDegenerateInputs:
         # of them is kept depends on rounding; away from 1 the optimum is
         # unique and must not depend on the scale
         if q >= 1.1:
-            flows = list(_solve_flow_network(*_plan_network_args(cfg, Z, q)).items())
+            flows = list(_cold_flows(*_plan_network_args(cfg, Z, q)).items())
             for k in (-2, -1, 1, 2):
                 args = _plan_network_args(*_scaled(cfg, Z, 4.0**k), q)
-                assert list(_solve_flow_network(*args).items()) == flows
+                assert list(_cold_flows(*args).items()) == flows
         again, cost2 = min_cost_plan(cfg, Z, q)
         assert cost2.hex() == cost.hex()
         assert list(again.entries.items()) == list(plan.entries.items())
@@ -616,10 +623,10 @@ class TestDegenerateInputs:
         for q in (1.5, 2.0, 3.0):
             cfg = random_instance(rng, 5, 4)
             Z = rng.uniform(-1, 1, size=(4, 2))
-            flows = list(_solve_flow_network(*_plan_network_args(cfg, Z, q)).items())
+            flows = list(_cold_flows(*_plan_network_args(cfg, Z, q)).items())
             for k in (-20, -8, 8, 20):
                 args = _plan_network_args(*_scaled(cfg, Z, 4.0**k), q)
-                assert list(_solve_flow_network(*args).items()) == flows
+                assert list(_cold_flows(*args).items()) == flows
 
 
 def _assert_simplex_plan(plan, cfg, Z, q):
@@ -726,7 +733,8 @@ class TestKeptNetwork:
     def test_each_start_solves_on_one_network(self, case, monkeypatch):
         # every plan solve of a start, its rebalance proposals' included,
         # runs on the network that start's first solve built and starts from
-        # the tree that network kept: no solve passes a start tree
+        # the tree that network kept: no solve passes a start tree.  The W1
+        # seed's coupling is the zero-relay plan LP, solved before any start
         if case == "y_n24_q2":
             cfg, n, q = y_instance(), 24, 2.0
         else:
@@ -740,7 +748,7 @@ class TestKeptNetwork:
 
         def recording(self, *args, **kwargs):
             assert not args and not kwargs
-            if isinstance(self, _PlanNetwork):
+            if isinstance(self, _PlanNetwork) and self.n_free:
                 starts[-1].append(self)
             return solve(self)
 
@@ -798,7 +806,7 @@ class TestKeptNetwork:
         assert cost.hex() == cost_cold.hex()
         flow[u] -= 1
         kept.solve(start=(parent, pred, flow))
-        cold = _solve_flow_network(*_plan_network_args(cfg, Z + 0.1))
+        cold = _cold_flows(*_plan_network_args(cfg, Z + 0.1))
         assert list(kept.flows().items()) == list(cold.items())
 
     def test_settle_matches_the_regularizing_settle(self, monkeypatch):
@@ -1060,6 +1068,20 @@ class TestWasserstein:
             wasserstein_q(plus, minus, 2.0)
         with pytest.raises(Exception, match=">= 1"):
             wasserstein_q(plus, plus, 0.5)
+        # every invalid instance or exponent is refused as such, not left to
+        # the flow solver
+        far = (Atom((1.0, 0.0), 1.0),)
+        bad = [
+            ((Atom((0.0, 0.0), -1.0), Atom((1.0, 0.0), 2.0)), plus, 2.0),
+            ((Atom((0.0, 0.0), float("nan")),), plus, 2.0),
+            ((Atom((float("nan"), 0.0), 1.0),), plus, 2.0),
+            ((Atom((0.0, float("inf")), 1.0),), plus, 2.0),
+            (plus, far, float("nan")),
+            (plus, far, float("inf")),
+        ]
+        for a, b, q in bad:
+            with pytest.raises(InvalidConfigError):
+                wasserstein_q(a, b, q)
 
 
 def test_random_instance_masses_are_integer_compositions(rng):
