@@ -18,7 +18,7 @@ from .measures import (
     CostParams,
     InvalidConfigError,
     atomic_write_text,
-    load_problem,
+    parse_problem,
     total_mass,
 )
 from .transport import SolverError
@@ -26,7 +26,7 @@ from .positions import alternate_minimize, solve_result_to_dict
 from .graphs import graph_from_dict, graph_to_dict, verify_structure
 from .oracle import EnumerationBudgetError, oracle
 from .render import render
-from .sweep import solver_tree, sweep, sweep_to_csv
+from .sweep import CSV_COLUMNS, solver_tree, sweep, sweep_to_csv
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -37,13 +37,20 @@ def _write_json(path: Path, doc: dict) -> None:
     atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
 
 
-def _load(path: str):
+def _read_text(path: str) -> str:
+    """An input file's UTF-8 text; a file that cannot be read is invalid input."""
     try:
-        return load_problem(path)
+        return Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
         raise InvalidConfigError(f"no such file: {path}")
-    except json.JSONDecodeError as exc:
-        raise InvalidConfigError(f"malformed JSON in {path}: {exc}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidConfigError(f"cannot read {path}: {exc}")
+
+
+def _load(args):
+    """The problem file's config and exponent, ``--q`` overriding the file's."""
+    config, q = parse_problem(_read_text(args.problem))
+    return config, q if args.q is None else args.q
 
 
 def _check_atom_counts(ns: list[int]) -> None:
@@ -54,45 +61,36 @@ def _check_atom_counts(ns: list[int]) -> None:
 
 
 def _params(args, q: float) -> CostParams:
-    kwargs = {"q": q, "seed": args.seed}
-    if args.restarts is not None:
-        kwargs["restarts"] = args.restarts
-    return CostParams(**kwargs)
+    return CostParams(q=q, restarts=args.restarts, seed=args.seed)
 
 
-def _tree_report(config, tree) -> dict:
-    if tree is None:
-        return {}
-    report = verify_structure(tree, config)
-    return {
-        "reduced_tree": graph_to_dict(tree),
-        "structure_checks": [
+def _write_solve_report(out_dir: Path, config, res, tree) -> None:
+    """solve_n<n>.json, with the reduced tree and its structure checks when
+    there is one, and tree_n<n>.svg for a plane tree."""
+    doc = solve_result_to_dict(res, config)
+    if tree is not None:
+        doc["reduced_tree"] = graph_to_dict(tree)
+        doc["structure_checks"] = [
             {"name": item.name, "ok": item.ok, "detail": item.detail}
-            for item in report.items
-        ],
-    }
+            for item in verify_structure(tree, config).items
+        ]
+    _write_json(out_dir / f"solve_n{res.n}.json", doc)
+    if tree is not None and config.dimension == 2:
+        render(tree, out_dir / f"tree_n{res.n}.svg", q=res.q)
 
 
 def cmd_validate(args) -> int:
-    config, q = _load(args.problem)
+    config, q = parse_problem(_read_text(args.problem))
     print(f"ok: {config.n_sources} sources, {config.n_sinks} sinks, "
           f"dimension {config.dimension}, q={q}, total mass {total_mass(config)}")
     return EXIT_OK
 
 
 def cmd_solve(args) -> int:
-    config, q_file = _load(args.problem)
-    q = args.q if args.q is not None else q_file
+    config, q = _load(args)
     params = _params(args, q)
     res = alternate_minimize(config, args.n, params)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    doc = solve_result_to_dict(res, config)
-    tree = solver_tree(config, res)
-    doc.update(_tree_report(config, tree))
-    _write_json(out_dir / f"solve_n{args.n}.json", doc)
-    if tree is not None and config.dimension == 2:
-        render(tree, out_dir / f"tree_n{args.n}.svg", q=q)
+    _write_solve_report(args.out_dir, config, res, solver_tree(config, res))
     print(f"n={res.n} wbar={res.wbar:.9g} rescaled={res.rescaled:.9g} "
           f"converged={res.converged} (start {res.start_index}/{res.n_starts}, "
           f"{res.inner_budget_hits} inner budget hits, "
@@ -101,15 +99,12 @@ def cmd_solve(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    config, q_file = _load(args.problem)
-    q = args.q if args.q is not None else q_file
+    config, q = _load(args)
     try:
         sol = oracle(config, q)
     except EnumerationBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     doc = {
         "q": q,
         "cost": sol.cost,
@@ -125,17 +120,16 @@ def cmd_oracle(args) -> int:
             for t, c in sol.table
         ],
     }
-    _write_json(out_dir / "oracle.json", doc)
+    _write_json(args.out_dir / "oracle.json", doc)
     if config.dimension == 2:
-        render(sol.graph, out_dir / "oracle.svg", q=q)
+        render(sol.graph, args.out_dir / "oracle.svg", q=q)
     print(f"oracle cost={sol.cost:.9g} "
           f"({len(sol.table)} topologies, {len(sol.steiner_positions)} branch points)")
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
-    config, q_file = _load(args.problem)
-    q = args.q if args.q is not None else q_file
+    config, q = _load(args)
     try:
         n_list = [int(tok) for tok in args.ns.split(",") if tok.strip()]
     except ValueError:
@@ -145,18 +139,10 @@ def cmd_sweep(args) -> int:
     _check_atom_counts(n_list)
     params = _params(args, q)
     records, details = sweep(config, q, n_list, params, resolution=args.resolution)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    atomic_write_text(out_dir / "sweep.csv", sweep_to_csv(records))
-    for n, res, tree in details:
-        doc = solve_result_to_dict(res, config)
-        doc.update(_tree_report(config, tree))
-        _write_json(out_dir / f"solve_n{n}.json", doc)
-        if tree is not None and config.dimension == 2:
-            render(tree, out_dir / f"tree_n{n}.svg", q=q)
-    header = " ".join(f"{c:>10}" for c in
-                      ("n", "wbar", "rescaled", "upper", "lower", "hausdorff", "seconds"))
-    print(header)
+    atomic_write_text(args.out_dir / "sweep.csv", sweep_to_csv(records))
+    for _, res, tree in details:
+        _write_solve_report(args.out_dir, config, res, tree)
+    print(" ".join(f"{c:>10}" for c in CSV_COLUMNS))
     for r in records:
         print(f"{r.n:>10} {r.wbar:>10.6g} {r.rescaled:>10.6g} {r.upper:>10.6g} "
               f"{r.lower:>10.6g} {r.hausdorff:>10.6g} {r.seconds:>10.3f}"
@@ -167,28 +153,24 @@ def cmd_sweep(args) -> int:
 
 def cmd_render(args) -> int:
     try:
-        doc = json.loads(Path(args.graph).read_text())
-    except FileNotFoundError:
-        raise InvalidConfigError(f"no such file: {args.graph}")
+        doc = json.loads(_read_text(args.graph))
     except json.JSONDecodeError as exc:
         raise InvalidConfigError(f"malformed JSON in {args.graph}: {exc}")
-    if "reduced_tree" in doc:
-        doc = doc["reduced_tree"]
-    elif "graph" in doc:
-        doc = doc["graph"]
     try:
+        if "reduced_tree" in doc:
+            doc = doc["reduced_tree"]
+        elif "graph" in doc:
+            doc = doc["graph"]
         g = graph_from_dict(doc)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidConfigError(f"not a graph document: {exc}")
-    q = args.q if args.q is not None else 2.0
-    render(g, args.out, q=q)
+    render(g, args.out, q=args.q)
     print(f"wrote {args.out}")
     return EXIT_OK
 
 
 def cmd_compare(args) -> int:
-    config, q_file = _load(args.problem)
-    q = args.q if args.q is not None else q_file
+    config, q = _load(args)
     _check_atom_counts([args.n])
     params = _params(args, q)
     try:
@@ -212,9 +194,7 @@ def cmd_compare(args) -> int:
         "sandwich_ok": rec.in_bounds,
         "converged": rec.converged,
     }
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out_dir / f"compare_n{args.n}.json", doc)
+    _write_json(args.out_dir / f"compare_n{args.n}.json", doc)
     print(f"rescaled={rec.rescaled:.9g} oracle={sol.cost:.9g} "
           f"gap={doc['relative_gap']:+.3%} hausdorff={rec.hausdorff:.6g} "
           f"sandwich_ok={rec.in_bounds}")
@@ -222,13 +202,19 @@ def cmd_compare(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="master RNG seed")
-    common.add_argument("--q", type=float, default=None,
-                        help="cost exponent (default: the problem file's)")
-    common.add_argument("--out-dir", default=".", help="output directory")
-    common.add_argument("--restarts", type=int, default=None,
-                        help="random multistarts (default 8)")
+    # each subcommand takes only the shared options it reads
+    exponent = argparse.ArgumentParser(add_help=False)
+    exponent.add_argument("--q", type=float, default=None,
+                          help="cost exponent (default: the problem file's)")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out-dir", type=Path, default=Path("."),
+                        help="output directory")
+    starts = argparse.ArgumentParser(add_help=False)
+    starts.add_argument("--seed", type=int, default=CostParams.seed,
+                        help="master RNG seed (default %(default)s)")
+    starts.add_argument("--restarts", type=int, default=CostParams.restarts,
+                        help="random multistarts (default %(default)s)")
+    solver = [exponent, output, starts]
 
     parser = argparse.ArgumentParser(
         prog="branchflow",
@@ -236,23 +222,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", parents=[common],
-                       help="check a problem file")
+    p = sub.add_parser("validate", help="check a problem file and its own q")
     p.add_argument("problem")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("solve", parents=[common],
+    p = sub.add_parser("solve", parents=solver,
                        help="minimize with n free atoms")
     p.add_argument("problem")
     p.add_argument("--n", type=int, required=True, help="free atom count")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("oracle", parents=[common],
+    p = sub.add_parser("oracle", parents=[exponent, output],
                        help="exhaustive small-instance network optimum")
     p.add_argument("problem")
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("sweep", parents=[common],
+    p = sub.add_parser("sweep", parents=solver,
                        help="solver sweep over atom counts")
     p.add_argument("problem")
     p.add_argument("--ns", required=True, help="comma-separated atom counts")
@@ -260,13 +245,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Hausdorff sampling resolution")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("render", parents=[common],
-                       help="draw a graph document as SVG")
+    p = sub.add_parser("render", help="draw a graph document as SVG")
     p.add_argument("graph", help="graph JSON (or solve/oracle report)")
     p.add_argument("--out", required=True, help="output SVG path")
+    p.add_argument("--q", type=float, default=2.0,
+                   help="stroke exponent: widths scale with weight^(1/q) "
+                        "(default %(default)s)")
     p.set_defaults(func=cmd_render)
 
-    p = sub.add_parser("compare", parents=[common],
+    p = sub.add_parser("compare", parents=solver,
                        help="solver vs oracle at one atom count")
     p.add_argument("problem")
     p.add_argument("--n", type=int, required=True)

@@ -156,7 +156,7 @@ def plan_to_graph(config: SignedConfig, Z, plan: TransportPlan) -> WeightedDigra
         raise ValueError("Z and plan disagree on the number of free atoms")
     ns, nk = plan.n_sources, plan.n_sinks
     n_term = ns + nk
-    pruned = plan.pruned(zero_flow_threshold(plan, config))
+    pruned = plan.pruned(zero_flow_threshold(config))
     report = is_regular(pruned)
     if not report:
         raise NotRegularError(f"plan is not regular: {report.kind} {report.detail}")

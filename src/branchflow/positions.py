@@ -608,7 +608,7 @@ def _min_tree_edges(config: SignedConfig, plan: TransportPlan) -> int:
     threshold.  Each of them keeps an edge through the reduction, which
     never splices out a terminal, and a forest edge touches two vertices.
     """
-    tol = zero_flow_threshold(plan, config)
+    tol = zero_flow_threshold(config)
     ns, nk = plan.n_sources, plan.n_sinks
     sources = {i for (i, _), g in plan.entries.items() if i < ns and g > tol}
     sinks = {j for (_, j), g in plan.entries.items() if j < nk and g > tol}
@@ -679,7 +679,7 @@ def alternate_minimize(
             best = (cost, idx, Z, plan, passes, conv)
 
     cost, idx, Z, plan, passes, conv = best
-    tol = zero_flow_threshold(plan, config)
+    tol = zero_flow_threshold(config)
     used = plan.throughputs() > tol
     return SolveResult(
         Z=Z,

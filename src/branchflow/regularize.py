@@ -56,13 +56,13 @@ class RegularityReport:
         return self.ok
 
 
-def zero_flow_threshold(plan: TransportPlan, config: SignedConfig) -> float:
+def zero_flow_threshold(config: SignedConfig) -> float:
     return ZERO_FLOW_RTOL * total_mass(config)
 
 
 def prune_zeros(plan: TransportPlan, config: SignedConfig) -> TransportPlan:
     """Drop flows below 10^-12 of total mass."""
-    return plan.pruned(zero_flow_threshold(plan, config))
+    return plan.pruned(zero_flow_threshold(config))
 
 
 def edges_form_forest(edges: Iterable[tuple[int, int]]) -> bool:
@@ -179,7 +179,7 @@ def cancel_flat_cycles(
     Z = as_positions(Z, config.dimension)
     P = vertex_positions(config, Z)
     out = prune_zeros(plan, config).copy()
-    tol = zero_flow_threshold(plan, config)
+    tol = zero_flow_threshold(config)
 
     def hop_cost(key: tuple[int, int]) -> float:
         i, j = key

@@ -17,9 +17,10 @@ _SINK_FILL = "#ffffff"
 _SINK_STROKE = "#dc2626"
 _FREE_FILL = "#6b7280"
 _EDGE_STROKE = "#111827"
+_SIZE = 640  # width and height of the drawing, px
 
 
-def render_svg(g: WeightedDigraph, q: float = 2.0, size: int = 640) -> str:
+def render_svg(g: WeightedDigraph, q: float = 2.0) -> str:
     """SVG document for a 2-d graph; raises on other dimensions and on an
     exponent that is not finite and >= 1."""
     validate_exponent(q)
@@ -33,22 +34,22 @@ def render_svg(g: WeightedDigraph, q: float = 2.0, size: int = 640) -> str:
     pad = 0.12 * float(extent.max())
     low = low - pad
     span = float((extent + 2 * pad).max())
-    scale = size / span
+    scale = _SIZE / span
 
     def to_px(p: np.ndarray) -> tuple[float, float]:
         # flip y so larger coordinates draw upward
         x = (p[0] - low[0]) * scale
-        y = size - (p[1] - low[1]) * scale
+        y = _SIZE - (p[1] - low[1]) * scale
         return x, y
 
     wmax = max((e.weight ** (1.0 / q) for e in g.edges), default=1.0)
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE}" height="{_SIZE}" '
+        f'viewBox="0 0 {_SIZE} {_SIZE}">',
         '<defs><marker id="arrow" viewBox="0 0 10 10" refX="9" refY="5" '
         'markerWidth="6" markerHeight="6" orient="auto-start-reverse">'
         f'<path d="M 0 0 L 10 5 L 0 10 z" fill="{_EDGE_STROKE}"/></marker></defs>',
-        f'<rect width="{size}" height="{size}" fill="#fafafa"/>',
+        f'<rect width="{_SIZE}" height="{_SIZE}" fill="#fafafa"/>',
     ]
     for e in g.edges:
         x1, y1 = to_px(g.positions[e.tail])
@@ -84,6 +85,6 @@ def render_svg(g: WeightedDigraph, q: float = 2.0, size: int = 640) -> str:
     return "\n".join(parts) + "\n"
 
 
-def render(g: WeightedDigraph, out_path: str, q: float = 2.0, size: int = 640) -> None:
+def render(g: WeightedDigraph, out_path: str, q: float = 2.0) -> None:
     """Write the SVG for g to out_path (atomic replace)."""
-    atomic_write_text(out_path, render_svg(g, q=q, size=size))
+    atomic_write_text(out_path, render_svg(g, q=q))

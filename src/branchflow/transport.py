@@ -333,14 +333,10 @@ def plan_cost(config: SignedConfig, Z: np.ndarray, plan: TransportPlan, q: float
     return total
 
 
-def check_plan(
-    plan: TransportPlan,
-    config: SignedConfig,
-    tol: float | None = None,
-) -> list[str]:
-    """Return human-readable constraint violations (empty list when feasible)."""
-    if tol is None:
-        tol = MARGINAL_RTOL * max(1.0, total_mass(config))
+def check_plan(plan: TransportPlan, config: SignedConfig) -> list[str]:
+    """Return human-readable constraint violations (empty list when feasible),
+    marginals compared to MARGINAL_RTOL of max(1, total mass)."""
+    tol = MARGINAL_RTOL * max(1.0, total_mass(config))
     problems: list[str] = []
     for key, g in plan.entries.items():
         if g < 0:

@@ -171,7 +171,7 @@ def test_criterion_5_regularization_suite():
         assert np.abs(out.sink_inflows() - cfg.sink_masses()).max() <= tol
         if n:
             assert np.abs(out.free_inflows() - out.free_outflows()).max() <= tol
-        assert is_regular(out, tol=zero_flow_threshold(out, cfg)).ok
+        assert is_regular(out, tol=zero_flow_threshold(cfg)).ok
         assert plan_cost(cfg, Z, out, Q) <= before * (1.0 + 1e-9) + 1e-12
         done += 1
     elapsed = time.perf_counter() - t0

@@ -21,6 +21,7 @@ from branchflow._mcf import MinCostFlowNetwork
 from branchflow.graphs import Edge, WeightedDigraph, reduce_graph
 from branchflow.measures import total_mass
 from branchflow.positions import COST_ROUNDING, _EdgeKernel, polish_positions, w1_seed
+from branchflow.render import render, render_svg
 from branchflow.transport import as_positions, check_plan, plan_cost
 from conftest import random_config, random_feasible_plan, random_positions
 
@@ -567,6 +568,11 @@ RETIRED = {
         .solve(max_augmentations=10)),
     "reduce_graph.flow_rtol": (
         "flow_rtol", lambda: reduce_graph(_one_edge_graph(), flow_rtol=1e-6)),
+    "render_svg.size": ("size", lambda: render_svg(_one_edge_graph(), size=640)),
+    "render.size": ("size", lambda: render(_one_edge_graph(), "unwritten.svg", size=640)),
+    "check_plan.tol": (
+        "tol", lambda: check_plan(TransportPlan(1, 1, 0, {(0, 0): 1.0}), single_edge(),
+                                  tol=1e-9)),
 }
 
 

@@ -62,7 +62,7 @@ def _reference_plan_to_graph(config, Z, plan):
     Z = as_positions(Z, config.dimension)
     if Z.shape[0] != plan.n_free:
         raise ValueError("Z and plan disagree on the number of free atoms")
-    tol = zero_flow_threshold(plan, config)
+    tol = zero_flow_threshold(config)
     pruned = plan.pruned(tol)
     report = is_regular(pruned)
     if not report:
@@ -432,7 +432,7 @@ class TestArrayPassesMatchReferences:
 
     def test_atoms_are_kept_by_their_outflow(self):
         config = single_edge()
-        tol = zero_flow_threshold(TransportPlan(1, 1, 1), config)
+        tol = zero_flow_threshold(config)
         Z = np.array([[0.5, 0.0]])
         # the atom's inflow is dust, its outflow is not: it stays a vertex
         plan = TransportPlan(1, 1, 1, {(0, 1): 0.5 * tol, (1, 0): 1.0, (0, 0): 0.25})
@@ -497,7 +497,7 @@ def _guard_cases():
             plan = regularize(plan, config, Z, 2.0)
             if s % 2 == 0:
                 # dust at or below the zero-flow threshold on untouched pairs
-                tol = zero_flow_threshold(plan, config)
+                tol = zero_flow_threshold(config)
                 entries = dict(plan.entries)
                 for _ in range(4):
                     key = (int(rng.integers(plan.n_rows)), int(rng.integers(plan.n_cols)))
@@ -520,7 +520,7 @@ def _guard_cases():
                 dim))
             Z = np.full((k, dim), 50.0)
             plan, _ = min_cost_plan(config, Z, 2.0)
-            tol = zero_flow_threshold(plan, config)
+            tol = zero_flow_threshold(config)
             entries = dict(plan.entries)
             entries[(0, k)] = tol
             entries[(k, 0)] = 0.5 * tol

@@ -125,7 +125,7 @@ class TestIsRegular:
             n = int(rng.integers(0, 7))
             Z = random_positions(cfg, n, rng)
             for plan in (random_feasible_plan(cfg, n, rng), min_cost_plan(cfg, Z, 2.0)[0]):
-                for tol in (0.0, zero_flow_threshold(plan, cfg)):
+                for tol in (0.0, zero_flow_threshold(cfg)):
                     report = is_regular(plan, tol=tol)
                     assert report.ok == nx_regular(plan, tol)
                     if report.kind == "parallel_paths":
@@ -273,7 +273,7 @@ class TestRegularizePipeline:
             before = plan_cost(cfg, Z, plan, 2.0)
             out = regularize(plan, cfg, Z, 2.0)
             assert check_plan(out, cfg) == [], "feasibility lost"
-            assert is_regular(out, tol=zero_flow_threshold(out, cfg)).ok
+            assert is_regular(out, tol=zero_flow_threshold(cfg)).ok
             assert is_forest(plan_to_graph(cfg, Z, out))
             after = plan_cost(cfg, Z, out, 2.0)
             assert after <= before + 1e-9 * max(1.0, before)
@@ -306,7 +306,7 @@ class TestRegularizePipeline:
 class TestPruneZeros:
     def test_threshold_scales_with_total_mass(self):
         cfg = single_edge(mass=4.0)
-        assert zero_flow_threshold(TransportPlan(1, 1, 0), cfg) == pytest.approx(4e-12)
+        assert zero_flow_threshold(cfg) == pytest.approx(4e-12)
 
     def test_dust_entries_removed(self):
         cfg = single_edge()

@@ -1,6 +1,8 @@
+import argparse
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -34,6 +36,43 @@ def problem_file(tmp_path):
     path = tmp_path / "edge.json"
     save_problem(path, single_edge(), 2.0)
     return path
+
+
+def _refuse_work(monkeypatch):
+    """Make every solve, oracle and drawing the CLI reaches fail the test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("solved or drew despite invalid input")
+
+    for name in ("alternate_minimize", "sweep", "oracle", "render"):
+        monkeypatch.setattr(cli, name, refuse)
+
+
+def _unreadable(kind, tmp_path):
+    """A directory, or a file whose bytes (a UTF-16 mark) are not UTF-8."""
+    path = tmp_path / kind
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe")
+    return path
+
+
+#: the options each subcommand takes, --help aside
+OPTIONS = {
+    "validate": set(),
+    "solve": {"--q", "--out-dir", "--seed", "--restarts", "--n"},
+    "oracle": {"--q", "--out-dir"},
+    "sweep": {"--q", "--out-dir", "--seed", "--restarts", "--ns", "--resolution"},
+    "render": {"--q", "--out"},
+    "compare": {"--q", "--out-dir", "--seed", "--restarts", "--n"},
+}
+
+#: (subcommand, option) pairs the shared parent parser used to accept unread
+RETIRED_OPTIONS = [
+    ("validate", "--q"), ("validate", "--seed"), ("validate", "--restarts"),
+    ("validate", "--out-dir"), ("oracle", "--seed"), ("oracle", "--restarts"),
+    ("render", "--seed"), ("render", "--restarts"), ("render", "--out-dir"),
+]
 
 
 class TestSweep:
@@ -140,12 +179,7 @@ class TestCliExitCodes:
     def test_invalid_counts_and_seeds_are_2_before_solving(
         self, argv, tmp_path, monkeypatch, capsys
     ):
-        def refuse(*args, **kwargs):
-            raise AssertionError("solved despite invalid input")
-
-        monkeypatch.setattr(cli, "alternate_minimize", refuse)
-        monkeypatch.setattr(cli, "sweep", refuse)
-        monkeypatch.setattr(cli, "oracle", refuse)
+        _refuse_work(monkeypatch)
         problem = tmp_path / "y.json"
         save_problem(problem, y_instance(), 2.0)
         out = tmp_path / "out"
@@ -176,6 +210,28 @@ class TestCliExitCodes:
         with pytest.raises(InvalidConfigError):
             oracle(y_instance(), q)
 
+    @pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+    @pytest.mark.parametrize("command", ["validate", "oracle", "render"])
+    def test_unreadable_input_is_2(self, command, kind, tmp_path, monkeypatch, capsys):
+        _refuse_work(monkeypatch)
+        path, out = _unreadable(kind, tmp_path), tmp_path / "out"
+        argv = {
+            "validate": ["validate", str(path)],
+            "oracle": ["oracle", str(path), "--out-dir", str(out)],
+            "render": ["render", str(path), "--out", str(out / "g.svg")],
+        }[command]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read {path}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["5", '"reduced_tree"', "[1]"])
+    def test_render_of_a_non_object_document_is_2(self, text, tmp_path, monkeypatch, capsys):
+        _refuse_work(monkeypatch)
+        doc = tmp_path / "doc.json"
+        doc.write_text(text)
+        assert main(["render", str(doc), "--out", str(tmp_path / "g.svg")]) == 2
+        assert capsys.readouterr().err.startswith("error: not a graph document")
+
     def test_unsettled_solve_is_3(self, tmp_path, monkeypatch, capsys):
         # a settle of Y at n=24 needs more than one plan-and-Newton pass, so
         # with one pass allowed the winning start's support never settles
@@ -198,6 +254,76 @@ class TestCliExitCodes:
         assert main(["solve", str(problem), "--n", "24", "--out-dir", str(out)]) == 3
         assert "converged=False" in capsys.readouterr().out
         assert json.loads((out / "solve_n24.json").read_text())["converged"] is False
+
+
+class TestCliOptions:
+    def test_each_subcommand_takes_only_the_options_it_reads(self):
+        (sub,) = [action for action in cli.build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+        taken = {
+            name: {opt for action in p._actions for opt in action.option_strings}
+            - {"-h", "--help"}
+            for name, p in sub.choices.items()
+        }
+        assert taken == OPTIONS
+        assert sum(map(len, taken.values())) == 20
+
+    @pytest.mark.parametrize("command,option", RETIRED_OPTIONS)
+    def test_retired_option_is_2(self, command, option, tmp_path, monkeypatch, capsys):
+        problem, out = tmp_path / "y.json", tmp_path / "out"
+        save_problem(problem, y_instance(), 2.0)
+        assert main(["oracle", str(problem), "--out-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        _refuse_work(monkeypatch)
+        argv = {
+            "validate": ["validate", str(problem)],
+            "oracle": ["oracle", str(problem), "--out-dir", str(out)],
+            "render": ["render", str(tmp_path / "oracle.json"), "--out", str(out / "y.svg")],
+        }[command]
+        value = str(out) if option == "--out-dir" else "2"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [option, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option} {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,options", [
+        ("solve", ["--n", "3"]), ("sweep", ["--ns", "3"]), ("compare", ["--n", "3"]),
+    ])
+    def test_solver_options_reach_the_params(self, command, options, problem_file,
+                                             monkeypatch):
+        seen = []
+        real = cli._params
+
+        class Stop(Exception):
+            pass
+
+        def record(args, q):
+            seen.append(real(args, q))
+            raise Stop
+
+        monkeypatch.setattr(cli, "_params", record)
+        for extra in ([], ["--q", "2.5", "--restarts", "3", "--seed", "7"]):
+            with pytest.raises(Stop):
+                main([command, str(problem_file), *options, *extra])
+        # the defaults are CostParams's own, q the problem file's
+        assert seen == [CostParams(q=2.0), CostParams(q=2.5, restarts=3, seed=7)]
+
+    def test_exponent_reaches_oracle_and_render(self, tmp_path):
+        problem = tmp_path / "y.json"
+        save_problem(problem, y_instance(), 2.0)
+        assert main(["oracle", str(problem), "--q", "3", "--out-dir", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "oracle.json").read_text())["q"] == 3.0
+        widths = {}
+        for q in (None, "2", "3"):
+            out = tmp_path / f"q{q}.svg"
+            extra = ["--q", q] if q else []
+            assert main(["render", str(tmp_path / "oracle.json"), "--out", str(out), *extra]) == 0
+            widths[q] = [float(w) for w in
+                         re.findall(r'<line [^>]*stroke-width="([^"]+)"', out.read_text())]
+        # the stroke exponent defaults to 2, and a larger one evens the widths
+        assert widths[None] == widths["2"] != widths["3"]
+        assert max(widths["3"]) - min(widths["3"]) < max(widths["2"]) - min(widths["2"])
 
 
 class TestCliCommands:
@@ -244,10 +370,11 @@ class TestCliCommands:
         text = (tmp_path / "picture.svg").read_text()
         assert "<svg" in text and "line" in text
 
-    def test_sweep_outputs_and_determinism(self, problem_file, tmp_path):
+    def test_sweep_outputs_and_determinism(self, problem_file, tmp_path, capsys):
         args = ["sweep", str(problem_file), "--ns", "1,2", "--restarts", "1"]
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(args + ["--out-dir", str(out1)]) == 0
+        assert capsys.readouterr().out.split("\n")[0].split() == list(CSV_COLUMNS)
         assert main(args + ["--out-dir", str(out2)]) == 0
         strip = lambda p: [
             ",".join(line.split(",")[:6])  # drop the wall-time column
@@ -296,15 +423,33 @@ class TestCliCommands:
         assert outs[0]["cost_q"] == pytest.approx(outs[1]["cost_q"], rel=0.2)
 
 
+def _run_entry_point(args, cwd=None):
+    exe = shutil.which("branchflow")
+    cmd = [exe] if exe else [sys.executable, "-m", "branchflow.cli"]
+    # the package under test, also when it is not installed
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + inherited if inherited else ""))
+    return subprocess.run(cmd + args, capture_output=True, text=True, timeout=60,
+                          env=env, cwd=cwd)
+
+
 class TestConsoleScript:
     def test_installed_entry_point(self, problem_file):
-        exe = shutil.which("branchflow")
-        cmd = [exe] if exe else [sys.executable, "-m", "branchflow.cli"]
-        # the package under test, also when it is not installed
-        inherited = os.environ.get("PYTHONPATH")
-        env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + inherited if inherited else ""))
-        proc = subprocess.run(
-            cmd + ["validate", str(problem_file)],
-            capture_output=True, text=True, timeout=60, env=env,
-        )
+        proc = _run_entry_point(["validate", str(problem_file)])
         assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "{problem}", "--q", "0.5"],
+        ["oracle", "{problem}", "--seed", "1"],
+        ["validate", "{directory}"],
+        ["validate", "{not_utf8}"],
+    ])
+    def test_invalid_input_exits_2_without_a_traceback(self, argv, problem_file, tmp_path):
+        paths = {"problem": problem_file,
+                 **{kind: _unreadable(kind, tmp_path) for kind in ("directory", "not_utf8")}}
+        proc = _run_entry_point([arg.format(**paths) for arg in argv], cwd=tmp_path)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(("usage: branchflow", "error: "))
+        # nothing written next to the inputs
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["directory", "edge.json", "not_utf8"]

@@ -634,7 +634,7 @@ def _assert_simplex_plan(plan, cfg, Z, q):
     feasible, and left as it is by ``regularize``."""
     keys = list(plan.entries)
     assert keys == sorted(keys)
-    tol = zero_flow_threshold(plan, cfg)
+    tol = zero_flow_threshold(cfg)
     assert all(g > tol for g in plan.entries.values())
     assert _is_forest(plan)
     assert check_plan(plan, cfg) == []
@@ -814,7 +814,7 @@ class TestKeptNetwork:
         # compared pruned supports; both settle the same starts to the same
         # result, bit for bit, also through solves that make no pivot
         def reference(config, Z, plan, q, basis):
-            tol = zero_flow_threshold(plan, config)
+            tol = zero_flow_threshold(config)
             stable, passes = False, 0
             for passes in range(1, positions._SETTLE_PASSES + 1):
                 Z, cost, _, _ = positions.polish_positions(config, plan, Z, q)
