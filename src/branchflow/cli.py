@@ -18,7 +18,8 @@ from .measures import (
     CostParams,
     InvalidConfigError,
     atomic_write_text,
-    parse_problem,
+    load_problem,
+    read_input_text,
     total_mass,
 )
 from .transport import SolverError
@@ -37,19 +38,9 @@ def _write_json(path: Path, doc: dict) -> None:
     atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
 
 
-def _read_text(path: str) -> str:
-    """An input file's UTF-8 text; a file that cannot be read is invalid input."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise InvalidConfigError(f"no such file: {path}")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InvalidConfigError(f"cannot read {path}: {exc}")
-
-
 def _load(args):
     """The problem file's config and exponent, ``--q`` overriding the file's."""
-    config, q = parse_problem(_read_text(args.problem))
+    config, q = load_problem(args.problem)
     return config, q if args.q is None else args.q
 
 
@@ -80,7 +71,7 @@ def _write_solve_report(out_dir: Path, config, res, tree) -> None:
 
 
 def cmd_validate(args) -> int:
-    config, q = parse_problem(_read_text(args.problem))
+    config, q = load_problem(args.problem)
     print(f"ok: {config.n_sources} sources, {config.n_sinks} sinks, "
           f"dimension {config.dimension}, q={q}, total mass {total_mass(config)}")
     return EXIT_OK
@@ -153,7 +144,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_render(args) -> int:
     try:
-        doc = json.loads(_read_text(args.graph))
+        doc = json.loads(read_input_text(args.graph))
     except json.JSONDecodeError as exc:
         raise InvalidConfigError(f"malformed JSON in {args.graph}: {exc}")
     try:

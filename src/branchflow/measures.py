@@ -275,8 +275,18 @@ def save_problem(path: str | Path, config: SignedConfig, q: float) -> None:
     atomic_write_text(path, serialize_problem(config, q))
 
 
+def read_input_text(path: str | Path) -> str:
+    """An input file's UTF-8 text; a file that cannot be read is invalid input."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise InvalidConfigError(f"no such file: {path}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidConfigError(f"cannot read {path}: {exc}")
+
+
 def load_problem(path: str | Path) -> tuple[SignedConfig, float]:
-    return parse_problem(Path(path).read_text())
+    return parse_problem(read_input_text(path))
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

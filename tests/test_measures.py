@@ -169,6 +169,16 @@ class TestSerialization:
         back, q = load_problem(path)
         assert (back, q) == (cfg, 3.0)
 
+    def test_unreadable_problem_file_is_invalid(self, tmp_path):
+        # a directory, a missing file and bytes that are not UTF-8 (a UTF-16
+        # mark) are invalid input, not OSError or UnicodeDecodeError
+        not_utf8 = tmp_path / "not_utf8.json"
+        not_utf8.write_bytes(b"\xff\xfe")
+        for path, message in ((tmp_path, "cannot read"), (not_utf8, "cannot read"),
+                              (tmp_path / "missing.json", "no such file")):
+            with pytest.raises(InvalidConfigError, match=message):
+                load_problem(path)
+
     def test_problem_document_shape(self):
         doc = json.loads(serialize_problem(pair(), 2.0))
         assert set(doc) == {"dimension", "q", "sources", "sinks"}

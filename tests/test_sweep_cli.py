@@ -38,6 +38,15 @@ def problem_file(tmp_path):
     return path
 
 
+@pytest.fixture(scope="module")
+def y_graph(tmp_path_factory):
+    """The oracle.json graph file of the Y instance, written once."""
+    out = tmp_path_factory.mktemp("y_graph")
+    save_problem(out / "y.json", y_instance(), 2.0)
+    assert main(["oracle", str(out / "y.json"), "--out-dir", str(out)]) == 0
+    return out / "oracle.json"
+
+
 def _refuse_work(monkeypatch):
     """Make every solve, oracle and drawing the CLI reaches fail the test."""
     def refuse(*args, **kwargs):
@@ -269,16 +278,15 @@ class TestCliOptions:
         assert sum(map(len, taken.values())) == 20
 
     @pytest.mark.parametrize("command,option", RETIRED_OPTIONS)
-    def test_retired_option_is_2(self, command, option, tmp_path, monkeypatch, capsys):
+    def test_retired_option_is_2(self, command, option, y_graph, tmp_path, monkeypatch,
+                                 capsys):
         problem, out = tmp_path / "y.json", tmp_path / "out"
         save_problem(problem, y_instance(), 2.0)
-        assert main(["oracle", str(problem), "--out-dir", str(tmp_path)]) == 0
-        capsys.readouterr()
         _refuse_work(monkeypatch)
         argv = {
             "validate": ["validate", str(problem)],
             "oracle": ["oracle", str(problem), "--out-dir", str(out)],
-            "render": ["render", str(tmp_path / "oracle.json"), "--out", str(out / "y.svg")],
+            "render": ["render", str(y_graph), "--out", str(out / "y.svg")],
         }[command]
         value = str(out) if option == "--out-dir" else "2"
         with pytest.raises(SystemExit) as exc:
@@ -441,11 +449,13 @@ class TestConsoleScript:
     @pytest.mark.parametrize("argv", [
         ["validate", "{problem}", "--q", "0.5"],
         ["oracle", "{problem}", "--seed", "1"],
+        ["render", "{graph}", "--out", "x.svg", "--restarts", "2"],
         ["validate", "{directory}"],
         ["validate", "{not_utf8}"],
     ])
-    def test_invalid_input_exits_2_without_a_traceback(self, argv, problem_file, tmp_path):
-        paths = {"problem": problem_file,
+    def test_invalid_input_exits_2_without_a_traceback(self, argv, problem_file, y_graph,
+                                                       tmp_path):
+        paths = {"problem": problem_file, "graph": y_graph,
                  **{kind: _unreadable(kind, tmp_path) for kind in ("directory", "not_utf8")}}
         proc = _run_entry_point([arg.format(**paths) for arg in argv], cwd=tmp_path)
         assert proc.returncode == 2
