@@ -14,8 +14,11 @@ Magnanti & Orlin, *Network Flows*, 1993, ch. 11) on a spanning tree of the
 nodes plus a root:
 
 * **Start.**  A caller's ``start`` tree, checked to be a strongly feasible
-  spanning tree whose flows balance the supplies, else the tree the
-  network kept from its last solve, else the artificial tree, which joins
+  spanning tree whose flows balance the supplies (the plan step passes
+  one to the first solve of each start: the W_1 coupling's final tree with
+  the relays threaded onto its segments, ``transport._threaded_start``),
+  else the tree the network kept from its last solve, else the artificial
+  tree, which joins
   every node to the root by an artificial arc of cost ``M = max F`` (1 when
   F is 0) carrying the node's supply.  A node with supply >= 0 points its arc
   at the root, the others get one from it.  An optimal tree carries no

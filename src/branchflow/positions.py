@@ -56,7 +56,6 @@ from .transport import (
     integer_mass_units,
     min_cost_plan,
     plan_cost,
-    wasserstein_coupling,
 )
 # regularize is not called; perfbench/spans.py patches positions.regularize
 from .regularize import regularize, zero_flow_threshold  # noqa: F401
@@ -467,15 +466,17 @@ def polish_positions(
     return Z, f, iters, converged
 
 
-def w1_seed(config: SignedConfig, n: int) -> np.ndarray:
+def w1_seed(config: SignedConfig, n: int, basis: TreeBasis | None = None) -> np.ndarray:
     """Deterministic start: atoms along the W_1-optimal matching segments.
 
-    The q=1 coupling between the terminal measures picks out transport
-    segments; atoms are distributed over them proportionally to flow
-    times length (largest-remainder), equally spaced inside each segment.
-    Exactly optimal for a single source-sink pair.
+    The q=1 coupling between the terminal measures, the zero-relay plan LP
+    at q = 1, picks out transport segments; atoms are distributed over them
+    proportionally to flow times length (largest-remainder), equally spaced
+    inside each segment.  Exactly optimal for a single source-sink pair.
+    ``basis``, when given, is an empty basis on which the coupling is
+    solved, so it keeps the coupling's network and final tree.
     """
-    coupling, _ = wasserstein_coupling(config.sources, config.sinks, 1.0)
+    coupling = min_cost_plan(config, None, 1.0, basis)[0].entries
     src = config.source_positions()
     snk = config.sink_positions()
     pairs = [(i, j, g) for (i, j), g in sorted(coupling.items()) if g > 0]
@@ -628,9 +629,11 @@ def alternate_minimize(
     kept only on strict improvement.  A start's descent and its proposals
     share one basis, whose plan network keeps the simplex tree; the cascade
     stops at the first rejection, so that tree is always the last settled
-    plan's.  Ties break on
-    start index.  The result's ``converged`` and ``iterations`` report the
-    winning start's settles.
+    plan's.  The W_1 seed's coupling is solved once, and every start's
+    basis carries its final tree, so each start's first plan solve begins
+    from that tree with the relays threaded onto its segments.  Ties break
+    on start index.  The result's ``converged`` and ``iterations`` report
+    the winning start's settles.
     """
     config = validate(config)
     q = params.q
@@ -645,7 +648,11 @@ def alternate_minimize(
             n_starts=0, start_costs=(cost,),
         )
 
-    starts: list[np.ndarray] = [w1_seed(config, n)]
+    w1_basis = TreeBasis()
+    starts: list[np.ndarray] = [w1_seed(config, n, w1_basis)]
+    # the starts need the coupling's tree, not its network and cost matrix
+    coupling = w1_basis.network.tree
+    del w1_basis
     for k in range(params.restarts):
         rng = np.random.default_rng(np.random.SeedSequence([params.seed, k]))
         starts.append(_random_seed_positions(config, n, rng))
@@ -655,7 +662,7 @@ def alternate_minimize(
     budget_hits = 0
     fallbacks: list[int] = []
     for idx, Z0 in enumerate(starts):
-        basis = TreeBasis()
+        basis = TreeBasis(coupling)
         Z, plan, cost, conv, passes, hits = _descend(config, Z0, q, fallbacks, basis)
         budget_hits += hits
         # each accepted rebalance simplifies the tree topology a little, so

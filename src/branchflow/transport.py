@@ -34,11 +34,14 @@ solve.
 that basis is the only state kept here.  Its first solve builds the plan
 network, which holds the validated config, the integer supplies, the arcs
 and the sources' sink costs, which depend on the terminals, q and the relay
-count alone, and stores it on the basis.  Each later solve on the basis
-re-prices only the entries that involve a relay and starts from the tree
-the network kept, the only copy of it.  When that solve makes no pivot, its
-tree and so its flows are the previous plan's, whose entries it returns
-unchanged.
+count alone, and stores it on the basis.  When the basis carries the
+final tree of the config's solved zero-relay network (the W_1 coupling),
+that first solve starts from it with the relays threaded onto its
+segments (``_threaded_start``), not from the artificial tree.  Each later
+solve on the basis re-prices only the entries that involve a relay and
+starts from the tree the network kept, the only copy of it.  When that
+solve makes no pivot, its tree and so its flows are the previous plan's,
+whose entries it returns unchanged.
 """
 
 from __future__ import annotations
@@ -257,16 +260,96 @@ class _PlanNetwork(MinCostFlowNetwork):
         np.fill_diagonal(F[n_src:, n_snk:], np.inf)
 
 
+def _threaded_start(
+    coupling: Sequence[Sequence[int]], net: _PlanNetwork, Z: np.ndarray
+) -> tuple[list, list, list]:
+    """Start tree for the first solve of ``net``, whose relays sit at Z:
+    ``coupling``, the final ``(parent, pred, flow)`` tree of the solved
+    zero-relay plan network of the same config, with the relays threaded
+    onto its segments.
+
+    That network has an arc for every source-sink pair, so its arc a runs
+    from source ``a // n_sinks`` to sink ``a % n_sinks``.  Every terminal
+    keeps its coupling parent, arc and flow.  The segments are the tree
+    arcs that carry flow, in row-major order.  Each relay goes to the
+    segment nearest it, ties to the first, at its projection t there.
+    Taking a segment's relays by increasing t (stable), a relay z joins the
+    route source -> ... -> sink after its last node x only when
+    ``|x - z|^q + |z - sink|^q <= |x - sink|^q`` at ``net``'s q, so each
+    insertion lowers the route's cost.  Every hop carries the segment's
+    flow and hangs the way the segment hung, sink below source or source
+    below sink.  A relay left out keeps its zero-flow artificial arc to the
+    root.  The solve checks the tree as it checks any caller's start.
+    """
+    config = net.config
+    n_src, n_snk = config.n_sources, config.n_sinks
+    n_term, n_cols, m_c = n_src + n_snk, n_snk + len(Z), n_src * n_snk
+    c_parent, c_pred, c_flow = coupling
+    if len(c_parent) != n_term:
+        raise ValueError(f"coupling tree has {len(c_parent)} nodes, the config {n_term} terminals")
+    n, m, cost, arc_id = net.n, net.m, net.F.item, net._arc_of.item
+    parent = [n if p == n_term else p for p in c_parent] + [n] * len(Z)
+    pred = [
+        arc_id(a // n_snk * n_cols + a % n_snk) if a < m_c else m + u
+        for u, a in enumerate(c_pred)
+    ] + list(range(m + n_term, m + n))
+    flow = list(c_flow) + [0] * len(Z)
+    segments = sorted((a, u) for u, a in enumerate(c_pred) if a < m_c and c_flow[u] > 0)
+    src_of, snk_of = np.divmod(np.array([a for a, _ in segments], dtype=np.int64), n_snk)
+    A = config.source_positions()[src_of]
+    D = config.sink_positions()[snk_of] - A
+    AZ = Z[:, None, :] - A
+    length2 = (D * D).sum(axis=1)
+    t = np.clip((AZ * D).sum(axis=2) / np.where(length2 > 0.0, length2, 1.0), 0.0, 1.0)
+    gap = t[:, :, None] * D - AZ
+    nearest = (gap * gap).sum(axis=2).argmin(axis=1)
+    order = np.lexsort((t[np.arange(len(Z)), nearest], nearest)).tolist()
+    nearest = nearest.tolist()
+    threaded: list[list[int]] = [[] for _ in segments]
+    for r in order:
+        k = nearest[r]
+        chain = threaded[k]
+        i, j = divmod(segments[k][0], n_snk)
+        x = n_src + chain[-1] if chain else i
+        if cost(x, n_snk + r) + cost(n_src + r, j) <= cost(x, j):
+            chain.append(r)
+    for (a, u), chain in zip(segments, threaded):
+        if not chain:
+            continue
+        i, j = divmod(a, n_snk)
+        rows = [i] + [n_src + r for r in chain]
+        cols = [n_snk + r for r in chain] + [j]
+        nodes = [i] + [n_term + r for r in chain] + [n_src + j]
+        sink_below = u == n_src + j
+        for h in range(len(chain) + 1):
+            tail, head = nodes[h], nodes[h + 1]
+            child, above = (head, tail) if sink_below else (tail, head)
+            parent[child], flow[child] = above, c_flow[u]
+            pred[child] = arc_id(rows[h] * n_cols + cols[h])
+    return parent, pred, flow
+
+
 class TreeBasis:
     """A caller's warm state for :func:`min_cost_plan`: the plan network of
     its first solve, which keeps its final simplex tree between solves.
-    Serves one config object, q and relay count."""
+    Serves one config object, q and relay count.
 
-    __slots__ = ("network",)
+    ``coupling``, when given, is the final tree
+    (:attr:`MinCostFlowNetwork.tree`) of the solved zero-relay plan network
+    of the same config, such as the W_1 coupling that
+    :func:`positions.w1_seed` solves on a basis.  The first solve then
+    starts from that tree with the relays threaded onto its segments
+    (``_threaded_start``), not from the artificial tree; a tree that does
+    not fit raises ValueError.  Later solves start from the kept tree.
+    """
 
-    def __init__(self) -> None:
+    __slots__ = ("network", "coupling")
+
+    def __init__(self, coupling: Sequence[Sequence[int]] | None = None) -> None:
         #: the plan network; None until the first solve on this basis
         self.network: _PlanNetwork | None = None
+        #: the coupling tree that, threaded, starts the first solve
+        self.coupling = coupling
 
 
 def min_cost_plan(
@@ -284,25 +367,30 @@ def min_cost_plan(
     empty one receives the network this solve builds, and one that holds a
     network built for the same config object, q and number of relays has
     it re-priced at Z and re-solved from its last tree.  Any other basis
-    raises ValueError.  Without a basis the solve starts cold; warm or
-    cold, the optimal cost is the same.  A solve that builds a network
-    first validates the config and the exponent (finite, >= 1) and raises
-    InvalidConfigError on either.
+    raises ValueError.  The solve that builds the network starts from the
+    basis's coupling tree with the relays threaded on, when the basis
+    carries one (:class:`TreeBasis`), else cold, as does a solve without
+    a basis; from any start, the optimal cost is the same.  A solve that
+    builds a network first validates the config and the exponent (finite,
+    >= 1) and raises InvalidConfigError on either.
     """
     net = basis.network if basis is not None else None
     if net is None:
         validate(config)
         validate_exponent(q)
     Z = as_positions(Z, config.dimension)
+    start = None
     if net is None:
         net = _PlanNetwork(config, Z, q)
         if basis is not None:
             basis.network = net
+            if basis.coupling is not None:
+                start = _threaded_start(basis.coupling, net, Z)
     elif net.config is config and net.q == q and net.n_free == len(Z):
         net.move(Z)
     else:
         raise ValueError("basis holds the plan network of another config, q or relay count")
-    net.solve()
+    net.solve(start=start)
     unit = total_mass(config) / MASS_UNITS
     entries = {key: f * unit for key, f in net.flows().items()}
     plan = TransportPlan(config.n_sources, config.n_sinks, len(Z), entries)

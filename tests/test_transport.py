@@ -31,6 +31,7 @@ from branchflow.transport import (
     MASS_UNITS,
     TreeBasis,
     _PlanNetwork,
+    _threaded_start,
     as_positions,
     check_plan,
     cost_matrix,
@@ -732,9 +733,11 @@ class TestKeptNetwork:
     @pytest.mark.parametrize("case", ["y_n24_q2", "2+2_n16_q1.5"])
     def test_each_start_solves_on_one_network(self, case, monkeypatch):
         # every plan solve of a start, its rebalance proposals' included,
-        # runs on the network that start's first solve built and starts from
-        # the tree that network kept: no solve passes a start tree.  The W1
-        # seed's coupling is the zero-relay plan LP, solved before any start
+        # runs on the network that start's first solve built.  That first
+        # solve passes a start tree, the W1 seed's coupling tree with the
+        # relays threaded on; every later one starts from the tree the
+        # network kept.  The coupling is the zero-relay plan LP, solved
+        # before any start, from the artificial tree
         if case == "y_n24_q2":
             cfg, n, q = y_instance(), 24, 2.0
         else:
@@ -746,21 +749,24 @@ class TestKeptNetwork:
             starts.append([])
             return real_descend(*args)
 
-        def recording(self, *args, **kwargs):
-            assert not args and not kwargs
+        def recording(self, start=None):
             if isinstance(self, _PlanNetwork) and self.n_free:
-                starts[-1].append(self)
-            return solve(self)
+                starts[-1].append((self, start is not None))
+            else:
+                assert start is None
+            return solve(self, start=start)
 
         monkeypatch.setattr(positions, "_descend", descend)
         monkeypatch.setattr(MinCostFlowNetwork, "solve", recording)
         params = CostParams(q=q)
         positions.alternate_minimize(cfg, n, params)
         assert len(starts) == 1 + params.restarts
-        for k, nets in enumerate(starts):
+        for k, solves in enumerate(starts):
+            nets = [net for net, _ in solves]
             assert len(nets) > 1
             assert all(net is nets[0] for net in nets)
-            assert all(nets[0] is not other[0] for other in starts[:k])
+            assert all(nets[0] is not other[0][0] for other in starts[:k])
+            assert [passed for _, passed in solves] == [True] + [False] * (len(solves) - 1)
 
     def test_repriced_costs_equal_a_fresh_cost_matrix(self, rng):
         # the relay blocks are re-priced on their own; every entry and the
@@ -877,6 +883,136 @@ def _awkward_instance(rng, dim, scale, zero_mass, coincident):
     if coincident:
         sinks[0] = Atom(sources[0].position, sinks[0].mass)
     return SignedConfig(tuple(sources), tuple(sinks), dim)
+
+
+def _coupling_tree(cfg):
+    """The final tree of cfg's zero-relay plan network at q = 1, the W1
+    coupling w1_seed solves."""
+    basis = TreeBasis()
+    min_cost_plan(cfg, None, 1.0, basis)
+    return basis.network.tree
+
+
+def _on_segments(rng, cfg, k, noise):
+    """k points on random segments between cfg's terminals, moved by noise."""
+    src, snk = cfg.source_positions(), cfg.sink_positions()
+    i, j = rng.integers(cfg.n_sources, size=k), rng.integers(cfg.n_sinks, size=k)
+    t = rng.uniform(0.0, 1.0, size=(k, 1))
+    return src[i] + t * (snk[j] - src[i]) + noise * rng.normal(size=(k, cfg.dimension))
+
+
+class TestThreadedStart:
+    """The first solve on a basis that carries a coupling starts from the
+    coupling's tree with the relays threaded onto its segments."""
+
+    @staticmethod
+    def _check(cfg, Z, q, same_flows):
+        """Solve from the threaded tree and cold; returns the tree and the
+        number of plan arcs."""
+        coupling = _coupling_tree(cfg)
+        net = _PlanNetwork(cfg, Z, q)
+        start = _threaded_start(coupling, net, Z)
+        net.solve(start=start)  # ValueError if the start fails solve's checks
+        cold = _PlanNetwork(cfg, Z, q)
+        cold.solve()
+
+        def cost(flows):
+            return float(sum(f * net.F[key] for key, f in flows.items()))
+
+        assert abs(cost(net.flows()) - cost(cold.flows())) <= 1e-12 * cost(cold.flows())
+        if same_flows:
+            assert list(net.flows().items()) == list(cold.flows().items())
+        # each insertion lowers its route's cost: the start costs no more
+        # than the coupling does at q
+        m_c = cfg.n_sources * cfg.n_sinks  # coupling arc a is the pair divmod(a, n_sinks)
+        coupling_cost = sum(f * net.F[divmod(a, cfg.n_sinks)]
+                            for a, f in zip(*coupling[1:]) if a < m_c)
+        start_cost = sum(f * net.F[net._rows[a], net._cols[a]]
+                         for a, f in zip(*start[1:]) if a < net.m)
+        assert start_cost <= coupling_cost * (1.0 + 1e-12)
+        return start, net.m
+
+    def test_random_instances(self, rng):
+        threaded = 0
+        for _ in range(40):
+            n_src, n_snk = (int(k) for k in rng.integers(1, 9, size=2))
+            dim = int(rng.integers(1, 4))
+            q = float(rng.choice([1.5, 2.0, 3.0]))
+            cfg = random_instance(rng, n_src, n_snk, dim=dim)
+            k = int(rng.integers(1, 41))
+            near = int(rng.integers(0, k + 1))
+            low, high = cfg.bbox()
+            Z = np.vstack([_on_segments(rng, cfg, near, 0.01),
+                           rng.uniform(low - 0.1, high + 0.1, size=(k - near, dim))])
+            (_, pred, _), m = self._check(cfg, Z, q, same_flows=True)
+            threaded += sum(a < m for a in pred[n_src + n_snk:])
+        assert threaded > 0
+
+    def test_degenerate_inputs(self, rng):
+        cases = dict(DEGENERATE)
+        # a source and a sink at one point make a segment of length zero
+        cases["zero-length segment"] = (
+            [((0.0, 0.0), 1.0), ((1.0, 0.0), 1.0)], [((0.0, 0.0), 1.0), ((1.0, 1.0), 1.0)],
+            [(0.0, 0.0), (0.0, 0.0), (1.0, 0.5), (0.3, 0.3)],
+        )
+        cases["relays on every terminal"] = (
+            [((0.0, 0.0), 1.0), ((2.0, 0.0), 1.0)], [((1.0, 2.0), 1.0), ((3.0, 1.0), 1.0)],
+            [(0.0, 0.0), (2.0, 0.0), (1.0, 2.0), (3.0, 1.0), (1.0, 2.0)],
+        )
+        for src, snk, relays in cases.values():
+            for q in (1.5, 2.0, 3.0):
+                self._check(_config(src, snk), np.array(relays), q, same_flows=False)
+
+    def test_every_relay_nearest_one_segment(self, rng):
+        # relays strictly inside one segment, coincident ones among them:
+        # each lowers the route's cost, so all go on, in order along it
+        cfg = _config([((0.0, 0.0), 1.0), ((0.0, 5.0), 1.0)],
+                      [((4.0, 0.0), 1.0), ((4.0, 5.0), 1.0)])
+        t = np.concatenate([rng.uniform(0.05, 0.95, size=9), [0.5, 0.5]])
+        Z = np.stack([4.0 * t, np.zeros_like(t)], axis=1)
+        for q in (1.5, 2.0, 3.0):
+            (parent, _, flow), _ = self._check(cfg, Z, q, same_flows=False)
+            relays = list(range(4, 4 + len(Z)))
+            assert all(flow[u] > 0 for u in relays)
+            # the chain source 0 -> relays by increasing t -> sink 0, in
+            # either hanging direction; ties keep the relays' order
+            chain = [int(r) for r in np.argsort(t, kind="stable")]
+            nodes = [0] + [4 + r for r in chain] + [2]
+            hops = {(parent[u], u) for u in range(len(flow)) if parent[u] < len(flow)}
+            steps = set(zip(nodes, nodes[1:]))
+            assert steps <= hops or {(b, a) for a, b in steps} <= hops
+
+    def test_starts_take_at_most_60_percent_of_cold_pivots(self):
+        # the three starts of the benchmark's wide_plan instance
+        cfg = random_instance(np.random.default_rng([0, 0]), 64, 64, total_mass=64)
+        params = CostParams(q=2.0, restarts=2)
+        w1_basis = TreeBasis()
+        starts = [positions.w1_seed(cfg, 32, w1_basis)] + [
+            positions._random_seed_positions(
+                cfg, 32, np.random.default_rng(np.random.SeedSequence([params.seed, k])))
+            for k in range(params.restarts)
+        ]
+        threaded = cold = 0
+        for Z in starts:
+            warm_basis, cold_basis = TreeBasis(w1_basis.network.tree), TreeBasis()
+            plan, cost = min_cost_plan(cfg, Z, params.q, warm_basis)
+            again, cost_cold = min_cost_plan(cfg, Z, params.q, cold_basis)
+            assert list(plan.entries.items()) == list(again.entries.items())
+            assert cost.hex() == cost_cold.hex()
+            threaded += warm_basis.network.pivots
+            cold += cold_basis.network.pivots
+        assert threaded <= 0.6 * cold
+
+    def test_rejects_a_coupling_that_does_not_fit(self, rng):
+        cfg = random_instance(rng, 3, 3, total_mass=8)
+        Z = rng.uniform(0, 1, size=(4, 2))
+        with pytest.raises(ValueError, match="coupling tree has 7 nodes"):
+            min_cost_plan(cfg, Z, 2.0, TreeBasis(_coupling_tree(random_instance(rng, 4, 3))))
+        # other masses on as many terminals: the solve's balance check
+        other = SignedConfig(cfg.sources, cfg.sinks[1:] + cfg.sinks[:1], cfg.dimension)
+        assert other.sink_masses().tolist() != cfg.sink_masses().tolist()
+        with pytest.raises(ValueError, match="balance"):
+            min_cost_plan(cfg, Z, 2.0, TreeBasis(_coupling_tree(other)))
 
 
 #: (config, n, q): the Y ladder, the benchmark's certify_q instances at
