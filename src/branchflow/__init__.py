@@ -34,10 +34,7 @@ from .transport import (
     wasserstein_q,
 )
 from .regularize import (
-    NotRegularError,
-    RegularityReport,
     cancel_flat_cycles,
-    is_regular,
     regularize,
 )
 from .graphs import (
@@ -101,10 +98,7 @@ __all__ = [
     "plan_cost",
     "wasserstein_coupling",
     "wasserstein_q",
-    "NotRegularError",
-    "RegularityReport",
     "cancel_flat_cycles",
-    "is_regular",
     "regularize",
     "ChainGeometry",
     "Edge",

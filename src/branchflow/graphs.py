@@ -24,7 +24,7 @@ import numpy as np
 
 from .measures import SignedConfig, total_mass
 from .transport import TransportPlan, MARGINAL_RTOL, vertex_positions
-from .regularize import edges_form_forest, is_regular, zero_flow_threshold, NotRegularError
+from .regularize import edges_form_forest, zero_flow_threshold
 
 ROLES = ("source", "sink", "free")
 CHAIN_FLOW_RTOL = 1e-6
@@ -90,9 +90,6 @@ class WeightedDigraph:
             indeg[e.head] += 1
         return indeg, outdeg
 
-    def terminal_indices(self) -> list[int]:
-        return [v for v, r in enumerate(self.roles) if r != "free"]
-
     def free_indices(self) -> list[int]:
         return [v for v, r in enumerate(self.roles) if r == "free"]
 
@@ -142,14 +139,15 @@ def _squared_norms(d: np.ndarray) -> np.ndarray:
 
 
 def plan_to_graph(config: SignedConfig, Z, plan: TransportPlan) -> WeightedDigraph:
-    """Embed a regular plan as a weighted digraph.
+    """Embed a plan as a weighted digraph.
 
     Vertices are every terminal plus each free atom whose throughput
-    exceeds 10^-12 of total mass; edges carry the plan flows, in sorted
-    (row, column) order.  Raises NotRegularError on a plan that is not
-    regular, and ValueError when a kept flow enters a dropped atom.
-    Vertex ids come from index arithmetic on the entry keys, and every
-    edge length from one stacked matmul.
+    exceeds 10^-12 of total mass; edges carry the plan flows above that
+    threshold, in sorted (row, column) order.  The support's structure is
+    not judged here: a cycle, a free self-loop included, is embedded as it
+    is, and ``reduce_graph`` refuses it.  Raises ValueError when a kept
+    flow enters a dropped atom.  Vertex ids come from index arithmetic on
+    the entry keys, and every edge length from one stacked matmul.
     """
     P = vertex_positions(config, Z)
     if P.shape[0] - config.n_sources - config.n_sinks != plan.n_free:
@@ -157,9 +155,6 @@ def plan_to_graph(config: SignedConfig, Z, plan: TransportPlan) -> WeightedDigra
     ns, nk = plan.n_sources, plan.n_sinks
     n_term = ns + nk
     pruned = plan.pruned(zero_flow_threshold(config))
-    report = is_regular(pruned)
-    if not report:
-        raise NotRegularError(f"plan is not regular: {report.kind} {report.detail}")
 
     keys = sorted(pruned.entries)
     tails = [i if i < ns else i + nk for i, _ in keys]
@@ -308,11 +303,6 @@ def graph_cost(g: WeightedDigraph, q: float) -> float:
     return float(sum(e.length * e.weight ** (1.0 / q) for e in g.edges))
 
 
-def graph_power_cost(g: WeightedDigraph, q: float) -> float:
-    """Plan-side power cost sum(weight * length^q) over edges."""
-    return float(sum(e.weight * e.length**q for e in g.edges))
-
-
 @dataclass(frozen=True)
 class CheckItem:
     name: str
@@ -435,7 +425,8 @@ def verify_structure(t: ReducedTree, config: SignedConfig) -> StructureReport:
     )
 
     tol = MARGINAL_RTOL * max(1.0, M)
-    inflow, outflow = _vertex_flows(t)
+    inflow = [t.in_flow(v) for v in range(t.n_vertices)]
+    outflow = [t.out_flow(v) for v in range(t.n_vertices)]
     flux_bad: list[str] = []
     ordinal = {"source": 0, "sink": 0, "free": 0}
     for v, role in enumerate(t.roles):
@@ -466,20 +457,6 @@ def verify_structure(t: ReducedTree, config: SignedConfig) -> StructureReport:
         )
     )
     return StructureReport(tuple(items))
-
-
-def _vertex_flows(g: WeightedDigraph) -> tuple[list[float], list[float]]:
-    """(in-flow, out-flow) of every vertex from one pass over the edges.
-
-    Each vertex's weights are summed in edge order, the same sums
-    ``in_flow`` and ``out_flow`` take.
-    """
-    ins: list[list[float]] = [[] for _ in range(g.n_vertices)]
-    outs: list[list[float]] = [[] for _ in range(g.n_vertices)]
-    for e in g.edges:
-        ins[e.head].append(e.weight)
-        outs[e.tail].append(e.weight)
-    return [sum(w) for w in ins], [sum(w) for w in outs]
 
 
 def graph_to_dict(g: WeightedDigraph) -> dict:

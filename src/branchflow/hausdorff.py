@@ -10,11 +10,22 @@ by more than that.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .graphs import WeightedDigraph
+from .measures import InvalidConfigError
 
 DEFAULT_RESOLUTION_FRACTION = 1e-4
+
+
+def check_resolution(resolution: float) -> None:
+    """Raise InvalidConfigError (a ValueError) unless the sampling
+    resolution is finite and positive."""
+    if not (math.isfinite(resolution) and resolution > 0):
+        raise InvalidConfigError(
+            f"Hausdorff resolution must be finite and positive, got {resolution}")
 
 
 def _segments(g: WeightedDigraph) -> tuple[np.ndarray, np.ndarray]:
@@ -73,8 +84,7 @@ def hausdorff(
     if resolution is None:
         diam = _combined_diameter(g1, g2)
         resolution = max(diam * DEFAULT_RESOLUTION_FRACTION, 1e-12)
-    if resolution <= 0:
-        raise ValueError(f"resolution must be positive, got {resolution}")
+    check_resolution(resolution)
     A1, B1 = _segments(g1)
     A2, B2 = _segments(g2)
     p1 = sample_points(g1, resolution)

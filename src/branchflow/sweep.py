@@ -25,7 +25,7 @@ from .measures import CostParams, InvalidConfigError, SignedConfig, validate
 from .positions import SolveResult, alternate_minimize
 from .graphs import ReducedTree, plan_to_graph, reduce_graph
 from .allocate import allocate
-from .hausdorff import hausdorff
+from .hausdorff import check_resolution, hausdorff
 from .oracle import OracleSolution, oracle, EnumerationBudgetError
 
 #: slack of the sandwich check, relative to each bound
@@ -96,13 +96,17 @@ def sweep(
     Errors in a single entry are recorded on that row and the sweep
     continues.  The oracle is computed once; if its enumeration budget
     is exceeded the bound and distance columns are NaN.  ``params.q``
-    must equal ``q``, the exponent of the oracle and the bounds.
+    must equal ``q``, the exponent of the oracle and the bounds, and a
+    given ``resolution`` must be finite and positive; both are checked
+    before any solve.
     """
     config = validate(config)
     params = params or CostParams(q=q)
     if params.q != q:
         raise InvalidConfigError(
             f"sweep at q={q} given solver params with q={params.q}")
+    if resolution is not None:
+        check_resolution(resolution)
     if oracle_solution is None:
         try:
             oracle_solution = oracle(config, q)

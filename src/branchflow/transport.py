@@ -113,13 +113,6 @@ class TransportPlan:
     def col_to_vertex(self, j: int) -> int:
         return self.n_sources + j
 
-    def vertex_role(self, v: int) -> str:
-        if v < self.n_sources:
-            return "source"
-        if v < self.n_sources + self.n_sinks:
-            return "sink"
-        return "free"
-
     # ---- aggregates ---------------------------------------------------
     def source_outflows(self) -> np.ndarray:
         out = np.zeros(self.n_sources)

@@ -6,7 +6,6 @@ import pytest
 
 from branchflow import (
     Atom,
-    NotRegularError,
     SignedConfig,
     TransportPlan,
     graph_cost,
@@ -19,7 +18,7 @@ from branchflow import (
     verify_structure,
     y_instance,
 )
-from branchflow.graphs import Edge, WeightedDigraph, graph_power_cost, is_forest
+from branchflow.graphs import Edge, WeightedDigraph, is_forest
 from conftest import random_config, random_feasible_plan, random_positions
 from branchflow import regularize
 
@@ -49,12 +48,11 @@ class TestWeightedDigraph:
         indeg, outdeg = g.degrees()
         assert indeg.tolist() == [0, 1, 1] and outdeg.tolist() == [1, 1, 0]
         assert g.in_flow(1) == 2.0 and g.out_flow(1) == 2.0
-        assert g.terminal_indices() == [0, 2] and g.free_indices() == [1]
+        assert g.free_indices() == [1]
 
     def test_costs(self):
         g = chain_graph(k=0, flow=4.0)  # single edge, weight 4, length 1
         assert graph_cost(g, 2.0) == pytest.approx(2.0)           # |e| * m^(1/q)
-        assert graph_power_cost(g, 2.0) == pytest.approx(4.0)     # m * |e|^q
 
 
 class TestIsForest:
@@ -94,10 +92,15 @@ class TestPlanToGraph:
         assert g.n_vertices == 2 and g.roles == ("source", "sink")
 
     def test_rejects_irregular_plans_by_default(self):
+        # the direct arc and the routed path close a cycle: plan_to_graph
+        # embeds it, and reduce_graph's forest test refuses it
         cfg = single_edge()
         plan = TransportPlan(1, 1, 1, {(0, 0): 0.5, (0, 1): 0.5, (1, 0): 0.5})
-        with pytest.raises(NotRegularError):
-            plan_to_graph(cfg, np.array([[0.5, 0.0]]), plan)
+        g = plan_to_graph(cfg, np.array([[0.5, 0.0]]), plan)
+        assert [(e.tail, e.head, e.weight) for e in g.edges] == [
+            (0, 1, 0.5), (0, 2, 0.5), (2, 1, 0.5)]
+        with pytest.raises(ValueError, match="forest"):
+            reduce_graph(g)
 
     def test_edge_lengths_equal_the_per_edge_norm(self, rng):
         # one np.linalg.norm per edge is the reference, bit for bit

@@ -47,6 +47,11 @@ class TestHausdorff:
         with pytest.raises(ValueError, match="dimension"):
             hausdorff(g2, g3)
 
+    @pytest.mark.parametrize("resolution", [0.0, -1.0, np.nan, np.inf])
+    def test_resolution_must_be_finite_and_positive(self, resolution):
+        with pytest.raises(ValueError, match="resolution must be finite and positive"):
+            hausdorff(segment(), segment(y=0.5), resolution)
+
     def test_empty_graph_rejected(self):
         empty = WeightedDigraph(np.zeros((1, 2)), ("source",), ())
         with pytest.raises(ValueError):

@@ -1,13 +1,9 @@
-import itertools
-
 import networkx as nx
 import numpy as np
 import pytest
 
 from branchflow import (
-    NotRegularError,
     TransportPlan,
-    is_regular,
     min_cost_plan,
     plan_to_graph,
     reduce_graph,
@@ -16,6 +12,7 @@ from branchflow import (
 )
 from branchflow.graphs import is_forest
 from branchflow.regularize import (
+    _is_forest,
     cancel_flat_cycles,
     prune_zeros,
     zero_flow_threshold,
@@ -29,64 +26,55 @@ def relay_arc(cfg, a: int, b: int) -> tuple[int, int]:
     return (cfg.n_sources + a, cfg.n_sinks + b)
 
 
-def nx_violation(plan: TransportPlan, tol: float = 0.0):
-    """Reference: "cycle", the first (source, sink) pair joined by two
-    simple paths, or None for a regular plan.
+def nx_forest(plan: TransportPlan, tol: float = 0.0) -> bool:
+    """Reference: whether the support, as an undirected multigraph, is a forest.
 
     Entries at or below ``tol`` are dropped when ``tol > 0``; at ``tol=0``
-    every stored entry is an arc, as in ``is_regular``.
+    every stored entry is an edge, as in ``_is_forest``.  A self-loop and
+    a pair joined twice are cycles.
     """
-    g = nx.MultiDiGraph()
+    g = nx.MultiGraph()
     g.add_nodes_from(range(plan.n_vertices))
-    for (i, j), flow in plan.entries.items():
-        if tol == 0 or flow > tol:
-            g.add_edge(plan.row_to_vertex(i), plan.col_to_vertex(j))
-    if not nx.is_directed_acyclic_graph(g):
-        return "cycle"
-    for s in range(plan.n_sources):
-        for t in range(plan.n_sinks):
-            paths = nx.all_simple_edge_paths(g, s, plan.n_sources + t)
-            if len(list(itertools.islice(paths, 2))) == 2:
-                return (s, t)
-    return None
+    g.add_edges_from(
+        (plan.row_to_vertex(i), plan.col_to_vertex(j))
+        for (i, j), flow in plan.entries.items()
+        if tol == 0 or flow > tol
+    )
+    return nx.is_forest(g)
 
 
-def nx_regular(plan: TransportPlan, tol: float = 0.0) -> bool:
-    return nx_violation(plan, tol) is None
-
-
-def assert_witness_holds(plan: TransportPlan, report) -> None:
-    """A cycle closes head to tail; parallel paths are two distinct s->t paths."""
-    arcs = {
-        key: (plan.row_to_vertex(key[0]), plan.col_to_vertex(key[1]))
-        for key in plan.entries
-    }
-    if report.kind == "cycle":
-        cycle = report.detail
-        assert cycle and all(k in arcs for k in cycle)
-        for k, nxt in zip(cycle, cycle[1:] + cycle[:1]):
-            assert arcs[k][1] == arcs[nxt][0]
-    elif report.kind == "parallel_paths":
-        s, t, a, b = report.detail
-        assert a != b
-        for path in (a, b):
-            assert path and all(k in arcs for k in path)
-            assert arcs[path[0]][0] == s
-            assert arcs[path[-1]][1] == plan.n_sources + t
-            for k, nxt in zip(path, path[1:]):
-                assert arcs[k][1] == arcs[nxt][0]
+def refused(cfg, plan: TransportPlan, Z=None) -> bool:
+    """Whether the one structural check, ``reduce_graph`` on the plan's
+    embedding, refuses the plan; it must name the forest when it does."""
+    if Z is None:
+        Z = np.linspace(0.1, 0.9, plan.n_free)[:, None] * np.ones(cfg.dimension)
+    g = plan_to_graph(cfg, Z, plan)
+    try:
+        reduce_graph(g)
+    except ValueError as exc:
+        assert "forest" in str(exc)
+        return True
+    return False
 
 
 class TestIsRegular:
-    def test_clean_chain_is_regular(self):
+    """Regularity is the forest test.
+
+    A plan is regular when its support above the zero-flow threshold is a
+    forest.  ``plan_to_graph`` embeds any plan, and ``reduce_graph`` refuses
+    every cycle of the support, free self-loops, directed cycles and
+    parallel paths included.  ``_is_forest`` counts every stored entry.
+    """
+
+    def test_clean_chain_is_a_forest(self):
         cfg = single_edge()
         plan = TransportPlan(1, 1, 2, {(0, 1): 1.0, relay_arc(cfg, 0, 1): 1.0, (2, 0): 1.0})
-        assert is_regular(plan).ok
+        assert _is_forest(plan) and not refused(cfg, plan)
 
     def test_detects_self_loop(self):
+        cfg = single_edge()
         plan = TransportPlan(1, 1, 1, {(0, 0): 1.0, (1, 1): 0.2})
-        report = is_regular(plan)
-        assert not report.ok and report.kind == "self_loop"
+        assert not _is_forest(plan) and refused(cfg, plan)
 
     def test_detects_directed_cycle(self):
         cfg = single_edge()
@@ -94,8 +82,7 @@ class TestIsRegular:
             1, 1, 2,
             {(0, 0): 1.0, relay_arc(cfg, 0, 1): 0.3, relay_arc(cfg, 1, 0): 0.3},
         )
-        report = is_regular(plan)
-        assert not report.ok and report.kind == "cycle"
+        assert not _is_forest(plan) and refused(cfg, plan)
 
     def test_detects_parallel_paths(self):
         cfg = single_edge()
@@ -103,20 +90,18 @@ class TestIsRegular:
             1, 1, 1,
             {(0, 0): 0.5, (0, 1): 0.5, (1, 0): 0.5},  # direct arc and routed path
         )
-        report = is_regular(plan)
-        assert not report.ok and report.kind == "parallel_paths"
+        assert not _is_forest(plan) and refused(cfg, plan)
         # two routes through relays 0 and 1 that rejoin at relay 2
         plan = TransportPlan(
             1, 1, 3, {(0, 1): 0.5, (0, 2): 0.5, (1, 3): 0.5, (2, 3): 0.5, (3, 0): 1.0}
         )
-        report = is_regular(plan)
-        assert report.kind == "parallel_paths" and report.detail[:2] == (0, 0)
-        assert_witness_holds(plan, report)
+        assert not _is_forest(plan) and refused(cfg, plan)
 
     def test_tolerance_hides_dust_flow(self):
+        cfg = single_edge()
         plan = TransportPlan(1, 1, 1, {(0, 0): 1.0, (1, 1): 1e-15})
-        assert not is_regular(plan).ok
-        assert is_regular(plan, tol=1e-12).ok
+        assert not _is_forest(plan)
+        assert _is_forest(prune_zeros(plan, cfg)) and not refused(cfg, plan)
 
     def test_matches_networkx_on_random_and_optimal_plans(self, rng):
         seen = set()
@@ -125,14 +110,13 @@ class TestIsRegular:
             n = int(rng.integers(0, 7))
             Z = random_positions(cfg, n, rng)
             for plan in (random_feasible_plan(cfg, n, rng), min_cost_plan(cfg, Z, 2.0)[0]):
-                for tol in (0.0, zero_flow_threshold(cfg)):
-                    report = is_regular(plan, tol=tol)
-                    assert report.ok == nx_regular(plan, tol)
-                    if report.kind == "parallel_paths":
-                        assert report.detail[:2] == nx_violation(plan, tol)
-                    assert_witness_holds(plan, report)
-                    seen.add(report.kind)
-        assert seen == {None, "cycle", "parallel_paths"}
+                tol = zero_flow_threshold(cfg)
+                assert _is_forest(plan) == nx_forest(plan)
+                forest = nx_forest(plan, tol)
+                assert _is_forest(prune_zeros(plan, cfg)) == forest
+                assert refused(cfg, plan, Z) == (not forest)
+                seen.add(forest)
+        assert seen == {True, False}
 
     def test_matches_networkx_on_forest_with_two_cycle(self):
         from branchflow import y_instance
@@ -142,25 +126,25 @@ class TestIsRegular:
         forest = TransportPlan(
             2, 1, 2, {(0, 1): 1.0, (1, 1): 1.0, relay_arc(cfg, 0, 1): 2.0, (3, 0): 2.0}
         )
-        assert is_regular(forest).ok and nx_regular(forest)
+        assert _is_forest(forest) and nx_forest(forest) and not refused(cfg, forest)
         looped = forest.copy()
         looped.entries[relay_arc(cfg, 0, 1)] += 0.3
         looped.entries[relay_arc(cfg, 1, 0)] = 0.3
-        report = is_regular(looped)
-        assert not report.ok and report.kind == "cycle"
-        assert not nx_regular(looped)
+        assert not _is_forest(looped) and not nx_forest(looped) and refused(cfg, looped)
 
     def test_zero_flow_entry_counts_at_zero_tolerance(self):
         # a zero-flow detour through the relay parallels the direct arc
+        cfg = single_edge()
         plan = TransportPlan(1, 1, 1, {(0, 0): 1.0, (0, 1): 0.0, (1, 0): 0.0})
-        report = is_regular(plan, tol=0)
-        assert not report.ok and report.kind == "parallel_paths"
-        assert not nx_regular(plan, 0.0)
-        assert is_regular(plan, tol=1e-12).ok and nx_regular(plan, 1e-12)
+        assert not _is_forest(plan) and not nx_forest(plan)
+        assert _is_forest(prune_zeros(plan, cfg)) and nx_forest(plan, 1e-12)
+        assert not refused(cfg, plan)
 
     def test_deep_diamond_ladder_needs_no_path_budget(self):
         # source -> sink 0 directly, and source -> 22 layers of two relays,
         # each joined to both of the next, -> sink 1: 2^22 paths to sink 1
+        from branchflow import Atom, SignedConfig
+
         layers = 22
         arcs = {(0, 0): 1.0, (0, 2): 0.5, (0, 3): 0.5}
         for k in range(layers - 1):
@@ -170,10 +154,12 @@ class TestIsRegular:
         for a in (2 * layers - 2, 2 * layers - 1):
             arcs[(1 + a, 1)] = 0.5
         plan = TransportPlan(1, 2, 2 * layers, arcs)
-        report = is_regular(plan)
-        assert not report.ok and report.kind == "parallel_paths"
-        assert report.detail[:2] == (0, 1)
-        assert_witness_holds(plan, report)
+        cfg = SignedConfig(
+            sources=(Atom((0.0, 0.0), 2.0),),
+            sinks=(Atom((1.0, 0.0), 1.0), Atom((1.0, 1.0), 1.0)),
+            dimension=2,
+        )
+        assert not _is_forest(plan) and refused(cfg, plan)
 
 
 class TestCancelCycles:
@@ -185,7 +171,7 @@ class TestCancelCycles:
         )
         Z = np.array([[0.3, 0.2], [0.7, -0.1]])
         out = regularize(plan, cfg, Z, 2.0)
-        assert is_regular(out).ok
+        assert _is_forest(out)
         assert out.entries == {(0, 0): 1.0}
         assert check_plan(out, cfg) == []
 
@@ -204,7 +190,7 @@ class TestCancelCycles:
         Z = np.array([[0.3, 0.2], [0.7, -0.1]])
         out = regularize(plan, cfg, Z, 2.0)
         assert check_plan(out, cfg) == []
-        assert _find_no_cycles(out)
+        assert _is_forest(out)
         assert out.entries[relay_arc(cfg, 0, 1)] == pytest.approx(1.0)
         assert relay_arc(cfg, 1, 0) not in out.entries
 
@@ -219,10 +205,6 @@ class TestCancelCycles:
             assert plan_cost(cfg, Z, out, 2.0) <= before + 1e-9 * max(1.0, before)
 
 
-def _find_no_cycles(plan):
-    return is_regular(plan).kind not in ("self_loop", "cycle")
-
-
 class TestMergeParallelPaths:
     def test_merges_onto_cheaper_route(self):
         cfg = single_edge()
@@ -230,7 +212,7 @@ class TestMergeParallelPaths:
         plan = TransportPlan(1, 1, 1, {(0, 0): 0.5, (0, 1): 0.5, (1, 0): 0.5})
         out = regularize(plan, cfg, Z, 2.0)
         assert out.entries == {(0, 0): pytest.approx(1.0)}
-        assert is_regular(out).ok
+        assert _is_forest(out)
 
     def test_keeps_cheaper_routed_path(self):
         cfg = single_edge()
@@ -264,7 +246,7 @@ class TestCancelFlatCycles:
 
 
 class TestRegularizePipeline:
-    def test_output_is_regular_feasible_and_no_pricier(self, rng):
+    def test_output_is_a_forest_feasible_and_no_pricier(self, rng):
         for _ in range(40):
             cfg = random_config(rng)
             n = int(rng.integers(0, 9))
@@ -273,7 +255,7 @@ class TestRegularizePipeline:
             before = plan_cost(cfg, Z, plan, 2.0)
             out = regularize(plan, cfg, Z, 2.0)
             assert check_plan(out, cfg) == [], "feasibility lost"
-            assert is_regular(out, tol=zero_flow_threshold(cfg)).ok
+            assert _is_forest(prune_zeros(out, cfg))
             assert is_forest(plan_to_graph(cfg, Z, out))
             after = plan_cost(cfg, Z, out, 2.0)
             assert after <= before + 1e-9 * max(1.0, before)
@@ -315,7 +297,7 @@ class TestPruneZeros:
 
 
 class TestMaximalChains:
-    """Chain decomposition of a regular plan, through its embedded graph."""
+    """Chain decomposition of a forest plan, through its embedded graph."""
 
     def test_single_chain_through_relays(self):
         cfg = single_edge()
@@ -337,10 +319,13 @@ class TestMaximalChains:
         assert sorted(c.flow for c in tree.chains) == [1.0, 1.0, 2.0]
 
     def test_rejects_non_regular_input(self):
+        # plan_to_graph embeds the loop; the forest test in reduce_graph refuses it
         cfg = single_edge()
         plan = TransportPlan(1, 1, 1, {(0, 0): 1.0, (1, 1): 0.5})
-        with pytest.raises(NotRegularError):
-            plan_to_graph(cfg, np.array([[0.5, 0.0]]), plan)
+        g = plan_to_graph(cfg, np.array([[0.5, 0.0]]), plan)
+        assert [(e.tail, e.head, e.weight) for e in g.edges] == [(0, 1, 1.0), (2, 2, 0.5)]
+        with pytest.raises(ValueError, match="forest"):
+            reduce_graph(g)
 
     def test_rejects_uneven_chain_flow(self):
         cfg = single_edge()

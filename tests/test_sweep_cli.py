@@ -1,4 +1,5 @@
 import argparse
+import importlib
 import json
 import math
 import os
@@ -56,6 +57,16 @@ def _refuse_work(monkeypatch):
         monkeypatch.setattr(cli, name, refuse)
 
 
+def _refuse_sweep_solves(monkeypatch):
+    """Make every solve and oracle call inside ``sweep`` fail the test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("solved despite an invalid resolution")
+
+    sweep_mod = importlib.import_module("branchflow.sweep")
+    for name in ("alternate_minimize", "oracle"):
+        monkeypatch.setattr(sweep_mod, name, refuse)
+
+
 def _unreadable(kind, tmp_path):
     """A directory, or a file whose bytes (a UTF-16 mark) are not UTF-8."""
     path = tmp_path / kind
@@ -96,8 +107,6 @@ class TestSweep:
         assert [n for n, _, _ in details] == [1, 2]
 
     def test_failed_entry_is_isolated(self, monkeypatch):
-        import importlib
-
         sweep_mod = importlib.import_module("branchflow.sweep")
         real = sweep_mod.alternate_minimize
 
@@ -118,6 +127,13 @@ class TestSweep:
         # the oracle, the bounds and the Hausdorff target are taken at q
         with pytest.raises(InvalidConfigError):
             sweep(y_instance(), 2.0, [6], CostParams(q=3.0, restarts=1))
+
+    @pytest.mark.parametrize("resolution", [0.0, -1.0, math.nan, math.inf])
+    def test_resolution_is_checked_before_any_solve(self, resolution, monkeypatch):
+        _refuse_sweep_solves(monkeypatch)
+        with pytest.raises(InvalidConfigError, match="resolution"):
+            sweep(y_instance(), 2.0, [6], CostParams(q=2.0, restarts=1),
+                  resolution=resolution)
 
     def test_in_bounds_is_relative_and_skips_nan_bounds(self):
         nan = math.nan
@@ -195,6 +211,20 @@ class TestCliExitCodes:
         command, *options = argv
         assert main([command, str(problem), *options, "--out-dir", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("resolution", ["0", "-1", "nan", "inf"])
+    def test_invalid_resolution_is_2_before_solving(
+        self, resolution, tmp_path, monkeypatch, capsys
+    ):
+        _refuse_sweep_solves(monkeypatch)
+        problem = tmp_path / "y.json"
+        save_problem(problem, y_instance(), 2.0)
+        out = tmp_path / "out"
+        assert main(["sweep", str(problem), "--ns", "6", "--resolution", resolution,
+                     "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "resolution" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("q", ["nan", "0.5", "inf"])

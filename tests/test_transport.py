@@ -1095,8 +1095,6 @@ class TestTransportPlan:
         plan = TransportPlan(n_sources=2, n_sinks=3, n_free=2)
         assert [plan.row_to_vertex(i) for i in range(4)] == [0, 1, 5, 6]
         assert [plan.col_to_vertex(j) for j in range(5)] == [2, 3, 4, 5, 6]
-        roles = [plan.vertex_role(v) for v in range(7)]
-        assert roles == ["source", "source", "sink", "sink", "sink", "free", "free"]
 
     def test_from_triplets_accumulates_and_drops_zero(self):
         plan = TransportPlan.from_triplets(1, 1, 1, [(0, 0, 0.25), (0, 0, 0.25), (1, 1, 0.0)])
