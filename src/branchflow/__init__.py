@@ -39,7 +39,6 @@ from .regularize import (
 )
 from .graphs import (
     ChainGeometry,
-    Edge,
     ReducedTree,
     StructureReport,
     WeightedDigraph,
@@ -101,7 +100,6 @@ __all__ = [
     "cancel_flat_cycles",
     "regularize",
     "ChainGeometry",
-    "Edge",
     "ReducedTree",
     "StructureReport",
     "WeightedDigraph",

@@ -46,14 +46,15 @@ def optimal_fractions(g: WeightedDigraph, q: float) -> np.ndarray:
     simplex; the minimum value is (sum weight^(1/q)*length)^q, the q-th
     power of the network cost.
     """
-    if not g.edges:
+    if not g.n_edges:
         raise ValueError("graph has no edges")
-    for e in g.edges:
-        if e.weight <= 0 or e.length <= 0:
-            raise ValueError(
-                f"allocation requires positive weight and length, got {e}"
-            )
-    scores = np.array([e.weight ** (1.0 / q) * e.length for e in g.edges])
+    # a graph's weights are positive and its lengths >= 0, none NaN
+    lengths = g.length.tolist()
+    if min(lengths) == 0.0:
+        raise ValueError(
+            f"allocation requires positive edge lengths, got 0 on edge {lengths.index(0.0)}")
+    p = 1.0 / q
+    scores = np.array([w ** p * l for w, l in zip(g.weight.tolist(), lengths)])
     return scores / scores.sum()
 
 
@@ -61,10 +62,10 @@ def allocation_objective(g: WeightedDigraph, w: np.ndarray, q: float) -> float:
     """sum(weight * length^q / w^(q-1)); +inf on a zero fraction."""
     w = np.asarray(w, dtype=float)
     out = 0.0
-    for e, we in zip(g.edges, w):
+    for weight, length, we in zip(g.weight.tolist(), g.length.tolist(), w):
         if we <= 0:
             return float("inf")
-        out += e.weight * e.length**q / we ** (q - 1.0)
+        out += weight * length**q / we ** (q - 1.0)
     return float(out)
 
 
@@ -78,7 +79,7 @@ def allocate(g: WeightedDigraph, n: int, q: float) -> Allocation:
     edge's weight) and the exact bound
     (sum weight*length^q*(count+1)^(1-q))^(1/q).
     """
-    m = len(g.edges)
+    m = g.n_edges
     if n < m:
         raise ValueError(f"need at least one atom per edge: n={n} < |E|={m}")
     w = optimal_fractions(g, q)
@@ -88,10 +89,9 @@ def allocate(g: WeightedDigraph, n: int, q: float) -> Allocation:
         counts[counts.index(max(counts))] -= 1
         counts[zero] = 1
 
-    weights = [e.weight for e in g.edges]
-    lengths = [e.length for e in g.edges]
-    positions, edge_of = spread_on_segments(
-        g.positions, [e.tail for e in g.edges], [e.head for e in g.edges], counts)
+    weights = g.weight.tolist()
+    lengths = g.length.tolist()
+    positions, edge_of = spread_on_segments(g.positions, g.tail.tolist(), g.head.tolist(), counts)
     bound_pow = sum(
         w * l**q * (c + 1.0) ** (1.0 - q) for w, l, c in zip(weights, lengths, counts)
     )

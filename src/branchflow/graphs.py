@@ -8,6 +8,13 @@ yields the reduced graph, whose interior vertices all branch.  On solver
 output the reduced graph should be a tree with straight, evenly filled
 chains; ``verify_structure`` checks that, item by item, with witnesses.
 
+A graph keeps its edges as four columns of one length: ``tail`` and
+``head`` (vertex indices), ``weight`` and ``length``.  Producers fill the
+columns from the lists they build, and consumers read them whole: degrees
+and flows are one ``np.bincount`` each, and the file format
+(``graph_to_dict``/``graph_from_dict``) is one record per vertex and per
+edge.
+
 Both constructions work on whole index lists and arrays rather than one
 entry or one chain at a time: vertex ids come from index arithmetic, the
 edge and chain lengths from one stacked matmul each, and every chain's
@@ -19,12 +26,12 @@ in plain lists and NumPy is called a fixed number of times per graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 from .measures import SignedConfig, total_mass
-from .transport import TransportPlan, MARGINAL_RTOL, vertex_positions
-from .regularize import edges_form_forest, zero_flow_threshold
+from .transport import TransportPlan, MARGINAL_RTOL, vertex_positions, zero_flow_threshold
 
 ROLES = ("source", "sink", "free")
 CHAIN_FLOW_RTOL = 1e-6
@@ -33,25 +40,23 @@ SPACING_RTOL = 1e-5
 
 
 @dataclass(frozen=True)
-class Edge:
-    tail: int
-    head: int
-    weight: float
-    length: float
-
-
-@dataclass(frozen=True)
 class WeightedDigraph:
     """Vertices with roles embedded in R^k plus weighted directed edges.
 
-    ``labels`` preserves each vertex's id in whatever indexing the graph
-    was built from (plan vertex ids for plan_to_graph, input vertex ids
-    for reduce_graph); purely diagnostic.
+    Edge e runs from vertex ``tail[e]`` to vertex ``head[e]``, carries
+    ``weight[e]`` > 0 and is ``length[e]`` >= 0 long.  The four columns are
+    1-d arrays of one length, the ends intp and the rest float; any
+    sequence given is converted.  ``labels`` preserves each vertex's id in
+    whatever indexing the graph was built from (plan vertex ids for
+    plan_to_graph, input vertex ids for reduce_graph); purely diagnostic.
     """
 
     positions: np.ndarray
     roles: tuple[str, ...]
-    edges: tuple[Edge, ...]
+    tail: np.ndarray
+    head: np.ndarray
+    weight: np.ndarray
+    length: np.ndarray
     labels: tuple[int, ...] = ()
 
     def __post_init__(self):
@@ -65,17 +70,37 @@ class WeightedDigraph:
         for r in self.roles:
             if r not in ROLES:
                 raise ValueError(f"unknown vertex role {r!r}")
-        for e in self.edges:
-            if not (0 <= e.tail < V and 0 <= e.head < V):
-                raise ValueError(f"edge {e} references a missing vertex")
-            if not e.weight > 0:
-                raise ValueError(f"edge {e} must carry positive weight")
-            if e.length < 0:
-                raise ValueError(f"edge {e} has negative length")
+        tail = np.asarray(self.tail, dtype=np.intp)
+        head = np.asarray(self.head, dtype=np.intp)
+        weight = np.asarray(self.weight, dtype=float)
+        length = np.asarray(self.length, dtype=float)
+        if not (tail.ndim == 1 and tail.shape == head.shape == weight.shape == length.shape):
+            raise ValueError("tail, head, weight and length must be 1-d and of one length")
+        for name, col in (("tail", tail), ("head", head), ("weight", weight), ("length", length)):
+            object.__setattr__(self, name, col)
+        if not tail.size:
+            return
+        # one pass per check: the ends' bounds from their lists, which costs
+        # less than a NumPy reduction on a graph of a few dozen edges, and
+        # the float minima from np.minimum, which a NaN propagates through
+        tails, heads = tail.tolist(), head.tolist()
+        if not (0 <= min(tails) and 0 <= min(heads) and max(tails) < V and max(heads) < V):
+            e = int(np.argmax((tail < 0) | (tail >= V) | (head < 0) | (head >= V)))
+            raise ValueError(f"edge {e} ({tails[e]}->{heads[e]}) references a missing vertex")
+        if not np.minimum.reduce(weight) > 0:
+            e = int(np.argmin(weight > 0))
+            raise ValueError(f"edge {e} must carry positive weight, not {weight[e]}")
+        if not np.minimum.reduce(length) >= 0:
+            e = int(np.argmin(length >= 0))
+            raise ValueError(f"edge {e} has a negative or NaN length, {length[e]}")
 
     @property
     def n_vertices(self) -> int:
         return self.positions.shape[0]
+
+    @property
+    def n_edges(self) -> int:
+        return self.tail.shape[0]
 
     @property
     def dimension(self) -> int:
@@ -83,21 +108,18 @@ class WeightedDigraph:
 
     def degrees(self) -> tuple[np.ndarray, np.ndarray]:
         """(in-degree, out-degree) arrays over vertices."""
-        indeg = np.zeros(self.n_vertices, dtype=int)
-        outdeg = np.zeros(self.n_vertices, dtype=int)
-        for e in self.edges:
-            outdeg[e.tail] += 1
-            indeg[e.head] += 1
-        return indeg, outdeg
+        V = self.n_vertices
+        return np.bincount(self.head, minlength=V), np.bincount(self.tail, minlength=V)
+
+    def flows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(inflow, outflow) arrays over vertices: each vertex's sum of the
+        weights entering and leaving it, added in edge order."""
+        V = self.n_vertices
+        return (np.bincount(self.head, self.weight, minlength=V),
+                np.bincount(self.tail, self.weight, minlength=V))
 
     def free_indices(self) -> list[int]:
         return [v for v, r in enumerate(self.roles) if r == "free"]
-
-    def in_flow(self, v: int) -> float:
-        return sum(e.weight for e in self.edges if e.head == v)
-
-    def out_flow(self, v: int) -> float:
-        return sum(e.weight for e in self.edges if e.tail == v)
 
 
 @dataclass(frozen=True)
@@ -166,24 +188,43 @@ def plan_to_graph(config: SignedConfig, Z, plan: TransportPlan) -> WeightedDigra
     for i, v in enumerate(keep):
         new_id[v] = i
     # rows are gathered with take, which costs less than indexing by a list
-    lengths = np.sqrt(_squared_norms(P.take(tails, axis=0) - P.take(heads, axis=0))).tolist()
     return WeightedDigraph(
         positions=P.take(keep, axis=0),
         roles=("source",) * ns + ("sink",) * nk + ("free",) * (len(keep) - n_term),
-        edges=tuple(map(
-            Edge,
-            [new_id[v] for v in tails],
-            [new_id[v] for v in heads],
-            [pruned.entries[k] for k in keys],
-            lengths,
-        )),
+        tail=[new_id[v] for v in tails],
+        head=[new_id[v] for v in heads],
+        weight=[pruned.entries[k] for k in keys],
+        length=np.sqrt(_squared_norms(P.take(tails, axis=0) - P.take(heads, axis=0))),
         labels=tuple(keep),
     )
 
 
+def edges_form_forest(edges: Iterable[tuple[int, int]]) -> bool:
+    """Whether the edges u-v, read as an undirected multigraph, have no cycle.
+
+    Union-find over the vertex ids seen, with path halving.  A self-loop
+    u-u closes a cycle, and so does a pair joined twice, in either
+    direction.
+    """
+    parent: dict[int, int] = {}
+    up = parent.get
+    for u, v in edges:
+        # climb to each root, pointing every vertex passed at its grandparent
+        while (p := up(u)) is not None:
+            parent[u] = up(p, p)
+            u = parent[u]
+        while (p := up(v)) is not None:
+            parent[v] = up(p, p)
+            v = parent[v]
+        if u == v:
+            return False
+        parent[u] = v
+    return True
+
+
 def is_forest(g: WeightedDigraph) -> bool:
     """True when the undirected support has no cycle (parallel edges count)."""
-    return edges_form_forest((e.tail, e.head) for e in g.edges)
+    return edges_form_forest(zip(g.tail.tolist(), g.head.tolist()))
 
 
 def reduce_graph(g: WeightedDigraph) -> ReducedTree:
@@ -201,9 +242,8 @@ def reduce_graph(g: WeightedDigraph) -> ReducedTree:
     chains; each chain's flows, gaps and distances are list slices.
     """
     V = g.n_vertices
-    edges = g.edges
-    tails = [e.tail for e in edges]
-    heads = [e.head for e in edges]
+    tails = g.tail.tolist()
+    heads = g.head.tolist()
     if not edges_form_forest(zip(tails, heads)):
         raise ValueError("reduce_graph requires an acyclic (forest) input")
     indeg = [0] * V
@@ -242,8 +282,10 @@ def reduce_graph(g: WeightedDigraph) -> ReducedTree:
     straight = np.sqrt(d_sq.take(bounds[:-1])).tolist()
     dist = _segment_distances(p, a, d, d_sq).tolist()
 
-    hop_flows = [edges[h].weight for h in order]
-    hop_lengths = [edges[h].length for h in order]
+    weights = g.weight.tolist()
+    lengths = g.length.tolist()
+    hop_flows = [weights[h] for h in order]
+    hop_lengths = [lengths[h] for h in order]
     chains: list[ChainGeometry] = []
     for c, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
         f = hop_flows[lo:hi]
@@ -272,10 +314,10 @@ def reduce_graph(g: WeightedDigraph) -> ReducedTree:
     return ReducedTree(
         positions=g.positions.take(keep, axis=0),
         roles=tuple(g.roles[v] for v in keep),
-        edges=tuple(
-            Edge(new_id[s], new_id[e], c.flow, c.straight_length)
-            for s, e, c in zip(starts, ends, chains)
-        ),
+        tail=[new_id[v] for v in starts],
+        head=[new_id[v] for v in ends],
+        weight=[c.flow for c in chains],
+        length=straight,
         labels=tuple(keep),
         chains=tuple(chains),
     )
@@ -299,8 +341,14 @@ def _segment_distances(
 
 
 def graph_cost(g: WeightedDigraph, q: float) -> float:
-    """Network cost sum(length * weight^(1/q)) over edges."""
-    return float(sum(e.length * e.weight ** (1.0 / q) for e in g.edges))
+    """Network cost sum(length * weight^(1/q)) over edges.
+
+    Summed left to right in edge order with Python's scalar ``**``: the
+    oracle reports this value, which NumPy's vectorized power and pairwise
+    sum would move at rounding level.
+    """
+    p = 1.0 / q
+    return float(sum(l * w ** p for l, w in zip(g.length.tolist(), g.weight.tolist())))
 
 
 @dataclass(frozen=True)
@@ -335,55 +383,34 @@ def verify_structure(t: ReducedTree, config: SignedConfig) -> StructureReport:
     and even spacing, terminal flux, and interior conservation.
     """
     items: list[CheckItem] = []
+
+    def check(name: str, bad: list, what: str) -> None:
+        # an item passes without witnesses; its detail lists them
+        items.append(CheckItem(name, not bad, f"{what}: {bad}" if bad else ""))
+
     indeg, outdeg = t.degrees()
     deg = indeg + outdeg
-
-    bad = [
-        (v, int(deg[v]))
-        for v in t.free_indices()
-        if deg[v] > 0 and deg[v] < 3
-    ]
-    items.append(
-        CheckItem(
-            "interior_degree_ge_3",
-            not bad,
-            f"free vertices with degree < 3: {bad}" if bad else "",
-        )
-    )
+    check("interior_degree_ge_3",
+          [(v, int(deg[v])) for v in t.free_indices() if 0 < deg[v] < 3],
+          "free vertices with degree < 3")
 
     forest = is_forest(t)
-    items.append(
-        CheckItem("acyclic_undirected", forest, "" if forest else "undirected cycle")
-    )
+    items.append(CheckItem("acyclic_undirected", forest, "" if forest else "undirected cycle"))
 
     N = config.n_pairs
     budget = 2 * N**3 + 2 * N
-    items.append(
-        CheckItem(
-            "vertex_budget",
-            t.n_vertices <= budget,
-            f"{t.n_vertices} vertices > budget {budget}"
-            if t.n_vertices > budget
-            else "",
-        )
-    )
+    over = t.n_vertices > budget
+    items.append(CheckItem("vertex_budget", not over,
+                           f"{t.n_vertices} vertices > budget {budget}" if over else ""))
 
     M = total_mass(config)
     positive = [a.mass for a in config.sources + config.sinks if a.mass > 0]
     lo = min(positive) / (2 * N) ** 2 if positive else 0.0
     slack = 1e-12 * max(1.0, M)
-    bad_w = [
-        (i, e.weight)
-        for i, e in enumerate(t.edges)
-        if e.weight < lo - slack or e.weight > M + slack
-    ]
-    items.append(
-        CheckItem(
-            "edge_weight_bracket",
-            not bad_w,
-            f"edges outside [{lo:.3e}, {M:.3e}]: {bad_w}" if bad_w else "",
-        )
-    )
+    check("edge_weight_bracket",
+          [(int(i), float(t.weight[i]))
+           for i in np.flatnonzero((t.weight < lo - slack) | (t.weight > M + slack))],
+          f"edges outside [{lo:.3e}, {M:.3e}]")
 
     low, high = config.bbox()
     extent = high - low
@@ -391,42 +418,18 @@ def verify_structure(t: ReducedTree, config: SignedConfig) -> StructureReport:
     inside = np.all(t.positions >= low - pad, axis=1) & np.all(
         t.positions <= high + pad, axis=1
     )
-    out_ids = [int(v) for v in np.nonzero(~inside)[0]]
-    items.append(
-        CheckItem(
-            "vertices_in_inflated_bbox",
-            not out_ids,
-            f"vertices outside box: {out_ids}" if out_ids else "",
-        )
-    )
+    check("vertices_in_inflated_bbox", np.flatnonzero(~inside).tolist(), "vertices outside box")
 
-    bent = [
-        (c.vertices, c.max_perp)
-        for c in t.chains
-        if c.path_length > 0 and c.max_perp > COLLINEAR_RTOL * c.path_length
-    ]
-    items.append(
-        CheckItem(
-            "chains_collinear",
-            not bent,
-            f"chains bending beyond tolerance: {bent}" if bent else "",
-        )
-    )
-
-    uneven = [
-        (c.vertices, c.gap_spread) for c in t.chains if c.gap_spread > SPACING_RTOL
-    ]
-    items.append(
-        CheckItem(
-            "chains_evenly_spaced",
-            not uneven,
-            f"chains with uneven gaps: {uneven}" if uneven else "",
-        )
-    )
+    check("chains_collinear",
+          [(c.vertices, c.max_perp) for c in t.chains
+           if c.path_length > 0 and c.max_perp > COLLINEAR_RTOL * c.path_length],
+          "chains bending beyond tolerance")
+    check("chains_evenly_spaced",
+          [(c.vertices, c.gap_spread) for c in t.chains if c.gap_spread > SPACING_RTOL],
+          "chains with uneven gaps")
 
     tol = MARGINAL_RTOL * max(1.0, M)
-    inflow = [t.in_flow(v) for v in range(t.n_vertices)]
-    outflow = [t.out_flow(v) for v in range(t.n_vertices)]
+    inflow, outflow = (f.tolist() for f in t.flows())
     flux_bad: list[str] = []
     ordinal = {"source": 0, "sink": 0, "free": 0}
     for v, role in enumerate(t.roles):
@@ -440,52 +443,53 @@ def verify_structure(t: ReducedTree, config: SignedConfig) -> StructureReport:
             err = abs(inflow[v] - outflow[v] - config.sinks[k].mass)
             if err > tol:
                 flux_bad.append(f"sink v{v} net in {err:.3e} off")
-    items.append(
-        CheckItem("terminal_flux", not flux_bad, "; ".join(flux_bad))
-    )
+    items.append(CheckItem("terminal_flux", not flux_bad, "; ".join(flux_bad)))
 
-    cons_bad = [
-        (v, abs(inflow[v] - outflow[v]))
-        for v in t.free_indices()
-        if abs(inflow[v] - outflow[v]) > tol
-    ]
-    items.append(
-        CheckItem(
-            "interior_conservation",
-            not cons_bad,
-            f"unbalanced free vertices: {cons_bad}" if cons_bad else "",
-        )
-    )
+    check("interior_conservation",
+          [(v, abs(inflow[v] - outflow[v])) for v in t.free_indices()
+           if abs(inflow[v] - outflow[v]) > tol],
+          "unbalanced free vertices")
     return StructureReport(tuple(items))
 
 
 def graph_to_dict(g: WeightedDigraph) -> dict:
-    doc = {
+    """JSON-ready document: one record per vertex (id, role, position) and
+    one per edge (tail, head, weight, length), in plain Python numbers."""
+    return {
         "vertices": [
-            {"id": v, "role": g.roles[v], "position": [float(c) for c in g.positions[v]]}
-            for v in range(g.n_vertices)
+            {"id": v, "role": r, "position": p}
+            for v, (r, p) in enumerate(zip(g.roles, g.positions.tolist()))
         ],
         "edges": [
-            {
-                "tail": e.tail,
-                "head": e.head,
-                "weight": e.weight,
-                "length": e.length,
-            }
-            for e in g.edges
+            {"tail": t, "head": h, "weight": w, "length": l}
+            for t, h, w, l in zip(
+                g.tail.tolist(), g.head.tolist(), g.weight.tolist(), g.length.tolist())
         ],
     }
-    return doc
 
 
 def graph_from_dict(doc: dict) -> WeightedDigraph:
+    """The graph of a ``graph_to_dict`` document.
+
+    Edge ends are integer vertex ids, so the ids must be 0..V-1, each once,
+    in any order; every position, weight and length must be finite.
+    Raises ValueError otherwise, and on anything the graph itself refuses.
+    """
     verts = sorted(doc["vertices"], key=lambda r: r["id"])
+    ids = [r["id"] for r in verts]
+    if ids != list(range(len(verts))):
+        raise ValueError(f"vertex ids must be 0..{len(verts) - 1}, each once; got {ids}")
     positions = np.array([r["position"] for r in verts], dtype=float)
     if positions.size == 0:
         positions = positions.reshape(0, 0)
-    roles = tuple(r["role"] for r in verts)
-    edges = tuple(
-        Edge(int(r["tail"]), int(r["head"]), float(r["weight"]), float(r["length"]))
-        for r in doc["edges"]
-    )
-    return WeightedDigraph(positions=positions, roles=roles, edges=edges)
+    edges = doc["edges"]
+    tail = [r["tail"] for r in edges]
+    head = [r["head"] for r in edges]
+    if not all(type(v) is int for v in tail + head):
+        raise ValueError("edge ends must be integer vertex ids")
+    weight = np.array([float(r["weight"]) for r in edges])
+    length = np.array([float(r["length"]) for r in edges])
+    if not (np.isfinite(positions).all() and np.isfinite(weight).all()
+            and np.isfinite(length).all()):
+        raise ValueError("vertex positions, edge weights and lengths must be finite")
+    return WeightedDigraph(positions, tuple(r["role"] for r in verts), tail, head, weight, length)

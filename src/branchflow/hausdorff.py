@@ -11,6 +11,7 @@ by more than that.
 from __future__ import annotations
 
 import math
+from typing import Iterator
 
 import numpy as np
 
@@ -18,6 +19,8 @@ from .graphs import WeightedDigraph
 from .measures import InvalidConfigError
 
 DEFAULT_RESOLUTION_FRACTION = 1e-4
+#: most sample points held at once: 1.5 MB of coordinates in 3-d
+SAMPLE_BLOCK = 1 << 16
 
 
 def check_resolution(resolution: float) -> None:
@@ -30,23 +33,41 @@ def check_resolution(resolution: float) -> None:
 
 def _segments(g: WeightedDigraph) -> tuple[np.ndarray, np.ndarray]:
     """Edge endpoint arrays (A, B), one row per edge."""
-    if not g.edges:
+    if not g.n_edges:
         raise ValueError("graph has no edges; Hausdorff distance undefined")
-    A = np.array([g.positions[e.tail] for e in g.edges], dtype=float)
-    B = np.array([g.positions[e.head] for e in g.edges], dtype=float)
-    return A, B
+    return g.positions.take(g.tail, axis=0), g.positions.take(g.head, axis=0)
 
 
-def sample_points(g: WeightedDigraph, resolution: float) -> np.ndarray:
-    """Points covering every edge at spacing <= resolution (endpoints included)."""
+def sample_blocks(g: WeightedDigraph, resolution: float) -> Iterator[np.ndarray]:
+    """Points covering every edge at spacing <= resolution (endpoints
+    included), edge by edge, in blocks of at most SAMPLE_BLOCK rows.
+
+    Edge a -> b gets the points a + t (b - a) at t = k/steps, k = 0..steps,
+    steps = max(1, ceil(|b - a| / resolution)); t is ``np.linspace(0, 1,
+    steps + 1)`` bit for bit.  A block holds the samples of several edges
+    and an edge's samples may span blocks, so memory stays bounded however
+    fine the resolution.
+    """
     A, B = _segments(g)
-    rows = []
+    parts: list[np.ndarray] = []
+    size = 0
     for a, b in zip(A, B):
-        length = float(np.linalg.norm(b - a))
-        steps = max(1, int(np.ceil(length / resolution)))
-        t = np.linspace(0.0, 1.0, steps + 1)
-        rows.append(a + t[:, None] * (b - a))
-    return np.vstack(rows)
+        d = b - a
+        steps = max(1, math.ceil(float(np.linalg.norm(d)) / resolution))
+        lo = 0
+        while lo <= steps:
+            hi = min(steps + 1, lo + SAMPLE_BLOCK - size)
+            t = np.arange(lo, hi) * (1.0 / steps)
+            if hi == steps + 1:
+                t[-1] = 1.0
+            parts.append(a + t[:, None] * d)
+            size += hi - lo
+            lo = hi
+            if size == SAMPLE_BLOCK:
+                yield np.concatenate(parts)
+                parts, size = [], 0
+    if parts:
+        yield np.concatenate(parts)
 
 
 def points_to_segments(points: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -85,10 +106,10 @@ def hausdorff(
         diam = _combined_diameter(g1, g2)
         resolution = max(diam * DEFAULT_RESOLUTION_FRACTION, 1e-12)
     check_resolution(resolution)
-    A1, B1 = _segments(g1)
-    A2, B2 = _segments(g2)
-    p1 = sample_points(g1, resolution)
-    p2 = sample_points(g2, resolution)
-    d12 = float(points_to_segments(p1, A2, B2).max())
-    d21 = float(points_to_segments(p2, A1, B1).max())
-    return max(d12, d21)
+    return max(_directed(g1, g2, resolution), _directed(g2, g1, resolution))
+
+
+def _directed(g1: WeightedDigraph, g2: WeightedDigraph, resolution: float) -> float:
+    """Largest distance from a sample of g1 to g2's segments."""
+    A, B = _segments(g2)
+    return max(float(points_to_segments(p, A, B).max()) for p in sample_blocks(g1, resolution))

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .measures import SignedConfig, total_mass, validate, validate_exponent
-from .graphs import Edge, WeightedDigraph, graph_cost, reduce_graph
+from .graphs import WeightedDigraph, graph_cost, reduce_graph
 from .positions import _EdgeKernel, _newton
 from .transport import ZERO_FLOW_RTOL
 
@@ -279,16 +279,16 @@ def _realize(
             arcs.append(((a, b) if f > 0 else (b, a), abs(f)))
     keep = sorted({find(v) for v in range(T)}.union(*(ab for ab, _ in arcs)))
     index = {v: i for i, v in enumerate(keep)}
-    edges = [
-        Edge(index[a], index[b], w, float(np.linalg.norm(P[a] - P[b])))
-        for (a, b), w in arcs
-    ]
-    edges.sort(key=lambda e: (e.tail, e.head))
+    # edges in (tail, head) order; the sort is stable
+    arcs.sort(key=lambda arc: (index[arc[0][0]], index[arc[0][1]]))
     graph = reduce_graph(WeightedDigraph(
         positions=P[keep],
         roles=tuple("source" if v < n_src else "sink" if v < T else "free"
                     for v in keep),
-        edges=tuple(edges),
+        tail=[index[a] for (a, _), _ in arcs],
+        head=[index[b] for (_, b), _ in arcs],
+        weight=[w for _, w in arcs],
+        length=[np.linalg.norm(P[a] - P[b]) for (a, b), _ in arcs],
     ))
     # labels: topology labels, in place of the unreduced graph's indices
     return replace(graph, labels=tuple(keep[i] for i in graph.labels))

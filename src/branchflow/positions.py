@@ -56,9 +56,11 @@ from .transport import (
     integer_mass_units,
     min_cost_plan,
     plan_cost,
+    zero_flow_threshold,
 )
-# regularize is not called; perfbench/spans.py patches positions.regularize
-from .regularize import regularize, zero_flow_threshold  # noqa: F401
+# never called here: the import only keeps the name positions.regularize,
+# which perfbench/spans.py patches to trace it
+from .regularize import regularize  # noqa: F401
 from .graphs import plan_to_graph, reduce_graph
 from .allocate import allocate, spread_on_segments
 
@@ -590,7 +592,7 @@ def _rebalance_layout(
         return None
     junctions = tree.free_indices()
     spare = n - len(junctions)
-    if len(tree.edges) == 0 or spare < len(tree.edges):
+    if tree.n_edges == 0 or spare < tree.n_edges:
         return None
     try:
         alloc = allocate(tree, spare, q)

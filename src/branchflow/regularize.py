@@ -17,49 +17,16 @@ for arbitrary plans.  One union-find pass certifies a forest, and
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
-from .measures import SignedConfig, total_mass
-from .transport import (
-    TransportPlan,
-    ZERO_FLOW_RTOL,
-    as_positions,
-    vertex_positions,
-)
-
-
-def zero_flow_threshold(config: SignedConfig) -> float:
-    return ZERO_FLOW_RTOL * total_mass(config)
+from .graphs import edges_form_forest
+from .measures import SignedConfig
+from .transport import TransportPlan, as_positions, vertex_positions, zero_flow_threshold
 
 
 def prune_zeros(plan: TransportPlan, config: SignedConfig) -> TransportPlan:
     """Drop flows below 10^-12 of total mass."""
     return plan.pruned(zero_flow_threshold(config))
-
-
-def edges_form_forest(edges: Iterable[tuple[int, int]]) -> bool:
-    """Whether the edges u-v, read as an undirected multigraph, have no cycle.
-
-    Union-find over the vertex ids seen, with path halving.  A self-loop
-    u-u closes a cycle, and so does a pair joined twice, in either
-    direction.
-    """
-    parent: dict[int, int] = {}
-    up = parent.get
-    for u, v in edges:
-        # climb to each root, pointing every vertex passed at its grandparent
-        while (p := up(u)) is not None:
-            parent[u] = up(p, p)
-            u = parent[u]
-        while (p := up(v)) is not None:
-            parent[v] = up(p, p)
-            v = parent[v]
-        if u == v:
-            return False
-        parent[u] = v
-    return True
 
 
 def _is_forest(plan: TransportPlan) -> bool:

@@ -35,14 +35,13 @@ def render_svg(g: WeightedDigraph, q: float = 2.0) -> str:
     low = low - pad
     span = float((extent + 2 * pad).max())
     scale = _SIZE / span
+    # pixel coordinates, y flipped so larger coordinates draw upward
+    px = (g.positions - low) * scale
+    xs = px[:, 0].tolist()
+    ys = (_SIZE - px[:, 1]).tolist()
 
-    def to_px(p: np.ndarray) -> tuple[float, float]:
-        # flip y so larger coordinates draw upward
-        x = (p[0] - low[0]) * scale
-        y = _SIZE - (p[1] - low[1]) * scale
-        return x, y
-
-    wmax = max((e.weight ** (1.0 / q) for e in g.edges), default=1.0)
+    strokes = [w ** (1.0 / q) for w in g.weight.tolist()]
+    wmax = max(strokes, default=1.0)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE}" height="{_SIZE}" '
         f'viewBox="0 0 {_SIZE} {_SIZE}">',
@@ -51,18 +50,14 @@ def render_svg(g: WeightedDigraph, q: float = 2.0) -> str:
         f'<path d="M 0 0 L 10 5 L 0 10 z" fill="{_EDGE_STROKE}"/></marker></defs>',
         f'<rect width="{_SIZE}" height="{_SIZE}" fill="#fafafa"/>',
     ]
-    for e in g.edges:
-        x1, y1 = to_px(g.positions[e.tail])
-        x2, y2 = to_px(g.positions[e.head])
-        width = 1.0 + 5.0 * (e.weight ** (1.0 / q)) / wmax
+    for t, h, stroke in zip(g.tail.tolist(), g.head.tolist(), strokes):
+        width = 1.0 + 5.0 * stroke / wmax
         parts.append(
-            f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
+            f'<line x1="{xs[t]:.2f}" y1="{ys[t]:.2f}" x2="{xs[h]:.2f}" y2="{ys[h]:.2f}" '
             f'stroke="{_EDGE_STROKE}" stroke-width="{width:.2f}" '
             'marker-end="url(#arrow)" stroke-linecap="round"/>'
         )
-    for v in range(g.n_vertices):
-        x, y = to_px(g.positions[v])
-        role = g.roles[v]
+    for v, (x, y, role) in enumerate(zip(xs, ys, g.roles)):
         if role == "source":
             parts.append(
                 f'<circle cx="{x:.2f}" cy="{y:.2f}" r="7" fill="{_SOURCE_FILL}"/>'

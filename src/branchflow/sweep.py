@@ -67,7 +67,7 @@ def oracle_bounds(
     """(upper, lower) brackets for the rescaled value at atom count n."""
     J = len(sol.graph.free_indices())
     spare = n - J
-    if spare >= len(sol.graph.edges) and sol.graph.edges:
+    if spare >= sol.graph.n_edges and sol.graph.n_edges:
         bound = allocate(sol.graph, spare, q).upper_bound
         upper = n ** ((q - 1.0) / q) * bound
     else:
@@ -123,7 +123,7 @@ def sweep(
                 upper, lower = oracle_bounds(oracle_solution, n, q, config.n_pairs)
                 dist = (
                     hausdorff(tree, oracle_solution.graph, resolution)
-                    if tree is not None and tree.edges and oracle_solution.graph.edges
+                    if tree is not None and tree.n_edges and oracle_solution.graph.n_edges
                     else float("nan")
                 )
             else:

@@ -71,6 +71,11 @@ ZERO_FLOW_RTOL = 1e-12
 MARGINAL_RTOL = 1e-9
 
 
+def zero_flow_threshold(config: SignedConfig) -> float:
+    """Flow at or below which a plan entry counts as a structural zero."""
+    return ZERO_FLOW_RTOL * total_mass(config)
+
+
 def as_positions(Z: np.ndarray | Sequence | None, dim: int) -> np.ndarray:
     """Coerce any accepted free-atom argument to a fresh (n, dim) array."""
     if Z is None:

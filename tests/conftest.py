@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from branchflow import SignedConfig, TransportPlan, random_instance
+from branchflow import SignedConfig, TransportPlan, WeightedDigraph, random_instance
 from branchflow.measures import total_mass
 
 settings.register_profile("suite", deadline=None, max_examples=60)
@@ -73,6 +73,13 @@ def random_feasible_plan(
     return TransportPlan.from_triplets(
         config.n_sources, config.n_sinks, n_free, triplets
     )
+
+
+def graph_of(positions, roles, edges=(), labels=(), cls=WeightedDigraph, **extra):
+    """A graph whose edges are given as (tail, head, weight, length) tuples."""
+    edges = list(edges)
+    return cls(positions, roles, [e[0] for e in edges], [e[1] for e in edges],
+               [e[2] for e in edges], [e[3] for e in edges], labels, **extra)
 
 
 def random_positions(

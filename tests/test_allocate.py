@@ -3,7 +3,7 @@ import pytest
 
 from branchflow import allocate, graph_cost, optimal_fractions
 from branchflow.allocate import allocation_objective
-from branchflow.graphs import Edge, WeightedDigraph
+from conftest import graph_of
 
 
 def star_tree(rng=None, n_leaves=3, dim=2):
@@ -13,19 +13,18 @@ def star_tree(rng=None, n_leaves=3, dim=2):
     leaves = rng.uniform(0.5, 2.0, size=(n_leaves, dim)) * rng.choice([-1, 1], size=(n_leaves, dim))
     pos = np.vstack([hub, leaves])
     roles = ("free",) + ("sink",) * n_leaves
-    edges = tuple(
-        Edge(0, 1 + i, float(rng.uniform(0.5, 3.0)), float(np.linalg.norm(leaves[i])))
+    edges = [
+        (0, 1 + i, float(rng.uniform(0.5, 3.0)), float(np.linalg.norm(leaves[i])))
         for i in range(n_leaves)
-    )
-    return WeightedDigraph(pos, roles, edges)
+    ]
+    return graph_of(pos, roles, edges)
 
 
 def y_tree():
     pos = np.array([[-1.0, 2.0], [1.0, 2.0], [0.0, 0.0], [0.0, 1.0]])
     roles = ("source", "source", "sink", "free")
     s2 = float(np.sqrt(2.0))
-    edges = (Edge(0, 3, 1.0, s2), Edge(1, 3, 1.0, s2), Edge(3, 2, 2.0, 1.0))
-    return WeightedDigraph(pos, roles, edges)
+    return graph_of(pos, roles, [(0, 3, 1.0, s2), (1, 3, 1.0, s2), (3, 2, 2.0, 1.0)])
 
 
 class TestOptimalFractions:
@@ -51,11 +50,11 @@ class TestOptimalFractions:
 
     def test_rejects_degenerate_graphs(self):
         pos = np.zeros((2, 2))
-        g = WeightedDigraph(pos, ("source", "sink"), (Edge(0, 1, 1.0, 0.0),))
-        with pytest.raises(ValueError):
+        g = graph_of(pos, ("source", "sink"), [(0, 1, 1.0, 0.0)])
+        with pytest.raises(ValueError, match="positive edge lengths"):
             optimal_fractions(g, 2.0)
-        with pytest.raises(ValueError):
-            optimal_fractions(WeightedDigraph(pos, ("source", "sink"), ()), 2.0)
+        with pytest.raises(ValueError, match="no edges"):
+            optimal_fractions(graph_of(pos, ("source", "sink")), 2.0)
 
 
 class TestConvexityCertificate:
@@ -67,7 +66,7 @@ class TestConvexityCertificate:
             w_star = optimal_fractions(g, q)
             f_star = allocation_objective(g, w_star, q)
             for _ in range(100):
-                w = rng.dirichlet(np.ones(len(g.edges)))
+                w = rng.dirichlet(np.ones(g.n_edges))
                 assert allocation_objective(g, w, q) >= f_star * (1.0 - 1e-12)
 
     def test_objective_infinite_on_zero_fraction(self):
@@ -79,7 +78,7 @@ class TestAllocate:
     def test_counts_sum_and_cover_every_edge(self, rng):
         for trial in range(10):
             g = star_tree(np.random.default_rng(100 + trial), n_leaves=int(rng.integers(2, 6)))
-            n = int(rng.integers(len(g.edges), 40))
+            n = int(rng.integers(g.n_edges, 40))
             alloc = allocate(g, n, 2.0)
             assert alloc.n == n
             assert all(c >= 1 for c in alloc.counts)
@@ -91,10 +90,10 @@ class TestAllocate:
     def test_layout_is_equally_spaced_inside_each_edge(self):
         g = y_tree()
         alloc = allocate(g, 8, 2.0)
-        for idx, e in enumerate(g.edges):
+        for idx, (t, h) in enumerate(zip(g.tail, g.head)):
             pts = alloc.atom_positions[np.array(alloc.atom_edges) == idx]
             c = alloc.counts[idx]
-            a, b = g.positions[e.tail], g.positions[e.head]
+            a, b = g.positions[t], g.positions[h]
             expected = np.array([a + (l / (c + 1.0)) * (b - a) for l in range(1, c + 1)])
             assert np.allclose(pts, expected)
 
@@ -102,15 +101,15 @@ class TestAllocate:
         g = y_tree()
         alloc = allocate(g, 6, 2.0)
         for m, idx in zip(alloc.atom_masses, alloc.atom_edges):
-            assert m == g.edges[idx].weight
+            assert m == g.weight[idx]
 
     def test_upper_bound_formula(self):
         g = y_tree()
         q = 2.0
         alloc = allocate(g, 7, q)
         expected = sum(
-            e.weight * e.length**q * (c + 1.0) ** (1.0 - q)
-            for e, c in zip(g.edges, alloc.counts)
+            w * l**q * (c + 1.0) ** (1.0 - q)
+            for w, l, c in zip(g.weight, g.length, alloc.counts)
         ) ** (1.0 / q)
         assert alloc.upper_bound == pytest.approx(expected)
 
@@ -135,11 +134,11 @@ class TestAllocate:
         for trial in range(10):
             g = star_tree(np.random.default_rng(200 + trial), n_leaves=int(rng.integers(2, 7)))
             q = float(rng.choice([1.5, 2.0, 3.0]))
-            n = 16 * len(g.edges)
+            n = 16 * g.n_edges
             alloc = allocate(g, n, q)
             rounded = sum(
-                e.weight * e.length**q * float(c) ** (1.0 - q)
-                for e, c in zip(g.edges, alloc.counts)
+                w * l**q * float(c) ** (1.0 - q)
+                for w, l, c in zip(g.weight, g.length, alloc.counts)
             )
             ideal = allocation_objective(g, optimal_fractions(g, q), q) / n ** (q - 1.0)
             assert rounded <= 1.02 * ideal

@@ -12,14 +12,15 @@ from branchflow import (
     graph_from_dict,
     graph_to_dict,
     min_cost_plan,
+    oracle,
     plan_to_graph,
     reduce_graph,
     single_edge,
     verify_structure,
     y_instance,
 )
-from branchflow.graphs import Edge, WeightedDigraph, is_forest
-from conftest import random_config, random_feasible_plan, random_positions
+from branchflow.graphs import ReducedTree, WeightedDigraph, is_forest
+from conftest import graph_of, random_config, random_feasible_plan, random_positions
 from branchflow import regularize
 
 
@@ -28,8 +29,27 @@ def chain_graph(k=3, flow=2.0):
     V = k + 2
     pos = np.array([[float(i), 0.0] for i in range(V)])
     roles = ("source",) + ("free",) * k + ("sink",)
-    edges = tuple(Edge(i, i + 1, flow, 1.0) for i in range(V - 1))
-    return WeightedDigraph(pos, roles, edges)
+    return graph_of(pos, roles, [(i, i + 1, flow, 1.0) for i in range(V - 1)])
+
+
+def edge_rows(g):
+    """Each edge as a (tail, head, weight, length) tuple of Python numbers."""
+    return list(zip(g.tail.tolist(), g.head.tolist(), g.weight.tolist(), g.length.tolist()))
+
+
+def random_forest(rng, V, dim=2):
+    """A random directed forest on V vertices: each vertex after the first
+    joins an earlier one with probability 3/4, in a random direction; edge
+    order and vertex roles are shuffled."""
+    edges = []
+    for v in range(1, V):
+        if rng.random() < 0.75:
+            u = int(rng.integers(v))
+            t, h = (u, v) if rng.random() < 0.5 else (v, u)
+            edges.append((t, h, float(rng.uniform(0.1, 3.0)), float(rng.uniform(0.0, 2.0))))
+    edges = [edges[i] for i in rng.permutation(len(edges))]
+    roles = tuple(str(r) for r in rng.choice(["source", "sink", "free"], size=V))
+    return graph_of(rng.normal(size=(V, dim)), roles, edges)
 
 
 class TestWeightedDigraph:
@@ -37,18 +57,52 @@ class TestWeightedDigraph:
         pos = np.zeros((2, 2))
         roles = ("source", "sink")
         with pytest.raises(ValueError, match="positive weight"):
-            WeightedDigraph(pos, roles, (Edge(0, 1, 0.0, 1.0),))
+            graph_of(pos, roles, [(0, 1, 0.0, 1.0)])
+        with pytest.raises(ValueError, match="positive weight"):
+            graph_of(pos, roles, [(0, 1, math.nan, 1.0)])
         with pytest.raises(ValueError, match="missing vertex"):
-            WeightedDigraph(pos, roles, (Edge(0, 5, 1.0, 1.0),))
+            graph_of(pos, roles, [(0, 5, 1.0, 1.0)])
+        with pytest.raises(ValueError, match="missing vertex"):
+            graph_of(pos, roles, [(0, 1, 1.0, 1.0), (-1, 1, 1.0, 1.0)])
+        with pytest.raises(ValueError, match="negative or NaN length"):
+            graph_of(pos, roles, [(0, 1, 1.0, -1.0)])
+        with pytest.raises(ValueError, match="negative or NaN length"):
+            graph_of(pos, roles, [(0, 1, 1.0, math.nan)])
         with pytest.raises(ValueError, match="one role per vertex"):
-            WeightedDigraph(pos, ("source",), ())
+            graph_of(pos, ("source",))
+        with pytest.raises(ValueError, match="of one length"):
+            WeightedDigraph(pos, roles, [0], [1], [1.0, 2.0], [1.0])
+
+    def test_columns_are_arrays(self):
+        g = chain_graph(k=1)
+        assert g.tail.dtype == g.head.dtype == np.intp
+        assert g.weight.dtype == g.length.dtype == float
+        assert g.n_edges == 2
+        empty = graph_of(np.zeros((2, 3)), ("source", "sink"))
+        assert empty.n_edges == 0 and empty.tail.dtype == np.intp
 
     def test_degree_and_flow_accessors(self):
         g = chain_graph(k=1)
         indeg, outdeg = g.degrees()
         assert indeg.tolist() == [0, 1, 1] and outdeg.tolist() == [1, 1, 0]
-        assert g.in_flow(1) == 2.0 and g.out_flow(1) == 2.0
+        inflow, outflow = g.flows()
+        assert inflow.tolist() == [0.0, 2.0, 2.0] and outflow.tolist() == [2.0, 2.0, 0.0]
         assert g.free_indices() == [1]
+
+    def test_degrees_and_flows_match_per_edge_sums(self, rng):
+        # the reference walks the edges one at a time; sums run in edge
+        # order, so they agree bit for bit
+        for trial in range(40):
+            g = random_forest(rng, int(rng.integers(1, 12)), dim=1 + trial % 3)
+            assert is_forest(g)
+            V = g.n_vertices
+            rows = edge_rows(g)
+            indeg, outdeg = g.degrees()
+            assert indeg.tolist() == [sum(1 for r in rows if r[1] == v) for v in range(V)]
+            assert outdeg.tolist() == [sum(1 for r in rows if r[0] == v) for v in range(V)]
+            inflow, outflow = g.flows()
+            assert inflow.tolist() == [sum(r[2] for r in rows if r[1] == v) for v in range(V)]
+            assert outflow.tolist() == [sum(r[2] for r in rows if r[0] == v) for v in range(V)]
 
     def test_costs(self):
         g = chain_graph(k=0, flow=4.0)  # single edge, weight 4, length 1
@@ -65,11 +119,11 @@ class TestIsForest:
             edges = []
             for _ in range(n_edges):
                 a, b = rng.choice(V, size=2, replace=False)
-                edges.append(Edge(int(a), int(b), 1.0, 1.0))
-            g = WeightedDigraph(pos, roles, tuple(edges))
+                edges.append((int(a), int(b), 1.0, 1.0))
+            g = graph_of(pos, roles, edges)
             ref = nx.MultiGraph()  # parallel edges count as cycles
             ref.add_nodes_from(range(V))
-            ref.add_edges_from((e.tail, e.head) for e in g.edges)
+            ref.add_edges_from(zip(g.tail.tolist(), g.head.tolist()))
             assert is_forest(g) == nx.is_forest(ref)
 
 
@@ -81,9 +135,9 @@ class TestPlanToGraph:
         g = plan_to_graph(cfg, Z, plan)
         assert g.n_vertices == 4
         assert sorted(g.roles) == ["free", "free", "sink", "source"]
-        assert len(g.edges) == 3
-        assert sum(e.length for e in g.edges) == pytest.approx(1.0)
-        assert all(e.weight == pytest.approx(1.0) for e in g.edges)
+        assert g.n_edges == 3
+        assert g.length.sum() == pytest.approx(1.0)
+        assert g.weight == pytest.approx([1.0] * 3)
 
     def test_idle_atoms_are_dropped_terminals_kept(self):
         cfg = single_edge()
@@ -97,8 +151,7 @@ class TestPlanToGraph:
         cfg = single_edge()
         plan = TransportPlan(1, 1, 1, {(0, 0): 0.5, (0, 1): 0.5, (1, 0): 0.5})
         g = plan_to_graph(cfg, np.array([[0.5, 0.0]]), plan)
-        assert [(e.tail, e.head, e.weight) for e in g.edges] == [
-            (0, 1, 0.5), (0, 2, 0.5), (2, 1, 0.5)]
+        assert [r[:3] for r in edge_rows(g)] == [(0, 1, 0.5), (0, 2, 0.5), (2, 1, 0.5)]
         with pytest.raises(ValueError, match="forest"):
             reduce_graph(g)
 
@@ -112,18 +165,17 @@ class TestPlanToGraph:
             plan = regularize(random_feasible_plan(cfg, n_free, rng), cfg, Z, 2.0)
             g = plan_to_graph(cfg, Z, plan)
             P = g.positions
-            want = [float(np.linalg.norm(P[e.tail] - P[e.head])).hex() for e in g.edges]
-            assert [e.length.hex() for e in g.edges] == want
+            want = [float(np.linalg.norm(P[t] - P[h])).hex() for t, h, _, _ in edge_rows(g)]
+            assert [length.hex() for length in g.length.tolist()] == want
 
 
 class TestReduceGraph:
     def test_chain_collapses_to_single_edge(self):
         g = chain_graph(k=3, flow=2.0)
         t = reduce_graph(g)
-        assert len(t.edges) == 1
-        (e,) = t.edges
-        assert e.weight == pytest.approx(2.0)
-        assert e.length == pytest.approx(4.0)  # straight-line endpoint distance
+        assert t.n_edges == 1
+        assert t.weight[0] == pytest.approx(2.0)
+        assert t.length[0] == pytest.approx(4.0)  # straight-line endpoint distance
         assert len(t.chains) == 1
         assert t.chains[0].n_interior == 3
         assert t.chains[0].gap_spread == pytest.approx(0.0, abs=1e-12)
@@ -131,9 +183,9 @@ class TestReduceGraph:
     def test_bent_chain_keeps_straight_length(self):
         pos = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]])
         roles = ("source", "free", "sink")
-        g = WeightedDigraph(pos, roles, (Edge(0, 1, 1.0, math.sqrt(2)), Edge(1, 2, 1.0, math.sqrt(2))))
+        g = graph_of(pos, roles, [(0, 1, 1.0, math.sqrt(2)), (1, 2, 1.0, math.sqrt(2))])
         t = reduce_graph(g)
-        assert t.edges[0].length == pytest.approx(2.0)
+        assert t.length[0] == pytest.approx(2.0)
         assert t.chains[0].max_perp == pytest.approx(1.0)
 
     def test_junctions_are_preserved(self):
@@ -141,22 +193,22 @@ class TestReduceGraph:
         plan, _ = min_cost_plan(cfg, np.array([[0.0, 1.0]]), 2.0)
         g = plan_to_graph(cfg, np.array([[0.0, 1.0]]), plan)
         t = reduce_graph(g)
-        assert len(t.edges) == 3
-        assert sorted(round(e.weight, 9) for e in t.edges) == [1.0, 1.0, 2.0]
+        assert t.n_edges == 3
+        assert sorted(round(w, 9) for w in t.weight.tolist()) == [1.0, 1.0, 2.0]
 
     def test_uneven_chain_flow_rejected(self):
         pos = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
         roles = ("source", "free", "sink")
-        g = WeightedDigraph(pos, roles, (Edge(0, 1, 1.0, 1.0), Edge(1, 2, 0.5, 1.0)))
+        g = graph_of(pos, roles, [(0, 1, 1.0, 1.0), (1, 2, 0.5, 1.0)])
         with pytest.raises(ValueError, match="flow"):
             reduce_graph(g)
 
     def test_cycle_rejected(self):
         pos = np.zeros((3, 2))
         roles = ("free", "free", "free")
-        edges = (Edge(0, 1, 1.0, 0.0), Edge(1, 2, 1.0, 0.0), Edge(2, 0, 1.0, 0.0))
+        edges = [(0, 1, 1.0, 0.0), (1, 2, 1.0, 0.0), (2, 0, 1.0, 0.0)]
         with pytest.raises(ValueError):
-            reduce_graph(WeightedDigraph(pos, roles, edges))
+            reduce_graph(graph_of(pos, roles, edges))
 
 
 class TestVerifyStructure:
@@ -181,9 +233,7 @@ class TestVerifyStructure:
         cfg = single_edge()
         # a free vertex with in=out=1 survives reduction only if hand-built
         g = chain_graph(k=1, flow=1.0)
-        from branchflow.graphs import ReducedTree
-
-        t = ReducedTree(g.positions, g.roles, g.edges)
+        t = ReducedTree(g.positions, g.roles, g.tail, g.head, g.weight, g.length)
         report = verify_structure(t, cfg)
         assert not report.ok
         assert any(c.name == "interior_degree_ge_3" for c in report.failures())
@@ -192,20 +242,15 @@ class TestVerifyStructure:
         cfg = single_edge()
         pos = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 9.0]])
         roles = ("source", "sink", "free")
-        from branchflow.graphs import ReducedTree
-
-        edges = (Edge(0, 2, 1.0, float(np.hypot(0.5, 9.0))),
-                 Edge(2, 1, 1.0, float(np.hypot(0.5, 9.0))))
-        t = ReducedTree(pos, roles, edges)
+        edges = [(0, 2, 1.0, float(np.hypot(0.5, 9.0))), (2, 1, 1.0, float(np.hypot(0.5, 9.0)))]
+        t = graph_of(pos, roles, edges, cls=ReducedTree)
         report = verify_structure(t, cfg)
         assert any(c.name == "vertices_in_inflated_bbox" for c in report.failures())
 
     def test_flags_wrong_terminal_flux(self):
         cfg = single_edge()
-        from branchflow.graphs import ReducedTree
-
         pos = np.array([[0.0, 0.0], [1.0, 0.0]])
-        t = ReducedTree(pos, ("source", "sink"), (Edge(0, 1, 0.25, 1.0),))
+        t = graph_of(pos, ("source", "sink"), [(0, 1, 0.25, 1.0)], cls=ReducedTree)
         report = verify_structure(t, cfg)
         assert any(c.name == "terminal_flux" for c in report.failures())
 
@@ -218,7 +263,65 @@ class TestRoundTrip:
         Z = random_positions(cfg, n, rng)
         plan = regularize(plan, cfg, Z, 2.0)
         g = plan_to_graph(cfg, Z, plan)
-        back = graph_from_dict(graph_to_dict(g))
-        assert np.array_equal(back.positions, g.positions)
-        assert back.roles == g.roles
-        assert back.edges == g.edges
+        assert_round_trip(g)
+
+    def test_round_trip_edgeless_3d_and_oracle_graphs(self, rng):
+        assert_round_trip(graph_of(rng.normal(size=(3, 2)), ("source", "sink", "free")))
+        cfg = random_config(rng, dim=3)
+        Z = random_positions(cfg, 4, rng)
+        plan, _ = min_cost_plan(cfg, Z, 2.0)
+        g = plan_to_graph(cfg, Z, plan)
+        assert g.dimension == 3 and g.n_edges
+        assert_round_trip(g)
+        assert_round_trip(reduce_graph(g))
+        assert_round_trip(oracle(y_instance(), 2.0).graph)
+
+    def test_document_holds_plain_python_numbers(self):
+        doc = graph_to_dict(oracle(y_instance(), 2.0).graph)
+        for record in doc["vertices"] + doc["edges"]:
+            for value in record.values():
+                for x in value if isinstance(value, list) else [value]:
+                    assert type(x) in (int, float, str)
+
+    def test_vertex_ids_must_be_zero_to_v_minus_one(self):
+        doc = graph_to_dict(chain_graph(k=1))
+        # listed in any order, each once: accepted
+        doc["vertices"].reverse()
+        assert edge_rows(graph_from_dict(doc)) == edge_rows(chain_graph(k=1))
+        # ids 1, 2, 3: the edges would be drawn between the wrong vertices
+        shifted = {**doc, "vertices": [{**r, "id": r["id"] + 1} for r in doc["vertices"]]}
+        with pytest.raises(ValueError, match="vertex ids"):
+            graph_from_dict(shifted)
+        duplicate = {**doc, "vertices": [{**r, "id": min(r["id"], 1)} for r in doc["vertices"]]}
+        with pytest.raises(ValueError, match="vertex ids"):
+            graph_from_dict(duplicate)
+
+    @pytest.mark.parametrize("field", ["weight", "length", "position"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_values_refused(self, field, value):
+        doc = graph_to_dict(chain_graph(k=1))
+        if field == "position":
+            doc["vertices"][1]["position"][0] = value
+        else:
+            doc["edges"][1][field] = value
+        with pytest.raises(ValueError, match="finite"):
+            graph_from_dict(doc)
+
+    @pytest.mark.parametrize("end", [1.5, 1.0, "1", True])
+    def test_edge_ends_must_be_integers(self, end):
+        # int() would have read 1.5 as vertex 1
+        doc = graph_to_dict(chain_graph(k=1))
+        doc["edges"][0]["head"] = end
+        with pytest.raises(ValueError, match="integer vertex ids"):
+            graph_from_dict(doc)
+
+
+def assert_round_trip(g):
+    """graph_from_dict(graph_to_dict(g)) keeps every column exactly."""
+    back = graph_from_dict(graph_to_dict(g))
+    assert back.positions.shape == g.positions.shape
+    assert back.positions.tobytes() == g.positions.tobytes()
+    assert back.roles == g.roles
+    for name in ("tail", "head", "weight", "length"):
+        got, want = getattr(back, name), getattr(g, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

@@ -54,7 +54,7 @@ class TestClosedForms:
     def test_single_edge_is_direct(self):
         sol = oracle(single_edge(), 2.0)
         assert sol.cost == pytest.approx(1.0, abs=1e-12)
-        assert len(sol.graph.edges) == 1
+        assert sol.graph.n_edges == 1
         assert sol.topology.n_steiner == 0
 
     def test_y_instance_branches_at_unit_height(self):
@@ -82,7 +82,7 @@ class TestClosedForms:
         )
         sol = oracle(cfg, 2.0)
         assert sol.cost == pytest.approx(2.0, abs=1e-9)
-        assert len(sol.graph.edges) == 2  # two disjoint unit segments
+        assert sol.graph.n_edges == 2  # two disjoint unit segments
 
 
 class TestInvariances:
@@ -122,13 +122,13 @@ class TestStationarity:
             g = sol.graph
             for v in g.free_indices():
                 force = np.zeros(2)
-                for e in g.edges:
-                    if e.tail == v or e.head == v:
-                        other = e.head if e.tail == v else e.tail
+                for tail, head, weight in zip(g.tail, g.head, g.weight):
+                    if tail == v or head == v:
+                        other = head if tail == v else tail
                         d = g.positions[other] - g.positions[v]
                         norm = np.linalg.norm(d)
                         if norm > 1e-12:
-                            force += e.weight ** 0.5 * d / norm
+                            force += weight ** 0.5 * d / norm
                 assert np.linalg.norm(force) < 1e-5, f"unbalanced branch point {v}"
 
 
@@ -207,7 +207,7 @@ class TestParity:
             assert sol.cost == pytest.approx(cost, rel=1e-12, abs=0.0)
             assert len(sol.steiner_positions) == n_steiner
             assert sol.graph.roles == roles
-            assert [(e.tail, e.head) for e in sol.graph.edges] == edges
+            assert list(zip(sol.graph.tail.tolist(), sol.graph.head.tolist())) == edges
 
 
 def _unpruned_pruefer_trees(n_labels):
@@ -281,10 +281,11 @@ def _same_up_to_free_labels(g1, g2):
     if g1.roles != g2.roles:
         return False
     free = g1.free_indices()
-    arcs = {(e.tail, e.head) for e in g2.edges}
+    arcs = set(zip(g2.tail.tolist(), g2.head.tolist()))
     for perm in permutations(free):
         label = dict(zip(free, perm))
-        if {(label.get(e.tail, e.tail), label.get(e.head, e.head)) for e in g1.edges} == arcs:
+        if {(label.get(t, t), label.get(h, h))
+                for t, h in zip(g1.tail.tolist(), g1.head.tolist())} == arcs:
             return True
     return False
 
@@ -322,7 +323,8 @@ class TestRealization:
         for scale in (1.0, 1.0 / 16.0):
             sol = oracle(_scaled(cfg, scale), 2.0)
             assert sol.graph.roles == ("source", "source", "sink", "sink")
-            edges = {(e.tail, e.head): e.length for e in sol.graph.edges}
+            g = sol.graph
+            edges = dict(zip(zip(g.tail.tolist(), g.head.tolist()), g.length.tolist()))
             assert edges[(0, 2)] == pytest.approx(1e-10 * scale, rel=1e-9)
             assert sol.cost == pytest.approx(scale * (math.sqrt(2.0) + 1e-10), rel=1e-15)
 
@@ -333,7 +335,7 @@ class TestRealization:
                      [((0.0, 0.0), 1.5), ((3.0, -1.0), 1.5)])
         sol = oracle(cfg, 2.0)
         assert sol.graph.roles == ("source", "source", "sink")
-        assert len(sol.graph.edges) == 2
+        assert sol.graph.n_edges == 2
 
     def test_three_far_pairs(self):
         cfg = config([((0.0, 0.0), 1.0), ((100.0, 0.0), 1.0), ((0.0, 100.0), 1.0)],
@@ -341,7 +343,7 @@ class TestRealization:
         sol = oracle(cfg, 2.0)
         assert len(sol.table) == 105
         assert sol.cost == pytest.approx(3.0, abs=1e-9)
-        assert len(sol.graph.edges) == 3 and not sol.graph.free_indices()
+        assert sol.graph.n_edges == 3 and not sol.graph.free_indices()
 
     def test_three_plus_two_sweep(self):
         cfg = random_instance(np.random.default_rng([13, 3]), 3, 2)

@@ -18,12 +18,12 @@ from branchflow import (
     y_instance,
 )
 from branchflow._mcf import MinCostFlowNetwork
-from branchflow.graphs import Edge, WeightedDigraph, reduce_graph
+from branchflow.graphs import reduce_graph
 from branchflow.measures import total_mass
 from branchflow.positions import COST_ROUNDING, _EdgeKernel, polish_positions, w1_seed
 from branchflow.render import render, render_svg
 from branchflow.transport import as_positions, check_plan, plan_cost
-from conftest import random_config, random_feasible_plan, random_positions
+from conftest import graph_of, random_config, random_feasible_plan, random_positions
 
 
 def finite_difference_gradient(cfg, Z, plan, q, step):
@@ -549,8 +549,7 @@ class TestAlternateMinimize:
 
 
 def _one_edge_graph():
-    return WeightedDigraph(np.array([[0.0, 0.0], [1.0, 0.0]]), ("source", "sink"),
-                           (Edge(0, 1, 1.0, 1.0),))
+    return graph_of(np.array([[0.0, 0.0], [1.0, 0.0]]), ("source", "sink"), [(0, 1, 1.0, 1.0)])
 
 
 #: keyword options retired in favour of module constants, each called with

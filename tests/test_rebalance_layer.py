@@ -13,7 +13,7 @@ chain's path length and to the spread itself, and the structure checks
 that read them must give the same verdicts.
 """
 
-import sys
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -40,24 +40,47 @@ from branchflow.allocate import Allocation, optimal_fractions
 from branchflow.graphs import (
     CHAIN_FLOW_RTOL,
     ChainGeometry,
-    Edge,
     ReducedTree,
-    WeightedDigraph,
+    edges_form_forest,
     is_forest,
 )
 from branchflow.measures import total_mass
-from branchflow.regularize import edges_form_forest, zero_flow_threshold
 from branchflow.transport import (
     MARGINAL_RTOL,
     as_positions,
     integer_mass_units,
     vertex_positions,
     wasserstein_coupling,
+    zero_flow_threshold,
 )
+from conftest import graph_of
 
 
 # ---------------------------------------------------------------------------
 # references: the entry-by-entry bodies the array passes replaced
+
+
+class Edge(NamedTuple):
+    """One edge's record, as the references build and read them."""
+
+    tail: int
+    head: int
+    weight: float
+    length: float
+
+
+def _edges(g):
+    """g's edges as records, in edge order."""
+    return [Edge(*r) for r in zip(g.tail.tolist(), g.head.tolist(),
+                                  g.weight.tolist(), g.length.tolist())]
+
+
+def _in_flow(g, v):
+    return sum(e.weight for e in _edges(g) if e.head == v)
+
+
+def _out_flow(g, v):
+    return sum(e.weight for e in _edges(g) if e.tail == v)
 
 
 def _reference_plan_to_graph(config, Z, plan):
@@ -87,9 +110,7 @@ def _reference_plan_to_graph(config, Z, plan):
         Edge(remap[t], remap[h], g, length)
         for t, h, (_, g), length in zip(tails, heads, items, lengths)
     ]
-    return WeightedDigraph(
-        positions=P[keep], roles=roles, edges=tuple(edges), labels=tuple(keep)
-    )
+    return graph_of(P[keep], roles, edges, tuple(keep))
 
 
 def _reference_max_perpendicular(points, a, b):
@@ -107,7 +128,8 @@ def _reference_reduce_graph(g):
         raise ValueError("reduce_graph requires an acyclic (forest) input")
     indeg, outdeg = g.degrees()
     out_edges = {v: [] for v in range(g.n_vertices)}
-    for idx, e in enumerate(g.edges):
+    edges = _edges(g)
+    for idx, e in enumerate(edges):
         out_edges[e.tail].append(idx)
 
     def is_relay(v):
@@ -122,14 +144,14 @@ def _reference_reduce_graph(g):
             verts = [u]
             flows = []
             lengths = []
-            e = g.edges[idx]
+            e = edges[idx]
             while True:
                 verts.append(e.head)
                 flows.append(e.weight)
                 lengths.append(e.length)
                 if not is_relay(e.head):
                     break
-                e = g.edges[out_edges[e.head][0]]
+                e = edges[out_edges[e.head][0]]
             flow = flows[0]
             spread = (max(flows) - min(flows)) / max(abs(flow), 1e-300)
             if spread > CHAIN_FLOW_RTOL:
@@ -151,17 +173,12 @@ def _reference_reduce_graph(g):
             chains.append(ChainGeometry(
                 tuple(verts), flow, path_length, straight, max_perp, gap_spread))
             new_edges.append(Edge(remap[verts[0]], remap[verts[-1]], flow, straight))
-    return ReducedTree(
-        positions=g.positions[keep],
-        roles=tuple(g.roles[v] for v in keep),
-        edges=tuple(new_edges),
-        labels=tuple(keep),
-        chains=tuple(chains),
-    )
+    return graph_of(g.positions[keep], tuple(g.roles[v] for v in keep), new_edges,
+                    tuple(keep), cls=ReducedTree, chains=tuple(chains))
 
 
 def _reference_allocate(g, n, q):
-    m = len(g.edges)
+    m = g.n_edges
     if n < m:
         raise ValueError(f"need at least one atom per edge: n={n} < |E|={m}")
     w = optimal_fractions(g, q)
@@ -176,7 +193,7 @@ def _reference_allocate(g, n, q):
     rows = []
     masses = []
     edge_of = []
-    for idx, (e, c) in enumerate(zip(g.edges, counts)):
+    for idx, (e, c) in enumerate(zip(_edges(g), counts)):
         a = g.positions[e.tail]
         b = g.positions[e.head]
         for l in range(1, int(c) + 1):
@@ -186,7 +203,7 @@ def _reference_allocate(g, n, q):
     positions_ = np.vstack(rows) if rows else np.zeros((0, g.dimension))
     bound_pow = sum(
         e.weight * e.length**q * (c + 1.0) ** (1.0 - q)
-        for e, c in zip(g.edges, counts)
+        for e, c in zip(_edges(g), counts)
     )
     return Allocation(
         counts=tuple(int(c) for c in counts),
@@ -233,17 +250,17 @@ def _reference_flow_items(t, config):
     flux_bad = []
     for v, role in enumerate(t.roles):
         if role == "source":
-            err = abs(t.out_flow(v) - t.in_flow(v) - config.sources[ordinal(v)].mass)
+            err = abs(_out_flow(t, v) - _in_flow(t, v) - config.sources[ordinal(v)].mass)
             if err > tol:
                 flux_bad.append(f"source v{v} net out {err:.3e} off")
         elif role == "sink":
-            err = abs(t.in_flow(v) - t.out_flow(v) - config.sinks[ordinal(v)].mass)
+            err = abs(_in_flow(t, v) - _out_flow(t, v) - config.sinks[ordinal(v)].mass)
             if err > tol:
                 flux_bad.append(f"sink v{v} net in {err:.3e} off")
     cons_bad = [
-        (v, abs(t.in_flow(v) - t.out_flow(v)))
+        (v, abs(_in_flow(t, v) - _out_flow(t, v)))
         for v in t.free_indices()
-        if abs(t.in_flow(v) - t.out_flow(v)) > tol
+        if abs(_in_flow(t, v) - _out_flow(t, v)) > tol
     ]
     return [
         ("terminal_flux", not flux_bad, "; ".join(flux_bad)),
@@ -294,16 +311,16 @@ def _shuffled(g, rng):
     """The same graph with its vertices relabelled and its edges reordered."""
     perm = rng.permutation(g.n_vertices)  # old id -> new id
     inv = np.argsort(perm)
-    edges = [Edge(int(perm[e.tail]), int(perm[e.head]), e.weight, e.length) for e in g.edges]
-    return WeightedDigraph(
+    edges = [Edge(int(perm[e.tail]), int(perm[e.head]), e.weight, e.length) for e in _edges(g)]
+    return graph_of(
         g.positions[inv],
         tuple(g.roles[v] for v in inv),
-        tuple(edges[i] for i in rng.permutation(len(edges))),
+        [edges[i] for i in rng.permutation(len(edges))],
     )
 
 
 def _edges_key(g):
-    return [(e.tail, e.head, e.weight.hex(), e.length.hex()) for e in g.edges]
+    return [(e.tail, e.head, e.weight.hex(), e.length.hex()) for e in _edges(g)]
 
 
 def _assert_graphs_equal(got, ref):
@@ -351,10 +368,10 @@ class TestArrayPassesMatchReferences:
         assert [i for i in got if i.name not in diagnostic] == [
             i for i in want if i.name not in diagnostic]
 
-        if not t.edges:
+        if not t.n_edges:
             return
         for q in (1.5, 2.0, 3.0):
-            for n in (len(t.edges), len(t.edges) + 3, 2 * len(t.edges) + 17):
+            for n in (t.n_edges, t.n_edges + 3, 2 * t.n_edges + 17):
                 try:
                     want_alloc = _reference_allocate(t, n, q)
                 except ValueError as exc:
@@ -387,11 +404,11 @@ class TestArrayPassesMatchReferences:
         for k, (config, Z, plan) in enumerate(SOLVER_PLANS):
             rng = np.random.default_rng([8, k])
             t = reduce_graph(_shuffled(plan_to_graph(config, Z, plan), rng))
-            if t.edges:
-                scale = rng.uniform(0.5, 1.5, len(t.edges))
-                t = ReducedTree(t.positions, t.roles, tuple(
+            if t.n_edges:
+                scale = rng.uniform(0.5, 1.5, t.n_edges)
+                t = graph_of(t.positions, t.roles, [
                     Edge(e.tail, e.head, e.weight * s if k % 2 else e.weight, e.length)
-                    for e, s in zip(t.edges, scale)), t.labels, t.chains)
+                    for e, s in zip(_edges(t), scale)], t.labels, cls=ReducedTree, chains=t.chains)
             items = verify_structure(t, config).items
             got = [(i.name, i.ok, i.detail) for i in items
                    if i.name in ("terminal_flux", "interior_conservation")]
@@ -402,13 +419,13 @@ class TestArrayPassesMatchReferences:
         pos = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
         roles = ("source", "free", "free", "sink")
         edges = (Edge(0, 1, 1.0, 1.0), Edge(1, 2, 1.5, 1.0), Edge(2, 3, 1.0, 1.0))
-        g = WeightedDigraph(pos, roles, edges)
+        g = graph_of(pos, roles, edges)
         with pytest.raises(ValueError) as ref:
             _reference_reduce_graph(g)
         with pytest.raises(ValueError) as got:
             reduce_graph(g)
         assert str(got.value) == str(ref.value)
-        cyc = WeightedDigraph(pos[:3], ("free",) * 3, (
+        cyc = graph_of(pos[:3], ("free",) * 3, (
             Edge(0, 1, 1.0, 1.0), Edge(1, 2, 1.0, 1.0), Edge(2, 0, 1.0, 2.0)))
         with pytest.raises(ValueError, match="acyclic"):
             reduce_graph(cyc)
@@ -423,7 +440,7 @@ class TestArrayPassesMatchReferences:
             (("source", "free", "sink", "sink"),
              (Edge(0, 1, 1.0, float(np.sqrt(5.0))), Edge(1, 3, 1.0, float(np.sqrt(5.0))))),
         ):
-            g = WeightedDigraph(pos, roles, edges)
+            g = graph_of(pos, roles, edges)
             (c,) = reduce_graph(g).chains
             (r,) = _reference_reduce_graph(g).chains
             assert c.max_perp == pytest.approx(r.max_perp, rel=1e-12)
@@ -445,7 +462,7 @@ class TestArrayPassesMatchReferences:
     def test_edgeless_and_chainless_graphs(self):
         pos = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.5]])
         for edges in ((), (Edge(0, 1, 2.0, float(np.sqrt(2.0))),)):
-            g = WeightedDigraph(pos, ("source", "sink", "free"), edges)
+            g = graph_of(pos, ("source", "sink", "free"), edges)
             t = reduce_graph(g)
             _assert_graphs_equal(t, _reference_reduce_graph(g))
             assert t.chains == _reference_reduce_graph(g).chains
@@ -542,8 +559,8 @@ class TestGuard:
             except ValueError:
                 continue
             built += 1
-            assert bound <= len(tree.edges)
-            tight += bound == len(tree.edges)
+            assert bound <= tree.n_edges
+            tight += bound == tree.n_edges
         assert built >= len(GUARD_CASES) // 2
         assert tight >= 9
 
@@ -599,8 +616,7 @@ class TestOneForestTest:
             calls.append(1)
             return edges_form_forest(edges)
 
-        for module in (sys.modules["branchflow.regularize"], graphs):
-            monkeypatch.setattr(module, "edges_form_forest", counting)
+        monkeypatch.setattr(graphs, "edges_form_forest", counting)
         for config, n in ((y_instance(), 12),
                           (random_instance(np.random.default_rng([7, 9]), 2, 3), 30),
                           (random_instance(np.random.default_rng([7, 10]), 3, 2, dim=3), 20)):

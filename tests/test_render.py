@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from branchflow import oracle, render, y_instance
-from branchflow.graphs import Edge, WeightedDigraph
 from branchflow.render import render_svg
+from conftest import graph_of
 
 
 class TestRenderSvg:
@@ -18,9 +18,7 @@ class TestRenderSvg:
     def test_stroke_width_tracks_edge_weight(self):
         pos = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
         roles = ("source", "free", "sink")
-        g = WeightedDigraph(
-            pos, roles, (Edge(0, 1, 9.0, 1.0), Edge(1, 2, 1.0, 1.0))
-        )
+        g = graph_of(pos, roles, [(0, 1, 9.0, 1.0), (1, 2, 1.0, 1.0)])
         svg = render_svg(g, q=2.0)
         widths = [
             float(part.split('"')[1])
@@ -30,7 +28,7 @@ class TestRenderSvg:
 
     def test_three_dimensional_graphs_rejected(self):
         pos = np.zeros((2, 3))
-        g = WeightedDigraph(pos, ("source", "sink"), (Edge(0, 1, 1.0, 1.0),))
+        g = graph_of(pos, ("source", "sink"), [(0, 1, 1.0, 1.0)])
         with pytest.raises(ValueError, match="plane"):
             render_svg(g)
 

@@ -16,6 +16,7 @@ from branchflow import (
     CostParams,
     InvalidConfigError,
     SignedConfig,
+    graph_to_dict,
     oracle,
     positions,
     random_instance,
@@ -270,6 +271,32 @@ class TestCliExitCodes:
         doc.write_text(text)
         assert main(["render", str(doc), "--out", str(tmp_path / "g.svg")]) == 2
         assert capsys.readouterr().err.startswith("error: not a graph document")
+
+    @pytest.mark.parametrize("fault", ["ids_from_one", "duplicate_id", "infinite_weight",
+                                       "nan_length", "nan_position", "fractional_end"])
+    def test_render_of_a_bad_graph_is_2(self, fault, tmp_path, monkeypatch, capsys):
+        # ids 1..V would draw every edge between the wrong vertices
+        doc = graph_to_dict(oracle(y_instance(), 2.0).graph)
+        verts, edges = doc["vertices"], doc["edges"]
+        if fault == "ids_from_one":
+            for r in verts:
+                r["id"] += 1
+        elif fault == "duplicate_id":
+            verts[1]["id"] = 0
+        elif fault == "infinite_weight":
+            edges[0]["weight"] = math.inf
+        elif fault == "nan_length":
+            edges[0]["length"] = math.nan
+        elif fault == "nan_position":
+            verts[0]["position"][0] = math.nan
+        else:
+            edges[0]["tail"] += 0.5
+        _refuse_work(monkeypatch)
+        path, out = tmp_path / "graph.json", tmp_path / "out" / "g.svg"
+        path.write_text(json.dumps({"graph": doc}))
+        assert main(["render", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: not a graph document")
+        assert not out.exists()
 
     def test_unsettled_solve_is_3(self, tmp_path, monkeypatch, capsys):
         # a settle of Y at n=24 needs more than one plan-and-Newton pass, so

@@ -21,12 +21,8 @@ from branchflow import (
 from branchflow import positions
 from branchflow._mcf import MinCostFlowNetwork
 from branchflow.measures import total_mass
-from branchflow.regularize import (
-    _is_forest,
-    edges_form_forest,
-    regularize,
-    zero_flow_threshold,
-)
+from branchflow.graphs import edges_form_forest
+from branchflow.regularize import _is_forest, regularize
 from branchflow.transport import (
     MASS_UNITS,
     TreeBasis,
@@ -38,6 +34,7 @@ from branchflow.transport import (
     integer_mass_units,
     plan_cost,
     wasserstein_coupling,
+    zero_flow_threshold,
 )
 from conftest import enumerate_basic_optimum, random_config, random_feasible_plan
 
