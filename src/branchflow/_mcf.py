@@ -55,6 +55,13 @@ solve is bit-identical to one on a fresh network started from the same
 tree (:attr:`MinCostFlowNetwork.tree`).  A tree's flows depend only on the
 tree and the supplies, so a solve without a pivot leaves
 :meth:`MinCostFlowNetwork.flows` as it was.
+
+**Hand-off.**  :meth:`MinCostFlowNetwork.support` scatters each tree
+arc's flow to its arc id, so the positive plan arcs come out in arc-id
+order without a sort, and maps them to matrix rows and columns in array
+passes; the flows stay Python ints.  A caller's start is
+checked node by node with plain reads of :attr:`MinCostFlowNetwork.to`:
+on a tree of a few dozen nodes, NumPy's per-call cost exceeds the loop.
 """
 
 from __future__ import annotations
@@ -130,7 +137,8 @@ class MinCostFlowNetwork:
         """(tail, head) of arc ``a``, which is plan arc ``a`` or node ``u``'s
         artificial arc; ValueError for any other id."""
         if 0 <= a < self.m:
-            return int(self.to[2 * a + 1]), int(self.to[2 * a])
+            to = self.to.item
+            return to(2 * a + 1), to(2 * a)
         if a == self.m + u:
             return (u, self.n) if self._supply[u] >= 0 else (self.n, u)
         raise ValueError(f"arc {a} cannot join node {u} to its parent")
@@ -290,9 +298,19 @@ class MinCostFlowNetwork:
         parent, pred, flow = self._tree[:3]
         return tuple(parent[:self.n]), tuple(pred), tuple(flow)
 
+    def support(self) -> tuple[np.ndarray, np.ndarray, list[int]]:
+        """The last :meth:`solve`'s positive plan-arc flows, by increasing arc
+        id, so row-major: their matrix rows and columns as arrays, and their
+        flows in mass units as Python ints."""
+        _, pred, flow = self._tree[:3]
+        # each tree arc's flow at its id (ids are distinct, flows >= 0), so
+        # the nonzero plan slots come out in arc-id order without a sort
+        by_arc = np.zeros(self.m + self.n, dtype=np.int64)
+        by_arc[pred] = flow
+        arcs = np.flatnonzero(by_arc[:self.m] > 0)
+        return self._rows[arcs], self._cols[arcs], by_arc[arcs].tolist()
+
     def flows(self) -> dict[tuple[int, int], int]:
         """Positive flows of the last :meth:`solve` by matrix key, row-major."""
-        _, pred, flow = self._tree[:3]
-        arcs = sorted((a, f) for a, f in zip(pred, flow) if a < self.m and f > 0)
-        rows, cols = self._rows, self._cols
-        return {(int(rows[a]), int(cols[a])): f for a, f in arcs}
+        rows, cols, units = self.support()
+        return dict(zip(zip(rows.tolist(), cols.tolist()), units))

@@ -39,6 +39,21 @@ COLLINEAR_RTOL = 1e-5
 SPACING_RTOL = 1e-5
 
 
+def _vertex_ids(name: str, ends) -> np.ndarray:
+    """An end column as an intp array; ValueError for an end that the cast
+    would change (0.5 would read as vertex 0)."""
+    given = np.asarray(ends)
+    if given.dtype == np.intp:
+        return given
+    with np.errstate(invalid="ignore"):  # NaN and out-of-range ends are refused below
+        ids = given.astype(np.intp)
+    changed = np.flatnonzero(ids != given)
+    if changed.size:
+        e = int(changed[0])
+        raise ValueError(f"edge {e}'s {name} {given.flat[e].item()!r} is not a whole vertex id")
+    return ids
+
+
 @dataclass(frozen=True)
 class WeightedDigraph:
     """Vertices with roles embedded in R^k plus weighted directed edges.
@@ -46,9 +61,10 @@ class WeightedDigraph:
     Edge e runs from vertex ``tail[e]`` to vertex ``head[e]``, carries
     ``weight[e]`` > 0 and is ``length[e]`` >= 0 long.  The four columns are
     1-d arrays of one length, the ends intp and the rest float; any
-    sequence given is converted.  ``labels`` preserves each vertex's id in
-    whatever indexing the graph was built from (plan vertex ids for
-    plan_to_graph, input vertex ids for reduce_graph); purely diagnostic.
+    sequence given is converted, and an end that is not a whole number is
+    refused.  ``labels`` preserves each vertex's id in whatever indexing the
+    graph was built from (plan vertex ids for plan_to_graph, input vertex
+    ids for reduce_graph); purely diagnostic.
     """
 
     positions: np.ndarray
@@ -70,8 +86,7 @@ class WeightedDigraph:
         for r in self.roles:
             if r not in ROLES:
                 raise ValueError(f"unknown vertex role {r!r}")
-        tail = np.asarray(self.tail, dtype=np.intp)
-        head = np.asarray(self.head, dtype=np.intp)
+        tail, head = _vertex_ids("tail", self.tail), _vertex_ids("head", self.head)
         weight = np.asarray(self.weight, dtype=float)
         length = np.asarray(self.length, dtype=float)
         if not (tail.ndim == 1 and tail.shape == head.shape == weight.shape == length.shape):

@@ -151,6 +151,13 @@ class SignedConfig:
         """Largest pairwise distance between terminals."""
         return self._diameter
 
+    @cached_property
+    def _valid(self) -> bool:
+        """:func:`validate`'s verdict, kept only once its checks pass: a
+        config that fails them raises on every read."""
+        _check_structure(self)
+        return True
+
 
 def total_mass(config: SignedConfig) -> float:
     """Total source mass (equals total sink mass for a validated config)."""
@@ -162,8 +169,14 @@ def validate(config: SignedConfig) -> SignedConfig:
 
     Raises :class:`InvalidConfigError` on: empty source or sink list, mixed
     or mismatched dimensions, non-finite coordinates or masses, negative
-    masses, unbalanced totals, or zero total mass.  Idempotent.
+    masses, unbalanced totals, or zero total mass.  Idempotent; the checks
+    run once per config object, whose verdict is kept once they pass.
     """
+    config._valid  # runs the checks until they pass once
+    return config
+
+
+def _check_structure(config: SignedConfig) -> None:
     if not config.sources or not config.sinks:
         raise InvalidConfigError("empty source or sink list")
     if config.dimension < 1:
@@ -186,7 +199,6 @@ def validate(config: SignedConfig) -> SignedConfig:
         )
     if src_total <= 0.0:
         raise InvalidConfigError("total mass must be positive")
-    return config
 
 
 def validate_exponent(q: float) -> float:

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -135,10 +136,12 @@ class _EdgeKernel:
 
     def __init__(self, config: SignedConfig, plan: TransportPlan, q: float):
         keys = sorted(plan.entries)
+        ij = np.fromiter(chain.from_iterable(keys), dtype=np.intp, count=2 * len(keys))
+        rows = ij[0::2]
         self._build(
-            np.vstack([config.source_positions(), config.sink_positions()]),
-            [plan.row_to_vertex(i) for i, _ in keys],
-            [plan.col_to_vertex(j) for _, j in keys],
+            config.terminal_positions(),
+            np.where(rows < plan.n_sources, rows, rows + plan.n_sinks),
+            ij[1::2] + plan.n_sources,
             [plan.entries[k] for k in keys],
             plan.n_free, q, 0.0,
         )
@@ -158,7 +161,8 @@ class _EdgeKernel:
         n_term, dim = fixed.shape
         self.dim, self.n_term = dim, n_term
         # tails, then heads, as vertex ids
-        self.ends = np.array(list(tails) + list(heads), dtype=np.intp)
+        self.ends = np.concatenate(
+            (np.asarray(tails, dtype=np.intp), np.asarray(heads, dtype=np.intp)))
         m = self.m = len(tails)
         self.weights = np.array(weights, dtype=float)
         self.qweights = q * self.weights

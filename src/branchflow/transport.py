@@ -42,6 +42,15 @@ solve on the basis re-prices only the entries that involve a relay and
 starts from the tree the network kept, the only copy of it.  When that
 solve makes no pivot, its tree and so its flows are the previous plan's,
 whose entries it returns unchanged.
+
+Every step around the pivots is a whole-array pass.  Costs are priced one
+coordinate at a time (``_pair_costs``), to the same bits as a sum over the
+coordinate axis of a ``(rows, cols, dim)`` array, without building it; the
+threaded start projects the relays onto the coupling's segments the same
+way.  The simplex hands its positive arcs over as arrays
+(:meth:`MinCostFlowNetwork.support`), from which the plan's entries are
+zipped and its cost gathered from the cost matrix in one index, then summed
+left to right.
 """
 
 from __future__ import annotations
@@ -200,10 +209,19 @@ def cost_matrix(config: SignedConfig, Z: np.ndarray | None, q: float) -> np.ndar
 def _pair_costs(A: np.ndarray, B: np.ndarray, q: float) -> np.ndarray:
     """|A[i] - B[j]|^q for every pair of rows.
 
-    Each entry is computed on its own, so a block of rows or columns equals
-    that block of the full matrix.
+    The squared length is accumulated one coordinate at a time, ``d0*d0``
+    then ``+= d1*d1`` and so on: the terms, in the order in which a sum over
+    the coordinate axis of a ``(rows, cols, dim)`` array adds them (that sum
+    starts from +0.0, which a square never changes), so the entries are the
+    same bit for bit, without that array.  Each entry is computed on its
+    own, so a block of rows or columns equals that block of the full matrix.
     """
-    return np.sqrt(((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)) ** q
+    d = A[:, 0, None] - B[:, 0]
+    s = d * d
+    for k in range(1, A.shape[1]):
+        d = A[:, k, None] - B[:, k]
+        s += d * d
+    return np.sqrt(s) ** q
 
 
 def integer_mass_units(masses: np.ndarray, units: int = MASS_UNITS) -> np.ndarray:
@@ -295,13 +313,8 @@ def _threaded_start(
     segments = sorted((a, u) for u, a in enumerate(c_pred) if a < m_c and c_flow[u] > 0)
     src_of, snk_of = np.divmod(np.array([a for a, _ in segments], dtype=np.int64), n_snk)
     A = config.source_positions()[src_of]
-    D = config.sink_positions()[snk_of] - A
-    AZ = Z[:, None, :] - A
-    length2 = (D * D).sum(axis=1)
-    t = np.clip((AZ * D).sum(axis=2) / np.where(length2 > 0.0, length2, 1.0), 0.0, 1.0)
-    gap = t[:, :, None] * D - AZ
-    nearest = (gap * gap).sum(axis=2).argmin(axis=1)
-    order = np.lexsort((t[np.arange(len(Z)), nearest], nearest)).tolist()
+    nearest, t = _nearest_segments(Z, A, config.sink_positions()[snk_of] - A)
+    order = np.lexsort((t, nearest)).tolist()
     nearest = nearest.tolist()
     threaded: list[list[int]] = [[] for _ in segments]
     for r in order:
@@ -325,6 +338,32 @@ def _threaded_start(
             parent[child], flow[child] = above, c_flow[u]
             pred[child] = arc_id(rows[h] * n_cols + cols[h])
     return parent, pred, flow
+
+
+def _nearest_segments(
+    Z: np.ndarray, A: np.ndarray, D: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """For each point of Z, the nearest of the segments ``A[k] + t D[k]``,
+    0 <= t <= 1 (ties to the first), and its projection t there.
+
+    The relay-by-segment dot products and squared gaps are accumulated one
+    coordinate at a time, from +0.0 and in the order in which a sum over the
+    coordinate axis of a ``(relays, segments, dim)`` array adds them, so
+    they equal those sums bit for bit, signed zeros included.
+    """
+    length2 = (D * D).sum(axis=1)
+    AZ = [Z[:, k, None] - A[:, k] for k in range(Z.shape[1])]
+    dot = np.zeros_like(AZ[0])
+    for k, az in enumerate(AZ):
+        dot += az * D[:, k]
+    t = np.clip(dot / np.where(length2 > 0.0, length2, 1.0), 0.0, 1.0)
+    gap = t * D[:, 0] - AZ[0]
+    gap2 = gap * gap
+    for k in range(1, len(AZ)):
+        gap = t * D[:, k] - AZ[k]
+        gap2 += gap * gap
+    nearest = gap2.argmin(axis=1)
+    return nearest, t[np.arange(len(Z)), nearest]
 
 
 class TreeBasis:
@@ -389,11 +428,14 @@ def min_cost_plan(
     else:
         raise ValueError("basis holds the plan network of another config, q or relay count")
     net.solve(start=start)
+    rows, cols, units = net.support()
     unit = total_mass(config) / MASS_UNITS
-    entries = {key: f * unit for key, f in net.flows().items()}
+    flows = [f * unit for f in units]
+    entries = dict(zip(zip(rows.tolist(), cols.tolist()), flows))
     plan = TransportPlan(config.n_sources, config.n_sinks, len(Z), entries)
-    F = net.F
-    cost = float(sum(g * F[key] for key, g in entries.items()))
+    cost = 0.0
+    for g, c in zip(flows, net.F[rows, cols].tolist()):
+        cost += g * c
     return plan, cost
 
 

@@ -73,6 +73,20 @@ class TestWeightedDigraph:
         with pytest.raises(ValueError, match="of one length"):
             WeightedDigraph(pos, roles, [0], [1], [1.0, 2.0], [1.0])
 
+    def test_fractional_edge_ends_refused(self):
+        # a cast to intp would read 0.5 as vertex 0; every end must be whole
+        pos, roles = np.zeros((2, 2)), ("source", "sink")
+        for tail, head in (([0.5], [1]), ([0], [1.5]), ([math.nan], [1]), ([0], [math.inf]),
+                           ([1e30], [1]), ([0, 0.999], [1, 1])):
+            with pytest.raises(ValueError, match="not a whole vertex id"):
+                WeightedDigraph(pos, roles, tail, head, [1.0] * len(tail), [0.0] * len(tail))
+        # whole-valued ends of any numeric type keep working
+        for tail, head in (([0.0], [1.0]), (np.array([0], np.int32), np.array([1], np.uint8)),
+                           ((0,), (1,)), (np.array([0], np.intp), [True])):
+            g = WeightedDigraph(pos, roles, tail, head, [1.0], [0.0])
+            assert g.tail.dtype == g.head.dtype == np.intp
+            assert (g.tail.tolist(), g.head.tolist()) == ([0], [1])
+
     def test_columns_are_arrays(self):
         g = chain_graph(k=1)
         assert g.tail.dtype == g.head.dtype == np.intp

@@ -17,7 +17,9 @@ from branchflow import (
     serialize_problem,
     validate,
 )
+from branchflow import measures
 from branchflow.measures import atomic_write_text, total_mass
+from branchflow.transport import TreeBasis, min_cost_plan
 
 
 def pair(src_mass=1.0, snk_mass=1.0):
@@ -82,6 +84,48 @@ class TestValidate:
         validate(cfg)
         assert cfg.zero_mass_sources == (1,)
         assert cfg.zero_mass_sinks == ()
+
+
+class TestValidateOnce:
+    """validate keeps its verdict on a config object once the checks pass."""
+
+    @staticmethod
+    def _counted(monkeypatch):
+        calls = []
+        check = measures._check_structure
+
+        def counting(config):
+            calls.append(config)
+            check(config)
+
+        monkeypatch.setattr(measures, "_check_structure", counting)
+        return calls
+
+    def test_an_accepted_config_is_checked_once(self, monkeypatch):
+        calls = self._counted(monkeypatch)
+        cfg = pair()
+        for _ in range(3):
+            assert validate(cfg) is cfg
+        assert calls == [cfg]
+        # each plan network's first solve validates the same object again
+        for _ in range(2):
+            min_cost_plan(cfg, np.zeros((1, 2)), 2.0, TreeBasis())
+        assert calls == [cfg]
+        # an equal config is another object, checked on its own
+        other = pair()
+        validate(other)
+        assert len(calls) == 2 and calls[1] is other
+
+    def test_a_refused_config_raises_every_time(self, monkeypatch):
+        calls = self._counted(monkeypatch)
+        bad = pair(src_mass=1.0, snk_mass=2.0)
+        for _ in range(3):
+            with pytest.raises(InvalidConfigError, match="unbalanced"):
+                validate(bad)
+        for _ in range(2):
+            with pytest.raises(InvalidConfigError, match="unbalanced"):
+                min_cost_plan(bad, None, 2.0)
+        assert len(calls) == 5
 
 
 class TestConfigAccessors:

@@ -18,7 +18,7 @@ from branchflow import (
     wasserstein_q,
     y_instance,
 )
-from branchflow import positions
+from branchflow import positions, transport
 from branchflow._mcf import MinCostFlowNetwork
 from branchflow.measures import total_mass
 from branchflow.graphs import edges_form_forest
@@ -27,6 +27,8 @@ from branchflow.transport import (
     MASS_UNITS,
     TreeBasis,
     _PlanNetwork,
+    _nearest_segments,
+    _pair_costs,
     _threaded_start,
     as_positions,
     check_plan,
@@ -539,7 +541,7 @@ class TestWarmStart:
             fresh.solve(start=(parent, pred, flow))
         flow[u] -= 1
         parent[u] = u  # a loop, not a tree
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"does not join node {u} to its parent"):
             fresh.solve(start=(parent, pred, flow))
 
 
@@ -1222,3 +1224,178 @@ def test_random_instance_masses_are_integer_compositions(rng):
         snk = cfg.sink_masses()
         assert src.sum() == snk.sum() == 8.0
         assert all(m == int(m) and m >= 1 for m in np.concatenate([src, snk]))
+
+
+def _broadcast_pair_costs(A, B, q):
+    """The pair costs as one (rows, cols, dim) array summed over its last axis."""
+    return np.sqrt(((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)) ** q
+
+
+def _broadcast_nearest_segments(Z, A, D):
+    """The threaded start's projection over (relays, segments, dim) arrays."""
+    AZ = Z[:, None, :] - A
+    length2 = (D * D).sum(axis=1)
+    t = np.clip((AZ * D).sum(axis=2) / np.where(length2 > 0.0, length2, 1.0), 0.0, 1.0)
+    gap = t[:, :, None] * D - AZ
+    nearest = (gap * gap).sum(axis=2).argmin(axis=1)
+    return nearest, t[np.arange(len(Z)), nearest]
+
+
+class TestPerCoordinateSums:
+    """Squared lengths summed one coordinate at a time equal, bit for bit,
+    the sums over the coordinate axis of the broadcast arrays."""
+
+    def test_pair_costs_equal_the_broadcast_formula(self, rng):
+        blocks = 0
+        for dim in (1, 2, 3):
+            for scale in 4.0 ** np.arange(-2, 3):
+                for n_rows, n_cols in ((0, 3), (2, 2), (7, 11), (32, 96), (64, 64)):
+                    A = scale * rng.normal(size=(n_rows, dim))
+                    B = scale * rng.normal(size=(n_cols, dim))
+                    # coincident points: a column on a row, and a repeated row
+                    B[: min(n_rows, 2)] = A[:2]
+                    A[1:2] = A[:1]
+                    for q in (1, 1.5, 2, 3, 1.0, 2.0, 3.0):
+                        got = _pair_costs(A, B, q)
+                        want = _broadcast_pair_costs(A, B, q)
+                        assert got.shape == want.shape
+                        assert got.tobytes() == want.tobytes()
+                        blocks += 1
+        assert blocks == 3 * 5 * 5 * 7
+
+    def test_nearest_segments_equal_the_broadcast_projection(self, rng):
+        for dim in (1, 2, 3):
+            for scale in 4.0 ** np.arange(-2, 3):
+                A = scale * rng.normal(size=(9, dim))
+                D = scale * rng.normal(size=(9, dim))
+                D[3] = 0.0  # a segment of length zero
+                Z = np.vstack([A[:4] + 0.5 * D[:4], scale * rng.normal(size=(12, dim)), A[:2]])
+                got, want = _nearest_segments(Z, A, D), _broadcast_nearest_segments(Z, A, D)
+                assert got[0].tolist() == want[0].tolist()
+                assert got[1].tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("size, mass, n", [(12, 16, 24), (64, 64, 32)])
+    def test_threaded_start_equals_the_broadcast_one(self, size, mass, n, monkeypatch):
+        # the CI determinism instance and the benchmark's wide_plan instance,
+        # at the W_1 seed and two random starts
+        cfg = random_instance(np.random.default_rng([0, 0]), size, size, total_mass=mass)
+        w1_basis = TreeBasis()
+        starts = [positions.w1_seed(cfg, n, w1_basis)] + [
+            positions._random_seed_positions(
+                cfg, n, np.random.default_rng(np.random.SeedSequence([0, k])))
+            for k in range(2)
+        ]
+        coupling = w1_basis.network.tree
+        threaded = 0
+        for Z in starts:
+            net = _PlanNetwork(cfg, Z, 2.0)
+            got = _threaded_start(coupling, net, Z)
+            with monkeypatch.context() as patched:
+                patched.setattr(transport, "_nearest_segments", _broadcast_nearest_segments)
+                want = _threaded_start(coupling, net, Z)
+            assert got == want
+            threaded += sum(a < net.m for a in got[1][2 * size:])
+        assert threaded > 0
+
+
+def _per_entry_flows(net):
+    """``flows()`` one tree arc at a time: sorted by arc id, each key read
+    from the arc's row and column."""
+    _, pred, flow = net.tree
+    arcs = sorted((a, f) for a, f in zip(pred, flow) if a < net.m and f > 0)
+    return {(int(net._rows[a]), int(net._cols[a])): f for a, f in arcs}
+
+
+class TestArrayHandOff:
+    """The simplex hands its plan over as arrays, with the keys, order and
+    types of a per-entry walk."""
+
+    def test_flows_equal_the_per_entry_reference(self, rng):
+        solves = 0
+        for trial in range(16):
+            dim = 1 + trial % 3
+            if trial % 2:
+                cfg = _awkward_instance(rng, dim, 4.0 ** (trial % 5 - 2), trial % 4 == 1,
+                                        trial % 3 == 0)
+            else:
+                cfg = random_instance(rng, *(int(k) for k in rng.integers(1, 9, size=2)),
+                                      dim=dim)
+            n_free = 0 if trial < 3 else int(rng.integers(1, 16))
+            q = (1.5, 2.0, 3.0)[trial % 3]
+            unit = total_mass(cfg) / MASS_UNITS
+            basis = TreeBasis()
+            for Z in _moves(rng, rng.normal(size=(n_free, dim))):  # cold, then warm
+                plan, cost = min_cost_plan(cfg, Z, q, basis)
+                net = basis.network
+                got, want = net.flows(), _per_entry_flows(net)
+                assert list(got.items()) == list(want.items())  # order included
+                assert all(type(i) is type(j) is type(f) is int for (i, j), f in got.items())
+                assert list(plan.entries.items()) == [(key, f * unit) for key, f in want.items()]
+                F = net.F
+                assert cost.hex() == float(sum(f * unit * F[key] for key, f in want.items())).hex()
+                solves += 1
+        assert solves == 16 * 6
+
+    def test_edge_kernel_arcs_equal_the_per_entry_build(self, rng):
+        # arcs in sorted key order whatever the plan's entry order, ends by
+        # the plan's vertex ids, weights the flows
+        for trial in range(20):
+            cfg = random_config(rng, dim=1 + trial % 3)
+            n_free = int(rng.integers(0, 6))
+            plan = random_feasible_plan(cfg, n_free, rng)
+            items = list(plan.entries.items())
+            order = rng.permutation(len(items))
+            plan.entries = {items[k][0]: items[k][1] for k in order}
+            if trial == 0:
+                plan.entries = {}
+            kernel = positions._EdgeKernel(cfg, plan, 2.0)
+            keys = sorted(plan.entries)
+            ends = ([plan.row_to_vertex(i) for i, _ in keys]
+                    + [plan.col_to_vertex(j) for _, j in keys])
+            assert kernel.ends.dtype == np.intp and kernel.ends.tolist() == ends
+            assert kernel.weights.tolist() == [plan.entries[k] for k in keys]
+            assert kernel.m == len(keys)
+
+    def test_each_start_refusal_names_its_fault(self, rng):
+        cfg = random_instance(rng, 4, 3)
+        Z = rng.uniform(-1, 1, size=(3, 2))
+        net = _PlanNetwork(cfg, Z, 2.0)
+        n, m = net.n, net.m
+        supply = net._supply
+        # the artificial tree: a sink's arc comes from the root with its demand
+        artificial = ([n] * n, list(range(m, m + n)), [abs(s) for s in supply])
+
+        def refused(edit, message):
+            parent, pred, flow = (list(seq) for seq in artificial)
+            edit(parent, pred, flow)
+            with pytest.raises(ValueError, match=message):
+                net.solve(start=(parent, pred, flow))
+
+        sink = cfg.n_sources
+        assert supply[sink] < 0
+
+        def away_from_the_root(parent, pred, flow):
+            flow[sink] = 0
+
+        def another_nodes_artificial_arc(parent, pred, flow):
+            pred[0] = m + 1
+
+        def arc_not_to_the_parent(parent, pred, flow):
+            # plan arc 0 joins source 0 and sink 0, not source 0 and the root
+            pred[0] = 0
+
+        refused(away_from_the_root, f"not strongly feasible at node {sink}")
+        refused(another_nodes_artificial_arc, f"arc {m + 1} cannot join node 0 to its parent")
+        refused(arc_not_to_the_parent, "arc 0 does not join node 0 to its parent")
+        refused(lambda parent, pred, flow: flow.__setitem__(sink, -1),
+                f"not strongly feasible at node {sink}")
+        refused(lambda parent, pred, flow: pred.__setitem__(0, m + n),
+                f"arc {m + n} cannot join node 0 to its parent")
+        refused(lambda parent, pred, flow: flow.__setitem__(0, flow[0] + 1), "balance")
+        refused(lambda parent, pred, flow: parent.pop(), f"start has {n - 1} nodes")
+        # the artificial tree itself is a valid start
+        parent, pred, flow = artificial
+        net.solve(start=(parent, pred, flow))
+        cold = _PlanNetwork(cfg, Z, 2.0)
+        cold.solve()
+        assert net.tree == cold.tree
