@@ -31,7 +31,13 @@ from typing import Iterable
 import numpy as np
 
 from .measures import SignedConfig, total_mass
-from .transport import TransportPlan, MARGINAL_RTOL, vertex_positions, zero_flow_threshold
+from .transport import (
+    MARGINAL_RTOL,
+    TransportPlan,
+    _squared_norms,
+    vertex_positions,
+    zero_flow_threshold,
+)
 
 ROLES = ("source", "sink", "free")
 CHAIN_FLOW_RTOL = 1e-6
@@ -165,16 +171,6 @@ class ReducedTree(WeightedDigraph):
     chains: tuple[ChainGeometry, ...] = ()
 
 
-def _squared_norms(d: np.ndarray) -> np.ndarray:
-    """Squared Euclidean length of each row of ``d``.
-
-    One stacked matmul takes each row's dot with itself, the BLAS dot that
-    ``np.linalg.norm`` takes of a single vector, so the square root of each
-    entry equals ``np.linalg.norm(row)`` bit for bit.
-    """
-    return (d[:, None, :] @ d[:, :, None]).ravel()
-
-
 def plan_to_graph(config: SignedConfig, Z, plan: TransportPlan) -> WeightedDigraph:
     """Embed a plan as a weighted digraph.
 
@@ -183,21 +179,19 @@ def plan_to_graph(config: SignedConfig, Z, plan: TransportPlan) -> WeightedDigra
     threshold, in sorted (row, column) order.  The support's structure is
     not judged here: a cycle, a free self-loop included, is embedded as it
     is, and ``reduce_graph`` refuses it.  Raises ValueError when a kept
-    flow enters a dropped atom.  Vertex ids come from index arithmetic on
-    the entry keys, and every edge length from one stacked matmul.
+    flow enters a dropped atom.  Vertex ids and flows come from the kept
+    arcs (:meth:`TransportPlan.arcs`), and every edge length from
+    one stacked matmul.
     """
     P = vertex_positions(config, Z)
     if P.shape[0] - config.n_sources - config.n_sinks != plan.n_free:
         raise ValueError("Z and plan disagree on the number of free atoms")
     ns, nk = plan.n_sources, plan.n_sinks
     n_term = ns + nk
-    pruned = plan.pruned(zero_flow_threshold(config))
-
-    keys = sorted(pruned.entries)
-    tails = [i if i < ns else i + nk for i, _ in keys]
-    heads = [ns + j for _, j in keys]
+    tail_ids, head_ids, weights = plan.pruned(zero_flow_threshold(config)).arcs()
+    tails = tail_ids.tolist()
     # every kept entry exceeds the threshold, so a free atom's throughput
-    # does exactly when the atom is the row of a kept entry
+    # does exactly when the atom is the tail of a kept arc
     keep = list(range(n_term)) + sorted({v for v in tails if v >= n_term})
     new_id = [-1] * plan.n_vertices
     for i, v in enumerate(keep):
@@ -207,9 +201,9 @@ def plan_to_graph(config: SignedConfig, Z, plan: TransportPlan) -> WeightedDigra
         positions=P.take(keep, axis=0),
         roles=("source",) * ns + ("sink",) * nk + ("free",) * (len(keep) - n_term),
         tail=[new_id[v] for v in tails],
-        head=[new_id[v] for v in heads],
-        weight=[pruned.entries[k] for k in keys],
-        length=np.sqrt(_squared_norms(P.take(tails, axis=0) - P.take(heads, axis=0))),
+        head=[new_id[v] for v in head_ids.tolist()],
+        weight=weights,
+        length=np.sqrt(_squared_norms(P.take(tail_ids, axis=0) - P.take(head_ids, axis=0))),
         labels=tuple(keep),
     )
 

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -53,6 +52,7 @@ from .transport import (
     SolverError,
     TransportPlan,
     TreeBasis,
+    _squared_norms,
     as_positions,
     integer_mass_units,
     min_cost_plan,
@@ -135,16 +135,7 @@ class _EdgeKernel:
     """
 
     def __init__(self, config: SignedConfig, plan: TransportPlan, q: float):
-        keys = sorted(plan.entries)
-        ij = np.fromiter(chain.from_iterable(keys), dtype=np.intp, count=2 * len(keys))
-        rows = ij[0::2]
-        self._build(
-            config.terminal_positions(),
-            np.where(rows < plan.n_sources, rows, rows + plan.n_sinks),
-            ij[1::2] + plan.n_sources,
-            [plan.entries[k] for k in keys],
-            plan.n_free, q, 0.0,
-        )
+        self._build(config.terminal_positions(), *plan.arcs(), plan.n_free, q, 0.0)
 
     @classmethod
     def from_arcs(cls, fixed: np.ndarray, tails, heads, weights, n_free: int,
@@ -295,11 +286,10 @@ def position_gradient(
     Per arc the gradient of flow*|d|^q is q*flow*|d|^(q-2)*d, which tends
     to zero as |d| -> 0 for every q > 1; coincident endpoints therefore
     contribute zero.  Atoms without incident positive flow get a zero row.
+    Raises ValueError, as the position solvers do, for q <= 1 or a Z whose
+    row count is not the plan's number of free atoms.
     """
-    if q <= 1.0:
-        raise ValueError(f"gradient requires q > 1, got {q}")
-    Z = as_positions(Z, config.dimension)
-    obj = _EdgeKernel(config, plan, q)
+    Z, obj = _position_problem(config, plan, Z, q)[:2]
     obj.cost(Z)
     return obj.gradient()
 
@@ -308,7 +298,7 @@ def _position_problem(
     config: SignedConfig, plan: TransportPlan, Z0, q: float
 ) -> tuple[np.ndarray, _EdgeKernel, float, float, float]:
     """Checked start, kernel, diameter, gradient tolerance and line-search
-    floor shared by the two position solvers."""
+    floor shared by the two position solvers and ``position_gradient``."""
     if q <= 1.0:
         raise ValueError(f"optimization requires q > 1, got {q}")
     Z = as_positions(Z0, config.dimension).copy()
@@ -482,21 +472,16 @@ def w1_seed(config: SignedConfig, n: int, basis: TreeBasis | None = None) -> np.
     ``basis``, when given, is an empty basis on which the coupling is
     solved, so it keeps the coupling's network and final tree.
     """
-    coupling = min_cost_plan(config, None, 1.0, basis)[0].entries
-    src = config.source_positions()
-    snk = config.sink_positions()
-    pairs = [(i, j, g) for (i, j), g in sorted(coupling.items()) if g > 0]
-    if not pairs:
-        anchor = src[0] if len(src) else np.zeros(config.dimension)
+    tails, heads, flows = min_cost_plan(config, None, 1.0, basis)[0].arcs()
+    T = config.terminal_positions()
+    if not flows.size:
+        anchor = T[0] if config.n_sources else np.zeros(config.dimension)
         return np.tile(anchor, (n, 1))
-    weights = np.array([g * float(np.linalg.norm(snk[j] - src[i])) for i, j, g in pairs])
+    weights = flows * np.sqrt(_squared_norms(T.take(heads, axis=0) - T.take(tails, axis=0)))
     if weights.sum() <= 0:
-        weights = np.ones(len(pairs))
+        weights = np.ones(flows.size)
     return spread_on_segments(
-        np.concatenate([src, snk]),
-        [i for i, _, _ in pairs],
-        [config.n_sources + j for _, j, _ in pairs],
-        integer_mass_units(weights, units=n).tolist(),
+        T, tails.tolist(), heads.tolist(), integer_mass_units(weights, units=n).tolist()
     )[0]
 
 
@@ -580,9 +565,9 @@ def _rebalance_layout(
 
     Junction atoms stay where the tree branches; the remaining budget is
     spread over the reduced edges by the allocation rule.  Returns None
-    when the tree cannot absorb the budget (more junctions than atoms or
-    fewer spare atoms than edges) or the allocation refuses it (an edge of
-    length zero, where a source and a sink share a point).
+    when the plan has no reduced tree or ``allocate`` refuses the spare
+    budget: more junctions than atoms, fewer spare atoms than edges, or an
+    edge of length zero, where a source and a sink share a point.
 
     Before building any graph, refuses a budget below the edge count that
     any reduced forest of the plan has (``_min_tree_edges``), which the
@@ -595,17 +580,11 @@ def _rebalance_layout(
     except (ValueError, SolverError):
         return None
     junctions = tree.free_indices()
-    spare = n - len(junctions)
-    if tree.n_edges == 0 or spare < tree.n_edges:
-        return None
     try:
-        alloc = allocate(tree, spare, q)
+        alloc = allocate(tree, n - len(junctions), q)
     except ValueError:
         return None
-    Z_new = np.concatenate([tree.positions.take(junctions, axis=0), alloc.atom_positions])
-    if Z_new.shape[0] != n:
-        return None
-    return Z_new
+    return np.concatenate([tree.positions.take(junctions, axis=0), alloc.atom_positions])
 
 
 def _min_tree_edges(config: SignedConfig, plan: TransportPlan) -> int:

@@ -35,10 +35,8 @@ def _is_forest(plan: TransportPlan) -> bool:
     A free-atom two-cycle u->v, v->u and a free self-loop count as cycles.
     :func:`regularize` returns a plan with a forest support as it is.
     """
-    ns, nk = plan.n_sources, plan.n_sinks
-    return edges_form_forest(
-        (i if i < ns else i + nk, ns + j) for i, j in plan.entries
-    )
+    tails, heads, _ = plan.arcs()
+    return edges_form_forest(zip(tails.tolist(), heads.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,10 @@ is never produced by the solver.
 For geometric bookkeeping the same plan is also viewed as a digraph on
 "vertex" ids: sources 0..S-1, sinks S..S+T-1, free atoms S+T.. — sources
 only ever emit, sinks only ever absorb, so directed cycles can involve free
-atoms alone.
+atoms alone.  :meth:`TransportPlan.arcs` is the one place that rule is
+applied to a plan's entries: every reader of a plan as arcs (the position
+kernel, ``plan_cost``, the plan graph, the forest test, the W_1 seed) and
+the marginals (:meth:`TransportPlan.vertex_flows`) take it from there.
 
 The plan solver is an exact min-cost flow: masses are scaled to integers
 summing to 10^9 by largest-remainder rounding (so the represented marginals
@@ -55,6 +58,8 @@ left to right.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -127,38 +132,31 @@ class TransportPlan:
     def col_to_vertex(self, j: int) -> int:
         return self.n_sources + j
 
-    # ---- aggregates ---------------------------------------------------
-    def source_outflows(self) -> np.ndarray:
-        out = np.zeros(self.n_sources)
-        for (i, _), g in self.entries.items():
-            if i < self.n_sources:
-                out[i] += g
-        return out
+    def arcs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The entries as arcs, in sorted key order: tail and head vertex ids
+        (intp) and flows (float).  Raises ValueError on a key outside the
+        plan's rows and columns."""
+        keys = sorted(self.entries)
+        rows, cols = zip(*keys) if keys else ((), ())
+        # sorted keys run from the least row to the greatest, sources first
+        if keys and not (0 <= rows[0] and rows[-1] < self.n_rows
+                         and 0 <= min(cols) and max(cols) < self.n_cols):
+            raise ValueError("plan has an entry outside its rows and columns")
+        tails = np.array(rows, dtype=np.intp)
+        tails[bisect_left(rows, self.n_sources):] += self.n_sinks
+        heads = np.array(cols, dtype=np.intp) + self.n_sources
+        return tails, heads, np.array([self.entries[k] for k in keys], dtype=float)
 
-    def sink_inflows(self) -> np.ndarray:
-        inn = np.zeros(self.n_sinks)
-        for (_, j), g in self.entries.items():
-            if j < self.n_sinks:
-                inn[j] += g
-        return inn
-
-    def free_outflows(self) -> np.ndarray:
-        out = np.zeros(self.n_free)
-        for (i, _), g in self.entries.items():
-            if i >= self.n_sources:
-                out[i - self.n_sources] += g
-        return out
-
-    def free_inflows(self) -> np.ndarray:
-        inn = np.zeros(self.n_free)
-        for (_, j), g in self.entries.items():
-            if j >= self.n_sinks:
-                inn[j - self.n_sinks] += g
-        return inn
+    def vertex_flows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each vertex's (inflow, outflow), indexed by vertex id: sources
+        first, then sinks, then free atoms."""
+        tails, heads, flows = self.arcs()
+        n = self.n_vertices
+        return np.bincount(heads, flows, n), np.bincount(tails, flows, n)
 
     def throughputs(self) -> np.ndarray:
         """Mass relayed by each free atom (outflow; equals inflow when feasible)."""
-        return self.free_outflows()
+        return self.vertex_flows()[1][self.n_sources + self.n_sinks:]
 
     # ---- views / conversions -------------------------------------------
     def copy(self) -> "TransportPlan":
@@ -182,6 +180,8 @@ class TransportPlan:
     ) -> "TransportPlan":
         entries: dict[tuple[int, int], float] = {}
         for i, j, g in triplets:
+            if not math.isfinite(g):
+                raise InvalidConfigError(f"flow on ({i}, {j}) is not finite")
             if g < 0:
                 raise InvalidConfigError(f"negative flow on ({i}, {j})")
             if g > 0:
@@ -439,51 +439,66 @@ def min_cost_plan(
     return plan, cost
 
 
+def _squared_norms(d: np.ndarray) -> np.ndarray:
+    """Squared Euclidean length of each row of ``d``.
+
+    One stacked matmul takes each row's dot with itself, the BLAS dot that
+    ``np.linalg.norm`` takes of a single vector, so the square root of each
+    entry equals ``np.linalg.norm(row)`` bit for bit.
+    """
+    return (d[:, None, :] @ d[:, :, None]).ravel()
+
+
 def plan_cost(config: SignedConfig, Z: np.ndarray, plan: TransportPlan, q: float) -> float:
     """Evaluate the q-power objective of an arbitrary plan at positions Z.
 
-    Both ends of every entry are gathered at once.  Each squared length is
-    the ``dot`` that ``np.linalg.norm`` takes of one vector, and the terms
-    are summed left to right in entry order, so the value equals that of a
-    loop taking one norm per entry, bit for bit.
+    Both ends of every arc (:meth:`TransportPlan.arcs`) are gathered at
+    once, and the terms are summed left to right in sorted key order, so
+    the value equals that of a loop over the sorted keys taking one
+    ``np.linalg.norm`` per entry, bit for bit.
     """
     P = vertex_positions(config, Z)
-    if not plan.entries:
-        return 0.0
-    ij = np.array(list(plan.entries), dtype=np.intp)
-    rows = ij[:, 0]
-    tails = np.where(rows < plan.n_sources, rows, rows + plan.n_sinks)
-    d = P[tails] - P[ij[:, 1] + plan.n_sources]
-    dist = np.sqrt((d[:, None, :] @ d[:, :, None]).ravel())
+    tails, heads, flows = plan.arcs()
+    dist = np.sqrt(_squared_norms(P.take(tails, axis=0) - P.take(heads, axis=0)))
     total = 0.0
-    for g, length in zip(plan.entries.values(), dist.tolist()):
+    for g, length in zip(flows.tolist(), dist.tolist()):
         total += g * length**q
     return total
 
 
 def check_plan(plan: TransportPlan, config: SignedConfig) -> list[str]:
     """Return human-readable constraint violations (empty list when feasible),
-    marginals compared to MARGINAL_RTOL of max(1, total mass)."""
+    marginals compared to MARGINAL_RTOL of max(1, total mass).
+
+    A flow that is not finite and nonnegative, a key outside the plan's rows
+    and columns and a free self-loop are each reported; the marginals are
+    checked only when every key is in range.
+    """
     tol = MARGINAL_RTOL * max(1.0, total_mass(config))
+    ns, nk = plan.n_sources, plan.n_sinks
     problems: list[str] = []
+    in_range = True
     for key, g in plan.entries.items():
-        if g < 0:
-            problems.append(f"negative flow {g!r} at {key}")
+        if not (g >= 0 and math.isfinite(g)):
+            problems.append(f"flow {float(g)!r} at {key} is not finite and nonnegative")
         i, j = key
-        if not (0 <= i < plan.n_rows and 0 <= j < plan.n_cols):
+        # membership in a range also refuses a fractional index
+        if not (i in range(plan.n_rows) and j in range(plan.n_cols)):
             problems.append(f"index {key} out of range")
-        if i >= plan.n_sources and j >= plan.n_sinks and i - plan.n_sources == j - plan.n_sinks:
-            if g > 0:
-                problems.append(f"self-loop flow at free atom {i - plan.n_sources}")
-    src = plan.source_outflows()
-    for i, m in enumerate(config.source_masses()):
+            in_range = False
+        elif i >= ns and j >= nk and i - ns == j - nk and g > 0:
+            problems.append(f"self-loop flow at free atom {i - ns}")
+    if not in_range:
+        return problems
+    inflow, outflow = plan.vertex_flows()
+    src, snk = outflow[:ns].tolist(), inflow[ns:ns + nk].tolist()
+    fin, fout = inflow[ns + nk:].tolist(), outflow[ns + nk:].tolist()
+    for i, m in enumerate(config.source_masses().tolist()):
         if abs(src[i] - m) > tol:
             problems.append(f"source {i} ships {src[i]!r}, mass is {m!r}")
-    snk = plan.sink_inflows()
-    for j, m in enumerate(config.sink_masses()):
+    for j, m in enumerate(config.sink_masses().tolist()):
         if abs(snk[j] - m) > tol:
             problems.append(f"sink {j} receives {snk[j]!r}, mass is {m!r}")
-    fin, fout = plan.free_inflows(), plan.free_outflows()
     for a in range(plan.n_free):
         if abs(fin[a] - fout[a]) > tol:
             problems.append(

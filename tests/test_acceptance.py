@@ -166,10 +166,12 @@ def test_criterion_5_regularization_suite():
         out = regularize(plan, cfg, Z, Q)
         mass = sum(a.mass for a in cfg.sources)
         tol = 1e-9 * max(1.0, mass)
-        assert np.abs(out.source_outflows() - cfg.source_masses()).max() <= tol
-        assert np.abs(out.sink_inflows() - cfg.sink_masses()).max() <= tol
+        inflow, outflow = out.vertex_flows()
+        ns, n_term = cfg.n_sources, cfg.n_sources + cfg.n_sinks
+        assert np.abs(outflow[:ns] - cfg.source_masses()).max() <= tol
+        assert np.abs(inflow[ns:n_term] - cfg.sink_masses()).max() <= tol
         if n:
-            assert np.abs(out.free_inflows() - out.free_outflows()).max() <= tol
+            assert np.abs(inflow[n_term:] - outflow[n_term:]).max() <= tol
         assert _is_forest(prune_zeros(out, cfg))
         assert plan_cost(cfg, Z, out, Q) <= before * (1.0 + 1e-9) + 1e-12
         done += 1

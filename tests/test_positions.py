@@ -63,6 +63,17 @@ class TestGradient:
         with pytest.raises(ValueError):
             position_gradient(cfg, np.array([[0.5, 0.0]]), plan, 1.0)
 
+    def test_rejects_z_with_another_row_count(self):
+        # one row for a three-relay plan must not be broadcast over the relays
+        cfg = y_instance()
+        Z = np.array([[0.0, 1.0], [-0.5, 1.5], [0.5, 1.5]])
+        plan = min_cost_plan(cfg, Z, 2.0)[0]
+        for bad in (Z[:1], Z[:2], np.vstack([Z, Z[:1]])):
+            with pytest.raises(ValueError, match="number of free atoms"):
+                position_gradient(cfg, bad, plan, 2.0)
+            with pytest.raises(ValueError, match="number of free atoms"):
+                optimize_positions(cfg, plan, bad, 2.0)
+
     def test_zero_rows_for_idle_atoms(self):
         cfg = single_edge()
         plan = min_cost_plan(cfg, np.array([[50.0, 50.0]]), 2.0)[0]  # relay unused

@@ -261,7 +261,7 @@ class TestRegularizePipeline:
 
     def test_equals_one_cancellation_pass_exactly(self, rng):
         # the forest fast path changes nothing: entries, their values and
-        # their order (plan_cost sums in dict order)
+        # their order
         for k in range(40):
             cfg = random_config(rng)
             n = int(rng.integers(0, 7))

@@ -1110,13 +1110,70 @@ class TestTransportPlan:
         bad = TransportPlan(1, 1, 2, {(0, 0): 1.0, (1, 1): 0.3})
         assert any("self-loop" in m for m in check_plan(bad, cfg))
 
+    def test_check_plan_reports_bad_flows_and_keys(self):
+        cfg = single_edge()
+        # a NaN flow is not feasible, though every marginal test reads False
+        assert check_plan(TransportPlan(1, 1, 0, {(0, 0): float("nan")}), cfg) == [
+            "flow nan at (0, 0) is not finite and nonnegative"]
+        msgs = check_plan(TransportPlan(1, 1, 0, {(0, 0): float("inf")}), cfg)
+        assert msgs[0] == "flow inf at (0, 0) is not finite and nonnegative"
+        # keys past the last row or column, and a negative one, are reported
+        # and kept out of the marginals (no IndexError, no wrapped index)
+        for key in ((5, 0), (0, 7), (-1, 0), (0, -1), (0.5, 0)):
+            plan = TransportPlan(1, 1, 1, {(0, 0): 1.0, key: 0.5})
+            assert check_plan(plan, cfg) == [f"index {key} out of range"]
+
+    def test_check_plan_prints_plain_floats(self):
+        msgs = check_plan(TransportPlan(1, 1, 1, {(0, 0): 0.5, (0, 1): 0.25}), single_edge())
+        assert msgs == [
+            "source 0 ships 0.75, mass is 1.0",
+            "sink 0 receives 0.5, mass is 1.0",
+            "free atom 0 violates conservation: in 0.25 out 0.0",
+        ]
+
+    def test_from_triplets_refuses_non_finite_flows(self):
+        for g in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(InvalidConfigError, match="not finite"):
+                TransportPlan.from_triplets(1, 1, 0, [(0, 0, g)])
+
+    def test_arcs_in_sorted_key_order_as_vertex_ids(self):
+        plan = TransportPlan(2, 3, 2, {(3, 1): 0.5, (0, 4): 0.25, (2, 0): 1.0, (0, 0): 2.0})
+        tails, heads, flows = plan.arcs()
+        assert tails.dtype == heads.dtype == np.intp and flows.dtype == float
+        keys = sorted(plan.entries)
+        assert tails.tolist() == [plan.row_to_vertex(i) for i, _ in keys] == [0, 0, 5, 6]
+        assert heads.tolist() == [plan.col_to_vertex(j) for _, j in keys] == [2, 6, 2, 3]
+        assert flows.tolist() == [2.0, 0.25, 1.0, 0.5]
+        empty = TransportPlan(2, 3, 2).arcs()
+        assert [a.size for a in empty] == [0, 0, 0]
+
+    def test_arcs_refuses_a_key_outside_the_plan(self):
+        for key in ((4, 0), (0, 5), (-1, 0), (0, -1)):
+            with pytest.raises(ValueError, match="outside"):
+                TransportPlan(2, 3, 2, {(0, 0): 1.0, key: 0.5}).arcs()
+
+    def test_vertex_flows_are_the_marginals(self, rng):
+        for _ in range(20):
+            cfg = random_config(rng)
+            n_free = int(rng.integers(0, 6))
+            plan = random_feasible_plan(cfg, n_free, rng)
+            inflow, outflow = plan.vertex_flows()
+            assert inflow.shape == outflow.shape == (plan.n_vertices,)
+            want_in, want_out = np.zeros(plan.n_vertices), np.zeros(plan.n_vertices)
+            for (i, j), g in sorted(plan.entries.items()):
+                want_out[plan.row_to_vertex(i)] += g
+                want_in[plan.col_to_vertex(j)] += g
+            assert inflow.tolist() == want_in.tolist()
+            assert outflow.tolist() == want_out.tolist()
+            assert plan.throughputs().tolist() == want_out[cfg.n_sources + cfg.n_sinks:].tolist()
+
     def test_plan_cost_equals_the_per_entry_loop(self, rng):
-        # one norm per entry, summed left to right in entry order: the
+        # one norm per entry, summed left to right in sorted key order: the
         # vectorized plan_cost must reproduce it bit for bit
         def reference(cfg, Z, plan, q):
             P = np.vstack([cfg.source_positions(), cfg.sink_positions(), Z])
             total = 0.0
-            for (i, j), g in plan.entries.items():
+            for (i, j), g in sorted(plan.entries.items()):
                 d = float(np.linalg.norm(P[plan.row_to_vertex(i)] - P[plan.col_to_vertex(j)]))
                 total += g * d**q
             return total
