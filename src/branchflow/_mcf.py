@@ -24,10 +24,17 @@ nodes plus a root:
   at the root, the others get one from it.  An optimal tree carries no
   artificial flow: a source's artificial flow and a sink's or free atom's
   would price their direct arc at ``F - 2M < 0``.
-* **Pricing (Dantzig).**  One NumPy pass over the dense reduced-cost matrix
-  ``F + pi[row node] - pi[col node]``, with free self-loops at +inf.  Its
-  first most negative entry in row-major order enters while it is below
-  ``-ENTER_RTOL * max F``, a tolerance that scales with the costs.
+* **Pricing (Dantzig).**  The dense reduced-cost matrix
+  ``(F + pi[row node]) - pi[col node]``, with free self-loops at +inf, is
+  kept across the pivots of a solve.  Its first most negative entry in
+  row-major order enters while it is below ``-ENTER_RTOL * max F``, a
+  tolerance that scales with the costs.  A solve prices the whole matrix in
+  one NumPy pass at its start; a pivot then re-prices only the rows and
+  columns of the nodes whose potentials it moved (Ahuja, Magnanti & Orlin,
+  §11.5), with the same elementwise operations in the same order, so the
+  matrix is bit for bit what a full pass would give.  When those rows and
+  columns could cover more than ``_REFRESH_SHARE`` of the matrix, the next
+  pivot prices it in full instead.
 * **Leaving (Cunningham, "A network simplex method", Math. Programming
   1976).**  The last blocking arc met when walking the pivot cycle in the
   entering arc's direction, starting from the apex.  The tree stays strongly
@@ -76,6 +83,18 @@ MAX_PIVOTS = 100_000
 #: an arc enters the basis while it prices below -ENTER_RTOL * max F
 ENTER_RTOL = 1e-12
 
+# A pivot re-prices only the rows and columns of the nodes it re-hangs, one
+# NumPy call each, unless they could cover more than this share of the
+# reduced-cost matrix; then the next pivot prices the whole matrix in one
+# pass.  On a 96 x 96 matrix a full pass took 13.4 us and a row or column
+# 1.1-1.3 us (timeit, one thread), so the break-even is about 11 refreshes,
+# and 1/8 admits a subtree of 6 nodes.  One alternate_minimize on 64 + 64
+# terminals at 32 relays, 2 restarts, took 16.2 ms (median of 60) at 1/8,
+# 16.4 ms at both 1/16 and 1/4, 18.6 ms pricing every pivot in full and
+# 18.8 ms refreshing every subtree however large; on Y at 384 relays 1.25 s
+# at 1/8 against 1.89 s in full.
+_REFRESH_SHARE = 1 / 8
+
 
 class SolverError(RuntimeError):
     """The flow solver failed: no optimal tree within its pivot budget."""
@@ -88,7 +107,7 @@ class MinCostFlowNetwork:
     __slots__ = (
         "n", "m", "to", "pi", "pivots", "F",
         "_fmax", "_supply", "_row_node", "_col_node", "_row_list", "_col_list",
-        "_rows", "_cols", "_arc_of", "_tree",
+        "_row_of", "_col_of", "_rows", "_cols", "_arc_of", "_tree",
     )
 
     def __init__(
@@ -111,6 +130,12 @@ class MinCostFlowNetwork:
         self._row_node = np.concatenate((np.arange(n_src), np.arange(n_term, n)))
         self._col_node = np.arange(n_src, n)
         self._row_list, self._col_list = self._row_node.tolist(), self._col_node.tolist()
+        # each node's matrix row and column, -1 where it has none
+        self._row_of, self._col_of = [-1] * (n + 1), [-1] * (n + 1)
+        for i, u in enumerate(self._row_list):
+            self._row_of[u] = i
+        for j, u in enumerate(self._col_list):
+            self._col_of[u] = j
         # free self-loops are the only pairs without an arc; pricing sees +inf
         #: the costs, +inf on the free self-loops
         self.F = F = F.astype(float, copy=True)
@@ -211,16 +236,23 @@ class MinCostFlowNetwork:
                 order.append(v)
         if len(order) != n + 1:
             raise ValueError("start parents do not form a tree")
+        # the potentials as Python floats, copied to an array over the
+        # matrix rows (pr) and one over its columns (pc) for pricing
         pi = np.array(pot)
-        row_node, col_node = self._row_node, self._col_node
+        pr, pc = pi[self._row_node], pi[self._col_node]
+        row_of, col_of = self._row_of, self._col_of
         row_list, col_list = self._row_list, self._col_list
-        n_cols = F.shape[1]
+        n_rows, n_cols = F.shape
+        # a pivot re-prices a row and a column per re-hung node at most
+        max_refresh = _REFRESH_SHARE * n_rows * n_cols / (n_rows + n_cols)
         tol = -ENTER_RTOL * fmax
         R = np.empty_like(F)
+        full = True
         inf = float("inf")
         for pivots in range(MAX_PIVOTS + 1):
-            np.add(F, pi[row_node][:, None], out=R)
-            R -= pi[col_node]
+            if full:
+                np.add(F, pr[:, None], out=R)
+                R -= pc
             flat = int(R.argmin())
             rc = float(R.flat[flat])
             if not rc < tol:
@@ -279,10 +311,30 @@ class MinCostFlowNetwork:
                 for v in children[u]:
                     depth[v] = d
                     subtree.append(v)
-            pi[subtree] += shift
+            full = len(subtree) > max_refresh
+            for u in subtree:
+                pot[u] += shift
+                r, c = row_of[u], col_of[u]
+                if r >= 0:
+                    pr[r] = pot[u]
+                if c >= 0:
+                    pc[c] = pot[u]
+            if not full:
+                # the full pass's (F + pr) - pc, elementwise and in the same
+                # order, on the rows and columns whose potential moved
+                for u in subtree:
+                    r, c = row_of[u], col_of[u]
+                    if r >= 0:
+                        Rr = R[r]
+                        np.add(F[r], pot[u], out=Rr)
+                        Rr -= pc
+                    if c >= 0:
+                        Rc = R[:, c]
+                        np.add(F[:, c], pr, out=Rc)
+                        Rc -= pot[u]
         if any(flow[u] for u in range(n) if pred[u] >= m):
             raise SolverError("network simplex left flow on an artificial arc")
-        self.pi, self.pivots = pi, pivots
+        self.pi, self.pivots = np.array(pot), pivots
         self._tree = parent, pred, flow, up, children
         return pivots
 

@@ -3,9 +3,12 @@
 The distance is the usual max of the two directed sup-inf distances
 between the closed point sets swept by the edges.  One side of each
 directed distance is discretized (edge samples at spacing <= resolution)
-while point-to-segment distances stay exact, so the result overshoots
-the true value by at most the sampling resolution and never undershoots
-by more than that.
+while point-to-segment distances stay exact.  A sampled directed distance
+is a maximum over some of the edge's points, so it never overshoots the
+true value (up to rounding); it only undershoots, by at most half the
+resolution, as every point of an edge lies that close to a sample and the
+distance to a set moves no faster than the point.  The larger of the two
+directed distances keeps both properties.
 """
 
 from __future__ import annotations

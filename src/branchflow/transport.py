@@ -24,9 +24,9 @@ summing to 10^9 by largest-remainder rounding (so the represented marginals
 sit within one part in 10^9 of the true ones), supplies sit on source
 nodes, demands on sink nodes, and free atoms are conservation nodes.  Every
 pair of the matrix but the free self-loops is an uncapacitated arc, and a
-primal network simplex (``_mcf``) prices all of them each pivot, so its
-final potentials certify the flow optimal for the full linear program.  Its
-flow is a basic solution, whose support is a forest.
+primal network simplex (``_mcf``) keeps all of them priced at every
+pivot, so its final potentials certify the flow optimal for the full linear
+program.  Its flow is a basic solution, whose support is a forest.
 
 ``min_cost_plan`` is the one entry to that linear program: it alone
 validates an instance and builds a flow network.  With no relays the plan
@@ -61,6 +61,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -135,16 +136,21 @@ class TransportPlan:
     def arcs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The entries as arcs, in sorted key order: tail and head vertex ids
         (intp) and flows (float).  Raises ValueError on a key outside the
-        plan's rows and columns."""
+        plan's rows and columns or one whose indices are not integers."""
         keys = sorted(self.entries)
         rows, cols = zip(*keys) if keys else ((), ())
         # sorted keys run from the least row to the greatest, sources first
         if keys and not (0 <= rows[0] and rows[-1] < self.n_rows
                          and 0 <= min(cols) and max(cols) < self.n_cols):
             raise ValueError("plan has an entry outside its rows and columns")
-        tails = np.array(rows, dtype=np.intp)
+        tails, heads = np.array(rows), np.array(cols)
+        # a cast to intp would truncate a fractional index without a word;
+        # a float among the keys makes the whole array float instead
+        if keys and not (tails.dtype.kind in "biu" and heads.dtype.kind in "biu"):
+            raise ValueError("plan has an entry whose indices are not integers")
+        tails = tails.astype(np.intp, copy=False)
         tails[bisect_left(rows, self.n_sources):] += self.n_sinks
-        heads = np.array(cols, dtype=np.intp) + self.n_sources
+        heads = heads.astype(np.intp, copy=False) + self.n_sources
         return tails, heads, np.array([self.entries[k] for k in keys], dtype=float)
 
     def vertex_flows(self) -> tuple[np.ndarray, np.ndarray]:
@@ -470,25 +476,33 @@ def check_plan(plan: TransportPlan, config: SignedConfig) -> list[str]:
     """Return human-readable constraint violations (empty list when feasible),
     marginals compared to MARGINAL_RTOL of max(1, total mass).
 
-    A flow that is not finite and nonnegative, a key outside the plan's rows
-    and columns and a free self-loop are each reported; the marginals are
-    checked only when every key is in range.
+    A plan whose source or sink count differs from the config's, a flow that
+    is not finite and nonnegative, a key outside the plan's rows and columns
+    and a free self-loop are each reported; the marginals are checked only
+    when the counts agree and every key is in range.
     """
     tol = MARGINAL_RTOL * max(1.0, total_mass(config))
     ns, nk = plan.n_sources, plan.n_sinks
     problems: list[str] = []
+    fits = (ns, nk) == (config.n_sources, config.n_sinks)
+    if not fits:
+        problems.append(
+            f"plan has {ns} sources and {nk} sinks, "
+            f"config has {config.n_sources} and {config.n_sinks}"
+        )
     in_range = True
     for key, g in plan.entries.items():
         if not (g >= 0 and math.isfinite(g)):
             problems.append(f"flow {float(g)!r} at {key} is not finite and nonnegative")
         i, j = key
-        # membership in a range also refuses a fractional index
-        if not (i in range(plan.n_rows) and j in range(plan.n_cols)):
+        # an index must be an integer, as TransportPlan.arcs() requires
+        if not (isinstance(i, Integral) and 0 <= i < plan.n_rows
+                and isinstance(j, Integral) and 0 <= j < plan.n_cols):
             problems.append(f"index {key} out of range")
             in_range = False
         elif i >= ns and j >= nk and i - ns == j - nk and g > 0:
             problems.append(f"self-loop flow at free atom {i - ns}")
-    if not in_range:
+    if not (fits and in_range):
         return problems
     inflow, outflow = plan.vertex_flows()
     src, snk = outflow[:ns].tolist(), inflow[ns:ns + nk].tolist()

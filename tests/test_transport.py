@@ -1123,6 +1123,22 @@ class TestTransportPlan:
             plan = TransportPlan(1, 1, 1, {(0, 0): 1.0, key: 0.5})
             assert check_plan(plan, cfg) == [f"index {key} out of range"]
 
+    def test_check_plan_refuses_a_whole_float_index(self):
+        # arcs() refuses a float key, so check_plan reports 1.0 as it does 0.5
+        plan = TransportPlan(1, 1, 1, {(0, 0): 1.0, (1.0, 0): 0.5})
+        assert check_plan(plan, single_edge()) == ["index (1.0, 0) out of range"]
+
+    def test_check_plan_reports_a_plan_of_another_shape(self):
+        cfg = single_edge()
+        # source 1, which the config lacks, ships 5.0: the shape is the fault
+        extra = TransportPlan(2, 1, 0, {(0, 0): 1.0, (1, 0): 5.0})
+        assert check_plan(extra, cfg) == ["plan has 2 sources and 1 sinks, config has 1 and 1"]
+        # fewer sources than the config: a message, not an IndexError
+        assert check_plan(TransportPlan(0, 1, 0), cfg) == [
+            "plan has 0 sources and 1 sinks, config has 1 and 1"]
+        assert check_plan(TransportPlan(1, 2, 1, {(0, 0): 1.0}), cfg) == [
+            "plan has 1 sources and 2 sinks, config has 1 and 1"]
+
     def test_check_plan_prints_plain_floats(self):
         msgs = check_plan(TransportPlan(1, 1, 1, {(0, 0): 0.5, (0, 1): 0.25}), single_edge())
         assert msgs == [
@@ -1151,6 +1167,19 @@ class TestTransportPlan:
         for key in ((4, 0), (0, 5), (-1, 0), (0, -1)):
             with pytest.raises(ValueError, match="outside"):
                 TransportPlan(2, 3, 2, {(0, 0): 1.0, key: 0.5}).arcs()
+
+    def test_arcs_refuses_a_key_that_is_not_an_integer(self):
+        # a cast would read (0.5, 0) as entry (0, 0); plan_cost would price it
+        with pytest.raises(ValueError, match="not integers"):
+            plan_cost(single_edge(), np.array([[0.5, 0.5]]),
+                      TransportPlan(1, 1, 1, {(0.5, 0): 1.0}), 2.0)
+        for key in ((0.5, 0), (1, 0.5), (1.0, 0), (3, 2.0), (np.float64(1), 0)):
+            with pytest.raises(ValueError, match="not integers"):
+                TransportPlan(2, 3, 2, {(0, 0): 1.0, key: 0.5}).arcs()
+        # NumPy integers are integers
+        tails, heads, _ = TransportPlan(2, 3, 2, {(np.int64(3), np.int32(1)): 0.5}).arcs()
+        assert tails.dtype == heads.dtype == np.intp
+        assert (tails.tolist(), heads.tolist()) == ([6], [3])
 
     def test_vertex_flows_are_the_marginals(self, rng):
         for _ in range(20):
