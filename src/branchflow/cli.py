@@ -129,7 +129,7 @@ def cmd_sweep(args) -> int:
         raise InvalidConfigError("empty --ns list")
     _check_atom_counts(n_list)
     params = _params(args, q)
-    records, details = sweep(config, q, n_list, params, resolution=args.resolution)
+    records, details = sweep(config, q, n_list, params)
     atomic_write_text(args.out_dir / "sweep.csv", sweep_to_csv(records))
     for _, res, tree in details:
         _write_solve_report(args.out_dir, config, res, tree)
@@ -232,8 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="solver sweep over atom counts")
     p.add_argument("problem")
     p.add_argument("--ns", required=True, help="comma-separated atom counts")
-    p.add_argument("--resolution", type=float, default=None,
-                   help="Hausdorff sampling resolution")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("render", help="draw a graph document as SVG")

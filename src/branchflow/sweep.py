@@ -9,8 +9,9 @@ the two closed-form brackets around the limit network cost W:
   own tree, with the atom budget reduced by the tree's interior vertex
   count (those atoms are spent realizing the junctions themselves).
 
-The Hausdorff column tracks the reduced solver tree against the
-enumerated optimum's tree.  ``SweepRecord.in_bounds`` reads the bracket
+The Hausdorff column is the exact distance (``hausdorff.hausdorff``, up to
+rounding) between the reduced solver tree and the enumerated optimum's
+tree, NaN when either has no edges or there is no oracle.  ``SweepRecord.in_bounds`` reads the bracket
 with a relative tolerance, so its verdict does not change with the
 instance's scale.
 """
@@ -25,7 +26,7 @@ from .measures import CostParams, InvalidConfigError, SignedConfig, validate
 from .positions import SolveResult, alternate_minimize
 from .graphs import ReducedTree, plan_to_graph, reduce_graph
 from .allocate import allocate
-from .hausdorff import check_resolution, hausdorff
+from .hausdorff import hausdorff
 from .oracle import OracleSolution, oracle, EnumerationBudgetError
 
 #: slack of the sandwich check, relative to each bound
@@ -89,24 +90,20 @@ def sweep(
     n_list: list[int],
     params: CostParams | None = None,
     oracle_solution: OracleSolution | None = None,
-    resolution: float | None = None,
 ) -> tuple[list[SweepRecord], list[tuple[int, SolveResult, ReducedTree | None]]]:
     """Run the solver at each n; returns (records, detailed results).
 
     Errors in a single entry are recorded on that row and the sweep
     continues.  The oracle is computed once; if its enumeration budget
     is exceeded the bound and distance columns are NaN.  ``params.q``
-    must equal ``q``, the exponent of the oracle and the bounds, and a
-    given ``resolution`` must be finite and positive; both are checked
-    before any solve.
+    must equal ``q``, the exponent of the oracle and the bounds; this is
+    checked before any solve.
     """
     config = validate(config)
     params = params or CostParams(q=q)
     if params.q != q:
         raise InvalidConfigError(
             f"sweep at q={q} given solver params with q={params.q}")
-    if resolution is not None:
-        check_resolution(resolution)
     if oracle_solution is None:
         try:
             oracle_solution = oracle(config, q)
@@ -122,7 +119,7 @@ def sweep(
             if oracle_solution is not None:
                 upper, lower = oracle_bounds(oracle_solution, n, q, config.n_pairs)
                 dist = (
-                    hausdorff(tree, oracle_solution.graph, resolution)
+                    hausdorff(tree, oracle_solution.graph)
                     if tree is not None and tree.n_edges and oracle_solution.graph.n_edges
                     else float("nan")
                 )

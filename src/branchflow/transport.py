@@ -184,8 +184,14 @@ class TransportPlan:
         n_free: int,
         triplets: Iterable[tuple[int, int, float]],
     ) -> "TransportPlan":
+        """A plan from (row, column, flow) triplets; flows on one key add up
+        and zero flows are dropped.  Raises InvalidConfigError for a row or
+        column that is not an integer (int(0.5) would read as row 0) and
+        for a flow that is not finite or is negative."""
         entries: dict[tuple[int, int], float] = {}
         for i, j, g in triplets:
+            if not (isinstance(i, Integral) and isinstance(j, Integral)):
+                raise InvalidConfigError(f"index ({i!r}, {j!r}) is not a pair of integers")
             if not math.isfinite(g):
                 raise InvalidConfigError(f"flow on ({i}, {j}) is not finite")
             if g < 0:

@@ -58,16 +58,6 @@ def _refuse_work(monkeypatch):
         monkeypatch.setattr(cli, name, refuse)
 
 
-def _refuse_sweep_solves(monkeypatch):
-    """Make every solve and oracle call inside ``sweep`` fail the test."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("solved despite an invalid resolution")
-
-    sweep_mod = importlib.import_module("branchflow.sweep")
-    for name in ("alternate_minimize", "oracle"):
-        monkeypatch.setattr(sweep_mod, name, refuse)
-
-
 def _unreadable(kind, tmp_path):
     """A directory, or a file whose bytes (a UTF-16 mark) are not UTF-8."""
     path = tmp_path / kind
@@ -83,16 +73,19 @@ OPTIONS = {
     "validate": set(),
     "solve": {"--q", "--out-dir", "--seed", "--restarts", "--n"},
     "oracle": {"--q", "--out-dir"},
-    "sweep": {"--q", "--out-dir", "--seed", "--restarts", "--ns", "--resolution"},
+    "sweep": {"--q", "--out-dir", "--seed", "--restarts", "--ns"},
     "render": {"--q", "--out"},
     "compare": {"--q", "--out-dir", "--seed", "--restarts", "--n"},
 }
 
-#: (subcommand, option) pairs the shared parent parser used to accept unread
+#: (subcommand, option) pairs no longer taken: the shared parent parser used
+#: to accept them unread, and sweep's --resolution went when the Hausdorff
+#: distance became exact
 RETIRED_OPTIONS = [
     ("validate", "--q"), ("validate", "--seed"), ("validate", "--restarts"),
     ("validate", "--out-dir"), ("oracle", "--seed"), ("oracle", "--restarts"),
     ("render", "--seed"), ("render", "--restarts"), ("render", "--out-dir"),
+    ("sweep", "--resolution"),
 ]
 
 
@@ -128,13 +121,6 @@ class TestSweep:
         # the oracle, the bounds and the Hausdorff target are taken at q
         with pytest.raises(InvalidConfigError):
             sweep(y_instance(), 2.0, [6], CostParams(q=3.0, restarts=1))
-
-    @pytest.mark.parametrize("resolution", [0.0, -1.0, math.nan, math.inf])
-    def test_resolution_is_checked_before_any_solve(self, resolution, monkeypatch):
-        _refuse_sweep_solves(monkeypatch)
-        with pytest.raises(InvalidConfigError, match="resolution"):
-            sweep(y_instance(), 2.0, [6], CostParams(q=2.0, restarts=1),
-                  resolution=resolution)
 
     def test_in_bounds_is_relative_and_skips_nan_bounds(self):
         nan = math.nan
@@ -212,20 +198,6 @@ class TestCliExitCodes:
         command, *options = argv
         assert main([command, str(problem), *options, "--out-dir", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
-        assert not out.exists()
-
-    @pytest.mark.parametrize("resolution", ["0", "-1", "nan", "inf"])
-    def test_invalid_resolution_is_2_before_solving(
-        self, resolution, tmp_path, monkeypatch, capsys
-    ):
-        _refuse_sweep_solves(monkeypatch)
-        problem = tmp_path / "y.json"
-        save_problem(problem, y_instance(), 2.0)
-        out = tmp_path / "out"
-        assert main(["sweep", str(problem), "--ns", "6", "--resolution", resolution,
-                     "--out-dir", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "resolution" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("q", ["nan", "0.5", "inf"])
@@ -332,7 +304,7 @@ class TestCliOptions:
             for name, p in sub.choices.items()
         }
         assert taken == OPTIONS
-        assert sum(map(len, taken.values())) == 20
+        assert sum(map(len, taken.values())) == 19
 
     @pytest.mark.parametrize("command,option", RETIRED_OPTIONS)
     def test_retired_option_is_2(self, command, option, y_graph, tmp_path, monkeypatch,
@@ -344,6 +316,7 @@ class TestCliOptions:
             "validate": ["validate", str(problem)],
             "oracle": ["oracle", str(problem), "--out-dir", str(out)],
             "render": ["render", str(y_graph), "--out", str(out / "y.svg")],
+            "sweep": ["sweep", str(problem), "--ns", "6", "--out-dir", str(out)],
         }[command]
         value = str(out) if option == "--out-dir" else "2"
         with pytest.raises(SystemExit) as exc:

@@ -1147,6 +1147,18 @@ class TestTransportPlan:
             "free atom 0 violates conservation: in 0.25 out 0.0",
         ]
 
+    @pytest.mark.parametrize("key", [(0.5, 0), (0, 0.5), (np.float64(1.9), 0), (1.0, 0),
+                                     (0, "0"), (None, 0)])
+    def test_from_triplets_refuses_an_index_that_is_not_an_integer(self, key):
+        # int() would truncate 0.5 to row 0 and np.float64(1.9) to row 1
+        with pytest.raises(InvalidConfigError, match="not a pair of integers"):
+            TransportPlan.from_triplets(2, 1, 1, [(*key, 1.0)])
+
+    def test_from_triplets_takes_numpy_integers(self):
+        plan = TransportPlan.from_triplets(2, 1, 1, [(np.int64(1), np.intp(0), 1.0)])
+        assert plan.entries == {(1, 0): 1.0}
+        assert all(type(i) is int for key in plan.entries for i in key)
+
     def test_from_triplets_refuses_non_finite_flows(self):
         for g in (float("nan"), float("inf"), -float("inf")):
             with pytest.raises(InvalidConfigError, match="not finite"):
