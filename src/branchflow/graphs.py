@@ -18,9 +18,10 @@ edge.
 Both constructions work on whole index lists and arrays rather than one
 entry or one chain at a time: vertex ids come from index arithmetic, the
 edge and chain lengths from one stacked matmul each, and every chain's
-perpendicular distances from one pass over all chains.  Small graphs
-dominate the solver's use (a few dozen edges), so index bookkeeping stays
-in plain lists and NumPy is called a fixed number of times per graph.
+``max_perp`` from one ``transport._segment_offsets`` pass over all chains.
+Small graphs dominate the solver's use (a few dozen edges), so index
+bookkeeping stays in plain lists and NumPy is called a fixed number of
+times per graph.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .measures import SignedConfig, total_mass
 from .transport import (
     MARGINAL_RTOL,
     TransportPlan,
+    _segment_offsets,
     _squared_norms,
     vertex_positions,
     zero_flow_threshold,
@@ -287,9 +289,8 @@ def reduce_graph(g: WeightedDigraph) -> ReducedTree:
     a, b, p = g.positions.take(hop_starts + hop_ends + hop_heads, axis=0).reshape(
         3, len(order), g.dimension)
     d = b - a
-    d_sq = _squared_norms(d)
-    straight = np.sqrt(d_sq.take(bounds[:-1])).tolist()
-    dist = _segment_distances(p, a, d, d_sq).tolist()
+    straight = np.sqrt(_squared_norms(d).take(bounds[:-1])).tolist()
+    dist = np.sqrt(_segment_offsets(p, a, d)[1]).tolist()
 
     weights = g.weight.tolist()
     lengths = g.length.tolist()
@@ -330,23 +331,6 @@ def reduce_graph(g: WeightedDigraph) -> ReducedTree:
         labels=tuple(keep),
         chains=tuple(chains),
     )
-
-
-def _segment_distances(
-    points: np.ndarray, a: np.ndarray, d: np.ndarray, d_sq: np.ndarray
-) -> np.ndarray:
-    """Distance from each point to its closed segment [a, a + d].
-
-    Row by row: ``d_sq`` is |d|^2, and a zero-length segment gives the
-    distance to ``a``.
-    """
-    # clipping the numerator to [0, d_sq] first gives t = clip(num/d_sq, 0, 1),
-    # and t = 0 on a zero-length segment
-    rel = points - a
-    num = (rel * d).sum(axis=1)
-    t = np.minimum(np.maximum(num, 0.0), d_sq) / np.where(d_sq > 0.0, d_sq, 1.0)
-    off = rel - t[:, None] * d
-    return np.sqrt((off * off).sum(axis=1))
 
 
 def graph_cost(g: WeightedDigraph, q: float) -> float:

@@ -19,7 +19,8 @@ piece of one segment equals a piece of the other: t is a real root in
 distance is the largest exact distance (``points_to_segments``) over the
 points at those t.  A root of a piece outside its own stretch, or of a
 pair of which neither segment is nearest, only adds a point of the edge,
-and no point of the edge lies farther than the sup.
+and no point of the edge lies farther than the sup.  Every point-segment
+distance comes from ``transport._segment_offsets``.
 
 A segment whose distance along an edge never drops to another segment's
 larger end distance is never nearest there, so it forms no pairs on that
@@ -35,6 +36,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graphs import WeightedDigraph
+from .transport import _segment_offsets
 
 #: most point-segment or piece pairs held at once, unless one edge has more
 BLOCK = 1 << 16
@@ -49,10 +51,12 @@ def _segments(g: WeightedDigraph) -> tuple[np.ndarray, np.ndarray]:
 
 def points_to_segments(points: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Exact distance from each point to the nearest closed segment [A_i, B_i],
-    taking the points in chunks of at most BLOCK point-segment pairs."""
+    taking the points in chunks of at most BLOCK point-segment pairs;
+    ValueError when points and segments differ in coordinate count."""
     step = max(1, BLOCK // max(len(A), 1))
-    parts = [_distances(points[lo:lo + step, None], A, B).min(axis=1, initial=np.inf)
-             for lo in range(0, len(points), step)]
+    D = B - A
+    parts = [np.sqrt(_segment_offsets(points[lo:lo + step, None], A, D)[1].min(
+        axis=1, initial=np.inf)) for lo in range(0, len(points), step)]
     return np.concatenate(parts) if parts else np.zeros(0)
 
 
@@ -72,7 +76,7 @@ def _directed(g1: WeightedDigraph, g2: WeightedDigraph) -> float:
     P, Q = _segments(g1)
     A, B = _segments(g2)
     V = Q - P
-    ends = _distances(np.concatenate([P, Q])[:, None], A, B)
+    ends = np.sqrt(_segment_offsets(np.concatenate([P, Q])[:, None], A, B - A)[1])
     near_p, near_q = ends[:len(P)], ends[len(P):]
     # each segment's distance is convex along an edge, so it peaks at an end
     # and the distance to g2 never exceeds the least such peak; it falls no
@@ -99,18 +103,6 @@ def _directed(g1: WeightedDigraph, g2: WeightedDigraph) -> float:
         if len(points):
             best = max(best, float(points_to_segments(points, A, B).max()))
     return best
-
-
-def _distances(X: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Distance from points X to closed segments [A, B], rows broadcast
-    against each other (the last axis holds the coordinates)."""
-    D = B - A
-    DD = np.einsum("...j,...j->...", D, D)
-    rel = X - A
-    along = np.einsum("...j,...j->...", rel, D)
-    t = np.clip(np.divide(along, DD, out=np.zeros_like(along), where=DD > 0), 0.0, 1.0)
-    off = rel - t[..., None] * D
-    return np.sqrt(np.einsum("...j,...j->...", off, off))
 
 
 def _pieces(

@@ -48,9 +48,10 @@ whose entries it returns unchanged.
 
 Every step around the pivots is a whole-array pass.  Costs are priced one
 coordinate at a time (``_pair_costs``), to the same bits as a sum over the
-coordinate axis of a ``(rows, cols, dim)`` array, without building it; the
-threaded start projects the relays onto the coupling's segments the same
-way.  The simplex hands its positive arcs over as arrays
+coordinate axis of a ``(rows, cols, dim)`` array, without building it;
+``_segment_offsets``, the one point-segment projection of the threaded
+start, ``graphs.reduce_graph`` and ``hausdorff``, sums the same way.
+The simplex hands its positive arcs over as arrays
 (:meth:`MinCostFlowNetwork.support`), from which the plan's entries are
 zipped and its cost gathered from the cost matrix in one index, then summed
 left to right.
@@ -300,7 +301,8 @@ def _threaded_start(
     from source ``a // n_sinks`` to sink ``a % n_sinks``.  Every terminal
     keeps its coupling parent, arc and flow.  The segments are the tree
     arcs that carry flow, in row-major order.  Each relay goes to the
-    segment nearest it, ties to the first, at its projection t there.
+    segment nearest it (``_segment_offsets``), ties to the first, at its
+    projection t there.
     Taking a segment's relays by increasing t (stable), a relay z joins the
     route source -> ... -> sink after its last node x only when
     ``|x - z|^q + |z - sink|^q <= |x - sink|^q`` at ``net``'s q, so each
@@ -325,7 +327,9 @@ def _threaded_start(
     segments = sorted((a, u) for u, a in enumerate(c_pred) if a < m_c and c_flow[u] > 0)
     src_of, snk_of = np.divmod(np.array([a for a, _ in segments], dtype=np.int64), n_snk)
     A = config.source_positions()[src_of]
-    nearest, t = _nearest_segments(Z, A, config.sink_positions()[snk_of] - A)
+    t, gap2 = _segment_offsets(Z[:, None, :], A, config.sink_positions()[snk_of] - A)
+    nearest = gap2.argmin(axis=1)
+    t = t[np.arange(len(Z)), nearest]
     order = np.lexsort((t, nearest)).tolist()
     nearest = nearest.tolist()
     threaded: list[list[int]] = [[] for _ in segments]
@@ -350,32 +354,6 @@ def _threaded_start(
             parent[child], flow[child] = above, c_flow[u]
             pred[child] = arc_id(rows[h] * n_cols + cols[h])
     return parent, pred, flow
-
-
-def _nearest_segments(
-    Z: np.ndarray, A: np.ndarray, D: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """For each point of Z, the nearest of the segments ``A[k] + t D[k]``,
-    0 <= t <= 1 (ties to the first), and its projection t there.
-
-    The relay-by-segment dot products and squared gaps are accumulated one
-    coordinate at a time, from +0.0 and in the order in which a sum over the
-    coordinate axis of a ``(relays, segments, dim)`` array adds them, so
-    they equal those sums bit for bit, signed zeros included.
-    """
-    length2 = (D * D).sum(axis=1)
-    AZ = [Z[:, k, None] - A[:, k] for k in range(Z.shape[1])]
-    dot = np.zeros_like(AZ[0])
-    for k, az in enumerate(AZ):
-        dot += az * D[:, k]
-    t = np.clip(dot / np.where(length2 > 0.0, length2, 1.0), 0.0, 1.0)
-    gap = t * D[:, 0] - AZ[0]
-    gap2 = gap * gap
-    for k in range(1, len(AZ)):
-        gap = t * D[:, k] - AZ[k]
-        gap2 += gap * gap
-    nearest = gap2.argmin(axis=1)
-    return nearest, t[np.arange(len(Z)), nearest]
 
 
 class TreeBasis:
@@ -459,6 +437,35 @@ def _squared_norms(d: np.ndarray) -> np.ndarray:
     entry equals ``np.linalg.norm(row)`` bit for bit.
     """
     return (d[:, None, :] @ d[:, :, None]).ravel()
+
+
+def _segment_offsets(
+    X: np.ndarray, A: np.ndarray, D: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Projection t in [0, 1] of points X onto segments ``A + t D`` (t = 0
+    on a segment of length zero) and the squared distance to it, broadcast
+    over the leading axes; the last axis holds the coordinates.
+
+    Dot products, squared lengths and squared gaps are summed one
+    coordinate at a time from +0.0, as a sum over the coordinate axis of
+    the broadcast arrays adds them, so they equal those sums bit for bit,
+    signed zeros included.  ValueError when the coordinate axes disagree.
+    """
+    dim = X.shape[-1]
+    if A.shape[-1] != dim or D.shape[-1] != dim:
+        raise ValueError(f"points and segments have {dim}, {A.shape[-1]} and "
+                         f"{D.shape[-1]} coordinates")
+    rel = [X[..., k] - A[..., k] for k in range(dim)]
+    dot = length2 = 0.0
+    for k, r in enumerate(rel):
+        dot = dot + r * D[..., k]
+        length2 = length2 + D[..., k] * D[..., k]
+    t = np.clip(dot / np.where(length2 > 0.0, length2, 1.0), 0.0, 1.0)
+    gap2 = 0.0
+    for k, r in enumerate(rel):
+        gap = t * D[..., k] - r
+        gap2 = gap2 + gap * gap
+    return t, gap2
 
 
 def plan_cost(config: SignedConfig, Z: np.ndarray, plan: TransportPlan, q: float) -> float:

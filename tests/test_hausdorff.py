@@ -125,6 +125,16 @@ class TestHausdorff:
         d = points_to_segments(pts, A, B)
         assert d == pytest.approx([1.0, 1.0, np.hypot(1.0, 4.0)])
 
+    def test_point_to_segment_coordinate_mismatch_rejected(self):
+        # summed one coordinate at a time, the distance would read only the
+        # points' coordinates and pass over the segments' third one
+        A2, B2 = np.zeros((1, 2)), np.array([[2.0, 0.0]])
+        A3, B3 = np.zeros((1, 3)), np.array([[2.0, 0.0, 5.0]])
+        for pts, A, B in ((np.ones((3, 2)), A3, B3), (np.ones((3, 3)), A2, B2),
+                          (np.ones((3, 2)), A2[:, :1], B2)):
+            with pytest.raises(ValueError, match="coordinates"):
+                points_to_segments(pts, A, B)
+
     def test_memory_stays_bounded_on_large_graphs(self):
         # two closed curves of 200 edges each: 179,100 piece pairs per edge,
         # 36 million (0.9 GB of coefficients) for all edges of one graph;

@@ -27,8 +27,8 @@ from branchflow.transport import (
     MASS_UNITS,
     TreeBasis,
     _PlanNetwork,
-    _nearest_segments,
     _pair_costs,
+    _segment_offsets,
     _threaded_start,
     as_positions,
     check_plan,
@@ -110,6 +110,25 @@ class TestMinCostPlan:
             plan, cost = min_cost_plan(cfg, Z, 2.0)
             assert check_plan(plan, cfg) == []
             assert cost == pytest.approx(plan_cost(cfg, Z, plan, 2.0))
+
+    def test_every_entry_carries_at_least_one_mass_unit(self, rng):
+        # flows are whole units of total_mass / MASS_UNITS, 1000 times the
+        # zero-flow threshold, so no solved entry lies at or below it; cold,
+        # warm and threaded solves, zero-mass and coincident terminals
+        solves = 0
+        for trial in range(12):
+            dim = 1 + trial % 3
+            cfg = _awkward_instance(rng, dim, 4.0 ** (trial % 5 - 2), trial % 2 == 0,
+                                    trial % 3 == 0)
+            unit = total_mass(cfg) / MASS_UNITS
+            assert unit > 999 * zero_flow_threshold(cfg)
+            q = (1.5, 2.0, 3.0)[trial % 3]
+            basis = TreeBasis(_coupling_tree(cfg) if trial % 4 == 1 else None)
+            for Z in _moves(rng, rng.normal(size=(int(rng.integers(0, 9)), dim))):
+                plan, _ = min_cost_plan(cfg, Z, q, basis)
+                assert min(plan.entries.values()) >= unit
+                solves += 1
+        assert solves == 12 * 6
 
     def test_deterministic(self, rng):
         cfg = random_config(rng)
@@ -1329,14 +1348,69 @@ def _broadcast_pair_costs(A, B, q):
     return np.sqrt(((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)) ** q
 
 
-def _broadcast_nearest_segments(Z, A, D):
-    """The threaded start's projection over (relays, segments, dim) arrays."""
-    AZ = Z[:, None, :] - A
+def _broadcast_segment_offsets(X, A, D):
+    """The projection as (..., dim) arrays summed over their last axis."""
+    rel = X - A
+    length2 = (D * D).sum(axis=-1)
+    t = np.clip((rel * D).sum(axis=-1) / np.where(length2 > 0.0, length2, 1.0), 0.0, 1.0)
+    gap = t[..., None] * D - rel
+    return t, (gap * gap).sum(axis=-1)
+
+
+# The three projections that _segment_offsets replaced, as they were: the
+# threaded start's, reduce_graph's chain distances and the Hausdorff
+# distance's.
+
+def _nearest_segments(Z, A, D):
+    """For each point of Z, the nearest of the segments A[k] + t D[k] (ties
+    to the first) and its projection t there, summed coordinate by
+    coordinate."""
     length2 = (D * D).sum(axis=1)
-    t = np.clip((AZ * D).sum(axis=2) / np.where(length2 > 0.0, length2, 1.0), 0.0, 1.0)
-    gap = t[:, :, None] * D - AZ
-    nearest = (gap * gap).sum(axis=2).argmin(axis=1)
+    AZ = [Z[:, k, None] - A[:, k] for k in range(Z.shape[1])]
+    dot = np.zeros_like(AZ[0])
+    for k, az in enumerate(AZ):
+        dot += az * D[:, k]
+    t = np.clip(dot / np.where(length2 > 0.0, length2, 1.0), 0.0, 1.0)
+    gap = t * D[:, 0] - AZ[0]
+    gap2 = gap * gap
+    for k in range(1, len(AZ)):
+        gap = t * D[:, k] - AZ[k]
+        gap2 += gap * gap
+    nearest = gap2.argmin(axis=1)
     return nearest, t[np.arange(len(Z)), nearest]
+
+
+def _segment_distances(points, a, d, d_sq):
+    """Distance from each point to its segment [a, a + d], row by row."""
+    rel = points - a
+    num = (rel * d).sum(axis=1)
+    t = np.minimum(np.maximum(num, 0.0), d_sq) / np.where(d_sq > 0.0, d_sq, 1.0)
+    off = rel - t[:, None] * d
+    return np.sqrt((off * off).sum(axis=1))
+
+
+def _distances(X, A, B):
+    """Distance from points X to segments [A, B], broadcast, through einsum."""
+    D = B - A
+    DD = np.einsum("...j,...j->...", D, D)
+    rel = X - A
+    along = np.einsum("...j,...j->...", rel, D)
+    t = np.clip(np.divide(along, DD, out=np.zeros_like(along), where=DD > 0), 0.0, 1.0)
+    off = rel - t[..., None] * D
+    return np.sqrt(np.einsum("...j,...j->...", off, off))
+
+
+def _projection_cases(rng):
+    """(dim, Z, A, D) over dims 1-3 and scales 4^-2..4^2: nine segments, one
+    of length zero, and points on four of them, off them, and on two of
+    their starts."""
+    for dim in (1, 2, 3):
+        for scale in 4.0 ** np.arange(-2, 3):
+            A = scale * rng.normal(size=(9, dim))
+            D = scale * rng.normal(size=(9, dim))
+            D[3] = 0.0
+            Z = np.vstack([A[:4] + 0.5 * D[:4], scale * rng.normal(size=(12, dim)), A[:2]])
+            yield dim, Z, A, D
 
 
 class TestPerCoordinateSums:
@@ -1361,16 +1435,46 @@ class TestPerCoordinateSums:
                         blocks += 1
         assert blocks == 3 * 5 * 5 * 7
 
-    def test_nearest_segments_equal_the_broadcast_projection(self, rng):
-        for dim in (1, 2, 3):
-            for scale in 4.0 ** np.arange(-2, 3):
-                A = scale * rng.normal(size=(9, dim))
-                D = scale * rng.normal(size=(9, dim))
-                D[3] = 0.0  # a segment of length zero
-                Z = np.vstack([A[:4] + 0.5 * D[:4], scale * rng.normal(size=(12, dim)), A[:2]])
-                got, want = _nearest_segments(Z, A, D), _broadcast_nearest_segments(Z, A, D)
-                assert got[0].tolist() == want[0].tolist()
+    def test_segment_offsets_equal_the_broadcast_projection(self, rng):
+        cases = 0
+        for dim, Z, A, D in _projection_cases(rng):
+            for X, a, d in ((Z[:, None], A, D), (Z[:9], A, D), (Z[:9], A[0], D)):
+                got, want = _segment_offsets(X, a, d), _broadcast_segment_offsets(X, a, d)
+                assert got[0].tobytes() == want[0].tobytes()
                 assert got[1].tobytes() == want[1].tobytes()
+            cases += 1
+        assert cases == 3 * 5
+
+    def test_nearest_segments_equal_the_former_projection(self, rng):
+        for dim, Z, A, D in _projection_cases(rng):
+            t, gap2 = _segment_offsets(Z[:, None], A, D)
+            nearest = gap2.argmin(axis=1)
+            want = _nearest_segments(Z, A, D)
+            assert nearest.tolist() == want[0].tolist()
+            assert t[np.arange(len(Z)), nearest].tobytes() == want[1].tobytes()
+
+    def test_chain_distances_equal_the_former_ones(self, rng):
+        # reduce_graph's rows: a point against its own segment, the segment's
+        # squared length summed as the projection sums it (the former code
+        # took it from a BLAS dot, which may differ in the last bit)
+        for dim, Z, A, D in _projection_cases(rng):
+            # each segment against a point of Z, its start and its end
+            a, d = np.vstack([A, A, A]), np.vstack([D, D, D])
+            p = np.vstack([Z[:9], A, A + D])
+            got = np.sqrt(_segment_offsets(p, a, d)[1])
+            assert got.tobytes() == _segment_distances(p, a, d, (d * d).sum(axis=1)).tobytes()
+
+    def test_hausdorff_distances_within_4_ulp_of_the_former_ones(self, rng):
+        for dim, Z, A, D in _projection_cases(rng):
+            # off the segments, on the segments' ends, and zero-length ones;
+            # a point inside a segment lies at a distance of rounding size,
+            # which is not known to a relative ulp either way
+            B = A + D
+            X = np.vstack([Z[4:], B])[:, None]
+            got = np.sqrt(_segment_offsets(X, A, B - A)[1])
+            want = _distances(X, A, B)
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
 
     @pytest.mark.parametrize("size, mass, n", [(12, 16, 24), (64, 64, 32)])
     def test_threaded_start_equals_the_broadcast_one(self, size, mass, n, monkeypatch):
@@ -1389,7 +1493,7 @@ class TestPerCoordinateSums:
             net = _PlanNetwork(cfg, Z, 2.0)
             got = _threaded_start(coupling, net, Z)
             with monkeypatch.context() as patched:
-                patched.setattr(transport, "_nearest_segments", _broadcast_nearest_segments)
+                patched.setattr(transport, "_segment_offsets", _broadcast_segment_offsets)
                 want = _threaded_start(coupling, net, Z)
             assert got == want
             threaded += sum(a < net.m for a in got[1][2 * size:])
