@@ -61,12 +61,12 @@ along the tree, then prices.  Potentials depend only on tree paths, so that
 solve is bit-identical to one on a fresh network started from the same
 tree (:attr:`MinCostFlowNetwork.tree`).  A tree's flows depend only on the
 tree and the supplies, so a solve without a pivot leaves
-:meth:`MinCostFlowNetwork.flows` as it was.
+:meth:`MinCostFlowNetwork.support` as it was.
 
 **Hand-off.**  :meth:`MinCostFlowNetwork.support` scatters each tree
 arc's flow to its arc id, so the positive plan arcs come out in arc-id
 order without a sort, and maps them to matrix rows and columns in array
-passes; the flows stay Python ints.  A caller's start is
+passes; the flows leave as float64 mass units.  A caller's start is
 checked node by node with plain reads of :attr:`MinCostFlowNetwork.to`:
 on a tree of a few dozen nodes, NumPy's per-call cost exceeds the loop.
 """
@@ -350,19 +350,14 @@ class MinCostFlowNetwork:
         parent, pred, flow = self._tree[:3]
         return tuple(parent[:self.n]), tuple(pred), tuple(flow)
 
-    def support(self) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    def support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The last :meth:`solve`'s positive plan-arc flows, by increasing arc
-        id, so row-major: their matrix rows and columns as arrays, and their
-        flows in mass units as Python ints."""
+        id, so row-major: their matrix rows and columns, and their flows in
+        mass units as float64 (whole numbers below 2^53, so exact)."""
         _, pred, flow = self._tree[:3]
         # each tree arc's flow at its id (ids are distinct, flows >= 0), so
         # the nonzero plan slots come out in arc-id order without a sort
-        by_arc = np.zeros(self.m + self.n, dtype=np.int64)
+        by_arc = np.zeros(self.m + self.n)
         by_arc[pred] = flow
         arcs = np.flatnonzero(by_arc[:self.m] > 0)
-        return self._rows[arcs], self._cols[arcs], by_arc[arcs].tolist()
-
-    def flows(self) -> dict[tuple[int, int], int]:
-        """Positive flows of the last :meth:`solve` by matrix key, row-major."""
-        rows, cols, units = self.support()
-        return dict(zip(zip(rows.tolist(), cols.tolist()), units))
+        return self._rows[arcs], self._cols[arcs], by_arc[arcs]

@@ -58,7 +58,7 @@ def _params(args, q: float) -> CostParams:
 def _write_solve_report(out_dir: Path, config, res, tree) -> None:
     """solve_n<n>.json, with the reduced tree and its structure checks when
     there is one, and tree_n<n>.svg for a plane tree."""
-    doc = solve_result_to_dict(res, config)
+    doc = solve_result_to_dict(res)
     if tree is not None:
         doc["reduced_tree"] = graph_to_dict(tree)
         doc["structure_checks"] = [

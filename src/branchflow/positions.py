@@ -519,7 +519,8 @@ def _settle(
         Z, cost, _, inner_ok = polish_positions(config, plan, Z, q, fallbacks=fallbacks)
         budget_hits += not inner_ok
         plan2, _ = min_cost_plan(config, Z, q, basis)
-        stable = plan2.entries.keys() == plan.entries.keys()
+        # both plans' keys are sorted, so equal arrays mean equal supports
+        stable = np.array_equal(plan2.rows, plan.rows) and np.array_equal(plan2.cols, plan.cols)
         cost2 = plan_cost(config, Z, plan2, q)
         plan, cost = plan2, min(cost, cost2)
         if stable:
@@ -594,11 +595,10 @@ def _min_tree_edges(config: SignedConfig, plan: TransportPlan) -> int:
     threshold.  Each of them keeps an edge through the reduction, which
     never splices out a terminal, and a forest edge touches two vertices.
     """
-    tol = zero_flow_threshold(config)
+    # a terminal on a kept entry moves a positive sum of kept flows
+    inflow, outflow = plan.pruned(zero_flow_threshold(config)).vertex_flows()
     ns, nk = plan.n_sources, plan.n_sinks
-    sources = {i for (i, _), g in plan.entries.items() if i < ns and g > tol}
-    sinks = {j for (_, j), g in plan.entries.items() if j < nk and g > tol}
-    return (len(sources) + len(sinks) + 1) // 2
+    return (np.count_nonzero(outflow[:ns]) + np.count_nonzero(inflow[ns:ns + nk]) + 1) // 2
 
 
 def alternate_minimize(
@@ -690,7 +690,7 @@ def alternate_minimize(
     )
 
 
-def solve_result_to_dict(result: SolveResult, config: SignedConfig) -> dict:
+def solve_result_to_dict(result: SolveResult) -> dict:
     """Serializable report for one solve."""
     return {
         "n": result.n,
@@ -707,7 +707,5 @@ def solve_result_to_dict(result: SolveResult, config: SignedConfig) -> dict:
         "inner_budget_hits": result.inner_budget_hits,
         "polish_fallbacks": result.polish_fallbacks,
         "free_atoms": [[float(c) for c in row] for row in result.Z],
-        "plan": [
-            [int(i), int(j), float(g)] for i, j, g in result.plan.to_triplets()
-        ],
+        "plan": [list(t) for t in result.plan.to_triplets()],
     }

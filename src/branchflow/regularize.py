@@ -42,10 +42,10 @@ def _is_forest(plan: TransportPlan) -> bool:
 # ---------------------------------------------------------------------------
 # undirected cycles (cost-neutral or better)
 
-def _undirected_cycle(plan: TransportPlan) -> list[tuple[tuple[int, int], int]] | None:
-    """One cycle in the undirected support: [(arc key, +1 forward / -1 back)]."""
+def _undirected_cycle(plan: TransportPlan, keys) -> list[tuple[tuple[int, int], int]] | None:
+    """One cycle among the entries ``keys`` of ``plan``'s matrix: [(key, +1 / -1)]."""
     adj: dict[int, list[tuple[int, tuple[int, int], int]]] = {}
-    for (i, j) in sorted(plan.entries):
+    for (i, j) in sorted(keys):
         u = plan.row_to_vertex(i)
         v = plan.col_to_vertex(j)
         adj.setdefault(u, []).append((v, (i, j), +1))
@@ -115,32 +115,31 @@ def cancel_flat_cycles(
     """
     Z = as_positions(Z, config.dimension)
     P = vertex_positions(config, Z)
-    out = prune_zeros(plan, config).copy()
     tol = zero_flow_threshold(config)
+    flow = {(i, j): g for i, j, g in plan.pruned(tol).to_triplets()}
 
     def hop_cost(key: tuple[int, int]) -> float:
         i, j = key
-        d = float(np.linalg.norm(P[out.row_to_vertex(i)] - P[out.col_to_vertex(j)]))
+        d = float(np.linalg.norm(P[plan.row_to_vertex(i)] - P[plan.col_to_vertex(j)]))
         return d**q
 
-    while True:
-        cycle = _undirected_cycle(out)
-        if cycle is None:
-            return out
+    while (cycle := _undirected_cycle(plan, flow)) is not None:
         signed = sum(sign * hop_cost(k) for k, sign in cycle)
         if signed > 0 or not any(sign < 0 for _, sign in cycle):
             cycle = [(k, -sign) for k, sign in cycle]
         dec = [k for k, sign in cycle if sign < 0]
         inc = [k for k, sign in cycle if sign > 0]
-        delta = min(out.entries[k] for k in dec)
+        delta = min(flow[k] for k in dec)
         for k in inc:
-            out.entries[k] = out.entries.get(k, 0.0) + delta
+            flow[k] = flow.get(k, 0.0) + delta
         for k in dec:
-            left = out.entries[k] - delta
+            left = flow[k] - delta
             if left > tol:
-                out.entries[k] = left
+                flow[k] = left
             else:
-                del out.entries[k]
+                del flow[k]
+    return TransportPlan.from_triplets(
+        plan.n_sources, plan.n_sinks, plan.n_free, ((i, j, g) for (i, j), g in flow.items()))
 
 
 def regularize(

@@ -11,13 +11,19 @@ columns must equal sink masses, and every free atom conserves mass (inflow
 == outflow).  gamma[i][j] with both indices free and i == j (a self-loop)
 is never produced by the solver.
 
+A :class:`TransportPlan` holds gamma's support as read-only ``rows``,
+``cols`` and ``flows`` arrays in strictly increasing row-major key order,
+the order in which the simplex hands it over, so no solver plan is sorted;
+only :meth:`TransportPlan.from_triplets`, for keys in any order, sorts.
+
 For geometric bookkeeping the same plan is also viewed as a digraph on
 "vertex" ids: sources 0..S-1, sinks S..S+T-1, free atoms S+T.. — sources
 only ever emit, sinks only ever absorb, so directed cycles can involve free
 atoms alone.  :meth:`TransportPlan.arcs` is the one place that rule is
-applied to a plan's entries: every reader of a plan as arcs (the position
-kernel, ``plan_cost``, the plan graph, the forest test, the W_1 seed) and
-the marginals (:meth:`TransportPlan.vertex_flows`) take it from there.
+applied, in one pass over the rows: every reader of a plan as arcs (the
+position kernel, ``plan_cost``, the plan graph, the forest test, the W_1
+seed) and the marginals (:meth:`TransportPlan.vertex_flows`) take it from
+there.
 
 The plan solver is an exact min-cost flow: masses are scaled to integers
 summing to 10^9 by largest-remainder rounding (so the represented marginals
@@ -44,7 +50,7 @@ segments (``_threaded_start``), not from the artificial tree.  Each later
 solve on the basis re-prices only the entries that involve a relay and
 starts from the tree the network kept, the only copy of it.  When that
 solve makes no pivot, its tree and so its flows are the previous plan's,
-whose entries it returns unchanged.
+so its plan equals that one entry for entry.
 
 Every step around the pivots is a whole-array pass.  Costs are priced one
 coordinate at a time (``_pair_costs``), to the same bits as a sum over the
@@ -52,17 +58,17 @@ coordinate axis of a ``(rows, cols, dim)`` array, without building it;
 ``_segment_offsets``, the one point-segment projection of the threaded
 start, ``graphs.reduce_graph`` and ``hausdorff``, sums the same way.
 The simplex hands its positive arcs over as arrays
-(:meth:`MinCostFlowNetwork.support`), from which the plan's entries are
-zipped and its cost gathered from the cost matrix in one index, then summed
-left to right.
+(:meth:`MinCostFlowNetwork.support`), which become the plan's arrays as
+they are, and the plan's cost is gathered from the cost matrix in one
+index, then summed left to right.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from numbers import Integral
+from types import MappingProxyType
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -105,14 +111,44 @@ def as_positions(Z: np.ndarray | Sequence | None, dim: int) -> np.ndarray:
     return arr
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class TransportPlan:
-    """Sparse transport matrix plus the index bookkeeping described above."""
+    """Sparse transport matrix, entry k carrying ``flows[k]`` from row
+    ``rows[k]`` to column ``cols[k]``, with the bookkeeping described above.
+
+    Construction keeps read-only intp and float copies of the arrays and,
+    without a sort, raises InvalidConfigError on an index that is not an
+    integer or lies outside the plan, on keys that do not strictly increase
+    in row-major order, and on a flow that is NaN, infinite or negative.
+    """
 
     n_sources: int
     n_sinks: int
     n_free: int
-    entries: dict[tuple[int, int], float] = field(default_factory=dict)
+    rows: np.ndarray = ()
+    cols: np.ndarray = ()
+    flows: np.ndarray = ()
+
+    def __post_init__(self) -> None:
+        rows, cols = np.asarray(self.rows), np.asarray(self.cols)
+        flows = np.array(self.flows, dtype=float)
+        if not (rows.ndim == 1 and rows.shape == cols.shape == flows.shape):
+            raise InvalidConfigError("plan rows, cols and flows must be 1-d and of one length")
+        # a cast to intp would truncate a fractional index without a word
+        if rows.size and not (rows.dtype.kind in "iu" and cols.dtype.kind in "iu"):
+            raise InvalidConfigError("plan rows and cols must be integers")
+        if rows.size and not (0 <= rows.min() and rows.max() < self.n_rows
+                              and 0 <= cols.min() and cols.max() < self.n_cols):
+            raise InvalidConfigError("plan has an entry outside its rows and columns")
+        rows, cols = rows.astype(np.intp), cols.astype(np.intp)
+        keys = rows * self.n_cols + cols
+        if not (keys[1:] > keys[:-1]).all():
+            raise InvalidConfigError("plan keys must strictly increase in row-major order")
+        if not ((flows >= 0.0) & (flows < np.inf)).all():  # NaN fails both
+            raise InvalidConfigError("plan flows must be finite and nonnegative")
+        for name, arr in (("rows", rows), ("cols", cols), ("flows", flows)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     # ---- index conventions -------------------------------------------
     @property
@@ -135,24 +171,10 @@ class TransportPlan:
         return self.n_sources + j
 
     def arcs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The entries as arcs, in sorted key order: tail and head vertex ids
-        (intp) and flows (float).  Raises ValueError on a key outside the
-        plan's rows and columns or one whose indices are not integers."""
-        keys = sorted(self.entries)
-        rows, cols = zip(*keys) if keys else ((), ())
-        # sorted keys run from the least row to the greatest, sources first
-        if keys and not (0 <= rows[0] and rows[-1] < self.n_rows
-                         and 0 <= min(cols) and max(cols) < self.n_cols):
-            raise ValueError("plan has an entry outside its rows and columns")
-        tails, heads = np.array(rows), np.array(cols)
-        # a cast to intp would truncate a fractional index without a word;
-        # a float among the keys makes the whole array float instead
-        if keys and not (tails.dtype.kind in "biu" and heads.dtype.kind in "biu"):
-            raise ValueError("plan has an entry whose indices are not integers")
-        tails = tails.astype(np.intp, copy=False)
-        tails[bisect_left(rows, self.n_sources):] += self.n_sinks
-        heads = heads.astype(np.intp, copy=False) + self.n_sources
-        return tails, heads, np.array([self.entries[k] for k in keys], dtype=float)
+        """The entries as arcs, in key order: tail and head vertex ids
+        (intp) and flows (float, the plan's own read-only array)."""
+        rows, ns = self.rows, self.n_sources
+        return np.where(rows < ns, rows, rows + self.n_sinks), self.cols + ns, self.flows
 
     def vertex_flows(self) -> tuple[np.ndarray, np.ndarray]:
         """Each vertex's (inflow, outflow), indexed by vertex id: sources
@@ -166,40 +188,39 @@ class TransportPlan:
         return self.vertex_flows()[1][self.n_sources + self.n_sinks:]
 
     # ---- views / conversions -------------------------------------------
-    def copy(self) -> "TransportPlan":
-        return TransportPlan(self.n_sources, self.n_sinks, self.n_free, dict(self.entries))
+    @property
+    def entries(self) -> MappingProxyType:
+        """A read-only ``{(row, col): flow}`` view in key order, built on
+        each access; the solver reads the arrays."""
+        return MappingProxyType({(i, j): g for i, j, g in self.to_triplets()})
 
     def pruned(self, tol: float) -> "TransportPlan":
         """Drop entries with flow <= tol."""
-        kept = {k: g for k, g in self.entries.items() if g > tol}
-        return TransportPlan(self.n_sources, self.n_sinks, self.n_free, kept)
+        keep = self.flows > tol
+        return TransportPlan(self.n_sources, self.n_sinks, self.n_free,
+                             self.rows[keep], self.cols[keep], self.flows[keep])
 
     def to_triplets(self) -> list[tuple[int, int, float]]:
-        return [(i, j, self.entries[(i, j)]) for (i, j) in sorted(self.entries)]
+        return list(zip(self.rows.tolist(), self.cols.tolist(), self.flows.tolist()))
 
     @classmethod
-    def from_triplets(
-        cls,
-        n_sources: int,
-        n_sinks: int,
-        n_free: int,
-        triplets: Iterable[tuple[int, int, float]],
-    ) -> "TransportPlan":
-        """A plan from (row, column, flow) triplets; flows on one key add up
-        and zero flows are dropped.  Raises InvalidConfigError for a row or
-        column that is not an integer (int(0.5) would read as row 0) and
-        for a flow that is not finite or is negative."""
+    def from_triplets(cls, n_sources: int, n_sinks: int, n_free: int,
+                      triplets: Iterable[tuple[int, int, float]]) -> "TransportPlan":
+        """A plan from (row, column, flow) triplets in any order; flows on
+        one key add up and zero flows are dropped.  Raises InvalidConfigError
+        for a row or column that is not an integer (int(0.5) would read as
+        row 0) and for a flow that is not finite or is negative."""
         entries: dict[tuple[int, int], float] = {}
         for i, j, g in triplets:
             if not (isinstance(i, Integral) and isinstance(j, Integral)):
                 raise InvalidConfigError(f"index ({i!r}, {j!r}) is not a pair of integers")
-            if not math.isfinite(g):
-                raise InvalidConfigError(f"flow on ({i}, {j}) is not finite")
-            if g < 0:
-                raise InvalidConfigError(f"negative flow on ({i}, {j})")
+            if not 0 <= g < math.inf:  # NaN fails both
+                raise InvalidConfigError(f"flow {g!r} on ({i}, {j}) is not finite and nonnegative")
             if g > 0:
                 entries[(int(i), int(j))] = entries.get((int(i), int(j)), 0.0) + float(g)
-        return cls(n_sources, n_sinks, n_free, entries)
+        keys = sorted(entries)
+        rows, cols = np.array(keys, dtype=np.intp).reshape(-1, 2).T
+        return cls(n_sources, n_sinks, n_free, rows, cols, [entries[k] for k in keys])
 
 
 def vertex_positions(config: SignedConfig, Z: np.ndarray) -> np.ndarray:
@@ -419,12 +440,11 @@ def min_cost_plan(
         raise ValueError("basis holds the plan network of another config, q or relay count")
     net.solve(start=start)
     rows, cols, units = net.support()
-    unit = total_mass(config) / MASS_UNITS
-    flows = [f * unit for f in units]
-    entries = dict(zip(zip(rows.tolist(), cols.tolist()), flows))
-    plan = TransportPlan(config.n_sources, config.n_sinks, len(Z), entries)
+    # units are whole floats <= 10^9, so each flow has the bits of Python's int * unit
+    flows = units * (total_mass(config) / MASS_UNITS)
+    plan = TransportPlan(config.n_sources, config.n_sinks, len(Z), rows, cols, flows)
     cost = 0.0
-    for g, c in zip(flows, net.F[rows, cols].tolist()):
+    for g, c in zip(flows.tolist(), net.F[rows, cols].tolist()):
         cost += g * c
     return plan, cost
 
@@ -472,7 +492,7 @@ def plan_cost(config: SignedConfig, Z: np.ndarray, plan: TransportPlan, q: float
     """Evaluate the q-power objective of an arbitrary plan at positions Z.
 
     Both ends of every arc (:meth:`TransportPlan.arcs`) are gathered at
-    once, and the terms are summed left to right in sorted key order, so
+    once, and the terms are summed left to right in key order, so
     the value equals that of a loop over the sorted keys taking one
     ``np.linalg.norm`` per entry, bit for bit.
     """
@@ -489,34 +509,17 @@ def check_plan(plan: TransportPlan, config: SignedConfig) -> list[str]:
     """Return human-readable constraint violations (empty list when feasible),
     marginals compared to MARGINAL_RTOL of max(1, total mass).
 
-    A plan whose source or sink count differs from the config's, a flow that
-    is not finite and nonnegative, a key outside the plan's rows and columns
-    and a free self-loop are each reported; the marginals are checked only
-    when the counts agree and every key is in range.
+    A plan with other source or sink counts than the config's is reported
+    without its marginals, and so is a free self-loop with flow.
     """
     tol = MARGINAL_RTOL * max(1.0, total_mass(config))
     ns, nk = plan.n_sources, plan.n_sinks
-    problems: list[str] = []
-    fits = (ns, nk) == (config.n_sources, config.n_sinks)
-    if not fits:
-        problems.append(
-            f"plan has {ns} sources and {nk} sinks, "
-            f"config has {config.n_sources} and {config.n_sinks}"
-        )
-    in_range = True
-    for key, g in plan.entries.items():
-        if not (g >= 0 and math.isfinite(g)):
-            problems.append(f"flow {float(g)!r} at {key} is not finite and nonnegative")
-        i, j = key
-        # an index must be an integer, as TransportPlan.arcs() requires
-        if not (isinstance(i, Integral) and 0 <= i < plan.n_rows
-                and isinstance(j, Integral) and 0 <= j < plan.n_cols):
-            problems.append(f"index {key} out of range")
-            in_range = False
-        elif i >= ns and j >= nk and i - ns == j - nk and g > 0:
-            problems.append(f"self-loop flow at free atom {i - ns}")
-    if not (fits and in_range):
-        return problems
+    if (ns, nk) != (config.n_sources, config.n_sinks):
+        return [f"plan has {ns} sources and {nk} sinks, "
+                f"config has {config.n_sources} and {config.n_sinks}"]
+    rows, cols = plan.rows, plan.cols
+    loops = (rows >= ns) & (rows - ns == cols - nk) & (plan.flows > 0)
+    problems = [f"self-loop flow at free atom {a}" for a in (rows[loops] - ns).tolist()]
     inflow, outflow = plan.vertex_flows()
     src, snk = outflow[:ns].tolist(), inflow[ns:ns + nk].tolist()
     fin, fout = inflow[ns + nk:].tolist(), outflow[ns + nk:].tolist()
@@ -554,4 +557,4 @@ def wasserstein_coupling(
     plus, minus = tuple(plus), tuple(minus)
     config = SignedConfig(plus, minus, plus[0].dim if plus else 0)
     plan, cost = min_cost_plan(config, None, q)
-    return plan.entries, cost
+    return dict(plan.entries), cost

@@ -75,6 +75,23 @@ def random_feasible_plan(
     )
 
 
+def plan_of(n_sources, n_sinks, n_free, entries=()):
+    """A plan from a ``{(row, col): flow}`` mapping in any key order, zero
+    flows kept.  The keys are sorted and handed to the constructor as they
+    are, so a float key or a bad flow reaches its checks."""
+    keys = sorted(entries)
+    return TransportPlan(n_sources, n_sinks, n_free, np.array([i for i, _ in keys]),
+                         np.array([j for _, j in keys]),
+                         np.array([entries[k] for k in keys], dtype=float))
+
+
+def support_flows(net):
+    """A solved network's positive flows in mass units by matrix key, in
+    arc-id order: its ``support()`` read as a dict of Python numbers."""
+    rows, cols, units = net.support()
+    return dict(zip(zip(rows.tolist(), cols.tolist()), units.tolist()))
+
+
 def graph_of(positions, roles, edges=(), labels=(), cls=WeightedDigraph, **extra):
     """A graph whose edges are given as (tail, head, weight, length) tuples."""
     edges = list(edges)

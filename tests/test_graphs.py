@@ -7,7 +7,6 @@ import pytest
 from branchflow import (
     Atom,
     SignedConfig,
-    TransportPlan,
     graph_cost,
     graph_from_dict,
     graph_to_dict,
@@ -20,7 +19,7 @@ from branchflow import (
     y_instance,
 )
 from branchflow.graphs import ReducedTree, WeightedDigraph, is_forest
-from conftest import graph_of, random_config, random_feasible_plan, random_positions
+from conftest import graph_of, plan_of, random_config, random_feasible_plan, random_positions
 from branchflow import regularize
 
 
@@ -144,7 +143,7 @@ class TestIsForest:
 class TestPlanToGraph:
     def test_chain_plan_becomes_path_graph(self):
         cfg = single_edge()
-        plan = TransportPlan(1, 1, 2, {(0, 1): 1.0, (1, 2): 1.0, (2, 0): 1.0})
+        plan = plan_of(1, 1, 2, {(0, 1): 1.0, (1, 2): 1.0, (2, 0): 1.0})
         Z = np.array([[1.0 / 3.0, 0.0], [2.0 / 3.0, 0.0]])
         g = plan_to_graph(cfg, Z, plan)
         assert g.n_vertices == 4
@@ -155,7 +154,7 @@ class TestPlanToGraph:
 
     def test_idle_atoms_are_dropped_terminals_kept(self):
         cfg = single_edge()
-        plan = TransportPlan(1, 1, 1, {(0, 0): 1.0})  # relay idle
+        plan = plan_of(1, 1, 1, {(0, 0): 1.0})  # relay idle
         g = plan_to_graph(cfg, np.array([[9.0, 9.0]]), plan)
         assert g.n_vertices == 2 and g.roles == ("source", "sink")
 
@@ -163,7 +162,7 @@ class TestPlanToGraph:
         # the direct arc and the routed path close a cycle: plan_to_graph
         # embeds it, and reduce_graph's forest test refuses it
         cfg = single_edge()
-        plan = TransportPlan(1, 1, 1, {(0, 0): 0.5, (0, 1): 0.5, (1, 0): 0.5})
+        plan = plan_of(1, 1, 1, {(0, 0): 0.5, (0, 1): 0.5, (1, 0): 0.5})
         g = plan_to_graph(cfg, np.array([[0.5, 0.0]]), plan)
         assert [r[:3] for r in edge_rows(g)] == [(0, 1, 0.5), (0, 2, 0.5), (2, 1, 0.5)]
         with pytest.raises(ValueError, match="forest"):

@@ -7,7 +7,6 @@ import pytest
 import branchflow
 from branchflow import (
     CostParams,
-    TransportPlan,
     alternate_minimize,
     min_cost_plan,
     optimize_positions,
@@ -23,7 +22,7 @@ from branchflow.measures import total_mass
 from branchflow.positions import COST_ROUNDING, _EdgeKernel, polish_positions, w1_seed
 from branchflow.render import render, render_svg
 from branchflow.transport import as_positions, check_plan, plan_cost
-from conftest import graph_of, random_config, random_feasible_plan, random_positions
+from conftest import graph_of, plan_of, random_config, random_feasible_plan, random_positions
 
 
 def finite_difference_gradient(cfg, Z, plan, q, step):
@@ -191,7 +190,7 @@ def _kernel_cases(rng):
                     assert _coincide(cfg, plan, Z)
                 if kind == "idle":
                     # two more atoms, no arc at either: their rows stay put
-                    plan = TransportPlan(plan.n_sources, plan.n_sinks, n + 2, plan.entries)
+                    plan = plan_of(plan.n_sources, plan.n_sinks, n + 2, plan.entries)
                     Z = np.vstack([Z, random_positions(cfg, 2, rng)])
                 yield cfg, plan, Z, q
 
@@ -551,7 +550,7 @@ class TestAlternateMinimize:
     def test_report_document_shape(self):
         cfg = single_edge()
         res = alternate_minimize(cfg, 1, CostParams(q=2.0, restarts=0))
-        doc = solve_result_to_dict(res, cfg)
+        doc = solve_result_to_dict(res)
         assert {"n", "q", "cost_q", "wbar", "rescaled", "converged",
                 "inner_budget_hits", "polish_fallbacks", "free_atoms",
                 "plan"} <= set(doc)
@@ -581,7 +580,7 @@ RETIRED = {
     "render_svg.size": ("size", lambda: render_svg(_one_edge_graph(), size=640)),
     "render.size": ("size", lambda: render(_one_edge_graph(), "unwritten.svg", size=640)),
     "check_plan.tol": (
-        "tol", lambda: check_plan(TransportPlan(1, 1, 0, {(0, 0): 1.0}), single_edge(),
+        "tol", lambda: check_plan(plan_of(1, 1, 0, {(0, 0): 1.0}), single_edge(),
                                   tol=1e-9)),
 }
 

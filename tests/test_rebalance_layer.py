@@ -22,7 +22,6 @@ from branchflow import (
     Atom,
     CostParams,
     SignedConfig,
-    TransportPlan,
     alternate_minimize,
     allocate,
     min_cost_plan,
@@ -53,7 +52,7 @@ from branchflow.transport import (
     wasserstein_coupling,
     zero_flow_threshold,
 )
-from conftest import graph_of
+from conftest import graph_of, plan_of
 
 
 # ---------------------------------------------------------------------------
@@ -451,11 +450,11 @@ class TestArrayPassesMatchReferences:
         tol = zero_flow_threshold(config)
         Z = np.array([[0.5, 0.0]])
         # the atom's inflow is dust, its outflow is not: it stays a vertex
-        plan = TransportPlan(1, 1, 1, {(0, 1): 0.5 * tol, (1, 0): 1.0, (0, 0): 0.25})
+        plan = plan_of(1, 1, 1, {(0, 1): 0.5 * tol, (1, 0): 1.0, (0, 0): 0.25})
         _assert_graphs_equal(plan_to_graph(config, Z, plan),
                              _reference_plan_to_graph(config, Z, plan))
         # a kept flow into an atom whose outflow is dust has no vertex to enter
-        plan = TransportPlan(1, 1, 1, {(0, 1): 1.0, (1, 0): 0.5 * tol})
+        plan = plan_of(1, 1, 1, {(0, 1): 1.0, (1, 0): 0.5 * tol})
         with pytest.raises(ValueError, match="missing vertex"):
             plan_to_graph(config, Z, plan)
 
@@ -518,7 +517,7 @@ def _guard_cases():
                 for _ in range(4):
                     key = (int(rng.integers(plan.n_rows)), int(rng.integers(plan.n_cols)))
                     entries.setdefault(key, float(rng.choice([tol, 0.5 * tol, 1e-3 * tol])))
-                plan = TransportPlan(plan.n_sources, plan.n_sinks, plan.n_free, entries)
+                plan = plan_of(plan.n_sources, plan.n_sinks, plan.n_free, entries)
             cases.append((config, Z, plan))
     for dim in (1, 2, 3):
         for k in (1, 2, 5):
@@ -540,7 +539,7 @@ def _guard_cases():
             entries = dict(plan.entries)
             entries[(0, k)] = tol
             entries[(k, 0)] = 0.5 * tol
-            cases.append((config, Z, TransportPlan(plan.n_sources, plan.n_sinks, plan.n_free,
+            cases.append((config, Z, plan_of(plan.n_sources, plan.n_sinks, plan.n_free,
                                                    entries)))
     return cases
 

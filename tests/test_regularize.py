@@ -17,7 +17,7 @@ from branchflow.regularize import (
     prune_zeros,
 )
 from branchflow.transport import check_plan, plan_cost, zero_flow_threshold
-from conftest import random_config, random_feasible_plan, random_positions
+from conftest import plan_of, random_config, random_feasible_plan, random_positions
 
 
 def relay_arc(cfg, a: int, b: int) -> tuple[int, int]:
@@ -67,17 +67,17 @@ class TestIsRegular:
 
     def test_clean_chain_is_a_forest(self):
         cfg = single_edge()
-        plan = TransportPlan(1, 1, 2, {(0, 1): 1.0, relay_arc(cfg, 0, 1): 1.0, (2, 0): 1.0})
+        plan = plan_of(1, 1, 2, {(0, 1): 1.0, relay_arc(cfg, 0, 1): 1.0, (2, 0): 1.0})
         assert _is_forest(plan) and not refused(cfg, plan)
 
     def test_detects_self_loop(self):
         cfg = single_edge()
-        plan = TransportPlan(1, 1, 1, {(0, 0): 1.0, (1, 1): 0.2})
+        plan = plan_of(1, 1, 1, {(0, 0): 1.0, (1, 1): 0.2})
         assert not _is_forest(plan) and refused(cfg, plan)
 
     def test_detects_directed_cycle(self):
         cfg = single_edge()
-        plan = TransportPlan(
+        plan = plan_of(
             1, 1, 2,
             {(0, 0): 1.0, relay_arc(cfg, 0, 1): 0.3, relay_arc(cfg, 1, 0): 0.3},
         )
@@ -85,20 +85,20 @@ class TestIsRegular:
 
     def test_detects_parallel_paths(self):
         cfg = single_edge()
-        plan = TransportPlan(
+        plan = plan_of(
             1, 1, 1,
             {(0, 0): 0.5, (0, 1): 0.5, (1, 0): 0.5},  # direct arc and routed path
         )
         assert not _is_forest(plan) and refused(cfg, plan)
         # two routes through relays 0 and 1 that rejoin at relay 2
-        plan = TransportPlan(
+        plan = plan_of(
             1, 1, 3, {(0, 1): 0.5, (0, 2): 0.5, (1, 3): 0.5, (2, 3): 0.5, (3, 0): 1.0}
         )
         assert not _is_forest(plan) and refused(cfg, plan)
 
     def test_tolerance_hides_dust_flow(self):
         cfg = single_edge()
-        plan = TransportPlan(1, 1, 1, {(0, 0): 1.0, (1, 1): 1e-15})
+        plan = plan_of(1, 1, 1, {(0, 0): 1.0, (1, 1): 1e-15})
         assert not _is_forest(plan)
         assert _is_forest(prune_zeros(plan, cfg)) and not refused(cfg, plan)
 
@@ -122,19 +122,20 @@ class TestIsRegular:
 
         cfg = y_instance()
         # both sources feed free 0, which relays through free 1 to the sink
-        forest = TransportPlan(
+        forest = plan_of(
             2, 1, 2, {(0, 1): 1.0, (1, 1): 1.0, relay_arc(cfg, 0, 1): 2.0, (3, 0): 2.0}
         )
         assert _is_forest(forest) and nx_forest(forest) and not refused(cfg, forest)
-        looped = forest.copy()
-        looped.entries[relay_arc(cfg, 0, 1)] += 0.3
-        looped.entries[relay_arc(cfg, 1, 0)] = 0.3
+        entries = dict(forest.entries)
+        entries[relay_arc(cfg, 0, 1)] += 0.3
+        entries[relay_arc(cfg, 1, 0)] = 0.3
+        looped = plan_of(2, 1, 2, entries)
         assert not _is_forest(looped) and not nx_forest(looped) and refused(cfg, looped)
 
     def test_zero_flow_entry_counts_at_zero_tolerance(self):
         # a zero-flow detour through the relay parallels the direct arc
         cfg = single_edge()
-        plan = TransportPlan(1, 1, 1, {(0, 0): 1.0, (0, 1): 0.0, (1, 0): 0.0})
+        plan = plan_of(1, 1, 1, {(0, 0): 1.0, (0, 1): 0.0, (1, 0): 0.0})
         assert not _is_forest(plan) and not nx_forest(plan)
         assert _is_forest(prune_zeros(plan, cfg)) and nx_forest(plan, 1e-12)
         assert not refused(cfg, plan)
@@ -152,7 +153,7 @@ class TestIsRegular:
                     arcs[(1 + a, 2 + b)] = 0.25
         for a in (2 * layers - 2, 2 * layers - 1):
             arcs[(1 + a, 1)] = 0.5
-        plan = TransportPlan(1, 2, 2 * layers, arcs)
+        plan = plan_of(1, 2, 2 * layers, arcs)
         cfg = SignedConfig(
             sources=(Atom((0.0, 0.0), 2.0),),
             sinks=(Atom((1.0, 0.0), 1.0), Atom((1.0, 1.0), 1.0)),
@@ -164,7 +165,7 @@ class TestIsRegular:
 class TestCancelCycles:
     def test_removes_injected_two_cycle(self):
         cfg = single_edge()
-        plan = TransportPlan(
+        plan = plan_of(
             1, 1, 2,
             {(0, 0): 1.0, relay_arc(cfg, 0, 1): 0.3, relay_arc(cfg, 1, 0): 0.3},
         )
@@ -177,7 +178,7 @@ class TestCancelCycles:
     def test_partial_cancellation_keeps_chain_flow(self):
         cfg = single_edge()
         # 0.4 units circulate on top of the 1.0-unit chain; only they cancel
-        plan = TransportPlan(
+        plan = plan_of(
             1, 1, 2,
             {
                 (0, 1): 1.0,                 # source -> free 0
@@ -208,7 +209,7 @@ class TestMergeParallelPaths:
     def test_merges_onto_cheaper_route(self):
         cfg = single_edge()
         Z = np.array([[0.5, 0.8]])  # relay far off the segment: direct is cheaper
-        plan = TransportPlan(1, 1, 1, {(0, 0): 0.5, (0, 1): 0.5, (1, 0): 0.5})
+        plan = plan_of(1, 1, 1, {(0, 0): 0.5, (0, 1): 0.5, (1, 0): 0.5})
         out = regularize(plan, cfg, Z, 2.0)
         assert out.entries == {(0, 0): pytest.approx(1.0)}
         assert _is_forest(out)
@@ -216,7 +217,7 @@ class TestMergeParallelPaths:
     def test_keeps_cheaper_routed_path(self):
         cfg = single_edge()
         Z = np.array([[0.5, 0.0]])  # relay on the segment: routing wins for q > 1
-        plan = TransportPlan(1, 1, 1, {(0, 0): 0.5, (0, 1): 0.5, (1, 0): 0.5})
+        plan = plan_of(1, 1, 1, {(0, 0): 0.5, (0, 1): 0.5, (1, 0): 0.5})
         out = regularize(plan, cfg, Z, 2.0)
         assert out.entries == {
             (0, 1): pytest.approx(1.0),
@@ -234,7 +235,7 @@ class TestCancelFlatCycles:
             sinks=(Atom((1.0, 0.0), 1.0), Atom((1.0, 1.0), 1.0)),
             dimension=2,
         )
-        plan = TransportPlan(
+        plan = plan_of(
             2, 2, 0, {(0, 0): 0.5, (0, 1): 0.5, (1, 0): 0.5, (1, 1): 0.5}
         )
         Z = np.zeros((0, 2))
@@ -291,7 +292,7 @@ class TestPruneZeros:
 
     def test_dust_entries_removed(self):
         cfg = single_edge()
-        plan = TransportPlan(1, 1, 1, {(0, 0): 1.0, (0, 1): 1e-14})
+        plan = plan_of(1, 1, 1, {(0, 0): 1.0, (0, 1): 1e-14})
         assert prune_zeros(plan, cfg).entries == {(0, 0): 1.0}
 
 
@@ -300,7 +301,7 @@ class TestMaximalChains:
 
     def test_single_chain_through_relays(self):
         cfg = single_edge()
-        plan = TransportPlan(1, 1, 2, {(0, 1): 1.0, relay_arc(cfg, 0, 1): 1.0, (2, 0): 1.0})
+        plan = plan_of(1, 1, 2, {(0, 1): 1.0, relay_arc(cfg, 0, 1): 1.0, (2, 0): 1.0})
         Z = np.array([[0.3, 0.0], [0.6, 0.0]])
         tree = reduce_graph(plan_to_graph(cfg, Z, plan))
         assert len(tree.chains) == 1
@@ -313,14 +314,14 @@ class TestMaximalChains:
 
         cfg = y_instance()
         # both sources feed relay 0, which ships the doubled mass to the sink
-        plan = TransportPlan(2, 1, 1, {(0, 1): 1.0, (1, 1): 1.0, (2, 0): 2.0})
+        plan = plan_of(2, 1, 1, {(0, 1): 1.0, (1, 1): 1.0, (2, 0): 2.0})
         tree = reduce_graph(plan_to_graph(cfg, np.array([[0.0, 0.5]]), plan))
         assert sorted(c.flow for c in tree.chains) == [1.0, 1.0, 2.0]
 
     def test_rejects_non_regular_input(self):
         # plan_to_graph embeds the loop; the forest test in reduce_graph refuses it
         cfg = single_edge()
-        plan = TransportPlan(1, 1, 1, {(0, 0): 1.0, (1, 1): 0.5})
+        plan = plan_of(1, 1, 1, {(0, 0): 1.0, (1, 1): 0.5})
         g = plan_to_graph(cfg, np.array([[0.5, 0.0]]), plan)
         assert list(zip(g.tail.tolist(), g.head.tolist(), g.weight.tolist())) == [
             (0, 1, 1.0), (2, 2, 0.5)]
@@ -329,7 +330,7 @@ class TestMaximalChains:
 
     def test_rejects_uneven_chain_flow(self):
         cfg = single_edge()
-        plan = TransportPlan(
+        plan = plan_of(
             1, 1, 2, {(0, 1): 1.0, relay_arc(cfg, 0, 1): 0.7, (2, 0): 1.0}
         )
         Z = np.array([[0.3, 0.0], [0.6, 0.0]])

@@ -1,4 +1,5 @@
 import heapq
+from bisect import bisect_left
 
 import numpy as np
 import pytest
@@ -38,7 +39,13 @@ from branchflow.transport import (
     wasserstein_coupling,
     zero_flow_threshold,
 )
-from conftest import enumerate_basic_optimum, random_config, random_feasible_plan
+from conftest import (
+    enumerate_basic_optimum,
+    plan_of,
+    random_config,
+    random_feasible_plan,
+    support_flows,
+)
 
 
 class TestCostMatrix:
@@ -166,10 +173,10 @@ class TestMinCostPlan:
 
 
 def _cold_flows(*args):
-    """Positive integer flows per matrix key of a new network's cold solve."""
+    """Positive flows in mass units per matrix key of a new network's cold solve."""
     net = MinCostFlowNetwork(*args)
     net.solve()
-    return net.flows()
+    return support_flows(net)
 
 
 def _plan_network_args(cfg, Z, q=2.0):
@@ -185,7 +192,8 @@ def _assert_flows_match_per_arc_reference(cfg, Z, q=2.0):
     got = _cold_flows(*args)
     want = _reference_flow_dict(*args)
     assert list(got.items()) == list(want.items())  # order included
-    assert all(type(f) is int for f in got.values())
+    # whole mass units, handed over as floats
+    assert all(type(f) is float and f.is_integer() for f in got.values())
 
 
 def _lp_reference(cfg, Z, q):
@@ -695,8 +703,8 @@ def _replay_on_fresh_networks(monkeypatch, cfg, Zs, q):
         assert net.F.tobytes() == fresh.F.tobytes()
         assert net.pi.tobytes() == fresh.pi.tobytes()
         assert net.tree == fresh.tree
-        flows = fresh.flows()
-        assert list(net.flows().items()) == list(flows.items())  # order included
+        flows = support_flows(fresh)
+        assert list(support_flows(net).items()) == list(flows.items())  # order included
         assert list(plan.entries.items()) == [(key, f * unit) for key, f in flows.items()]
         _assert_simplex_plan(plan, cfg, Z, q)
         assert cost.hex() == float(sum(f * unit * F[key] for key, f in flows.items())).hex()
@@ -831,7 +839,7 @@ class TestKeptNetwork:
         flow[u] -= 1
         kept.solve(start=(parent, pred, flow))
         cold = _cold_flows(*_plan_network_args(cfg, Z + 0.1))
-        assert list(kept.flows().items()) == list(cold.items())
+        assert list(support_flows(kept).items()) == list(cold.items())
 
     def test_settle_matches_the_regularizing_settle(self, monkeypatch):
         # _settle as it was when every pass regularized its new plan and
@@ -937,9 +945,10 @@ class TestThreadedStart:
         def cost(flows):
             return float(sum(f * net.F[key] for key, f in flows.items()))
 
-        assert abs(cost(net.flows()) - cost(cold.flows())) <= 1e-12 * cost(cold.flows())
+        got, want = support_flows(net), support_flows(cold)
+        assert abs(cost(got) - cost(want)) <= 1e-12 * cost(want)
         if same_flows:
-            assert list(net.flows().items()) == list(cold.flows().items())
+            assert list(got.items()) == list(want.items())
         # each insertion lowers its route's cost: the start costs no more
         # than the coupling does at q
         m_c = cfg.n_sources * cfg.n_sinks  # coupling arc a is the pair divmod(a, n_sinks)
@@ -1110,7 +1119,7 @@ class TestForestByConstruction:
 
 class TestTransportPlan:
     def test_vertex_indexing_convention(self):
-        plan = TransportPlan(n_sources=2, n_sinks=3, n_free=2)
+        plan = plan_of(n_sources=2, n_sinks=3, n_free=2)
         assert [plan.row_to_vertex(i) for i in range(4)] == [0, 1, 5, 6]
         assert [plan.col_to_vertex(j) for j in range(5)] == [2, 3, 4, 5, 6]
 
@@ -1120,46 +1129,68 @@ class TestTransportPlan:
 
     def test_check_plan_reports_violations(self):
         cfg = single_edge()
-        bad = TransportPlan(1, 1, 1, {(0, 0): 0.5})  # ships half the mass
+        bad = plan_of(1, 1, 1, {(0, 0): 0.5})  # ships half the mass
         msgs = check_plan(bad, cfg)
         assert any("source 0" in m for m in msgs) and any("sink 0" in m for m in msgs)
 
     def test_check_plan_flags_self_loop(self):
         cfg = single_edge()
-        bad = TransportPlan(1, 1, 2, {(0, 0): 1.0, (1, 1): 0.3})
+        bad = plan_of(1, 1, 2, {(0, 0): 1.0, (1, 1): 0.3})
         assert any("self-loop" in m for m in check_plan(bad, cfg))
+        # a zero-flow self-loop is no fault; each loop with flow is named
+        bad = plan_of(1, 1, 2, {(0, 0): 1.0, (1, 1): 0.0, (2, 2): 0.3})
+        assert check_plan(bad, cfg) == ["self-loop flow at free atom 1"]
 
-    def test_check_plan_reports_bad_flows_and_keys(self):
-        cfg = single_edge()
-        # a NaN flow is not feasible, though every marginal test reads False
-        assert check_plan(TransportPlan(1, 1, 0, {(0, 0): float("nan")}), cfg) == [
-            "flow nan at (0, 0) is not finite and nonnegative"]
-        msgs = check_plan(TransportPlan(1, 1, 0, {(0, 0): float("inf")}), cfg)
-        assert msgs[0] == "flow inf at (0, 0) is not finite and nonnegative"
-        # keys past the last row or column, and a negative one, are reported
-        # and kept out of the marginals (no IndexError, no wrapped index)
-        for key in ((5, 0), (0, 7), (-1, 0), (0, -1), (0.5, 0)):
-            plan = TransportPlan(1, 1, 1, {(0, 0): 1.0, key: 0.5})
-            assert check_plan(plan, cfg) == [f"index {key} out of range"]
+    @pytest.mark.parametrize("rows, cols, flows, fault", [
+        # a cast would read row 0.5 as row 0, and plan_cost would price it
+        (np.array([0.5]), np.array([0]), [1.0], "integers"),
+        (np.array([0, 1.0]), np.array([0, 0]), [1.0, 0.5], "integers"),
+        (np.array([0]), np.array([np.float64(1)]), [1.0], "integers"),
+        ([0, 2], [0, 0], [1.0, 0.5], "outside"),
+        ([0, 0], [0, 2], [1.0, 0.5], "outside"),
+        ([-1, 0], [0, 0], [1.0, 0.5], "outside"),
+        ([0, 0], [-1, 0], [1.0, 0.5], "outside"),
+        ([0, 0], [0, 0], [1.0, 0.5], "strictly increase"),
+        ([1, 0], [0, 0], [0.5, 1.0], "strictly increase"),
+        ([0, 0], [1, 0], [0.5, 1.0], "strictly increase"),
+        ([0], [0], [float("nan")], "finite and nonnegative"),
+        ([0], [0], [float("inf")], "finite and nonnegative"),
+        ([0], [0], [-0.5], "finite and nonnegative"),
+        ([0, 1], [0], [1.0], "one length"),
+        ([[0]], [[0]], [[1.0]], "1-d"),
+    ])
+    def test_construction_refuses_a_bad_plan(self, rows, cols, flows, fault):
+        with pytest.raises(InvalidConfigError, match=fault):
+            TransportPlan(1, 1, 1, rows, cols, flows)
 
-    def test_check_plan_refuses_a_whole_float_index(self):
-        # arcs() refuses a float key, so check_plan reports 1.0 as it does 0.5
-        plan = TransportPlan(1, 1, 1, {(0, 0): 1.0, (1.0, 0): 0.5})
-        assert check_plan(plan, single_edge()) == ["index (1.0, 0) out of range"]
+    def test_construction_keeps_read_only_copies(self):
+        rows, cols, flows = np.array([0, 1], dtype=np.int32), np.array([1, 0]), [0.0, 1.0]
+        plan = TransportPlan(1, 1, 1, rows, cols, flows)
+        assert plan.rows.dtype == plan.cols.dtype == np.intp and plan.flows.dtype == float
+        assert plan.flows.tolist() == [0.0, 1.0]  # a zero flow is legal
+        rows[0] = 1
+        assert plan.rows.tolist() == [0, 1]
+        for arr in (plan.rows, plan.cols, plan.flows):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+        with pytest.raises(TypeError):
+            plan.entries[(0, 1)] = 2.0
+        with pytest.raises(AttributeError):
+            plan.rows = np.array([0, 1])
 
     def test_check_plan_reports_a_plan_of_another_shape(self):
         cfg = single_edge()
         # source 1, which the config lacks, ships 5.0: the shape is the fault
-        extra = TransportPlan(2, 1, 0, {(0, 0): 1.0, (1, 0): 5.0})
+        extra = plan_of(2, 1, 0, {(0, 0): 1.0, (1, 0): 5.0})
         assert check_plan(extra, cfg) == ["plan has 2 sources and 1 sinks, config has 1 and 1"]
         # fewer sources than the config: a message, not an IndexError
-        assert check_plan(TransportPlan(0, 1, 0), cfg) == [
+        assert check_plan(plan_of(0, 1, 0), cfg) == [
             "plan has 0 sources and 1 sinks, config has 1 and 1"]
-        assert check_plan(TransportPlan(1, 2, 1, {(0, 0): 1.0}), cfg) == [
+        assert check_plan(plan_of(1, 2, 1, {(0, 0): 1.0}), cfg) == [
             "plan has 1 sources and 2 sinks, config has 1 and 1"]
 
     def test_check_plan_prints_plain_floats(self):
-        msgs = check_plan(TransportPlan(1, 1, 1, {(0, 0): 0.5, (0, 1): 0.25}), single_edge())
+        msgs = check_plan(plan_of(1, 1, 1, {(0, 0): 0.5, (0, 1): 0.25}), single_edge())
         assert msgs == [
             "source 0 ships 0.75, mass is 1.0",
             "sink 0 receives 0.5, mass is 1.0",
@@ -1179,38 +1210,20 @@ class TestTransportPlan:
         assert all(type(i) is int for key in plan.entries for i in key)
 
     def test_from_triplets_refuses_non_finite_flows(self):
-        for g in (float("nan"), float("inf"), -float("inf")):
+        for g in (float("nan"), float("inf"), -float("inf"), -0.5):
             with pytest.raises(InvalidConfigError, match="not finite"):
                 TransportPlan.from_triplets(1, 1, 0, [(0, 0, g)])
 
     def test_arcs_in_sorted_key_order_as_vertex_ids(self):
-        plan = TransportPlan(2, 3, 2, {(3, 1): 0.5, (0, 4): 0.25, (2, 0): 1.0, (0, 0): 2.0})
+        plan = plan_of(2, 3, 2, {(3, 1): 0.5, (0, 4): 0.25, (2, 0): 1.0, (0, 0): 2.0})
         tails, heads, flows = plan.arcs()
         assert tails.dtype == heads.dtype == np.intp and flows.dtype == float
         keys = sorted(plan.entries)
         assert tails.tolist() == [plan.row_to_vertex(i) for i, _ in keys] == [0, 0, 5, 6]
         assert heads.tolist() == [plan.col_to_vertex(j) for _, j in keys] == [2, 6, 2, 3]
         assert flows.tolist() == [2.0, 0.25, 1.0, 0.5]
-        empty = TransportPlan(2, 3, 2).arcs()
+        empty = plan_of(2, 3, 2).arcs()
         assert [a.size for a in empty] == [0, 0, 0]
-
-    def test_arcs_refuses_a_key_outside_the_plan(self):
-        for key in ((4, 0), (0, 5), (-1, 0), (0, -1)):
-            with pytest.raises(ValueError, match="outside"):
-                TransportPlan(2, 3, 2, {(0, 0): 1.0, key: 0.5}).arcs()
-
-    def test_arcs_refuses_a_key_that_is_not_an_integer(self):
-        # a cast would read (0.5, 0) as entry (0, 0); plan_cost would price it
-        with pytest.raises(ValueError, match="not integers"):
-            plan_cost(single_edge(), np.array([[0.5, 0.5]]),
-                      TransportPlan(1, 1, 1, {(0.5, 0): 1.0}), 2.0)
-        for key in ((0.5, 0), (1, 0.5), (1.0, 0), (3, 2.0), (np.float64(1), 0)):
-            with pytest.raises(ValueError, match="not integers"):
-                TransportPlan(2, 3, 2, {(0, 0): 1.0, key: 0.5}).arcs()
-        # NumPy integers are integers
-        tails, heads, _ = TransportPlan(2, 3, 2, {(np.int64(3), np.int32(1)): 0.5}).arcs()
-        assert tails.dtype == heads.dtype == np.intp
-        assert (tails.tolist(), heads.tolist()) == ([6], [3])
 
     def test_vertex_flows_are_the_marginals(self, rng):
         for _ in range(20):
@@ -1246,7 +1259,69 @@ class TestTransportPlan:
             Z = rng.normal(size=(n_free, dim)) * 16.0 ** int(rng.integers(-2, 3))
             for q in (1.5, 2.0, 3.0, float(rng.uniform(1.0, 4.0))):
                 assert plan_cost(cfg, Z, plan, q) == reference(cfg, Z, plan, q)
-        assert plan_cost(cfg, Z, TransportPlan(cfg.n_sources, cfg.n_sinks, n_free), 2.0) == 0.0
+        assert plan_cost(cfg, Z, plan_of(cfg.n_sources, cfg.n_sinks, n_free), 2.0) == 0.0
+
+
+def _dict_arcs(plan):
+    """``arcs()`` as it was when a plan held an entries dict: the keys
+    sorted in Python, then the rows from the first free one on moved past
+    the sinks."""
+    keys = sorted(plan.entries)
+    rows, cols = zip(*keys) if keys else ((), ())
+    tails = np.array(rows).astype(np.intp, copy=False)
+    tails[bisect_left(rows, plan.n_sources):] += plan.n_sinks
+    heads = np.array(cols).astype(np.intp, copy=False) + plan.n_sources
+    return tails, heads, np.array([plan.entries[k] for k in keys], dtype=float)
+
+
+def _assert_dict_arcs(plan):
+    for got, want in zip(plan.arcs(), _dict_arcs(plan)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class TestPlanArrays:
+    """The relabelling ``arcs()`` equals the dict-sorting one it replaced,
+    and ``_settle``'s array stability test equals its key-set test."""
+
+    def test_solver_plans_match_the_dict_arcs(self, monkeypatch):
+        plans = []
+
+        def recording(config, Z, q, basis=None):
+            out = min_cost_plan(config, Z, q, basis)
+            plans.append((id(basis), out[0]))
+            return out
+
+        monkeypatch.setattr(positions, "min_cost_plan", recording)
+        for n in (6, 24):
+            positions.alternate_minimize(y_instance(), n, CostParams(q=2.0))
+        assert len(plans) > 100
+        last, seen = {}, set()
+        for basis, plan in plans:
+            _assert_dict_arcs(plan)
+            # consecutive solves on one basis: what _settle compares
+            prev = last.get(basis)
+            if prev is not None:
+                stable = (np.array_equal(plan.rows, prev.rows)
+                          and np.array_equal(plan.cols, prev.cols))
+                assert stable == (plan.entries.keys() == prev.entries.keys())
+                seen.add(stable)
+            last[basis] = plan
+        assert seen == {True, False}
+
+    def test_hand_made_plans_match_the_dict_arcs(self, rng):
+        for trial in range(60):
+            cfg = random_config(rng)
+            n_free = int(rng.integers(0, 6))
+            if trial % 2:
+                plan = random_feasible_plan(cfg, n_free, rng)
+            else:
+                # any support, zero flows included
+                n_rows, n_cols = cfg.n_sources + n_free, cfg.n_sinks + n_free
+                keys = [(i, j) for i in range(n_rows) for j in range(n_cols)
+                        if rng.random() < 0.4]
+                flows = rng.choice([0.0, 0.25, 1.0, float(rng.uniform())], size=len(keys))
+                plan = plan_of(cfg.n_sources, cfg.n_sinks, n_free, dict(zip(keys, flows)))
+            _assert_dict_arcs(plan)
 
 
 class TestWasserstein:
@@ -1501,7 +1576,7 @@ class TestPerCoordinateSums:
 
 
 def _per_entry_flows(net):
-    """``flows()`` one tree arc at a time: sorted by arc id, each key read
+    """``support()`` one tree arc at a time: sorted by arc id, each key read
     from the arc's row and column."""
     _, pred, flow = net.tree
     arcs = sorted((a, f) for a, f in zip(pred, flow) if a < net.m and f > 0)
@@ -1529,9 +1604,10 @@ class TestArrayHandOff:
             for Z in _moves(rng, rng.normal(size=(n_free, dim))):  # cold, then warm
                 plan, cost = min_cost_plan(cfg, Z, q, basis)
                 net = basis.network
-                got, want = net.flows(), _per_entry_flows(net)
+                got, want = support_flows(net), _per_entry_flows(net)
                 assert list(got.items()) == list(want.items())  # order included
-                assert all(type(i) is type(j) is type(f) is int for (i, j), f in got.items())
+                assert all(type(i) is type(j) is int and type(f) is float and f.is_integer()
+                           for (i, j), f in got.items())
                 assert list(plan.entries.items()) == [(key, f * unit) for key, f in want.items()]
                 F = net.F
                 assert cost.hex() == float(sum(f * unit * F[key] for key, f in want.items())).hex()
@@ -1539,17 +1615,14 @@ class TestArrayHandOff:
         assert solves == 16 * 6
 
     def test_edge_kernel_arcs_equal_the_per_entry_build(self, rng):
-        # arcs in sorted key order whatever the plan's entry order, ends by
-        # the plan's vertex ids, weights the flows
+        # arcs in sorted key order, ends by the plan's vertex ids, weights
+        # the flows
         for trial in range(20):
             cfg = random_config(rng, dim=1 + trial % 3)
             n_free = int(rng.integers(0, 6))
             plan = random_feasible_plan(cfg, n_free, rng)
-            items = list(plan.entries.items())
-            order = rng.permutation(len(items))
-            plan.entries = {items[k][0]: items[k][1] for k in order}
             if trial == 0:
-                plan.entries = {}
+                plan = TransportPlan(cfg.n_sources, cfg.n_sinks, n_free)
             kernel = positions._EdgeKernel(cfg, plan, 2.0)
             keys = sorted(plan.entries)
             ends = ([plan.row_to_vertex(i) for i, _ in keys]
