@@ -482,7 +482,7 @@ def w1_seed(config: SignedConfig, n: int, basis: TreeBasis | None = None) -> np.
         weights = np.ones(flows.size)
     return spread_on_segments(
         T, tails.tolist(), heads.tolist(), integer_mass_units(weights, units=n).tolist()
-    )[0]
+    )
 
 
 def _random_seed_positions(
@@ -564,11 +564,11 @@ def _rebalance_layout(
 ) -> np.ndarray | None:
     """Atom layout suggested by the closed-form allocation on the reduced tree.
 
-    Junction atoms stay where the tree branches; the remaining budget is
-    spread over the reduced edges by the allocation rule.  Returns None
-    when the plan has no reduced tree or ``allocate`` refuses the spare
-    budget: more junctions than atoms, fewer spare atoms than edges, or an
-    edge of length zero, where a source and a sink share a point.
+    ``allocate`` lays out all n atoms: one where the tree branches, the
+    rest spread over the reduced edges.  Returns None when the plan has no
+    reduced tree or ``allocate`` refuses the budget: fewer spare atoms than
+    edges, or an edge of length zero, where a source and a sink share a
+    point.
 
     Before building any graph, refuses a budget below the edge count that
     any reduced forest of the plan has (``_min_tree_edges``), which the
@@ -577,15 +577,9 @@ def _rebalance_layout(
     if n < _min_tree_edges(config, plan):
         return None
     try:
-        tree = reduce_graph(plan_to_graph(config, Z, plan))
+        return allocate(reduce_graph(plan_to_graph(config, Z, plan)), n, q).atom_positions
     except (ValueError, SolverError):
         return None
-    junctions = tree.free_indices()
-    try:
-        alloc = allocate(tree, n - len(junctions), q)
-    except ValueError:
-        return None
-    return np.concatenate([tree.positions.take(junctions, axis=0), alloc.atom_positions])
 
 
 def _min_tree_edges(config: SignedConfig, plan: TransportPlan) -> int:

@@ -5,9 +5,10 @@ the two closed-form brackets around the limit network cost W:
 
 * lower: W * (n / (n + 2N^3))^((q-1)/q), from the edge-count bound on
   regular plans (N = max terminal count per side);
-* upper: n^((q-1)/q) times the allocation bound on the limit network's
-  own tree, with the atom budget reduced by the tree's interior vertex
-  count (those atoms are spent realizing the junctions themselves).
+* upper: n^((q-1)/q) times the bound of ``allocate``'s n-atom layout on
+  the limit network's own tree: one atom at every vertex that passes flow
+  on (each branch point, and each terminal a branch point collapsed onto),
+  the rest spread over the edges.
 
 The Hausdorff column is the exact distance (``hausdorff.hausdorff``, up to
 rounding) between the reduced solver tree and the enumerated optimum's
@@ -66,12 +67,9 @@ def oracle_bounds(
     sol: OracleSolution, n: int, q: float, n_pairs: int
 ) -> tuple[float, float]:
     """(upper, lower) brackets for the rescaled value at atom count n."""
-    J = len(sol.graph.free_indices())
-    spare = n - J
-    if spare >= sol.graph.n_edges and sol.graph.n_edges:
-        bound = allocate(sol.graph, spare, q).upper_bound
-        upper = n ** ((q - 1.0) / q) * bound
-    else:
+    try:
+        upper = n ** ((q - 1.0) / q) * allocate(sol.graph, n, q).upper_bound
+    except ValueError:  # too few atoms for the tree, or no edges
         upper = float("nan")
     lower = sol.cost * (n / (n + 2.0 * n_pairs**3)) ** ((q - 1.0) / q)
     return upper, lower

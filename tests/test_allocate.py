@@ -76,32 +76,42 @@ class TestConvexityCertificate:
 
 class TestAllocate:
     def test_counts_sum_and_cover_every_edge(self, rng):
+        # the free hub takes one atom, the edges share the rest
         for trial in range(10):
             g = star_tree(np.random.default_rng(100 + trial), n_leaves=int(rng.integers(2, 6)))
-            n = int(rng.integers(g.n_edges, 40))
+            n = int(rng.integers(g.n_edges + 1, 40))
             alloc = allocate(g, n, 2.0)
-            assert alloc.n == n
+            assert sum(alloc.counts) == n - 1
+            assert alloc.atom_positions.shape == (n, 2)
             assert all(c >= 1 for c in alloc.counts)
 
     def test_requires_one_atom_per_edge(self):
+        # Y's branch point takes one of the four atoms, leaving three for three edges
+        allocate(y_tree(), 4, 2.0)
         with pytest.raises(ValueError, match="at least one atom per edge"):
-            allocate(y_tree(), 2, 2.0)
+            allocate(y_tree(), 3, 2.0)
 
     def test_layout_is_equally_spaced_inside_each_edge(self):
         g = y_tree()
         alloc = allocate(g, 8, 2.0)
-        for idx, (t, h) in enumerate(zip(g.tail, g.head)):
-            pts = alloc.atom_positions[np.array(alloc.atom_edges) == idx]
-            c = alloc.counts[idx]
+        expected = [g.positions[3]]
+        for (t, h), c in zip(zip(g.tail, g.head), alloc.counts):
             a, b = g.positions[t], g.positions[h]
-            expected = np.array([a + (l / (c + 1.0)) * (b - a) for l in range(1, c + 1)])
-            assert np.allclose(pts, expected)
+            expected.extend(a + (l / (c + 1.0)) * (b - a) for l in range(1, c + 1))
+        assert np.allclose(alloc.atom_positions, np.array(expected))
 
-    def test_atom_masses_equal_edge_weight(self):
-        g = y_tree()
-        alloc = allocate(g, 6, 2.0)
-        for m, idx in zip(alloc.atom_masses, alloc.atom_edges):
-            assert m == g.weight[idx]
+    def test_terminal_that_passes_flow_on_takes_an_atom(self):
+        # collinear sources at 0 and 1 feed a sink at 3: the branch point
+        # collapses onto the source at 1, which receives and sends, so it
+        # holds an atom; the source at 0 and the sink only send or receive
+        pos = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
+        g = graph_of(pos, ("source", "source", "sink"), [(0, 1, 1.0, 1.0), (1, 2, 2.0, 2.0)])
+        with pytest.raises(ValueError, match="at least one atom per edge"):
+            allocate(g, 2, 2.0)
+        alloc = allocate(g, 4, 2.0)
+        assert sum(alloc.counts) == 3
+        assert alloc.atom_positions[0].tolist() == [1.0, 0.0]
+        assert alloc.atom_positions.shape == (4, 2)
 
     def test_upper_bound_formula(self):
         g = y_tree()
@@ -115,7 +125,7 @@ class TestAllocate:
 
     def test_bound_decreases_with_more_atoms(self):
         g = y_tree()
-        bounds = [allocate(g, n, 2.0).upper_bound for n in (3, 6, 12, 24, 48)]
+        bounds = [allocate(g, n, 2.0).upper_bound for n in (4, 6, 12, 24, 48)]
         assert bounds == sorted(bounds, reverse=True)
 
     def test_bound_approaches_graph_cost(self):
@@ -129,13 +139,14 @@ class TestAllocate:
         assert gaps[-1] < 0.02
 
     def test_rounding_stays_within_two_percent_at_16_edges_budget(self, rng):
-        # integer rounding of the fractions costs at most 2% at n = 16|E|,
-        # measured in the large-n form sum(m * len^q * count^(1-q))
+        # integer rounding of the fractions costs at most 2% at 16|E| edge
+        # atoms (the hub takes one more), measured in the large-n form
+        # sum(m * len^q * count^(1-q))
         for trial in range(10):
             g = star_tree(np.random.default_rng(200 + trial), n_leaves=int(rng.integers(2, 7)))
             q = float(rng.choice([1.5, 2.0, 3.0]))
             n = 16 * g.n_edges
-            alloc = allocate(g, n, q)
+            alloc = allocate(g, n + 1, q)
             rounded = sum(
                 w * l**q * float(c) ** (1.0 - q)
                 for w, l, c in zip(g.weight, g.length, alloc.counts)

@@ -176,12 +176,25 @@ def _reference_reduce_graph(g):
                     tuple(keep), cls=ReducedTree, chains=tuple(chains))
 
 
+def _reference_vertex_atoms(g):
+    """Vertices that pass flow on: free ones, and any with an edge in and an
+    edge out."""
+    edges = _edges(g)
+    return [v for v in range(g.n_vertices)
+            if g.roles[v] == "free"
+            or (any(e.head == v for e in edges) and any(e.tail == v for e in edges))]
+
+
 def _reference_allocate(g, n, q):
     m = g.n_edges
-    if n < m:
-        raise ValueError(f"need at least one atom per edge: n={n} < |E|={m}")
+    vertex_atoms = _reference_vertex_atoms(g)
+    spare = n - len(vertex_atoms)
+    if spare < m:
+        raise ValueError(
+            f"need at least one atom per edge: n={n} < {len(vertex_atoms)} vertex atoms "
+            f"+ |E|={m}")
     w = optimal_fractions(g, q)
-    counts = integer_mass_units(w, units=n).astype(int)
+    counts = integer_mass_units(w, units=spare).astype(int)
     while True:
         zeros = np.nonzero(counts == 0)[0]
         if zeros.size == 0:
@@ -189,16 +202,12 @@ def _reference_allocate(g, n, q):
         donor = int(np.argmax(counts))
         counts[donor] -= 1
         counts[zeros[0]] = 1
-    rows = []
-    masses = []
-    edge_of = []
-    for idx, (e, c) in enumerate(zip(_edges(g), counts)):
+    rows = [g.positions[v] for v in vertex_atoms]
+    for e, c in zip(_edges(g), counts):
         a = g.positions[e.tail]
         b = g.positions[e.head]
         for l in range(1, int(c) + 1):
             rows.append(a + (l / (c + 1.0)) * (b - a))
-            masses.append(e.weight)
-            edge_of.append(idx)
     positions_ = np.vstack(rows) if rows else np.zeros((0, g.dimension))
     bound_pow = sum(
         e.weight * e.length**q * (c + 1.0) ** (1.0 - q)
@@ -206,10 +215,7 @@ def _reference_allocate(g, n, q):
     )
     return Allocation(
         counts=tuple(int(c) for c in counts),
-        fractions=tuple(float(c) / n for c in counts) if n else (),
         atom_positions=positions_,
-        atom_masses=np.array(masses),
-        atom_edges=tuple(edge_of),
         upper_bound=float(bound_pow ** (1.0 / q)),
     )
 
@@ -369,8 +375,11 @@ class TestArrayPassesMatchReferences:
 
         if not t.n_edges:
             return
+        # the same edge budgets, beside one atom short of them
+        J = len(_reference_vertex_atoms(t))
         for q in (1.5, 2.0, 3.0):
-            for n in (t.n_edges, t.n_edges + 3, 2 * t.n_edges + 17):
+            for n in (J + t.n_edges - 1, J + t.n_edges, J + t.n_edges + 3,
+                      J + 2 * t.n_edges + 17):
                 try:
                     want_alloc = _reference_allocate(t, n, q)
                 except ValueError as exc:
@@ -379,12 +388,8 @@ class TestArrayPassesMatchReferences:
                     continue
                 alloc = allocate(t, n, q)
                 assert alloc.counts == want_alloc.counts
-                assert [f.hex() for f in alloc.fractions] == [
-                    f.hex() for f in want_alloc.fractions]
                 assert alloc.atom_positions.shape == want_alloc.atom_positions.shape
                 assert alloc.atom_positions.tobytes() == want_alloc.atom_positions.tobytes()
-                assert alloc.atom_masses.tobytes() == want_alloc.atom_masses.tobytes()
-                assert alloc.atom_edges == want_alloc.atom_edges
                 assert alloc.upper_bound.hex() == want_alloc.upper_bound.hex()
 
     def test_reduce_matches_on_shuffled_graphs(self):

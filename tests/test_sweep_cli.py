@@ -16,7 +16,9 @@ from branchflow import (
     CostParams,
     InvalidConfigError,
     SignedConfig,
+    allocate,
     graph_to_dict,
+    min_cost_plan,
     oracle,
     positions,
     random_instance,
@@ -152,6 +154,44 @@ class TestSweep:
         # too few atoms to cover the tree edges: no certified upper bound
         upper_small, lower_small = oracle_bounds(sol, 2, 2.0, y_instance().n_pairs)
         assert math.isnan(upper_small) and 0.0 < lower_small < sol.cost
+
+
+def _collinear():
+    """Sources at 0 and 1 feeding one sink of mass 2 at 3: the branch point
+    collapses onto the source at 1, which then receives and sends."""
+    return SignedConfig((Atom((0.0, 0.0), 1.0), Atom((1.0, 0.0), 1.0)),
+                        (Atom((3.0, 0.0), 2.0),), 2)
+
+
+#: name -> (config, q, atom counts)
+BRACKET_CASES = {
+    **{f"certify_q-{k}": (random_instance(np.random.default_rng([0, k]), 2, 2),
+                          1.5 if k % 2 == 0 else 3.0, (8, 16, 32)) for k in range(4)},
+    "3+2": (random_instance(np.random.default_rng([13, 3]), 3, 2), 2.5, (8, 16)),
+    **{f"3+3-{k}": (random_instance(np.random.default_rng([7, k]), 3, 3), 2.5, (16,))
+       for k in range(12)},
+    "collinear": (_collinear(), 2.0, (4, 8, 16)),
+    "y": (y_instance(), 2.0, (6, 12, 24, 48)),
+}
+#: the cases whose oracle tree routes flow through a terminal
+THROUGH_TERMINAL = {"certify_q-1", "3+2", "collinear",
+                    *(f"3+3-{k}" for k in (2, 3, 4, 5, 6, 7, 9, 11))}
+
+
+@pytest.mark.parametrize("name", sorted(BRACKET_CASES))
+def test_upper_bracket_is_realized_by_its_layout(name):
+    # the exact plan at the bracket's own n-atom layout costs no more than
+    # the bracket; a terminal that passes flow on holds one of the atoms
+    cfg, q, ns = BRACKET_CASES[name]
+    sol = oracle(cfg, q)
+    indeg, outdeg = sol.graph.degrees()
+    through = [v for v, r in enumerate(sol.graph.roles)
+               if r != "free" and indeg[v] and outdeg[v]]
+    assert bool(through) == (name in THROUGH_TERMINAL)
+    for n in ns:
+        upper, _ = oracle_bounds(sol, n, q, cfg.n_pairs)
+        _, cost = min_cost_plan(cfg, allocate(sol.graph, n, q).atom_positions, q)
+        assert n ** ((q - 1.0) / q) * cost ** (1.0 / q) <= upper * (1.0 + 1e-9), f"n={n}"
 
 
 class TestCliExitCodes:
@@ -433,10 +473,11 @@ class TestCliCommands:
         assert "sandwich_ok=True" in captured
 
     def test_compare_verdict_does_not_depend_on_scale(self, tmp_path):
-        # an instance whose n=16 solve sits just outside its bracket: the
-        # verdict must read the same at every power-of-four coordinate scale
+        # an instance whose n=16 solve sits 4.8% inside its upper bracket:
+        # that relative margin, and so the verdict, must read the same at
+        # every power-of-four coordinate scale
         cfg = random_instance(np.random.default_rng([0, 1]), 2, 2)
-        verdicts = []
+        margins = []
         for k in (-20, 0, 8):
             s = 4.0 ** k
             move = lambda atoms: tuple(Atom(tuple(s * c for c in a.position), a.mass)
@@ -445,8 +486,11 @@ class TestCliCommands:
             save_problem(problem, SignedConfig(move(cfg.sources), move(cfg.sinks), 2), 3.0)
             out = tmp_path / f"out{k}"
             main(["compare", str(problem), "--n", "16", "--out-dir", str(out)])
-            verdicts.append(json.loads((out / "compare_n16.json").read_text())["sandwich_ok"])
-        assert verdicts[0] == verdicts[1] == verdicts[2]
+            doc = json.loads((out / "compare_n16.json").read_text())
+            assert doc["sandwich_ok"] is True
+            margins.append((doc["upper"] - doc["rescaled"]) / doc["upper"])
+        assert margins[0] == pytest.approx(margins[1], abs=1e-12)
+        assert margins[2] == pytest.approx(margins[1], abs=1e-12)
 
     def test_seed_changes_restart_draws(self, tmp_path):
         problem = tmp_path / "y.json"
