@@ -38,7 +38,6 @@ from .transport import (
     _segment_offsets,
     _squared_norms,
     vertex_positions,
-    zero_flow_threshold,
 )
 
 ROLES = ("source", "sink", "free")
@@ -70,9 +69,7 @@ class WeightedDigraph:
     ``weight[e]`` > 0 and is ``length[e]`` >= 0 long.  The four columns are
     1-d arrays of one length, the ends intp and the rest float; any
     sequence given is converted, and an end that is not a whole number is
-    refused.  ``labels`` preserves each vertex's id in whatever indexing the
-    graph was built from (plan vertex ids for plan_to_graph, input vertex
-    ids for reduce_graph); purely diagnostic.
+    refused.
     """
 
     positions: np.ndarray
@@ -81,7 +78,6 @@ class WeightedDigraph:
     head: np.ndarray
     weight: np.ndarray
     length: np.ndarray
-    labels: tuple[int, ...] = ()
 
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=float)
@@ -176,13 +172,13 @@ class ReducedTree(WeightedDigraph):
 def plan_to_graph(config: SignedConfig, Z, plan: TransportPlan) -> WeightedDigraph:
     """Embed a plan as a weighted digraph.
 
-    Vertices are every terminal plus each free atom whose throughput
-    exceeds 10^-12 of total mass; edges carry the plan flows above that
-    threshold, in sorted (row, column) order.  The support's structure is
-    not judged here: a cycle, a free self-loop included, is embedded as it
-    is, and ``reduce_graph`` refuses it.  Raises ValueError when a kept
-    flow enters a dropped atom.  Vertex ids and flows come from the kept
-    arcs (:meth:`TransportPlan.arcs`), and every edge length from
+    Vertices are every terminal plus each free atom with positive outflow;
+    edges carry every positive plan flow, however small (prune a hand-made
+    plan's dust first), in sorted (row, column) order.  The support's
+    structure is not judged here: a cycle, a free self-loop included, is
+    embedded as it is, and ``reduce_graph`` refuses it.  Raises ValueError
+    when a flow enters an atom without outflow.  Vertex ids and flows come
+    from the arcs (:meth:`TransportPlan.arcs`), and every edge length from
     one stacked matmul.
     """
     P = vertex_positions(config, Z)
@@ -190,10 +186,10 @@ def plan_to_graph(config: SignedConfig, Z, plan: TransportPlan) -> WeightedDigra
         raise ValueError("Z and plan disagree on the number of free atoms")
     ns, nk = plan.n_sources, plan.n_sinks
     n_term = ns + nk
-    tail_ids, head_ids, weights = plan.pruned(zero_flow_threshold(config)).arcs()
+    # only a hand-made plan stores a zero flow
+    tail_ids, head_ids, weights = (plan if plan.flows.all() else plan.pruned(0.0)).arcs()
     tails = tail_ids.tolist()
-    # every kept entry exceeds the threshold, so a free atom's throughput
-    # does exactly when the atom is the tail of a kept arc
+    # a free atom has positive outflow exactly when it is the tail of an arc
     keep = list(range(n_term)) + sorted({v for v in tails if v >= n_term})
     new_id = [-1] * plan.n_vertices
     for i, v in enumerate(keep):
@@ -206,7 +202,6 @@ def plan_to_graph(config: SignedConfig, Z, plan: TransportPlan) -> WeightedDigra
         head=[new_id[v] for v in head_ids.tolist()],
         weight=weights,
         length=np.sqrt(_squared_norms(P.take(tail_ids, axis=0) - P.take(head_ids, axis=0))),
-        labels=tuple(keep),
     )
 
 
@@ -328,7 +323,6 @@ def reduce_graph(g: WeightedDigraph) -> ReducedTree:
         head=[new_id[v] for v in ends],
         weight=[c.flow for c in chains],
         length=straight,
-        labels=tuple(keep),
         chains=tuple(chains),
     )
 

@@ -15,9 +15,9 @@ The on-disk problem format is a single JSON document::
       "sinks":   [{"position": [1.0, 0.0], "mass": 1.0}, ...]
     }
 
-Field names are fixed.  Numbers are parsed as 64-bit floats; serialization
-uses shortest round-trip reprs, so parse(serialize(c)) reproduces c
-bit-exactly.
+Field names are fixed.  Values are JSON numbers, parsed as 64-bit floats
+(the dimension as an integer); serialization uses shortest round-trip
+reprs, so parse(serialize(c)) reproduces c bit-exactly.
 """
 
 from __future__ import annotations
@@ -72,7 +72,8 @@ class SignedConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "sources", tuple(self.sources))
         object.__setattr__(self, "sinks", tuple(self.sinks))
-        object.__setattr__(self, "dimension", int(self.dimension))
+        if isinstance(self.dimension, numbers.Integral) and not isinstance(self.dimension, bool):
+            object.__setattr__(self, "dimension", int(self.dimension))
 
     @property
     def n_sources(self) -> int:
@@ -167,10 +168,11 @@ def total_mass(config: SignedConfig) -> float:
 def validate(config: SignedConfig) -> SignedConfig:
     """Check structural constraints and return the config unchanged.
 
-    Raises :class:`InvalidConfigError` on: empty source or sink list, mixed
-    or mismatched dimensions, non-finite coordinates or masses, negative
-    masses, unbalanced totals, or zero total mass.  Idempotent; the checks
-    run once per config object, whose verdict is kept once they pass.
+    Raises :class:`InvalidConfigError` on: empty source or sink list, a
+    dimension that is not an int >= 1, mixed or mismatched dimensions,
+    non-finite coordinates or masses, negative masses, unbalanced totals,
+    or zero total mass.  Idempotent; the checks run once per config
+    object, whose verdict is kept once they pass.
     """
     config._valid  # runs the checks until they pass once
     return config
@@ -179,6 +181,8 @@ def validate(config: SignedConfig) -> SignedConfig:
 def _check_structure(config: SignedConfig) -> None:
     if not config.sources or not config.sinks:
         raise InvalidConfigError("empty source or sink list")
+    if type(config.dimension) is not int:
+        raise InvalidConfigError(f"dimension must be an integer, got {config.dimension!r}")
     if config.dimension < 1:
         raise InvalidConfigError(f"dimension must be >= 1, got {config.dimension}")
     for kind, atoms in (("source", config.sources), ("sink", config.sinks)):
@@ -253,20 +257,26 @@ def config_to_dict(config: SignedConfig, q: float) -> dict:
     }
 
 
+def _number(value, name: str):
+    """``value`` if it is a JSON number, an int or a float; else TypeError."""
+    if type(value) not in (int, float):
+        raise TypeError(f"{name} must be a JSON number, got {value!r}")
+    return value
+
+
+def _atoms(records) -> tuple[Atom, ...]:
+    return tuple(Atom(tuple(float(_number(c, "a coordinate")) for c in a["position"]),
+                      float(_number(a["mass"], "a mass"))) for a in records)
+
+
 def config_from_dict(doc: dict) -> tuple[SignedConfig, float]:
-    """Build and validate a config from a parsed problem document."""
+    """Build and validate a config from a parsed problem document, whose
+    dimension, q, masses and coordinates must be JSON numbers."""
     try:
-        dimension = int(doc["dimension"])
-        q = float(doc["q"])
-        sources = tuple(
-            Atom(tuple(float(c) for c in a["position"]), float(a["mass"]))
-            for a in doc["sources"]
-        )
-        sinks = tuple(
-            Atom(tuple(float(c) for c in a["position"]), float(a["mass"]))
-            for a in doc["sinks"]
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        dimension = _number(doc["dimension"], "dimension")
+        q = float(_number(doc["q"], "q"))
+        sources, sinks = _atoms(doc["sources"]), _atoms(doc["sinks"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidConfigError(f"malformed problem document: {exc}") from exc
     return validate(SignedConfig(sources, sinks, dimension)), validate_exponent(q)
 

@@ -19,7 +19,7 @@ loop as the position step of ``positions`` (exponent 1, weights
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -281,7 +281,7 @@ def _realize(
     index = {v: i for i, v in enumerate(keep)}
     # edges in (tail, head) order; the sort is stable
     arcs.sort(key=lambda arc: (index[arc[0][0]], index[arc[0][1]]))
-    graph = reduce_graph(WeightedDigraph(
+    return reduce_graph(WeightedDigraph(
         positions=P[keep],
         roles=tuple("source" if v < n_src else "sink" if v < T else "free"
                     for v in keep),
@@ -290,8 +290,6 @@ def _realize(
         weight=[w for _, w in arcs],
         length=[np.linalg.norm(P[a] - P[b]) for (a, b), _ in arcs],
     ))
-    # labels: topology labels, in place of the unreduced graph's indices
-    return replace(graph, labels=tuple(keep[i] for i in graph.labels))
 
 
 def oracle(config: SignedConfig, q: float) -> OracleSolution:

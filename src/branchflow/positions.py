@@ -41,7 +41,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import (
-    Atom,
     CostParams,
     InvalidConfigError,
     SignedConfig,
@@ -56,8 +55,6 @@ from .transport import (
     as_positions,
     integer_mass_units,
     min_cost_plan,
-    plan_cost,
-    zero_flow_threshold,
 )
 # never called here: the import only keeps the name positions.regularize,
 # which perfbench/spans.py patches to trace it
@@ -85,6 +82,7 @@ class SolveResult:
 
     Z: np.ndarray
     plan: TransportPlan
+    #: the LP objective of ``plan`` at ``Z``, as the solve of ``plan`` summed it
     cost_q: float
     n: int
     q: float
@@ -506,23 +504,22 @@ def _settle(
     Each pass moves the positions to the plan's optimum by Newton
     (``polish_positions``, which appends its gradient fallbacks to
     ``fallbacks``), then re-solves the exact plan at the new positions on
-    ``basis``'s plan network, from the tree it kept.  Stops once a pass leaves the plan's support unchanged,
-    or after _SETTLE_PASSES passes.  A solve without a pivot keeps its
-    tree, so its entries are those of ``plan``, in the same order, and its
-    pass is stable.  Returns (Z, plan, cost, stable, passes, Newton solves
-    that hit their budget).
+    ``basis``'s plan network, from the tree it kept.  Stops once a pass
+    leaves the plan's support unchanged, or after _SETTLE_PASSES passes.  A
+    solve without a pivot keeps its tree, so its entries are those of
+    ``plan``, in the same order, and its pass is stable.  Returns (Z, plan,
+    cost as that plan's solve gave it, stable, passes, Newton budget hits).
     """
     budget_hits = 0
     stable = False
     passes = 0
     for passes in range(1, _SETTLE_PASSES + 1):
-        Z, cost, _, inner_ok = polish_positions(config, plan, Z, q, fallbacks=fallbacks)
+        Z, _, _, inner_ok = polish_positions(config, plan, Z, q, fallbacks=fallbacks)
         budget_hits += not inner_ok
-        plan2, _ = min_cost_plan(config, Z, q, basis)
+        rows, cols = plan.rows, plan.cols
+        plan, cost = min_cost_plan(config, Z, q, basis)
         # both plans' keys are sorted, so equal arrays mean equal supports
-        stable = np.array_equal(plan2.rows, plan.rows) and np.array_equal(plan2.cols, plan.cols)
-        cost2 = plan_cost(config, Z, plan2, q)
-        plan, cost = plan2, min(cost, cost2)
+        stable = np.array_equal(plan.rows, rows) and np.array_equal(plan.cols, cols)
         if stable:
             break
     return Z, plan, cost, stable, passes, budget_hits
@@ -574,23 +571,22 @@ def _rebalance_layout(
     any reduced forest of the plan has (``_min_tree_edges``), which the
     full path would refuse too.
     """
-    if n < _min_tree_edges(config, plan):
+    if n < _min_tree_edges(plan):
         return None
     try:
         return allocate(reduce_graph(plan_to_graph(config, Z, plan)), n, q).atom_positions
-    except (ValueError, SolverError):
+    except ValueError:
         return None
 
 
-def _min_tree_edges(config: SignedConfig, plan: TransportPlan) -> int:
+def _min_tree_edges(plan: TransportPlan) -> int:
     """Fewest edges a reduced forest of ``plan`` can have: ceil((S+T)/2).
 
-    S and T count the sources and sinks on a plan entry above the zero-flow
-    threshold.  Each of them keeps an edge through the reduction, which
-    never splices out a terminal, and a forest edge touches two vertices.
+    S and T count the sources and sinks on a positive plan entry (flows are
+    nonnegative, so with positive flow).  Each keeps an edge through the
+    reduction, which never splices out a terminal; an edge touches two.
     """
-    # a terminal on a kept entry moves a positive sum of kept flows
-    inflow, outflow = plan.pruned(zero_flow_threshold(config)).vertex_flows()
+    inflow, outflow = plan.vertex_flows()
     ns, nk = plan.n_sources, plan.n_sinks
     return (np.count_nonzero(outflow[:ns]) + np.count_nonzero(inflow[ns:ns + nk]) + 1) // 2
 
@@ -665,8 +661,6 @@ def alternate_minimize(
             best = (cost, idx, Z, plan, passes, conv)
 
     cost, idx, Z, plan, passes, conv = best
-    tol = zero_flow_threshold(config)
-    used = plan.throughputs() > tol
     return SolveResult(
         Z=Z,
         plan=plan,
@@ -677,7 +671,7 @@ def alternate_minimize(
         converged=conv,
         start_index=idx,
         n_starts=len(starts),
-        unused_atoms=int((~used).sum()),
+        unused_atoms=int((plan.throughputs() == 0.0).sum()),
         start_costs=tuple(start_costs),
         inner_budget_hits=budget_hits,
         polish_fallbacks=sum(fallbacks),

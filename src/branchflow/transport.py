@@ -86,7 +86,9 @@ from .measures import (
 #: integer mass grid: all masses are represented in units of total/10^9
 MASS_UNITS = 10**9
 
-#: flows below this fraction of total mass are treated as structural zeros
+#: flows at or below this fraction of total mass are structural zeros for
+#: ``regularize`` and the oracle; a solver plan's flows are whole units of
+#: total/MASS_UNITS, 1000 times more
 ZERO_FLOW_RTOL = 1e-12
 
 #: marginal / conservation tolerance, relative to max(1, total mass)

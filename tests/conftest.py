@@ -92,11 +92,11 @@ def support_flows(net):
     return dict(zip(zip(rows.tolist(), cols.tolist()), units.tolist()))
 
 
-def graph_of(positions, roles, edges=(), labels=(), cls=WeightedDigraph, **extra):
+def graph_of(positions, roles, edges=(), cls=WeightedDigraph, **extra):
     """A graph whose edges are given as (tail, head, weight, length) tuples."""
     edges = list(edges)
     return cls(positions, roles, [e[0] for e in edges], [e[1] for e in edges],
-               [e[2] for e in edges], [e[3] for e in edges], labels, **extra)
+               [e[2] for e in edges], [e[3] for e in edges], **extra)
 
 
 def random_positions(

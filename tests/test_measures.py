@@ -66,6 +66,20 @@ class TestValidate:
         with pytest.raises(InvalidConfigError, match="non-finite"):
             validate(cfg)
 
+    @pytest.mark.parametrize("dimension", [2.5, 2.0, "2", True, None])
+    def test_dimension_must_be_an_integer(self, dimension):
+        # SignedConfig used to truncate 2.5 to 2; it keeps what it is given
+        cfg = SignedConfig(sources=(Atom((0.0, 0.0), 1.0),),
+                           sinks=(Atom((1.0, 0.0), 1.0),), dimension=dimension)
+        assert cfg.dimension is dimension
+        with pytest.raises(InvalidConfigError, match="dimension must be an integer"):
+            validate(cfg)
+
+    def test_numpy_integer_dimension_is_an_int(self):
+        cfg = SignedConfig(sources=(Atom((0.0, 0.0), 1.0),),
+                           sinks=(Atom((1.0, 0.0), 1.0),), dimension=np.int64(2))
+        assert type(cfg.dimension) is int and validate(cfg) is cfg
+
     def test_zero_total_mass_rejected(self):
         with pytest.raises(InvalidConfigError, match="positive"):
             validate(pair(src_mass=0.0, snk_mass=0.0))
@@ -233,6 +247,35 @@ class TestSerialization:
             parse_problem("{\"dimension\": 2}")
         with pytest.raises(InvalidConfigError):
             parse_problem("not json at all")
+
+    @pytest.mark.parametrize("path, value", [
+        (("dimension",), 2.5), (("dimension",), 2.0), (("dimension",), "2"),
+        (("dimension",), True), (("q",), "2"), (("q",), True), (("q",), None),
+        (("sources", 0, "mass"), "1.0"), (("sources", 0, "mass"), True),
+        (("sinks", 0, "mass"), [1.0]), (("sinks", 0, "position", 1), "0"),
+        (("sources", 0, "position", 0), False), (("sources", 0, "position"), "00"),
+    ])
+    def test_values_that_are_not_json_numbers_are_refused(self, path, value):
+        # each used to be read: 2.5 and 2.0 as dimension 2, "2" and true as
+        # numbers, the string "00" as the position (0, 0)
+        doc = json.loads(serialize_problem(pair(), 2.0))
+        *parents, key = path
+        node = doc
+        for p in parents:
+            node = node[p]
+        node[key] = value
+        with pytest.raises(InvalidConfigError, match="JSON number|integer"):
+            parse_problem(json.dumps(doc))
+
+    def test_integer_dimensions_are_read(self):
+        doc = json.loads(serialize_problem(pair(), 2.0))
+        assert type(doc["dimension"]) is int
+        assert parse_problem(json.dumps(doc))[0].dimension == 2
+        # an integer-valued q, mass or coordinate is a number like any other
+        doc["q"], doc["sources"][0]["mass"], doc["sinks"][0]["mass"] = 3, 1, 1
+        doc["sinks"][0]["position"] = [1, 0]
+        cfg, q = parse_problem(json.dumps(doc))
+        assert (cfg, q) == (pair(), 3.0) and type(q) is float
 
     def test_atomic_write_leaves_no_temp_files(self, tmp_path):
         target = tmp_path / "out.txt"

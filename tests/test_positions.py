@@ -12,16 +12,17 @@ from branchflow import (
     optimize_positions,
     position_gradient,
     positions,
+    random_instance,
     single_edge,
     solve_result_to_dict,
     y_instance,
 )
 from branchflow._mcf import MinCostFlowNetwork
-from branchflow.graphs import reduce_graph
+from branchflow.graphs import WeightedDigraph, reduce_graph
 from branchflow.measures import total_mass
 from branchflow.positions import COST_ROUNDING, _EdgeKernel, polish_positions, w1_seed
 from branchflow.render import render, render_svg
-from branchflow.transport import as_positions, check_plan, plan_cost
+from branchflow.transport import as_positions, check_plan, cost_matrix, plan_cost
 from conftest import graph_of, plan_of, random_config, random_feasible_plan, random_positions
 
 
@@ -558,6 +559,41 @@ class TestAlternateMinimize:
         assert doc["polish_fallbacks"] == res.polish_fallbacks
 
 
+def _objective_cases():
+    """(name, config, n, params) of the solves whose cost_q is checked
+    against their plan's LP objective."""
+    for n in (6, 12, 24, 48):
+        yield f"Y n={n}", y_instance(), n, CostParams(q=2.0)
+    for k in range(4):
+        q = 1.5 if k % 2 == 0 else 3.0
+        config = random_instance(np.random.default_rng([0, k]), 2, 2)
+        for n in (8, 16):
+            yield f"2+2 k={k} n={n}", config, n, CostParams(q=q)
+    for k in range(12):
+        yield (f"3+3 k={k}", random_instance(np.random.default_rng([7, k]), 3, 3), 16,
+               CostParams(q=2.5))
+    wide = random_instance(np.random.default_rng([0, 0]), 64, 64, total_mass=64)
+    yield "64+64", wide, 32, CostParams(q=2.0, restarts=2)
+
+
+class TestCostIsThePlansObjective:
+    def test_cost_q_is_the_plan_lp_objective_at_Z(self):
+        # the Y ladder, the 2+2 instances certified at q = 1.5 and 3, twelve
+        # 3+3 instances at q = 2.5 and a 64+64 plan: cost_q is the sum of
+        # flow * cost over the plan's entries, left to right, bit for bit
+        names = []
+        for name, config, n, params in _objective_cases():
+            res = alternate_minimize(config, n, params)
+            plan = res.plan
+            F = cost_matrix(config, res.Z, params.q)
+            total = 0.0
+            for g, c in zip(plan.flows.tolist(), F[plan.rows, plan.cols].tolist()):
+                total += g * c
+            assert res.cost_q == total, name
+            names.append(name)
+        assert len(names) == 25
+
+
 def _one_edge_graph():
     return graph_of(np.array([[0.0, 0.0], [1.0, 0.0]]), ("source", "sink"), [(0, 1, 1.0, 1.0)])
 
@@ -578,6 +614,9 @@ RETIRED = {
     "reduce_graph.flow_rtol": (
         "flow_rtol", lambda: reduce_graph(_one_edge_graph(), flow_rtol=1e-6)),
     "render_svg.size": ("size", lambda: render_svg(_one_edge_graph(), size=640)),
+    "WeightedDigraph.labels": (
+        "labels", lambda: WeightedDigraph(np.zeros((1, 2)), ("free",), [], [], [], [],
+                                          labels=())),
     "render.size": ("size", lambda: render(_one_edge_graph(), "unwritten.svg", size=640)),
     "check_plan.tol": (
         "tol", lambda: check_plan(plan_of(1, 1, 0, {(0, 0): 1.0}), single_edge(),

@@ -86,7 +86,7 @@ def _reference_plan_to_graph(config, Z, plan):
     Z = as_positions(Z, config.dimension)
     if Z.shape[0] != plan.n_free:
         raise ValueError("Z and plan disagree on the number of free atoms")
-    tol = zero_flow_threshold(config)
+    tol = 0.0  # every positive entry is an edge
     pruned = plan.pruned(tol)
     P = vertex_positions(config, Z)
     throughput = pruned.throughputs()
@@ -109,7 +109,7 @@ def _reference_plan_to_graph(config, Z, plan):
         Edge(remap[t], remap[h], g, length)
         for t, h, (_, g), length in zip(tails, heads, items, lengths)
     ]
-    return graph_of(P[keep], roles, edges, tuple(keep))
+    return graph_of(P[keep], roles, edges)
 
 
 def _reference_max_perpendicular(points, a, b):
@@ -173,7 +173,7 @@ def _reference_reduce_graph(g):
                 tuple(verts), flow, path_length, straight, max_perp, gap_spread))
             new_edges.append(Edge(remap[verts[0]], remap[verts[-1]], flow, straight))
     return graph_of(g.positions[keep], tuple(g.roles[v] for v in keep), new_edges,
-                    tuple(keep), cls=ReducedTree, chains=tuple(chains))
+                    cls=ReducedTree, chains=tuple(chains))
 
 
 def _reference_vertex_atoms(g):
@@ -332,7 +332,6 @@ def _assert_graphs_equal(got, ref):
     assert got.positions.shape == ref.positions.shape
     assert got.positions.tobytes() == ref.positions.tobytes()
     assert got.roles == ref.roles
-    assert got.labels == ref.labels
     assert _edges_key(got) == _edges_key(ref)
 
 
@@ -412,7 +411,7 @@ class TestArrayPassesMatchReferences:
                 scale = rng.uniform(0.5, 1.5, t.n_edges)
                 t = graph_of(t.positions, t.roles, [
                     Edge(e.tail, e.head, e.weight * s if k % 2 else e.weight, e.length)
-                    for e, s in zip(_edges(t), scale)], t.labels, cls=ReducedTree, chains=t.chains)
+                    for e, s in zip(_edges(t), scale)], cls=ReducedTree, chains=t.chains)
             items = verify_structure(t, config).items
             got = [(i.name, i.ok, i.detail) for i in items
                    if i.name in ("terminal_flux", "interior_conservation")]
@@ -452,14 +451,20 @@ class TestArrayPassesMatchReferences:
 
     def test_atoms_are_kept_by_their_outflow(self):
         config = single_edge()
-        tol = zero_flow_threshold(config)
         Z = np.array([[0.5, 0.0]])
-        # the atom's inflow is dust, its outflow is not: it stays a vertex
-        plan = plan_of(1, 1, 1, {(0, 1): 0.5 * tol, (1, 0): 1.0, (0, 0): 0.25})
-        _assert_graphs_equal(plan_to_graph(config, Z, plan),
-                             _reference_plan_to_graph(config, Z, plan))
-        # a kept flow into an atom whose outflow is dust has no vertex to enter
-        plan = plan_of(1, 1, 1, {(0, 1): 1.0, (1, 0): 0.5 * tol})
+        # the atom's stored inflow is zero, its outflow is not: it stays a vertex
+        plan = plan_of(1, 1, 1, {(0, 1): 0.0, (1, 0): 1.0, (0, 0): 0.25})
+        g = plan_to_graph(config, Z, plan)
+        _assert_graphs_equal(g, _reference_plan_to_graph(config, Z, plan))
+        assert g.roles == ("source", "sink", "free") and g.n_edges == 2
+        # a positive flow, however small, is an edge: dust is not pruned
+        dust = 0.5 * zero_flow_threshold(config)
+        plan = plan_of(1, 1, 1, {(0, 1): dust, (1, 0): 1.0, (0, 0): 0.25})
+        g = plan_to_graph(config, Z, plan)
+        _assert_graphs_equal(g, _reference_plan_to_graph(config, Z, plan))
+        assert g.n_edges == 3 and dust in g.weight.tolist()
+        # a flow into an atom whose stored outflow is zero has no vertex to enter
+        plan = plan_of(1, 1, 1, {(0, 1): 1.0, (1, 0): 0.0})
         with pytest.raises(ValueError, match="missing vertex"):
             plan_to_graph(config, Z, plan)
 
@@ -494,7 +499,8 @@ class TestArrayPassesMatchReferences:
 
 
 def _guard_cases():
-    """(config, Z, plan) with dust flows, zero-mass and coincident terminals."""
+    """(config, Z, plan) with stored zero flows, zero-mass and coincident
+    terminals."""
     cases = []
     for dim in (1, 2, 3):
         for s in range(12):
@@ -516,20 +522,18 @@ def _guard_cases():
             plan, _ = min_cost_plan(config, Z, 2.0)
             plan = regularize(plan, config, Z, 2.0)
             if s % 2 == 0:
-                # dust at or below the zero-flow threshold on untouched pairs
-                tol = zero_flow_threshold(config)
+                # exact zero flows stored on untouched pairs
                 entries = dict(plan.entries)
                 for _ in range(4):
                     key = (int(rng.integers(plan.n_rows)), int(rng.integers(plan.n_cols)))
-                    entries.setdefault(key, float(rng.choice([tol, 0.5 * tol, 1e-3 * tol])))
+                    entries.setdefault(key, 0.0)
                 plan = plan_of(plan.n_sources, plan.n_sinks, plan.n_free, entries)
             cases.append((config, Z, plan))
     for dim in (1, 2, 3):
         for k in (1, 2, 5):
             # k unit pairs, each matched to its own sink: the reduced forest
             # has exactly k = ceil(2k/2) edges, so the bound is tight; a
-            # zero-mass source and a zero-mass sink get flows only at the
-            # threshold
+            # zero-mass source and a zero-mass sink get stored zero flows
             rng = np.random.default_rng([14, dim, k])
             src = rng.uniform(-1, 1, size=(k, dim))
             snk = src + rng.uniform(0.01, 0.05, size=(k, dim))
@@ -540,10 +544,9 @@ def _guard_cases():
                 dim))
             Z = np.full((k, dim), 50.0)
             plan, _ = min_cost_plan(config, Z, 2.0)
-            tol = zero_flow_threshold(config)
             entries = dict(plan.entries)
-            entries[(0, k)] = tol
-            entries[(k, 0)] = 0.5 * tol
+            entries[(0, k)] = 0.0
+            entries[(k, 0)] = 0.0
             cases.append((config, Z, plan_of(plan.n_sources, plan.n_sinks, plan.n_free,
                                                    entries)))
     return cases
@@ -556,7 +559,7 @@ class TestGuard:
     def test_bound_never_exceeds_the_reduced_edge_count(self):
         built = tight = 0
         for config, Z, plan in GUARD_CASES:
-            bound = positions._min_tree_edges(config, plan)
+            bound = positions._min_tree_edges(plan)
             assert bound >= 1
             try:
                 tree = reduce_graph(plan_to_graph(config, Z, plan))
@@ -570,9 +573,9 @@ class TestGuard:
 
     def test_refusals_match_the_unguarded_path(self, monkeypatch):
         cases = [(c, Z, p, n) for c, Z, p in GUARD_CASES
-                 for n in range(1, positions._min_tree_edges(c, p) + 3)]
+                 for n in range(1, positions._min_tree_edges(p) + 3)]
         guarded = [positions._rebalance_layout(c, Z, p, 2.0, n) for c, Z, p, n in cases]
-        monkeypatch.setattr(positions, "_min_tree_edges", lambda config, plan: 0)
+        monkeypatch.setattr(positions, "_min_tree_edges", lambda plan: 0)
         for (c, Z, p, n), got in zip(cases, guarded):
             want = positions._rebalance_layout(c, Z, p, 2.0, n)
             if got is None:
@@ -598,7 +601,7 @@ class TestGuard:
         config = random_instance(np.random.default_rng([12, s]), 24, 24, total_mass=32)
         params = CostParams(q=2.0, restarts=2, seed=s)
         guarded = [alternate_minimize(config, n, params) for n in (4, 8, 12)]
-        monkeypatch.setattr(positions, "_min_tree_edges", lambda config, plan: 0)
+        monkeypatch.setattr(positions, "_min_tree_edges", lambda plan: 0)
         for n, got in zip((4, 8, 12), guarded):
             want = alternate_minimize(config, n, params)
             assert got.cost_q.hex() == want.cost_q.hex()

@@ -59,10 +59,11 @@ def refused(cfg, plan: TransportPlan, Z=None) -> bool:
 class TestIsRegular:
     """Regularity is the forest test.
 
-    A plan is regular when its support above the zero-flow threshold is a
-    forest.  ``plan_to_graph`` embeds any plan, and ``reduce_graph`` refuses
-    every cycle of the support, free self-loops, directed cycles and
-    parallel paths included.  ``_is_forest`` counts every stored entry.
+    A plan is regular when its positive support is a forest.
+    ``plan_to_graph`` embeds any plan, and ``reduce_graph`` refuses every
+    cycle of the support, free self-loops, directed cycles and parallel
+    paths included.  ``_is_forest`` counts every stored entry, and
+    ``prune_zeros`` drops those at or below the zero-flow threshold.
     """
 
     def test_clean_chain_is_a_forest(self):
@@ -97,10 +98,12 @@ class TestIsRegular:
         assert not _is_forest(plan) and refused(cfg, plan)
 
     def test_tolerance_hides_dust_flow(self):
+        # plan_to_graph embeds every positive flow, so dust is pruned first
         cfg = single_edge()
         plan = plan_of(1, 1, 1, {(0, 0): 1.0, (1, 1): 1e-15})
-        assert not _is_forest(plan)
-        assert _is_forest(prune_zeros(plan, cfg)) and not refused(cfg, plan)
+        assert not _is_forest(plan) and refused(cfg, plan)
+        pruned = prune_zeros(plan, cfg)
+        assert _is_forest(pruned) and not refused(cfg, pruned)
 
     def test_matches_networkx_on_random_and_optimal_plans(self, rng):
         seen = set()

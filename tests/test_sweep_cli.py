@@ -209,6 +209,18 @@ class TestCliExitCodes:
         assert main(["validate", str(bad)]) == 2
         assert "unbalanced" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dimension", [2.5, "2"])
+    def test_validate_dimension_that_is_not_an_integer_is_2(self, tmp_path, capsys, dimension):
+        # "dimension": 2.5 used to be read as 2, and so did "2"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "dimension": dimension, "q": 2.0,
+            "sources": [{"position": [0.0, 0.0], "mass": 1.0}],
+            "sinks": [{"position": [1.0, 0.0], "mass": 1.0}],
+        }))
+        assert main(["validate", str(bad)]) == 2
+        assert "dimension" in capsys.readouterr().err
+
     def test_missing_file_is_2(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.json")]) == 2
 
