@@ -186,8 +186,8 @@ def plan_to_graph(config: SignedConfig, Z, plan: TransportPlan) -> WeightedDigra
         raise ValueError("Z and plan disagree on the number of free atoms")
     ns, nk = plan.n_sources, plan.n_sinks
     n_term = ns + nk
-    # only a hand-made plan stores a zero flow
-    tail_ids, head_ids, weights = (plan if plan.flows.all() else plan.pruned(0.0)).arcs()
+    # only a hand-made plan stores a zero flow; a solver plan prunes to itself
+    tail_ids, head_ids, weights = plan.pruned(0.0).arcs()
     tails = tail_ids.tolist()
     # a free atom has positive outflow exactly when it is the tail of an arc
     keep = list(range(n_term)) + sorted({v for v in tails if v >= n_term})
