@@ -84,8 +84,7 @@ def cmd_solve(args) -> int:
     _write_solve_report(args.out_dir, config, res, solver_tree(config, res))
     print(f"n={res.n} wbar={res.wbar:.9g} rescaled={res.rescaled:.9g} "
           f"converged={res.converged} (start {res.start_index}/{res.n_starts}, "
-          f"{res.inner_budget_hits} inner budget hits, "
-          f"{res.polish_fallbacks} polish fallbacks)")
+          f"{res.inner_budget_hits} inner budget hits)")
     return EXIT_OK if res.converged else EXIT_NOT_CONVERGED
 
 

@@ -31,7 +31,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .measures import SignedConfig, total_mass
+from .measures import SignedConfig, _number, total_mass
 from .transport import (
     MARGINAL_RTOL,
     TransportPlan,
@@ -459,14 +459,16 @@ def graph_from_dict(doc: dict) -> WeightedDigraph:
     """The graph of a ``graph_to_dict`` document.
 
     Edge ends are integer vertex ids, so the ids must be 0..V-1, each once,
-    in any order; every position, weight and length must be finite.
-    Raises ValueError otherwise, and on anything the graph itself refuses.
+    in any order; every position, weight and length must be a finite JSON
+    number.  Raises TypeError for one that is not a number, ValueError
+    otherwise, and on anything the graph itself refuses.
     """
     verts = sorted(doc["vertices"], key=lambda r: r["id"])
     ids = [r["id"] for r in verts]
     if ids != list(range(len(verts))):
         raise ValueError(f"vertex ids must be 0..{len(verts) - 1}, each once; got {ids}")
-    positions = np.array([r["position"] for r in verts], dtype=float)
+    positions = np.array(
+        [[_number(c, "a coordinate") for c in r["position"]] for r in verts], dtype=float)
     if positions.size == 0:
         positions = positions.reshape(0, 0)
     edges = doc["edges"]
@@ -474,8 +476,8 @@ def graph_from_dict(doc: dict) -> WeightedDigraph:
     head = [r["head"] for r in edges]
     if not all(type(v) is int for v in tail + head):
         raise ValueError("edge ends must be integer vertex ids")
-    weight = np.array([float(r["weight"]) for r in edges])
-    length = np.array([float(r["length"]) for r in edges])
+    weight = np.array([float(_number(r["weight"], "an edge weight")) for r in edges])
+    length = np.array([float(_number(r["length"], "an edge length")) for r in edges])
     if not (np.isfinite(positions).all() and np.isfinite(weight).all()
             and np.isfinite(length).all()):
         raise ValueError("vertex positions, edge weights and lengths must be finite")

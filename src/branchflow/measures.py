@@ -225,7 +225,7 @@ class CostParams:
     plain Wasserstein problem; use :func:`branchflow.transport.wasserstein_q`
     directly for that).  restarts and seed must be integers >= 0.  The
     solver's tolerances and iteration budgets are constants of
-    :mod:`branchflow.positions` (GRAD_TOL, INNER_ITERS, POLISH_ITERS).
+    :mod:`branchflow.positions` (GRAD_TOL, INNER_ITERS, NEWTON_ITERS).
     """
 
     q: float

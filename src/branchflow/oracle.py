@@ -11,9 +11,10 @@ the concave-weight cost sum(|flow|^(1/q) * length), and realizes the
 cheapest: collapsed edges contracted, zero-flow edges dropped.  Intended
 for instances with a handful of terminals; the topology count is capped.
 
-The fixed-topology solve runs on the same edge kernel and damped Newton
-loop as the position step of ``positions`` (exponent 1, weights
-|flow|^(1/q), smoothed lengths), so one geometric kernel serves both.
+The fixed-topology solve runs on the same edge kernel, damped Newton
+loop and iteration budget as the position step of ``positions``
+(exponent 1, weights |flow|^(1/q), smoothed lengths, each topology's
+flow forest), so one geometric kernel serves both.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .measures import SignedConfig, total_mass, validate, validate_exponent
 from .graphs import WeightedDigraph, graph_cost, reduce_graph
-from .positions import _EdgeKernel, _newton
+from .positions import NEWTON_ITERS, _EdgeKernel, _newton
 from .transport import ZERO_FLOW_RTOL
 
 #: most topologies one oracle call solves: up to 7 terminals (945)
@@ -43,10 +44,6 @@ SMOOTHING = (1e-1, 1e-3, 1e-5, 1e-7, 1e-9, 1e-11, 1e-12)
 GRAD_RTOL = 1e-12
 #: ... or Newton step sup-norm at most this times the diameter
 STEP_RTOL = 1e-14
-#: cap on Newton iterations per smoothing level; levels take 0 to about 15,
-#: and only a cost that is flat along some direction (in one dimension,
-#: branch points between balanced terminal weights) runs into the cap
-NEWTON_ITERS = 50
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -198,45 +195,67 @@ def solve_topology(
 
     ``terminals`` is ``Terminals.of(config)`` for the topology's config.
     The cost sum(|flow|^(1/q) * length) is a convex sum of weighted
-    Euclidean norms of the branch positions: the q = 1 cost of the position
-    step's edge kernel with weights |flow|^(1/q).  Smoothed to
-    sum(w * sqrt(length^2 + eps^2)) it is twice differentiable, and
-    strictly convex in every branch point with a weighted edge, so damped
-    Newton (``positions._newton``) finds its one minimizer from any start;
-    a branch point whose edges all carry no flow stays where it starts.
-    The smoothing radius runs down SMOOTHING
+    Euclidean norms of the branch positions.  On the topology's flow
+    forest (zero-flow edges dropped, and each branch point left with two
+    flow edges, of equal flow, spliced into one edge between its
+    neighbours) it is the q = 1 cost of the position step's edge kernel
+    with weights |flow|^(1/q).  Smoothed to sum(w * sqrt(length^2 + eps^2))
+    it is twice differentiable, and strictly convex in every branch point
+    left, so damped Newton (``positions._newton``) finds its one minimizer
+    from any start.  The smoothing radius runs down SMOOTHING
     (times the diameter); the first level starts at the terminal centroid,
     the second at the first's minimizer, and every later one at a secant
     prediction from the last two.  Each level stops when the gradient or
-    the Newton step is negligible (GRAD_RTOL, STEP_RTOL).  The returned
-    cost is the unsmoothed cost at the final point.
+    the Newton step is negligible (GRAD_RTOL, STEP_RTOL).  A spliced point
+    goes midway between its neighbours, as cheap as any point between
+    them; one without a flow edge stays at the centroid.  Returns one row
+    per branch label and the unsmoothed cost at the final point.
     """
     T, s = topology.n_terminals, topology.n_steiner
     if T != len(terminals.supply):
         raise ValueError("topology/config terminal count mismatch")
-    tails, heads = zip(*topology.edges)
-    weights = np.abs(np.array(topology.flows)) ** (1.0 / q)
+    arcs = [[u, v, f] for (u, v), f in zip(topology.edges, topology.flows) if f]
+    free, splices = [], []
+    for v in range(T, T + s):
+        at = [arc for arc in arcs if v in arc[:2]]
+        if len(at) == 2:
+            # the spliced arc keeps the first arc's place, so without a
+            # zero-flow edge the arcs are the topology's edges in order
+            a, b = (arc[0] + arc[1] - v for arc in at)
+            at[0][:2] = a, b
+            arcs = [arc for arc in arcs if arc is not at[1]]
+            splices.append((v, a, b))
+        elif at:
+            free.append(v)
+    # vertex ids: terminals, then the free branch points in label order
+    index = {v: T + i for i, v in enumerate(free)}
+    weights = np.abs([f for _, _, f in arcs]) ** (1.0 / q)
     kernel = _EdgeKernel.from_arcs(
-        terminals.positions, tails, heads, weights, s, 1.0, 0.0
+        terminals.positions, [index.get(a, a) for a, _, _ in arcs],
+        [index.get(b, b) for _, b, _ in arcs], weights, len(free), 1.0, 0.0
     )
-    S = np.tile(terminals.positions.mean(axis=0), (s, 1))
-    if s:
-        scale = max(terminals.diameter, 1e-12)
-        tol = GRAD_RTOL * float(weights.sum())
-        S_before = S
-        for k, eps in enumerate(SMOOTHING):
-            start = S
-            if k >= 2:
-                # secant predictor in eps from the last two minimizers: exact
-                # for a branch point at a distance proportional to eps from
-                # where it collapses, a small correction for any other
-                t = (eps - SMOOTHING[k - 1]) / (SMOOTHING[k - 1] - SMOOTHING[k - 2])
-                start = S + t * (S - S_before)
-            kernel.eps = eps * scale
-            S_before, S = S, _newton(kernel, start, tol, 1e-16 * scale, scale,
-                                     NEWTON_ITERS, step_tol=STEP_RTOL * scale)[0]
-        kernel.eps = 0.0
-    return S, kernel.cost(S)
+    P = np.vstack([terminals.positions, np.tile(terminals.positions.mean(axis=0), (s, 1))])
+    S = S_before = P[free]
+    scale = max(terminals.diameter, 1e-12)
+    tol = GRAD_RTOL * float(weights.sum())
+    for k, eps in enumerate(SMOOTHING):
+        start = S
+        if k >= 2:
+            # secant predictor in eps from the last two minimizers: exact
+            # for a branch point at a distance proportional to eps from
+            # where it collapses, a small correction for any other
+            t = (eps - SMOOTHING[k - 1]) / (SMOOTHING[k - 1] - SMOOTHING[k - 2])
+            start = S + t * (S - S_before)
+        kernel.eps = eps * scale
+        S_before, S = S, _newton(kernel, start, tol, 1e-16 * scale,
+                                 NEWTON_ITERS, step_tol=STEP_RTOL * scale)[0]
+    kernel.eps = 0.0
+    cost = kernel.cost(S)
+    P[free] = S
+    # a splice's neighbours were spliced after it, if at all
+    for v, a, b in reversed(splices):
+        P[v] = (P[a] + P[b]) / 2
+    return P[T:], cost
 
 
 def _realize(

@@ -11,12 +11,12 @@ is gradient descent with Armijo backtracking, capped at INNER_ITERS
 iterations; Newton there would shorten the benchmark's single-edge
 warm-up below the speed probe's first sample, which then fails, so it
 waits on the probe fix.  Every other position solve is damped Newton on
-the same kernel, whose Hessian has one block per arc, capped at
-POLISH_ITERS; at q = 2 the Hessian is a weighted graph Laplacian and one
-step is exact.  Every position solve stops at the gradient tolerance
-GRAD_TOL.  The kernel and the Newton loop also solve the oracle's fixed
-topologies (``oracle.solve_topology``): exponent 1, per-arc weights,
-smoothed lengths, so one geometric kernel serves both.
+the same kernel, whose Hessian has one block per arc; at q = 2 the
+Hessian is a weighted graph Laplacian and one step is exact.  Every
+position solve stops at the gradient tolerance GRAD_TOL.  The kernel and
+the Newton loop, with its one budget NEWTON_ITERS, also solve the
+oracle's fixed topologies (``oracle.solve_topology``): exponent 1,
+per-arc weights, smoothed lengths, so one geometric kernel serves both.
 
 The outer loop settles plan and positions for one point allocation at a
 time: Newton moves the atoms to the plan's position optimum, the exact
@@ -69,8 +69,10 @@ COST_ROUNDING = 16.0 * float(np.finfo(float).eps)
 GRAD_TOL = 1e-9
 #: gradient-descent iterations for a start's first position solve
 INNER_ITERS = 500
-#: Newton iterations per Newton position solve
-POLISH_ITERS = 2000
+#: Newton iterations per position solve and per oracle smoothing level:
+#: the solver's take at most 5 and the oracle's about 20, but one from an
+#: arbitrary plan at q = 1.5 in one dimension took 62
+NEWTON_ITERS = 100
 #: Newton-and-plan passes per settle before it gives up on a stable support
 _SETTLE_PASSES = 5
 
@@ -94,12 +96,9 @@ class SolveResult:
     n_starts: int = 1
     unused_atoms: int = 0
     start_costs: tuple[float, ...] = ()
-    #: position solves, over every start and rebalance, that stopped at
-    #: their iteration budget (INNER_ITERS or POLISH_ITERS) unconverged
+    #: position solves, over every start and rebalance, that stopped
+    #: unconverged (at INNER_ITERS, NEWTON_ITERS or without a Newton step)
     inner_budget_hits: int = 0
-    #: Newton polish iterations, over every start and rebalance, that fell
-    #: back to a scaled gradient step
-    polish_fallbacks: int = 0
 
     @property
     def wbar(self) -> float:
@@ -369,10 +368,9 @@ def _newton(
     Z: np.ndarray,
     tol: float,
     floor: float,
-    span: float,
     max_iter: int,
     step_tol: float = 0.0,
-) -> tuple[np.ndarray, float, int, bool, int]:
+) -> tuple[np.ndarray, float, int, bool]:
     """Damped Newton on a kernel from Z, until the sup-norm of the gradient
     is at most ``tol`` or that of the Newton step at most ``step_tol``.
 
@@ -381,31 +379,12 @@ def _newton(
     ``floor``.  Near the minimizer the predicted decrease falls below the
     rounding error of the cost, so a trial point whose cost is not
     measurably higher (within COST_ROUNDING, relative) is also accepted
-    when it lowers the sup-norm of the gradient.  When the Newton solve
-    fails, its direction is not a descent direction, or its line search
-    stalls, the iteration tries a gradient step of length ``span`` with the
-    same search; if that stalls too, the point is stationary to
-    floating-point resolution.  Returns (Z, cost, iterations, converged,
-    iterations that moved by a gradient step).
+    when it lowers the sup-norm of the gradient.  A line search that
+    accepts no step ends the solve as stationary to floating-point
+    resolution; a direction that cannot be computed ends it unconverged.
+    Returns (Z, cost, iterations, converged).
     """
     f = obj.cost(Z)
-    gradient_steps = 0
-
-    def line_search(P: np.ndarray, slope: float):
-        t, pnorm = 1.0, math.sqrt(float((P * P).sum()))
-        while t * pnorm > floor:
-            Z_new = Z + t * P
-            f_new = obj.cost(Z_new)
-            if f_new <= f + 1e-4 * t * slope and f_new < f:
-                return Z_new, f_new
-            # within its rounding error the cost cannot tell a step from its
-            # overshoot, nor a decrease from noise: the gradient decides
-            if (f_new <= f * (1.0 + COST_ROUNDING)
-                    and float(np.abs(obj.gradient()).max()) < gmax):
-                return Z_new, f_new
-            t *= 0.5
-        return None
-
     iters, converged = 0, None
     # obj.gradient() is taken at the last point costed: Z, or the accepted Z_new
     for iters in range(1, max_iter + 1):
@@ -415,24 +394,36 @@ def _newton(
             iters, converged = iters - 1, True
             break
         P = obj.newton_direction(G)
+        if P is None:
+            converged = False
+            break
         # a Newton direction is never zero, so step_tol 0 never stops here
-        if P is not None and float(np.abs(P).max()) <= step_tol:
+        if float(np.abs(P).max()) <= step_tol:
             iters, converged = iters - 1, True
             break
-        found = None if P is None else line_search(P, float((G * P).sum()))
-        if found is None:
-            gnorm = math.sqrt(float((G * G).sum()))
-            found = line_search(G * (-span / gnorm), -span * gnorm)
-            if found is None:
-                # no direction decreases the cost at floating-point resolution
-                converged = True
+        slope = float((G * P).sum())
+        t, pnorm = 1.0, math.sqrt(float((P * P).sum()))
+        while t * pnorm > floor:
+            Z_new = Z + t * P
+            f_new = obj.cost(Z_new)
+            if f_new <= f + 1e-4 * t * slope and f_new < f:
                 break
-            gradient_steps += 1
-        Z, f = found
+            # within its rounding error the cost cannot tell a step from its
+            # overshoot, nor a decrease from noise: the gradient decides
+            if (f_new <= f * (1.0 + COST_ROUNDING)
+                    and float(np.abs(obj.gradient()).max()) < gmax):
+                break
+            t *= 0.5
+        else:
+            # no step along the Newton direction decreases the cost at
+            # floating-point resolution
+            converged = True
+            break
+        Z, f = Z_new, f_new
     if converged is None:
         G = obj.gradient()
         converged = (float(np.abs(G).max()) if G.size else 0.0) <= tol
-    return Z, f, iters, converged, gradient_steps
+    return Z, f, iters, converged
 
 
 def polish_positions(
@@ -440,24 +431,16 @@ def polish_positions(
     plan: TransportPlan,
     Z0,
     q: float,
-    max_iter: int = POLISH_ITERS,
-    fallbacks: list[int] | None = None,
 ) -> tuple[np.ndarray, float, int, bool]:
     """Minimize the fixed-plan cost over free positions by damped Newton.
 
     Same objective, stop test, line-search floor and return as
     ``optimize_positions``.  The iteration is ``_newton`` on the plan's
-    edge-list kernel, with gradient fallback steps of length diam.  At
-    q = 2 the cost is quadratic and one step reaches the minimizer.  If
-    ``fallbacks`` is given, the number of iterations that moved by a
-    gradient step is appended.
+    edge-list kernel, capped at NEWTON_ITERS.  At q = 2 the cost is
+    quadratic and one step reaches the minimizer.
     """
-    Z, obj, diam, tol, floor = _position_problem(config, plan, Z0, q)
-    Z, f, iters, converged, gradient_steps = _newton(
-        obj, Z, tol, floor, max(diam, 1e-12), max_iter)
-    if fallbacks is not None:
-        fallbacks.append(gradient_steps)
-    return Z, f, iters, converged
+    Z, obj, _, tol, floor = _position_problem(config, plan, Z0, q)
+    return _newton(obj, Z, tol, floor, NEWTON_ITERS)
 
 
 def w1_seed(config: SignedConfig, n: int, basis: TreeBasis | None = None) -> np.ndarray:
@@ -495,26 +478,25 @@ def _settle(
     Z: np.ndarray,
     plan: TransportPlan,
     q: float,
-    fallbacks: list[int],
     basis: TreeBasis,
 ) -> tuple[np.ndarray, TransportPlan, float, bool, int, int]:
     """Settle positions and plan for one allocation, starting from ``plan``,
     the plan of the last solve on ``basis``.
 
     Each pass moves the positions to the plan's optimum by Newton
-    (``polish_positions``, which appends its gradient fallbacks to
-    ``fallbacks``), then re-solves the exact plan at the new positions on
-    ``basis``'s plan network, from the tree it kept.  Stops once a pass
-    leaves the plan's support unchanged, or after _SETTLE_PASSES passes.  A
-    solve without a pivot keeps its tree, so its entries are those of
-    ``plan``, in the same order, and its pass is stable.  Returns (Z, plan,
-    cost as that plan's solve gave it, stable, passes, Newton budget hits).
+    (``polish_positions``), then re-solves the exact plan at the new
+    positions on ``basis``'s plan network, from the tree it kept.  Stops
+    once a pass leaves the plan's support unchanged, or after
+    _SETTLE_PASSES passes.  A solve without a pivot keeps its tree, so its
+    entries are those of ``plan``, in the same order, and its pass is
+    stable.  Returns (Z, plan, cost as that plan's solve gave it, stable,
+    passes, unconverged Newton solves).
     """
     budget_hits = 0
     stable = False
     passes = 0
     for passes in range(1, _SETTLE_PASSES + 1):
-        Z, _, _, inner_ok = polish_positions(config, plan, Z, q, fallbacks=fallbacks)
+        Z, _, _, inner_ok = polish_positions(config, plan, Z, q)
         budget_hits += not inner_ok
         rows, cols = plan.rows, plan.cols
         plan, cost = min_cost_plan(config, Z, q, basis)
@@ -529,7 +511,6 @@ def _descend(
     config: SignedConfig,
     Z0: np.ndarray,
     q: float,
-    fallbacks: list[int],
     basis: TreeBasis,
 ) -> tuple[np.ndarray, TransportPlan, float, bool, int, int]:
     """Descend from a start: exact plan for Z0, gradient descent on
@@ -548,7 +529,7 @@ def _descend(
         raise SolverError(
             f"position step increased cost: {cost_plan!r} -> {cost!r}"
         )
-    Z, plan, cost, stable, passes, hits = _settle(config, Z, plan, q, fallbacks, basis)
+    Z, plan, cost, stable, passes, hits = _settle(config, Z, plan, q, basis)
     return Z, plan, cost, stable, passes, hits + (not inner_ok)
 
 
@@ -635,10 +616,9 @@ def alternate_minimize(
     best: tuple[float, int, np.ndarray, TransportPlan, int, bool] | None = None
     start_costs: list[float] = []
     budget_hits = 0
-    fallbacks: list[int] = []
     for idx, Z0 in enumerate(starts):
         basis = TreeBasis(coupling)
-        Z, plan, cost, conv, passes, hits = _descend(config, Z0, q, fallbacks, basis)
+        Z, plan, cost, conv, passes, hits = _descend(config, Z0, q, basis)
         budget_hits += hits
         # each accepted rebalance simplifies the tree topology a little, so
         # allow enough proposals for the cascade to bottom out
@@ -648,7 +628,7 @@ def alternate_minimize(
                 break
             plan_re, _ = min_cost_plan(config, Z_re, q, basis)
             Z2, plan2, cost2, stable, passes2, hits = _settle(
-                config, Z_re, plan_re, q, fallbacks, basis)
+                config, Z_re, plan_re, q, basis)
             conv = conv and stable
             passes += passes2
             budget_hits += hits
@@ -674,7 +654,6 @@ def alternate_minimize(
         unused_atoms=int((plan.throughputs() == 0.0).sum()),
         start_costs=tuple(start_costs),
         inner_budget_hits=budget_hits,
-        polish_fallbacks=sum(fallbacks),
     )
 
 
@@ -693,7 +672,6 @@ def solve_result_to_dict(result: SolveResult) -> dict:
         "unused_atoms": result.unused_atoms,
         "start_costs": list(result.start_costs),
         "inner_budget_hits": result.inner_budget_hits,
-        "polish_fallbacks": result.polish_fallbacks,
         "free_atoms": [[float(c) for c in row] for row in result.Z],
         "plan": [list(t) for t in result.plan.to_triplets()],
     }

@@ -320,6 +320,18 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="finite"):
             graph_from_dict(doc)
 
+    @pytest.mark.parametrize("field", ["weight", "length", "position"])
+    @pytest.mark.parametrize("value", ["2.5", True, None])
+    def test_values_must_be_json_numbers(self, field, value):
+        # float() would have read "2.5" as 2.5 and True as 1.0
+        doc = graph_to_dict(chain_graph(k=1))
+        if field == "position":
+            doc["vertices"][1]["position"][0] = value
+        else:
+            doc["edges"][1][field] = value
+        with pytest.raises(TypeError, match="must be a JSON number"):
+            graph_from_dict(doc)
+
     @pytest.mark.parametrize("end", [1.5, 1.0, "1", True])
     def test_edge_ends_must_be_integers(self, end):
         # int() would have read 1.5 as vertex 1

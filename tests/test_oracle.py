@@ -355,11 +355,17 @@ class TestRealization:
 
 
 class TestNewtonLevels:
-    def test_flat_collapse_converges_below_the_cap(self, monkeypatch):
+    @pytest.mark.parametrize("cfg, q", [
         # in one dimension two branch points collapse between terminal arcs
-        # of equal weight, so the cost is flat along one direction; every
-        # smoothing level must still stop on its own tests, not at the cap,
-        # and without gradient fallbacks
+        # of equal weight, so the cost is flat along one direction
+        (random_instance(np.random.default_rng([11, 0]), 2, 2, dim=1), 3.415),
+        # 3+3 topologies with zero-flow edges, whose branch points are left
+        # with two flow edges of equal flow: solved on the flow forest
+        (random_instance(np.random.default_rng([13, 0]), 3, 3), 2.5),
+    ], ids=["flat-1d", "3+3"])
+    def test_every_level_converges_below_the_cap(self, monkeypatch, cfg, q):
+        # every smoothing level of every topology must stop on its own
+        # tests, not at the cap
         levels = []
         real = oracle_module._newton
 
@@ -369,11 +375,44 @@ class TestNewtonLevels:
             return out
 
         monkeypatch.setattr(oracle_module, "_newton", counting)
-        oracle(random_instance(np.random.default_rng([11, 0]), 2, 2, dim=1), 3.415)
+        oracle(cfg, q)
         assert levels
-        for _, _, iters, converged, gradient_steps in levels:
+        for _, _, iters, converged in levels:
             assert iters < oracle_module.NEWTON_ITERS and converged
-            assert gradient_steps == 0
+
+
+def _flow_neighbours(topology, v):
+    return [b if a == v else a
+            for (a, b), f in zip(topology.edges, topology.flows) if f and v in (a, b)]
+
+
+def _assert_spliced_on_segments(topology, P, diam):
+    """A branch point left with two flow edges by a zero-flow edge lies on
+    the segment between its two flow neighbours (P: every label's point)."""
+    for v in range(topology.n_terminals, topology.n_terminals + topology.n_steiner):
+        ends = _flow_neighbours(topology, v)
+        if len(ends) == 2:
+            a, b = P[ends]
+            detour = np.linalg.norm(P[v] - a) + np.linalg.norm(P[v] - b)
+            assert detour <= np.linalg.norm(a - b) + 1e-12 * diam, f"branch point {v}"
+
+
+def test_spliced_chains_lie_on_their_segments():
+    # on this 3+3 instance some topologies join two branch points that each
+    # keep two flow edges: the chain terminal - b - b' - terminal is one arc
+    cfg = random_instance(np.random.default_rng([7, 1]), 3, 3)
+    terminals = Terminals.of(cfg)
+    chains = 0
+    for t in enumerate_topologies(cfg):
+        spliced = {v for v in range(t.n_terminals, t.n_terminals + t.n_steiner)
+                   if len(_flow_neighbours(t, v)) == 2}
+        if not any(f and u in spliced and v in spliced
+                   for (u, v), f in zip(t.edges, t.flows)):
+            continue
+        chains += 1
+        S, _ = solve_topology(t, terminals, 2.5)
+        _assert_spliced_on_segments(t, np.vstack([terminals.positions, S]), terminals.diameter)
+    assert chains > 0
 
 
 def _network_cost(topology, terminals, S, q):
@@ -400,6 +439,10 @@ def _scaled(cfg, s):
 # two terminals 5e-6 apart, within the contraction tolerance: they must
 # stay apart at every scale
 @example(seed=370378, shape=(1, 3), dim=1, q=2.0)
+# seed 2 draws sources of mass 6 and 2 and sinks of mass 2 and 6: the
+# topology that pairs each source with the sink of its mass has a zero-flow
+# edge, and both its branch points are spliced
+@example(seed=2, shape=(2, 2), dim=2, q=2.5)
 def test_solve_topology_properties(seed, shape, dim, q):
     cfg = random_instance(np.random.default_rng(seed), *shape, dim=dim)
     terminals = Terminals.of(cfg)
@@ -434,6 +477,7 @@ def test_solve_topology_properties(seed, shape, dim, q):
                     force += abs(f) ** (1.0 / q) * d / np.linalg.norm(d)
             else:
                 assert np.linalg.norm(force) < 1e-5, f"unbalanced branch point {v}"
+        _assert_spliced_on_segments(t, P, diam)
         S2, cost2 = solve_topology(t, terminals, q)
         assert S2.tobytes() == S.tobytes() and cost2.hex() == cost.hex()
     # the benchmark's coordinate scales pick the same topology

@@ -254,8 +254,9 @@ def _laplacian_minimizer(cfg, plan, Z0):
 
 
 class TestNewtonPolish:
-    def test_one_step_solves_the_weighted_laplacian_at_q2(self, rng):
+    def test_one_step_solves_the_weighted_laplacian_at_q2(self, rng, monkeypatch):
         # also from a start with a zero-length arc: at q=2 it keeps its curvature
+        monkeypatch.setattr(positions, "NEWTON_ITERS", 1)
         idle = 0
         for dim in (1, 2, 3):
             for trial in range(8):
@@ -266,10 +267,8 @@ class TestNewtonPolish:
                 if trial % 2:
                     assert _coincide(cfg, plan, Z0)
                 want = _laplacian_minimizer(cfg, plan, Z0)
-                fallbacks = []
-                Z, cost, iters, converged = polish_positions(
-                    cfg, plan, Z0, 2.0, max_iter=1, fallbacks=fallbacks)
-                assert (iters, converged, fallbacks) == (1, True, [0])
+                Z, cost, iters, converged = polish_positions(cfg, plan, Z0, 2.0)
+                assert (iters, converged) == (1, True)
                 span = max(1.0, float(np.abs(want).max()))
                 assert np.abs(Z - want).max() <= 1e-9 * span
                 assert cost == pytest.approx(plan_cost(cfg, Z, plan, 2.0), rel=1e-12)
@@ -279,9 +278,7 @@ class TestNewtonPolish:
     def test_converges_at_least_as_far_as_gradient_descent(self, rng):
         for cfg, plan, Z0, q in _kernel_cases(rng):
             tol = _stop_tolerance(cfg, q)
-            fallbacks = []
-            Z, cost, iters, converged = polish_positions(
-                cfg, plan, Z0, q, fallbacks=fallbacks)
+            Z, cost, iters, converged = polish_positions(cfg, plan, Z0, q)
             assert converged, (q, cfg.dimension)
             G = position_gradient(cfg, Z, plan, q)
             assert (np.abs(G).max() if G.size else 0.0) <= tol
@@ -291,12 +288,10 @@ class TestNewtonPolish:
             assert cost <= optimize_positions(cfg, plan, Z0, q)[1] * (1.0 + COST_ROUNDING)
             idle = plan.throughputs() == 0.0
             assert Z[idle].tobytes() == Z0[idle].tobytes()
-            # a rerun is bit-identical, fallback count included
-            again = []
-            Z2, cost2, iters2, conv2 = polish_positions(
-                cfg, plan, Z0, q, fallbacks=again)
+            # a rerun is bit-identical
+            Z2, cost2, iters2, conv2 = polish_positions(cfg, plan, Z0, q)
             assert Z2.tobytes() == Z.tobytes() and cost2.hex() == cost.hex()
-            assert (iters2, conv2, again) == (iters, converged, fallbacks)
+            assert (iters2, conv2) == (iters, converged)
 
     def test_hessian_matches_central_differences(self, rng):
         # relative sup-norm error < 1e-5, as for the gradient
@@ -326,18 +321,15 @@ class TestNewtonPolish:
             assert rel < 1e-5, f"q={q}: relative Hessian error {rel:.2e}"
             checked += 1
 
-    def test_falls_back_to_gradient_steps(self, rng, monkeypatch):
-        # with no Newton direction every step is a counted gradient step
+    def test_no_newton_direction_ends_unconverged(self, monkeypatch):
         monkeypatch.setattr(_EdgeKernel, "newton_direction", lambda self, G: None)
         cfg = y_instance()
-        plan, _ = min_cost_plan(cfg, w1_seed(cfg, 6), 2.0)
-        fallbacks = []
-        Z, cost, iters, converged = polish_positions(
-            cfg, plan, w1_seed(cfg, 6) + 0.05, 2.0, max_iter=5000, fallbacks=fallbacks)
-        assert converged and iters > 1
-        assert iters - 1 <= fallbacks[0] <= iters
-        G = position_gradient(cfg, Z, plan, 2.0)
-        assert np.abs(G).max() <= _stop_tolerance(cfg, 2.0)
+        Z0 = w1_seed(cfg, 6) + 0.05
+        plan, _ = min_cost_plan(cfg, Z0, 2.0)
+        Z, cost, iters, converged = polish_positions(cfg, plan, Z0, 2.0)
+        assert (iters, converged) == (1, False)
+        assert Z.tobytes() == Z0.tobytes()
+        assert cost == pytest.approx(plan_cost(cfg, Z0, plan, 2.0), rel=1e-12)
 
 
 class TestOptimizePositions:
@@ -448,16 +440,13 @@ class TestAlternateMinimize:
     def test_inner_budget_hits_count_every_descent(self, monkeypatch):
         # independent count: every optimize_positions and polish_positions
         # call that returns converged=False, over all starts, losing ones and
-        # rebalances included; and every polish's gradient fallbacks
+        # rebalances included
         hits = []
-        polish_fallbacks = []
 
         def counting(real):
             def wrapper(*args, **kwargs):
                 out = real(*args, **kwargs)
                 hits.append(not out[3])
-                if "fallbacks" in kwargs:
-                    polish_fallbacks.append(kwargs["fallbacks"][-1])
                 return out
             return wrapper
 
@@ -465,8 +454,6 @@ class TestAlternateMinimize:
             monkeypatch.setattr(positions, name, counting(getattr(positions, name)))
         res = alternate_minimize(y_instance(), 24, CostParams(q=2.0))
         assert res.inner_budget_hits == sum(hits) > 0
-        assert len(polish_fallbacks) > 0
-        assert res.polish_fallbacks == sum(polish_fallbacks)
         assert res.converged  # outer convergence keeps its meaning
 
     def test_inner_budget_hits_count_every_newton_hit(self, monkeypatch):
@@ -482,10 +469,11 @@ class TestAlternateMinimize:
             return out
 
         def polish(*args, **kwargs):
-            out = real["polish_positions"](*args, **{**kwargs, "max_iter": 1})
+            out = real["polish_positions"](*args, **kwargs)
             hits["polish_positions"] += not out[3]
             return out
 
+        monkeypatch.setattr(positions, "NEWTON_ITERS", 1)
         monkeypatch.setattr(positions, "optimize_positions", optimize)
         monkeypatch.setattr(positions, "polish_positions", polish)
         cfg = branchflow.random_instance(np.random.default_rng([0, 0]), 2, 2)
@@ -553,10 +541,8 @@ class TestAlternateMinimize:
         res = alternate_minimize(cfg, 1, CostParams(q=2.0, restarts=0))
         doc = solve_result_to_dict(res)
         assert {"n", "q", "cost_q", "wbar", "rescaled", "converged",
-                "inner_budget_hits", "polish_fallbacks", "free_atoms",
-                "plan"} <= set(doc)
+                "inner_budget_hits", "free_atoms", "plan"} <= set(doc)
         assert doc["inner_budget_hits"] == res.inner_budget_hits
-        assert doc["polish_fallbacks"] == res.polish_fallbacks
 
 
 def _objective_cases():

@@ -446,7 +446,7 @@ def _recorded_descent(monkeypatch, solved_networks, cfg, Z0, q):
 
     with monkeypatch.context() as patched:
         patched.setattr(positions, "min_cost_plan", recording)
-        positions._descend(cfg, Z0, q, [], TreeBasis())
+        positions._descend(cfg, Z0, q, TreeBasis())
     return calls
 
 
@@ -885,7 +885,7 @@ class TestKeptNetwork:
                 Z, plan, basis = start(cfg, Z0, q, False)
                 with monkeypatch.context() as patched:
                     patched.setattr(positions, "min_cost_plan", counting_plan_step)
-                    got = positions._settle(cfg, Z, plan, q, [], basis)
+                    got = positions._settle(cfg, Z, plan, q, basis)
                 assert got[0].tobytes() == want[0].tobytes()
                 assert list(got[1].entries.items()) == list(want[1].entries.items())
                 assert got[2].hex() == want[2].hex()
