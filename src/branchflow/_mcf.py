@@ -66,7 +66,9 @@ tree and the supplies, so a solve without a pivot leaves
 **Hand-off.**  :meth:`MinCostFlowNetwork.support` scatters each tree
 arc's flow to its arc id, so the positive plan arcs come out in arc-id
 order without a sort, and maps them to matrix rows and columns in array
-passes; the flows leave as float64 mass units.  A caller's start is
+passes; the flows leave as float64 mass units.  The scatter buffer and
+the reduced-cost matrix are allocated with the network, once, and every
+solve on it reuses them.  A caller's start is
 checked node by node with plain reads of :attr:`MinCostFlowNetwork.to`:
 on a tree of a few dozen nodes, NumPy's per-call cost exceeds the loop.
 """
@@ -107,7 +109,7 @@ class MinCostFlowNetwork:
     __slots__ = (
         "n", "m", "to", "pi", "pivots", "F",
         "_fmax", "_supply", "_row_node", "_col_node", "_row_list", "_col_list",
-        "_row_of", "_col_of", "_rows", "_cols", "_arc_of", "_tree",
+        "_row_of", "_col_of", "_rows", "_cols", "_arc_of", "_tree", "_R", "_by_arc",
     )
 
     def __init__(
@@ -149,6 +151,10 @@ class MinCostFlowNetwork:
         self.to = np.empty(2 * self.m, dtype=np.int64)
         self.to[0::2] = self._col_node[self._cols]
         self.to[1::2] = self._row_node[self._rows]
+        # the reduced costs of a solve and the arc-id scatter of support(),
+        # allocated with the network and reused by every solve on it
+        self._R = np.empty_like(F)
+        self._by_arc = np.zeros(self.m + n)
         #: node potentials of the last :meth:`solve`, the root's last
         self.pi = np.zeros(n + 1)
         #: pivots of the last :meth:`solve`
@@ -246,7 +252,7 @@ class MinCostFlowNetwork:
         # a pivot re-prices a row and a column per re-hung node at most
         max_refresh = _REFRESH_SHARE * n_rows * n_cols / (n_rows + n_cols)
         tol = -ENTER_RTOL * fmax
-        R = np.empty_like(F)
+        R = self._R
         full = True
         inf = float("inf")
         for pivots in range(MAX_PIVOTS + 1):
@@ -356,8 +362,11 @@ class MinCostFlowNetwork:
         mass units as float64 (whole numbers below 2^53, so exact)."""
         _, pred, flow = self._tree[:3]
         # each tree arc's flow at its id (ids are distinct, flows >= 0), so
-        # the nonzero plan slots come out in arc-id order without a sort
-        by_arc = np.zeros(self.m + self.n)
+        # the nonzero plan slots come out in arc-id order without a sort;
+        # the tree's slots are zeroed again for the next call
+        by_arc = self._by_arc
         by_arc[pred] = flow
         arcs = np.flatnonzero(by_arc[:self.m] > 0)
-        return self._rows[arcs], self._cols[arcs], by_arc[arcs]
+        support = self._rows[arcs], self._cols[arcs], by_arc[arcs]
+        by_arc[pred] = 0.0
+        return support

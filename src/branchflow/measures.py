@@ -96,9 +96,9 @@ class SignedConfig:
     def zero_mass_sinks(self) -> tuple[int, ...]:
         return tuple(i for i, a in enumerate(self.sinks) if a.mass == 0.0)
 
-    # The arrays and the diameter are derived once per instance: the
-    # dataclass is frozen and its atoms are immutable.  The public methods
-    # return fresh copies so callers can mutate freely.
+    # The arrays, the total mass and the diameter are derived once per
+    # instance: the dataclass is frozen and its atoms are immutable.  The
+    # public methods return fresh copies so callers can mutate freely.
     @cached_property
     def _source_positions(self) -> np.ndarray:
         return np.array([a.position for a in self.sources], dtype=float).reshape(
@@ -122,6 +122,10 @@ class SignedConfig:
     @cached_property
     def _sink_masses(self) -> np.ndarray:
         return np.array([a.mass for a in self.sinks], dtype=float)
+
+    @cached_property
+    def _total_mass(self) -> float:
+        return float(sum(a.mass for a in self.sources))
 
     @cached_property
     def _diameter(self) -> float:
@@ -161,8 +165,9 @@ class SignedConfig:
 
 
 def total_mass(config: SignedConfig) -> float:
-    """Total source mass (equals total sink mass for a validated config)."""
-    return float(sum(a.mass for a in config.sources))
+    """Total source mass (equals total sink mass for a validated config),
+    summed once per config object."""
+    return config._total_mass
 
 
 def validate(config: SignedConfig) -> SignedConfig:

@@ -11,9 +11,11 @@ is gradient descent with Armijo backtracking, capped at INNER_ITERS
 iterations; Newton there would shorten the benchmark's single-edge
 warm-up below the speed probe's first sample, which then fails, so it
 waits on the probe fix.  Every other position solve is damped Newton on
-the same kernel, whose Hessian has one block per arc; at q = 2 the
-Hessian is a weighted graph Laplacian and one step is exact.  Every
-position solve stops at the gradient tolerance GRAD_TOL.  The kernel and
+the same kernel, whose Hessian has one block per arc.  At q = 2 every
+block is 2 * w * I, so the Hessian is the n x n weighted Laplacian of the
+free atoms times the d x d identity: a step solves that Laplacian once
+with d right-hand sides, and one step is exact.  Every position solve
+stops at the gradient tolerance GRAD_TOL.  The kernel and
 the Newton loop, with its one budget NEWTON_ITERS, also solve the
 oracle's fixed topologies (``oracle.solve_topology``): exponent 1,
 per-arc weights, smoothed lengths, so one geometric kernel serves both.
@@ -30,7 +32,9 @@ rebalance redistributes the atom count over the current reduced tree by
 the closed-form allocation and settles that layout's plan; a budget too
 small for any reduced tree of the plan is refused before a graph is
 built.  A multistart layer sits on top, since the joint problem is not
-convex.
+convex.  All the plan solves of one call share one plan network: each
+start re-prices it at its own layout and threads the W_1 coupling onto
+it for its first solve.
 """
 
 from __future__ import annotations
@@ -129,6 +133,10 @@ class _EdgeKernel:
     additions, in the same order, as one ``np.add.at`` per side.
     ``newton_direction(G)`` solves with the Hessian at the same point,
     assembled from the arc vectors and the gradient's per-arc coefficients.
+    At q = 2 every arc block is 2 * w * I, so the Hessian is the n x n
+    weighted Laplacian of the free atoms (``laplacian()``) times the d x d
+    identity, and the step solves that Laplacian once for all d coordinate
+    columns.
     """
 
     def __init__(self, config: SignedConfig, plan: TransportPlan, q: float):
@@ -167,7 +175,7 @@ class _EdgeKernel:
         self.W = np.empty((2 * m, dim))
         self.W_tail, self.W_head = self.W[:m], self.W[m:]
         self.d = self.dist = self.coef = None
-        self.hessian_bins = None
+        self.hessian_bins = self.laplacian_bins = None
 
     def cost(self, Z: np.ndarray) -> float:
         self.free_rows[...] = Z
@@ -199,30 +207,28 @@ class _EdgeKernel:
         )
         return G.reshape(self.G_shape)
 
-    def _hessian_layout(self) -> None:
-        """Flat (row, column) bins of every arc block in the dense Hessian.
+    def _entry_layout(self) -> None:
+        """Free-atom (row, column), arc and sign of every arc entry of the
+        free atoms' Laplacian, each the place of one block of the Hessian,
+        and the entries' flat bins in the Laplacian.
 
-        Each free end gets its arc's block on its own diagonal block; an
-        arc with both ends free also gets the negated block at (tail, head)
-        and (head, tail).  Built on first use, so the gradient descents,
-        which never ask for a Hessian, do not pay for it.
+        Each free end gets its arc's entry on its own diagonal; an arc with
+        both ends free also gets the negated entry at (tail, head) and
+        (head, tail).  Built on first use, so the gradient descents, which
+        never ask for a Hessian, do not pay for it.
         """
-        m, dim = self.m, self.dim
+        m = self.m
         free = np.zeros(2 * m, dtype=bool)
         free[self.free_ends] = True
         both = np.flatnonzero(free[:m] & free[m:])
         atoms = self.ends - self.n_term
-        self.hessian_arcs = np.concatenate([self.free_ends % m, both, both])
+        self.entry_arcs = np.concatenate([self.free_ends % m, both, both])
         rows = np.concatenate([atoms[self.free_ends], atoms[both], atoms[m + both]])
         cols = np.concatenate([atoms[self.free_ends], atoms[m + both], atoms[both]])
-        self.hessian_signs = np.concatenate(
-            [np.ones(self.free_ends.size), -np.ones(2 * both.size)]
-        )[:, None, None]
-        k = np.arange(dim)
-        self.hessian_bins = (
-            (rows[:, None, None] * dim + k[:, None]) * self.n_bins
-            + cols[:, None, None] * dim + k
-        ).ravel()
+        self.entry_signs = np.concatenate(
+            [np.ones(self.free_ends.size), -np.ones(2 * both.size)])
+        self.entry_rows, self.entry_cols = rows, cols
+        self.laplacian_bins = rows * self.G_shape[0] + cols
 
     def hessian(self) -> np.ndarray:
         """Dense Hessian at the point of the last ``gradient()`` call.
@@ -236,9 +242,15 @@ class _EdgeKernel:
         curvature, as they add no gradient: their curvature is 0 for q > 2
         and unbounded for q < 2.
         """
-        if self.hessian_bins is None:
-            self._hessian_layout()
         dim = self.dim
+        if self.hessian_bins is None:
+            if self.laplacian_bins is None:
+                self._entry_layout()
+            rows, cols, k = self.entry_rows, self.entry_cols, np.arange(dim)
+            self.hessian_bins = (
+                (rows[:, None, None] * dim + k[:, None]) * self.n_bins
+                + cols[:, None, None] * dim + k
+            ).ravel()
         if self.q == 2.0:
             B = self.qweights[:, None, None] * np.eye(dim)
         else:
@@ -250,29 +262,50 @@ class _EdgeKernel:
             B += ((self.q - 2.0) * coef)[:, None, None] * (u[:, :, None] * u[:, None, :])
         H = np.bincount(
             self.hessian_bins,
-            weights=(self.hessian_signs * B[self.hessian_arcs]).ravel(),
+            weights=(self.entry_signs[:, None, None] * B[self.entry_arcs]).ravel(),
             minlength=self.n_bins * self.n_bins,
         )
         return H.reshape(self.n_bins, self.n_bins)
 
+    def laplacian(self) -> np.ndarray:
+        """The n x n weighted Laplacian of the free atoms, arc weights
+        q * w, summed with one bincount.  At q = 2 the Hessian is this
+        matrix times the d x d identity: each of its entries equals that of
+        ``hessian()`` at every coordinate, bit for bit, added in the same
+        order."""
+        if self.laplacian_bins is None:
+            self._entry_layout()
+        n = self.G_shape[0]
+        L = np.bincount(
+            self.laplacian_bins,
+            weights=self.entry_signs * self.qweights[self.entry_arcs],
+            minlength=n * n,
+        )
+        return L.reshape(n, n)
+
     def newton_direction(self, G: np.ndarray) -> np.ndarray | None:
         """Newton direction -H^-1 G at the point of the last ``gradient()``
         call, or None when the solve fails or its result is not a descent
-        direction.  A singular Hessian (idle atoms, zero-length arcs) gets a
-        ridge of 1e-12 times its largest diagonal entry."""
-        H = self.hessian()
-        g = G.ravel()
+        direction.  At q = 2 it solves the free atoms' Laplacian with the d
+        columns of -G as right-hand sides; otherwise the dense Hessian with
+        -G flattened.  A singular matrix (idle atoms, zero-length arcs) gets
+        a ridge of 1e-12 times its largest diagonal entry."""
+        if self.q == 2.0:
+            H, rhs = self.laplacian(), -G
+        else:
+            H, rhs = self.hessian(), -G.ravel()
         try:
-            p = np.linalg.solve(H, -g)
+            p = np.linalg.solve(H, rhs)
         except np.linalg.LinAlgError:
             H[np.diag_indices_from(H)] += 1e-12 * max(float(H.diagonal().max()), 1e-300)
             try:
-                p = np.linalg.solve(H, -g)
+                p = np.linalg.solve(H, rhs)
             except np.linalg.LinAlgError:
                 return None
-        if not (np.isfinite(p).all() and float(p @ g) < 0.0):
+        p = p.reshape(self.G_shape)
+        if not (np.isfinite(p).all() and float(p.ravel() @ G.ravel()) < 0.0):
             return None
-        return p.reshape(self.G_shape)
+        return p
 
 
 def position_gradient(
@@ -518,9 +551,10 @@ def _descend(
 
     The position step may not increase the plan's cost; a violation beyond
     slack raises SolverError.  Every plan solve runs on ``basis``'s one plan
-    network, so each starts from the simplex tree the previous one left:
-    terminals, masses and atom count stay fixed, so that tree is always
-    feasible.  Returns
+    network.  The first starts from the basis's coupling tree, threaded,
+    when it carries one; each later one from the simplex tree the previous
+    one left: terminals, masses and atom count stay fixed, so that tree is
+    always feasible.  Returns
     ``_settle``'s tuple, whose budget hits include the gradient descent's.
     """
     plan, cost_plan = min_cost_plan(config, Z0, q, basis)
@@ -572,6 +606,40 @@ def _min_tree_edges(plan: TransportPlan) -> int:
     return (np.count_nonzero(outflow[:ns]) + np.count_nonzero(inflow[ns:ns + nk]) + 1) // 2
 
 
+def _run_start(
+    config: SignedConfig,
+    Z0: np.ndarray,
+    q: float,
+    n: int,
+    basis: TreeBasis,
+) -> tuple[np.ndarray, TransportPlan, float, int, bool, int]:
+    """One start of ``alternate_minimize``: descend and settle from Z0
+    (``_descend``), then try allocation-guided rebalances.  Each proposed
+    layout gets its own plan and is settled from there, and is kept only
+    on strict improvement; the cascade stops at the first rejection, so
+    the tree ``basis`` keeps is always the last settled plan's.  Returns
+    (Z, plan, cost, settle passes, every settle stable, unconverged
+    position solves)."""
+    Z, plan, cost, conv, passes, budget_hits = _descend(config, Z0, q, basis)
+    # each accepted rebalance simplifies the tree topology a little, so
+    # allow enough proposals for the cascade to bottom out
+    for _ in range(12):
+        Z_re = _rebalance_layout(config, Z, plan, q, n)
+        if Z_re is None:
+            break
+        plan_re, _ = min_cost_plan(config, Z_re, q, basis)
+        Z2, plan2, cost2, stable, passes2, hits = _settle(
+            config, Z_re, plan_re, q, basis)
+        conv = conv and stable
+        passes += passes2
+        budget_hits += hits
+        if cost2 < cost * (1.0 - 1e-12):
+            Z, plan, cost = Z2, plan2, cost2
+        else:
+            break
+    return Z, plan, cost, passes, conv, budget_hits
+
+
 def alternate_minimize(
     config: SignedConfig, n: int, params: CostParams
 ) -> SolveResult:
@@ -579,17 +647,15 @@ def alternate_minimize(
 
     Starts: one deterministic layout along the W_1 matching, plus
     params.restarts uniform samples in the terminal bounding box, all
-    driven by params.seed (bit-identical reruns).  Each start descends and
-    settles (``_descend``), then tries allocation-guided rebalances: each
-    proposed layout gets its own plan and is settled from there, and is
-    kept only on strict improvement.  A start's descent and its proposals
-    share one basis, whose plan network keeps the simplex tree; the cascade
-    stops at the first rejection, so that tree is always the last settled
-    plan's.  The W_1 seed's coupling is solved once, and every start's
-    basis carries its final tree, so each start's first plan solve begins
-    from that tree with the relays threaded onto its segments.  Ties break
-    on start index.  The result's ``converged`` and ``iterations`` report
-    the winning start's settles.
+    driven by params.seed (bit-identical reruns).  Each start descends,
+    settles and tries rebalances (``_run_start``).  Every plan solve of
+    the call runs on one basis, whose plan network is built once and
+    re-priced at each start's positions.  The W_1 seed's coupling is
+    solved once; each start sets it on the basis, so its first plan solve
+    begins from the coupling's final tree with the relays threaded onto
+    its segments, and every later one from the tree the network kept.
+    Ties break on start index.  The result's ``converged`` and
+    ``iterations`` report the winning start's settles.
     """
     config = validate(config)
     q = params.q
@@ -616,26 +682,11 @@ def alternate_minimize(
     best: tuple[float, int, np.ndarray, TransportPlan, int, bool] | None = None
     start_costs: list[float] = []
     budget_hits = 0
+    basis = TreeBasis()
     for idx, Z0 in enumerate(starts):
-        basis = TreeBasis(coupling)
-        Z, plan, cost, conv, passes, hits = _descend(config, Z0, q, basis)
+        basis.coupling = coupling
+        Z, plan, cost, passes, conv, hits = _run_start(config, Z0, q, n, basis)
         budget_hits += hits
-        # each accepted rebalance simplifies the tree topology a little, so
-        # allow enough proposals for the cascade to bottom out
-        for _ in range(12):
-            Z_re = _rebalance_layout(config, Z, plan, q, n)
-            if Z_re is None:
-                break
-            plan_re, _ = min_cost_plan(config, Z_re, q, basis)
-            Z2, plan2, cost2, stable, passes2, hits = _settle(
-                config, Z_re, plan_re, q, basis)
-            conv = conv and stable
-            passes += passes2
-            budget_hits += hits
-            if cost2 < cost * (1.0 - 1e-12):
-                Z, plan, cost = Z2, plan2, cost2
-            else:
-                break
         start_costs.append(cost)
         if best is None or cost < best[0] * (1.0 - 1e-12):
             best = (cost, idx, Z, plan, passes, conv)

@@ -43,14 +43,16 @@ solve.
 that basis is the only state kept here.  Its first solve builds the plan
 network, which holds the validated config, the integer supplies, the arcs
 and the sources' sink costs, which depend on the terminals, q and the relay
-count alone, and stores it on the basis.  When the basis carries the
-final tree of the config's solved zero-relay network (the W_1 coupling),
-that first solve starts from it with the relays threaded onto its
-segments (``_threaded_start``), not from the artificial tree.  Each later
-solve on the basis re-prices only the entries that involve a relay and
-starts from the tree the network kept, the only copy of it.  When that
-solve makes no pivot, its tree and so its flows are the previous plan's,
-so its plan equals that one entry for entry.
+count alone, and stores it on the basis.  Each later solve on the basis
+re-prices only the entries that involve a relay, to the same bits as a
+fresh build, and starts from the tree the network kept, the only copy of
+it.  When that solve makes no pivot, its tree and so its flows are the
+previous plan's, so its plan equals that one entry for entry.  When the
+basis carries the final tree of the config's solved zero-relay network
+(the W_1 coupling), the next solve starts from it instead, with the
+relays threaded onto its segments (``_threaded_start``), and the basis
+drops it.  So one network serves every start of a multistart solve: each
+start sets the coupling and re-prices the network at its own layout.
 
 Every step around the pivots is a whole-array pass.  Costs are priced one
 coordinate at a time (``_pair_costs``), to the same bits as a sum over the
@@ -287,7 +289,7 @@ class _PlanNetwork(MinCostFlowNetwork):
     that basis only move the relays (:meth:`move`).
     """
 
-    __slots__ = ("config", "q", "n_free")
+    __slots__ = ("config", "q", "n_free", "_sources", "_sinks")
 
     def __init__(self, config: SignedConfig, Z: np.ndarray, q: float) -> None:
         super().__init__(
@@ -296,16 +298,20 @@ class _PlanNetwork(MinCostFlowNetwork):
             integer_mass_units(config.sink_masses()),
         )
         self.config, self.q, self.n_free = config, q, len(Z)
+        self._sources, self._sinks = config.source_positions(), config.sink_positions()
 
     def move(self, Z: np.ndarray) -> None:
         """Re-price every pair that involves a relay, for relays at Z: the
-        relay rows ``F[n_src:]`` and the sources' relay columns
-        ``F[:n_src, n_snk:]``.  The sources' sink costs, the supplies and
-        the arcs stay, so the kept tree stays a feasible start."""
-        config, q, F = self.config, self.q, self.F
-        n_src, n_snk = config.n_sources, config.n_sinks
-        F[n_src:] = _pair_costs(Z, np.vstack([config.sink_positions(), Z]), q)
-        F[:n_src, n_snk:] = _pair_costs(config.source_positions(), Z, q)
+        relay rows ``F[n_src:]``, as their sink and relay blocks, and the
+        sources' relay columns ``F[:n_src, n_snk:]``.  ``_pair_costs``
+        prices each entry on its own, so the blocks equal a fresh cost
+        matrix.  The sources' sink costs, the supplies and the arcs stay,
+        so the kept tree stays a feasible start."""
+        q, F = self.q, self.F
+        n_src, n_snk = len(self._sources), len(self._sinks)
+        F[n_src:, :n_snk] = _pair_costs(Z, self._sinks, q)
+        F[n_src:, n_snk:] = _pair_costs(Z, Z, q)
+        F[:n_src, n_snk:] = _pair_costs(self._sources, Z, q)
         # as built: the largest cost with the relays' zero self-pairs, which
         # then become the loops without an arc
         self._fmax = float(F.max())
@@ -315,7 +321,7 @@ class _PlanNetwork(MinCostFlowNetwork):
 def _threaded_start(
     coupling: Sequence[Sequence[int]], net: _PlanNetwork, Z: np.ndarray
 ) -> tuple[list, list, list]:
-    """Start tree for the first solve of ``net``, whose relays sit at Z:
+    """Start tree for a solve of ``net`` with its relays at Z:
     ``coupling``, the final ``(parent, pred, flow)`` tree of the solved
     zero-relay plan network of the same config, with the relays threaded
     onto its segments.
@@ -382,15 +388,18 @@ def _threaded_start(
 class TreeBasis:
     """A caller's warm state for :func:`min_cost_plan`: the plan network of
     its first solve, which keeps its final simplex tree between solves.
-    Serves one config object, q and relay count.
+    Serves one config object, q and relay count, at any relay positions.
 
-    ``coupling``, when given, is the final tree
+    ``coupling``, when set, is the final tree
     (:attr:`MinCostFlowNetwork.tree`) of the solved zero-relay plan network
     of the same config, such as the W_1 coupling that
-    :func:`positions.w1_seed` solves on a basis.  The first solve then
+    :func:`positions.w1_seed` solves on a basis.  The next solve then
     starts from that tree with the relays threaded onto its segments
-    (``_threaded_start``), not from the artificial tree; a tree that does
-    not fit raises ValueError.  Later solves start from the kept tree.
+    (``_threaded_start``), not from the kept or the artificial tree, and
+    sets ``coupling`` to None; a tree that does not fit raises ValueError.
+    Every other solve starts from the kept tree.  Setting ``coupling``
+    again threads a later solve: ``positions.alternate_minimize`` does so
+    at each start, so its starts share one network.
     """
 
     __slots__ = ("network", "coupling")
@@ -398,7 +407,7 @@ class TreeBasis:
     def __init__(self, coupling: Sequence[Sequence[int]] | None = None) -> None:
         #: the plan network; None until the first solve on this basis
         self.network: _PlanNetwork | None = None
-        #: the coupling tree that, threaded, starts the first solve
+        #: the coupling tree that, threaded, starts the next solve
         self.coupling = coupling
 
 
@@ -417,29 +426,30 @@ def min_cost_plan(
     empty one receives the network this solve builds, and one that holds a
     network built for the same config object, q and number of relays has
     it re-priced at Z and re-solved from its last tree.  Any other basis
-    raises ValueError.  The solve that builds the network starts from the
-    basis's coupling tree with the relays threaded on, when the basis
-    carries one (:class:`TreeBasis`), else cold, as does a solve without
-    a basis; from any start, the optimal cost is the same.  A solve that
-    builds a network first validates the config and the exponent (finite,
-    >= 1) and raises InvalidConfigError on either.
+    raises ValueError.  When the basis carries a coupling tree
+    (:class:`TreeBasis`), the solve starts from it with the relays threaded
+    on, and clears it; a solve on a new network without one starts cold, as
+    does a solve without a basis.  From any start, the optimal cost is the
+    same.  A solve that builds a network first validates the config and
+    the exponent (finite, >= 1) and raises InvalidConfigError on either.
     """
     net = basis.network if basis is not None else None
     if net is None:
         validate(config)
         validate_exponent(q)
     Z = as_positions(Z, config.dimension)
-    start = None
     if net is None:
         net = _PlanNetwork(config, Z, q)
         if basis is not None:
             basis.network = net
-            if basis.coupling is not None:
-                start = _threaded_start(basis.coupling, net, Z)
     elif net.config is config and net.q == q and net.n_free == len(Z):
         net.move(Z)
     else:
         raise ValueError("basis holds the plan network of another config, q or relay count")
+    start = None
+    if basis is not None and basis.coupling is not None:
+        coupling, basis.coupling = basis.coupling, None
+        start = _threaded_start(coupling, net, Z)
     net.solve(start=start)
     rows, cols, units = net.support()
     # units are whole floats <= 10^9, so each flow has the bits of Python's int * unit

@@ -321,6 +321,71 @@ class TestNewtonPolish:
             assert rel < 1e-5, f"q={q}: relative Hessian error {rel:.2e}"
             checked += 1
 
+    def test_q2_step_solves_the_laplacian_for_every_column(self, rng):
+        # the n x n Laplacian solve with d right-hand sides against the
+        # dense (n d) x (n d) Hessian solve, with the same ridge
+        def dense_direction(kernel, G):
+            H, g = kernel.hessian(), G.ravel()
+            try:
+                return np.linalg.solve(H, -g).reshape(G.shape)
+            except np.linalg.LinAlgError:
+                H[np.diag_indices_from(H)] += 1e-12 * max(float(H.diagonal().max()), 1e-300)
+                return np.linalg.solve(H, -g).reshape(G.shape)
+
+        ridged = coincident = 0
+        for trial in range(200):
+            dim = 1 + trial % 3
+            cfg = random_config(rng, dim=dim)
+            n = int(rng.integers(1, 7))
+            plan = random_feasible_plan(cfg, n, rng, cycle_rate=0.0)
+            Z = random_positions(cfg, n, rng)
+            if trial % 4 == 1:
+                coincident += _coincide(cfg, plan, Z)
+            if trial % 4 == 2:
+                # two more atoms, no arc at either: a singular Laplacian
+                plan = plan_of(plan.n_sources, plan.n_sinks, n + 2, plan.entries)
+                Z = np.vstack([Z, random_positions(cfg, 2, rng)])
+            kernel = _EdgeKernel(cfg, plan, 2.0)
+            kernel.cost(Z)
+            G = kernel.gradient()
+            if not G.any():
+                continue  # no arc moves an atom: _newton stops before a step
+            L = kernel.laplacian()
+            assert np.array_equal(np.kron(L, np.eye(dim)), kernel.hessian())
+            ridged += bool((L.diagonal() == 0.0).any())
+            want = dense_direction(kernel, G)
+            got = kernel.newton_direction(G)
+            assert got is not None and got.shape == G.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert ridged >= 50 and coincident >= 40
+
+    @pytest.mark.parametrize("q", [1.5, 3.0, "oracle"])
+    def test_dense_hessian_serves_other_exponents(self, rng, monkeypatch, q):
+        # away from q = 2 the arc blocks depend on the arc directions, so
+        # the step solves the dense Hessian; so does the oracle's smoothed
+        # q = 1 kernel
+        calls = {"hessian": 0, "laplacian": 0}
+        for name in calls:
+            def counting(self, real=getattr(_EdgeKernel, name), name=name):
+                calls[name] += 1
+                return real(self)
+            monkeypatch.setattr(_EdgeKernel, name, counting)
+        cfg = random_config(rng, dim=2)
+        plan = random_feasible_plan(cfg, 4, rng, cycle_rate=0.0)
+        Z = random_positions(cfg, 4, rng)
+        if q == "oracle":
+            kernel = _EdgeKernel.from_arcs(
+                cfg.terminal_positions(), *plan.arcs()[:2], plan.flows ** 0.5, 4, 1.0, 0.1)
+        else:
+            kernel = _EdgeKernel(cfg, plan, q)
+        kernel.cost(Z)
+        assert kernel.newton_direction(kernel.gradient()) is not None
+        assert calls == {"hessian": 1, "laplacian": 0}
+        kernel = _EdgeKernel(cfg, plan, 2.0)
+        kernel.cost(Z)
+        assert kernel.newton_direction(kernel.gradient()) is not None
+        assert calls == {"hessian": 1, "laplacian": 1}
+
     def test_no_newton_direction_ends_unconverged(self, monkeypatch):
         monkeypatch.setattr(_EdgeKernel, "newton_direction", lambda self, G: None)
         cfg = y_instance()

@@ -758,12 +758,12 @@ class TestKeptNetwork:
 
     @pytest.mark.parametrize("case", ["y_n24_q2", "2+2_n16_q1.5"])
     def test_each_start_solves_on_one_network(self, case, monkeypatch):
-        # every plan solve of a start, its rebalance proposals' included,
-        # runs on the network that start's first solve built.  That first
-        # solve passes a start tree, the W1 seed's coupling tree with the
-        # relays threaded on; every later one starts from the tree the
-        # network kept.  The coupling is the zero-relay plan LP, solved
-        # before any start, from the artificial tree
+        # every plan solve of the call, each start's and its rebalance
+        # proposals', runs on the one network the first start's first solve
+        # built.  Each start's first solve passes a start tree, the W1
+        # seed's coupling tree with the relays threaded on; every later one
+        # starts from the tree the network kept.  The coupling is the
+        # zero-relay plan LP, solved before any start, from the artificial tree
         if case == "y_n24_q2":
             cfg, n, q = y_instance(), 24, 2.0
         else:
@@ -787,12 +787,50 @@ class TestKeptNetwork:
         params = CostParams(q=q)
         positions.alternate_minimize(cfg, n, params)
         assert len(starts) == 1 + params.restarts
-        for k, solves in enumerate(starts):
-            nets = [net for net, _ in solves]
-            assert len(nets) > 1
-            assert all(net is nets[0] for net in nets)
-            assert all(nets[0] is not other[0][0] for other in starts[:k])
+        net = starts[0][0][0]
+        for solves in starts:
+            assert len(solves) > 1
+            assert all(other is net for other, _ in solves)
             assert [passed for _, passed in solves] == [True] + [False] * (len(solves) - 1)
+
+    @pytest.mark.parametrize("case", ["y_n24_q2", "2+2_n16_q1.5", "12+12_n24_q2", "3d_n16_q2"])
+    def test_shared_network_matches_a_network_per_start(self, case, monkeypatch):
+        # alternate_minimize against itself with a fresh basis, so a fresh
+        # plan network, for every start: re-pricing one network at each
+        # start's positions and threading the coupling onto it gives the
+        # same solve, bit for bit
+        if case == "y_n24_q2":
+            cfg, n, params = y_instance(), 24, CostParams(q=2.0)
+        elif case == "2+2_n16_q1.5":
+            cfg = random_instance(np.random.default_rng([0, 0]), 2, 2)
+            n, params = 16, CostParams(q=1.5)
+        elif case == "12+12_n24_q2":
+            cfg = random_instance(np.random.default_rng([0, 0]), 12, 12, total_mass=16)
+            n, params = 24, CostParams(q=2.0, restarts=2)
+        else:
+            cfg = random_instance(np.random.default_rng([0, 0]), 6, 6, dim=3)
+            n, params = 16, CostParams(q=2.0)
+        shared = positions.alternate_minimize(cfg, n, params)
+        run_start = positions._run_start
+        bases = []
+
+        def network_per_start(config, Z0, q, n, basis):
+            fresh = TreeBasis(basis.coupling)
+            bases.append(fresh)
+            return run_start(config, Z0, q, n, fresh)
+
+        monkeypatch.setattr(positions, "_run_start", network_per_start)
+        reference = positions.alternate_minimize(cfg, n, params)
+        assert len(bases) == 1 + params.restarts
+        assert len({id(basis.network) for basis in bases}) == len(bases)
+        assert shared.Z.tobytes() == reference.Z.tobytes()
+        for name in ("rows", "cols", "flows"):
+            assert getattr(shared.plan, name).tobytes() == getattr(reference.plan, name).tobytes()
+        assert shared.cost_q.hex() == reference.cost_q.hex()
+        assert [c.hex() for c in shared.start_costs] == [c.hex() for c in reference.start_costs]
+        assert (shared.start_index, shared.iterations, shared.converged,
+                shared.inner_budget_hits) == (reference.start_index, reference.iterations,
+                                              reference.converged, reference.inner_budget_hits)
 
     def test_repriced_costs_equal_a_fresh_cost_matrix(self, rng):
         # the relay blocks are re-priced on their own; every entry and the
