@@ -233,25 +233,18 @@ def is_forest(g: WeightedDigraph) -> bool:
     return edges_form_forest(zip(g.tail.tolist(), g.head.tolist()))
 
 
-def reduce_graph(g: WeightedDigraph) -> ReducedTree:
-    """Collapse maximal relay chains into single straight edges.
-
-    Relay vertices are free vertices with exactly one incoming and one
-    outgoing edge; each junction-to-junction run through relays becomes
-    one edge between its endpoints, weighted by the common chain flow.
-    Chains run in order of their start vertex, then of their first edge.
-    Raises when the input has an undirected cycle or a chain whose hop
-    flows disagree beyond CHAIN_FLOW_RTOL relatively.
-
-    One walk lists the edges chain by chain.  The chains' straight lengths
-    and the distances behind ``max_perp`` are whole-array passes over all
-    chains; each chain's flows, gaps and distances are list slices.
+def relay_chains(
+    tails: list[int], heads: list[int], free: list[bool]
+) -> tuple[list[int], list[int], list[int], list[int], list[int]]:
+    """The maximal runs of arcs ``tails[k] -> heads[k]`` through relays,
+    free vertices with one arc in and one out, in order of their start
+    vertex, then of their first arc; arcs on a cycle of relays are in none.
+    Returns (order, bounds, starts, ends, inner): chain c's arcs, in path
+    order, are ``order[bounds[c]:bounds[c + 1]]``, it runs from
+    ``starts[c]`` to ``ends[c]``, and ``inner`` lists the relays, chain by
+    chain.  ``reduce_graph``, the position step and the oracle share it.
     """
-    V = g.n_vertices
-    tails = g.tail.tolist()
-    heads = g.head.tolist()
-    if not edges_form_forest(zip(tails, heads)):
-        raise ValueError("reduce_graph requires an acyclic (forest) input")
+    V = len(free)
     indeg = [0] * V
     outdeg = [0] * V
     out_edge = [-1] * V
@@ -259,22 +252,43 @@ def reduce_graph(g: WeightedDigraph) -> ReducedTree:
         outdeg[t] += 1
         indeg[h] += 1
         out_edge[t] = idx
-    relay = [r == "free" and i == 1 and o == 1 for r, i, o in zip(g.roles, indeg, outdeg)]
-    # chain c's hops are order[bounds[c]:bounds[c + 1]]; it runs from
-    # starts[c] to ends[c]
+    relay = [f and i == 1 and o == 1 for f, i, o in zip(free, indeg, outdeg)]
     first = sorted((idx for idx, t in enumerate(tails) if not relay[t]), key=tails.__getitem__)
     order: list[int] = []
     bounds = [0]
+    ends: list[int] = []
+    inner: list[int] = []
     for idx in first:
-        while True:
+        while relay[heads[idx]]:
             order.append(idx)
-            if not relay[heads[idx]]:
-                break
+            inner.append(heads[idx])
             idx = out_edge[heads[idx]]
+        order.append(idx)
         bounds.append(len(order))
+        ends.append(heads[idx])
+    return order, bounds, [tails[idx] for idx in first], ends, inner
+
+
+def reduce_graph(g: WeightedDigraph) -> ReducedTree:
+    """Collapse maximal relay chains into single straight edges.
+
+    Each chain of ``relay_chains`` becomes one edge between its endpoints,
+    weighted by the common chain flow.  Raises when the input has an
+    undirected cycle or a chain whose hop flows disagree beyond
+    CHAIN_FLOW_RTOL relatively.
+
+    The chains' straight lengths and the distances behind ``max_perp`` are
+    whole-array passes over all chains; each chain's flows, gaps and
+    distances are list slices.
+    """
+    V = g.n_vertices
+    tails = g.tail.tolist()
+    heads = g.head.tolist()
+    if not edges_form_forest(zip(tails, heads)):
+        raise ValueError("reduce_graph requires an acyclic (forest) input")
+    order, bounds, starts, ends, inner = relay_chains(
+        tails, heads, [r == "free" for r in g.roles])
     hop_heads = [heads[h] for h in order]
-    starts = [tails[idx] for idx in first]
-    ends = [hop_heads[hi - 1] for hi in bounds[1:]]
 
     # one row per hop: its chain's start and end, and its own head; every
     # hop but a chain's last ends at one of the chain's interior vertices
@@ -312,7 +326,8 @@ def reduce_graph(g: WeightedDigraph) -> ReducedTree:
             (max(gaps) - min(gaps)) / mean_gap if mean_gap > 0 else 0.0,
         ))
 
-    keep = [v for v in range(V) if not relay[v]]
+    # in a forest every relay is inside a chain
+    keep = sorted(set(range(V)).difference(inner))
     new_id = [-1] * V
     for i, v in enumerate(keep):
         new_id[v] = i

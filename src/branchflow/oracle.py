@@ -26,6 +26,7 @@ import numpy as np
 
 from .measures import SignedConfig, total_mass, validate, validate_exponent
 from .graphs import WeightedDigraph, graph_cost, reduce_graph
+from .allocate import spread_on_segments
 from .positions import NEWTON_ITERS, _EdgeKernel, _newton
 from .transport import ZERO_FLOW_RTOL
 
@@ -196,48 +197,33 @@ def solve_topology(
     ``terminals`` is ``Terminals.of(config)`` for the topology's config.
     The cost sum(|flow|^(1/q) * length) is a convex sum of weighted
     Euclidean norms of the branch positions.  On the topology's flow
-    forest (zero-flow edges dropped, and each branch point left with two
-    flow edges, of equal flow, spliced into one edge between its
-    neighbours) it is the q = 1 cost of the position step's edge kernel
-    with weights |flow|^(1/q).  Smoothed to sum(w * sqrt(length^2 + eps^2))
-    it is twice differentiable, and strictly convex in every branch point
-    left, so damped Newton (``positions._newton``) finds its one minimizer
-    from any start.  The smoothing radius runs down SMOOTHING
-    (times the diameter); the first level starts at the terminal centroid,
-    the second at the first's minimizer, and every later one at a secant
-    prediction from the last two.  Each level stops when the gradient or
-    the Newton step is negligible (GRAD_RTOL, STEP_RTOL).  A spliced point
-    goes midway between its neighbours, as cheap as any point between
-    them; one without a flow edge stays at the centroid.  Returns one row
-    per branch label and the unsmoothed cost at the final point.
+    forest (zero-flow edges dropped, the others oriented along their flow,
+    relay chains contracted by ``_EdgeKernel.from_chains``) it is the q = 1
+    cost of the position step's edge kernel with weights |flow|^(1/q).
+    Smoothed to sum(w * sqrt(length^2 + eps^2)) it is twice
+    differentiable, and strictly convex in every branch point left, so
+    damped Newton (``positions._newton``) finds its one minimizer from any
+    start.  The smoothing radius runs down SMOOTHING (times the diameter);
+    the first level starts at the terminal centroid, the second at the
+    first's minimizer, and every later one at a secant prediction from the
+    last two.  Each level stops when the gradient or the Newton step is
+    negligible (GRAD_RTOL, STEP_RTOL).  A chain's branch points are spread
+    evenly between its ends, as cheap as any points between them; one
+    without a flow edge stays at the centroid.  Returns one row per branch
+    label and the unsmoothed cost at the final point.
     """
     T, s = topology.n_terminals, topology.n_steiner
     if T != len(terminals.supply):
         raise ValueError("topology/config terminal count mismatch")
-    arcs = [[u, v, f] for (u, v), f in zip(topology.edges, topology.flows) if f]
-    free, splices = [], []
-    for v in range(T, T + s):
-        at = [arc for arc in arcs if v in arc[:2]]
-        if len(at) == 2:
-            # the spliced arc keeps the first arc's place, so without a
-            # zero-flow edge the arcs are the topology's edges in order
-            a, b = (arc[0] + arc[1] - v for arc in at)
-            at[0][:2] = a, b
-            arcs = [arc for arc in arcs if arc is not at[1]]
-            splices.append((v, a, b))
-        elif at:
-            free.append(v)
-    # vertex ids: terminals, then the free branch points in label order
-    index = {v: T + i for i, v in enumerate(free)}
-    weights = np.abs([f for _, _, f in arcs]) ** (1.0 / q)
-    kernel = _EdgeKernel.from_arcs(
-        terminals.positions, [index.get(a, a) for a, _, _ in arcs],
-        [index.get(b, b) for _, b, _ in arcs], weights, len(free), 1.0, 0.0
-    )
+    # the flow forest, each edge oriented along its flow
+    tails, heads, flows = zip(*[(u, v, f) if f > 0 else (v, u, -f)
+                                for (u, v), f in zip(topology.edges, topology.flows) if f])
+    kernel, free, relays, segments = _EdgeKernel.from_chains(
+        terminals.positions, tails, heads, (np.array(flows) ** (1.0 / q)).tolist(), s, 1.0)
     P = np.vstack([terminals.positions, np.tile(terminals.positions.mean(axis=0), (s, 1))])
     S = S_before = P[free]
     scale = max(terminals.diameter, 1e-12)
-    tol = GRAD_RTOL * float(weights.sum())
+    tol = GRAD_RTOL * float(kernel.weights.sum())
     for k, eps in enumerate(SMOOTHING):
         start = S
         if k >= 2:
@@ -252,9 +238,7 @@ def solve_topology(
     kernel.eps = 0.0
     cost = kernel.cost(S)
     P[free] = S
-    # a splice's neighbours were spliced after it, if at all
-    for v, a, b in reversed(splices):
-        P[v] = (P[a] + P[b]) / 2
+    P[relays] = spread_on_segments(P, *segments)
     return P[T:], cost
 
 

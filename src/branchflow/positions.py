@@ -11,14 +11,16 @@ is gradient descent with Armijo backtracking, capped at INNER_ITERS
 iterations; Newton there would shorten the benchmark's single-edge
 warm-up below the speed probe's first sample, which then fails, so it
 waits on the probe fix.  Every other position solve is damped Newton on
-the same kernel, whose Hessian has one block per arc.  At q = 2 every
-block is 2 * w * I, so the Hessian is the n x n weighted Laplacian of the
-free atoms times the d x d identity: a step solves that Laplacian once
-with d right-hand sides, and one step is exact.  Every position solve
-stops at the gradient tolerance GRAD_TOL.  The kernel and
-the Newton loop, with its one budget NEWTON_ITERS, also solve the
-oracle's fixed topologies (``oracle.solve_topology``): exponent 1,
-per-arc weights, smoothed lengths, so one geometric kernel serves both.
+the junctions alone: for fixed ends a chain's c relays of flow f are
+optimal evenly spaced on its segment, at cost f * L^q * (c+1)^(1-q)
+(``allocate``'s formula), so each chain is one arc of the kernel
+(``_EdgeKernel.from_chains``), the Hessian has one block row per junction
+at every atom count, and the relays are placed after the solve.  Every
+position solve stops at the gradient tolerance GRAD_TOL.  The
+contraction, the kernel and the Newton loop, with its one budget
+NEWTON_ITERS, also solve the oracle's fixed topologies
+(``oracle.solve_topology``): exponent 1, per-arc weights, smoothed
+lengths, so one geometric kernel serves both.
 
 The outer loop settles plan and positions for one point allocation at a
 time: Newton moves the atoms to the plan's position optimum, the exact
@@ -31,7 +33,9 @@ branch to another once the support has frozen, so a cost-guarded
 rebalance redistributes the atom count over the current reduced tree by
 the closed-form allocation and settles that layout's plan; a budget too
 small for any reduced tree of the plan is refused before a graph is
-built.  A multistart layer sits on top, since the joint problem is not
+built, and after a stable settle an allocation that keeps every chain's
+relay count, which only permutes the atoms, ends the cascade unsolved.
+A multistart layer sits on top, since the joint problem is not
 convex.  All the plan solves of one call share one plan network: each
 start re-prices it at its own layout and threads the W_1 coupling onto
 it for its first solve.
@@ -63,7 +67,7 @@ from .transport import (
 # never called here: the import only keeps the name positions.regularize,
 # which perfbench/spans.py patches to trace it
 from .regularize import regularize  # noqa: F401
-from .graphs import plan_to_graph, reduce_graph
+from .graphs import plan_to_graph, reduce_graph, relay_chains
 from .allocate import allocate, spread_on_segments
 
 MONOTONE_SLACK = 1e-9
@@ -131,12 +135,9 @@ class _EdgeKernel:
     gradient is scattered with one ``np.bincount`` over flat
     ``atom * dim + k`` bins, tail ends first and head ends second: the same
     additions, in the same order, as one ``np.add.at`` per side.
-    ``newton_direction(G)`` solves with the Hessian at the same point,
-    assembled from the arc vectors and the gradient's per-arc coefficients.
-    At q = 2 every arc block is 2 * w * I, so the Hessian is the n x n
-    weighted Laplacian of the free atoms (``laplacian()``) times the d x d
-    identity, and the step solves that Laplacian once for all d coordinate
-    columns.
+    ``newton_direction(G)`` solves with the dense Hessian at the same
+    point, assembled from the arc vectors and the gradient's per-arc
+    coefficients; Newton's kernels (``from_chains``) have few free rows.
     """
 
     def __init__(self, config: SignedConfig, plan: TransportPlan, q: float):
@@ -150,6 +151,32 @@ class _EdgeKernel:
         kernel = cls.__new__(cls)
         kernel._build(fixed, tails, heads, weights, n_free, q, eps)
         return kernel
+
+    @classmethod
+    def from_chains(cls, fixed: np.ndarray, tails: list[int], heads: list[int],
+                    weights: list[float], n_free: int, q: float, eps: float = 0.0):
+        """``from_arcs`` with each chain of ``graphs.relay_chains`` one arc
+        between its ends, weighted by its first arc's weight times
+        (c+1)^(1-q) for c relays: its least cost, relays evenly spaced.
+        Arcs on a cycle through relays alone stay.  Returns the kernel, the
+        vertex ids of its free rows (the free vertices with an arc that no
+        chain passes through), the relays, and the (starts, ends, counts)
+        that ``spread_on_segments`` places them by."""
+        n_fixed = len(fixed)
+        order, bounds, starts, ends, inner = relay_chains(
+            tails, heads, [False] * n_fixed + [True] * n_free)
+        counts = [hi - lo - 1 for lo, hi in zip(bounds, bounds[1:])]
+        loops = sorted(set(range(len(tails))).difference(order))
+        moved = sorted(set(tails).union(heads).difference(inner, range(n_fixed)))
+        row = dict(zip(moved, range(n_fixed, n_fixed + len(moved))))
+        kernel = cls.from_arcs(
+            fixed,
+            [row.get(v, v) for v in starts + [tails[k] for k in loops]],
+            [row.get(v, v) for v in ends + [heads[k] for k in loops]],
+            [weights[order[lo]] * (c + 1.0) ** (1.0 - q) for lo, c in zip(bounds, counts)]
+            + [weights[k] for k in loops],
+            len(moved), q, eps)
+        return kernel, moved, inner, (starts, ends, counts)
 
     def _build(self, fixed, tails, heads, weights, n_free, q, eps) -> None:
         self.q = q
@@ -175,7 +202,7 @@ class _EdgeKernel:
         self.W = np.empty((2 * m, dim))
         self.W_tail, self.W_head = self.W[:m], self.W[m:]
         self.d = self.dist = self.coef = None
-        self.hessian_bins = self.laplacian_bins = None
+        self.hessian_bins = None
 
     def cost(self, Z: np.ndarray) -> float:
         self.free_rows[...] = Z
@@ -207,29 +234,6 @@ class _EdgeKernel:
         )
         return G.reshape(self.G_shape)
 
-    def _entry_layout(self) -> None:
-        """Free-atom (row, column), arc and sign of every arc entry of the
-        free atoms' Laplacian, each the place of one block of the Hessian,
-        and the entries' flat bins in the Laplacian.
-
-        Each free end gets its arc's entry on its own diagonal; an arc with
-        both ends free also gets the negated entry at (tail, head) and
-        (head, tail).  Built on first use, so the gradient descents, which
-        never ask for a Hessian, do not pay for it.
-        """
-        m = self.m
-        free = np.zeros(2 * m, dtype=bool)
-        free[self.free_ends] = True
-        both = np.flatnonzero(free[:m] & free[m:])
-        atoms = self.ends - self.n_term
-        self.entry_arcs = np.concatenate([self.free_ends % m, both, both])
-        rows = np.concatenate([atoms[self.free_ends], atoms[both], atoms[m + both]])
-        cols = np.concatenate([atoms[self.free_ends], atoms[m + both], atoms[both]])
-        self.entry_signs = np.concatenate(
-            [np.ones(self.free_ends.size), -np.ones(2 * both.size)])
-        self.entry_rows, self.entry_cols = rows, cols
-        self.laplacian_bins = rows * self.G_shape[0] + cols
-
     def hessian(self) -> np.ndarray:
         """Dense Hessian at the point of the last ``gradient()`` call.
 
@@ -242,11 +246,20 @@ class _EdgeKernel:
         curvature, as they add no gradient: their curvature is 0 for q > 2
         and unbounded for q < 2.
         """
-        dim = self.dim
+        dim, m = self.dim, self.m
         if self.hessian_bins is None:
-            if self.laplacian_bins is None:
-                self._entry_layout()
-            rows, cols, k = self.entry_rows, self.entry_cols, np.arange(dim)
+            # a free end gets its arc's block on its diagonal, an arc with
+            # two free ends the negated block off it; built on first use
+            free = np.zeros(2 * m, dtype=bool)
+            free[self.free_ends] = True
+            both = np.flatnonzero(free[:m] & free[m:])
+            atoms = self.ends - self.n_term
+            rows = np.concatenate([atoms[self.free_ends], atoms[both], atoms[m + both]])
+            cols = np.concatenate([atoms[self.free_ends], atoms[m + both], atoms[both]])
+            k = np.arange(dim)
+            self.entry_arcs = np.concatenate([self.free_ends % m, both, both])
+            self.entry_signs = np.concatenate(
+                [np.ones(self.free_ends.size), -np.ones(2 * both.size)])
             self.hessian_bins = (
                 (rows[:, None, None] * dim + k[:, None]) * self.n_bins
                 + cols[:, None, None] * dim + k
@@ -265,35 +278,16 @@ class _EdgeKernel:
             weights=(self.entry_signs[:, None, None] * B[self.entry_arcs]).ravel(),
             minlength=self.n_bins * self.n_bins,
         )
-        return H.reshape(self.n_bins, self.n_bins)
-
-    def laplacian(self) -> np.ndarray:
-        """The n x n weighted Laplacian of the free atoms, arc weights
-        q * w, summed with one bincount.  At q = 2 the Hessian is this
-        matrix times the d x d identity: each of its entries equals that of
-        ``hessian()`` at every coordinate, bit for bit, added in the same
-        order."""
-        if self.laplacian_bins is None:
-            self._entry_layout()
-        n = self.G_shape[0]
-        L = np.bincount(
-            self.laplacian_bins,
-            weights=self.entry_signs * self.qweights[self.entry_arcs],
-            minlength=n * n,
-        )
-        return L.reshape(n, n)
+        # without a free arc end the bincount is empty, and so int64
+        return H.astype(float, copy=False).reshape(self.n_bins, self.n_bins)
 
     def newton_direction(self, G: np.ndarray) -> np.ndarray | None:
         """Newton direction -H^-1 G at the point of the last ``gradient()``
         call, or None when the solve fails or its result is not a descent
-        direction.  At q = 2 it solves the free atoms' Laplacian with the d
-        columns of -G as right-hand sides; otherwise the dense Hessian with
-        -G flattened.  A singular matrix (idle atoms, zero-length arcs) gets
-        a ridge of 1e-12 times its largest diagonal entry."""
-        if self.q == 2.0:
-            H, rhs = self.laplacian(), -G
-        else:
-            H, rhs = self.hessian(), -G.ravel()
+        direction.  A singular Hessian (a free row without an arc, zero-length
+        arcs, a cycle of relays that can move as one) gets a ridge of 1e-12
+        times its largest diagonal entry."""
+        H, rhs = self.hessian(), -G.ravel()
         try:
             p = np.linalg.solve(H, rhs)
         except np.linalg.LinAlgError:
@@ -465,15 +459,25 @@ def polish_positions(
     Z0,
     q: float,
 ) -> tuple[np.ndarray, float, int, bool]:
-    """Minimize the fixed-plan cost over free positions by damped Newton.
+    """Minimize the fixed-plan cost over free positions: damped Newton on
+    the plan's junctions, its relays in closed form.
 
     Same objective, stop test, line-search floor and return as
-    ``optimize_positions``.  The iteration is ``_newton`` on the plan's
-    edge-list kernel, capped at NEWTON_ITERS.  At q = 2 the cost is
-    quadratic and one step reaches the minimizer.
+    ``optimize_positions``.  ``_newton``, capped at NEWTON_ITERS, runs on
+    the plan's positive arcs with their relay chains contracted
+    (``_EdgeKernel.from_chains``), then each chain's relays are spread
+    evenly on its segment.  At q = 2 one step reaches the minimizer.  Atoms
+    without a positive arc keep their Z0 rows; the cost is the plan's at Z.
     """
     Z, obj, _, tol, floor = _position_problem(config, plan, Z0, q)
-    return _newton(obj, Z, tol, floor, NEWTON_ITERS)
+    n_term = plan.n_sources + plan.n_sinks
+    kernel, moved, relays, segments = _EdgeKernel.from_chains(
+        obj.P[:n_term], *(a[plan.flows > 0.0].tolist() for a in plan.arcs()), plan.n_free, q)
+    atoms = np.array(moved, dtype=np.intp) - n_term
+    Z[atoms], _, iters, converged = _newton(kernel, Z[atoms], tol, floor, NEWTON_ITERS)
+    Z[np.array(relays, dtype=np.intp) - n_term] = spread_on_segments(
+        np.vstack([obj.P[:n_term], Z]), *segments)
+    return Z, obj.cost(Z), iters, converged
 
 
 def w1_seed(config: SignedConfig, n: int, basis: TreeBasis | None = None) -> np.ndarray:
@@ -573,6 +577,7 @@ def _rebalance_layout(
     plan: TransportPlan,
     q: float,
     n: int,
+    settled: bool = False,
 ) -> np.ndarray | None:
     """Atom layout suggested by the closed-form allocation on the reduced tree.
 
@@ -582,6 +587,11 @@ def _rebalance_layout(
     edges, or an edge of length zero, where a source and a sink share a
     point.
 
+    ``settled`` says that Z is the position optimum of ``plan``, so every
+    chain's relays are evenly spaced on its segment.  An allocation that
+    gives each chain its current relay count then only permutes the rows
+    of Z, and None is returned for it too.
+
     Before building any graph, refuses a budget below the edge count that
     any reduced forest of the plan has (``_min_tree_edges``), which the
     full path would refuse too.
@@ -589,9 +599,13 @@ def _rebalance_layout(
     if n < _min_tree_edges(plan):
         return None
     try:
-        return allocate(reduce_graph(plan_to_graph(config, Z, plan)), n, q).atom_positions
+        tree = reduce_graph(plan_to_graph(config, Z, plan))
+        layout = allocate(tree, n, q)
     except ValueError:
         return None
+    if settled and list(layout.counts) == [c.n_interior for c in tree.chains]:
+        return None
+    return layout.atom_positions
 
 
 def _min_tree_edges(plan: TransportPlan) -> int:
@@ -616,15 +630,17 @@ def _run_start(
     """One start of ``alternate_minimize``: descend and settle from Z0
     (``_descend``), then try allocation-guided rebalances.  Each proposed
     layout gets its own plan and is settled from there, and is kept only
-    on strict improvement; the cascade stops at the first rejection, so
+    on strict improvement; the cascade stops at the first rejection, and
+    at a stable settle's layout that the allocation would only permute, so
     the tree ``basis`` keeps is always the last settled plan's.  Returns
     (Z, plan, cost, settle passes, every settle stable, unconverged
     position solves)."""
-    Z, plan, cost, conv, passes, budget_hits = _descend(config, Z0, q, basis)
+    Z, plan, cost, stable, passes, budget_hits = _descend(config, Z0, q, basis)
+    conv = stable
     # each accepted rebalance simplifies the tree topology a little, so
     # allow enough proposals for the cascade to bottom out
     for _ in range(12):
-        Z_re = _rebalance_layout(config, Z, plan, q, n)
+        Z_re = _rebalance_layout(config, Z, plan, q, n, stable)
         if Z_re is None:
             break
         plan_re, _ = min_cost_plan(config, Z_re, q, basis)

@@ -397,6 +397,23 @@ def _assert_spliced_on_segments(topology, P, diam):
             assert detour <= np.linalg.norm(a - b) + 1e-12 * diam, f"branch point {v}"
 
 
+#: the oracle costs of random_instance(default_rng([7, k]), 3, 3) at q = 2.5
+#: when each topology's branch points with two flow edges were spliced out
+#: one at a time, each placed midway between its neighbours
+THREE_THREE_COSTS = (
+    3.1952161148440408, 4.984774590501439, 3.759242135844326, 4.893809116536799,
+    3.5348370551914456, 3.806681190877208, 2.792769964736373, 3.105362812882265,
+    5.022230411133907, 2.9628622478050453, 3.297516334296787, 4.861137406452288,
+)
+
+
+def test_chain_contraction_keeps_the_oracle_costs():
+    for k, cost in enumerate(THREE_THREE_COSTS):
+        cfg = random_instance(np.random.default_rng([7, k]), 3, 3)
+        assert oracle(cfg, 2.5).cost == pytest.approx(cost, rel=1e-12, abs=0.0)
+    assert oracle(y_instance(), 2.0).cost == pytest.approx(3.0 * math.sqrt(2.0), abs=1e-9)
+
+
 def test_spliced_chains_lie_on_their_segments():
     # on this 3+3 instance some topologies join two branch points that each
     # keep two flow edges: the chain terminal - b - b' - terminal is one arc

@@ -632,3 +632,68 @@ class TestOneForestTest:
             calls.clear()
             assert positions._rebalance_layout(config, Z, plan, 2.0, n) is not None
             assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# the cascade's fixed point
+
+FIXED_POINT_CASES = [
+    (y_instance(), 12, 2.0),
+    (y_instance(), 24, 2.0),
+    (y_instance(), 48, 2.0),
+    (random_instance(np.random.default_rng([0, 0]), 2, 2), 16, 1.5),
+    (random_instance(np.random.default_rng([0, 1]), 2, 2), 16, 3.0),
+    (random_instance(np.random.default_rng([7, 3]), 3, 3), 16, 2.5),
+]
+
+
+class TestFixedPoint:
+    def test_an_allocation_that_keeps_every_count_permutes_the_rows(self):
+        # a settled layout's relays lie evenly on their chains, so an
+        # allocation that keeps each chain's relay count lays out the rows
+        # of Z again, bit for bit, and the settled proposal is skipped
+        fixed = 0
+        for config, n, q in FIXED_POINT_CASES:
+            res = alternate_minimize(config, n, CostParams(q=q))
+            assert res.converged and res.unused_atoms == 0
+            tree = reduce_graph(plan_to_graph(config, res.Z, res.plan))
+            layout = allocate(tree, n, q)
+            if list(layout.counts) != [c.n_interior for c in tree.chains]:
+                assert positions._rebalance_layout(config, res.Z, res.plan, q, n, True) is not None
+                continue
+            fixed += 1
+            assert (sorted(row.tobytes() for row in layout.atom_positions)
+                    == sorted(row.tobytes() for row in res.Z))
+            assert positions._rebalance_layout(config, res.Z, res.plan, q, n, True) is None
+            assert positions._rebalance_layout(config, res.Z, res.plan, q, n) is not None
+        assert fixed >= 3
+
+    def test_skipping_the_fixed_point_changes_no_answer(self, monkeypatch):
+        # the same solves with every proposal settled: the same answers,
+        # from more settle passes and plan solves
+        def solve_all():
+            solves = 0
+            real_plan = positions.min_cost_plan
+
+            def counting(*args):
+                nonlocal solves
+                solves += 1
+                return real_plan(*args)
+
+            with monkeypatch.context() as patched:
+                patched.setattr(positions, "min_cost_plan", counting)
+                results = [alternate_minimize(config, n, CostParams(q=q))
+                           for config, n, q in FIXED_POINT_CASES]
+            return results, solves
+
+        skipped, fewer = solve_all()
+        real_layout = positions._rebalance_layout
+        monkeypatch.setattr(positions, "_rebalance_layout", lambda *args: real_layout(*args[:5]))
+        every, more = solve_all()
+        for got, want in zip(skipped, every):
+            assert got.Z.tobytes() == want.Z.tobytes()
+            assert got.cost_q.hex() == want.cost_q.hex()
+            assert list(got.plan.entries.items()) == list(want.plan.entries.items())
+            assert (got.start_index, got.start_costs) == (want.start_index, want.start_costs)
+            assert got.iterations <= want.iterations
+        assert fewer < more

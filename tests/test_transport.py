@@ -882,16 +882,17 @@ class TestKeptNetwork:
     def test_settle_matches_the_regularizing_settle(self, monkeypatch):
         # _settle as it was when every pass regularized its new plan and
         # compared pruned supports; both settle the same starts to the same
-        # result, bit for bit, also through solves that make no pivot
+        # result, bit for bit, also through solves that make no pivot.  The
+        # cost is the LP objective of the last plan solve
         def reference(config, Z, plan, q, basis):
             tol = zero_flow_threshold(config)
             stable, passes = False, 0
             for passes in range(1, positions._SETTLE_PASSES + 1):
-                Z, cost, _, _ = positions.polish_positions(config, plan, Z, q)
-                plan2 = regularize(min_cost_plan(config, Z, q, basis)[0], config, Z, q)
-                cost2 = plan_cost(config, Z, plan2, q)
+                Z = positions.polish_positions(config, plan, Z, q)[0]
+                plan2, cost = min_cost_plan(config, Z, q, basis)
+                plan2 = regularize(plan2, config, Z, q)
                 stable = set(plan2.pruned(tol).entries) == set(plan.pruned(tol).entries)
-                plan, cost = plan2, min(cost, cost2)
+                plan = plan2
                 if stable:
                     break
             return Z, plan, cost, stable, passes
