@@ -38,7 +38,11 @@ relay count, which only permutes the atoms, ends the cascade unsolved.
 A multistart layer sits on top, since the joint problem is not
 convex.  All the plan solves of one call share one plan network: each
 start re-prices it at its own layout and threads the W_1 coupling onto
-it for its first solve.
+it for its first solve.  The starts of one call also share their
+cascades: each plan support a start settled stably onto is recorded with
+the cost that start ended at, and a later start that settles stably onto
+a recorded support stops there with that cost, since from one support the
+cascade repeats the same steps.
 """
 
 from __future__ import annotations
@@ -103,9 +107,12 @@ class SolveResult:
     start_index: int = 0
     n_starts: int = 1
     unused_atoms: int = 0
+    #: each start's final cost; a start that stopped on a plan an earlier
+    #: start had settled onto reports the cost that earlier start ended at
     start_costs: tuple[float, ...] = ()
     #: position solves, over every start and rebalance, that stopped
-    #: unconverged (at INNER_ITERS, NEWTON_ITERS or without a Newton step)
+    #: unconverged (at INNER_ITERS, NEWTON_ITERS or without a Newton step);
+    #: a start that stopped on an earlier start's plan adds only its own
     inner_budget_hits: int = 0
 
     @property
@@ -318,11 +325,11 @@ def position_gradient(
     return obj.gradient()
 
 
-def _position_problem(
+def _position_scales(
     config: SignedConfig, plan: TransportPlan, Z0, q: float
-) -> tuple[np.ndarray, _EdgeKernel, float, float, float]:
-    """Checked start, kernel, diameter, gradient tolerance and line-search
-    floor shared by the two position solvers and ``position_gradient``."""
+) -> tuple[np.ndarray, float, float, float]:
+    """Checked start, diameter, gradient tolerance and line-search floor
+    shared by the two position solvers and ``position_gradient``."""
     if q <= 1.0:
         raise ValueError(f"optimization requires q > 1, got {q}")
     Z = as_positions(Z0, config.dimension).copy()
@@ -331,7 +338,15 @@ def _position_problem(
     diam = config.diameter()
     scale = max(total_mass(config) * max(diam, 1e-300) ** (q - 1.0), 1e-300)
     floor = 1e-16 * max(diam, 1e-12)
-    return Z, _EdgeKernel(config, plan, q), diam, GRAD_TOL * scale, floor
+    return Z, diam, GRAD_TOL * scale, floor
+
+
+def _position_problem(
+    config: SignedConfig, plan: TransportPlan, Z0, q: float
+) -> tuple[np.ndarray, _EdgeKernel, float, float, float]:
+    """``_position_scales`` with the plan's whole kernel after Z."""
+    Z, diam, tol, floor = _position_scales(config, plan, Z0, q)
+    return Z, _EdgeKernel(config, plan, q), diam, tol, floor
 
 
 def optimize_positions(
@@ -465,19 +480,28 @@ def polish_positions(
     Same objective, stop test, line-search floor and return as
     ``optimize_positions``.  ``_newton``, capped at NEWTON_ITERS, runs on
     the plan's positive arcs with their relay chains contracted
-    (``_EdgeKernel.from_chains``), then each chain's relays are spread
-    evenly on its segment.  At q = 2 one step reaches the minimizer.  Atoms
-    without a positive arc keep their Z0 rows; the cost is the plan's at Z.
+    (``_EdgeKernel.from_chains``), then the relays of each chain that has
+    any are spread evenly on its segment.  At q = 2 one step reaches the
+    minimizer.  Atoms without a positive arc keep their Z0 rows.  The cost
+    is the plan's at Z, summed over its arcs in one pass; no kernel of the
+    whole plan is built.
     """
-    Z, obj, _, tol, floor = _position_problem(config, plan, Z0, q)
-    n_term = plan.n_sources + plan.n_sinks
-    kernel, moved, relays, segments = _EdgeKernel.from_chains(
-        obj.P[:n_term], *(a[plan.flows > 0.0].tolist() for a in plan.arcs()), plan.n_free, q)
+    Z, _, tol, floor = _position_scales(config, plan, Z0, q)
+    fixed = config.terminal_positions()
+    n_term = len(fixed)
+    tails, heads, flows = plan.arcs()
+    keep = flows > 0.0
+    kernel, moved, relays, (starts, ends, counts) = _EdgeKernel.from_chains(
+        fixed, *(a[keep].tolist() for a in (tails, heads, flows)), plan.n_free, q)
     atoms = np.array(moved, dtype=np.intp) - n_term
     Z[atoms], _, iters, converged = _newton(kernel, Z[atoms], tol, floor, NEWTON_ITERS)
+    P = np.vstack([fixed, Z])
+    spread = [k for k, c in enumerate(counts) if c]
     Z[np.array(relays, dtype=np.intp) - n_term] = spread_on_segments(
-        np.vstack([obj.P[:n_term], Z]), *segments)
-    return Z, obj.cost(Z), iters, converged
+        P, [starts[k] for k in spread], [ends[k] for k in spread], [counts[k] for k in spread])
+    P[n_term:] = Z
+    d = P.take(tails, axis=0) - P.take(heads, axis=0)
+    return Z, float((flows * np.sqrt((d * d).sum(axis=1)) ** q).sum()), iters, converged
 
 
 def w1_seed(config: SignedConfig, n: int, basis: TreeBasis | None = None) -> np.ndarray:
@@ -626,20 +650,41 @@ def _run_start(
     q: float,
     n: int,
     basis: TreeBasis,
+    settled: dict[tuple[bytes, bytes], float],
 ) -> tuple[np.ndarray, TransportPlan, float, int, bool, int]:
     """One start of ``alternate_minimize``: descend and settle from Z0
     (``_descend``), then try allocation-guided rebalances.  Each proposed
     layout gets its own plan and is settled from there, and is kept only
     on strict improvement; the cascade stops at the first rejection, and
     at a stable settle's layout that the allocation would only permute, so
-    the tree ``basis`` keeps is always the last settled plan's.  Returns
-    (Z, plan, cost, settle passes, every settle stable, unconverged
-    position solves)."""
+    the tree ``basis`` keeps is always the last settled plan's.
+
+    ``settled`` maps the support (``rows`` and ``cols`` bytes) of every
+    plan an earlier start of the call settled stably onto, by its descent
+    or an accepted proposal, to the cost that start ended at.  From one
+    support the cascade repeats the same steps up to rounding, so a start
+    that settles stably onto a recorded support stops there and returns
+    that cost: it cannot beat the earlier start, which wins the tie.  Once
+    the cascade ends, its own stable supports are recorded with its cost,
+    unless it ran out of proposals, as it then ended where a new start
+    with the whole budget would go on.  Returns (Z, plan, cost, settle
+    passes, every settle stable, unconverged position solves); Z and plan
+    are the last ones settled, which a stopped start may not have ended
+    at."""
     Z, plan, cost, stable, passes, budget_hits = _descend(config, Z0, q, basis)
     conv = stable
+    reached = []
     # each accepted rebalance simplifies the tree topology a little, so
     # allow enough proposals for the cascade to bottom out
     for _ in range(12):
+        # an unstable settle's Z is the previous plan's optimum, not this one's
+        if stable:
+            key = plan.rows.tobytes(), plan.cols.tobytes()
+            shared = settled.get(key)
+            if shared is not None:
+                cost = shared
+                break
+            reached.append(key)
         Z_re = _rebalance_layout(config, Z, plan, q, n, stable)
         if Z_re is None:
             break
@@ -653,6 +698,11 @@ def _run_start(
             Z, plan, cost = Z2, plan2, cost2
         else:
             break
+    else:
+        # out of proposals: a new start from these supports would go on
+        reached = []
+    for key in reached:
+        settled[key] = cost
     return Z, plan, cost, passes, conv, budget_hits
 
 
@@ -670,8 +720,11 @@ def alternate_minimize(
     solved once; each start sets it on the basis, so its first plan solve
     begins from the coupling's final tree with the relays threaded onto
     its segments, and every later one from the tree the network kept.
-    Ties break on start index.  The result's ``converged`` and
-    ``iterations`` report the winning start's settles.
+    The starts share one record of the plans they settled stably onto
+    (``_run_start``), so a start that reaches an earlier start's plan stops
+    there.  Ties break on start index, so such a start never wins.  The
+    result's ``converged`` and ``iterations`` report the winning start's
+    settles.
     """
     config = validate(config)
     q = params.q
@@ -699,9 +752,10 @@ def alternate_minimize(
     start_costs: list[float] = []
     budget_hits = 0
     basis = TreeBasis()
+    settled: dict[tuple[bytes, bytes], float] = {}
     for idx, Z0 in enumerate(starts):
         basis.coupling = coupling
-        Z, plan, cost, passes, conv, hits = _run_start(config, Z0, q, n, basis)
+        Z, plan, cost, passes, conv, hits = _run_start(config, Z0, q, n, basis, settled)
         budget_hits += hits
         start_costs.append(cost)
         if best is None or cost < best[0] * (1.0 - 1e-12):

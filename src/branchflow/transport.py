@@ -61,8 +61,9 @@ coordinate axis of a ``(rows, cols, dim)`` array, without building it;
 start, ``graphs.reduce_graph`` and ``hausdorff``, sums the same way.
 The simplex hands its positive arcs over as arrays
 (:meth:`MinCostFlowNetwork.support`), which become the plan's arrays as
-they are, and the plan's cost is gathered from the cost matrix in one
-index, then summed left to right.
+they are, without the constructor's re-checks (``TransportPlan._trusted``),
+and the plan's cost is gathered from the cost matrix in one index, then
+summed left to right.
 """
 
 from __future__ import annotations
@@ -124,6 +125,8 @@ class TransportPlan:
     without a sort, raises InvalidConfigError on an index that is not an
     integer or lies outside the plan, on keys that do not strictly increase
     in row-major order, and on a flow that is NaN, infinite or negative.
+    The plan solver's arrays pass all of that by construction and skip it
+    (:meth:`_trusted`).
     """
 
     n_sources: int
@@ -153,6 +156,23 @@ class TransportPlan:
         for name, arr in (("rows", rows), ("cols", cols), ("flows", flows)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+
+    @classmethod
+    def _trusted(cls, n_sources: int, n_sinks: int, n_free: int, rows: np.ndarray,
+                 cols: np.ndarray, flows: np.ndarray) -> "TransportPlan":
+        """A plan on arrays that pass the constructor's checks by
+        construction, as :meth:`MinCostFlowNetwork.support`'s do: intp rows
+        and cols inside the plan, keys strictly increasing in row-major
+        order, float flows finite and nonnegative, and no other owner.  They
+        are kept as they are, made read-only, without a check or a copy."""
+        plan = cls.__new__(cls)
+        for name, value in (("n_sources", n_sources), ("n_sinks", n_sinks),
+                            ("n_free", n_free), ("rows", rows), ("cols", cols),
+                            ("flows", flows)):
+            object.__setattr__(plan, name, value)
+        for arr in (rows, cols, flows):
+            arr.flags.writeable = False
+        return plan
 
     # ---- index conventions -------------------------------------------
     @property
@@ -199,8 +219,10 @@ class TransportPlan:
         return MappingProxyType({(i, j): g for i, j, g in self.to_triplets()})
 
     def pruned(self, tol: float) -> "TransportPlan":
-        """Drop entries with flow <= tol."""
+        """Drop entries with flow <= tol; without one, the plan itself."""
         keep = self.flows > tol
+        if keep.all():
+            return self
         return TransportPlan(self.n_sources, self.n_sinks, self.n_free,
                              self.rows[keep], self.cols[keep], self.flows[keep])
 
@@ -454,7 +476,7 @@ def min_cost_plan(
     rows, cols, units = net.support()
     # units are whole floats <= 10^9, so each flow has the bits of Python's int * unit
     flows = units * (total_mass(config) / MASS_UNITS)
-    plan = TransportPlan(config.n_sources, config.n_sinks, len(Z), rows, cols, flows)
+    plan = TransportPlan._trusted(config.n_sources, config.n_sinks, len(Z), rows, cols, flows)
     cost = 0.0
     for g, c in zip(flows.tolist(), net.F[rows, cols].tolist()):
         cost += g * c

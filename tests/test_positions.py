@@ -18,6 +18,7 @@ from branchflow import (
     y_instance,
 )
 from branchflow._mcf import MinCostFlowNetwork
+from branchflow.allocate import spread_on_segments
 from branchflow.graphs import WeightedDigraph, plan_to_graph, reduce_graph
 from branchflow.measures import total_mass
 from branchflow.positions import COST_ROUNDING, _EdgeKernel, polish_positions, w1_seed
@@ -504,6 +505,34 @@ class TestChainContraction:
                 assert cost == pytest.approx(ref_cost, rel=1e-12)
                 cycles += 1
         assert cycles >= 25
+
+    def test_matches_the_spread_over_every_chain(self, rng):
+        # spreading only the chains that have relays places them as a
+        # spread over every chain does, bit for bit, and the cost summed
+        # over the plan's arcs is the whole kernel's at Z, and plan_cost's
+        for trial in range(150):
+            q = (1.5, 2.0, 3.0)[trial % 3]
+            cfg = random_config(rng, dim=1 + trial // 3 % 3)
+            n = int(rng.integers(1, 12))
+            Z0 = random_positions(cfg, n, rng)
+            if trial % 5 == 0:
+                plan = random_feasible_plan(cfg, n, rng, cycle_rate=trial % 2)
+            else:
+                plan = min_cost_plan(cfg, Z0, q)[0]
+            Z, cost = polish_positions(cfg, plan, Z0, q)[:2]
+            Z_ref, obj, _, tol, floor = positions._position_problem(cfg, plan, Z0, q)
+            n_term = cfg.n_sources + cfg.n_sinks
+            kernel, moved, relays, segments = _EdgeKernel.from_chains(
+                obj.P[:n_term], *(a[plan.flows > 0.0].tolist() for a in plan.arcs()),
+                n, q)
+            atoms = np.array(moved, dtype=np.intp) - n_term
+            Z_ref[atoms] = positions._newton(
+                kernel, Z_ref[atoms], tol, floor, positions.NEWTON_ITERS)[0]
+            Z_ref[np.array(relays, dtype=np.intp) - n_term] = spread_on_segments(
+                np.vstack([obj.P[:n_term], Z_ref]), *segments)
+            assert Z.tobytes() == Z_ref.tobytes()
+            assert cost == obj.cost(Z)
+            assert cost == pytest.approx(plan_cost(cfg, Z, plan, q), rel=1e-14, abs=1e-300)
 
     def test_relays_are_evenly_spaced_on_their_segments(self, rng):
         relays = 0

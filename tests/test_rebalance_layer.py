@@ -697,3 +697,144 @@ class TestFixedPoint:
             assert (got.start_index, got.start_costs) == (want.start_index, want.start_costs)
             assert got.iterations <= want.iterations
         assert fewer < more
+
+
+# ---------------------------------------------------------------------------
+# one cascade per settled plan
+
+SHARING_CASES = FIXED_POINT_CASES + [
+    (y_instance(), n, 2.0) for n in (6, 96)
+] + [
+    (random_instance(np.random.default_rng([0, k]), 2, 2), n, q)
+    for k in (2, 3) for q in (1.5, 3.0) for n in (8, 32)
+]
+
+
+def _solve_unshared(monkeypatch, config, n, q):
+    """``alternate_minimize`` with a record of its own for every start, so
+    no start stops on another's settled plan."""
+    real = positions._run_start
+    with monkeypatch.context() as patched:
+        patched.setattr(positions, "_run_start",
+                        lambda config, Z0, q, n, basis, settled:
+                            real(config, Z0, q, n, basis, {}))
+        return alternate_minimize(config, n, CostParams(q=q))
+
+
+def _assert_same_answer(got, want):
+    assert got.Z.tobytes() == want.Z.tobytes()
+    for name in ("rows", "cols", "flows"):
+        assert getattr(got.plan, name).tobytes() == getattr(want.plan, name).tobytes()
+    assert got.cost_q.hex() == want.cost_q.hex()
+    assert (got.start_index, got.iterations, got.converged) == (
+        want.start_index, want.iterations, want.converged)
+    # a stopped start reports the cascade's end from its support, which
+    # only a start that ran out of proposals can miss on its own
+    assert len(got.start_costs) == len(want.start_costs)
+    for shared, alone in zip(got.start_costs, want.start_costs):
+        assert shared <= alone * (1.0 + 1e-12)
+
+
+class _Record(dict):
+    """A record of settled supports that logs every look-up and store, and
+    fails on iteration: the solver may only look keys up."""
+
+    def __init__(self, log):
+        super().__init__()
+        self.log = log
+
+    def get(self, key, default=None):
+        self.log.append(("lookup", key))
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.log.append(("lookup", key))
+        return super().__contains__(key)
+
+    def __getitem__(self, key):
+        self.log.append(("lookup", key))
+        return super().__getitem__(key)
+
+    def __setitem__(self, key, value):
+        self.log.append(("store", key))
+        super().__setitem__(key, value)
+
+    def _iterated(self, *args):
+        raise AssertionError("the record of settled supports was iterated")
+
+    __iter__ = keys = values = items = _iterated
+
+
+class TestSharedSettles:
+    @pytest.mark.parametrize("case", range(len(SHARING_CASES)))
+    def test_sharing_matches_a_solve_without_it(self, case, monkeypatch):
+        config, n, q = SHARING_CASES[case]
+        shared = alternate_minimize(config, n, CostParams(q=q))
+        _assert_same_answer(shared, _solve_unshared(monkeypatch, config, n, q))
+
+    def test_sharing_saves_settles_on_y48(self, monkeypatch):
+        settles = 0
+        real = positions._settle
+
+        def counting(*args):
+            nonlocal settles
+            settles += 1
+            return real(*args)
+
+        monkeypatch.setattr(positions, "_settle", counting)
+        alternate_minimize(y_instance(), 48, CostParams(q=2.0))
+        shared, settles = settles, 0
+        _solve_unshared(monkeypatch, y_instance(), 48, 2.0)
+        assert shared < settles
+
+    def test_unstable_settles_are_never_recorded_or_matched(self, monkeypatch):
+        # one pass per settle leaves many settles unstable; the record may
+        # hold and be asked for only supports that a settle ended stably on
+        monkeypatch.setattr(positions, "_SETTLE_PASSES", 1)
+        log = []
+        real_settle, real_start = positions._settle, positions._run_start
+
+        def settle(*args):
+            out = real_settle(*args)
+            plan, stable = out[1], out[3]
+            log.append(("settle", (plan.rows.tobytes(), plan.cols.tobytes()), stable))
+            return out
+
+        monkeypatch.setattr(positions, "_settle", settle)
+        unstable = unstable_known = 0
+        for config, n, q in [
+                (y_instance(), 24, 2.0), (y_instance(), 48, 2.0),
+                (random_instance(np.random.default_rng([0, 0]), 2, 2), 8, 1.5),
+                (random_instance(np.random.default_rng([0, 0]), 2, 2), 16, 1.5),
+                (random_instance(np.random.default_rng([0, 1]), 2, 2), 8, 1.5)]:
+            log.clear()
+            record = _Record(log)
+
+            def run_start(config, Z0, q, n, basis, settled):
+                log.append(("start", None))
+                return real_start(config, Z0, q, n, basis, record)
+
+            monkeypatch.setattr(positions, "_run_start", run_start)
+            shared = alternate_minimize(config, n, CostParams(q=q))
+            known, stable_in_start, last = set(), set(), None
+            for event in log:
+                kind, key = event[:2]
+                if kind == "start":
+                    stable_in_start.clear()
+                elif kind == "settle":
+                    last = event
+                    if event[2]:
+                        stable_in_start.add(key)
+                    else:
+                        unstable += 1
+                        unstable_known += key in known
+                elif kind == "lookup":
+                    # asked right after a stable settle onto that support
+                    assert last[1] == key and last[2]
+                else:
+                    assert key in stable_in_start
+                    known.add(key)
+            monkeypatch.setattr(positions, "_run_start", real_start)
+            _assert_same_answer(shared, _solve_unshared(monkeypatch, config, n, q))
+        # some unstable settles ended on a recorded support and went on
+        assert unstable > 0 and unstable_known > 0

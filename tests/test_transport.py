@@ -814,10 +814,10 @@ class TestKeptNetwork:
         run_start = positions._run_start
         bases = []
 
-        def network_per_start(config, Z0, q, n, basis):
+        def network_per_start(config, Z0, q, n, basis, settled):
             fresh = TreeBasis(basis.coupling)
             bases.append(fresh)
-            return run_start(config, Z0, q, n, fresh)
+            return run_start(config, Z0, q, n, fresh, settled)
 
         monkeypatch.setattr(positions, "_run_start", network_per_start)
         reference = positions.alternate_minimize(cfg, n, params)
@@ -1331,7 +1331,7 @@ class TestPlanArrays:
             return out
 
         monkeypatch.setattr(positions, "min_cost_plan", recording)
-        for n in (6, 24):
+        for n in (6, 24, 48):
             positions.alternate_minimize(y_instance(), n, CostParams(q=2.0))
         assert len(plans) > 100
         last, seen = {}, set()
@@ -1361,6 +1361,40 @@ class TestPlanArrays:
                 flows = rng.choice([0.0, 0.25, 1.0, float(rng.uniform())], size=len(keys))
                 plan = plan_of(cfg.n_sources, cfg.n_sinks, n_free, dict(zip(keys, flows)))
             _assert_dict_arcs(plan)
+
+    def test_solver_plans_equal_checked_ones(self, rng, monkeypatch):
+        # the simplex's arrays skip the constructor's checks; the plan they
+        # make equals the checked constructor's in values, dtypes and
+        # read-only flags, and no later solve on the basis writes into it
+        cases = [(y_instance(), 24, 2.0), (random_instance(np.random.default_rng([0, 0]), 2, 2), 16, 1.5),
+                 (random_instance(np.random.default_rng([0, 0]), 12, 12, total_mass=16), 24, 2.0),
+                 (random_instance(np.random.default_rng([0, 0]), 6, 6, dim=3), 16, 3.0)]
+        solved = []
+        for cfg, n, q in cases:
+            basis = TreeBasis()
+            for _ in range(3):
+                Z = rng.uniform(*cfg.bbox(), size=(n, cfg.dimension))
+                plan, _ = min_cost_plan(cfg, Z, q, basis)
+                solved.append((plan, [a.tobytes() for a in (plan.rows, plan.cols, plan.flows)]))
+        for plan, kept in solved:
+            checked = TransportPlan(plan.n_sources, plan.n_sinks, plan.n_free,
+                                    plan.rows, plan.cols, plan.flows)
+            for name, before in zip(("rows", "cols", "flows"), kept):
+                got, want = getattr(plan, name), getattr(checked, name)
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes() == before
+                assert not got.flags.writeable and not want.flags.writeable
+            assert plan.pruned(0.0) is plan
+        # the solver path runs no check at all
+        monkeypatch.setattr(TransportPlan, "__post_init__", lambda self: pytest.fail("checked"))
+        min_cost_plan(y_instance(), np.zeros((6, 2)), 2.0)
+
+    def test_pruned_copies_only_when_it_drops(self):
+        plan = plan_of(1, 1, 1, {(0, 0): 1.0, (0, 1): 0.5, (1, 0): 0.0})
+        assert plan.pruned(-1.0) is plan
+        dropped = plan.pruned(0.0)
+        assert dropped is not plan and dropped.to_triplets() == [(0, 0, 1.0), (0, 1, 0.5)]
+        assert plan.pruned(0.75).to_triplets() == [(0, 0, 1.0)]
 
 
 class TestWasserstein:
