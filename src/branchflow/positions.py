@@ -25,12 +25,13 @@ lengths, so one geometric kernel serves both.
 The outer loop settles plan and positions for one point allocation at a
 time: Newton moves the atoms to the plan's position optimum, the exact
 plan is re-solved there, and the two alternate until the plan's support
-stops changing.  Every plan is a simplex basic solution, so its support
-is already a forest and each of its flows is at least one mass unit:
-nothing prunes or regularizes it.  A start settles after one plan solve
-and one gradient descent.  Alternation alone cannot move an atom from one
-branch to another once the support has frozen, so a cost-guarded
-rebalance redistributes the atom count over the current reduced tree by
+stops changing, or, unstable, until a pass stops lowering the plan's
+cost; no pass count caps it.  Every plan is a simplex basic solution, so
+its support is already a forest and each of its flows is at least one
+mass unit: nothing prunes or regularizes it.  A start settles after one
+plan solve and one gradient descent.  Alternation alone cannot move an
+atom from one branch to another once the support has frozen, so a
+cost-guarded rebalance redistributes the atom count over the current reduced tree by
 the closed-form allocation and settles that layout's plan; a budget too
 small for any reduced tree of the plan is refused before a graph is
 built, and after a stable settle an allocation that keeps every chain's
@@ -85,8 +86,6 @@ INNER_ITERS = 500
 #: the solver's take at most 5 and the oracle's about 20, but one from an
 #: arbitrary plan at q = 1.5 in one dimension took 62
 NEWTON_ITERS = 100
-#: Newton-and-plan passes per settle before it gives up on a stable support
-_SETTLE_PASSES = 5
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,7 +101,8 @@ class SolveResult:
     q: float
     #: settle passes of the winning start, its descent's and its proposals'
     iterations: int
-    #: every settle of the winning start ended on a stable plan support
+    #: every settle of the winning start ended on a stable plan support,
+    #: not on a pass that no longer lowered the plan's cost
     converged: bool
     start_index: int = 0
     n_starts: int = 1
@@ -547,25 +547,28 @@ def _settle(
     Each pass moves the positions to the plan's optimum by Newton
     (``polish_positions``), then re-solves the exact plan at the new
     positions on ``basis``'s plan network, from the tree it kept.  Stops
-    once a pass leaves the plan's support unchanged, or after
-    _SETTLE_PASSES passes.  A solve without a pivot keeps its tree, so its
-    entries are those of ``plan``, in the same order, and its pass is
-    stable.  Returns (Z, plan, cost as that plan's solve gave it, stable,
-    passes, unconverged Newton solves).
+    once a pass leaves the plan's support unchanged, and otherwise, with
+    the support unstable, once a pass's plan costs no less than the
+    previous pass's to within COST_ROUNDING, relative.  A solve without a
+    pivot keeps its tree, so its entries are those of ``plan``, in the same
+    order, and its pass is stable; a changed support needs a nondegenerate
+    pivot, so a strictly cheaper plan, and the loop always ends.  Returns
+    (Z, plan, cost as that plan's solve gave it, stable, passes,
+    unconverged Newton solves).
     """
-    budget_hits = 0
-    stable = False
-    passes = 0
-    for passes in range(1, _SETTLE_PASSES + 1):
+    budget_hits = passes = 0
+    last = math.inf
+    while True:
+        passes += 1
         Z, _, _, inner_ok = polish_positions(config, plan, Z, q)
         budget_hits += not inner_ok
         rows, cols = plan.rows, plan.cols
         plan, cost = min_cost_plan(config, Z, q, basis)
         # both plans' keys are sorted, so equal arrays mean equal supports
         stable = np.array_equal(plan.rows, rows) and np.array_equal(plan.cols, cols)
-        if stable:
-            break
-    return Z, plan, cost, stable, passes, budget_hits
+        if stable or cost >= last * (1.0 - COST_ROUNDING):
+            return Z, plan, cost, stable, passes, budget_hits
+        last = cost
 
 
 def _descend(
@@ -665,18 +668,15 @@ def _run_start(
     support the cascade repeats the same steps up to rounding, so a start
     that settles stably onto a recorded support stops there and returns
     that cost: it cannot beat the earlier start, which wins the tie.  Once
-    the cascade ends, its own stable supports are recorded with its cost,
-    unless it ran out of proposals, as it then ended where a new start
-    with the whole budget would go on.  Returns (Z, plan, cost, settle
-    passes, every settle stable, unconverged position solves); Z and plan
-    are the last ones settled, which a stopped start may not have ended
-    at."""
+    the cascade ends, its own stable supports are recorded with its cost.
+    Each accepted proposal lowers the cost strictly, so the cascade needs
+    no cap on its proposals.  Returns (Z, plan, cost, settle passes, every
+    settle stable, unconverged position solves); Z and plan are the last
+    ones settled, which a stopped start may not have ended at."""
     Z, plan, cost, stable, passes, budget_hits = _descend(config, Z0, q, basis)
     conv = stable
     reached = []
-    # each accepted rebalance simplifies the tree topology a little, so
-    # allow enough proposals for the cascade to bottom out
-    for _ in range(12):
+    while True:
         # an unstable settle's Z is the previous plan's optimum, not this one's
         if stable:
             key = plan.rows.tobytes(), plan.cols.tobytes()
@@ -698,9 +698,6 @@ def _run_start(
             Z, plan, cost = Z2, plan2, cost2
         else:
             break
-    else:
-        # out of proposals: a new start from these supports would go on
-        reached = []
     for key in reached:
         settled[key] = cost
     return Z, plan, cost, passes, conv, budget_hits

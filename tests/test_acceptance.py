@@ -250,3 +250,19 @@ def test_criterion_9_plan_exactness():
         worst = max(worst, err)
         assert err <= 1e-9 * max(1.0, abs(ref)), f"trial {trial}: {cost} vs {ref}"
     print(f"criterion 9 PASS: 20 instances, worst absolute gap {worst:.2e}")
+
+
+def test_criterion_10_y_stays_on_the_limit_at_large_n(y_oracle):
+    # the paper's limit as n grows: each row inside the sandwich, every
+    # settle of its winning start stable, and the reduced tree's distance to
+    # the optimum roughly halving at each doubling of n
+    records, details = sweep(
+        y_instance(), Q, [96, 192, 384], CostParams(q=Q), oracle_solution=y_oracle
+    )
+    for r, (n, res, _) in zip(records, details):
+        assert r.in_bounds and res.converged, f"n={n}"
+    dist = [r.hausdorff for r in records]
+    assert dist[0] == pytest.approx(1.080e-2, abs=1e-5)
+    assert dist[1] <= 0.55 * dist[0] and dist[2] <= 0.55 * dist[1]
+    print(f"criterion 10 PASS: n=96,192,384 inside the sandwich, tree distance "
+          + ", ".join(f"{d:.2e}" for d in dist))

@@ -23,7 +23,7 @@ from branchflow.graphs import WeightedDigraph, plan_to_graph, reduce_graph
 from branchflow.measures import total_mass
 from branchflow.positions import COST_ROUNDING, _EdgeKernel, polish_positions, w1_seed
 from branchflow.render import render, render_svg
-from branchflow.transport import as_positions, check_plan, cost_matrix, plan_cost
+from branchflow.transport import TreeBasis, as_positions, check_plan, cost_matrix, plan_cost
 from conftest import graph_of, plan_of, random_config, random_feasible_plan, random_positions
 
 
@@ -758,6 +758,27 @@ class TestAlternateMinimize:
         assert res.iterations > len(won)  # some settle took more than one pass
         assert res.converged
 
+    def test_a_cascade_runs_past_twelve_proposals(self, monkeypatch):
+        # at Y n=84 the winning start's cascade settles more than twelve
+        # proposed layouts before one is rejected or none is proposed
+        proposals = []
+        real_descend, real_layout = positions._descend, positions._rebalance_layout
+
+        def descend(*args):
+            proposals.append(0)
+            return real_descend(*args)
+
+        def layout(*args):
+            out = real_layout(*args)
+            proposals[-1] += out is not None
+            return out
+
+        monkeypatch.setattr(positions, "_descend", descend)
+        monkeypatch.setattr(positions, "_rebalance_layout", layout)
+        res = alternate_minimize(y_instance(), 84, CostParams(q=2.0))
+        assert proposals[res.start_index] > 12
+        assert res.converged
+
     def test_report_document_shape(self):
         cfg = single_edge()
         res = alternate_minimize(cfg, 1, CostParams(q=2.0, restarts=0))
@@ -765,6 +786,57 @@ class TestAlternateMinimize:
         assert {"n", "q", "cost_q", "wbar", "rescaled", "converged",
                 "inner_budget_hits", "free_atoms", "plan"} <= set(doc)
         assert doc["inner_budget_hits"] == res.inner_budget_hits
+
+
+class TestSettleStops:
+    def test_a_settle_needing_more_than_five_passes_ends_stable(self, monkeypatch):
+        # settled straight from the W_1 seed's plan, without the descent's
+        # gradient steps, this 2+2 support moves on six passes; every plan
+        # solve costs less than the one before, and the settle ends on a
+        # stable support at its position optimum
+        cfg, n, q = random_instance(np.random.default_rng([0, 3]), 2, 2), 32, 2.0
+        basis = TreeBasis()
+        Z0 = w1_seed(cfg, n)
+        plan = min_cost_plan(cfg, Z0, q, basis)[0]
+        costs = []
+
+        def plan_step(*args):
+            out = min_cost_plan(*args)
+            costs.append(out[1])
+            return out
+
+        monkeypatch.setattr(positions, "min_cost_plan", plan_step)
+        Z, plan, cost, stable, passes, hits = positions._settle(cfg, Z0, plan, q, basis)
+        assert stable and passes > 5 and hits == 0
+        assert len(costs) == passes and costs[-1] == cost
+        assert all(b < a for a, b in zip(costs, costs[1:]))
+        assert np.abs(position_gradient(cfg, Z, plan, q)).max() <= _stop_tolerance(cfg, q)
+
+    @pytest.mark.parametrize("drop,stops", [(0.0, (False, 2)), (0.5, (False, 2)),
+                                            (2.0, (True, 5))])
+    def test_a_settle_stops_when_a_pass_no_longer_lowers_the_cost(
+            self, monkeypatch, drop, stops):
+        # plan solves that swap between two supports for four passes, each
+        # costing ``drop`` rounding errors less than the one before: a pass
+        # that lowers the cost by no more than its rounding error ends the
+        # settle unstable; a larger fall lets it go on to the support that
+        # holds
+        cfg, n, q = y_instance(), 12, 2.0
+        rng = np.random.default_rng(0)
+        plans = [min_cost_plan(cfg, positions._random_seed_positions(cfg, n, rng), q)[0]
+                 for _ in range(2)]
+        assert not np.array_equal(plans[0].rows, plans[1].rows)
+        calls = 0
+
+        def plan_step(config, Z, q, basis):
+            nonlocal calls
+            calls += 1
+            return plans[min(calls, 4) % 2], 1.0 - drop * COST_ROUNDING * calls
+
+        monkeypatch.setattr(positions, "min_cost_plan", plan_step)
+        out = positions._settle(cfg, rng.uniform(-1, 1, (n, 2)), plans[0], q, TreeBasis())
+        assert (out[3], out[4]) == stops and calls == out[4]
+        assert out[1] is plans[0]
 
 
 def _objective_cases():

@@ -52,7 +52,7 @@ from branchflow.transport import (
     wasserstein_coupling,
     zero_flow_threshold,
 )
-from conftest import graph_of, plan_of
+from conftest import graph_of, one_pass_settle, plan_of
 
 
 # ---------------------------------------------------------------------------
@@ -728,8 +728,8 @@ def _assert_same_answer(got, want):
     assert got.cost_q.hex() == want.cost_q.hex()
     assert (got.start_index, got.iterations, got.converged) == (
         want.start_index, want.iterations, want.converged)
-    # a stopped start reports the cascade's end from its support, which
-    # only a start that ran out of proposals can miss on its own
+    # a stopped start reports where the cascade from its support ended,
+    # which its own cascade would reach too, up to rounding
     assert len(got.start_costs) == len(want.start_costs)
     for shared, alone in zip(got.start_costs, want.start_costs):
         assert shared <= alone * (1.0 + 1e-12)
@@ -790,7 +790,7 @@ class TestSharedSettles:
     def test_unstable_settles_are_never_recorded_or_matched(self, monkeypatch):
         # one pass per settle leaves many settles unstable; the record may
         # hold and be asked for only supports that a settle ended stably on
-        monkeypatch.setattr(positions, "_SETTLE_PASSES", 1)
+        monkeypatch.setattr(positions, "_settle", one_pass_settle)
         log = []
         real_settle, real_start = positions._settle, positions._run_start
 

@@ -31,6 +31,7 @@ from branchflow import (
 from branchflow import cli
 from branchflow.cli import main
 from branchflow.sweep import CSV_COLUMNS, SweepRecord, oracle_bounds
+from conftest import one_pass_settle
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -331,7 +332,8 @@ class TestCliExitCodes:
 
     def test_unsettled_solve_is_3(self, tmp_path, monkeypatch, capsys):
         # a settle of Y at n=24 needs more than one plan-and-Newton pass, so
-        # with one pass allowed the winning start's support never settles
+        # with a settle cut to one pass the winning start's support never
+        # settles
         passes = []
         real_settle = positions._settle
 
@@ -345,7 +347,7 @@ class TestCliExitCodes:
             res = positions.alternate_minimize(y_instance(), 24, CostParams(q=2.0))
         assert res.converged and max(passes) >= 2
 
-        monkeypatch.setattr(positions, "_SETTLE_PASSES", 1)
+        monkeypatch.setattr(positions, "_settle", one_pass_settle)
         problem, out = tmp_path / "y.json", tmp_path / "out"
         save_problem(problem, y_instance(), 2.0)
         assert main(["solve", str(problem), "--n", "24", "--out-dir", str(out)]) == 3

@@ -883,19 +883,21 @@ class TestKeptNetwork:
         # _settle as it was when every pass regularized its new plan and
         # compared pruned supports; both settle the same starts to the same
         # result, bit for bit, also through solves that make no pivot.  The
-        # cost is the LP objective of the last plan solve
+        # cost is the LP objective of the last plan solve.  Both stop, with
+        # the support unstable, at a pass that no longer lowers the cost
         def reference(config, Z, plan, q, basis):
             tol = zero_flow_threshold(config)
-            stable, passes = False, 0
-            for passes in range(1, positions._SETTLE_PASSES + 1):
+            passes, last = 0, float("inf")
+            while True:
+                passes += 1
                 Z = positions.polish_positions(config, plan, Z, q)[0]
                 plan2, cost = min_cost_plan(config, Z, q, basis)
                 plan2 = regularize(plan2, config, Z, q)
                 stable = set(plan2.pruned(tol).entries) == set(plan.pruned(tol).entries)
                 plan = plan2
-                if stable:
-                    break
-            return Z, plan, cost, stable, passes
+                if stable or cost >= last * (1.0 - positions.COST_ROUNDING):
+                    return Z, plan, cost, stable, passes
+                last = cost
 
         def start(cfg, Z0, q, regularized):
             basis = TreeBasis()
