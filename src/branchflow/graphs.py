@@ -16,9 +16,9 @@ and flows are one ``np.bincount`` each, and the file format
 edge.
 
 Both constructions work on whole index lists and arrays rather than one
-entry or one chain at a time: vertex ids come from index arithmetic, the
-edge and chain lengths from one stacked matmul each, and every chain's
-``max_perp`` from one ``transport._segment_offsets`` pass over all chains.
+entry or one chain at a time: vertex ids come from index arithmetic, edge
+and chain lengths from one ``transport._squared_lengths`` pass each, and
+every ``max_perp`` from one ``transport._segment_offsets`` pass.
 Small graphs dominate the solver's use (a few dozen edges), so index
 bookkeeping stays in plain lists and NumPy is called a fixed number of
 times per graph.
@@ -36,7 +36,7 @@ from .transport import (
     MARGINAL_RTOL,
     TransportPlan,
     _segment_offsets,
-    _squared_norms,
+    _squared_lengths,
     vertex_positions,
 )
 
@@ -179,7 +179,7 @@ def plan_to_graph(config: SignedConfig, Z, plan: TransportPlan) -> WeightedDigra
     embedded as it is, and ``reduce_graph`` refuses it.  Raises ValueError
     when a flow enters an atom without outflow.  Vertex ids and flows come
     from the arcs (:meth:`TransportPlan.arcs`), and every edge length from
-    one stacked matmul.
+    one ``_squared_lengths`` pass: its entry's q = 1 plan network cost.
     """
     P = vertex_positions(config, Z)
     if P.shape[0] - config.n_sources - config.n_sinks != plan.n_free:
@@ -201,7 +201,7 @@ def plan_to_graph(config: SignedConfig, Z, plan: TransportPlan) -> WeightedDigra
         tail=[new_id[v] for v in tails],
         head=[new_id[v] for v in head_ids.tolist()],
         weight=weights,
-        length=np.sqrt(_squared_norms(P.take(tail_ids, axis=0) - P.take(head_ids, axis=0))),
+        length=np.sqrt(_squared_lengths(P.take(tail_ids, axis=0) - P.take(head_ids, axis=0))),
     )
 
 
@@ -298,7 +298,7 @@ def reduce_graph(g: WeightedDigraph) -> ReducedTree:
     a, b, p = g.positions.take(hop_starts + hop_ends + hop_heads, axis=0).reshape(
         3, len(order), g.dimension)
     d = b - a
-    straight = np.sqrt(_squared_norms(d).take(bounds[:-1])).tolist()
+    straight = np.sqrt(_squared_lengths(d.take(bounds[:-1], axis=0))).tolist()
     dist = np.sqrt(_segment_offsets(p, a, d)[1]).tolist()
 
     weights = g.weight.tolist()
@@ -473,15 +473,17 @@ def graph_to_dict(g: WeightedDigraph) -> dict:
 def graph_from_dict(doc: dict) -> WeightedDigraph:
     """The graph of a ``graph_to_dict`` document.
 
-    Edge ends are integer vertex ids, so the ids must be 0..V-1, each once,
-    in any order; every position, weight and length must be a finite JSON
-    number.  Raises TypeError for one that is not a number, ValueError
-    otherwise, and on anything the graph itself refuses.
+    Vertex ids and edge ends are integers (``false`` and ``1.0`` are not),
+    the ids 0..V-1, each once, in any order; every position, weight and
+    length must be a finite JSON number.  Raises TypeError for one that is
+    not a number, ValueError otherwise, and on anything the graph itself
+    refuses.
     """
+    ids = [r["id"] for r in doc["vertices"]]
+    # [False, 1.0] == [0, 1], so the types are checked on their own
+    if not all(type(v) is int for v in ids) or sorted(ids) != list(range(len(ids))):
+        raise ValueError(f"vertex ids must be the integers 0..{len(ids) - 1}, once; got {ids}")
     verts = sorted(doc["vertices"], key=lambda r: r["id"])
-    ids = [r["id"] for r in verts]
-    if ids != list(range(len(verts))):
-        raise ValueError(f"vertex ids must be 0..{len(verts) - 1}, each once; got {ids}")
     positions = np.array(
         [[_number(c, "a coordinate") for c in r["position"]] for r in verts], dtype=float)
     if positions.size == 0:

@@ -20,7 +20,8 @@ distance is the largest exact distance (``points_to_segments``) over the
 points at those t.  A root of a piece outside its own stretch, or of a
 pair of which neither segment is nearest, only adds a point of the edge,
 and no point of the edge lies farther than the sup.  Every point-segment
-distance comes from ``transport._segment_offsets``.
+distance comes from ``transport._segment_offsets``, and every other length
+from ``transport._squared_lengths``.
 
 A segment whose distance along an edge never drops to another segment's
 larger end distance is never nearest there, so it forms no pairs on that
@@ -36,7 +37,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graphs import WeightedDigraph
-from .transport import _segment_offsets
+from .transport import _segment_offsets, _squared_lengths
 
 #: most point-segment or piece pairs held at once, unless one edge has more
 BLOCK = 1 << 16
@@ -82,7 +83,7 @@ def _directed(g1: WeightedDigraph, g2: WeightedDigraph) -> float:
     # and the distance to g2 never exceeds the least such peak; it falls no
     # faster than the point moves, so nowhere below (near_p + near_q - L) / 2
     peak = np.maximum(near_p, near_q).min(axis=1)
-    floor = 0.5 * (near_p + near_q - np.linalg.norm(V, axis=1)[:, None])
+    floor = 0.5 * (near_p + near_q - np.sqrt(_squared_lengths(V))[:, None])
     can_be_nearest = floor <= peak[:, None]
     # pairs of pieces of different segments; piece k belongs to segment k % m
     m = len(A)
@@ -113,7 +114,7 @@ def _pieces(
     column k is the tail, head or line piece (k // m = 0, 1 or 2) of
     segment k % m."""
     D = B - A
-    DD = np.einsum("ij,ij->i", D, D)
+    DD = _squared_lengths(D)
     # the part of x perpendicular to segment i's line is x - (x . D_i) along_i;
     # a segment of length 0 has no line, and its line piece repeats its tail
     along = np.divide(1.0, DD, out=np.zeros_like(DD), where=DD > 0)[:, None] * D
@@ -122,9 +123,9 @@ def _pieces(
         [W, P[:, None, :] - B, W - np.einsum("eij,ij->ei", W, D)[..., None] * along], axis=1)
     slopes = np.concatenate([np.tile(V[:, None, :], (1, 2 * len(A), 1)),
                              V[:, None, :] - (V @ D.T)[..., None] * along], axis=1)
-    return (np.einsum("eij,eij->ei", slopes, slopes),
+    return (_squared_lengths(slopes),
             2.0 * np.einsum("eij,eij->ei", offsets, slopes),
-            np.einsum("eij,eij->ei", offsets, offsets))
+            _squared_lengths(offsets))
 
 
 def _unit_roots(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:

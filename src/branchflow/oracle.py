@@ -27,8 +27,8 @@ import numpy as np
 from .measures import SignedConfig, total_mass, validate, validate_exponent
 from .graphs import WeightedDigraph, graph_cost, reduce_graph
 from .allocate import spread_on_segments
-from .positions import NEWTON_ITERS, _EdgeKernel, _newton
-from .transport import ZERO_FLOW_RTOL
+from .positions import IMPROVEMENT_RTOL, NEWTON_ITERS, _EdgeKernel, _newton
+from .transport import ZERO_FLOW_RTOL, _squared_lengths
 
 #: most topologies one oracle call solves: up to 7 terminals (945)
 ENUMERATION_BUDGET = 1000
@@ -252,7 +252,8 @@ def _realize(
     contracted onto its smaller label, except that two terminals at
     different points never merge.  Zero-flow edges are dropped, and so are
     the branch points left without a flow edge; ``reduce_graph`` splices
-    out those left with one edge in and one out.
+    out those left with one edge in and one out.  Lengths, in the test and
+    on the edges, are ``transport._squared_lengths``'s.
     """
     n_src = terminals.n_sources
     T = topology.n_terminals
@@ -268,13 +269,14 @@ def _realize(
             x = parent[x]
         return x
 
-    for (u, v), _ in flow_edges:
-        if np.linalg.norm(P[u] - P[v]) <= tol:
-            ru, rv = sorted((find(u), find(v)))
-            # a group's representative is its smallest label: a terminal
-            # if it has one
-            if ru != rv and (rv >= T or np.array_equal(P[ru], P[rv])):
-                parent[rv] = ru
+    ends = np.array([e for e, _ in flow_edges], dtype=np.intp).reshape(-1, 2)
+    short = np.sqrt(_squared_lengths(P[ends[:, 0]] - P[ends[:, 1]])) <= tol
+    for u, v in ends[short].tolist():
+        ru, rv = sorted((find(u), find(v)))
+        # a group's representative is its smallest label: a terminal if it
+        # has one
+        if ru != rv and (rv >= T or np.array_equal(P[ru], P[rv])):
+            parent[rv] = ru
     arcs = []
     for (u, v), f in flow_edges:
         a, b = find(u), find(v)
@@ -284,6 +286,7 @@ def _realize(
     index = {v: i for i, v in enumerate(keep)}
     # edges in (tail, head) order; the sort is stable
     arcs.sort(key=lambda arc: (index[arc[0][0]], index[arc[0][1]]))
+    ab = np.array([ab for ab, _ in arcs], dtype=np.intp).reshape(-1, 2)
     return reduce_graph(WeightedDigraph(
         positions=P[keep],
         roles=tuple("source" if v < n_src else "sink" if v < T else "free"
@@ -291,16 +294,16 @@ def _realize(
         tail=[index[a] for (a, _), _ in arcs],
         head=[index[b] for (_, b), _ in arcs],
         weight=[w for _, w in arcs],
-        length=[np.linalg.norm(P[a] - P[b]) for (a, b), _ in arcs],
+        length=np.sqrt(_squared_lengths(P[ab[:, 0]] - P[ab[:, 1]])),
     ))
 
 
 def oracle(config: SignedConfig, q: float) -> OracleSolution:
     """Cheapest realized topology over the full Steiner topologies.
 
-    Costs within 1e-12 relative of each other tie, and ties break on
-    enumeration order, so results are stable run to run and under a
-    change of scale.  The cost reported is the realized graph's.
+    Costs within IMPROVEMENT_RTOL relative of each other tie, and ties
+    break on enumeration order, so results are stable run to run and under
+    a change of scale.  The cost reported is the realized graph's.
     """
     terminals = Terminals.of(config)
     validate_exponent(q)
@@ -309,7 +312,7 @@ def oracle(config: SignedConfig, q: float) -> OracleSolution:
     for t in enumerate_topologies(config):
         S, cost = solve_topology(t, terminals, q)
         table.append((t, cost))
-        if best is None or cost < best[0] * (1.0 - 1e-12):
+        if best is None or cost < best[0] * (1.0 - IMPROVEMENT_RTOL):
             best = (cost, t, S)
     cost, t, S = best
     table.sort(key=lambda item: item[1])

@@ -64,7 +64,7 @@ from .transport import (
     SolverError,
     TransportPlan,
     TreeBasis,
-    _squared_norms,
+    _squared_lengths,
     as_positions,
     integer_mass_units,
     min_cost_plan,
@@ -76,6 +76,9 @@ from .graphs import plan_to_graph, reduce_graph, relay_chains
 from .allocate import allocate, spread_on_segments
 
 MONOTONE_SLACK = 1e-9
+#: a cost improves on another only when lower by more than this, relative:
+#: a rebalance is accepted, a start wins and an oracle topology is cheaper
+IMPROVEMENT_RTOL = 1e-12
 #: relative rounding error allowed for one evaluation of a plan's cost
 COST_ROUNDING = 16.0 * float(np.finfo(float).eps)
 #: position solves stop at a gradient sup-norm of this times mass * diam^(q-1)
@@ -129,11 +132,12 @@ class _EdgeKernel:
 
     Vertices are the fixed rows followed by the free rows.  Arc k joins
     vertex ``tails[k]`` to ``heads[k]`` with weight ``w[k]``; with arc vector
-    d and smoothing radius eps it costs ``w * (|d|^2 + eps^2)^(q/2)``.
-    ``_EdgeKernel(config, plan, q)`` is the plan's q-power cost: terminals
-    fixed, one arc per plan entry in sorted key order, weight its flow,
-    eps 0.  The oracle builds one with ``from_arcs`` at q = 1 and lowers
-    ``eps`` between solves.
+    d and smoothing radius eps it costs ``w * (|d|^2 + eps^2)^(q/2)``, |d|^2
+    by ``transport._squared_lengths``.  A plan's q-power cost is the kernel
+    with the terminals fixed, one arc per plan entry in key order
+    (:meth:`TransportPlan.arcs`), weight its flow, and eps 0
+    (``_position_problem``).  The oracle's kernels are at q = 1, and it
+    lowers ``eps`` between solves.
 
     ``cost(Z)`` writes Z below the fixed rows of a preallocated position
     buffer, gathers the tail and head ends of every arc with one ``take``,
@@ -147,45 +151,10 @@ class _EdgeKernel:
     coefficients; Newton's kernels (``from_chains``) have few free rows.
     """
 
-    def __init__(self, config: SignedConfig, plan: TransportPlan, q: float):
-        self._build(config.terminal_positions(), *plan.arcs(), plan.n_free, q, 0.0)
-
-    @classmethod
-    def from_arcs(cls, fixed: np.ndarray, tails, heads, weights, n_free: int,
-                  q: float, eps: float) -> "_EdgeKernel":
+    def __init__(self, fixed: np.ndarray, tails, heads, weights, n_free: int,
+                 q: float, eps: float = 0.0):
         """Kernel over ``fixed`` rows plus ``n_free`` free rows and the given
         weighted arcs (vertex ids index fixed rows first)."""
-        kernel = cls.__new__(cls)
-        kernel._build(fixed, tails, heads, weights, n_free, q, eps)
-        return kernel
-
-    @classmethod
-    def from_chains(cls, fixed: np.ndarray, tails: list[int], heads: list[int],
-                    weights: list[float], n_free: int, q: float, eps: float = 0.0):
-        """``from_arcs`` with each chain of ``graphs.relay_chains`` one arc
-        between its ends, weighted by its first arc's weight times
-        (c+1)^(1-q) for c relays: its least cost, relays evenly spaced.
-        Arcs on a cycle through relays alone stay.  Returns the kernel, the
-        vertex ids of its free rows (the free vertices with an arc that no
-        chain passes through), the relays, and the (starts, ends, counts)
-        that ``spread_on_segments`` places them by."""
-        n_fixed = len(fixed)
-        order, bounds, starts, ends, inner = relay_chains(
-            tails, heads, [False] * n_fixed + [True] * n_free)
-        counts = [hi - lo - 1 for lo, hi in zip(bounds, bounds[1:])]
-        loops = sorted(set(range(len(tails))).difference(order))
-        moved = sorted(set(tails).union(heads).difference(inner, range(n_fixed)))
-        row = dict(zip(moved, range(n_fixed, n_fixed + len(moved))))
-        kernel = cls.from_arcs(
-            fixed,
-            [row.get(v, v) for v in starts + [tails[k] for k in loops]],
-            [row.get(v, v) for v in ends + [heads[k] for k in loops]],
-            [weights[order[lo]] * (c + 1.0) ** (1.0 - q) for lo, c in zip(bounds, counts)]
-            + [weights[k] for k in loops],
-            len(moved), q, eps)
-        return kernel, moved, inner, (starts, ends, counts)
-
-    def _build(self, fixed, tails, heads, weights, n_free, q, eps) -> None:
         self.q = q
         self.eps = eps
         n_term, dim = fixed.shape
@@ -211,11 +180,37 @@ class _EdgeKernel:
         self.d = self.dist = self.coef = None
         self.hessian_bins = None
 
+    @classmethod
+    def from_chains(cls, fixed: np.ndarray, tails: list[int], heads: list[int],
+                    weights: list[float], n_free: int, q: float, eps: float = 0.0):
+        """The kernel with each chain of ``graphs.relay_chains`` one arc
+        between its ends, weighted by its first arc's weight times
+        (c+1)^(1-q) for c relays: its least cost, relays evenly spaced.
+        Arcs on a cycle through relays alone stay.  Returns the kernel, the
+        vertex ids of its free rows (the free vertices with an arc that no
+        chain passes through), the relays, and the (starts, ends, counts)
+        that ``spread_on_segments`` places them by."""
+        n_fixed = len(fixed)
+        order, bounds, starts, ends, inner = relay_chains(
+            tails, heads, [False] * n_fixed + [True] * n_free)
+        counts = [hi - lo - 1 for lo, hi in zip(bounds, bounds[1:])]
+        loops = sorted(set(range(len(tails))).difference(order))
+        moved = sorted(set(tails).union(heads).difference(inner, range(n_fixed)))
+        row = dict(zip(moved, range(n_fixed, n_fixed + len(moved))))
+        kernel = cls(
+            fixed,
+            [row.get(v, v) for v in starts + [tails[k] for k in loops]],
+            [row.get(v, v) for v in ends + [heads[k] for k in loops]],
+            [weights[order[lo]] * (c + 1.0) ** (1.0 - q) for lo, c in zip(bounds, counts)]
+            + [weights[k] for k in loops],
+            len(moved), q, eps)
+        return kernel, moved, inner, (starts, ends, counts)
+
     def cost(self, Z: np.ndarray) -> float:
         self.free_rows[...] = Z
         E = self.P.take(self.ends, axis=0)
         d = E[: self.m] - E[self.m :]
-        sq = (d * d).sum(axis=1)
+        sq = _squared_lengths(d)
         if self.eps:
             sq += self.eps * self.eps
         dist = np.sqrt(sq)
@@ -346,7 +341,8 @@ def _position_problem(
 ) -> tuple[np.ndarray, _EdgeKernel, float, float, float]:
     """``_position_scales`` with the plan's whole kernel after Z."""
     Z, diam, tol, floor = _position_scales(config, plan, Z0, q)
-    return Z, _EdgeKernel(config, plan, q), diam, tol, floor
+    kernel = _EdgeKernel(config.terminal_positions(), *plan.arcs(), plan.n_free, q)
+    return Z, kernel, diam, tol, floor
 
 
 def optimize_positions(
@@ -473,35 +469,32 @@ def polish_positions(
     plan: TransportPlan,
     Z0,
     q: float,
-) -> tuple[np.ndarray, float, int, bool]:
+) -> tuple[np.ndarray, int, bool]:
     """Minimize the fixed-plan cost over free positions: damped Newton on
     the plan's junctions, its relays in closed form.
 
-    Same objective, stop test, line-search floor and return as
+    Same objective, stop test and line-search floor as
     ``optimize_positions``.  ``_newton``, capped at NEWTON_ITERS, runs on
     the plan's positive arcs with their relay chains contracted
     (``_EdgeKernel.from_chains``), then the relays of each chain that has
     any are spread evenly on its segment.  At q = 2 one step reaches the
-    minimizer.  Atoms without a positive arc keep their Z0 rows.  The cost
-    is the plan's at Z, summed over its arcs in one pass; no kernel of the
-    whole plan is built.
+    minimizer.  Atoms without a positive arc keep their Z0 rows.  Returns
+    (Z, iterations, converged); no cost is computed, since the next plan
+    solve prices the positions (``transport.plan_cost`` gives the plan's
+    own cost at Z).
     """
     Z, _, tol, floor = _position_scales(config, plan, Z0, q)
     fixed = config.terminal_positions()
     n_term = len(fixed)
-    tails, heads, flows = plan.arcs()
-    keep = flows > 0.0
     kernel, moved, relays, (starts, ends, counts) = _EdgeKernel.from_chains(
-        fixed, *(a[keep].tolist() for a in (tails, heads, flows)), plan.n_free, q)
+        fixed, *(a.tolist() for a in plan.pruned(0.0).arcs()), plan.n_free, q)
     atoms = np.array(moved, dtype=np.intp) - n_term
     Z[atoms], _, iters, converged = _newton(kernel, Z[atoms], tol, floor, NEWTON_ITERS)
     P = np.vstack([fixed, Z])
     spread = [k for k, c in enumerate(counts) if c]
     Z[np.array(relays, dtype=np.intp) - n_term] = spread_on_segments(
         P, [starts[k] for k in spread], [ends[k] for k in spread], [counts[k] for k in spread])
-    P[n_term:] = Z
-    d = P.take(tails, axis=0) - P.take(heads, axis=0)
-    return Z, float((flows * np.sqrt((d * d).sum(axis=1)) ** q).sum()), iters, converged
+    return Z, iters, converged
 
 
 def w1_seed(config: SignedConfig, n: int, basis: TreeBasis | None = None) -> np.ndarray:
@@ -519,7 +512,7 @@ def w1_seed(config: SignedConfig, n: int, basis: TreeBasis | None = None) -> np.
     if not flows.size:
         anchor = T[0] if config.n_sources else np.zeros(config.dimension)
         return np.tile(anchor, (n, 1))
-    weights = flows * np.sqrt(_squared_norms(T.take(heads, axis=0) - T.take(tails, axis=0)))
+    weights = flows * np.sqrt(_squared_lengths(T.take(heads, axis=0) - T.take(tails, axis=0)))
     if weights.sum() <= 0:
         weights = np.ones(flows.size)
     return spread_on_segments(
@@ -560,7 +553,7 @@ def _settle(
     last = math.inf
     while True:
         passes += 1
-        Z, _, _, inner_ok = polish_positions(config, plan, Z, q)
+        Z, _, inner_ok = polish_positions(config, plan, Z, q)
         budget_hits += not inner_ok
         rows, cols = plan.rows, plan.cols
         plan, cost = min_cost_plan(config, Z, q, basis)
@@ -604,7 +597,7 @@ def _rebalance_layout(
     plan: TransportPlan,
     q: float,
     n: int,
-    settled: bool = False,
+    stable: bool = False,
 ) -> np.ndarray | None:
     """Atom layout suggested by the closed-form allocation on the reduced tree.
 
@@ -614,7 +607,7 @@ def _rebalance_layout(
     edges, or an edge of length zero, where a source and a sink share a
     point.
 
-    ``settled`` says that Z is the position optimum of ``plan``, so every
+    ``stable`` says that Z is the position optimum of ``plan``, so every
     chain's relays are evenly spaced on its segment.  An allocation that
     gives each chain its current relay count then only permutes the rows
     of Z, and None is returned for it too.
@@ -630,7 +623,7 @@ def _rebalance_layout(
         layout = allocate(tree, n, q)
     except ValueError:
         return None
-    if settled and list(layout.counts) == [c.n_interior for c in tree.chains]:
+    if stable and list(layout.counts) == [c.n_interior for c in tree.chains]:
         return None
     return layout.atom_positions
 
@@ -694,7 +687,7 @@ def _run_start(
         conv = conv and stable
         passes += passes2
         budget_hits += hits
-        if cost2 < cost * (1.0 - 1e-12):
+        if cost2 < cost * (1.0 - IMPROVEMENT_RTOL):
             Z, plan, cost = Z2, plan2, cost2
         else:
             break
@@ -755,7 +748,7 @@ def alternate_minimize(
         Z, plan, cost, passes, conv, hits = _run_start(config, Z0, q, n, basis, settled)
         budget_hits += hits
         start_costs.append(cost)
-        if best is None or cost < best[0] * (1.0 - 1e-12):
+        if best is None or cost < best[0] * (1.0 - IMPROVEMENT_RTOL):
             best = (cost, idx, Z, plan, passes, conv)
 
     cost, idx, Z, plan, passes, conv = best

@@ -54,16 +54,20 @@ relays threaded onto its segments (``_threaded_start``), and the basis
 drops it.  So one network serves every start of a multistart solve: each
 start sets the coupling and re-prices the network at its own layout.
 
-Every step around the pivots is a whole-array pass.  Costs are priced one
-coordinate at a time (``_pair_costs``), to the same bits as a sum over the
-coordinate axis of a ``(rows, cols, dim)`` array, without building it;
-``_segment_offsets``, the one point-segment projection of the threaded
-start, ``graphs.reduce_graph`` and ``hausdorff``, sums the same way.
-The simplex hands its positive arcs over as arrays
-(:meth:`MinCostFlowNetwork.support`), which become the plan's arrays as
-they are, without the constructor's re-checks (``TransportPlan._trusted``),
-and the plan's cost is gathered from the cost matrix in one index, then
-summed left to right.
+Every step around the pivots is a whole-array pass.  The simplex hands
+its positive arcs over as arrays (:meth:`MinCostFlowNetwork.support`),
+which become the plan's arrays as they are, without the constructor's
+re-checks (``TransportPlan._trusted``), and the plan's cost is gathered
+from the cost matrix in one index.
+
+Two rules make a report reproduce its own answer.  A length is the root
+of ``_squared_lengths``, the squared coordinates added one at a time: the
+plan network's costs, ``_segment_offsets``, the position kernel, the plan
+graph, the reduced tree, the W_1 seed, the oracle's tree and ``hausdorff``
+all measure so.  A plan's cost sums flow times length^q over its entries
+in key order, left to right (``_total_cost``), the powers taken over the
+whole array: ``min_cost_plan`` and ``plan_cost`` both sum so, and agree
+bit for bit.
 """
 
 from __future__ import annotations
@@ -266,16 +270,24 @@ def cost_matrix(config: SignedConfig, Z: np.ndarray | None, q: float) -> np.ndar
     return _pair_costs(rows, np.vstack([config.sink_positions(), Z]), q)
 
 
-def _pair_costs(A: np.ndarray, B: np.ndarray, q: float) -> np.ndarray:
-    """|A[i] - B[j]|^q for every pair of rows.
+def _squared_lengths(d: np.ndarray) -> np.ndarray:
+    """Squared Euclidean length along the last axis of ``d``: ``d0*d0``,
+    then ``+= d1*d1`` and so on, one coordinate at a time.  This is the one
+    length rule of the package; a length is its root."""
+    sq = d * d
+    # without coordinates every length is 0
+    s = sq[..., 0] if d.shape[-1] else np.zeros(d.shape[:-1])
+    for k in range(1, d.shape[-1]):
+        s = s + sq[..., k]
+    return s
 
-    The squared length is accumulated one coordinate at a time, ``d0*d0``
-    then ``+= d1*d1`` and so on: the terms, in the order in which a sum over
-    the coordinate axis of a ``(rows, cols, dim)`` array adds them (that sum
-    starts from +0.0, which a square never changes), so the entries are the
-    same bit for bit, without that array.  Each entry is computed on its
-    own, so a block of rows or columns equals that block of the full matrix.
-    """
+
+def _pair_costs(A: np.ndarray, B: np.ndarray, q: float) -> np.ndarray:
+    """|A[i] - B[j]|^q for every pair of rows, the squared length of
+    ``A[i] - B[j]`` added up as ``_squared_lengths`` adds it, without the
+    ``(rows, cols, dim)`` array of differences.  Each entry is computed on
+    its own, so a block of rows or columns equals that block of the full
+    matrix."""
     d = A[:, 0, None] - B[:, 0]
     s = d * d
     for k in range(1, A.shape[1]):
@@ -477,20 +489,16 @@ def min_cost_plan(
     # units are whole floats <= 10^9, so each flow has the bits of Python's int * unit
     flows = units * (total_mass(config) / MASS_UNITS)
     plan = TransportPlan._trusted(config.n_sources, config.n_sinks, len(Z), rows, cols, flows)
-    cost = 0.0
-    for g, c in zip(flows.tolist(), net.F[rows, cols].tolist()):
-        cost += g * c
-    return plan, cost
+    return plan, _total_cost(flows, net.F[rows, cols])
 
 
-def _squared_norms(d: np.ndarray) -> np.ndarray:
-    """Squared Euclidean length of each row of ``d``.
-
-    One stacked matmul takes each row's dot with itself, the BLAS dot that
-    ``np.linalg.norm`` takes of a single vector, so the square root of each
-    entry equals ``np.linalg.norm(row)`` bit for bit.
-    """
-    return (d[:, None, :] @ d[:, :, None]).ravel()
+def _total_cost(flows: np.ndarray, costs: np.ndarray) -> float:
+    """sum(flow * cost) over a plan's entries, in key order, left to right:
+    the one way a plan's q-power cost is summed."""
+    total = 0.0
+    for g, c in zip(flows.tolist(), costs.tolist()):
+        total += g * c
+    return total
 
 
 def _segment_offsets(
@@ -500,43 +508,35 @@ def _segment_offsets(
     on a segment of length zero) and the squared distance to it, broadcast
     over the leading axes; the last axis holds the coordinates.
 
-    Dot products, squared lengths and squared gaps are summed one
-    coordinate at a time from +0.0, as a sum over the coordinate axis of
-    the broadcast arrays adds them, so they equal those sums bit for bit,
-    signed zeros included.  ValueError when the coordinate axes disagree.
+    Squared lengths and gaps are ``_squared_lengths``, and dot products are
+    added one coordinate at a time from +0.0.  ValueError when the
+    coordinate axes disagree.
     """
     dim = X.shape[-1]
     if A.shape[-1] != dim or D.shape[-1] != dim:
         raise ValueError(f"points and segments have {dim}, {A.shape[-1]} and "
                          f"{D.shape[-1]} coordinates")
-    rel = [X[..., k] - A[..., k] for k in range(dim)]
-    dot = length2 = 0.0
-    for k, r in enumerate(rel):
-        dot = dot + r * D[..., k]
-        length2 = length2 + D[..., k] * D[..., k]
+    rel = X - A
+    dot = 0.0
+    for k in range(dim):
+        dot = dot + rel[..., k] * D[..., k]
+    length2 = _squared_lengths(D)
     t = np.clip(dot / np.where(length2 > 0.0, length2, 1.0), 0.0, 1.0)
-    gap2 = 0.0
-    for k, r in enumerate(rel):
-        gap = t * D[..., k] - r
-        gap2 = gap2 + gap * gap
-    return t, gap2
+    return t, _squared_lengths(t[..., None] * D - rel)
 
 
 def plan_cost(config: SignedConfig, Z: np.ndarray, plan: TransportPlan, q: float) -> float:
     """Evaluate the q-power objective of an arbitrary plan at positions Z.
 
-    Both ends of every arc (:meth:`TransportPlan.arcs`) are gathered at
-    once, and the terms are summed left to right in key order, so
-    the value equals that of a loop over the sorted keys taking one
-    ``np.linalg.norm`` per entry, bit for bit.
+    Each arc (:meth:`TransportPlan.arcs`) is priced as the plan network
+    prices it, and the terms are summed as ``min_cost_plan`` sums them
+    (``_total_cost``), so a plan ``min_cost_plan`` returned costs here, at
+    the same Z, what that solve returned, bit for bit.
     """
     P = vertex_positions(config, Z)
     tails, heads, flows = plan.arcs()
-    dist = np.sqrt(_squared_norms(P.take(tails, axis=0) - P.take(heads, axis=0)))
-    total = 0.0
-    for g, length in zip(flows.tolist(), dist.tolist()):
-        total += g * length**q
-    return total
+    d = P.take(tails, axis=0) - P.take(heads, axis=0)
+    return _total_cost(flows, np.sqrt(_squared_lengths(d)) ** q)
 
 
 def check_plan(plan: TransportPlan, config: SignedConfig) -> list[str]:

@@ -99,7 +99,7 @@ def one_pass_settle(config, Z, plan, q, basis):
     plan solve, and the two supports compared.  Patched in for
     ``positions._settle``, it leaves every settle whose support moves on
     its first pass unstable."""
-    Z, _, _, inner_ok = polish_positions(config, plan, Z, q)
+    Z, _, inner_ok = polish_positions(config, plan, Z, q)
     new, cost = min_cost_plan(config, Z, q, basis)
     stable = np.array_equal(new.rows, plan.rows) and np.array_equal(new.cols, plan.cols)
     return Z, new, cost, stable, 1, int(not inner_ok)

@@ -19,6 +19,7 @@ from branchflow import (
     y_instance,
 )
 from branchflow.graphs import ReducedTree, WeightedDigraph, is_forest
+from branchflow.transport import cost_matrix
 from conftest import graph_of, plan_of, random_config, random_feasible_plan, random_positions
 from branchflow import regularize
 
@@ -169,16 +170,17 @@ class TestPlanToGraph:
             reduce_graph(g)
 
     def test_edge_lengths_equal_the_per_edge_norm(self, rng):
-        # one np.linalg.norm per edge is the reference, bit for bit
+        # the plan network's q = 1 cost of each entry is the reference, bit
+        # for bit: one length rule serves the plan solve and the graph
         for trial in range(60):
             dim = 1 + trial % 3
             cfg = random_config(rng, dim=dim)
             n_free = int(rng.integers(0, 6))
             Z = rng.normal(size=(n_free, dim)) * 16.0 ** int(rng.integers(-2, 3))
-            plan = regularize(random_feasible_plan(cfg, n_free, rng), cfg, Z, 2.0)
+            plan = regularize(random_feasible_plan(cfg, n_free, rng), cfg, Z, 2.0).pruned(0.0)
             g = plan_to_graph(cfg, Z, plan)
-            P = g.positions
-            want = [float(np.linalg.norm(P[t] - P[h])).hex() for t, h, _, _ in edge_rows(g)]
+            F = cost_matrix(cfg, Z, 1.0)
+            want = [float(F[i, j]).hex() for i, j in zip(plan.rows.tolist(), plan.cols.tolist())]
             assert [length.hex() for length in g.length.tolist()] == want
 
 
@@ -308,6 +310,19 @@ class TestRoundTrip:
         duplicate = {**doc, "vertices": [{**r, "id": min(r["id"], 1)} for r in doc["vertices"]]}
         with pytest.raises(ValueError, match="vertex ids"):
             graph_from_dict(duplicate)
+
+    @pytest.mark.parametrize("ids", [[False, 1.0], [0, 1.0], [False, 1], [0, True]])
+    def test_vertex_ids_must_be_integers(self, ids):
+        # [False, 1.0] == [0, 1]: a comparison alone would load this document
+        doc = {
+            "vertices": [{"id": v, "role": role, "position": [float(k), 0.0]}
+                         for k, (v, role) in enumerate(zip(ids, ("source", "sink")))],
+            "edges": [{"tail": 0, "head": 1, "weight": 1.0, "length": 1.0}],
+        }
+        with pytest.raises(ValueError, match="vertex ids"):
+            graph_from_dict(doc)
+        doc["vertices"][0]["id"], doc["vertices"][1]["id"] = 0, 1
+        assert graph_from_dict(doc).n_edges == 1
 
     @pytest.mark.parametrize("field", ["weight", "length", "position"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])

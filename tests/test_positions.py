@@ -204,7 +204,7 @@ class TestEdgeKernelBitIdentity:
         zero_arcs = 0
         for cfg, plan, Z, q in _kernel_cases(rng):
             ref = _ReferenceObjective(cfg, plan, q)
-            kernel = _EdgeKernel(cfg, plan, q)
+            kernel = _EdgeKernel(cfg.terminal_positions(), *plan.arcs(), plan.n_free, q)
             for Zk in (Z, Z + 0.25, Z):  # the buffer is rewritten every call
                 assert kernel.cost(Zk).hex() == ref.cost(Zk).hex()
                 assert kernel.gradient().tobytes() == ref.gradient(Zk).tobytes()
@@ -298,12 +298,11 @@ class TestNewtonPolish:
                 if trial % 2:
                     assert _coincide(cfg, plan, Z0)
                 want = _laplacian_minimizer(cfg, plan, Z0)
-                Z, cost, iters, converged = polish_positions(cfg, plan, Z0, 2.0)
+                Z, iters, converged = polish_positions(cfg, plan, Z0, 2.0)
                 assert (iters, converged) == (int(_junctions(plan).size > 0), True)
                 steps += iters
                 span = max(1.0, float(np.abs(want).max()))
                 assert np.abs(Z - want).max() <= 1e-9 * span
-                assert cost == pytest.approx(plan_cost(cfg, Z, plan, 2.0), rel=1e-12)
                 unused = plan.throughputs() == 0.0
                 assert Z[unused].tobytes() == Z0[unused].tobytes()
                 idle += int(unused.sum())
@@ -312,19 +311,19 @@ class TestNewtonPolish:
     def test_converges_at_least_as_far_as_gradient_descent(self, rng):
         for cfg, plan, Z0, q in _kernel_cases(rng):
             tol = _stop_tolerance(cfg, q)
-            Z, cost, iters, converged = polish_positions(cfg, plan, Z0, q)
+            Z, iters, converged = polish_positions(cfg, plan, Z0, q)
             assert converged, (q, cfg.dimension)
             G = position_gradient(cfg, Z, plan, q)
             assert (np.abs(G).max() if G.size else 0.0) <= tol
-            assert cost == pytest.approx(plan_cost(cfg, Z, plan, q), rel=1e-12)
             # at a shared minimum the two costs differ only by rounding: the
             # gradient line search keeps points whose cost rounded low
+            cost = plan_cost(cfg, Z, plan, q)
             assert cost <= optimize_positions(cfg, plan, Z0, q)[1] * (1.0 + COST_ROUNDING)
             idle = plan.throughputs() == 0.0
             assert Z[idle].tobytes() == Z0[idle].tobytes()
             # a rerun is bit-identical
-            Z2, cost2, iters2, conv2 = polish_positions(cfg, plan, Z0, q)
-            assert Z2.tobytes() == Z.tobytes() and cost2.hex() == cost.hex()
+            Z2, iters2, conv2 = polish_positions(cfg, plan, Z0, q)
+            assert Z2.tobytes() == Z.tobytes()
             assert (iters2, conv2) == (iters, converged)
 
     def test_hessian_matches_central_differences(self, rng):
@@ -336,7 +335,7 @@ class TestNewtonPolish:
             n = int(rng.integers(1, 7))
             plan = random_feasible_plan(cfg, n, rng)
             Z = random_positions(cfg, n, rng)
-            kernel = _EdgeKernel(cfg, plan, q)
+            kernel = _EdgeKernel(cfg.terminal_positions(), *plan.arcs(), plan.n_free, q)
             kernel.cost(Z)
             kernel.gradient()
             H = kernel.hessian()
@@ -371,10 +370,10 @@ class TestNewtonPolish:
         plan = random_feasible_plan(cfg, 4, rng, cycle_rate=0.0)
         Z = random_positions(cfg, 4, rng)
         if q == "oracle":
-            kernel = _EdgeKernel.from_arcs(
+            kernel = _EdgeKernel(
                 cfg.terminal_positions(), *plan.arcs()[:2], plan.flows ** 0.5, 4, 1.0, 0.1)
         else:
-            kernel = _EdgeKernel(cfg, plan, q)
+            kernel = _EdgeKernel(cfg.terminal_positions(), *plan.arcs(), plan.n_free, q)
         kernel.cost(Z)
         assert kernel.newton_direction(kernel.gradient()) is not None
         assert calls == {"hessian": 1}
@@ -388,19 +387,17 @@ class TestNewtonPolish:
         junctions = _junctions(plan)
         assert junctions.size > 0
         monkeypatch.setattr(_EdgeKernel, "newton_direction", lambda self, G: None)
-        Z, cost, iters, converged = polish_positions(cfg, plan, Z0, 2.0)
+        Z, iters, converged = polish_positions(cfg, plan, Z0, 2.0)
         assert (iters, converged) == (1, False)
         assert Z[junctions].tobytes() == Z0[junctions].tobytes()
-        assert cost == pytest.approx(plan_cost(cfg, Z, plan, 2.0), rel=1e-12)
-        assert cost < plan_cost(cfg, Z0, plan, 2.0)
+        assert plan_cost(cfg, Z, plan, 2.0) < plan_cost(cfg, Z0, plan, 2.0)
 
     def test_newton_direction_without_a_free_arc_end(self):
         # no arc touches a free row: the Hessian is zero, in floats, and the
         # zero gradient has no descent direction
         cfg = y_instance()
         for q in (1.5, 2.0, 3.0):
-            kernel = _EdgeKernel.from_arcs(cfg.terminal_positions(), [0, 1], [2, 2],
-                                           [1.0, 1.0], 2, q, 0.0)
+            kernel = _EdgeKernel(cfg.terminal_positions(), [0, 1], [2, 2], [1.0, 1.0], 2, q)
             kernel.cost(np.ones((2, 2)))
             G = kernel.gradient()
             H = kernel.hessian()
@@ -430,7 +427,8 @@ class TestChainContraction:
             n = int(rng.integers(1, 8))
             plan = random_feasible_plan(cfg, n, rng, cycle_rate=0.0)
             Z0 = random_positions(cfg, n, rng)
-            Z, cost, _, converged = polish_positions(cfg, plan, Z0, q)
+            Z, _, converged = polish_positions(cfg, plan, Z0, q)
+            cost = plan_cost(cfg, Z, plan, q)
             Z_ref, cost_ref, _, ref_converged = self._reference(cfg, plan, Z0, q)
             assert converged
             unused = plan.throughputs() == 0.0
@@ -478,10 +476,10 @@ class TestChainContraction:
         # source -> three relays -> sink: the relays go to the quarter points
         cfg = single_edge()
         plan = plan_of(1, 1, 3, {(0, 1): 1.0, (1, 2): 1.0, (2, 3): 1.0, (3, 0): 1.0})
-        Z, cost, iters, converged = polish_positions(cfg, plan, random_positions(cfg, 3, rng), q)
+        Z, iters, converged = polish_positions(cfg, plan, random_positions(cfg, 3, rng), q)
         assert (iters, converged) == (0, True)
         assert Z.tolist() == [[0.25, 0.0], [0.5, 0.0], [0.75, 0.0]]
-        assert cost == pytest.approx(4.0 ** (1.0 - q), rel=1e-15)
+        assert plan_cost(cfg, Z, plan, q) == pytest.approx(4.0 ** (1.0 - q), rel=1e-15)
 
     def test_cycles_through_relays_alone_converge(self, rng):
         # hand-made plans only: the cycle's arcs stay plain arcs of the
@@ -498,18 +496,18 @@ class TestChainContraction:
             if not _relay_cycles(plan):
                 continue
             Z0 = random_positions(cfg, n, rng)
-            Z, cost, _, converged = polish_positions(cfg, plan, Z0, q)
+            Z, _, converged = polish_positions(cfg, plan, Z0, q)
             ref_cost, ref_converged = self._reference(cfg, plan, Z0, q)[1::2]
             if ref_converged:
                 assert converged
-                assert cost == pytest.approx(ref_cost, rel=1e-12)
+                assert plan_cost(cfg, Z, plan, q) == pytest.approx(ref_cost, rel=1e-12)
                 cycles += 1
         assert cycles >= 25
 
     def test_matches_the_spread_over_every_chain(self, rng):
         # spreading only the chains that have relays places them as a
-        # spread over every chain does, bit for bit, and the cost summed
-        # over the plan's arcs is the whole kernel's at Z, and plan_cost's
+        # spread over every chain does, bit for bit, and plan_cost at Z is
+        # the whole kernel's cost there up to rounding
         for trial in range(150):
             q = (1.5, 2.0, 3.0)[trial % 3]
             cfg = random_config(rng, dim=1 + trial // 3 % 3)
@@ -519,7 +517,7 @@ class TestChainContraction:
                 plan = random_feasible_plan(cfg, n, rng, cycle_rate=trial % 2)
             else:
                 plan = min_cost_plan(cfg, Z0, q)[0]
-            Z, cost = polish_positions(cfg, plan, Z0, q)[:2]
+            Z = polish_positions(cfg, plan, Z0, q)[0]
             Z_ref, obj, _, tol, floor = positions._position_problem(cfg, plan, Z0, q)
             n_term = cfg.n_sources + cfg.n_sinks
             kernel, moved, relays, segments = _EdgeKernel.from_chains(
@@ -531,8 +529,7 @@ class TestChainContraction:
             Z_ref[np.array(relays, dtype=np.intp) - n_term] = spread_on_segments(
                 np.vstack([obj.P[:n_term], Z_ref]), *segments)
             assert Z.tobytes() == Z_ref.tobytes()
-            assert cost == obj.cost(Z)
-            assert cost == pytest.approx(plan_cost(cfg, Z, plan, q), rel=1e-14, abs=1e-300)
+            assert plan_cost(cfg, Z, plan, q) == pytest.approx(obj.cost(Z), rel=1e-14, abs=1e-300)
 
     def test_relays_are_evenly_spaced_on_their_segments(self, rng):
         relays = 0
@@ -668,7 +665,7 @@ class TestAlternateMinimize:
         def counting(real):
             def wrapper(*args, **kwargs):
                 out = real(*args, **kwargs)
-                hits.append(not out[3])
+                hits.append(not out[-1])  # converged is last in both
                 return out
             return wrapper
 
@@ -692,7 +689,7 @@ class TestAlternateMinimize:
 
         def polish(*args, **kwargs):
             out = real["polish_positions"](*args, **kwargs)
-            hits["polish_positions"] += not out[3]
+            hits["polish_positions"] += not out[2]
             return out
 
         monkeypatch.setattr(positions, "NEWTON_ITERS", 1)

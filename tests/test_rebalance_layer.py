@@ -13,6 +13,7 @@ chain's path length and to the spread itself, and the structure checks
 that read them must give the same verdicts.
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -74,6 +75,15 @@ def _edges(g):
                                   g.weight.tolist(), g.length.tolist())]
 
 
+def _length(d):
+    """|d| by the package's one length rule: the squares added one
+    coordinate at a time, from zero."""
+    s = 0.0
+    for x in d:
+        s += x * x
+    return math.sqrt(s)
+
+
 def _in_flow(g, v):
     return sum(e.weight for e in _edges(g) if e.head == v)
 
@@ -103,8 +113,7 @@ def _reference_plan_to_graph(config, Z, plan):
     items = sorted(pruned.entries.items())
     tails = [pruned.row_to_vertex(i) for (i, _), _ in items]
     heads = [pruned.col_to_vertex(j) for (_, j), _ in items]
-    d = P[tails] - P[heads]
-    lengths = np.sqrt((d[:, None, :] @ d[:, :, None]).ravel()).tolist()
+    lengths = [_length(d) for d in (P[tails] - P[heads]).tolist()]
     edges = [
         Edge(remap[t], remap[h], g, length)
         for t, h, (_, g), length in zip(tails, heads, items, lengths)
@@ -159,7 +168,7 @@ def _reference_reduce_graph(g):
                 )
             a = g.positions[verts[0]]
             b = g.positions[verts[-1]]
-            straight = float(np.linalg.norm(b - a))
+            straight = _length((b - a).tolist())
             path_length = float(sum(lengths))
             max_perp = 0.0
             if len(verts) > 2:

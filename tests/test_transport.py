@@ -13,6 +13,7 @@ from branchflow import (
     InvalidConfigError,
     SignedConfig,
     TransportPlan,
+    alternate_minimize,
     min_cost_plan,
     random_instance,
     single_edge,
@@ -44,6 +45,7 @@ from conftest import (
     plan_of,
     random_config,
     random_feasible_plan,
+    random_positions,
     support_flows,
 )
 
@@ -1282,14 +1284,14 @@ class TestTransportPlan:
             assert plan.throughputs().tolist() == want_out[cfg.n_sources + cfg.n_sinks:].tolist()
 
     def test_plan_cost_equals_the_per_entry_loop(self, rng):
-        # one norm per entry, summed left to right in sorted key order: the
-        # vectorized plan_cost must reproduce it bit for bit
+        # each entry priced as the plan network prices it (its cost matrix
+        # entry), summed left to right in sorted key order: the vectorized
+        # plan_cost must reproduce it bit for bit
         def reference(cfg, Z, plan, q):
-            P = np.vstack([cfg.source_positions(), cfg.sink_positions(), Z])
+            F = cost_matrix(cfg, Z, q)
             total = 0.0
             for (i, j), g in sorted(plan.entries.items()):
-                d = float(np.linalg.norm(P[plan.row_to_vertex(i)] - P[plan.col_to_vertex(j)]))
-                total += g * d**q
+                total += g * float(F[i, j])
             return total
 
         for trial in range(60):
@@ -1563,6 +1565,43 @@ def _projection_cases(rng):
             yield dim, Z, A, D
 
 
+class TestPlanCostIsTheSolveCost:
+    """``plan_cost`` of a plan ``min_cost_plan`` returned, at the relays it
+    was solved at, is the cost that solve returned, bit for bit: one length
+    rule and one summation serve both."""
+
+    @pytest.mark.parametrize("q", [1.5, 2.0, 2.5, 3.0, 8.0])
+    def test_cold_and_warm_solves(self, rng, q):
+        solves = 0
+        for trial in range(36):
+            cfg = random_config(rng, dim=1 + trial % 3)
+            n = int(rng.integers(0, 8))
+            basis = TreeBasis()
+            # the first solve builds the basis's network cold; the others
+            # re-price it and start from the tree it kept, one of them
+            # from the W_1 coupling with the relays threaded on
+            for k in range(4):
+                if k == 2:
+                    w1 = TreeBasis()
+                    min_cost_plan(cfg, None, 1.0, w1)
+                    basis.coupling = w1.network.tree
+                Z = random_positions(cfg, n, rng)
+                plan, cost = min_cost_plan(cfg, Z, q, basis)
+                assert plan_cost(cfg, Z, plan, q).hex() == cost.hex()
+                plan, cost = min_cost_plan(cfg, Z, q)
+                assert plan_cost(cfg, Z, plan, q).hex() == cost.hex()
+                solves += 2
+        assert solves == 36 * 8
+
+    @pytest.mark.parametrize("q", [1.5, 2.0, 2.5, 3.0, 8.0])
+    def test_alternate_minimize_results(self, rng, q):
+        for trial in range(6):
+            cfg = random_config(rng, dim=1 + trial % 3)
+            n = int(rng.integers(1, 9))
+            res = alternate_minimize(cfg, n, CostParams(q=q, restarts=1))
+            assert plan_cost(cfg, res.Z, res.plan, q).hex() == res.cost_q.hex()
+
+
 class TestPerCoordinateSums:
     """Squared lengths summed one coordinate at a time equal, bit for bit,
     the sums over the coordinate axis of the broadcast arrays."""
@@ -1698,7 +1737,7 @@ class TestArrayHandOff:
             plan = random_feasible_plan(cfg, n_free, rng)
             if trial == 0:
                 plan = TransportPlan(cfg.n_sources, cfg.n_sinks, n_free)
-            kernel = positions._EdgeKernel(cfg, plan, 2.0)
+            kernel = positions._EdgeKernel(cfg.terminal_positions(), *plan.arcs(), n_free, 2.0)
             keys = sorted(plan.entries)
             ends = ([plan.row_to_vertex(i) for i, _ in keys]
                     + [plan.col_to_vertex(j) for _, j in keys])
